@@ -25,7 +25,12 @@
 //! and reports the per-pattern speedup under `"incremental"` in the
 //! JSON.
 //!
-//! Four invariants are *asserted* on every run (and gate CI via
+//! A third section times the **order search** itself
+//! (`TensorNetwork::plan`, the once-per-run planning layer) on each
+//! workload's split halves and its double network, as the median of
+//! repeated runs, and reports it under `"planning"` as `plan_us`.
+//!
+//! Five invariants are *asserted* on every run (and gate CI via
 //! `--smoke`):
 //!
 //! 1. reference and compiled paths produce **bit-identical** pattern
@@ -35,7 +40,8 @@
 //! 3. delta replay's pattern sum is **bit-identical** to the full
 //!    compiled replay of the same Gray sequence, and
 //! 4. the delta path's warmed timing pass performs **zero
-//!    allocations**.
+//!    allocations**, and
+//! 5. repeated order searches on one skeleton record **equal plans**.
 
 use qns_bench::registry::{default_set, smoke_set, BenchCircuit, Family};
 use qns_bench::timing::time_it;
@@ -45,7 +51,7 @@ use qns_core::NoiseSvd;
 use qns_linalg::{Complex64, Matrix};
 use qns_noise::{channels, NoisyCircuit};
 use qns_tensor::Tensor;
-use qns_tnet::builder::{AmplitudeSkeleton, Insertion, ProductState};
+use qns_tnet::builder::{AmplitudeSkeleton, DoubleSkeleton, Insertion, ProductState};
 use qns_tnet::exec::Workspace;
 use qns_tnet::network::OrderStrategy;
 use rand::rngs::StdRng;
@@ -59,6 +65,9 @@ struct Workload {
     name: String,
     upper: AmplitudeSkeleton,
     lower: AmplitudeSkeleton,
+    /// The double-size network of the same noisy circuit (the exact
+    /// `tnet` engine's topology), planned only in the planning section.
+    double: DoubleSkeleton,
     up_plan: qns_tnet::plan::ContractionPlan,
     lo_plan: qns_tnet::plan::ContractionPlan,
     up_exec: qns_tnet::exec::ExecutablePlan,
@@ -84,6 +93,7 @@ fn build_workload(bench: &BenchCircuit, noises: usize, seed: u64) -> Workload {
         .collect();
     let upper = AmplitudeSkeleton::new(noisy.circuit(), &psi, &v, &placeholders, false);
     let lower = AmplitudeSkeleton::new(noisy.circuit(), &psi, &v, &placeholders, true);
+    let double = DoubleSkeleton::new(&noisy, &psi, &v);
     let up_plan = upper.plan(OrderStrategy::Greedy);
     let lo_plan = lower.plan(OrderStrategy::Greedy);
     let payloads = noisy
@@ -103,6 +113,7 @@ fn build_workload(bench: &BenchCircuit, noises: usize, seed: u64) -> Workload {
         lo_exec: lo_plan.compile(),
         upper,
         lower,
+        double,
         up_plan,
         lo_plan,
         payloads,
@@ -257,6 +268,25 @@ fn run_delta_pass(
         (acc, steps)
     });
     (PathResult { sum, seconds }, steps)
+}
+
+/// Order searches per skeleton in the planning section; the median is
+/// reported.
+const PLAN_REPEATS: usize = 15;
+
+/// Median wall time (µs) of `PLAN_REPEATS` runs of `search`, after one
+/// untimed warm-up run. Every run must record the warm-up's plan.
+fn median_plan_us<P: PartialEq + std::fmt::Debug>(name: &str, search: impl Fn() -> P) -> f64 {
+    let first = search();
+    let mut us: Vec<f64> = (0..PLAN_REPEATS)
+        .map(|_| {
+            let (plan, seconds) = time_it(&search);
+            assert_eq!(plan, first, "{name}: order search is not deterministic");
+            seconds * 1e6
+        })
+        .collect();
+    us.sort_by(f64::total_cmp);
+    us[us.len() / 2]
 }
 
 fn main() {
@@ -428,6 +458,34 @@ fn main() {
         .powf(1.0 / inc_rows.len().max(1) as f64);
     println!("\ngeometric-mean incremental speedup: {inc_geomean:.2}x");
 
+    // ── Planning: the once-per-run order search ──
+    println!("\nplanning (greedy order search, median of {PLAN_REPEATS})\n");
+    let plan_widths = [14usize, 14, 16];
+    print_row(
+        &["workload".into(), "split µs".into(), "double µs".into()],
+        &plan_widths,
+    );
+    let mut plan_rows = Vec::new();
+    for (i, bench) in set.iter().enumerate() {
+        let w = build_workload(bench, noises, 0xC047 + i as u64);
+        let split = median_plan_us(&w.name, || {
+            (
+                w.upper.plan(OrderStrategy::Greedy),
+                w.lower.plan(OrderStrategy::Greedy),
+            )
+        });
+        let double = median_plan_us(&w.name, || w.double.plan(OrderStrategy::Greedy));
+        print_row(
+            &[
+                w.name.clone(),
+                format!("{split:.1}"),
+                format!("{double:.1}"),
+            ],
+            &plan_widths,
+        );
+        plan_rows.push((w.name.clone(), split, double));
+    }
+
     let mut per = String::new();
     for (i, (name, r, e, s)) in rows.iter().enumerate() {
         if i > 0 {
@@ -450,12 +508,23 @@ fn main() {
              \"delta_steps_per_pattern\":{dsteps:.2}}}"
         ));
     }
+    let plan_per = plan_rows
+        .iter()
+        .map(|(name, split, double)| {
+            format!(
+                "{{\"workload\":\"{name}\",\"plan_us\":{{\"split\":{split:.2},\"double\":{double:.2}}}}}"
+            )
+        })
+        .collect::<Vec<_>>()
+        .join(",");
     let json = format!(
         "{{\"mode\":\"{}\",\"patterns_per_workload\":{patterns_per},\
          \"noises\":{noises},\"steady_state_allocations\":0,\
          \"geomean_speedup\":{geomean:.3},\"workloads\":[{per}],\
          \"incremental\":{{\"level\":{level},\"order\":\"gray\",\
-         \"geomean_speedup\":{inc_geomean:.3},\"workloads\":[{inc_per}]}}}}\n",
+         \"geomean_speedup\":{inc_geomean:.3},\"workloads\":[{inc_per}]}},\
+         \"planning\":{{\"strategy\":\"greedy\",\"repeats\":{PLAN_REPEATS},\
+         \"workloads\":[{plan_per}]}}}}\n",
         if smoke { "smoke" } else { "default" },
     );
     let mut f = std::fs::File::create(&out).expect("create bench report");

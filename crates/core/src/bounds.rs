@@ -20,7 +20,18 @@ pub fn binomial(n: usize, k: usize) -> f64 {
 ///
 /// ```text
 /// |F − A(l)| < (1+8p)^N − Σ_{i=0..l} C(N,i)·(4p)^i·(1+4p)^{N−i}
+///            = Σ_{i=l+1..N} C(N,i)·(4p)^i·(1+4p)^{N−i}
 /// ```
+///
+/// Computed as the tail sum on the second line (binomial theorem):
+/// every term is positive, so there is no cancellation. The difference
+/// on the first line loses all digits when the tail is far below
+/// `(1+8p)^N`, down to a bound of exactly 0 for a truncated level.
+/// Each term is evaluated in log space, so a huge `C(N,i)` times a
+/// tiny `(4p)^i` neither overflows nor underflows on the way; the
+/// result is accurate to ~1e-13 relative for `N` in the hundreds. The
+/// bound is strictly positive whenever `level < N` and `p > 0` (a tail
+/// below the smallest positive `f64` rounds up to it, never down to 0).
 ///
 /// # Panics
 ///
@@ -28,13 +39,19 @@ pub fn binomial(n: usize, k: usize) -> f64 {
 pub fn error_bound(n_noises: usize, p: f64, level: usize) -> f64 {
     assert!(p >= 0.0, "noise rate must be non-negative");
     let n = n_noises;
-    let l = level.min(n);
-    let total = (1.0 + 8.0 * p).powi(n as i32);
-    let mut covered = 0.0;
-    for i in 0..=l {
-        covered += binomial(n, i) * (4.0 * p).powi(i as i32) * (1.0 + 4.0 * p).powi((n - i) as i32);
+    if level >= n || p == 0.0 {
+        return 0.0;
     }
-    (total - covered).max(0.0)
+    let (ln_x, ln_y) = ((4.0 * p).ln(), (4.0 * p).ln_1p());
+    let mut ln_binomial = 0.0; // ln C(n, i)
+    let mut tail = 0.0;
+    for i in 0..=n {
+        if i > level {
+            tail += (ln_binomial + i as f64 * ln_x + (n - i) as f64 * ln_y).exp();
+        }
+        ln_binomial += ((n - i) as f64 / (i + 1) as f64).ln();
+    }
+    f64::max(tail, f64::from_bits(1))
 }
 
 /// The closed-form estimate `32·√e·N²·p²` for the level-1 error when
@@ -150,6 +167,132 @@ mod tests {
                 assert!(b.abs() < 1e-9, "bound {b} at n={n}, p={p}");
             }
         }
+    }
+
+    /// `Σ_{i>l} C(N,i)(4p)^i(1+4p)^{N−i}` in exact rational
+    /// arithmetic at the dyadic rate `p = 2^-e` (`e ≥ 2`). With
+    /// `x = 4p = 2^-s`, `s = e − 2`, term `i` is
+    /// `C(N,i)·(2^s + 1)^{N−i} / 2^{sN}`, so the tail is one big
+    /// integer over `2^{sN}`; only the final division rounds.
+    fn exact_tail(n: usize, e: u32, level: usize) -> f64 {
+        // Little-endian base-2^32 digits.
+        fn mul_small(a: &mut Vec<u64>, m: u64) {
+            let mut carry = 0u64;
+            for d in a.iter_mut() {
+                let v = *d * m + carry;
+                *d = v & 0xFFFF_FFFF;
+                carry = v >> 32;
+            }
+            while carry > 0 {
+                a.push(carry & 0xFFFF_FFFF);
+                carry >>= 32;
+            }
+        }
+        fn add(a: &mut Vec<u64>, b: &[u64]) {
+            let mut carry = 0u64;
+            for i in 0..a.len().max(b.len()) {
+                if i == a.len() {
+                    a.push(0);
+                }
+                let v = a[i] + b.get(i).copied().unwrap_or(0) + carry;
+                a[i] = v & 0xFFFF_FFFF;
+                carry = v >> 32;
+            }
+            if carry > 0 {
+                a.push(carry);
+            }
+        }
+        let s = e - 2;
+        let mut num = vec![0u64];
+        for i in level + 1..=n {
+            let c = level_patterns(n, i) / 3u128.pow(i as u32); // C(N,i), exact
+            let mut term = vec![(c & 0xFFFF_FFFF) as u64, (c >> 32) as u64];
+            for _ in 0..n - i {
+                mul_small(&mut term, (1u64 << s) + 1);
+            }
+            add(&mut num, &term);
+        }
+        let value: f64 = num
+            .iter()
+            .enumerate()
+            .rev()
+            .map(|(k, &d)| d as f64 * 2f64.powi(32 * k as i32))
+            .sum();
+        value * 2f64.powi(-((s as usize * n) as i32))
+    }
+
+    #[test]
+    fn bound_matches_exact_rational_tail() {
+        // Regression: the old `(1+8p)^N − covered` form returned 0.0
+        // for (4, 2^-20, 3) — a truncated level claimed to be exact —
+        // and was off in the 9th digit for (12, 2^-10, 3).
+        for &(n, e, level) in &[
+            (4usize, 20u32, 3usize),
+            (12, 10, 3),
+            (12, 10, 0),
+            (12, 20, 11),
+            (16, 6, 2),
+            (16, 12, 5),
+            (8, 3, 1),
+            (1, 20, 0),
+        ] {
+            let p = 2f64.powi(-(e as i32));
+            let got = error_bound(n, p, level);
+            let want = exact_tail(n, e, level);
+            assert!(want > 0.0);
+            assert!(got > 0.0, "bound 0 at ({n}, 2^-{e}, {level})");
+            let rel = (got - want).abs() / want;
+            assert!(
+                rel <= 1e-12,
+                "({n}, 2^-{e}, {level}): {got:e} vs {want:e}, rel {rel:e}"
+            );
+        }
+    }
+
+    #[test]
+    fn truncated_bound_is_strictly_positive() {
+        for n in [1usize, 4, 12, 40, 200, 2000] {
+            for p in [1e-300, 2f64.powi(-40), 1e-6, 1e-3, 0.1] {
+                for level in 0..n.min(6) {
+                    assert!(error_bound(n, p, level) > 0.0, "({n}, {p:e}, {level})");
+                }
+            }
+            assert_eq!(error_bound(n, 0.0, 0), 0.0);
+            assert_eq!(error_bound(n, 1e-3, n), 0.0);
+        }
+    }
+
+    #[test]
+    fn large_n_bound_neither_overflows_nor_underflows() {
+        // Where the tail is a sizeable share of (1+8p)^N the old
+        // difference form has no real cancellation: agree with it.
+        for (n, p, level) in [
+            (2000usize, 1e-3f64, 1usize),
+            (500, 1e-2, 10),
+            (300, 0.05, 3),
+        ] {
+            let total = (1.0 + 8.0 * p).powi(n as i32);
+            let covered: f64 = (0..=level)
+                .map(|i| {
+                    binomial(n, i) * (4.0 * p).powi(i as i32) * (1.0 + 4.0 * p).powi((n - i) as i32)
+                })
+                .sum();
+            let old = total - covered;
+            assert!(
+                old > 1e-3 * total,
+                "({n}, {p}, {level}) is not cancellation-free"
+            );
+            let got = error_bound(n, p, level);
+            assert!(
+                ((got - old) / old).abs() < 1e-10,
+                "({n}, {p}, {level}): {got:e} vs {old:e}"
+            );
+        }
+        // C(1000,111) ≈ 1e150 times (0.004)^111 ≈ 1e-266: the tail is
+        // ≈ 1e-115, though the factors alone overflow/underflow a naive
+        // product of powers.
+        let b = error_bound(1000, 1e-3, 110);
+        assert!(b > 1e-120 && b < 1e-110, "{b:e}");
     }
 
     #[test]

@@ -121,17 +121,47 @@ impl DensityMatrix {
     pub fn apply_channel(&mut self, qubit: usize, channel: &Kraus) {
         assert_eq!(channel.dim(), 2, "expected a single-qubit channel");
         assert!(qubit < self.n, "qubit out of range");
-        let bits = 2 * self.n;
-        let mut acc = vec![Complex64::ZERO; self.data.len()];
-        for e in channel.operators() {
-            let mut term = self.data.clone();
-            kernels::apply_single(&mut term, bits, qubit, e);
-            kernels::apply_single(&mut term, bits, self.n + qubit, &e.conj());
-            for (a, t) in acc.iter_mut().zip(&term) {
-                *a += *t;
+        // `E_k ρ E_k†` mixes only the four entries that differ in the
+        // row and column bit of `qubit`, so the sum is taken block by
+        // block in place: no copy of ρ per Kraus operator. Each term is
+        // `E_k` on the row bit, then `conj(E_k)` on the column bit, and
+        // the terms add up in Kraus order, with the arithmetic of
+        // `kernels::apply_single`.
+        let entries = |m: &Matrix| [m[(0, 0)], m[(0, 1)], m[(1, 0)], m[(1, 1)]];
+        let ops: Vec<([Complex64; 4], [Complex64; 4])> = channel
+            .operators()
+            .iter()
+            .map(|e| (entries(e), entries(&e.conj())))
+            .collect();
+        let row = 1usize << (2 * self.n - 1 - qubit);
+        let col = 1usize << (self.n - 1 - qubit);
+        for base in 0..self.data.len() {
+            if base & (row | col) != 0 {
+                continue;
+            }
+            // Row bit, column bit: 00, 01, 10, 11.
+            let idx = [base, base | col, base | row, base | row | col];
+            let x = idx.map(|i| self.data[i]);
+            let mut acc = [Complex64::ZERO; 4];
+            for (e, f) in &ops {
+                let y00 = e[0] * x[0] + e[1] * x[2];
+                let y10 = e[2] * x[0] + e[3] * x[2];
+                let y01 = e[0] * x[1] + e[1] * x[3];
+                let y11 = e[2] * x[1] + e[3] * x[3];
+                let term = [
+                    f[0] * y00 + f[1] * y01,
+                    f[2] * y00 + f[3] * y01,
+                    f[0] * y10 + f[1] * y11,
+                    f[2] * y10 + f[3] * y11,
+                ];
+                for (a, t) in acc.iter_mut().zip(term) {
+                    *a += t;
+                }
+            }
+            for (i, a) in idx.into_iter().zip(acc) {
+                self.data[i] = a;
             }
         }
-        self.data = acc;
     }
 
     /// The expectation `⟨v|ρ|v⟩` (real for Hermitian ρ).
@@ -219,6 +249,8 @@ mod tests {
     use qns_circuit::generators::{ghz, inst_grid, qaoa_ring, QaoaRound};
     use qns_circuit::Circuit;
     use qns_noise::channels;
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
 
     #[test]
     fn noiseless_density_matches_statevector() {
@@ -311,6 +343,49 @@ mod tests {
         let rho = run(&noisy, &zero_state(4));
         let total: f64 = (0..16).map(|i| rho.expectation(&basis_state(4, i))).sum();
         assert!((total - 1.0).abs() < 1e-10);
+    }
+
+    #[test]
+    fn in_place_channel_equals_copy_per_operator_sum_bitwise() {
+        let mut rng = StdRng::seed_from_u64(9);
+        let mut c64 = || qns_linalg::c64(rng.random_range(-1.0..1.0), rng.random_range(-1.0..1.0));
+        let psi: Vec<Complex64> = (0..16).map(|_| c64()).collect();
+        let rho = DensityMatrix::from_pure(&qns_linalg::normalize(&psi));
+        // Dense complex operators, so that any reordering of the
+        // arithmetic shows up in the low bits.
+        let dense = Kraus::new(
+            (0..3)
+                .map(|_| Matrix::from_rows(&[vec![c64(), c64()], vec![c64(), c64()]]))
+                .collect(),
+        );
+        for kraus in [
+            dense,
+            channels::thermal_relaxation(30.0, 40.0, 25.0),
+            channels::depolarizing(0.2),
+        ] {
+            for qubit in 0..4 {
+                let mut fast = rho.clone();
+                fast.apply_channel(qubit, &kraus);
+                // Reference: a full copy of ρ per Kraus operator.
+                let bits = 2 * rho.n;
+                let mut want = vec![Complex64::ZERO; rho.data.len()];
+                for e in kraus.operators() {
+                    let mut term = rho.data.clone();
+                    kernels::apply_single(&mut term, bits, qubit, e);
+                    kernels::apply_single(&mut term, bits, rho.n + qubit, &e.conj());
+                    for (a, t) in want.iter_mut().zip(&term) {
+                        *a += *t;
+                    }
+                }
+                for (a, b) in fast.data.iter().zip(&want) {
+                    assert_eq!(
+                        (a.re.to_bits(), a.im.to_bits()),
+                        (b.re.to_bits(), b.im.to_bits()),
+                        "qubit {qubit}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! the plan-once/execute-many path the approximation algorithm's
 //! pattern sum runs on. `contract_all` itself is plan-then-execute.
 
-use crate::plan::ContractionPlan;
+use crate::plan::{ContractionPlan, SkeletonNode};
 use qns_tensor::Tensor;
 use std::collections::HashMap;
 
@@ -200,15 +200,42 @@ impl TensorNetwork {
         open
     }
 
+    /// The legs of the `i`-th added node, one per tensor axis.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i ≥ node_count()`.
+    pub fn node_legs(&self, i: usize) -> &[LegId] {
+        &self.nodes[i].1
+    }
+
     /// Runs the order search once and captures the result as a
     /// reusable [`ContractionPlan`] (see [`crate::plan`]).
     pub fn plan(&self, strategy: OrderStrategy) -> ContractionPlan {
-        let skeleton = self
-            .nodes
+        ContractionPlan::from_skeleton(self.skeleton(), strategy)
+    }
+
+    /// Captures an explicit pair-contraction sequence as a
+    /// [`ContractionPlan`], bypassing the order search. Slots are
+    /// numbered as in [`crate::plan::PlanStep`]: nodes `0..n`, then
+    /// pair `i`'s result as slot `n + i`. Two plans recording the same
+    /// sequence are equal, whichever search (or caller) chose it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a pair names a slot that does not exist or was
+    /// already consumed (or one slot twice), or if the sequence leaves
+    /// more than one slot unconsumed.
+    pub fn plan_order(&self, order: &[(usize, usize)]) -> ContractionPlan {
+        ContractionPlan::from_order(self.skeleton(), order)
+    }
+
+    /// The shape/leg pairs of the nodes, in node order.
+    fn skeleton(&self) -> Vec<SkeletonNode> {
+        self.nodes
             .iter()
             .map(|(t, legs)| (t.shape().to_vec(), legs.clone()))
-            .collect();
-        ContractionPlan::from_skeleton(skeleton, strategy)
+            .collect()
     }
 
     /// Contracts the whole network to a single tensor.

@@ -37,6 +37,8 @@ use crate::network::{ContractionStats, LegId, OrderStrategy, TensorNetwork};
 use qns_linalg::Complex64;
 use qns_tensor::Tensor;
 use std::borrow::Cow;
+use std::cmp::Reverse;
+use std::collections::{BTreeSet, BinaryHeap};
 
 /// One pair contraction in a [`ContractionPlan`] — an internal node of
 /// the contraction **tree**.
@@ -91,161 +93,62 @@ pub struct ContractionPlan {
     /// Shape-derived statistics of one replay (contractions,
     /// max intermediate, flops proxy) — constant across executions.
     replay_stats: ContractionStats,
-    strategy: OrderStrategy,
 }
 
 /// Skeleton view of a node during planning: shape + legs, no payload.
-type SkeletonNode = (Vec<usize>, Vec<LegId>);
+pub(crate) type SkeletonNode = (Vec<usize>, Vec<LegId>);
 
 impl ContractionPlan {
     /// Runs the `strategy` order search over a skeleton (the
     /// shape/leg pairs of a network's nodes, in node order) and records
     /// the chosen pair-contraction sequence.
     ///
-    /// The search is the same one [`TensorNetwork::contract_all`]
-    /// historically interleaved with contraction — greedy
-    /// smallest-intermediate pairing (or insertion order for
-    /// [`OrderStrategy::Sequential`]), with disconnected components
-    /// falling back to an outer product of the first two live nodes —
-    /// so replaying the plan reproduces the un-planned contraction
-    /// exactly.
+    /// [`OrderStrategy::Greedy`] contracts, at every step, the
+    /// connected live pair with the smallest result, ties broken by the
+    /// lowest `(lhs slot, rhs slot)`. A pair's result size cannot
+    /// change while both of its slots are live, so the search keeps a
+    /// lazy-deletion min-heap of `(cost, lhs, rhs)` over connected
+    /// pairs and, after each contraction, pushes only the new slot's
+    /// pairs with its neighbours: `O(E log E)` for `E` leg adjacencies,
+    /// instead of rescanning all live pairs per step. The pair it pops
+    /// is exactly the one such a rescan in ascending `(lhs, rhs)` order
+    /// would keep as its first strict minimum, so both searches record
+    /// identical plans. [`OrderStrategy::Sequential`] contracts the
+    /// first live slot with the first live slot it shares a leg with.
+    /// When the search finds no connected pair (greedy: none at all;
+    /// sequential: none for the first live slot), it outer-products
+    /// the two lowest live slots.
     pub(crate) fn from_skeleton(skeleton: Vec<SkeletonNode>, strategy: OrderStrategy) -> Self {
-        let n_inputs = skeleton.len();
-        let input_shapes: Vec<Vec<usize>> = skeleton.iter().map(|(s, _)| s.clone()).collect();
-        let mut slots: Vec<Option<SkeletonNode>> = skeleton.into_iter().map(Some).collect();
-        let mut steps = Vec::new();
-        let mut slot_parent: Vec<Option<usize>> = vec![None; n_inputs];
-        let mut replay_stats = ContractionStats::default();
-
-        if n_inputs > 0 {
-            loop {
-                let live: Vec<usize> = (0..slots.len()).filter(|&i| slots[i].is_some()).collect();
-                if live.len() == 1 {
-                    break;
-                }
-                // Candidate pairs: connected ones preferred; fall back to
-                // the first two (outer product) for disconnected
-                // components.
-                let mut best: Option<(usize, usize, usize)> = None;
-                match strategy {
-                    OrderStrategy::Greedy => {
-                        for (ii, &a) in live.iter().enumerate() {
-                            let legs_a = &slots[a].as_ref().expect("live").1;
-                            for &b in live.iter().skip(ii + 1) {
-                                let connected = {
-                                    let legs_b = &slots[b].as_ref().expect("live").1;
-                                    legs_a.iter().any(|l| legs_b.contains(l))
-                                };
-                                if !connected {
-                                    continue;
-                                }
-                                let cost = pair_cost(&slots, a, b);
-                                if best.map(|(_, _, c)| cost < c).unwrap_or(true) {
-                                    best = Some((a, b, cost));
-                                }
-                            }
-                        }
-                    }
-                    OrderStrategy::Sequential => {
-                        let a = live[0];
-                        let legs_a = &slots[a].as_ref().expect("live").1;
-                        for &b in live.iter().skip(1) {
-                            let legs_b = &slots[b].as_ref().expect("live").1;
-                            if legs_a.iter().any(|l| legs_b.contains(l)) {
-                                best = Some((a, b, 0));
-                                break;
-                            }
-                        }
-                    }
-                }
-                let (a, b) = match best {
-                    Some((a, b, _)) => (a, b),
-                    // Disconnected network: outer-product the first two.
-                    None => (live[0], live[1]),
-                };
-
-                let (sa, la) = slots[a].take().expect("node a live");
-                let (sb, lb) = slots[b].take().expect("node b live");
-                let shared: Vec<LegId> = la.iter().copied().filter(|l| lb.contains(l)).collect();
-                let axes_lhs: Vec<usize> = shared
-                    .iter()
-                    .map(|l| la.iter().position(|x| x == l).expect("shared in a"))
-                    .collect();
-                let axes_rhs: Vec<usize> = shared
-                    .iter()
-                    .map(|l| lb.iter().position(|x| x == l).expect("shared in b"))
-                    .collect();
-
-                // Result shape: free axes of `a` then free axes of `b`,
-                // matching `Tensor::contract`'s output layout.
-                let mut shape = Vec::with_capacity(la.len() + lb.len() - 2 * shared.len());
-                let mut legs = Vec::with_capacity(shape.capacity());
-                for (i, l) in la.iter().enumerate() {
-                    if !shared.contains(l) {
-                        shape.push(sa[i]);
-                        legs.push(*l);
-                    }
-                }
-                for (i, l) in lb.iter().enumerate() {
-                    if !shared.contains(l) {
-                        shape.push(sb[i]);
-                        legs.push(*l);
-                    }
-                }
-
-                // Stats are advisory sizing, so saturate like
-                // `pair_cost` does — adversarial shapes must not be
-                // able to panic the planner (debug overflow checks).
-                replay_stats.contractions += 1;
-                let result_len = saturating_product(&shape);
-                replay_stats.max_intermediate = replay_stats.max_intermediate.max(result_len);
-                let k = axes_lhs
-                    .iter()
-                    .fold(1usize, |acc, &i| acc.saturating_mul(sa[i]));
-                let a_len = saturating_product(&sa);
-                let b_len = saturating_product(&sb);
-                let m = a_len / k.max(1);
-                let n = b_len / k.max(1);
-                replay_stats.flops_proxy = replay_stats.flops_proxy.saturating_add(
-                    (m as u128)
-                        .saturating_mul(k.max(1) as u128)
-                        .saturating_mul(n as u128),
-                );
-
-                let step_idx = steps.len();
-                slot_parent[a] = Some(step_idx);
-                slot_parent[b] = Some(step_idx);
-                slot_parent.push(None);
-                steps.push(PlanStep {
-                    lhs: a,
-                    rhs: b,
-                    axes_lhs,
-                    axes_rhs,
-                });
-                slots.push(Some((shape, legs)));
-            }
+        let mut planner = Planner::new(skeleton);
+        match strategy {
+            OrderStrategy::Greedy => planner.search_greedy(),
+            OrderStrategy::Sequential => planner.search_sequential(),
         }
+        planner.finish()
+    }
 
-        // Normalize output-axis order to ascending leg id.
-        let output_perm = slots
-            .iter()
-            .rev()
-            .find_map(|s| s.as_ref())
-            .and_then(|(_, legs)| {
-                let mut order: Vec<usize> = (0..legs.len()).collect();
-                order.sort_by_key(|&i| legs[i]);
-                (!order.windows(2).all(|w| w[0] < w[1])).then_some(order)
-            });
-
-        ContractionPlan {
-            n_inputs,
-            input_shapes,
-            steps,
-            slot_parent,
-            output_perm,
-            replay_stats,
-            strategy,
+    /// Records the caller-given pair sequence over a skeleton: pair
+    /// `i` contracts two live slots into slot `n_inputs + i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a pair names a slot that is not live (or one slot
+    /// twice), or if the sequence leaves more than one live slot.
+    pub(crate) fn from_order(skeleton: Vec<SkeletonNode>, order: &[(usize, usize)]) -> Self {
+        let mut planner = Planner::new(skeleton);
+        for &(a, b) in order {
+            assert!(
+                a != b && planner.live.contains(&a) && planner.live.contains(&b),
+                "pair ({a}, {b}) does not name two live slots"
+            );
+            planner.contract(a, b);
         }
+        assert!(
+            planner.live.len() <= 1,
+            "order leaves {} live slots",
+            planner.live.len()
+        );
+        planner.finish()
     }
 
     /// Number of input tensors the plan expects.
@@ -337,11 +240,6 @@ impl ContractionPlan {
             .map(|l| self.leaf_path(l).len())
             .max()
             .unwrap_or(0)
-    }
-
-    /// The order strategy the plan was searched with.
-    pub fn strategy(&self) -> OrderStrategy {
-        self.strategy
     }
 
     /// Replays the plan against `inputs` (one tensor per original node,
@@ -460,23 +358,247 @@ fn saturating_product(shape: &[usize]) -> usize {
     shape.iter().fold(1usize, |acc, &d| acc.saturating_mul(d))
 }
 
-/// Result size (elements) of contracting skeleton slots `a` and `b` —
-/// the greedy search's cost function.
-fn pair_cost(slots: &[Option<SkeletonNode>], a: usize, b: usize) -> usize {
-    let (sa, la) = slots[a].as_ref().expect("live");
-    let (sb, lb) = slots[b].as_ref().expect("live");
-    let mut size = 1usize;
-    for (i, l) in la.iter().enumerate() {
-        if !lb.contains(l) {
-            size = size.saturating_mul(sa[i]);
+/// The state of one order search: the skeleton of every slot (inputs,
+/// then one per recorded step; a consumed slot's entry is emptied), the
+/// live slots, and the plan recorded so far. Legs are renumbered to
+/// dense ranks `0..n_legs` in ascending id order, so per-leg tables
+/// are plain vectors and the output permutation's leg order is kept.
+struct Planner {
+    input_shapes: Vec<Vec<usize>>,
+    slots: Vec<SkeletonNode>,
+    live: BTreeSet<usize>,
+    n_legs: usize,
+    steps: Vec<PlanStep>,
+    slot_parent: Vec<Option<usize>>,
+    replay_stats: ContractionStats,
+}
+
+impl Planner {
+    fn new(skeleton: Vec<SkeletonNode>) -> Self {
+        let mut ids: Vec<LegId> = skeleton
+            .iter()
+            .flat_map(|(_, l)| l.iter().copied())
+            .collect();
+        ids.sort_unstable();
+        ids.dedup();
+        let input_shapes = skeleton.iter().map(|(s, _)| s.clone()).collect();
+        let slots: Vec<SkeletonNode> = skeleton
+            .into_iter()
+            .map(|(shape, legs)| {
+                let dense = legs
+                    .iter()
+                    .map(|l| ids.binary_search(l).unwrap_or_else(|i| i))
+                    .collect();
+                (shape, dense)
+            })
+            .collect();
+        Planner {
+            input_shapes,
+            live: (0..slots.len()).collect(),
+            slot_parent: vec![None; slots.len()],
+            slots,
+            n_legs: ids.len(),
+            steps: Vec::new(),
+            replay_stats: ContractionStats::default(),
         }
     }
-    for (i, l) in lb.iter().enumerate() {
-        if !la.contains(l) {
-            size = size.saturating_mul(sb[i]);
+
+    /// Whether slots `a` and `b` share a leg.
+    fn connected(&self, a: usize, b: usize) -> bool {
+        let lb = &self.slots[b].1;
+        self.slots[a].1.iter().any(|l| lb.contains(l))
+    }
+
+    /// The two lowest live slots — the outer-product fallback when a
+    /// search finds no connected pair.
+    fn lowest_pair(&self) -> Option<(usize, usize)> {
+        let mut it = self.live.iter().copied();
+        Some((it.next()?, it.next()?))
+    }
+
+    /// Result size (elements) of contracting slots `a` and `b` — the
+    /// greedy search's cost function.
+    fn pair_cost(&self, a: usize, b: usize) -> usize {
+        let (sa, la) = &self.slots[a];
+        let (sb, lb) = &self.slots[b];
+        let mut size = 1usize;
+        for (i, l) in la.iter().enumerate() {
+            if !lb.contains(l) {
+                size = size.saturating_mul(sa[i]);
+            }
+        }
+        for (i, l) in lb.iter().enumerate() {
+            if !la.contains(l) {
+                size = size.saturating_mul(sb[i]);
+            }
+        }
+        size
+    }
+
+    /// The greedy search (see [`ContractionPlan::from_skeleton`]).
+    /// `owners[l]` holds the live slots carrying leg `l`: at most two,
+    /// since a network leg joins at most two nodes and a contraction
+    /// only moves its free legs onto the new slot.
+    fn search_greedy(&mut self) {
+        let mut owners: Vec<[Option<usize>; 2]> = vec![[None; 2]; self.n_legs];
+        let mut heap = BinaryHeap::new();
+        for slot in 0..self.slots.len() {
+            self.push_pairs(slot, &mut owners, &mut heap);
+        }
+        while self.live.len() > 1 {
+            let mut best = None;
+            while let Some(Reverse((_, a, b))) = heap.pop() {
+                if self.live.contains(&a) && self.live.contains(&b) {
+                    best = Some((a, b));
+                    break;
+                }
+            }
+            let Some((a, b)) = best.or_else(|| self.lowest_pair()) else {
+                break;
+            };
+            for slot in [a, b] {
+                for &l in &self.slots[slot].1 {
+                    for owner in &mut owners[l] {
+                        if *owner == Some(slot) {
+                            *owner = None;
+                        }
+                    }
+                }
+            }
+            let c = self.contract(a, b);
+            self.push_pairs(c, &mut owners, &mut heap);
         }
     }
-    size
+
+    /// Registers `slot` as an owner of its legs and pushes its pair
+    /// with every live slot it shares a leg with. Those neighbours are
+    /// all older than `slot`, so each pair enters as `(cost, lhs, rhs)`
+    /// with `lhs < rhs`.
+    fn push_pairs(
+        &self,
+        slot: usize,
+        owners: &mut [[Option<usize>; 2]],
+        heap: &mut BinaryHeap<Reverse<(usize, usize, usize)>>,
+    ) {
+        let mut neighbours = Vec::new();
+        for &l in &self.slots[slot].1 {
+            let pair = &mut owners[l];
+            neighbours.extend(pair.iter().flatten().copied());
+            if let Some(free) = pair.iter_mut().find(|o| o.is_none()) {
+                *free = Some(slot);
+            }
+        }
+        // Pairs sharing several legs are pushed once.
+        neighbours.sort_unstable();
+        neighbours.dedup();
+        for n in neighbours {
+            heap.push(Reverse((self.pair_cost(n, slot), n, slot)));
+        }
+    }
+
+    /// The sequential search: the first live slot with the first live
+    /// slot it shares a leg with.
+    fn search_sequential(&mut self) {
+        while let Some(&a) = self.live.first() {
+            let connected = self
+                .live
+                .iter()
+                .copied()
+                .skip(1)
+                .find(|&b| self.connected(a, b));
+            let Some((a, b)) = connected.map(|b| (a, b)).or_else(|| self.lowest_pair()) else {
+                break;
+            };
+            self.contract(a, b);
+        }
+    }
+
+    /// Records the contraction of live slots `a` (lhs) and `b` (rhs)
+    /// and returns the new slot holding its result.
+    fn contract(&mut self, a: usize, b: usize) -> usize {
+        self.live.remove(&a);
+        self.live.remove(&b);
+        let (sa, la) = std::mem::take(&mut self.slots[a]);
+        let (sb, lb) = std::mem::take(&mut self.slots[b]);
+
+        // Result shape: free axes of `a` then free axes of `b`,
+        // matching `Tensor::contract`'s output layout. Exact capacities:
+        // the axes live as long as the plan.
+        let n_shared = la.iter().filter(|l| lb.contains(l)).count();
+        let mut axes_lhs = Vec::with_capacity(n_shared);
+        let mut axes_rhs = Vec::with_capacity(n_shared);
+        let mut shape = Vec::with_capacity(la.len() + lb.len() - 2 * n_shared);
+        let mut legs = Vec::with_capacity(shape.capacity());
+        for (i, l) in la.iter().enumerate() {
+            match lb.iter().position(|x| x == l) {
+                Some(j) => {
+                    axes_lhs.push(i);
+                    axes_rhs.push(j);
+                }
+                None => {
+                    shape.push(sa[i]);
+                    legs.push(*l);
+                }
+            }
+        }
+        for (j, l) in lb.iter().enumerate() {
+            if !la.contains(l) {
+                shape.push(sb[j]);
+                legs.push(*l);
+            }
+        }
+
+        // Stats are advisory sizing, so saturate like `pair_cost`
+        // does — adversarial shapes must not be able to panic the
+        // planner (debug overflow checks).
+        self.replay_stats.contractions += 1;
+        let result_len = saturating_product(&shape);
+        self.replay_stats.max_intermediate = self.replay_stats.max_intermediate.max(result_len);
+        let k = axes_lhs
+            .iter()
+            .fold(1usize, |acc, &i| acc.saturating_mul(sa[i]));
+        let m = saturating_product(&sa) / k.max(1);
+        let n = saturating_product(&sb) / k.max(1);
+        self.replay_stats.flops_proxy = self.replay_stats.flops_proxy.saturating_add(
+            (m as u128)
+                .saturating_mul(k.max(1) as u128)
+                .saturating_mul(n as u128),
+        );
+
+        let step_idx = self.steps.len();
+        self.slot_parent[a] = Some(step_idx);
+        self.slot_parent[b] = Some(step_idx);
+        self.slot_parent.push(None);
+        self.steps.push(PlanStep {
+            lhs: a,
+            rhs: b,
+            axes_lhs,
+            axes_rhs,
+        });
+        let c = self.slots.len();
+        self.slots.push((shape, legs));
+        self.live.insert(c);
+        c
+    }
+
+    /// The recorded plan, its output axes normalised to ascending leg
+    /// order.
+    fn finish(self) -> ContractionPlan {
+        let output_perm = self.live.first().and_then(|&root| {
+            let legs = &self.slots[root].1;
+            let mut order: Vec<usize> = (0..legs.len()).collect();
+            order.sort_by_key(|&i| legs[i]);
+            (!order.windows(2).all(|w| w[0] < w[1])).then_some(order)
+        });
+        ContractionPlan {
+            n_inputs: self.input_shapes.len(),
+            input_shapes: self.input_shapes,
+            steps: self.steps,
+            slot_parent: self.slot_parent,
+            output_perm,
+            replay_stats: self.replay_stats,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -636,6 +758,33 @@ mod tests {
         assert_eq!(stats.contractions, 1);
         assert_eq!(stats.max_intermediate, usize::MAX);
         assert!(stats.flops_proxy > 0);
+    }
+
+    #[test]
+    fn plan_order_replays_a_searched_sequence() {
+        let mut rng = StdRng::seed_from_u64(23);
+        let (net, _) = chain_network(&mut rng);
+        for strategy in [OrderStrategy::Greedy, OrderStrategy::Sequential] {
+            let plan = net.plan(strategy);
+            let order: Vec<(usize, usize)> = plan.steps().iter().map(PlanStep::children).collect();
+            assert_eq!(net.plan_order(&order), plan, "{strategy:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "does not name two live slots")]
+    fn plan_order_rejects_a_consumed_slot() {
+        let mut rng = StdRng::seed_from_u64(29);
+        let (net, _) = chain_network(&mut rng);
+        let _ = net.plan_order(&[(0, 1), (0, 2)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "order leaves 2 live slots")]
+    fn plan_order_rejects_an_incomplete_sequence() {
+        let mut rng = StdRng::seed_from_u64(31);
+        let (net, _) = chain_network(&mut rng);
+        let _ = net.plan_order(&[(0, 1)]);
     }
 
     #[test]

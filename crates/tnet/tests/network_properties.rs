@@ -1,11 +1,19 @@
 //! Property-based tests of the tensor-network engine: contraction
 //! results must be independent of strategy and match direct tensor
-//! algebra on randomly shaped chains.
+//! algebra on randomly shaped chains, and the incremental greedy order
+//! search must record exactly the plan of the all-pairs rescan it
+//! replaced.
 
 use proptest::prelude::*;
-use qns_linalg::c64;
+use qns_circuit::generators::{hf_vqe, inst_grid, qaoa_grid_random};
+use qns_circuit::Circuit;
+use qns_linalg::{c64, Matrix};
+use qns_noise::{channels, NoisyCircuit};
 use qns_tensor::Tensor;
-use qns_tnet::network::{OrderStrategy, TensorNetwork};
+use qns_tnet::builder::{AmplitudeSkeleton, DoubleSkeleton, Insertion, ProductState};
+use qns_tnet::network::{LegId, OrderStrategy, TensorNetwork};
+use rand::rngs::StdRng;
+use rand::{RngExt, SeedableRng};
 
 fn tensor_strategy(shape: Vec<usize>) -> impl Strategy<Value = Tensor> {
     let len: usize = shape.iter().product();
@@ -165,4 +173,219 @@ proptest! {
         let s = run(OrderStrategy::Sequential);
         prop_assert!(g.approx_eq(s, 1e-9), "{g} vs {s}");
     }
+}
+
+/// The all-pairs rescan the incremental greedy search replaced, kept
+/// as its oracle. Every step rescans the live slots' pairs in
+/// ascending `(lhs, rhs)` order and keeps the first strict minimum of
+/// the result size among pairs sharing a leg; with no connected pair
+/// left it outer-products the two lowest live slots. Returns the
+/// chosen pair sequence (`O(n³)`: keep oracle networks small).
+fn rescan_order(net: &TensorNetwork) -> Vec<(usize, usize)> {
+    let mut slots: Vec<Option<(Vec<usize>, Vec<LegId>)>> = (0..net.node_count())
+        .map(|i| {
+            Some((
+                net.node_tensor(i).shape().to_vec(),
+                net.node_legs(i).to_vec(),
+            ))
+        })
+        .collect();
+    let mut order = Vec::new();
+    loop {
+        let live: Vec<usize> = (0..slots.len()).filter(|&i| slots[i].is_some()).collect();
+        if live.len() < 2 {
+            return order;
+        }
+        let mut best: Option<(usize, usize, usize)> = None;
+        for (ii, &a) in live.iter().enumerate() {
+            let (sa, la) = slots[a].as_ref().unwrap();
+            for &b in &live[ii + 1..] {
+                let (sb, lb) = slots[b].as_ref().unwrap();
+                if !la.iter().any(|l| lb.contains(l)) {
+                    continue;
+                }
+                let free = |s: &[usize], l: &[LegId], other: &[LegId]| {
+                    l.iter()
+                        .zip(s)
+                        .filter(|(leg, _)| !other.contains(leg))
+                        .fold(1usize, |acc, (_, &d)| acc.saturating_mul(d))
+                };
+                let cost = free(sa, la, lb).saturating_mul(free(sb, lb, la));
+                if best.is_none_or(|(_, _, c)| cost < c) {
+                    best = Some((a, b, cost));
+                }
+            }
+        }
+        let (a, b) = best.map_or((live[0], live[1]), |(a, b, _)| (a, b));
+        let (sa, la) = slots[a].take().unwrap();
+        let (sb, lb) = slots[b].take().unwrap();
+        let mut merged = (Vec::new(), Vec::new());
+        for (s, l, other) in [(&sa, &la, &lb), (&sb, &lb, &la)] {
+            for (&d, &leg) in s.iter().zip(l) {
+                if !other.contains(&leg) {
+                    merged.0.push(d);
+                    merged.1.push(leg);
+                }
+            }
+        }
+        slots.push(Some(merged));
+        order.push((a, b));
+    }
+}
+
+/// Asserts the greedy search's plan equals the plan of the rescan's
+/// pair sequence — steps, axes, tree, output permutation and replay
+/// statistics.
+fn assert_greedy_matches_rescan(net: &TensorNetwork, what: &str) {
+    let heap_plan = net.plan(OrderStrategy::Greedy);
+    let rescan_plan = net.plan_order(&rescan_order(net));
+    assert_eq!(heap_plan, rescan_plan, "{what}");
+}
+
+/// Largest node rank in [`random_network`] (keeps payloads ≤ 3⁶).
+const MAX_RANK: usize = 6;
+
+/// A random network of `n` nodes in `components` disjoint groups
+/// (node `i` is in group `i % components`). Bonds join random node
+/// pairs within a group, a third of them doubled into a second
+/// parallel leg; `open` open legs hang off random nodes. Bond
+/// dimensions are all 2 when `uniform` (every tie in the greedy cost
+/// is exercised), else drawn from `1..=3`. Leg ids are sparse and
+/// allocated in shuffled order, and each node's legs are shuffled, so
+/// the planner's leg renumbering and output permutation are exercised.
+fn random_network(
+    rng: &mut StdRng,
+    n: usize,
+    bonds: usize,
+    open: usize,
+    components: usize,
+    uniform: bool,
+) -> TensorNetwork {
+    let mut legs: Vec<Vec<(LegId, usize)>> = vec![Vec::new(); n];
+    let mut ids: Vec<LegId> = (0..2 * bonds + open).map(|k| 5 + 3 * k).collect();
+    for i in (1..ids.len()).rev() {
+        ids.swap(i, rng.random_range(0..i + 1));
+    }
+    let mut next_id = ids.into_iter();
+    let dim = |rng: &mut StdRng| {
+        if uniform {
+            2
+        } else {
+            rng.random_range(1..4usize)
+        }
+    };
+    for _ in 0..bonds {
+        let group = rng.random_range(0..components);
+        let members: Vec<usize> = (group..n).step_by(components).collect();
+        if members.len() < 2 {
+            continue;
+        }
+        let a = members[rng.random_range(0..members.len())];
+        let b = members[rng.random_range(0..members.len())];
+        let parallel = if rng.random_range(0..3usize) == 0 {
+            2
+        } else {
+            1
+        };
+        if a == b || legs[a].len() + parallel > MAX_RANK || legs[b].len() + parallel > MAX_RANK {
+            continue;
+        }
+        for _ in 0..parallel {
+            let (id, d) = (next_id.next().unwrap(), dim(rng));
+            legs[a].push((id, d));
+            legs[b].push((id, d));
+        }
+    }
+    for _ in 0..open {
+        let a = rng.random_range(0..n);
+        if legs[a].len() < MAX_RANK {
+            legs[a].push((next_id.next().unwrap(), dim(rng)));
+        }
+    }
+    let mut net = TensorNetwork::new();
+    for mut node in legs {
+        for i in (1..node.len()).rev() {
+            node.swap(i, rng.random_range(0..i + 1));
+        }
+        let shape: Vec<usize> = node.iter().map(|&(_, d)| d).collect();
+        net.add(Tensor::zeros(shape), node.iter().map(|&(l, _)| l).collect());
+    }
+    net
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The greedy search records the rescan's plan on random networks:
+    /// tie-heavy or mixed bond dimensions, parallel legs, open legs and
+    /// disconnected components (including isolated nodes).
+    #[test]
+    fn greedy_plan_matches_rescan_on_random_networks(
+        seed in 0u64..1_000_000,
+        n in 1usize..48,
+        density in 0usize..4,
+        open in 0usize..6,
+        components in 1usize..4,
+        uniform in 0usize..2,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let net = random_network(&mut rng, n, n * density / 2 + n, open, components, uniform == 1);
+        assert_greedy_matches_rescan(&net, &format!("seed {seed}, n {n}"));
+    }
+}
+
+/// The same on a few networks near the oracle's size limit.
+#[test]
+fn greedy_plan_matches_rescan_on_large_random_networks() {
+    for (seed, n, components, uniform) in
+        [(1u64, 200, 1, true), (2, 160, 3, false), (3, 240, 1, false)]
+    {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let net = random_network(&mut rng, n, 2 * n, n / 10, components, uniform);
+        assert_greedy_matches_rescan(&net, &format!("seed {seed}, n {n}"));
+    }
+}
+
+/// Asserts the greedy search records the rescan's plan on the upper,
+/// lower and double skeletons of a paper-family circuit, with the
+/// noise placement of the benchmark's level-3 job on it.
+fn assert_paper_skeletons_match_rescan(name: &str, circuit: Circuit, noises: usize, seed: u64) {
+    let channel = channels::thermal_relaxation(30.0, 40.0, 25.0);
+    let noisy = NoisyCircuit::inject_random(circuit, &channel, noises, seed);
+    let psi = ProductState::all_zeros(noisy.n_qubits());
+    let v = ProductState::basis(noisy.n_qubits(), 0);
+    let placeholders: Vec<Insertion> = noisy
+        .events()
+        .iter()
+        .map(|e| Insertion {
+            after_gate: e.after_gate,
+            qubit: e.qubit,
+            matrix: Matrix::identity(2),
+        })
+        .collect();
+    let upper = AmplitudeSkeleton::new(noisy.circuit(), &psi, &v, &placeholders, false);
+    let lower = AmplitudeSkeleton::new(noisy.circuit(), &psi, &v, &placeholders, true);
+    let double = DoubleSkeleton::new(&noisy, &psi, &v);
+    for (half, net) in [
+        ("upper", upper.network()),
+        ("lower", lower.network()),
+        ("double", double.network()),
+    ] {
+        assert_greedy_matches_rescan(net, &format!("{name} {half}"));
+    }
+}
+
+#[test]
+fn greedy_plan_matches_rescan_on_qaoa_16() {
+    assert_paper_skeletons_match_rescan("qaoa_16", qaoa_grid_random(4, 4, 2, 22), 12, 0xD5EE);
+}
+
+#[test]
+fn greedy_plan_matches_rescan_on_inst_4x4_16() {
+    assert_paper_skeletons_match_rescan("inst_4x4_16", inst_grid(4, 4, 16, 34), 9, 0xD5F0);
+}
+
+#[test]
+fn greedy_plan_matches_rescan_on_hf_12() {
+    assert_paper_skeletons_match_rescan("hf_12", hf_vqe(12, 6, 13), 12, 0xD5EE);
 }
