@@ -185,8 +185,9 @@ impl Backend for ApproxBackend {
 
     fn cost_hint(&self, job: &ExpectationJob<'_>) -> Option<u128> {
         self.supports(job).ok()?;
-        // Two single-size contractions per pattern, each linear in the
-        // network size.
+        // Patterns × network size: the paper's two single-size
+        // contractions per pattern, halved to one for an expectation,
+        // which only rescales every approx cost by the same constant.
         Some(
             self.planned_patterns(job.noisy())
                 .saturating_mul(job_units(job)),

@@ -96,6 +96,7 @@ fn main() {
          jumps by orders of magnitude once noise tensors bridge the \
          double network (the paper's MO after 30 noises at 100 qubits), \
          while the approximation's cost column grows exactly linearly \
-         (2·(1+3N) contractions of noise-free-sized networks)."
+         (the paper's 2·(1+3N) contractions of noise-free-sized \
+         networks; an expectation here contracts one per pattern, 1+3N)."
     );
 }

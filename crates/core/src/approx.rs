@@ -15,12 +15,31 @@
 //! A(l) = Σ_{u=0..l}  Σ_{|S|=u}  Σ_{i_S ∈ {1,2,3}^u}   amp_up · amp_lo
 //! ```
 //!
-//! at `2·Σ_{u≤l} C(N,u)·3^u` single-size contractions (Theorem 1).
+//! which the paper counts as `2·Σ_{u≤l} C(N,u)·3^u` single-size
+//! contractions (Theorem 1).
+//!
+//! # One network per expectation pattern (Kraus form)
+//!
+//! [`crate::NoiseSvd`] builds every `V_i` as exactly `conj(U_i)`, so
+//! each term `U_i ⊗ conj(U_i)` is the superoperator of the single
+//! Kraus operator `U_i`. For an expectation `⟨v|E(ρ)|v⟩` both halves
+//! are capped with `v`, and the lower network — conjugated circuit,
+//! conjugated caps, `V_i = conj(U_i)` payloads — is then the upper one
+//! conjugated entry by entry. Contracting it in the same order performs
+//! every complex multiply and add on conjugated operands, and IEEE
+//! arithmetic commutes with negating an imaginary part, so
+//! `amp_lo = conj(amp_up)` **bit for bit**. The evaluators therefore
+//! contract only the upper network and take `amp·conj(amp)` — the
+//! probability of one Kraus trajectory, so every pattern term is
+//! non-negative — at one contraction per pattern. A matrix element
+//! `⟨x|E(ρ)|y⟩` with `x != y` still builds a second half: the plain
+//! circuit capped with `y` and the same `U` payloads, whose scalar is
+//! conjugated. [`ApproxResult::contractions`] counts what ran.
 //!
 //! # Plan-once/execute-many
 //!
 //! All patterns share exactly one network topology per split half —
-//! only the 2×2 `U`/`V` payloads differ — so the evaluators here build
+//! only the 2×2 `U` payloads differ — so the evaluators here build
 //! each half's [`AmplitudeSkeleton`] **once per run**, capture its
 //! greedy contraction order as a [`qns_tnet::plan::ContractionPlan`],
 //! and then merely swap payloads and replay the plan per pattern. The
@@ -130,13 +149,16 @@ pub struct ApproxResult {
     pub per_level: Vec<f64>,
     /// Number of substitution patterns evaluated.
     pub terms_evaluated: usize,
-    /// Number of tensor-network contractions performed
-    /// (`2 × terms_evaluated`).
+    /// Number of whole-network contractions actually executed: one
+    /// per pattern (the paper's two-half count is
+    /// [`crate::bounds::contraction_count`]); levels installed from a
+    /// cache add none.
     pub contractions: usize,
     /// Aggregated contraction statistics across the whole pattern sum.
     /// With plan reuse, `stats.order_searches` stays `O(1)` per run
-    /// (2 for the split evaluator — one search per half; 1 for the
-    /// unsplit one) while `stats.plan_reuses` counts the replays.
+    /// (1 for an expectation — split or unsplit — and 2 for a matrix
+    /// element with distinct caps, one search per half) while
+    /// `stats.plan_reuses` counts the replays.
     pub stats: ContractionStats,
 }
 
@@ -162,38 +184,41 @@ pub(crate) fn collect_sites(noisy: &NoisyCircuit) -> Vec<Site> {
         .collect()
 }
 
-/// The two split-half skeletons of one run. Payload swaps mutate the
-/// skeletons, so each worker thread clones this pair; the (read-only)
-/// plans and payload tables are shared.
+/// The split-half skeletons of one run. Payload swaps mutate the
+/// skeletons, so each worker thread clones them; the (read-only)
+/// plans and payload table are shared.
 #[derive(Clone)]
 pub(crate) struct SplitSkeletons {
+    /// `⟨x|·|ψ⟩` with the pattern's `U` matrices spliced in.
     upper: AmplitudeSkeleton,
-    lower: AmplitudeSkeleton,
+    /// `⟨y|·|ψ⟩` with the same `U` matrices — present only when the
+    /// caps differ. With `y == x` it would be the upper network itself.
+    lower: Option<AmplitudeSkeleton>,
 }
 
 /// The per-run shared state of the split evaluator: the **compiled**
 /// contraction plans (searched and lowered once) and every site's four
-/// SVD-term payload tensors, pre-resolved — conjugation included — so
-/// the hot loop only memcpys 2×2 buffers into the skeleton slots and
-/// replays kernels through a per-worker [`Workspace`]: zero heap
-/// allocations per pattern in steady state.
+/// `U`-term payload tensors, pre-resolved so the hot loop only memcpys
+/// 2×2 buffers into the skeleton slots and replays kernels through a
+/// per-worker [`Workspace`]: zero heap allocations per pattern in
+/// steady state.
 pub(crate) struct SplitShared {
     up: ExecutablePlan,
-    lo: ExecutablePlan,
-    /// `payloads[site][term] = (upper tensor U_term, lower tensor)`.
-    /// The lower network is built with `conjugate = true`, which
-    /// conjugates inserted *matrices*; the pre-built tensor carries
-    /// `V_term` itself (the old path passed `V.conj()` and let the
-    /// builder conjugate it back).
-    payloads: Vec<[(Tensor, Tensor); 4]>,
-    /// The stats of the once-per-run setup: two order searches.
+    /// The lower half's plan, present exactly when the skeletons'
+    /// lower half is.
+    lo: Option<ExecutablePlan>,
+    /// `payloads[site][term] = U_term`, installed in both halves. The
+    /// paper's lower factor `V_term` is `conj(U_term)` by construction
+    /// ([`NoiseSvd`]), applied by conjugating the lower half's scalar.
+    payloads: Vec<[Tensor; 4]>,
+    /// The stats of the once-per-run setup: one order search per half.
     pub(crate) planning: ContractionStats,
 }
 
-/// Builds the insertion skeletons for `⟨x|·|ψ⟩` (upper) and
-/// `⟨y|·|ψ⟩`* (lower) with identity placeholders at every noise site,
-/// plans **and compiles** both contractions, and resolves the payload
-/// tensors — the once-per-run setup.
+/// Builds the insertion skeletons for `⟨x|·|ψ⟩` (upper) and, when
+/// `y != x`, `⟨y|·|ψ⟩` (lower) with identity placeholders at every
+/// noise site, plans **and compiles** each contraction, and resolves
+/// the payload tensors — the once-per-run setup.
 pub(crate) fn build_split(
     circuit: &Circuit,
     psi: &ProductState,
@@ -210,27 +235,29 @@ pub(crate) fn build_split(
             matrix: Matrix::identity(2),
         })
         .collect();
-    let upper = AmplitudeSkeleton::new(circuit, psi, x, &placeholders, false);
-    let lower = AmplitudeSkeleton::new(circuit, psi, y, &placeholders, true);
-    let up_plan = upper.plan(strategy);
-    let lo_plan = lower.plan(strategy);
     let mut planning = ContractionStats::default();
-    planning.absorb(&up_plan.planning_stats());
-    planning.absorb(&lo_plan.planning_stats());
+    let mut half = |cap: &ProductState| {
+        let skel = AmplitudeSkeleton::new(circuit, psi, cap, &placeholders, false);
+        let plan = skel.plan(strategy);
+        planning.absorb(&plan.planning_stats());
+        (skel, plan.compile())
+    };
+    let (upper, up) = half(x);
+    let (lower, lo) = if y == x {
+        (None, None)
+    } else {
+        let (skel, plan) = half(y);
+        (Some(skel), Some(plan))
+    };
     let payloads = sites
         .iter()
-        .map(|s| {
-            std::array::from_fn(|term| {
-                let (u, vm) = s.svd.term(term);
-                (Tensor::from_matrix(u), Tensor::from_matrix(vm))
-            })
-        })
+        .map(|s| std::array::from_fn(|term| Tensor::from_matrix(s.svd.term(term).0)))
         .collect();
     (
         SplitSkeletons { upper, lower },
         SplitShared {
-            up: up_plan.compile(),
-            lo: lo_plan.compile(),
+            up,
+            lo,
             payloads,
             planning,
         },
@@ -241,8 +268,8 @@ pub(crate) fn build_split(
 /// installed assignment plus one warm [`Workspace`] per half.
 ///
 /// Per pattern it diffs the new assignment against the installed one,
-/// memcpys only the changed `U`/`V` payloads into the skeleton slots,
-/// and delta-replays only the contraction-tree paths those leaves feed
+/// memcpys only the changed `U` payloads into the skeleton slots, and
+/// delta-replays only the contraction-tree paths those leaves feed
 /// — bit-identical to a full replay, but `O(changes · tree depth)`
 /// contractions under the minimal-change [`GrayPatternStream`] order.
 /// A cold workspace (a worker's first pattern) falls back to one full
@@ -257,7 +284,7 @@ pub(crate) struct SplitDelta {
     /// plan, and alternating two plans through one workspace would
     /// evict the warm arena on every pattern.
     ws_up: Workspace,
-    ws_lo: Workspace,
+    ws_lo: Option<Workspace>,
 }
 
 impl SplitDelta {
@@ -267,14 +294,15 @@ impl SplitDelta {
             dirty_up: Vec::new(),
             dirty_lo: Vec::new(),
             ws_up: Workspace::for_plan(&shared.up),
-            ws_lo: Workspace::for_plan(&shared.lo),
+            ws_lo: shared.lo.as_ref().map(Workspace::for_plan),
         }
     }
 
     /// Evaluates one substitution pattern incrementally. Returns
-    /// `amp_up · amp_lo`; no network construction, no order search,
-    /// and — once the workspaces are warm — no heap allocations and
-    /// no work for unchanged subtrees.
+    /// `amp_up · conj(amp_lo)`, which is `amp_up · conj(amp_up)` when
+    /// there is no lower half; no network construction, no order
+    /// search, and — once the workspaces are warm — no heap
+    /// allocations and no work for unchanged subtrees.
     fn evaluate(
         &mut self,
         skels: &mut SplitSkeletons,
@@ -288,11 +316,13 @@ impl SplitDelta {
             if term == *cur {
                 continue;
             }
-            let (u, v) = &shared.payloads[i][term];
+            let u = &shared.payloads[i][term];
             skels.upper.set_insertion_payload(i, u);
-            skels.lower.set_insertion_payload(i, v);
             self.dirty_up.push(skels.upper.insertion_slot(i));
-            self.dirty_lo.push(skels.lower.insertion_slot(i));
+            if let Some(lower) = &mut skels.lower {
+                lower.set_insertion_payload(i, u);
+                self.dirty_lo.push(lower.insertion_slot(i));
+            }
             *cur = term;
         }
         let (amp_up, st_up) = shared.up.execute_network_delta_scalar(
@@ -300,14 +330,17 @@ impl SplitDelta {
             &self.dirty_up,
             &mut self.ws_up,
         );
-        let (amp_lo, st_lo) = shared.lo.execute_network_delta_scalar(
-            skels.lower.network(),
-            &self.dirty_lo,
-            &mut self.ws_lo,
-        );
         stats.absorb(&st_up);
-        stats.absorb(&st_lo);
-        amp_up * amp_lo
+        let amp_lo = match (&skels.lower, &shared.lo, &mut self.ws_lo) {
+            (Some(lower), Some(lo), Some(ws)) => {
+                let (amp, st_lo) =
+                    lo.execute_network_delta_scalar(lower.network(), &self.dirty_lo, ws);
+                stats.absorb(&st_lo);
+                amp
+            }
+            _ => amp_up,
+        };
+        amp_up * amp_lo.conj()
     }
 }
 
@@ -513,7 +546,7 @@ pub fn try_approximate_expectation(
 ///
 /// Numerically identical to [`approximate_expectation`]; it exists to
 /// quantify the factorization benefit in isolation (the DESIGN.md
-/// ablation): the split evaluation contracts two single-size networks
+/// ablation): the split evaluation contracts one single-size network
 /// per pattern instead of one double-size network.
 ///
 /// # Panics
@@ -619,7 +652,7 @@ pub fn try_approximate_expectation_unsplit(
         value: per_level.iter().sum(),
         per_level,
         terms_evaluated,
-        contractions: terms_evaluated, // one double-size contraction each
+        contractions: stats.plan_reuses, // one double-size contraction each
         stats,
     })
 }
@@ -628,9 +661,10 @@ pub fn try_approximate_expectation_unsplit(
 /// element `⟨x| E_N(|ψ⟩⟨ψ|) |y⟩` (paper, Section III: "every element
 /// of `E_N(ρ₀)` can be independently estimated").
 ///
-/// With `x == y` this reduces to [`approximate_expectation`]; the
-/// implementation simply caps the two split networks with different
-/// product states, which the superoperator form supports directly.
+/// With `x == y` this reduces to [`approximate_expectation`] (one
+/// network per pattern); otherwise the implementation caps the two
+/// split networks with different product states, which the
+/// superoperator form supports directly.
 ///
 /// # Panics
 ///
@@ -657,6 +691,18 @@ pub fn try_approximate_matrix_element(
     y: &ProductState,
     opts: &ApproxOptions,
 ) -> Result<Complex64, QnsError> {
+    matrix_element_run(noisy, psi, x, y, opts).map(|(value, _, _)| value)
+}
+
+/// [`try_approximate_matrix_element`] with its pattern count and
+/// contraction statistics.
+pub(crate) fn matrix_element_run(
+    noisy: &NoisyCircuit,
+    psi: &ProductState,
+    x: &ProductState,
+    y: &ProductState,
+    opts: &ApproxOptions,
+) -> Result<(Complex64, usize, ContractionStats), QnsError> {
     let circuit = noisy.circuit();
     check_state("input state", psi, circuit)?;
     check_state("bra state", x, circuit)?;
@@ -667,22 +713,24 @@ pub fn try_approximate_matrix_element(
     check_budget(n, level, opts.max_terms)?;
 
     // Same plan-once machinery as the expectation, with asymmetric
-    // caps: the upper (ket-side) network capped with `x`, the lower
-    // (conjugate-side) network with `y` — producing the terms of
+    // caps: the upper network capped with `x`, the lower with `y` —
+    // producing the terms of
     // `⟨x|E(ρ)|y⟩ = (⟨x| ⊗ ⟨y*|)·M·(|ψ⟩ ⊗ |ψ*⟩)`.
     let (mut skels, shared) = build_split(circuit, psi, x, y, &sites, opts.strategy);
-    let mut stats = ContractionStats::default();
+    let mut stats = shared.planning;
     let mut delta = SplitDelta::new(&shared, n);
 
     let mut total = Complex64::ZERO;
+    let mut terms = 0usize;
     let mut assignment = vec![0usize; n];
     for u in 0..=level {
         let mut stream = GrayPatternStream::new(n, u);
         while stream.next_into(&mut assignment) {
             total += delta.evaluate(&mut skels, &shared, &assignment, &mut stats);
+            terms += 1;
         }
     }
-    Ok(total)
+    Ok((total, terms, stats))
 }
 
 /// Reconstructs the full output density matrix of a noisy circuit by
@@ -935,6 +983,8 @@ mod tests {
 
     #[test]
     fn contraction_count_matches_formula() {
+        // One contraction runs per pattern; the paper's two-half count
+        // (`bounds::contraction_count`) is twice that.
         let noisy = NoisyCircuit::inject_random(ghz(3), &channels::depolarizing(1e-3), 4, 2);
         let psi = ProductState::all_zeros(3);
         let v = ProductState::basis(3, 0);
@@ -942,6 +992,11 @@ mod tests {
             let res = approximate_expectation(&noisy, &psi, &v, &opts(l));
             assert_eq!(
                 res.contractions as u128,
+                crate::bounds::planned_patterns(4, l),
+                "level {l}"
+            );
+            assert_eq!(
+                2 * res.contractions as u128,
                 crate::bounds::contraction_count(4, l),
                 "level {l}"
             );
@@ -951,8 +1006,9 @@ mod tests {
     #[test]
     fn plan_reuse_amortizes_order_searches() {
         // The acceptance criterion of the plan subsystem: per-run
-        // order searches are O(1) — two for the split evaluator, one
-        // for the unsplit one — while every pattern replays a plan.
+        // order searches are O(1) — one for an expectation (split or
+        // unsplit), two for a matrix element with distinct caps —
+        // while every pattern replays a plan.
         let noisy = NoisyCircuit::inject_random(ghz(4), &channels::depolarizing(1e-2), 5, 37);
         let psi = ProductState::all_zeros(4);
         let v = ProductState::basis(4, 0b1111);
@@ -964,13 +1020,23 @@ mod tests {
             };
             let res = approximate_expectation(&noisy, &psi, &v, &o);
             assert!(res.terms_evaluated > 50, "nontrivial pattern count");
-            assert_eq!(res.stats.order_searches, 2, "threads={threads}");
+            assert_eq!(res.stats.order_searches, 1, "threads={threads}");
             assert_eq!(
-                res.stats.plan_reuses,
-                2 * res.terms_evaluated,
-                "threads={threads}: every pattern replays both half-plans"
+                res.stats.plan_reuses, res.terms_evaluated,
+                "threads={threads}: every pattern replays the one plan"
             );
+            assert_eq!(res.contractions, res.terms_evaluated);
         }
+
+        let x = ProductState::basis(4, 0b0110);
+        let (_, terms, stats) = matrix_element_run(&noisy, &psi, &x, &v, &opts(2)).unwrap();
+        assert!(terms > 50, "nontrivial pattern count");
+        assert_eq!(stats.order_searches, 2, "one search per half");
+        assert_eq!(
+            stats.plan_reuses,
+            2 * terms,
+            "every pattern replays both half-plans"
+        );
 
         let unsplit = approximate_expectation_unsplit(&noisy, &psi, &v, &opts(1));
         assert_eq!(unsplit.stats.order_searches, 1);
@@ -1242,7 +1308,7 @@ mod tests {
         );
         assert_eq!(seq.terms_evaluated, par.terms_evaluated);
         assert_eq!(par.terms_evaluated, 1 + 21 + 189);
-        assert_eq!(par.stats.plan_reuses, 2 * par.terms_evaluated);
+        assert_eq!(par.stats.plan_reuses, par.terms_evaluated);
 
         // Run-to-run determinism: chunk assignment depends on OS
         // scheduling, but the sequence-ordered reduction must make the
@@ -1262,6 +1328,132 @@ mod tests {
                 again.value.to_bits(),
                 par.value.to_bits(),
                 "parallel sum must be bit-stable across runs"
+            );
+        }
+    }
+
+    /// The benchmark registry's smoke circuits, one per paper family
+    /// (`qns_bench::registry::smoke_set`, rebuilt from the same
+    /// generators and seeds).
+    fn registry_circuits() -> Vec<(&'static str, Circuit)> {
+        use qns_circuit::generators::{hf_vqe, qaoa_grid_random};
+        vec![
+            ("qaoa_9", qaoa_grid_random(3, 3, 2, 20)),
+            ("inst_2x3_8", inst_grid(2, 3, 8, 30)),
+            ("hf_6", hf_vqe(6, 3, 10)),
+        ]
+    }
+
+    /// The two-network evaluator the Kraus form replaced, kept as an
+    /// oracle: per pattern, the upper network times a `conjugate = true`
+    /// lower network carrying the `V` payloads, each fully replayed.
+    /// Level sums follow the evaluator's order — sequential, or
+    /// [`PATTERN_CHUNK`]-pattern chunks summed in sequence when
+    /// `threads > 1` and the level has more than one pattern.
+    fn two_half_per_level(
+        noisy: &NoisyCircuit,
+        psi: &ProductState,
+        v: &ProductState,
+        level: usize,
+        threads: usize,
+    ) -> Vec<f64> {
+        let circuit = noisy.circuit();
+        let sites = collect_sites(noisy);
+        let placeholders: Vec<Insertion> = sites
+            .iter()
+            .map(|s| Insertion {
+                after_gate: s.after_gate,
+                qubit: s.qubit,
+                matrix: Matrix::identity(2),
+            })
+            .collect();
+        let mut upper = AmplitudeSkeleton::new(circuit, psi, v, &placeholders, false);
+        let mut lower = AmplitudeSkeleton::new(circuit, psi, v, &placeholders, true);
+        let up = upper.plan(OrderStrategy::Greedy).compile();
+        let lo = lower.plan(OrderStrategy::Greedy).compile();
+        let (mut ws_up, mut ws_lo) = (Workspace::for_plan(&up), Workspace::for_plan(&lo));
+        let add = |acc: Complex64, &t: &Complex64| acc + t;
+        let mut assignment = vec![0usize; sites.len()];
+        (0..=level)
+            .map(|u| {
+                let mut terms = Vec::new();
+                let mut stream = GrayPatternStream::new(sites.len(), u);
+                while stream.next_into(&mut assignment) {
+                    for (i, &t) in assignment.iter().enumerate() {
+                        let (a, b) = sites[i].svd.term(t);
+                        upper.set_insertion_payload(i, &Tensor::from_matrix(a));
+                        lower.set_insertion_payload(i, &Tensor::from_matrix(b));
+                    }
+                    let amp_up = up.execute_network_scalar(upper.network(), &mut ws_up);
+                    let amp_lo = lo.execute_network_scalar(lower.network(), &mut ws_lo);
+                    terms.push(amp_up * amp_lo);
+                }
+                let sum = if threads > 1 && terms.len() > 1 {
+                    terms
+                        .chunks(PATTERN_CHUNK)
+                        .map(|c| c.iter().fold(Complex64::ZERO, add))
+                        .sum()
+                } else {
+                    terms.iter().fold(Complex64::ZERO, add)
+                };
+                sum.re
+            })
+            .collect()
+    }
+
+    #[test]
+    fn one_network_expectation_is_bitwise_the_two_network_product() {
+        let channel = channels::thermal_relaxation(30.0, 40.0, 100.0);
+        for (name, c) in registry_circuits() {
+            let n = c.n_qubits();
+            let noisy = NoisyCircuit::inject_random(c, &channel, 6, 71);
+            let psi = ProductState::all_zeros(n);
+            let v = ProductState::basis(n, 0b101);
+            for threads in [1usize, 2] {
+                let oracle = two_half_per_level(&noisy, &psi, &v, 3, threads);
+                for level in 0..=3 {
+                    let o = opts(level).with_threads(threads);
+                    let res = approximate_expectation(&noisy, &psi, &v, &o);
+                    let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(
+                        bits(&res.per_level),
+                        bits(&oracle[..=level]),
+                        "{name}, level {level}, threads {threads}"
+                    );
+                    let sum: f64 = oracle[..=level].iter().sum();
+                    assert_eq!(res.value.to_bits(), sum.to_bits(), "{name}, level {level}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn level_sums_are_monotone_lower_bounds_of_the_exact_value() {
+        // Every pattern term is a Kraus-trajectory probability |amp|²,
+        // so T_u ≥ 0 and A(l) climbs toward the exact value from below.
+        let chans = [
+            channels::depolarizing(0.02),
+            channels::amplitude_damping(0.05),
+            channels::thermal_relaxation(30.0, 40.0, 200.0),
+        ];
+        for ((name, c), channel) in registry_circuits().into_iter().zip(&chans) {
+            let n = c.n_qubits();
+            let noisy = NoisyCircuit::inject_random(c, channel, 6, 73);
+            let psi = ProductState::all_zeros(n);
+            let v = ProductState::basis(n, 0b110);
+            let mm = exact(&noisy, &psi, &v);
+            let res = approximate_expectation(&noisy, &psi, &v, &opts(3));
+            let mut partial = 0.0f64;
+            for (u, &tu) in res.per_level.iter().enumerate() {
+                assert!(tu >= 0.0, "{name}: T_{u} = {tu} < 0");
+                let next = partial + tu;
+                assert!(next >= partial, "{name}: A({u}) fell");
+                assert!(next <= mm + 1e-12, "{name}: A({u}) = {next} > exact {mm}");
+                partial = next;
+            }
+            assert!(
+                mm - partial < 1e-3 * mm,
+                "{name}: A(3) = {partial} vs exact {mm}"
             );
         }
     }

@@ -99,8 +99,12 @@ pub fn planned_patterns(n_noises: usize, level: usize) -> u128 {
     })
 }
 
-/// The number of tensor-network contractions performed by the
-/// level-`l` approximation: `2·Σ_{i=0..l} C(N,i)·3^i` (Theorem 1).
+/// The paper's contraction count for the level-`l` approximation,
+/// two single-size networks per pattern: `2·Σ_{i=0..l} C(N,i)·3^i`
+/// (Theorem 1) — the unit of `table4` and Fig. 5. An expectation run
+/// here contracts one network per pattern (the lower half is the
+/// conjugate of the upper, see [`crate::approx`]), so
+/// [`crate::approx::ApproxResult::contractions`] is half of this.
 /// Saturating, like [`level_patterns`].
 pub fn contraction_count(n_noises: usize, level: usize) -> u128 {
     planned_patterns(n_noises, level).saturating_mul(2)
@@ -121,9 +125,9 @@ pub fn trajectories_samples_matching_level1(n_noises: usize, p: f64) -> usize {
     qns_sim::trajectory::required_samples(eps, 0.99)
 }
 
-/// Our level-`l` "sample" count — the number of single-size network
-/// contractions (comparable unit to one trajectory) — as `f64` for
-/// plotting.
+/// Our level-`l` "sample" count — the paper's two-half count of
+/// single-size network contractions ([`contraction_count`], a unit
+/// comparable to one trajectory) — as `f64` for Fig. 5 plotting.
 pub fn our_samples(n_noises: usize, level: usize) -> f64 {
     contraction_count(n_noises, level) as f64
 }

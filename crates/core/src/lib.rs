@@ -7,9 +7,10 @@
 //! 1. Every noise channel `E` enters the double-size tensor network as
 //!    its superoperator matrix `M_E = Σ_k E_k ⊗ E_k*`.
 //! 2. The [`permutation::tensor_permute`] operator reshuffles `M_E`
-//!    into `M̃_E`; an SVD `M̃_E = S·D·T†` then yields the **exact**
-//!    Kronecker expansion `M_E = Σ_{i=0..3} U_i ⊗ V_i`
-//!    ([`noise_svd::NoiseSvd`]).
+//!    into `M̃_E`, the channel's Hermitian positive semi-definite Choi
+//!    matrix; its SVD — an eigendecomposition — then yields the
+//!    **exact** Kronecker expansion `M_E = Σ_{i=0..3} U_i ⊗ V_i` with
+//!    `V_i = conj(U_i)` ([`noise_svd::NoiseSvd`]).
 //! 3. When the noise rate `‖M_E − I‖ < p` is small, `U_0 ⊗ V_0` is a
 //!    `4p`-accurate rank-1 stand-in (Lemma 2, via Eckart–Young).
 //!    Substituting Kronecker products for every noise **splits the
@@ -17,9 +18,11 @@
 //!    scalar contractions multiply.
 //! 4. The *l-level approximation* [`approx::approximate_expectation`]
 //!    sums every substitution pattern with at most `l` noises taking a
-//!    sub-dominant term, at a cost of `2·Σ_{i≤l} C(N,i)·3^i`
+//!    sub-dominant term, at the paper's cost of `2·Σ_{i≤l} C(N,i)·3^i`
 //!    contractions with the Theorem-1 error bound
-//!    ([`bounds::error_bound`]).
+//!    ([`bounds::error_bound`]). Because `V_i = conj(U_i)`, the lower
+//!    network of an expectation is the conjugate of the upper one, so
+//!    each pattern costs one contraction here: `|amp|²`.
 //!
 //! # Example
 //!

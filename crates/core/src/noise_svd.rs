@@ -1,23 +1,34 @@
 //! SVD decomposition of noise superoperators into Kronecker terms.
 //!
-//! For a single-qubit channel `E`, the superoperator `M_E` is a `4×4`
-//! matrix. Tensor-permuting and SVD-ing (`M̃_E = S·D·T†`) and
+//! For a single-qubit channel `E` with Kraus operators `K_k`, the
+//! superoperator `M_E = Σ_k K_k ⊗ K_k*` is a `4×4` matrix. Its tensor
+//! permutation `M̃_E = Σ_k vec(K_k)·vec(K_k)†` is the channel's Choi
+//! matrix: Hermitian and positive semi-definite. Its SVD is therefore
+//! an eigendecomposition `M̃_E = Σ_i λ_i·e_i·e_i†` with `λ_i ≥ 0`, and
 //! un-permuting each rank-1 piece yields the exact expansion
 //!
 //! ```text
-//! M_E = U_0 ⊗ V_0 + U_1 ⊗ V_1 + U_2 ⊗ V_2 + U_3 ⊗ V_3
+//! M_E = U_0 ⊗ V_0 + U_1 ⊗ V_1 + U_2 ⊗ V_2 + U_3 ⊗ V_3,
+//! U_i = √λ_i · reshape(e_i),   V_i = conj(U_i)
 //! ```
 //!
-//! with `U_0 ⊗ V_0` (largest singular value) the dominant term — a
+//! with `U_0 ⊗ V_0` (largest eigenvalue) the dominant term — a
 //! `4p`-accurate approximation when the noise rate is below `p`
 //! (paper, Lemma 2). This module is Fig. 3 of the paper in code.
+//!
+//! `V_i = conj(U_i)` holds **exactly** — it is how `V_i` is built — so
+//! each term `U_i ⊗ conj(U_i)` is itself the superoperator of the
+//! single (unnormalised) Kraus operator `U_i`. That is what lets
+//! [`crate::approx`] evaluate an expectation pattern as `|amp|²` of one
+//! network instead of the product of two.
 
 use crate::permutation::tensor_permute;
 use qns_linalg::{cr, Matrix};
 use qns_noise::Kraus;
 
 /// The Kronecker expansion `M_E = Σ_i U_i ⊗ V_i` of a single-qubit
-/// noise superoperator, ordered by descending singular value.
+/// noise superoperator, ordered by descending weight, with
+/// `V_i = conj(U_i)` exactly.
 ///
 /// ```
 /// use qns_core::NoiseSvd;
@@ -27,6 +38,9 @@ use qns_noise::Kraus;
 /// // The dominant term carries almost all the weight.
 /// assert!(svd.singular_values()[0] > 1.9);
 /// assert!(svd.singular_values()[1] < 1e-2);
+/// // The lower factor is the conjugate of the upper one, bit for bit.
+/// let (u, v) = svd.term(1);
+/// assert_eq!(*v, u.conj());
 /// ```
 #[derive(Clone, Debug)]
 pub struct NoiseSvd {
@@ -35,47 +49,38 @@ pub struct NoiseSvd {
 }
 
 impl NoiseSvd {
-    /// Decomposes a single-qubit channel.
+    /// Decomposes a single-qubit channel through the Hermitian
+    /// eigendecomposition of its permuted superoperator (its Choi
+    /// matrix). Eigenvalues that rounding pushes below zero are
+    /// clamped to `0`.
     ///
     /// # Panics
     ///
     /// Panics if the channel is not single-qubit.
     pub fn decompose(channel: &Kraus) -> Self {
         assert_eq!(channel.dim(), 2, "decomposition expects a 1-qubit channel");
-        Self::from_superoperator(&channel.superoperator())
-    }
-
-    /// Decomposes an arbitrary `4×4` superoperator matrix.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the matrix is not `4×4`.
-    pub fn from_superoperator(m: &Matrix) -> Self {
-        assert_eq!((m.rows(), m.cols()), (4, 4), "superoperator must be 4×4");
-        let permuted = tensor_permute(m);
-        let svd = qns_linalg::svd(&permuted);
-        let mut terms = Vec::with_capacity(4);
-        for i in 0..4 {
-            let d = svd.singular_values[i];
-            // Split the weight √d into both factors for symmetry.
-            let w = d.sqrt();
-            let mut u = Matrix::zeros(2, 2);
-            let mut v = Matrix::zeros(2, 2);
-            for a in 0..2 {
-                for b in 0..2 {
-                    // ũ_i = √d·S|i⟩ reshaped [a,b]; Ṽ entries conjugated:
-                    // M[(i1,i2),(j1,j2)] = Σ_i U_i[i1,j1]·V_i[i2,j2]
-                    // with U_i[a,b] = √d·S[a·2+b, i],
-                    //      V_i[c,d] = √d·conj(T[c·2+d, i]).
-                    u[(a, b)] = svd.u[(a * 2 + b, i)] * cr(w);
-                    v[(a, b)] = svd.v[(a * 2 + b, i)].conj() * cr(w);
+        let eig = qns_linalg::eigh(&tensor_permute(&channel.superoperator()));
+        let singular_values: Vec<f64> = eig.eigenvalues.iter().map(|&l| l.max(0.0)).collect();
+        let terms = singular_values
+            .iter()
+            .enumerate()
+            .map(|(i, &l)| {
+                // U_i[a,b] = √λ_i·e_i[a·2+b]; then
+                // M[(i1,i2),(j1,j2)] = Σ_i U_i[i1,j1]·conj(U_i[i2,j2]).
+                let w = cr(l.sqrt());
+                let mut u = Matrix::zeros(2, 2);
+                for a in 0..2 {
+                    for b in 0..2 {
+                        u[(a, b)] = eig.eigenvectors[(a * 2 + b, i)] * w;
+                    }
                 }
-            }
-            terms.push((u, v));
-        }
+                let v = u.conj();
+                (u, v)
+            })
+            .collect();
         NoiseSvd {
             terms,
-            singular_values: svd.singular_values,
+            singular_values,
         }
     }
 
@@ -99,7 +104,8 @@ impl NoiseSvd {
         self.term(0)
     }
 
-    /// Singular values of `M̃_E`, descending.
+    /// Singular values of `M̃_E`, descending — its eigenvalues, as
+    /// `M̃_E` is positive semi-definite.
     pub fn singular_values(&self) -> &[f64] {
         &self.singular_values
     }
@@ -149,6 +155,44 @@ mod tests {
                 svd.reconstruct().approx_eq(&ch.superoperator(), 1e-10),
                 "{name}: Σ U_i⊗V_i ≠ M_E"
             );
+        }
+    }
+
+    #[test]
+    fn lower_factor_is_bitwise_conjugate_of_upper() {
+        for (name, ch) in channels_under_test() {
+            let svd = NoiseSvd::decompose(&ch);
+            for i in 0..4 {
+                let (u, v) = svd.term(i);
+                for a in 0..2 {
+                    for b in 0..2 {
+                        let (x, y) = (u[(a, b)].conj(), v[(a, b)]);
+                        assert_eq!(
+                            (x.re.to_bits(), x.im.to_bits()),
+                            (y.re.to_bits(), y.im.to_bits()),
+                            "{name}: V_{i}[{a},{b}] ≠ conj(U_{i}[{a},{b}])"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn eigenvalues_match_singular_values_of_permuted_superoperator() {
+        // M̃_E is PSD, so its eigenvalues are its singular values.
+        for (name, ch) in channels_under_test() {
+            let svd = NoiseSvd::decompose(&ch);
+            let reference = qns_linalg::svd(&tensor_permute(&ch.superoperator()));
+            for (i, (&l, &s)) in svd
+                .singular_values()
+                .iter()
+                .zip(&reference.singular_values)
+                .enumerate()
+            {
+                assert!(l >= 0.0, "{name}: λ_{i} = {l} < 0");
+                assert!((l - s).abs() < 1e-12, "{name}: λ_{i} = {l} vs σ_{i} = {s}");
+            }
         }
     }
 

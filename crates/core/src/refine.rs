@@ -4,8 +4,9 @@
 //! (l+1)-site correction terms — refinement is inherently incremental
 //! (paper, Theorem 1). [`LevelEvaluator`] exposes that structure as an
 //! anytime API: it performs the once-per-run setup of
-//! [`crate::approx`] (site collection, split-half planning and
-//! compilation), then computes the sum **one level at a time**.
+//! [`crate::approx`] (site collection, planning and compiling the one
+//! amplitude network an expectation needs), then computes the sum
+//! **one level at a time**.
 //! After each level it emits a [`PartialEstimate`] carrying the running
 //! value, the level just completed, and the computable Theorem-1 error
 //! bound at that level — so a caller can answer early at a coarse
@@ -24,6 +25,19 @@
 //! is what makes per-level caching sound: a cached `T_u` can be
 //! [installed](LevelEvaluator::install_level) into a fresh evaluator
 //! without changing any later bit.
+//!
+//! # One network per pattern
+//!
+//! An expectation caps both halves of the split with the same `|v⟩`,
+//! and [`crate::NoiseSvd`] builds each lower factor as exactly
+//! `V_i = conj(U_i)`; the lower network is then the entry-wise
+//! conjugate of the upper one, and so is its contraction, bit for bit
+//! (see [`crate::approx`]). The evaluator plans, compiles, warms and
+//! delta-replays only the upper network and adds `amp·conj(amp)` per
+//! pattern — bitwise what the two-network product would give, at half
+//! the replays. Every pattern term is a Kraus-trajectory probability,
+//! so every `T_u ≥ 0` and `A(l)` rises monotonically toward the exact
+//! value from below.
 //!
 //! # Example
 //!
@@ -84,7 +98,7 @@ pub struct PartialEstimate {
 /// [`crate::approx::approximate_expectation`].
 ///
 /// Construction performs the once-per-run setup (validation, SVD site
-/// collection, split-half planning + compilation); each
+/// collection, planning + compiling the amplitude network); each
 /// [`advance`](Self::advance) then contracts exactly one level's new
 /// patterns through the compiled plans, reusing the warm-workspace
 /// delta-replay machinery, and returns the tightened
@@ -114,7 +128,8 @@ impl LevelEvaluator {
     /// Builds the evaluator: validates states, collects the noise
     /// sites, checks the [`ApproxOptions::max_terms`] budget at the
     /// requested `opts.level` (clamped to the site count), and plans +
-    /// compiles both split halves. No patterns are contracted yet.
+    /// compiles the upper amplitude network — the only one an
+    /// expectation needs. No patterns are contracted yet.
     ///
     /// # Errors
     ///
@@ -275,14 +290,15 @@ impl LevelEvaluator {
 
     /// Converts the completed levels into the [`ApproxResult`] a direct
     /// [`crate::approx::approximate_expectation`] run at the same level
-    /// would return.
+    /// would return, except that `contractions` and `stats` count only
+    /// the levels computed here, not those installed from a cache.
     pub fn into_result(self) -> ApproxResult {
         let terms_evaluated: usize = self.level_counts.iter().sum();
         ApproxResult {
             value: self.per_level.iter().sum(),
             per_level: self.per_level,
             terms_evaluated,
-            contractions: 2 * terms_evaluated,
+            contractions: self.stats.plan_reuses,
             stats: self.stats,
         }
     }

@@ -105,7 +105,7 @@ fn main() {
          device, measure in the computational basis, and compare the \
          return-probability against the ideal value; the separation column \
          is the signal available to the tester. The approximation keeps \
-         each candidate evaluation at 2(1+3N) cheap contractions, which is \
+         each candidate evaluation at 1+3N cheap contractions, which is \
          what makes scanning locations × patterns feasible — the ATPG \
          integration the paper's conclusion anticipates."
     );

@@ -65,7 +65,7 @@ fn main() {
 
     println!(
         "\nThe approximation's cost column grows linearly with the noise \
-         count (2(1+3N) contractions),\nwhile the exact double-network \
+         count (1+3N contractions),\nwhile the exact double-network \
          contraction degrades as noise tensors bridge the two halves."
     );
 }

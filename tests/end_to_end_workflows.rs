@@ -151,14 +151,19 @@ fn grid_qaoa_scales_in_qubits_without_density_matrix() {
     );
 
     // The facade does not hide the cost model: the raw result still
-    // reports the 2(1+3N) contraction count.
+    // reports the contractions that ran — one per pattern, 1+3N at
+    // level 1, half the paper's two-half count.
     let res = approximate_expectation(
         &extended,
         &ProductState::all_zeros(n),
         &ProductState::all_zeros(n),
         &ApproxOptions::default().with_level(1),
     );
-    assert_eq!(res.contractions, 2 * (1 + 3 * 6));
+    assert_eq!(res.contractions, 1 + 3 * 6);
+    assert_eq!(
+        2 * res.contractions as u128,
+        qns::core::bounds::contraction_count(6, 1)
+    );
     assert_eq!(res.value, est.value);
 }
 
