@@ -121,11 +121,13 @@ impl ApproxBackend {
         self
     }
 
-    /// The substitution-pattern count a run on `noisy` would evaluate
-    /// (`Σ_{u≤l} C(N,u)·3^u`, Theorem 1) — the same
+    /// The Theorem-1 substitution-pattern count of a run on `noisy`
+    /// (`Σ_{u≤l} C(N,u)·3^u`) — the same
     /// [`qns_core::bounds::planned_patterns`] quantity the engine's
     /// `max_terms` guard checks, so `supports`/`cost_hint` can never
-    /// disagree with `expectation` about feasibility.
+    /// disagree with `expectation` about feasibility. It is an upper
+    /// bound on the patterns that run: those using an exactly-zero
+    /// Kraus term are skipped.
     fn planned_patterns(&self, noisy: &NoisyCircuit) -> u128 {
         qns_core::bounds::planned_patterns(noisy.noise_count(), self.opts.level)
     }

@@ -101,7 +101,7 @@ fn refine_circuit(
         assert_eq!(first.partial.level, k, "{name}: first answer at its level");
         assert_eq!(
             first.partial.patterns_done as u128,
-            bounds::planned_patterns(n, k),
+            bounds::planned_patterns_for_ranks(&qns_core::site_ranks(spec.noisy()), k),
             "{name}: the level-{k} answer executed no deeper pattern"
         );
         assert!(

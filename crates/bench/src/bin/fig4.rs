@@ -97,6 +97,7 @@ fn main() {
          double network (the paper's MO after 30 noises at 100 qubits), \
          while the approximation's cost column grows exactly linearly \
          (the paper's 2·(1+3N) contractions of noise-free-sized \
-         networks; an expectation here contracts one per pattern, 1+3N)."
+         networks; an expectation here contracts one per pattern and \
+         skips the thermal channel's zero Kraus term, 1+2N)."
     );
 }

@@ -9,8 +9,10 @@
 //! `--smoke` runs a reduced one-circuit-per-family mode intended for
 //! CI: it times our approximation on the smoke set and *asserts* the
 //! plan-once/execute-many invariants (O(1) order searches per run, one
-//! plan replay per pattern), so contraction-plan regressions in the
-//! bench path fail the pipeline instead of silently slowing it down.
+//! plan replay per pattern) and that the run skips the patterns that
+//! use the thermal channel's zero Kraus term, so contraction-plan and
+//! enumeration regressions in the bench path fail the pipeline instead
+//! of silently slowing it down.
 //!
 //! Differences from the paper (see EXPERIMENTS.md): circuits are
 //! laptop-scale versions of the same families; the memory-out (MO)
@@ -92,6 +94,21 @@ fn run_smoke(level: usize, threads: usize, channel: &Kraus) {
             "{}: every pattern must replay the cached plan",
             bench.name
         );
+        // Thermal relaxation has Kraus rank 3: the run contracts only
+        // the patterns whose terms are all nonzero, strictly fewer than
+        // the paper's C(N,u)·3^u count at any level above 0.
+        let ran = res.terms_evaluated as u128;
+        assert_eq!(
+            ran,
+            qns_core::planned_patterns_for_ranks(&qns_core::site_ranks(&noisy), level),
+            "{}: the run must contract exactly the patterns with nonzero terms",
+            bench.name
+        );
+        assert!(
+            level == 0 || ran < qns_core::planned_patterns(SMOKE_NOISES, level),
+            "{}: the run must skip the patterns that use a zero Kraus term",
+            bench.name
+        );
 
         print_row(
             &[
@@ -107,7 +124,10 @@ fn run_smoke(level: usize, threads: usize, channel: &Kraus) {
             &widths,
         );
     }
-    println!("\nplan invariants hold: order searches O(1), one plan replay per pattern");
+    println!(
+        "\nplan invariants hold: order searches O(1), one plan replay per pattern, \
+         zero Kraus terms skipped"
+    );
 }
 
 fn main() {

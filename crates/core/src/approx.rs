@@ -18,6 +18,24 @@
 //! which the paper counts as `2·Σ_{u≤l} C(N,u)·3^u` single-size
 //! contractions (Theorem 1).
 //!
+//! # Rank-aware pattern sums
+//!
+//! A site whose channel has Kraus rank `r_s < 4` ([`NoiseSvd::rank`])
+//! has `U_i = 0` for every `i ≥ r_s`, so each pattern that uses such a
+//! term contracts to exactly `0` and adds `+0.0`. The evaluators stream
+//! [`GrayPatternStream::with_ranks`], which steps over those patterns
+//! and contracts the other `e_u(r_1 − 1, …, r_N − 1)` per level
+//! ([`crate::bounds::level_patterns_for_ranks`]): `C(N,u)·2^u` for
+//! thermal relaxation instead of `C(N,u)·3^u`. The emitted patterns
+//! keep their relative order and the running sum never holds `-0.0`,
+//! so a sequential run's `per_level` is bitwise what the full
+//! enumeration gives. A parallel run chunks only the patterns that
+//! run, so its chunk boundaries, and with them its last bits, differ
+//! from a full enumeration's; it stays deterministic run to run.
+//! [`ApproxResult::terms_evaluated`] and the anytime pattern counts
+//! report what ran. The `max_terms` guard, routing costs, admission and
+//! deadlines keep the Theorem-1 count, an upper bound on it.
+//!
 //! # One network per expectation pattern (Kraus form)
 //!
 //! [`crate::NoiseSvd`] builds every `V_i` as exactly `conj(U_i)`, so
@@ -72,7 +90,7 @@ use qns_circuit::Circuit;
 use qns_linalg::{Complex64, Matrix};
 use qns_noise::{NoiseEvent, NoisyCircuit, QnsError};
 use qns_tensor::Tensor;
-use qns_tnet::builder::{AmplitudeSkeleton, DoubleSkeleton, Insertion, ProductState};
+use qns_tnet::builder::{AmplitudeSkeleton, Insertion, ProductState};
 use qns_tnet::exec::{ExecutablePlan, Workspace};
 use qns_tnet::network::{ContractionStats, OrderStrategy};
 use std::sync::Mutex;
@@ -89,8 +107,12 @@ pub struct ApproxOptions {
     pub level: usize,
     /// Contraction-order strategy for the split networks.
     pub strategy: OrderStrategy,
-    /// Guard against accidental exponential blow-ups: the run panics if
-    /// it would evaluate more than this many substitution patterns.
+    /// Guard against accidental exponential blow-ups: the run fails
+    /// (or panics, in the non-`try` wrappers) if the Theorem-1 pattern
+    /// count [`crate::bounds::planned_patterns`] exceeds this. That
+    /// count is an upper bound on what runs, since patterns that use
+    /// an exactly-zero Kraus term are skipped; the guard keeps the
+    /// paper's count so that it, routing and admission agree.
     pub max_terms: u128,
     /// Worker threads for pattern evaluation (patterns are independent,
     /// so the sum parallelizes embarrassingly — the paper's server runs
@@ -147,7 +169,10 @@ pub struct ApproxResult {
     pub value: f64,
     /// Per-level contributions `T_0, …, T_l` (their sum is `value`).
     pub per_level: Vec<f64>,
-    /// Number of substitution patterns evaluated.
+    /// Number of substitution patterns evaluated: the patterns whose
+    /// terms all have a nonzero eigenvalue
+    /// ([`crate::bounds::planned_patterns_for_ranks`]), at most the
+    /// Theorem-1 count [`crate::bounds::planned_patterns`].
     pub terms_evaluated: usize,
     /// Number of whole-network contractions actually executed: one
     /// per pattern (the paper's two-half count is
@@ -156,8 +181,8 @@ pub struct ApproxResult {
     pub contractions: usize,
     /// Aggregated contraction statistics across the whole pattern sum.
     /// With plan reuse, `stats.order_searches` stays `O(1)` per run
-    /// (1 for an expectation — split or unsplit — and 2 for a matrix
-    /// element with distinct caps, one search per half) while
+    /// (1 for an expectation and 2 for a matrix element with distinct
+    /// caps, one search per half) while
     /// `stats.plan_reuses` counts the replays.
     pub stats: ContractionStats,
 }
@@ -168,6 +193,15 @@ pub(crate) struct Site {
     after_gate: usize,
     qubit: usize,
     svd: NoiseSvd,
+}
+
+/// The Kraus rank ([`NoiseSvd::rank`]) of every noise site, in the
+/// evaluators' site order: initial events first, then the circuit's
+/// events. These are the ranks that
+/// [`crate::bounds::planned_patterns_for_ranks`] takes to count the
+/// patterns a run contracts.
+pub fn site_ranks(noisy: &NoisyCircuit) -> Vec<usize> {
+    collect_sites(noisy).iter().map(|s| s.svd.rank()).collect()
 }
 
 pub(crate) fn collect_sites(noisy: &NoisyCircuit) -> Vec<Site> {
@@ -211,6 +245,9 @@ pub(crate) struct SplitShared {
     /// paper's lower factor `V_term` is `conj(U_term)` by construction
     /// ([`NoiseSvd`]), applied by conjugating the lower half's scalar.
     payloads: Vec<[Tensor; 4]>,
+    /// Every site's Kraus rank ([`NoiseSvd::rank`]): the pattern
+    /// streams skip the terms at and past it, which are zero matrices.
+    pub(crate) ranks: Vec<usize>,
     /// The stats of the once-per-run setup: one order search per half.
     pub(crate) planning: ContractionStats,
 }
@@ -253,12 +290,14 @@ pub(crate) fn build_split(
         .iter()
         .map(|s| std::array::from_fn(|term| Tensor::from_matrix(s.svd.term(term).0)))
         .collect();
+    let ranks = sites.iter().map(|s| s.svd.rank()).collect();
     (
         SplitSkeletons { upper, lower },
         SplitShared {
             up,
             lo,
             payloads,
+            ranks,
             planning,
         },
     )
@@ -384,16 +423,18 @@ pub(crate) fn check_budget(
 const PATTERN_CHUNK: usize = 32;
 
 /// Streams the level-`u` patterns sequentially through the shared
-/// plans in minimal-change order, delta-replaying each one. Returns
-/// `(Σ amp_up·amp_lo, patterns evaluated, stats)`.
+/// plans in minimal-change order, delta-replaying each one. Only the
+/// patterns whose terms are all nonzero run; the skipped ones would
+/// add exactly `+0.0`, so the sum is bitwise the full enumeration's.
+/// Returns `(Σ amp_up·amp_lo, patterns evaluated, stats)`.
 pub(crate) fn evaluate_level_sequential(
     skels: &mut SplitSkeletons,
     shared: &SplitShared,
-    n: usize,
     u: usize,
     delta: &mut SplitDelta,
 ) -> (Complex64, usize, ContractionStats) {
-    let mut stream = GrayPatternStream::new(n, u);
+    let n = shared.ranks.len();
+    let mut stream = GrayPatternStream::with_ranks(&shared.ranks, u);
     let mut assignment = vec![0usize; n];
     let mut acc = Complex64::ZERO;
     let mut count = 0usize;
@@ -417,11 +458,12 @@ pub(crate) fn evaluate_level_sequential(
 pub(crate) fn evaluate_level_parallel(
     skels: &SplitSkeletons,
     shared: &SplitShared,
-    n: usize,
     u: usize,
     threads: usize,
 ) -> (Complex64, usize, ContractionStats) {
-    let avail = crate::bounds::level_patterns(n, u).min(usize::MAX as u128) as usize;
+    let n = shared.ranks.len();
+    let avail =
+        crate::bounds::level_patterns_for_ranks(&shared.ranks, u).min(usize::MAX as u128) as usize;
     let workers = threads.min(avail).max(1);
     // Shared state: the pattern stream plus the next chunk's sequence
     // number, handed out under the same lock as the chunk itself.
@@ -429,7 +471,7 @@ pub(crate) fn evaluate_level_parallel(
     // two sites apart; across chunk boundaries a worker's diff may be
     // larger, which the delta evaluator absorbs (it diffs, it does not
     // assume adjacency).
-    let stream = Mutex::new((GrayPatternStream::new(n, u), 0usize));
+    let stream = Mutex::new((GrayPatternStream::with_ranks(&shared.ranks, u), 0usize));
     std::thread::scope(|scope| {
         let stream = &stream;
         let handles: Vec<_> = (0..workers)
@@ -538,125 +580,6 @@ pub fn try_approximate_expectation(
     Ok(eval.into_result())
 }
 
-/// The level-`l` approximation evaluated **without** splitting: each
-/// substitution pattern replaces the noise tensors inside the
-/// double-size network by their Kronecker factors and contracts the
-/// full `2n`-rail network once (plan searched once, replayed per
-/// pattern).
-///
-/// Numerically identical to [`approximate_expectation`]; it exists to
-/// quantify the factorization benefit in isolation (the DESIGN.md
-/// ablation): the split evaluation contracts one single-size network
-/// per pattern instead of one double-size network.
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`approximate_expectation`].
-pub fn approximate_expectation_unsplit(
-    noisy: &NoisyCircuit,
-    psi: &ProductState,
-    v: &ProductState,
-    opts: &ApproxOptions,
-) -> ApproxResult {
-    try_approximate_expectation_unsplit(noisy, psi, v, opts).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Non-panicking variant of [`approximate_expectation_unsplit`].
-///
-/// # Errors
-///
-/// As [`try_approximate_expectation`].
-pub fn try_approximate_expectation_unsplit(
-    noisy: &NoisyCircuit,
-    psi: &ProductState,
-    v: &ProductState,
-    opts: &ApproxOptions,
-) -> Result<ApproxResult, QnsError> {
-    let circuit = noisy.circuit();
-    check_state("input state", psi, circuit)?;
-    check_state("test state", v, circuit)?;
-    let sites = collect_sites(noisy);
-    let n = sites.len();
-    let n_regular = noisy.events().len();
-    let n_initial = noisy.initial_events().len();
-    let level = opts.level.min(n);
-    check_budget(n, level, opts.max_terms)?;
-
-    // Site index (initial-first ordering of `collect_sites`) → the
-    // replacement key used by the double network (regular events keyed
-    // by their index, initial events keyed after them).
-    let site_key = |s: usize| -> usize {
-        if s < n_initial {
-            n_regular + s
-        } else {
-            s - n_initial
-        }
-    };
-
-    // Plan-once for the 2n-rail network: every pattern substitutes a
-    // Kronecker pair at every site, so the topology is fixed. The plan
-    // is compiled and every site's four Kronecker-factor payloads are
-    // pre-resolved as tensors, so the per-pattern work is a memcpy
-    // payload swap plus one allocation-free kernel replay.
-    let mut skel = DoubleSkeleton::new(noisy, psi, v);
-    let plan = skel.plan(opts.strategy);
-    let mut stats = ContractionStats::default();
-    stats.absorb(&plan.planning_stats());
-    let exec = plan.compile();
-    let mut ws = Workspace::for_plan(&exec);
-    let payloads: Vec<[(Tensor, Tensor); 4]> = sites
-        .iter()
-        .map(|s| {
-            std::array::from_fn(|term| {
-                let (a, b) = s.svd.term(term);
-                (Tensor::from_matrix(a), Tensor::from_matrix(b))
-            })
-        })
-        .collect();
-
-    let mut per_level = vec![0.0f64; level + 1];
-    let mut terms_evaluated = 0usize;
-    let mut assignment = vec![0usize; n];
-    // Delta state: last installed term per site, and the dirty-leaf
-    // scratch. Each changed site dirties *two* leaves of the double
-    // network (its Kronecker pair).
-    let mut current = vec![TERM_UNSET; n];
-    let mut dirty: Vec<usize> = Vec::new();
-
-    for (u, slot) in per_level.iter_mut().enumerate() {
-        let mut tu = Complex64::ZERO;
-        let mut stream = GrayPatternStream::new(n, u);
-        while stream.next_into(&mut assignment) {
-            dirty.clear();
-            for (s, (&term, cur)) in assignment.iter().zip(&mut current).enumerate() {
-                if term == *cur {
-                    continue;
-                }
-                let (a, b) = &payloads[s][term];
-                let key = site_key(s);
-                skel.set_replacement_payload(key, a, b);
-                let (up_leaf, lo_leaf) = skel.replacement_slots(key);
-                dirty.push(up_leaf);
-                dirty.push(lo_leaf);
-                *cur = term;
-            }
-            let (val, replay) = exec.execute_network_delta_scalar(skel.network(), &dirty, &mut ws);
-            tu += val;
-            stats.absorb(&replay);
-            terms_evaluated += 1;
-        }
-        *slot = tu.re;
-    }
-
-    Ok(ApproxResult {
-        value: per_level.iter().sum(),
-        per_level,
-        terms_evaluated,
-        contractions: stats.plan_reuses, // one double-size contraction each
-        stats,
-    })
-}
-
 /// The l-level approximation of a general output-density-matrix
 /// element `⟨x| E_N(|ψ⟩⟨ψ|) |y⟩` (paper, Section III: "every element
 /// of `E_N(ρ₀)` can be independently estimated").
@@ -724,7 +647,7 @@ pub(crate) fn matrix_element_run(
     let mut terms = 0usize;
     let mut assignment = vec![0usize; n];
     for u in 0..=level {
-        let mut stream = GrayPatternStream::new(n, u);
+        let mut stream = GrayPatternStream::with_ranks(&shared.ranks, u);
         while stream.next_into(&mut assignment) {
             total += delta.evaluate(&mut skels, &shared, &assignment, &mut stats);
             terms += 1;
@@ -906,10 +829,16 @@ mod tests {
     fn full_level_reproduces_exact_value() {
         // The central exactness property: level = N sums all 4^N
         // patterns and must equal dense density-matrix simulation.
-        for (name, ch) in [
-            ("depolarizing", channels::depolarizing(0.05)),
-            ("amplitude_damping", channels::amplitude_damping(0.1)),
-            ("thermal", channels::thermal_relaxation(30.0, 40.0, 200.0)),
+        // Patterns with an exactly-zero term are skipped, so the run
+        // contracts Π r_s of them: 4^3, 2^3 and 3^3 here.
+        for (name, ch, runs) in [
+            ("depolarizing", channels::depolarizing(0.05), 64),
+            ("amplitude_damping", channels::amplitude_damping(0.1), 8),
+            (
+                "thermal",
+                channels::thermal_relaxation(30.0, 40.0, 200.0),
+                27,
+            ),
         ] {
             let noisy = NoisyCircuit::inject_random(ghz(3), &ch, 3, 11);
             let psi = ProductState::all_zeros(3);
@@ -922,7 +851,13 @@ mod tests {
                 res.value,
                 mm
             );
-            assert_eq!(res.terms_evaluated, 64); // 4^3
+            assert_eq!(res.terms_evaluated, runs, "{name}");
+            let ranks = site_ranks(&noisy);
+            assert_eq!(
+                crate::bounds::planned_patterns_for_ranks(&ranks, 3),
+                runs as u128,
+                "{name}"
+            );
         }
     }
 
@@ -1006,9 +941,9 @@ mod tests {
     #[test]
     fn plan_reuse_amortizes_order_searches() {
         // The acceptance criterion of the plan subsystem: per-run
-        // order searches are O(1) — one for an expectation (split or
-        // unsplit), two for a matrix element with distinct caps —
-        // while every pattern replays a plan.
+        // order searches are O(1) — one for an expectation, two for a
+        // matrix element with distinct caps — while every pattern
+        // replays a plan.
         let noisy = NoisyCircuit::inject_random(ghz(4), &channels::depolarizing(1e-2), 5, 37);
         let psi = ProductState::all_zeros(4);
         let v = ProductState::basis(4, 0b1111);
@@ -1037,10 +972,6 @@ mod tests {
             2 * terms,
             "every pattern replays both half-plans"
         );
-
-        let unsplit = approximate_expectation_unsplit(&noisy, &psi, &v, &opts(1));
-        assert_eq!(unsplit.stats.order_searches, 1);
-        assert_eq!(unsplit.stats.plan_reuses, unsplit.terms_evaluated);
     }
 
     #[test]
@@ -1273,20 +1204,23 @@ mod tests {
 
     #[test]
     fn parallel_evaluation_streams_multiple_chunks() {
-        // 7 sites at level 2 put C(7,2)·9 = 189 patterns in the top
-        // level — more than PATTERN_CHUNK × threads, so workers must go
-        // back to the shared stream for further chunks and still
-        // reproduce the sequential sum and term count exactly.
+        // 9 thermal (rank-3) sites at level 2 run C(9,2)·2² = 144
+        // patterns in the top level — more than PATTERN_CHUNK ×
+        // threads, so workers must go back to the shared stream for
+        // further chunks and still reproduce the sequential sum and
+        // term count exactly.
         let noisy = NoisyCircuit::inject_random(
             ghz(4),
             &channels::thermal_relaxation(30.0, 40.0, 100.0),
-            7,
+            9,
             31,
         );
         let psi = ProductState::all_zeros(4);
         let v = ProductState::basis(4, 0b1111);
+        let ranks = site_ranks(&noisy);
+        assert_eq!(ranks, vec![3; 9]);
         assert!(
-            crate::bounds::level_patterns(7, 2) as usize > PATTERN_CHUNK * 4,
+            crate::bounds::level_patterns_for_ranks(&ranks, 2) as usize > PATTERN_CHUNK * 4,
             "test must exercise multiple chunks in flight"
         );
         let seq = approximate_expectation(&noisy, &psi, &v, &opts(2));
@@ -1307,7 +1241,7 @@ mod tests {
             par.value
         );
         assert_eq!(seq.terms_evaluated, par.terms_evaluated);
-        assert_eq!(par.terms_evaluated, 1 + 21 + 189);
+        assert_eq!(par.terms_evaluated, 1 + 2 * 9 + 36 * 4);
         assert_eq!(par.stats.plan_reuses, par.terms_evaluated);
 
         // Run-to-run determinism: chunk assignment depends on OS
@@ -1347,9 +1281,11 @@ mod tests {
     /// The two-network evaluator the Kraus form replaced, kept as an
     /// oracle: per pattern, the upper network times a `conjugate = true`
     /// lower network carrying the `V` payloads, each fully replayed.
-    /// Level sums follow the evaluator's order — sequential, or
-    /// [`PATTERN_CHUNK`]-pattern chunks summed in sequence when
-    /// `threads > 1` and the level has more than one pattern.
+    /// With `threads == 1` it sums every `C(N,u)·3^u` pattern in Gray
+    /// order, zero terms included. With `threads > 1` it follows the
+    /// parallel evaluator: only the patterns that run, in
+    /// [`PATTERN_CHUNK`]-pattern chunks summed in sequence when the
+    /// level has more than one pattern.
     fn two_half_per_level(
         noisy: &NoisyCircuit,
         psi: &ProductState,
@@ -1374,10 +1310,15 @@ mod tests {
         let (mut ws_up, mut ws_lo) = (Workspace::for_plan(&up), Workspace::for_plan(&lo));
         let add = |acc: Complex64, &t: &Complex64| acc + t;
         let mut assignment = vec![0usize; sites.len()];
+        let ranks = site_ranks(noisy);
         (0..=level)
             .map(|u| {
                 let mut terms = Vec::new();
-                let mut stream = GrayPatternStream::new(sites.len(), u);
+                let mut stream = if threads > 1 {
+                    GrayPatternStream::with_ranks(&ranks, u)
+                } else {
+                    GrayPatternStream::new(sites.len(), u)
+                };
                 while stream.next_into(&mut assignment) {
                     for (i, &t) in assignment.iter().enumerate() {
                         let (a, b) = sites[i].svd.term(t);
@@ -1422,6 +1363,50 @@ mod tests {
                     );
                     let sum: f64 = oracle[..=level].iter().sum();
                     assert_eq!(res.value.to_bits(), sum.to_bits(), "{name}, level {level}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn rank_aware_sums_are_bitwise_the_full_enumeration() {
+        // Skipping the patterns that use an exactly-zero term changes
+        // no bit of a sequential run: each skipped term is `+0.0`. The
+        // oracle enumerates all C(N,u)·3^u patterns. A 2-thread run
+        // chunks only the patterns that ran, so it is checked for
+        // run-to-run determinism instead.
+        let chans = [
+            ("thermal", channels::thermal_relaxation(30.0, 40.0, 25.0)),
+            ("amplitude_damping", channels::amplitude_damping(0.05)),
+            ("bit_flip", channels::bit_flip(0.02)),
+            ("depolarizing", channels::depolarizing(0.02)),
+        ];
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (cname, channel) in &chans {
+            for (name, c) in registry_circuits() {
+                let n = c.n_qubits();
+                let noisy = NoisyCircuit::inject_random(c, channel, 6, 79);
+                let psi = ProductState::all_zeros(n);
+                let v = ProductState::basis(n, 0b011);
+                let ranks = site_ranks(&noisy);
+                let oracle = two_half_per_level(&noisy, &psi, &v, 3, 1);
+                let seq = approximate_expectation(&noisy, &psi, &v, &opts(3));
+                assert_eq!(bits(&seq.per_level), bits(&oracle), "{cname} on {name}");
+                assert_eq!(
+                    seq.terms_evaluated as u128,
+                    crate::bounds::planned_patterns_for_ranks(&ranks, 3),
+                    "{cname} on {name}"
+                );
+                let par = || approximate_expectation(&noisy, &psi, &v, &opts(3).with_threads(2));
+                let first = par();
+                assert_eq!(first.terms_evaluated, seq.terms_evaluated);
+                assert!((first.value - seq.value).abs() < 1e-12, "{cname} on {name}");
+                for _ in 0..2 {
+                    assert_eq!(
+                        bits(&par().per_level),
+                        bits(&first.per_level),
+                        "{cname} on {name}: 2-thread run must be bit-stable"
+                    );
                 }
             }
         }
@@ -1482,42 +1467,40 @@ mod tests {
     }
 
     #[test]
-    fn unsplit_matches_split_evaluation() {
-        let noisy = NoisyCircuit::inject_random(
+    fn site_ranks_put_initial_events_first_and_count_what_runs() {
+        // Mixed ranks: an initial amplitude-damping site (rank 2)
+        // ahead of depolarizing (4) and thermal (3) events.
+        let event = |after_gate, qubit, kraus| NoiseEvent {
+            after_gate,
+            qubit,
+            kraus,
+        };
+        let mut noisy = NoisyCircuit::new(
             ghz(3),
-            &channels::thermal_relaxation(30.0, 40.0, 100.0),
-            3,
-            19,
+            vec![
+                event(0, 0, channels::depolarizing(1e-2)),
+                event(1, 2, channels::thermal_relaxation(30.0, 40.0, 100.0)),
+            ],
         );
+        noisy.push_initial(1, channels::amplitude_damping(0.05));
+        let ranks = site_ranks(&noisy);
+        let expected = vec![2, 4, 3];
+        assert_eq!(ranks, expected);
         let psi = ProductState::all_zeros(3);
         let v = ProductState::basis(3, 0b111);
-        for l in 0..=2 {
-            let split = approximate_expectation(&noisy, &psi, &v, &opts(l));
-            let unsplit = approximate_expectation_unsplit(&noisy, &psi, &v, &opts(l));
-            assert!(
-                (split.value - unsplit.value).abs() < 1e-10,
-                "level {l}: split {} vs unsplit {}",
-                split.value,
-                unsplit.value
+        let mm = exact(&noisy, &psi, &v);
+        for l in 0..=3 {
+            let res = approximate_expectation(&noisy, &psi, &v, &opts(l));
+            assert_eq!(
+                res.terms_evaluated as u128,
+                crate::bounds::planned_patterns_for_ranks(&ranks, l),
+                "level {l}"
             );
-            assert_eq!(split.terms_evaluated, unsplit.terms_evaluated);
         }
-    }
-
-    #[test]
-    fn unsplit_matches_split_with_initial_noise() {
-        let mut noisy = NoisyCircuit::inject_random(ghz(3), &channels::depolarizing(1e-2), 2, 23);
-        noisy.push_initial(1, channels::amplitude_damping(0.05));
-        let psi = ProductState::all_zeros(3);
-        let v = ProductState::basis(3, 0);
-        let split = approximate_expectation(&noisy, &psi, &v, &opts(1));
-        let unsplit = approximate_expectation_unsplit(&noisy, &psi, &v, &opts(1));
-        assert!(
-            (split.value - unsplit.value).abs() < 1e-10,
-            "split {} vs unsplit {}",
-            split.value,
-            unsplit.value
-        );
+        // 1 + (1+3+2) + (3+2+6) + 6 = 24 = 2·4·3 patterns at full level.
+        let full = approximate_expectation(&noisy, &psi, &v, &opts(3));
+        assert_eq!(full.terms_evaluated, 24);
+        assert!((full.value - mm).abs() < 1e-10, "{} vs {mm}", full.value);
     }
 
     #[test]

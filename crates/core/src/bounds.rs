@@ -62,11 +62,16 @@ pub fn one_level_error_estimate(n_noises: usize, p: f64) -> f64 {
 
 /// The substitution-pattern count contributed by exactly `u` active
 /// sites out of `n_noises`: `C(N,u)·3^u`, the inner term of Theorem 1's
-/// sum. **Saturating**: past roughly `N = 81` at high `u` the exact
-/// value exceeds `u128`, and the only consumers are feasibility guards
-/// and cost models, for which `u128::MAX` ("infeasibly many") is the
-/// correct answer — never a panic (debug) or a silent tiny wrap
-/// (release). Returns 0 when `u > n_noises`.
+/// sum. This is the paper's count and the one every price and guard
+/// uses (`max_terms`, routing cost, admission, deadlines). It is an
+/// upper bound on what a run contracts: the evaluators skip the
+/// patterns that use an exactly-zero term and run
+/// [`level_patterns_for_ranks`]. **Saturating**: past roughly
+/// `N = 81` at high `u` the exact value exceeds `u128`, and the only
+/// consumers are feasibility guards and cost models, for which
+/// `u128::MAX` ("infeasibly many") is the correct answer — never a
+/// panic (debug) or a silent tiny wrap (release). Returns 0 when
+/// `u > n_noises`.
 pub fn level_patterns(n_noises: usize, u: usize) -> u128 {
     if u > n_noises {
         return 0;
@@ -86,17 +91,58 @@ pub fn level_patterns(n_noises: usize, u: usize) -> u128 {
         .unwrap_or(u128::MAX)
 }
 
-/// The substitution-pattern count a level-`l` run over `n_noises`
-/// noises evaluates: `Σ_{i=0..l} C(N,i)·3^i` — half of
+/// The Theorem-1 substitution-pattern count of a level-`l` run over
+/// `n_noises` noises: `Σ_{i=0..l} C(N,i)·3^i` — half of
 /// [`contraction_count`], since every pattern contracts two
 /// single-size networks. This is the quantity the engine's `max_terms`
 /// budget guard and the routing cost model are both built on; keeping
-/// it in one place keeps them in agreement. Saturating, like
+/// it in one place keeps them in agreement. A run contracts at most
+/// this many ([`planned_patterns_for_ranks`]). Saturating, like
 /// [`level_patterns`].
 pub fn planned_patterns(n_noises: usize, level: usize) -> u128 {
     (0..=level.min(n_noises)).fold(0u128, |acc, i| {
         acc.saturating_add(level_patterns(n_noises, i))
     })
+}
+
+/// Elementary symmetric sums `e_0 … e_top` of the per-site weights
+/// `r_s − 1` (the sub-dominant terms with a nonzero eigenvalue), by
+/// the `O(N·top)` recurrence `e_k += e_{k−1}·w` over the sites.
+/// Saturating: each entry holds `min(e_k, u128::MAX)`.
+fn elementary_symmetric(ranks: &[usize], top: usize) -> Vec<u128> {
+    let mut e = vec![0u128; top + 1];
+    e[0] = 1;
+    for &r in ranks {
+        let w = crate::patterns::correction_terms(r) as u128;
+        for k in (1..=top).rev() {
+            e[k] = e[k].saturating_add(e[k - 1].saturating_mul(w));
+        }
+    }
+    e
+}
+
+/// The level-`u` pattern count a run actually contracts, for sites
+/// with Kraus ranks `ranks` ([`crate::NoiseSvd::rank`], in
+/// [`crate::site_ranks`] order): the patterns whose `u` active sites
+/// all take a term with a nonzero eigenvalue,
+/// `e_u(r_1 − 1, …, r_N − 1)`. With every rank 4 this is
+/// [`level_patterns`]; thermal relaxation (rank 3) gives `C(N,u)·2^u`.
+/// Saturating, like [`level_patterns`].
+pub fn level_patterns_for_ranks(ranks: &[usize], u: usize) -> u128 {
+    if u > ranks.len() {
+        return 0;
+    }
+    elementary_symmetric(ranks, u)[u]
+}
+
+/// The pattern count a level-`l` run over sites with Kraus ranks
+/// `ranks` contracts: `Σ_{u≤l}` [`level_patterns_for_ranks`]. With
+/// every rank 4 this is [`planned_patterns`], which stays the pricing
+/// count. Saturating, like [`level_patterns`].
+pub fn planned_patterns_for_ranks(ranks: &[usize], level: usize) -> u128 {
+    elementary_symmetric(ranks, level.min(ranks.len()))
+        .into_iter()
+        .fold(0u128, u128::saturating_add)
 }
 
 /// The paper's contraction count for the level-`l` approximation,
@@ -384,6 +430,59 @@ mod tests {
         // Still exact where u128 suffices.
         assert_eq!(planned_patterns(81, 0), 1);
         assert!(planned_patterns(100, 1) < u128::MAX);
+    }
+
+    #[test]
+    fn ranked_counts_with_full_rank_are_the_theorem_1_counts() {
+        for n in 0usize..=12 {
+            let ranks = vec![4; n];
+            for u in 0..=n + 1 {
+                assert_eq!(
+                    level_patterns_for_ranks(&ranks, u),
+                    level_patterns(n, u),
+                    "n={n} u={u}"
+                );
+                assert_eq!(
+                    planned_patterns_for_ranks(&ranks, u),
+                    planned_patterns(n, u),
+                    "n={n} level={u}"
+                );
+            }
+        }
+        // Both saturate where the Theorem-1 counts do.
+        let ranks = vec![4; 200];
+        assert_eq!(level_patterns_for_ranks(&ranks, 150), u128::MAX);
+        assert_eq!(planned_patterns_for_ranks(&ranks, 200), u128::MAX);
+        for l in [0usize, 1, 5, 30, 81, 199, 200] {
+            assert_eq!(
+                planned_patterns_for_ranks(&ranks, l),
+                planned_patterns(200, l),
+                "level {l}"
+            );
+        }
+    }
+
+    #[test]
+    fn ranked_counts_are_elementary_symmetric_sums_of_the_weights() {
+        // Thermal relaxation (rank 3): C(N,u)·2^u.
+        for u in 0..=12 {
+            assert_eq!(
+                level_patterns_for_ranks(&[3; 12], u),
+                level_patterns(12, u) / 3u128.pow(u as u32) * 2u128.pow(u as u32),
+                "u={u}"
+            );
+        }
+        // The deep_sum table of counts: N = 12 and 32 at level 3.
+        assert_eq!(planned_patterns_for_ranks(&[3; 12], 3), 2049);
+        assert_eq!(planned_patterns_for_ranks(&[3; 32], 3), 41729);
+        // Mixed ranks: weights 3, 1, 2, 0 (rank 1 never activates).
+        let ranks = [4, 2, 3, 1];
+        assert_eq!(level_patterns_for_ranks(&ranks, 1), 6);
+        assert_eq!(level_patterns_for_ranks(&ranks, 2), 3 + 6 + 2);
+        assert_eq!(level_patterns_for_ranks(&ranks, 3), 6);
+        assert_eq!(level_patterns_for_ranks(&ranks, 4), 0);
+        assert_eq!(level_patterns_for_ranks(&ranks, 5), 0);
+        assert_eq!(planned_patterns_for_ranks(&ranks, 9), 1 + 6 + 11 + 6);
     }
 
     #[test]

@@ -22,7 +22,9 @@
 //!    contractions with the Theorem-1 error bound
 //!    ([`bounds::error_bound`]). Because `V_i = conj(U_i)`, the lower
 //!    network of an expectation is the conjugate of the upper one, so
-//!    each pattern costs one contraction here: `|amp|²`.
+//!    each pattern costs one contraction here: `|amp|²`. Patterns that
+//!    use a term with an exactly-zero eigenvalue add exactly `0` and
+//!    are skipped ([`site_ranks`], [`bounds::planned_patterns_for_ranks`]).
 //!
 //! # Example
 //!
@@ -52,13 +54,13 @@ pub mod refine;
 pub mod timing;
 
 pub use approx::{
-    append_ideal_inverse, approximate_expectation, approximate_expectation_unsplit,
-    approximate_matrix_element, reconstruct_density, simulate_auto, try_approximate_expectation,
-    try_approximate_expectation_unsplit, try_approximate_matrix_element, try_reconstruct_density,
-    ApproxOptions, ApproxResult, AutoReport,
+    append_ideal_inverse, approximate_expectation, approximate_matrix_element, reconstruct_density,
+    simulate_auto, site_ranks, try_approximate_expectation, try_approximate_matrix_element,
+    try_reconstruct_density, ApproxOptions, ApproxResult, AutoReport,
 };
 pub use bounds::{
-    contraction_count, error_bound, level_patterns, level_recommendation, planned_patterns,
+    contraction_count, error_bound, level_patterns, level_patterns_for_ranks, level_recommendation,
+    planned_patterns, planned_patterns_for_ranks,
 };
 pub use noise_svd::NoiseSvd;
 pub use patterns::{GrayPatternStream, PatternStream};

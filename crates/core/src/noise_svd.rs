@@ -110,6 +110,23 @@ impl NoiseSvd {
         &self.singular_values
     }
 
+    /// The channel's Kraus rank: the number of eigenvalues that are
+    /// not exactly `0.0`. The eigenvalues descend, so terms
+    /// `0..rank()` are the nonzero ones and every later `U_i` is the
+    /// zero matrix, whose patterns add exactly `+0.0`. Only exact
+    /// zeros count; a tiny positive eigenvalue keeps its term.
+    ///
+    /// ```
+    /// use qns_core::NoiseSvd;
+    /// use qns_noise::channels;
+    ///
+    /// assert_eq!(NoiseSvd::decompose(&channels::depolarizing(1e-3)).rank(), 4);
+    /// assert_eq!(NoiseSvd::decompose(&channels::amplitude_damping(1e-3)).rank(), 2);
+    /// ```
+    pub fn rank(&self) -> usize {
+        self.singular_values.iter().filter(|&&l| l > 0.0).count()
+    }
+
     /// Reconstructs `Σ_i U_i ⊗ V_i` (exactly `M_E` up to numerics).
     pub fn reconstruct(&self) -> Matrix {
         let mut m = Matrix::zeros(4, 4);
@@ -273,6 +290,27 @@ mod tests {
             resid = &resid + &u.kron(v);
         }
         assert!((resid.spectral_norm() - svd.residual_norm()).abs() < 1e-10);
+    }
+
+    #[test]
+    fn rank_counts_the_nonzero_terms_and_the_rest_are_zero_matrices() {
+        // Depolarizing needs all four Paulis, thermal relaxation three
+        // Kraus operators; the flips and dampings need two.
+        let expect = |name: &str| match name {
+            "depolarizing" => 4,
+            "thermal" => 3,
+            _ => 2,
+        };
+        for (name, ch) in channels_under_test() {
+            let svd = NoiseSvd::decompose(&ch);
+            let r = svd.rank();
+            assert_eq!(r, expect(name), "{name}");
+            for i in 0..4 {
+                let (u, _) = svd.term(i);
+                let zero = (0..2).all(|a| (0..2).all(|b| u[(a, b)].abs() == 0.0));
+                assert_eq!(zero, i >= r, "{name}: U_{i} zero iff i ≥ rank {r}");
+            }
+        }
     }
 
     #[test]

@@ -2,8 +2,16 @@
 //!
 //! A *pattern* assigns one SVD term to every noise site: `0` is the
 //! dominant term, `1..=3` the sub-dominant ones. The level-`u` patterns
-//! are exactly those with `u` sub-dominant sites — there are
+//! are exactly those with `u` sub-dominant sites — the paper counts
 //! `C(n,u)·3^u` of them ([`crate::bounds::level_patterns`]).
+//!
+//! Many channels have fewer than four nonzero terms: a site of Kraus
+//! rank `r` ([`crate::NoiseSvd::rank`]) has `U_i = 0` for `i ≥ r`, and
+//! every pattern that uses such a term adds exactly `+0.0`. The
+//! evaluators therefore stream [`GrayPatternStream::with_ranks`], which
+//! emits only the `e_u(r_1 − 1, …, r_n − 1)` patterns with nonzero
+//! terms ([`crate::bounds::level_patterns_for_ranks`]): `C(n,u)·2^u`
+//! for thermal relaxation, `C(n,u)` for amplitude damping or a flip.
 //!
 //! Two orders are provided, both `O(u)` state (nothing is
 //! materialized):
@@ -12,7 +20,8 @@
 //!   lexicographic, term digits counting in base 3, lowest site
 //!   fastest). Simple, and the historical order of record.
 //! * [`GrayPatternStream`] — a **minimal-change** order visiting the
-//!   same pattern set: consecutive patterns differ in at most two
+//!   same pattern set (or, built with ranks, its nonzero-term subset in
+//!   the same relative order): consecutive patterns differ in at most two
 //!   sites (one site for the `3^u − 1` digit steps inside a subset,
 //!   two for a subset change). Site subsets advance by Knuth's
 //!   revolving-door enumeration (TAOCP 7.2.1.3, Algorithm R: one
@@ -24,14 +33,24 @@
 //!   payload swaps and delta contraction
 //!   ([`qns_tnet::exec::ExecutablePlan::execute_network_delta_into`])
 //!   `O(changes)` instead of `O(n)` per pattern.
+//!
+//! The ranked stream keeps the radix-3 walk and steps over the patterns
+//! it must skip, rather than running a mixed-radix Gray code. Its
+//! output is then the full stream's with the zero terms left out, so a
+//! sequential level sum is bitwise the full enumeration's. Stepping
+//! over a skipped pattern costs nanoseconds against microseconds per
+//! contraction. After skipped steps two emitted patterns can differ in
+//! more than two sites; [`GrayPatternStream::changed_sites`] still
+//! reports the exact diff.
 
 /// Streaming enumerator of the level-`u` substitution patterns over
 /// `n` sites, in the canonical order (site subsets lexicographic,
 /// sub-dominant term digits counting fastest at the lowest site).
 ///
-/// Holds `O(u)` state — the replacement for the old materialized
-/// `Vec<Vec<u8>>`, which at the default `max_terms` budget could
-/// occupy gigabytes. Workers pull from one shared stream in chunks.
+/// It enumerates the paper's full `C(n,u)·3^u` set, zero terms
+/// included, and serves as the order of record in tests; the
+/// evaluators stream [`GrayPatternStream::with_ranks`] instead.
+/// Holds `O(u)` state.
 pub struct PatternStream {
     n: usize,
     u: usize,
@@ -103,14 +122,24 @@ impl PatternStream {
     }
 }
 
+/// The sub-dominant terms a site of Kraus rank `rank` can take: terms
+/// `1..rank` have nonzero eigenvalues. Every site keeps its dominant
+/// term, so a rank below 1 counts as 1.
+pub(crate) fn correction_terms(rank: usize) -> usize {
+    rank.clamp(1, 4) - 1
+}
+
 /// Sentinel "no term installed" marker for diffing against a
 /// [`GrayPatternStream`]'s patterns (all real terms are `0..=3`).
 pub const TERM_UNSET: usize = usize::MAX;
 
 /// Minimal-change enumerator of the level-`u` substitution patterns:
-/// visits exactly the same pattern set as [`PatternStream`], but
-/// consecutive patterns differ in at most **two** sites, and the
-/// stream reports which ([`GrayPatternStream::changed_sites`]).
+/// [`GrayPatternStream::new`] visits exactly the same pattern set as
+/// [`PatternStream`], but consecutive patterns differ in at most
+/// **two** sites, and the stream reports which
+/// ([`GrayPatternStream::changed_sites`]).
+/// [`GrayPatternStream::with_ranks`] walks the same sequence and emits
+/// only the patterns whose terms all have a nonzero eigenvalue.
 ///
 /// Structure: for each site subset, all `3^u` term assignments are
 /// visited by a reflected base-3 Gray code (one site changes per
@@ -137,14 +166,40 @@ pub struct GrayPatternStream {
     changed: Vec<usize>,
     started: bool,
     exhausted: bool,
+    /// `caps[s]`: how many sub-dominant terms site `s` has with a
+    /// nonzero eigenvalue (its Kraus rank minus one, at most 3). A
+    /// pattern is emitted only when every active digit is below its
+    /// site's cap; the walk steps over the others.
+    caps: Vec<usize>,
+    /// The last emitted pattern: the diff base for `changed` once
+    /// skipped steps sit between two emitted patterns.
+    emitted: Vec<usize>,
+    /// The active sites of the last emitted pattern. Only these and
+    /// the current active sites can differ from it.
+    emitted_active: Vec<usize>,
 }
 
 impl GrayPatternStream {
     /// A stream over all `C(n,u)·3^u` patterns with exactly `u`
     /// sub-dominant sites (immediately exhausted when `u > n`).
     pub fn new(n: usize, u: usize) -> Self {
+        Self::with_ranks(&vec![4; n], u)
+    }
+
+    /// A stream over the level-`u` patterns whose terms all have a
+    /// nonzero eigenvalue, for sites with Kraus ranks `ranks`
+    /// ([`crate::NoiseSvd::rank`]): site `s` takes only the terms
+    /// `0..ranks[s]`. That is
+    /// [`crate::bounds::level_patterns_for_ranks`] patterns, emitted in
+    /// the same relative order as [`GrayPatternStream::new`] emits
+    /// them: the walk is the same, it just steps over the patterns
+    /// that use a zero term. Those add exactly `+0.0`, so a sequential
+    /// sum over this stream is bitwise the sum over the full one.
+    pub fn with_ranks(ranks: &[usize], u: usize) -> Self {
+        let n = ranks.len();
         let mut c: Vec<usize> = (0..u).collect();
         c.push(n);
+        let caps: Vec<usize> = ranks.iter().map(|&r| correction_terms(r)).collect();
         GrayPatternStream {
             n,
             u,
@@ -155,6 +210,9 @@ impl GrayPatternStream {
             changed: Vec::new(),
             started: false,
             exhausted: u > n,
+            caps,
+            emitted: vec![0; n],
+            emitted_active: (0..u).collect(),
         }
     }
 
@@ -166,37 +224,64 @@ impl GrayPatternStream {
     /// pattern (for the first pattern: from the all-dominant pattern).
     pub fn next_into(&mut self, out: &mut [usize]) -> bool {
         debug_assert_eq!(out.len(), self.n, "one term slot per site");
-        if !self.step() {
-            return false;
+        // Walk on until every active digit is below its site's cap.
+        loop {
+            if !self.step() {
+                self.changed.clear();
+                return false;
+            }
+            if (0..self.u).all(|p| self.digits[p] < self.caps[self.c[p]]) {
+                break;
+            }
         }
+        self.record_changes();
         out.copy_from_slice(&self.current);
         true
     }
 
+    /// Sets `changed` to the exact diff between `current` and the last
+    /// emitted pattern, then makes `current` the last emitted one.
+    /// Every site outside the two patterns' active sets is dominant in
+    /// both. A site active in both is checked twice but listed once:
+    /// the first check syncs `emitted`.
+    fn record_changes(&mut self) {
+        self.changed.clear();
+        for k in 0..2 * self.u {
+            let s = match k.checked_sub(self.u) {
+                None => self.emitted_active[k],
+                Some(p) => self.c[p],
+            };
+            if self.current[s] != self.emitted[s] {
+                self.emitted[s] = self.current[s];
+                self.changed.push(s);
+            }
+        }
+        self.emitted_active.copy_from_slice(&self.c[..self.u]);
+    }
+
     /// The sites changed by the last pattern [`GrayPatternStream::next_into`]
     /// emitted: one site for a digit step, two for a subset step, the
-    /// `u` active sites for the first pattern. Empty before the first
-    /// call and after exhaustion.
+    /// `u` active sites for the first pattern. A stream built
+    /// [`with_ranks`](Self::with_ranks) reports the exact diff against
+    /// the previously emitted pattern, which after skipped steps may be
+    /// more sites. Empty before the first call and after exhaustion.
     pub fn changed_sites(&self) -> &[usize] {
         &self.changed
     }
 
-    /// Advances `current`/`changed` to the next pattern.
+    /// Advances `current` one step of the walk; `false` once the walk
+    /// is exhausted.
     fn step(&mut self) -> bool {
         if self.exhausted {
-            self.changed.clear();
             return false;
         }
-        self.changed.clear();
         if !self.started {
             self.started = true;
             for p in 0..self.u {
                 self.current[self.c[p]] = self.digits[p] + 1;
-                self.changed.push(self.c[p]);
             }
         } else if let Some(p) = self.advance_digits() {
             self.current[self.c[p]] = self.digits[p] + 1;
-            self.changed.push(self.c[p]);
         } else if let Some((left, entered_pos)) = self.advance_subset() {
             // The swapped-out site reverts to the dominant term; the
             // swapped-in site takes over the digit left at its
@@ -206,8 +291,6 @@ impl GrayPatternStream {
             self.current[left] = 0;
             let entered = self.c[entered_pos];
             self.current[entered] = self.digits[entered_pos] + 1;
-            self.changed.push(left);
-            self.changed.push(entered);
         } else {
             self.exhausted = true;
             return false;

@@ -89,8 +89,11 @@ pub struct PartialEstimate {
     pub patterns_done: usize,
     /// The contribution `T_level` of the level just completed.
     pub level_contribution: f64,
-    /// The pattern count `C(N,level)·3^level` of the level just
-    /// completed.
+    /// The patterns the level just completed ran (or, if installed
+    /// from a cache, had run): those whose terms all have a nonzero
+    /// eigenvalue, [`crate::bounds::level_patterns_for_ranks`]. At
+    /// most the Theorem-1 count `C(N,level)·3^level`, which is what
+    /// budgets and deadlines are priced with.
     pub level_patterns: usize,
 }
 
@@ -215,15 +218,15 @@ impl LevelEvaluator {
     /// [is already complete](Self::is_complete).
     pub fn advance(&mut self) -> Result<PartialEstimate, QnsError> {
         let u = self.begin_level()?;
-        let (tu, count, level_stats) =
-            if self.threads > 1 && crate::bounds::level_patterns(self.n, u) > 1 {
-                evaluate_level_parallel(&self.skels, &self.shared, self.n, u, self.threads)
-            } else {
-                let delta = self
-                    .seq_delta
-                    .get_or_insert_with(|| SplitDelta::new(&self.shared, self.n));
-                evaluate_level_sequential(&mut self.skels, &self.shared, self.n, u, delta)
-            };
+        let patterns = crate::bounds::level_patterns_for_ranks(&self.shared.ranks, u);
+        let (tu, count, level_stats) = if self.threads > 1 && patterns > 1 {
+            evaluate_level_parallel(&self.skels, &self.shared, u, self.threads)
+        } else {
+            let delta = self
+                .seq_delta
+                .get_or_insert_with(|| SplitDelta::new(&self.shared, self.n));
+            evaluate_level_sequential(&mut self.skels, &self.shared, u, delta)
+        };
         self.stats.absorb(&level_stats);
         self.per_level.push(tu.re);
         self.level_counts.push(count);
@@ -239,15 +242,17 @@ impl LevelEvaluator {
     /// # Errors
     ///
     /// [`QnsError::InvalidJob`] if the evaluator is complete or
-    /// `patterns` is not the Theorem-1 pattern count of the next level
-    /// (a corrupt or mismatched cache entry).
+    /// `patterns` is not the count [`advance`](Self::advance) would
+    /// run for the next level,
+    /// [`crate::bounds::level_patterns_for_ranks`] (a corrupt or
+    /// mismatched cache entry).
     pub fn install_level(
         &mut self,
         contribution: f64,
         patterns: usize,
     ) -> Result<PartialEstimate, QnsError> {
         let u = self.begin_level()?;
-        let expected = crate::bounds::level_patterns(self.n, u);
+        let expected = crate::bounds::level_patterns_for_ranks(&self.shared.ranks, u);
         if patterns as u128 != expected {
             return Err(QnsError::InvalidJob {
                 reason: format!(

@@ -402,7 +402,7 @@ pub struct ServiceStats {
     /// unique expectation jobs).
     pub inflight: usize,
     /// The deadline-conversion EWMA of observed refinement throughput
-    /// in patterns/second (`0.0` until the first clean fresh level;
+    /// in Theorem-1 patterns/second (`0.0` until the first clean fresh level;
     /// levels that failed or carried injected faults never feed it).
     pub refine_rate_pps: f64,
 }
@@ -484,8 +484,9 @@ struct State {
     cache: LruCache,
     inflight: HashMap<u128, Arc<Flight>>,
     partial: PartialSumCache,
-    /// EWMA of observed refinement throughput (patterns/second), used
-    /// to convert deadlines into pattern budgets. `0.0` until the
+    /// EWMA of observed refinement throughput (Theorem-1
+    /// patterns/second, the unit levels are priced in), used to
+    /// convert deadlines into pattern budgets. `0.0` until the
     /// first fresh level completes (the default rate applies then).
     refine_rate_pps: f64,
     shutdown: bool,
@@ -1782,7 +1783,15 @@ fn run_refinement_inner(shared: &Shared, task: &RefineTask) -> Result<bool, QnsE
                     },
                 );
                 if !poisoned {
-                    state.observe_refine_rate(partial.level_patterns, seconds);
+                    // In Theorem-1 patterns per second, the unit the
+                    // deadline budget is spent in (`deadline_level`
+                    // prices levels with `level_patterns`), not the
+                    // possibly smaller count of patterns that ran.
+                    let priced = qns_core::bounds::level_patterns(refinement.max_level(), level);
+                    state.observe_refine_rate(
+                        usize::try_from(priced).unwrap_or(usize::MAX),
+                        seconds,
+                    );
                 }
             }
             shared.obs.refine_level_micros.record(micros);

@@ -486,8 +486,9 @@ fn double_network_impl(
 }
 
 /// The paper's double-size network with **every** noise event replaced
-/// by a swappable Kronecker pair `(A, B)` — the unsplit evaluator's
-/// plan-once/execute-many skeleton.
+/// by a swappable Kronecker pair `(A, B)`: a plan-once/execute-many
+/// skeleton that replays the whole double network per replacement
+/// map (the `contract_bench` paper-form workload uses it).
 ///
 /// Replacement slots are keyed like [`double_network`]'s
 /// `replacements` map (regular events by index, initial events after

@@ -65,7 +65,9 @@ fn main() {
 
     println!(
         "\nThe approximation's cost column grows linearly with the noise \
-         count (1+3N contractions),\nwhile the exact double-network \
-         contraction degrades as noise tensors bridge the two halves."
+         count (1+2N contractions for this rank-3 thermal channel,\nthe \
+         paper's 1+3N less the patterns on its zero Kraus term), while the \
+         exact\ndouble-network contraction degrades as noise tensors bridge \
+         the two halves."
     );
 }

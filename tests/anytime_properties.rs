@@ -85,11 +85,15 @@ proptest! {
 
         let backend = ApproxBackend::level(n).with_threads(threads);
         let mut refinement = backend.refinement(&job).unwrap();
+        let ranks = qns::core::site_ranks(&noisy);
         let mut last_bound = f64::INFINITY;
         for level in 0..=n {
             let partial = refinement.advance().unwrap();
             prop_assert_eq!(partial.level, level);
-            prop_assert_eq!(partial.patterns_done as u128, bounds::planned_patterns(n, level));
+            prop_assert_eq!(
+                partial.patterns_done as u128,
+                bounds::planned_patterns_for_ranks(&ranks, level)
+            );
 
             // Bitwise identity against a fresh one-shot run at this
             // level under the same options.

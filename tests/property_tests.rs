@@ -4,7 +4,8 @@
 use proptest::prelude::*;
 use qns::circuit::{Circuit, Gate};
 use qns::core::approx::{approximate_expectation, ApproxOptions};
-use qns::core::NoiseSvd;
+use qns::core::bounds::level_patterns_for_ranks;
+use qns::core::{GrayPatternStream, NoiseSvd};
 use qns::linalg::Matrix;
 use qns::noise::{channels, Kraus, NoiseEvent, NoisyCircuit};
 use qns::sim::{density, statevector};
@@ -280,5 +281,47 @@ proptest! {
         // Interleaving yields gates+noise in order.
         let els = noisy.elements();
         prop_assert_eq!(els.len(), noisy.circuit().gate_count() + 1);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(200))]
+
+    /// The rank-aware pattern stream is the full Gray walk with the
+    /// patterns that use a zero term left out: the same patterns in
+    /// the same relative order, as many as the ranked count, each
+    /// reporting its exact diff against the previous emitted pattern.
+    #[test]
+    fn ranked_stream_is_the_filtered_full_walk(
+        n in 0usize..8,
+        u_pick in 0usize..8,
+        all_ranks in proptest::collection::vec(1usize..5, 7),
+    ) {
+        let u = u_pick % (n + 1);
+        let ranks = &all_ranks[..n];
+        let mut full = GrayPatternStream::new(n, u);
+        let mut ranked = GrayPatternStream::with_ranks(ranks, u);
+        let mut pat = vec![0usize; n];
+        let mut expected = Vec::new();
+        while full.next_into(&mut pat) {
+            if pat.iter().zip(ranks).all(|(&t, &r)| t < r) {
+                expected.push(pat.clone());
+            }
+        }
+        let mut prev = vec![0usize; n]; // the all-dominant pattern
+        let mut emitted = 0usize;
+        while ranked.next_into(&mut pat) {
+            prop_assert!(emitted < expected.len(), "extra pattern {:?}", pat);
+            prop_assert_eq!(&pat, &expected[emitted]);
+            let diff: Vec<usize> = (0..n).filter(|&i| pat[i] != prev[i]).collect();
+            let mut reported = ranked.changed_sites().to_vec();
+            reported.sort_unstable();
+            prop_assert_eq!(reported, diff, "changed_sites of pattern {}", emitted);
+            prev.copy_from_slice(&pat);
+            emitted += 1;
+        }
+        prop_assert_eq!(emitted, expected.len());
+        prop_assert_eq!(emitted as u128, level_patterns_for_ranks(ranks, u));
+        prop_assert!(ranked.changed_sites().is_empty());
     }
 }
