@@ -30,7 +30,16 @@
 //! workload's split halves and its double network, as the median of
 //! repeated runs, and reports it under `"planning"` as `plan_us`.
 //!
-//! Five invariants are *asserted* on every run (and gate CI via
+//! A fourth section compares the **delta-aware plan**
+//! (`TensorNetwork::plan_for_replay`, the evaluator's order search)
+//! with the plain greedy plan on every registry circuit, both compiled
+//! with the noise sites varying (`ContractionPlan::compile_for_replay`,
+//! so the noise-free part is contracted once): the modelled `m·k·n`
+//! and the measured µs of replaying one varying leaf's path, on the
+//! evaluator's single amplitude network and its rank-aware level-1
+//! Gray sequence. It is reported under `"delta_aware"`.
+//!
+//! Eight invariants are *asserted* on every run (and gate CI via
 //! `--smoke`):
 //!
 //! 1. reference and compiled paths produce **bit-identical** pattern
@@ -41,9 +50,13 @@
 //!    compiled replay of the same Gray sequence, and
 //! 4. the delta path's warmed timing pass performs **zero
 //!    allocations**, and
-//! 5. repeated order searches on one skeleton record **equal plans**.
+//! 5. repeated order searches on one skeleton record **equal plans**,
+//! 6. the delta-aware plan's modelled cost is **at most the greedy
+//!    plan's**,
+//! 7. its delta replay is **bit-identical** to its full replay, and
+//! 8. its warmed hot-arena replays perform **zero allocations**.
 
-use qns_bench::registry::{default_set, smoke_set, BenchCircuit, Family};
+use qns_bench::registry::{full_set, smoke_set, BenchCircuit, Family};
 use qns_bench::timing::time_it;
 use qns_bench::{arg_flag, arg_usize, print_row};
 use qns_core::patterns::GrayPatternStream;
@@ -289,6 +302,172 @@ fn median_plan_us<P: PartialEq + std::fmt::Debug>(name: &str, search: impl Fn() 
     us[us.len() / 2]
 }
 
+/// One plan's replay cost in the delta-aware section.
+struct PlanReplay {
+    /// Measured µs per varying leaf replayed (pattern time divided by
+    /// the leaves each pattern changed).
+    us_per_leaf: f64,
+    /// Modelled `m·k·n` of one varying leaf's path, averaged over the
+    /// varying leaves.
+    flops_per_leaf: f64,
+    /// `ReplayCost::modelled` at the run's replay count.
+    modelled: u128,
+    hot_steps: usize,
+    cold_steps: usize,
+}
+
+/// A registry circuit's delta-aware-vs-greedy comparison.
+struct DeltaAwareRow {
+    name: String,
+    /// Order searches the delta-aware planner ran.
+    searches: usize,
+    same_plan: bool,
+    greedy: PlanReplay,
+    delta: PlanReplay,
+}
+
+/// Timed passes per plan in the delta-aware section; the fastest is
+/// reported.
+const DELTA_PASSES: usize = 5;
+
+/// Patterns per timed pass in the delta-aware section, at least: the
+/// level-1 sequence is replayed as often as it takes.
+const DELTA_PASS_PATTERNS: usize = 512;
+
+/// Replays the rank-aware level-1 Gray sequence of `bench` with
+/// `noises` thermal sites through the greedy and the delta-aware plan
+/// of its amplitude network, both compiled with the sites varying.
+/// Asserts the delta-aware plan models no worse than greedy, that its
+/// delta replay is bitwise its full replay, and that warmed passes
+/// allocate nothing.
+fn delta_aware_row(bench: &BenchCircuit, noises: usize, seed: u64) -> DeltaAwareRow {
+    let channel = channels::thermal_relaxation(30.0, 40.0, 25.0);
+    let noisy = NoisyCircuit::inject_random(bench.circuit.clone(), &channel, noises, seed);
+    let n = noisy.n_qubits();
+    let placeholders: Vec<Insertion> = noisy
+        .events()
+        .iter()
+        .map(|e| Insertion {
+            after_gate: e.after_gate,
+            qubit: e.qubit,
+            matrix: Matrix::identity(2),
+        })
+        .collect();
+    let mut skel = AmplitudeSkeleton::new(
+        noisy.circuit(),
+        &ProductState::all_zeros(n),
+        &ProductState::basis(n, 0),
+        &placeholders,
+        false,
+    );
+    let svds: Vec<NoiseSvd> = noisy
+        .events()
+        .iter()
+        .map(|e| NoiseSvd::decompose(&e.kraus))
+        .collect();
+    let ranks: Vec<usize> = svds.iter().map(NoiseSvd::rank).collect();
+    let payloads: Vec<[Tensor; 4]> = svds
+        .iter()
+        .map(|s| std::array::from_fn(|t| Tensor::from_matrix(s.term(t).0)))
+        .collect();
+    let varying: Vec<usize> = (0..noises).map(|i| skel.insertion_slot(i)).collect();
+    let replays = qns_core::planned_patterns_for_ranks(&ranks, 1);
+    let mut pats = Vec::new();
+    let mut pat = vec![0usize; noises];
+    for u in 0..=1 {
+        let mut stream = GrayPatternStream::with_ranks(&ranks, u);
+        while stream.next_into(&mut pat) {
+            pats.push(pat.clone());
+        }
+    }
+
+    let greedy_plan = skel.plan(OrderStrategy::Greedy);
+    let (delta_plan, searched) = skel.network().plan_for_replay(&varying, replays);
+    let greedy_cost = greedy_plan.replay_cost(&varying).modelled(noises, replays);
+    let delta_cost = delta_plan.replay_cost(&varying).modelled(noises, replays);
+    assert!(
+        delta_cost <= greedy_cost,
+        "{}: delta-aware plan models {delta_cost} > greedy {greedy_cost}",
+        bench.name
+    );
+    let mut measure = |plan: &qns_tnet::plan::ContractionPlan| -> PlanReplay {
+        let exec = plan.compile_for_replay(skel.network(), &varying);
+        let cost = plan.replay_cost(&varying);
+        // Reference: every pattern fully replayed.
+        let reps = DELTA_PASS_PATTERNS.div_ceil(pats.len());
+        let mut full_ws = Workspace::new();
+        let mut full_sum = Complex64::ZERO;
+        for p in pats.iter().cycle().take(reps * pats.len()) {
+            for (i, &t) in p.iter().enumerate() {
+                skel.set_insertion_payload(i, &payloads[i][t]);
+            }
+            let a = exec.execute_network_scalar(skel.network(), &mut full_ws);
+            full_sum += a * a.conj();
+        }
+        // Delta passes: the first warms the hot arena, the later ones
+        // are timed and must not allocate.
+        let mut ws = Workspace::new();
+        let mut current = vec![usize::MAX; noises];
+        let mut dirty = Vec::with_capacity(noises);
+        let mut leaves = 0usize;
+        let mut best = f64::INFINITY;
+        let mut warm = 0;
+        for pass in 0..=DELTA_PASSES {
+            let (sum, seconds) = time_it(|| {
+                let mut acc = Complex64::ZERO;
+                for p in pats.iter().cycle().take(reps * pats.len()) {
+                    dirty.clear();
+                    for (i, &t) in p.iter().enumerate() {
+                        if current[i] != t {
+                            skel.set_insertion_payload(i, &payloads[i][t]);
+                            dirty.push(skel.insertion_slot(i));
+                            current[i] = t;
+                        }
+                    }
+                    if pass == 1 {
+                        leaves += dirty.len();
+                    }
+                    let (a, _) = exec.execute_network_delta_scalar(skel.network(), &dirty, &mut ws);
+                    acc += a * a.conj();
+                }
+                acc
+            });
+            if pass == 0 {
+                warm = ws.allocation_events();
+            } else {
+                best = best.min(seconds);
+                assert_eq!(
+                    sum, full_sum,
+                    "{}: delta replay must be bitwise the full replay",
+                    bench.name
+                );
+            }
+        }
+        assert_eq!(
+            ws.allocation_events(),
+            warm,
+            "{}: warmed hot-arena replays allocated",
+            bench.name
+        );
+        PlanReplay {
+            us_per_leaf: best * 1e6 / leaves.max(1) as f64,
+            flops_per_leaf: cost.flops_per_leaf(noises),
+            modelled: cost.modelled(noises, replays),
+            hot_steps: cost.hot_steps,
+            cold_steps: cost.cold_steps,
+        }
+    };
+    let greedy = measure(&greedy_plan);
+    let delta = measure(&delta_plan);
+    DeltaAwareRow {
+        name: bench.name.clone(),
+        searches: searched.order_searches,
+        same_plan: delta_plan == greedy_plan,
+        greedy,
+        delta,
+    }
+}
+
 fn main() {
     let smoke = arg_flag("--smoke");
     let patterns_per = arg_usize("--patterns", if smoke { 64 } else { 256 });
@@ -300,9 +479,15 @@ fn main() {
         .map(|w| w[1].clone())
         .unwrap_or_else(|| "BENCH_contract.json".to_string());
 
-    let set: Vec<BenchCircuit> = if smoke { smoke_set() } else { default_set() }
-        .into_iter()
+    let registry: Vec<BenchCircuit> = if smoke {
+        smoke_set()
+    } else {
+        qns_bench::registry::default_set()
+    };
+    let set: Vec<BenchCircuit> = registry
+        .iter()
         .filter(|b| matches!(b.family, Family::Qaoa | Family::Supremacy))
+        .cloned()
         .collect();
 
     println!(
@@ -486,6 +671,65 @@ fn main() {
         plan_rows.push((w.name.clone(), split, double));
     }
 
+    // ── Delta-aware vs greedy plans ──
+    let delta_set: Vec<BenchCircuit> = if smoke { registry } else { full_set() };
+    println!(
+        "\ndelta-aware vs greedy plan (one amplitude network, rank-aware level-1 \
+         Gray sequence, per varying leaf replayed)\n"
+    );
+    let da_widths = [14usize, 9, 13, 13, 14, 14, 9];
+    print_row(
+        &[
+            "workload".into(),
+            "searches".into(),
+            "greedy µs".into(),
+            "delta µs".into(),
+            "greedy m·k·n".into(),
+            "delta m·k·n".into(),
+            "same".into(),
+        ],
+        &da_widths,
+    );
+    let mut da_rows = Vec::new();
+    for (i, bench) in delta_set.iter().enumerate() {
+        let row = delta_aware_row(bench, noises, 0xC047 + i as u64);
+        print_row(
+            &[
+                row.name.clone(),
+                row.searches.to_string(),
+                format!("{:.2}", row.greedy.us_per_leaf),
+                format!("{:.2}", row.delta.us_per_leaf),
+                format!("{:.0}", row.greedy.flops_per_leaf),
+                format!("{:.0}", row.delta.flops_per_leaf),
+                row.same_plan.to_string(),
+            ],
+            &da_widths,
+        );
+        da_rows.push(row);
+    }
+    let da_per = da_rows
+        .iter()
+        .map(|r| {
+            let side = |p: &PlanReplay| {
+                format!(
+                    "{{\"us_per_leaf\":{:.3},\"flops_per_leaf\":{:.1},\"modelled\":{},\
+                     \"hot_steps\":{},\"cold_steps\":{}}}",
+                    p.us_per_leaf, p.flops_per_leaf, p.modelled, p.hot_steps, p.cold_steps
+                )
+            };
+            format!(
+                "{{\"workload\":\"{}\",\"searches\":{},\"same_plan\":{},\
+                 \"greedy\":{},\"delta_aware\":{}}}",
+                r.name,
+                r.searches,
+                r.same_plan,
+                side(&r.greedy),
+                side(&r.delta)
+            )
+        })
+        .collect::<Vec<_>>()
+        .join(",");
+
     let mut per = String::new();
     for (i, (name, r, e, s)) in rows.iter().enumerate() {
         if i > 0 {
@@ -524,7 +768,9 @@ fn main() {
          \"incremental\":{{\"level\":{level},\"order\":\"gray\",\
          \"geomean_speedup\":{inc_geomean:.3},\"workloads\":[{inc_per}]}},\
          \"planning\":{{\"strategy\":\"greedy\",\"repeats\":{PLAN_REPEATS},\
-         \"workloads\":[{plan_per}]}}}}\n",
+         \"workloads\":[{plan_per}]}},\
+         \"delta_aware\":{{\"level\":1,\"order\":\"gray\",\"ranks\":\"rank-aware\",\
+         \"workloads\":[{da_per}]}}}}\n",
         if smoke { "smoke" } else { "default" },
     );
     let mut f = std::fs::File::create(&out).expect("create bench report");

@@ -59,12 +59,21 @@
 //! All patterns share exactly one network topology per split half —
 //! only the 2×2 `U` payloads differ — so the evaluators here build
 //! each half's [`AmplitudeSkeleton`] **once per run**, capture its
-//! greedy contraction order as a [`qns_tnet::plan::ContractionPlan`],
-//! and then merely swap payloads and replay the plan per pattern. The
+//! contraction order as a [`qns_tnet::plan::ContractionPlan`], and
+//! then merely swap payloads and replay the plan per pattern. The
 //! order search therefore runs `O(1)` times per run instead of once
 //! per pattern (`O(N^l)` times); [`ApproxResult::stats`] reports the
-//! search/replay counts so the amortization is observable. Patterns
-//! themselves are *streamed* (sequentially, or pulled in fixed-size
+//! search/replay counts so the amortization is observable.
+//!
+//! The order is **delta-aware**
+//! ([`qns_tnet::network::TensorNetwork::plan_for_replay`]): it minimises
+//! the modelled cost of what a pattern sum replays — the steps on the
+//! paths from the noise leaves to the root — given the rank-aware
+//! level-1 pattern count, a number fixed by the job. The steps with no
+//! noise leaf below them (*cold*) are contracted once per run into a
+//! cache the workers share ([`ContractionPlan::compile_for_replay`]).
+//!
+//! Patterns themselves are *streamed* (sequentially, or pulled in fixed-size
 //! chunks by worker threads), so pattern-buffer memory is `O(chunk)`
 //! rather than `O(N^l)`.
 //!
@@ -82,7 +91,9 @@
 //! to full replay by construction — the recomputed steps read the same
 //! operand values a full replay would — so this is purely a
 //! performance change; workers that start cold fall back to one full
-//! replay automatically.
+//! replay of the hot steps automatically. A
+//! [`crate::refine::LevelEvaluator`] keeps each worker's evaluator for
+//! the whole run, so later levels start warm.
 
 use crate::noise_svd::NoiseSvd;
 use crate::patterns::{GrayPatternStream, TERM_UNSET};
@@ -93,6 +104,7 @@ use qns_tensor::Tensor;
 use qns_tnet::builder::{AmplitudeSkeleton, Insertion, ProductState};
 use qns_tnet::exec::{ExecutablePlan, Workspace};
 use qns_tnet::network::{ContractionStats, OrderStrategy};
+use qns_tnet::plan::ContractionPlan;
 use std::sync::Mutex;
 
 /// Options for [`approximate_expectation`].
@@ -180,9 +192,10 @@ pub struct ApproxResult {
     /// cache add none.
     pub contractions: usize,
     /// Aggregated contraction statistics across the whole pattern sum.
-    /// With plan reuse, `stats.order_searches` stays `O(1)` per run
-    /// (1 for an expectation and 2 for a matrix element with distinct
-    /// caps, one search per half) while
+    /// With plan reuse, `stats.order_searches` stays `O(1)` per run —
+    /// every search the delta-aware planner ran: 1 per half when it
+    /// keeps the greedy plan, more when it tried its candidates, and
+    /// two halves for a matrix element with distinct caps — while
     /// `stats.plan_reuses` counts the replays.
     pub stats: ContractionStats,
 }
@@ -219,8 +232,8 @@ pub(crate) fn collect_sites(noisy: &NoisyCircuit) -> Vec<Site> {
 }
 
 /// The split-half skeletons of one run. Payload swaps mutate the
-/// skeletons, so each worker thread clones them; the (read-only)
-/// plans and payload table are shared.
+/// skeletons, so each worker's [`SplitDelta`] owns a clone; the
+/// (read-only) plans and payload table are shared.
 #[derive(Clone)]
 pub(crate) struct SplitSkeletons {
     /// `⟨x|·|ψ⟩` with the pattern's `U` matrices spliced in.
@@ -231,11 +244,12 @@ pub(crate) struct SplitSkeletons {
 }
 
 /// The per-run shared state of the split evaluator: the **compiled**
-/// contraction plans (searched and lowered once) and every site's four
-/// `U`-term payload tensors, pre-resolved so the hot loop only memcpys
-/// 2×2 buffers into the skeleton slots and replays kernels through a
-/// per-worker [`Workspace`]: zero heap allocations per pattern in
-/// steady state.
+/// contraction plans (searched and lowered once, their noise-free
+/// part contracted into a cold cache all workers share) and every
+/// site's four `U`-term payload tensors, pre-resolved so the hot loop
+/// only memcpys 2×2 buffers into the skeleton slots and replays
+/// kernels through a per-worker [`Workspace`]: zero heap allocations
+/// per pattern in steady state.
 pub(crate) struct SplitShared {
     up: ExecutablePlan,
     /// The lower half's plan, present exactly when the skeletons'
@@ -248,14 +262,54 @@ pub(crate) struct SplitShared {
     /// Every site's Kraus rank ([`NoiseSvd::rank`]): the pattern
     /// streams skip the terms at and past it, which are zero matrices.
     pub(crate) ranks: Vec<usize>,
-    /// The stats of the once-per-run setup: one order search per half.
+    /// The stats of the once-per-run setup: every order search run.
     pub(crate) planning: ContractionStats,
+}
+
+/// The contraction plan of one split half of a pattern sum whose
+/// noise sites have Kraus `ranks`, and the stats of finding it.
+///
+/// With [`OrderStrategy::Greedy`] this is the delta-aware search
+/// [`qns_tnet::network::TensorNetwork::plan_for_replay`] with the
+/// insertion slots as the varying leaves and the rank-aware level-1
+/// count `1 + Σ(r_s − 1)` as the replay count. The choice depends on
+/// the job alone, never on the requested level, the thread count or a
+/// deadline, so every run of a job contracts in the same order and
+/// its per-level sums are bitwise the same whichever level it stops
+/// at. [`OrderStrategy::Sequential`] keeps its plain plan.
+pub(crate) fn pattern_sum_plan(
+    skel: &AmplitudeSkeleton,
+    ranks: &[usize],
+    strategy: OrderStrategy,
+) -> (ContractionPlan, ContractionStats) {
+    match strategy {
+        OrderStrategy::Greedy => {
+            let replays = crate::bounds::planned_patterns_for_ranks(ranks, 1);
+            skel.network()
+                .plan_for_replay(&insertion_slots(skel), replays)
+        }
+        OrderStrategy::Sequential => {
+            let plan = skel.plan(strategy);
+            let stats = plan.planning_stats();
+            (plan, stats)
+        }
+    }
+}
+
+/// The network nodes of a skeleton's substitution slots: the leaves a
+/// pattern sum varies.
+fn insertion_slots(skel: &AmplitudeSkeleton) -> Vec<usize> {
+    (0..skel.insertion_count())
+        .map(|i| skel.insertion_slot(i))
+        .collect()
 }
 
 /// Builds the insertion skeletons for `⟨x|·|ψ⟩` (upper) and, when
 /// `y != x`, `⟨y|·|ψ⟩` (lower) with identity placeholders at every
-/// noise site, plans **and compiles** each contraction, and resolves
-/// the payload tensors — the once-per-run setup.
+/// noise site, plans each contraction ([`pattern_sum_plan`]),
+/// **compiles** it with the insertion slots varying, so its noise-free
+/// part is contracted here once, and resolves the payload tensors —
+/// the once-per-run setup.
 pub(crate) fn build_split(
     circuit: &Circuit,
     psi: &ProductState,
@@ -272,12 +326,14 @@ pub(crate) fn build_split(
             matrix: Matrix::identity(2),
         })
         .collect();
+    let ranks: Vec<usize> = sites.iter().map(|s| s.svd.rank()).collect();
     let mut planning = ContractionStats::default();
     let mut half = |cap: &ProductState| {
         let skel = AmplitudeSkeleton::new(circuit, psi, cap, &placeholders, false);
-        let plan = skel.plan(strategy);
-        planning.absorb(&plan.planning_stats());
-        (skel, plan.compile())
+        let (plan, searched) = pattern_sum_plan(&skel, &ranks, strategy);
+        planning.absorb(&searched);
+        let exec = plan.compile_for_replay(skel.network(), &insertion_slots(&skel));
+        (skel, exec)
     };
     let (upper, up) = half(x);
     let (lower, lo) = if y == x {
@@ -290,7 +346,6 @@ pub(crate) fn build_split(
         .iter()
         .map(|s| std::array::from_fn(|term| Tensor::from_matrix(s.svd.term(term).0)))
         .collect();
-    let ranks = sites.iter().map(|s| s.svd.rank()).collect();
     (
         SplitSkeletons { upper, lower },
         SplitShared {
@@ -303,8 +358,10 @@ pub(crate) fn build_split(
     )
 }
 
-/// Incremental evaluator state for the split networks: the previously
-/// installed assignment plus one warm [`Workspace`] per half.
+/// One worker's incremental evaluator for the split networks: its own
+/// skeletons, the assignment installed in them, and one warm
+/// [`Workspace`] per half holding only the hot nodes (the cold ones
+/// are in the shared plans).
 ///
 /// Per pattern it diffs the new assignment against the installed one,
 /// memcpys only the changed `U` payloads into the skeleton slots, and
@@ -312,8 +369,16 @@ pub(crate) fn build_split(
 /// — bit-identical to a full replay, but `O(changes · tree depth)`
 /// contractions under the minimal-change [`GrayPatternStream`] order.
 /// A cold workspace (a worker's first pattern) falls back to one full
-/// replay inside the executor; no coordination is needed.
+/// replay of the hot steps inside the executor; no coordination is
+/// needed.
+///
+/// Aligned to 128 bytes: the evaluators of one run sit side by side in
+/// a `Vec`, and each pattern writes a worker's dirty lists and
+/// workspace fields, so a cache line shared by two workers would bounce
+/// between their cores on every pattern.
+#[repr(align(128))]
 pub(crate) struct SplitDelta {
+    skels: SplitSkeletons,
     /// Term installed at each site (`TERM_UNSET` before the first
     /// pattern, so every site reads as changed).
     current: Vec<usize>,
@@ -327,14 +392,22 @@ pub(crate) struct SplitDelta {
 }
 
 impl SplitDelta {
-    pub(crate) fn new(shared: &SplitShared, n_sites: usize) -> Self {
+    pub(crate) fn new(skels: SplitSkeletons, shared: &SplitShared) -> Self {
         SplitDelta {
-            current: vec![TERM_UNSET; n_sites],
+            current: vec![TERM_UNSET; shared.ranks.len()],
+            skels,
             dirty_up: Vec::new(),
             dirty_lo: Vec::new(),
             ws_up: Workspace::for_plan(&shared.up),
             ws_lo: shared.lo.as_ref().map(Workspace::for_plan),
         }
+    }
+
+    /// A new evaluator on a copy of this one's skeletons (its first
+    /// pattern rewrites every slot, so the copy's payloads do not
+    /// matter).
+    pub(crate) fn fork(&self, shared: &SplitShared) -> Self {
+        SplitDelta::new(self.skels.clone(), shared)
     }
 
     /// Evaluates one substitution pattern incrementally. Returns
@@ -344,11 +417,11 @@ impl SplitDelta {
     /// allocations and no work for unchanged subtrees.
     fn evaluate(
         &mut self,
-        skels: &mut SplitSkeletons,
         shared: &SplitShared,
         assignment: &[usize],
         stats: &mut ContractionStats,
     ) -> Complex64 {
+        let skels = &mut self.skels;
         self.dirty_up.clear();
         self.dirty_lo.clear();
         for (i, (&term, cur)) in assignment.iter().zip(&mut self.current).enumerate() {
@@ -428,10 +501,9 @@ const PATTERN_CHUNK: usize = 32;
 /// add exactly `+0.0`, so the sum is bitwise the full enumeration's.
 /// Returns `(Σ amp_up·amp_lo, patterns evaluated, stats)`.
 pub(crate) fn evaluate_level_sequential(
-    skels: &mut SplitSkeletons,
+    delta: &mut SplitDelta,
     shared: &SplitShared,
     u: usize,
-    delta: &mut SplitDelta,
 ) -> (Complex64, usize, ContractionStats) {
     let n = shared.ranks.len();
     let mut stream = GrayPatternStream::with_ranks(&shared.ranks, u);
@@ -440,31 +512,30 @@ pub(crate) fn evaluate_level_sequential(
     let mut count = 0usize;
     let mut stats = ContractionStats::default();
     while stream.next_into(&mut assignment) {
-        acc += delta.evaluate(skels, shared, &assignment, &mut stats);
+        acc += delta.evaluate(shared, &assignment, &mut stats);
         count += 1;
     }
     (acc, count, stats)
 }
 
-/// Fans the level-`u` pattern stream across scoped worker threads.
-/// Each worker clones the skeletons, shares the run's plans, and pulls
-/// [`PATTERN_CHUNK`]-sized chunks from the stream — peak pattern
-/// memory is `O(threads · chunk)` regardless of the level's size.
+/// Fans the level-`u` pattern stream across scoped worker threads,
+/// one per evaluator in `workers`. Each worker keeps its own skeletons
+/// and warm workspaces across levels, shares the run's plans, and
+/// pulls [`PATTERN_CHUNK`]-sized chunks from the stream — peak pattern
+/// memory is `O(workers · chunk)` regardless of the level's size.
 ///
 /// Which worker evaluates which chunk depends on OS scheduling, so to
 /// keep the (non-associative) floating-point sum run-to-run
 /// deterministic every chunk carries a sequence number and the partial
-/// sums are reduced in sequence order after the join.
+/// sums are reduced in sequence order after the join. A worker's
+/// history only decides which intermediates it reuses, and delta
+/// replay is bitwise a full replay, so the sum does not depend on it.
 pub(crate) fn evaluate_level_parallel(
-    skels: &SplitSkeletons,
+    workers: &mut [SplitDelta],
     shared: &SplitShared,
     u: usize,
-    threads: usize,
 ) -> (Complex64, usize, ContractionStats) {
     let n = shared.ranks.len();
-    let avail =
-        crate::bounds::level_patterns_for_ranks(&shared.ranks, u).min(usize::MAX as u128) as usize;
-    let workers = threads.min(avail).max(1);
     // Shared state: the pattern stream plus the next chunk's sequence
     // number, handed out under the same lock as the chunk itself.
     // Minimal-change order keeps consecutive patterns *within* a chunk
@@ -474,18 +545,13 @@ pub(crate) fn evaluate_level_parallel(
     let stream = Mutex::new((GrayPatternStream::with_ranks(&shared.ranks, u), 0usize));
     std::thread::scope(|scope| {
         let stream = &stream;
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let mut skels = skels.clone();
+        let handles: Vec<_> = workers
+            .iter_mut()
+            .map(|delta| {
                 scope.spawn(move || {
                     let mut chunk_sums: Vec<(usize, Complex64)> = Vec::new();
                     let mut count = 0usize;
                     let mut stats = ContractionStats::default();
-                    // One delta evaluator per worker, owned across its
-                    // whole chunk stream: its workspaces warm up on
-                    // the first pattern (one full replay), then every
-                    // later pattern is an allocation-free delta.
-                    let mut delta = SplitDelta::new(shared, n);
                     // Flat chunk buffer: PATTERN_CHUNK assignments of n
                     // sites each, refilled under one lock.
                     let mut buf = vec![0usize; PATTERN_CHUNK * n];
@@ -508,12 +574,8 @@ pub(crate) fn evaluate_level_parallel(
                         }
                         let mut chunk_acc = Complex64::ZERO;
                         for k in 0..filled {
-                            chunk_acc += delta.evaluate(
-                                &mut skels,
-                                shared,
-                                &buf[k * n..(k + 1) * n],
-                                &mut stats,
-                            );
+                            chunk_acc +=
+                                delta.evaluate(shared, &buf[k * n..(k + 1) * n], &mut stats);
                         }
                         chunk_sums.push((seq, chunk_acc));
                         count += filled;
@@ -639,9 +701,9 @@ pub(crate) fn matrix_element_run(
     // caps: the upper network capped with `x`, the lower with `y` —
     // producing the terms of
     // `⟨x|E(ρ)|y⟩ = (⟨x| ⊗ ⟨y*|)·M·(|ψ⟩ ⊗ |ψ*⟩)`.
-    let (mut skels, shared) = build_split(circuit, psi, x, y, &sites, opts.strategy);
+    let (skels, shared) = build_split(circuit, psi, x, y, &sites, opts.strategy);
     let mut stats = shared.planning;
-    let mut delta = SplitDelta::new(&shared, n);
+    let mut delta = SplitDelta::new(skels, &shared);
 
     let mut total = Complex64::ZERO;
     let mut terms = 0usize;
@@ -649,7 +711,7 @@ pub(crate) fn matrix_element_run(
     for u in 0..=level {
         let mut stream = GrayPatternStream::with_ranks(&shared.ranks, u);
         while stream.next_into(&mut assignment) {
-            total += delta.evaluate(&mut skels, &shared, &assignment, &mut stats);
+            total += delta.evaluate(&shared, &assignment, &mut stats);
             terms += 1;
         }
     }
@@ -1305,12 +1367,18 @@ mod tests {
             .collect();
         let mut upper = AmplitudeSkeleton::new(circuit, psi, v, &placeholders, false);
         let mut lower = AmplitudeSkeleton::new(circuit, psi, v, &placeholders, true);
-        let up = upper.plan(OrderStrategy::Greedy).compile();
-        let lo = lower.plan(OrderStrategy::Greedy).compile();
+        // The plan the evaluators run, found by the same search, but
+        // compiled with every leaf hot and replayed in full.
+        let ranks = site_ranks(noisy);
+        let up = pattern_sum_plan(&upper, &ranks, OrderStrategy::Greedy)
+            .0
+            .compile();
+        let lo = pattern_sum_plan(&lower, &ranks, OrderStrategy::Greedy)
+            .0
+            .compile();
         let (mut ws_up, mut ws_lo) = (Workspace::for_plan(&up), Workspace::for_plan(&lo));
         let add = |acc: Complex64, &t: &Complex64| acc + t;
         let mut assignment = vec![0usize; sites.len()];
-        let ranks = site_ranks(noisy);
         (0..=level)
             .map(|u| {
                 let mut terms = Vec::new();

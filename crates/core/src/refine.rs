@@ -66,7 +66,6 @@
 use crate::approx::{
     build_split, check_budget, check_state, collect_sites, evaluate_level_parallel,
     evaluate_level_sequential, ApproxOptions, ApproxResult, SplitDelta, SplitShared,
-    SplitSkeletons,
 };
 use qns_noise::{NoisyCircuit, QnsError};
 use qns_tnet::builder::ProductState;
@@ -114,12 +113,14 @@ pub struct LevelEvaluator {
     max_terms: u128,
     /// Largest per-event noise rate, the `p` of the Theorem-1 bound.
     noise_rate: f64,
-    skels: SplitSkeletons,
     shared: SplitShared,
-    /// Sequential-path delta evaluator, created lazily and owned across
-    /// levels so its installed-assignment state carries over (the first
-    /// pattern of a level diffs against the last of the previous one).
-    seq_delta: Option<SplitDelta>,
+    /// One delta evaluator per worker thread, each with its own
+    /// skeletons and hot workspace, kept across levels so its warm
+    /// intermediates and installed assignment carry over (a level's
+    /// first pattern diffs against the worker's last one). Worker 0 is
+    /// also the sequential evaluator; the others are forked from it
+    /// on the first parallel level.
+    workers: Vec<SplitDelta>,
     /// Contributions `T_0 … T_k` of the completed levels.
     per_level: Vec<f64>,
     /// Pattern count of each completed level.
@@ -154,14 +155,14 @@ impl LevelEvaluator {
         let (skels, shared) = build_split(circuit, psi, v, v, &sites, opts.strategy);
         let mut stats = ContractionStats::default();
         stats.absorb(&shared.planning);
+        let workers = vec![SplitDelta::new(skels, &shared)];
         Ok(LevelEvaluator {
             n,
             threads: opts.threads,
             max_terms: opts.max_terms,
             noise_rate: noisy.max_noise_rate(),
-            skels,
             shared,
-            seq_delta: None,
+            workers,
             per_level: Vec::new(),
             level_counts: Vec::new(),
             stats,
@@ -220,12 +221,14 @@ impl LevelEvaluator {
         let u = self.begin_level()?;
         let patterns = crate::bounds::level_patterns_for_ranks(&self.shared.ranks, u);
         let (tu, count, level_stats) = if self.threads > 1 && patterns > 1 {
-            evaluate_level_parallel(&self.skels, &self.shared, u, self.threads)
+            let workers = (self.threads as u128).min(patterns) as usize;
+            while self.workers.len() < workers {
+                let fork = self.workers[0].fork(&self.shared);
+                self.workers.push(fork);
+            }
+            evaluate_level_parallel(&mut self.workers[..workers], &self.shared, u)
         } else {
-            let delta = self
-                .seq_delta
-                .get_or_insert_with(|| SplitDelta::new(&self.shared, self.n));
-            evaluate_level_sequential(&mut self.skels, &self.shared, u, delta)
+            evaluate_level_sequential(&mut self.workers[0], &self.shared, u)
         };
         self.stats.absorb(&level_stats);
         self.per_level.push(tu.re);

@@ -14,10 +14,24 @@
 //!   precomputed here (a contraction permutation always splits the
 //!   axes into a free group and a contracted group, so the permuted
 //!   flat index factorizes),
-//! * an exact slot-buffer layout inside a shared arena: every tree
+//! * an exact slot-buffer layout inside a shared arena: every hot tree
 //!   node (intermediate) owns a **persistent, non-overlapping region**
 //!   for the plan's lifetime, so cached intermediates survive across
 //!   executions and delta replay can reuse them.
+//!
+//! # Hot and cold steps
+//!
+//! [`ContractionPlan::compile_for_replay`] takes the input slots that
+//! vary between executions. A step with no varying leaf below it is
+//! *cold*: it runs once, at compile time, and the cold nodes the other
+//! (*hot*) steps read are kept, pre-permuted for their reader, in a
+//! read-only cold cache that clones of the plan share through an
+//! [`Arc`]. Executions run only the hot steps, and a [`Workspace`]
+//! holds only hot nodes. A hot node whose sibling is cold reruns
+//! exactly when its parent does, so it only lives until its parent
+//! has read it, in a pool it shares with other such nodes.
+//! [`ContractionPlan::compile`] is the case where every leaf varies:
+//! every step is hot and the cold cache is empty.
 //!
 //! Execution then threads a [`Workspace`] — one per worker thread,
 //! sized once from the plan — through the whole pattern sum: after the
@@ -35,7 +49,8 @@
 //! exactly the union of the dirty leaves' leaf-to-root paths (plus the
 //! final output gather) and leaves every other cached intermediate
 //! untouched — **bit-identical to a full replay by construction**, at
-//! `O(dirty leaves × tree depth)` steps instead of `O(network)`. The
+//! `O(dirty leaves × tree depth)` steps instead of `O(network)`. Only
+//! varying leaves may be dirty. The
 //! workspace tracks which plan's intermediates it holds
 //! ([`Workspace::is_warm_for`]); a delta request against a cold or
 //! foreign workspace silently falls back to a full replay, which is
@@ -53,6 +68,7 @@ use qns_linalg::kernels::{matmul_gather_lhs_into, matmul_into};
 use qns_linalg::Complex64;
 use qns_tensor::Tensor;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Monotonic id source distinguishing lowered plans, so a [`Workspace`]
 /// can tell whose intermediates its arena currently caches. Clones of
@@ -65,8 +81,11 @@ static NEXT_PLAN_ID: AtomicU64 = AtomicU64::new(1);
 enum SlotLoc {
     /// The `i`-th input tensor, borrowed from the caller.
     Input(usize),
-    /// A region of the workspace arena.
+    /// A region of the workspace arena (a hot node).
     Arena { offset: usize, len: usize },
+    /// A region of the plan's shared cold cache (a cold node read by a
+    /// hot step, or the root of a plan with no hot step).
+    Cold { offset: usize, len: usize },
 }
 
 /// Precomputed gather tables: `element(r, c) = src[row[r] + col[c]]`.
@@ -76,13 +95,10 @@ struct Gather {
     col: Vec<usize>,
 }
 
-/// One lowered pair contraction.
+/// The arithmetic of one lowered pair contraction, independent of
+/// where its operands live.
 #[derive(Clone, Debug)]
-struct ExecStep {
-    lhs: SlotLoc,
-    rhs: SlotLoc,
-    /// Arena offset of the `m × n` result.
-    dst_offset: usize,
+struct Kernel {
     m: usize,
     k: usize,
     n: usize,
@@ -96,20 +112,84 @@ struct ExecStep {
     rhs_gather: Option<Gather>,
 }
 
+impl Kernel {
+    /// `dst = a · b` with the operand permutations applied; `scratch`
+    /// holds the permuted rhs when it needs one (at least `k·n` long).
+    // qns-lint: zero-alloc
+    fn run(
+        &self,
+        a: &[Complex64],
+        b: &[Complex64],
+        dst: &mut [Complex64],
+        scratch: &mut [Complex64],
+    ) {
+        // Materialize the permuted rhs into scratch (factorized
+        // two-level offset copy; no div/mod) when it isn't already
+        // in k-leading order.
+        let b = match &self.rhs_gather {
+            None => b,
+            Some(g) => {
+                let permuted = &mut scratch[..self.k * self.n];
+                for (r, &ro) in g.row.iter().enumerate() {
+                    let drow = &mut permuted[r * self.n..(r + 1) * self.n];
+                    for (d, &co) in drow.iter_mut().zip(&g.col) {
+                        *d = b[ro + co];
+                    }
+                }
+                &*permuted
+            }
+        };
+        match &self.lhs_gather {
+            None => matmul_into(a, b, dst, self.m, self.k, self.n),
+            Some(g) => matmul_gather_lhs_into(a, &g.row, &g.col, b, dst, self.n),
+        }
+    }
+
+    fn flops(&self) -> u128 {
+        (self.m as u128)
+            .saturating_mul(self.k.max(1) as u128)
+            .saturating_mul(self.n as u128)
+    }
+}
+
+/// One lowered hot pair contraction.
+#[derive(Clone, Debug)]
+struct ExecStep {
+    lhs: SlotLoc,
+    rhs: SlotLoc,
+    /// Arena offset of the `m × n` result.
+    dst_offset: usize,
+    kernel: Kernel,
+}
+
 /// A [`ContractionPlan`] lowered to executable kernels; created by
-/// [`ContractionPlan::compile`]. Immutable and shareable across worker
-/// threads — all mutable state lives in the per-thread [`Workspace`].
+/// [`ContractionPlan::compile`] or [`ContractionPlan::compile_for_replay`].
+/// Immutable and shareable across worker threads — all mutable state
+/// lives in the per-thread [`Workspace`].
+///
+/// The plan's steps split into **cold** ones, with no varying leaf
+/// below them, and **hot** ones. Cold steps ran once, at compile time:
+/// the cold nodes that hot steps read sit in a read-only cold cache
+/// that clones of the plan (and so every worker) share through an
+/// [`Arc`]. Only the hot steps run per execution, and only hot nodes
+/// take workspace memory. [`ContractionPlan::compile`] treats every
+/// leaf as varying, so every step is hot and the cold cache is empty.
 #[derive(Clone, Debug)]
 pub struct ExecutablePlan {
     /// Identity for workspace warm-tracking (shared by clones).
     id: u64,
     n_inputs: usize,
     input_lens: Vec<usize>,
+    /// Whether each input slot may change between executions.
+    varying: Vec<bool>,
+    /// The hot steps, in execution order.
     steps: Vec<ExecStep>,
-    /// Per input slot: the step indices on its leaf-to-root path, in
-    /// ascending (execution) order — precomputed so delta replay is a
-    /// merge of sorted lists, no tree walk.
+    /// Per input slot: the hot-step indices on its leaf-to-root path,
+    /// in ascending (execution) order — precomputed so delta replay is
+    /// a merge of sorted lists, no tree walk. Empty for a cold leaf.
     leaf_paths: Vec<Vec<u32>>,
+    /// The cold nodes hot steps read (and a cold root), packed.
+    cold: Arc<Vec<Complex64>>,
     /// Location of the final tensor before the output permutation.
     result: SlotLoc,
     result_len: usize,
@@ -123,13 +203,13 @@ pub struct ExecutablePlan {
 }
 
 /// Per-thread scratch memory for [`ExecutablePlan`] execution: the
-/// intermediate-slot arena (the contraction tree's node cache), the
-/// rhs-permutation scratch and the output buffer. Grown on first use
-/// (or by [`Workspace::for_plan`]) and reused verbatim afterwards;
-/// buffers are never shrunk, so one workspace can serve several plans
-/// (e.g. the two split halves of the pattern sum) at the maximum of
-/// their footprints — though only the most recently executed plan's
-/// intermediates stay cached for delta replay.
+/// hot-node arena (the contraction tree's cache of the nodes that
+/// change), the rhs-permutation scratch and the output buffer. Grown
+/// on first use (or by [`Workspace::for_plan`]) and reused verbatim
+/// afterwards; buffers are never shrunk, so one workspace can serve
+/// several plans at the maximum of their footprints — though only the
+/// most recently executed plan's intermediates stay cached for delta
+/// replay. Cold nodes never live here: the plan shares them.
 #[derive(Debug, Default)]
 pub struct Workspace {
     arena: Vec<Complex64>,
@@ -228,81 +308,310 @@ fn is_identity(perm: impl Iterator<Item = usize>) -> bool {
     perm.enumerate().all(|(i, p)| i == p)
 }
 
+/// Lowers every step of `plan` to its [`Kernel`], returning the kernels
+/// and the shape of every slot (inputs, then one per step).
+fn lower_kernels(plan: &ContractionPlan) -> (Vec<Kernel>, Vec<Vec<usize>>) {
+    let mut slot_shapes: Vec<Vec<usize>> = plan.input_shapes().to_vec();
+    let mut kernels = Vec::with_capacity(plan.steps().len());
+    for step in plan.steps() {
+        let sa = &slot_shapes[step.lhs];
+        let sb = &slot_shapes[step.rhs];
+        let free_a: Vec<usize> = (0..sa.len())
+            .filter(|i| !step.axes_lhs.contains(i))
+            .collect();
+        let free_b: Vec<usize> = (0..sb.len())
+            .filter(|i| !step.axes_rhs.contains(i))
+            .collect();
+        // Permutations bringing contracted axes trailing (lhs) /
+        // leading (rhs), elided when already in place.
+        let lhs_gather =
+            (!is_identity(free_a.iter().chain(step.axes_lhs.iter()).copied())).then(|| {
+                let strides = strides_of(sa);
+                Gather {
+                    row: offset_table(sa, &strides, &free_a),
+                    col: offset_table(sa, &strides, &step.axes_lhs),
+                }
+            });
+        let rhs_gather =
+            (!is_identity(step.axes_rhs.iter().chain(free_b.iter()).copied())).then(|| {
+                let strides = strides_of(sb);
+                Gather {
+                    row: offset_table(sb, &strides, &step.axes_rhs),
+                    col: offset_table(sb, &strides, &free_b),
+                }
+            });
+        let mut shape: Vec<usize> = free_a.iter().map(|&i| sa[i]).collect();
+        shape.extend(free_b.iter().map(|&i| sb[i]));
+        kernels.push(Kernel {
+            m: free_a.iter().map(|&i| sa[i]).product(),
+            k: step.axes_lhs.iter().map(|&i| sa[i]).product(),
+            n: free_b.iter().map(|&i| sb[i]).product(),
+            lhs_gather,
+            rhs_gather,
+        });
+        slot_shapes.push(shape);
+    }
+    (kernels, slot_shapes)
+}
+
+/// What [`ExecutablePlan::lower`] needs to run a plan's cold part: the
+/// varying input slots and a reader of every input's payload.
+type ColdInputs<'a, 'i> = (&'a [usize], &'a dyn Fn(usize) -> &'i [Complex64]);
+
+/// First-fit allocator of the transient hot nodes' arena regions,
+/// above the persistent ones.
+struct TransientPool {
+    /// Live `(offset, len)` blocks, sorted by offset.
+    live: Vec<(usize, usize)>,
+    base: usize,
+    /// One past the highest element any block has used.
+    end: usize,
+}
+
+impl TransientPool {
+    fn new(base: usize) -> Self {
+        TransientPool {
+            live: Vec::new(),
+            base,
+            end: base,
+        }
+    }
+
+    /// The offset of a new `len`-element block: the first gap that
+    /// fits, else the end of the highest live block.
+    fn alloc(&mut self, len: usize) -> usize {
+        let mut at = self.base;
+        let mut index = self.live.len();
+        for (i, &(offset, used)) in self.live.iter().enumerate() {
+            if offset - at >= len {
+                index = i;
+                break;
+            }
+            at = offset + used;
+        }
+        self.live.insert(index, (at, len));
+        self.end = self.end.max(at + len);
+        at
+    }
+
+    /// Releases the `len`-element block at `offset`.
+    fn free(&mut self, offset: usize, len: usize) {
+        if let Some(i) = self.live.iter().position(|&b| b == (offset, len)) {
+            self.live.remove(i);
+        }
+    }
+}
+
 impl ExecutablePlan {
-    /// Lowers `plan` — see [`ContractionPlan::compile`].
-    pub(crate) fn lower(plan: &ContractionPlan) -> ExecutablePlan {
+    /// Lowers `plan` — see [`ContractionPlan::compile`] (`cold` is
+    /// `None`: every leaf varies) and
+    /// [`ContractionPlan::compile_for_replay`] (`cold` names the
+    /// varying leaves and reads the payloads of the others).
+    pub(crate) fn lower<'i>(
+        plan: &ContractionPlan,
+        cold: Option<ColdInputs<'_, 'i>>,
+    ) -> ExecutablePlan {
         let n_inputs = plan.n_inputs();
-        let input_shapes = plan.input_shapes();
-        let mut slot_locs: Vec<SlotLoc> = (0..n_inputs).map(SlotLoc::Input).collect();
-        let mut slot_shapes: Vec<Vec<usize>> = input_shapes.to_vec();
-        // Persistent bump layout: every tree node owns its region for
-        // the plan's lifetime (no recycling), so cached intermediates
-        // survive across executions — the invariant delta replay needs.
-        let mut arena_len = 0usize;
-        let mut scratch_len = 0usize;
-        let mut steps = Vec::with_capacity(plan.steps().len());
+        let n_steps = plan.steps().len();
+        let input_lens: Vec<usize> = plan
+            .input_shapes()
+            .iter()
+            .map(|s| s.iter().product())
+            .collect();
+        let below = match cold {
+            Some((varying, _)) => plan.varying_below(varying),
+            None => plan.varying_below(&(0..n_inputs).collect::<Vec<_>>()),
+        };
+        let hot = |slot: usize| below[slot] > 0;
+        let (kernels, slot_shapes) = lower_kernels(plan);
+        let slot_len = |slot: usize| -> usize { slot_shapes[slot].iter().product() };
+        let root = match n_steps {
+            0 => 0,
+            _ => n_inputs + n_steps - 1,
+        };
 
-        for step in plan.steps() {
-            let sa = slot_shapes[step.lhs].clone();
-            let sb = slot_shapes[step.rhs].clone();
-            let free_a: Vec<usize> = (0..sa.len())
-                .filter(|i| !step.axes_lhs.contains(i))
-                .collect();
-            let free_b: Vec<usize> = (0..sb.len())
-                .filter(|i| !step.axes_rhs.contains(i))
-                .collect();
-            let m: usize = free_a.iter().map(|&i| sa[i]).product();
-            let k: usize = step.axes_lhs.iter().map(|&i| sa[i]).product();
-            let n: usize = free_b.iter().map(|&i| sb[i]).product();
-
-            // Permutations bringing contracted axes trailing (lhs) /
-            // leading (rhs), elided when already in place.
-            let strides_a = strides_of(&sa);
-            let strides_b = strides_of(&sb);
-            let lhs_gather = if is_identity(free_a.iter().chain(step.axes_lhs.iter()).copied()) {
-                None
-            } else {
-                Some(Gather {
-                    row: offset_table(&sa, &strides_a, &free_a),
-                    col: offset_table(&sa, &strides_a, &step.axes_lhs),
-                })
-            };
-            let rhs_gather = if is_identity(step.axes_rhs.iter().chain(free_b.iter()).copied()) {
-                None
-            } else {
-                scratch_len = scratch_len.max(k * n);
-                Some(Gather {
-                    row: offset_table(&sb, &strides_b, &step.axes_rhs),
-                    col: offset_table(&sb, &strides_b, &free_b),
-                })
-            };
-
-            let dst_len = m * n;
-            let dst_offset = arena_len;
-            arena_len += dst_len;
-            steps.push(ExecStep {
-                lhs: slot_locs[step.lhs],
-                rhs: slot_locs[step.rhs],
-                dst_offset,
-                m,
-                k,
-                n,
-                lhs_gather,
-                rhs_gather,
-            });
-            slot_locs.push(SlotLoc::Arena {
-                offset: dst_offset,
-                len: dst_len,
-            });
-            let mut shape: Vec<usize> = free_a.iter().map(|&i| sa[i]).collect();
-            shape.extend(free_b.iter().map(|&i| sb[i]));
-            slot_shapes.push(shape);
+        // The cold nodes the hot part reads — children of hot steps,
+        // and the root when no step is hot — packed in slot order.
+        let mut frontier: Vec<Option<usize>> = vec![None; n_inputs + n_steps];
+        let mut cold_len = 0usize;
+        let mut mark = |slot: usize, frontier: &mut Vec<Option<usize>>| {
+            if slot >= n_inputs && !hot(slot) && frontier[slot].is_none() {
+                frontier[slot] = Some(cold_len);
+                cold_len += slot_len(slot);
+            }
+        };
+        for (i, step) in plan.steps().iter().enumerate() {
+            if hot(n_inputs + i) {
+                mark(step.lhs, &mut frontier);
+                mark(step.rhs, &mut frontier);
+            }
+        }
+        if n_steps > 0 {
+            mark(root, &mut frontier);
         }
 
-        let (result, result_shape) = match slot_locs.last() {
-            Some(&loc) if n_inputs > 0 => (loc, slot_shapes.last().expect("slot shape").clone()),
+        // The operand permutation a cold node's hot parent applies to
+        // it, if any: stored pre-permuted, the node needs none per
+        // replay (same values, same kernel order, same bits).
+        let parent_gather = |slot: usize| -> Option<&Gather> {
+            let p = plan.slot_parent(slot)?;
+            if !hot(n_inputs + p) {
+                return None;
+            }
+            let k = &kernels[p];
+            if plan.steps()[p].lhs == slot {
+                k.lhs_gather.as_ref()
+            } else {
+                k.rhs_gather.as_ref()
+            }
+        };
+        let pre_permuted: Vec<bool> = (0..n_inputs + n_steps)
+            .map(|slot| frontier[slot].is_some() && parent_gather(slot).is_some())
+            .collect();
+
+        // Run the cold steps once. Each cold node is dropped as soon
+        // as its parent has consumed it, unless the hot part reads it.
+        let mut cold_cache = vec![Complex64::ZERO; cold_len];
+        if let Some((_, input)) = cold {
+            let cold_steps: Vec<usize> = (0..n_steps).filter(|&i| !hot(n_inputs + i)).collect();
+            let scratch_need = cold_steps
+                .iter()
+                .filter(|&&i| kernels[i].rhs_gather.is_some())
+                .map(|&i| kernels[i].k * kernels[i].n)
+                .max()
+                .unwrap_or(0);
+            let mut scratch = vec![Complex64::ZERO; scratch_need];
+            let mut temp: Vec<Vec<Complex64>> = vec![Vec::new(); n_steps];
+            for i in cold_steps {
+                let step = &plan.steps()[i];
+                let slot = n_inputs + i;
+                // A cold child is either an input leaf or a cold node
+                // only this step reads, so its buffer can be taken.
+                let mut take = |s: usize| {
+                    if s < n_inputs {
+                        Vec::new()
+                    } else {
+                        std::mem::take(&mut temp[s - n_inputs])
+                    }
+                };
+                let (ta, tb) = (take(step.lhs), take(step.rhs));
+                let leaf = |s: usize| {
+                    let data = input(s);
+                    assert_eq!(data.len(), input_lens[s], "input tensor {s} length");
+                    data
+                };
+                let a: &[Complex64] = if step.lhs < n_inputs {
+                    leaf(step.lhs)
+                } else {
+                    &ta
+                };
+                let b: &[Complex64] = if step.rhs < n_inputs {
+                    leaf(step.rhs)
+                } else {
+                    &tb
+                };
+                let mut dst = vec![Complex64::ZERO; slot_len(slot)];
+                kernels[i].run(a, b, &mut dst, &mut scratch);
+                match frontier[slot] {
+                    // The hot parent's operand permutation is applied
+                    // here, once, instead of on every replay.
+                    Some(off) => match parent_gather(slot) {
+                        Some(g) => {
+                            let cols = g.col.len();
+                            for (r, &ro) in g.row.iter().enumerate() {
+                                for (c, &co) in g.col.iter().enumerate() {
+                                    cold_cache[off + r * cols + c] = dst[ro + co];
+                                }
+                            }
+                        }
+                        None => cold_cache[off..off + dst.len()].copy_from_slice(&dst),
+                    },
+                    None => temp[i] = dst,
+                }
+            }
+        }
+
+        // Lay out the hot steps. A hot node whose sibling is cold is
+        // *transient*: its parent reruns exactly when it does, so it
+        // only has to live until its parent has read it, and transient
+        // nodes share a first-fit pool after the persistent regions.
+        // Every other hot node owns a persistent, non-overlapping
+        // region, so cached intermediates survive across executions —
+        // the invariant delta replay needs. With every leaf varying no
+        // node is transient.
+        let transient = |slot: usize| -> bool {
+            plan.slot_parent(slot).is_some_and(|p| {
+                let (l, r) = plan.steps()[p].children();
+                !hot(if l == slot { r } else { l })
+            })
+        };
+        let persistent_len: usize = (n_inputs..n_inputs + n_steps)
+            .filter(|&slot| hot(slot) && !transient(slot))
+            .map(slot_len)
+            .sum();
+        let mut pool = TransientPool::new(persistent_len);
+        let mut locs: Vec<SlotLoc> = (0..n_inputs).map(SlotLoc::Input).collect();
+        let mut hot_index = vec![u32::MAX; n_steps];
+        let mut steps = Vec::new();
+        let mut next_persistent = 0usize;
+        let mut scratch_len = 0usize;
+        let mut replay_stats = ContractionStats {
+            max_intermediate: plan.replay_stats().max_intermediate,
+            plan_reuses: 1,
+            ..Default::default()
+        };
+        for (i, (step, mut kernel)) in plan.steps().iter().zip(kernels).enumerate() {
+            let slot = n_inputs + i;
+            let len = slot_len(slot);
+            if pre_permuted[step.lhs] {
+                kernel.lhs_gather = None;
+            }
+            if pre_permuted[step.rhs] {
+                kernel.rhs_gather = None;
+            }
+            if !hot(slot) {
+                locs.push(match frontier[slot] {
+                    Some(offset) => SlotLoc::Cold { offset, len },
+                    // Read by no hot step: never resolved.
+                    None => SlotLoc::Cold { offset: 0, len: 0 },
+                });
+                continue;
+            }
+            if kernel.rhs_gather.is_some() {
+                scratch_len = scratch_len.max(kernel.k * kernel.n);
+            }
+            let offset = if transient(slot) {
+                pool.alloc(len)
+            } else {
+                next_persistent += len;
+                next_persistent - len
+            };
+            // The children have been read once this step has run.
+            for child in [step.lhs, step.rhs] {
+                if child >= n_inputs && hot(child) && transient(child) {
+                    if let SlotLoc::Arena { offset, len } = locs[child] {
+                        pool.free(offset, len);
+                    }
+                }
+            }
+            replay_stats.contractions += 1;
+            replay_stats.flops_proxy += kernel.flops();
+            hot_index[i] = steps.len() as u32;
+            steps.push(ExecStep {
+                lhs: locs[step.lhs],
+                rhs: locs[step.rhs],
+                dst_offset: offset,
+                kernel,
+            });
+            locs.push(SlotLoc::Arena { offset, len });
+        }
+        let arena_len = pool.end;
+
+        let (result, result_shape) = if n_inputs == 0 {
             // Empty plan: the scalar 1 is synthesized at run time.
-            _ => (SlotLoc::Arena { offset: 0, len: 0 }, Vec::new()),
+            (SlotLoc::Arena { offset: 0, len: 0 }, Vec::new())
+        } else {
+            (locs[root], slot_shapes[root].clone())
         };
         let result_len: usize = result_shape.iter().product();
 
@@ -318,17 +627,26 @@ impl ExecutablePlan {
             None => (result_shape, None),
         };
 
-        let mut replay_stats = plan.replay_stats();
-        replay_stats.plan_reuses = 1;
+        let varying: Vec<bool> = (0..n_inputs).map(hot).collect();
         let leaf_paths = (0..n_inputs)
-            .map(|l| plan.leaf_path(l).into_iter().map(|s| s as u32).collect())
+            .map(|l| {
+                if !varying[l] {
+                    return Vec::new();
+                }
+                plan.leaf_path(l)
+                    .into_iter()
+                    .map(|s| hot_index[s])
+                    .collect()
+            })
             .collect();
         ExecutablePlan {
             id: NEXT_PLAN_ID.fetch_add(1, Ordering::Relaxed),
             n_inputs,
-            input_lens: input_shapes.iter().map(|s| s.iter().product()).collect(),
+            input_lens,
+            varying,
             steps,
             leaf_paths,
+            cold: Arc::new(cold_cache),
             result,
             result_len,
             output_shape,
@@ -350,15 +668,25 @@ impl ExecutablePlan {
         &self.output_shape
     }
 
-    /// Elements of workspace memory one execution needs (arena +
+    /// Elements of workspace memory one execution needs (hot arena +
     /// scratch + output).
     pub fn workspace_len(&self) -> usize {
         self.arena_len + self.scratch_len + self.result_len.max(1)
     }
 
-    /// The statistics of one replay: same counters as the reference
-    /// path's per-execution stats (`plan_reuses = 1`,
-    /// `order_searches = 0`). Absorb into a run's aggregate per
+    /// Whether input slot `leaf` may change between executions — the
+    /// leaves a delta execution may name as dirty.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `leaf >= n_inputs()`.
+    pub fn is_varying(&self, leaf: usize) -> bool {
+        self.varying[leaf]
+    }
+
+    /// The statistics of one full replay: the hot steps it runs and
+    /// their `m·k·n`, the plan's largest intermediate, `plan_reuses = 1`
+    /// and `order_searches = 0`. Absorb into a run's aggregate per
     /// execution.
     pub fn replay_stats(&self) -> ContractionStats {
         self.replay_stats
@@ -367,7 +695,8 @@ impl ExecutablePlan {
     /// Executes against borrowed input tensors (one per original node,
     /// in node order, with the planned shapes), returning the result's
     /// row-major buffer inside `ws`. Zero heap allocations once `ws`
-    /// has warmed up.
+    /// has warmed up. Only the hot steps run: cold leaves are read as
+    /// they were at compile time.
     ///
     /// # Panics
     ///
@@ -436,12 +765,14 @@ impl ExecutablePlan {
     ///
     /// # Panics
     ///
-    /// Panics if the input count, a buffer length, or a dirty-leaf
-    /// index disagrees with the plan. Leaves *not* listed in
-    /// `dirty_leaves` must hold the same payloads as the previous
-    /// execution through `ws`; this is the caller's contract and is
-    /// not checked (checking would cost the full replay the delta
-    /// path avoids).
+    /// Panics if the input count or a buffer length disagrees with the
+    /// plan, or if a dirty leaf is out of range or not varying
+    /// ([`ExecutablePlan::is_varying`]: a cold leaf's payload was
+    /// folded into the cold cache at compile time, so changing it
+    /// needs a new compile). Leaves *not* listed in `dirty_leaves` must
+    /// hold the same payloads as the previous execution through `ws`;
+    /// this is the caller's contract and is not checked (checking would
+    /// cost the full replay the delta path avoids).
     pub fn execute_delta_into<'w>(
         &self,
         inputs: &[&Tensor],
@@ -531,8 +862,8 @@ impl ExecutablePlan {
             }
             self.finalize(&input, arena, out);
         }
-        // The arena now caches every intermediate of this plan — the
-        // workspace is warm for delta replay.
+        // The arena now caches every hot intermediate of this plan —
+        // the workspace is warm for delta replay.
         ws.warm_for = Some(self.id);
         crate::profile::record_full(timer, self.steps.len() as u64);
         &ws.out[..self.result_len]
@@ -550,6 +881,13 @@ impl ExecutablePlan {
         dirty_leaves: &[usize],
         ws: &'w mut Workspace,
     ) -> (&'w [Complex64], ContractionStats) {
+        for &leaf in dirty_leaves {
+            assert!(leaf < self.n_inputs, "dirty leaf {leaf} out of range");
+            assert!(
+                self.varying[leaf],
+                "dirty leaf {leaf} is not a varying leaf of this plan"
+            );
+        }
         if ws.warm_for != Some(self.id) || self.n_inputs == 0 {
             // The fallback records itself as a full replay inside
             // `run`, so the timer starts after this check.
@@ -563,7 +901,6 @@ impl ExecutablePlan {
         let mut dirty_steps = std::mem::take(&mut ws.dirty_steps);
         dirty_steps.clear();
         for &leaf in dirty_leaves {
-            assert!(leaf < self.n_inputs, "dirty leaf {leaf} out of range");
             if dirty_steps.len() + self.leaf_paths[leaf].len() > dirty_steps.capacity() {
                 ws.allocation_events += 1;
             }
@@ -587,9 +924,7 @@ impl ExecutablePlan {
                 let step = &self.steps[si as usize];
                 self.exec_step(step, &input, arena, scratch);
                 stats.contractions += 1;
-                stats.flops_proxy += (step.m as u128)
-                    .saturating_mul(step.k.max(1) as u128)
-                    .saturating_mul(step.n as u128);
+                stats.flops_proxy += step.kernel.flops();
             }
             self.finalize(&input, arena, out);
         }
@@ -598,7 +933,7 @@ impl ExecutablePlan {
         (&ws.out[..self.result_len], stats)
     }
 
-    /// Runs one lowered step against the arena/scratch buffers. The
+    /// Runs one lowered hot step against the arena/scratch buffers. The
     /// destination region is disjoint from every other slot region by
     /// construction (persistent bump layout), so a step only ever
     /// overwrites its own node's cache.
@@ -610,59 +945,43 @@ impl ExecutablePlan {
         arena: &mut [Complex64],
         scratch: &mut [Complex64],
     ) {
-        let checked_input = |i: usize| -> &'i [Complex64] {
-            let s = input(i);
-            assert_eq!(s.len(), self.input_lens[i], "input tensor {i} length");
-            s
-        };
-        // Materialize the permuted rhs into scratch (factorized
-        // two-level offset copy; no div/mod) when it isn't already
-        // in k-leading order.
-        if let Some(g) = &step.rhs_gather {
-            let src: &[Complex64] = match step.rhs {
-                SlotLoc::Input(i) => checked_input(i),
-                SlotLoc::Arena { offset, len } => &arena[offset..offset + len],
-            };
-            let dst = &mut scratch[..step.k * step.n];
-            for (r, &ro) in g.row.iter().enumerate() {
-                let drow = &mut dst[r * step.n..(r + 1) * step.n];
-                for (d, &co) in drow.iter_mut().zip(&g.col) {
-                    *d = src[ro + co];
-                }
-            }
-        }
-
         // Split the arena into the disjoint shared/mutable regions
         // this step touches, then run the micro kernel.
-        let lhs_region = match step.lhs {
+        let region = |loc: SlotLoc| match loc {
             SlotLoc::Arena { offset, len } => Some((offset, len)),
-            SlotLoc::Input(_) => None,
+            SlotLoc::Input(_) | SlotLoc::Cold { .. } => None,
         };
-        let rhs_region = match (step.rhs_gather.is_some(), step.rhs) {
-            (false, SlotLoc::Arena { offset, len }) => Some((offset, len)),
-            _ => None, // input, or already materialized in scratch
-        };
+        let k = &step.kernel;
         let (lhs_arena, rhs_arena, dst) = split3(
             arena,
-            lhs_region,
-            rhs_region,
-            (step.dst_offset, step.m * step.n),
+            region(step.lhs),
+            region(step.rhs),
+            (step.dst_offset, k.m * k.n),
         );
-        let a = match step.lhs {
-            SlotLoc::Input(i) => checked_input(i),
-            SlotLoc::Arena { .. } => lhs_arena.expect("lhs arena region"),
-        };
-        let b = if step.rhs_gather.is_some() {
-            &scratch[..step.k * step.n]
-        } else {
-            match step.rhs {
-                SlotLoc::Input(i) => checked_input(i),
-                SlotLoc::Arena { .. } => rhs_arena.expect("rhs arena region"),
+        let a = self.operand(step.lhs, input, lhs_arena);
+        let b = self.operand(step.rhs, input, rhs_arena);
+        k.run(a, b, dst, scratch);
+    }
+
+    /// The buffer of an operand: a checked input, a cold-cache region,
+    /// or the arena region `split3` carved out for it.
+    // qns-lint: zero-alloc
+    fn operand<'a, 'i: 'a>(
+        &'a self,
+        loc: SlotLoc,
+        input: &impl Fn(usize) -> &'i [Complex64],
+        arena_region: Option<&'a [Complex64]>,
+    ) -> &'a [Complex64] {
+        match loc {
+            SlotLoc::Input(i) => {
+                let s = input(i);
+                assert_eq!(s.len(), self.input_lens[i], "input tensor {i} length");
+                s
             }
-        };
-        match &step.lhs_gather {
-            None => matmul_into(a, b, dst, step.m, step.k, step.n),
-            Some(g) => matmul_gather_lhs_into(a, &g.row, &g.col, b, dst, step.n),
+            SlotLoc::Cold { offset, len } => &self.cold[offset..offset + len],
+            // `split3` carved this region out for the step; an empty
+            // slice would fail the kernel's length checks.
+            SlotLoc::Arena { .. } => arena_region.unwrap_or_default(),
         }
     }
 
@@ -677,12 +996,8 @@ impl ExecutablePlan {
         out: &mut [Complex64],
     ) {
         let res: &[Complex64] = match self.result {
-            SlotLoc::Input(i) => {
-                let s = input(i);
-                assert_eq!(s.len(), self.input_lens[i], "input tensor {i} length");
-                s
-            }
             SlotLoc::Arena { offset, len } => &arena[offset..offset + len],
+            loc => self.operand(loc, input, None),
         };
         let out = &mut out[..self.result_len];
         match &self.out_gather {

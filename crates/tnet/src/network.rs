@@ -215,6 +215,31 @@ impl TensorNetwork {
         ContractionPlan::from_skeleton(self.skeleton(), strategy)
     }
 
+    /// The delta-aware order search of a pattern sum that replays this
+    /// network with only the `varying` nodes' payloads changing, about
+    /// `replays` leaf paths per run (see [`crate::plan::ReplayCost`]).
+    /// Returns the plan and the stats of planning it: `order_searches`
+    /// counts every search that ran (1 when the greedy plan is kept
+    /// without trying candidates). With no varying node the plan is
+    /// exactly `plan(OrderStrategy::Greedy)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a varying index is not a node index.
+    pub fn plan_for_replay(
+        &self,
+        varying: &[usize],
+        replays: u128,
+    ) -> (ContractionPlan, ContractionStats) {
+        let (plan, searches) =
+            ContractionPlan::from_skeleton_for_replay(|| self.skeleton(), varying, replays);
+        let stats = ContractionStats {
+            order_searches: searches,
+            ..Default::default()
+        };
+        (plan, stats)
+    }
+
     /// Captures an explicit pair-contraction sequence as a
     /// [`ContractionPlan`], bypassing the order search. Slots are
     /// numbered as in [`crate::plan::PlanStep`]: nodes `0..n`, then

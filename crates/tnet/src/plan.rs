@@ -13,7 +13,10 @@
 //! Plans are produced by [`TensorNetwork::plan`];
 //! [`TensorNetwork::contract_all`] is itself implemented as
 //! plan-then-execute, so the replayed order is the searched order by
-//! construction.
+//! construction. A pattern sum, which replays only the paths from its
+//! changing leaves to the root, plans with
+//! [`TensorNetwork::plan_for_replay`] instead: it prices those paths
+//! ([`ReplayCost`]) rather than one full contraction.
 //!
 //! ```
 //! use qns_tnet::network::TensorNetwork;
@@ -93,6 +96,85 @@ pub struct ContractionPlan {
     /// Shape-derived statistics of one replay (contractions,
     /// max intermediate, flops proxy) — constant across executions.
     replay_stats: ContractionStats,
+    /// `m·k·n` of every step, in step order (their sum is
+    /// `replay_stats.flops_proxy`).
+    step_flops: Vec<u128>,
+}
+
+/// Multiply-add units (`m·k·n`) charged per replayed pair contraction
+/// on top of its arithmetic by [`ReplayCost::modelled`]: the fixed cost
+/// of dispatching one step (operand lookup, gather set-up, kernel
+/// entry), about 50 ns next to ~0.8 ns per multiply-add on a 2-vCPU VM.
+pub const STEP_OVERHEAD: u128 = 64;
+
+/// Cold-merge caps of the delta-aware candidates
+/// ([`TensorNetwork::plan_for_replay`]), as multiples of the greedy
+/// plan's largest intermediate.
+const COLD_CAPS: [usize; 4] = [1, 2, 4, 8];
+
+/// Modelled multiply-add units of one greedy order search per input
+/// node (about 2 µs per node on a 2-vCPU VM), the price of a candidate
+/// search in [`candidates_can_pay`].
+const SEARCH_UNITS_PER_NODE: u128 = 2_500;
+
+/// Whether a plan of `n_inputs` nodes whose [`ReplayCost::modelled`]
+/// cost with `n_varying` varying leaves is `cost` could repay the
+/// [`COLD_CAPS`] candidate searches: their own modelled price must
+/// stay under the plan's. A pure function of the job, so every run of
+/// one job plans alike.
+fn candidates_can_pay(cost: u128, n_varying: usize, n_inputs: usize) -> bool {
+    let search = SEARCH_UNITS_PER_NODE
+        .saturating_mul(n_inputs as u128)
+        .saturating_mul(COLD_CAPS.len() as u128)
+        .saturating_mul(n_varying.max(1) as u128);
+    cost > search
+}
+
+/// What a plan costs a pattern sum whose `varying` leaves change
+/// between replays: every field is in multiply-add units (`m·k·n`) or
+/// steps. A step is **cold** when no varying leaf lies below it: it
+/// runs once per run. The other steps are **hot**: a worker runs them
+/// all once to warm up, and delta replay reruns the hot steps on the
+/// path of each changed leaf.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ReplayCost {
+    /// `m·k·n` summed over the cold steps.
+    pub cold_flops: u128,
+    /// Number of cold steps.
+    pub cold_steps: usize,
+    /// `m·k·n` summed over the hot steps (one full warm-up replay).
+    pub hot_flops: u128,
+    /// Number of hot steps.
+    pub hot_steps: usize,
+    /// `Σ_hot m·k·n·h(step)`, with `h` the number of varying leaves
+    /// below the step: the multiply-adds of replaying every varying
+    /// leaf's path once.
+    pub path_flops: u128,
+    /// `Σ_hot h(step)`: the steps of replaying every varying leaf's
+    /// path once.
+    pub path_steps: usize,
+}
+
+impl ReplayCost {
+    /// The modelled cost of a run with `n_varying` varying leaves and
+    /// `replays` leaf-path replays, times `n_varying` (so it stays an
+    /// integer): the cold part once, one warm-up of the hot part, and
+    /// `replays` times the mean leaf path, each step charged
+    /// [`STEP_OVERHEAD`] on top of its `m·k·n`.
+    pub fn modelled(&self, n_varying: usize, replays: u128) -> u128 {
+        let once = |flops: u128, steps: usize| {
+            flops.saturating_add(STEP_OVERHEAD.saturating_mul(steps as u128))
+        };
+        once(self.cold_flops, self.cold_steps)
+            .saturating_add(once(self.hot_flops, self.hot_steps))
+            .saturating_mul(n_varying.max(1) as u128)
+            .saturating_add(replays.saturating_mul(once(self.path_flops, self.path_steps)))
+    }
+
+    /// Mean multiply-adds of replaying one varying leaf's path.
+    pub fn flops_per_leaf(&self, n_varying: usize) -> f64 {
+        self.path_flops as f64 / n_varying.max(1) as f64
+    }
 }
 
 /// Skeleton view of a node during planning: shape + legs, no payload.
@@ -125,6 +207,63 @@ impl ContractionPlan {
             OrderStrategy::Sequential => planner.search_sequential(),
         }
         planner.finish()
+    }
+
+    /// The delta-aware order search of a pattern sum over the skeleton
+    /// `skeleton()` builds: the plan that
+    /// minimises [`ReplayCost::modelled`] for the `varying` input slots
+    /// (the leaves whose payloads change between replays) and
+    /// `replays` leaf-path replays, plus the number of order searches
+    /// it ran.
+    ///
+    /// The candidates are the greedy plan and, for every cap in
+    /// [`COLD_CAPS`], a plan that first merges only *cold* slots (no
+    /// varying leaf below) greedily while the result stays within the
+    /// cap times the greedy plan's largest intermediate, and then
+    /// finishes with the plain greedy search. Ties keep the earlier
+    /// candidate, so greedy wins unless a cold-first plan is strictly
+    /// cheaper. With no varying leaf, or when the greedy plan's
+    /// modelled cost is too small for the extra searches to pay off
+    /// ([`candidates_can_pay`]), only the greedy search runs and the
+    /// result is exactly [`OrderStrategy::Greedy`]'s plan.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a varying slot is not an input slot.
+    pub(crate) fn from_skeleton_for_replay(
+        skeleton: impl Fn() -> Vec<SkeletonNode>,
+        varying: &[usize],
+        replays: u128,
+    ) -> (Self, usize) {
+        let greedy = Self::from_skeleton(skeleton(), OrderStrategy::Greedy);
+        let n = greedy.n_inputs;
+        let mut is_varying = vec![false; n];
+        for &v in varying {
+            assert!(v < n, "varying slot {v} is not an input slot");
+            is_varying[v] = true;
+        }
+        let n_varying = is_varying.iter().filter(|&&v| v).count();
+        if n_varying == 0 {
+            return (greedy, 1);
+        }
+        let mut best_cost = greedy.replay_cost(varying).modelled(n_varying, replays);
+        if !candidates_can_pay(best_cost, n_varying, n) {
+            return (greedy, 1);
+        }
+        let base = greedy.replay_stats.max_intermediate.max(1);
+        let mut best = greedy;
+        for cap in COLD_CAPS {
+            let mut planner = Planner::new(skeleton());
+            planner.search_cold(&is_varying, base.saturating_mul(cap));
+            planner.search_greedy();
+            let candidate = planner.finish();
+            let cost = candidate.replay_cost(varying).modelled(n_varying, replays);
+            if cost < best_cost {
+                best_cost = cost;
+                best = candidate;
+            }
+        }
+        (best, 1 + COLD_CAPS.len())
     }
 
     /// Records the caller-given pair sequence over a skeleton: pair
@@ -178,8 +317,81 @@ impl ContractionPlan {
     /// gather tables, and an exact workspace layout, so replay through
     /// a warmed [`Workspace`] performs **zero heap allocations per
     /// execution**. Compile once per skeleton, right after planning.
+    ///
+    /// Every leaf counts as varying, so every step stays hot and one
+    /// execution reruns the whole plan; see
+    /// [`ContractionPlan::compile_for_replay`] for a plan whose
+    /// noise-free part is contracted once.
     pub fn compile(&self) -> ExecutablePlan {
-        ExecutablePlan::lower(self)
+        ExecutablePlan::lower(self, None)
+    }
+
+    /// Lowers the plan for a pattern sum in which only the `varying`
+    /// input slots change between executions. The cold steps (no
+    /// varying leaf below) run once, here, on `net`'s current payloads;
+    /// the cold nodes the remaining hot steps read are kept in a cold
+    /// cache that every clone of the returned plan shares, and
+    /// executions run only the hot steps. Results are bit-identical to
+    /// [`ContractionPlan::compile`]'s for the same payloads: the same
+    /// kernels see the same operands.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `net`'s node count or a payload length differs from
+    /// the plan's, or a varying slot is not an input slot.
+    pub fn compile_for_replay(&self, net: &TensorNetwork, varying: &[usize]) -> ExecutablePlan {
+        assert_eq!(
+            net.node_count(),
+            self.n_inputs,
+            "plan expects {} input tensors, got {}",
+            self.n_inputs,
+            net.node_count()
+        );
+        let input = |i: usize| net.node_tensor(i).as_slice();
+        ExecutablePlan::lower(self, Some((varying, &input)))
+    }
+
+    /// How many of the `varying` input slots lie below each slot
+    /// (leaves first, then one entry per step): `0` marks a cold slot.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a varying slot is not an input slot.
+    pub(crate) fn varying_below(&self, varying: &[usize]) -> Vec<usize> {
+        let mut below = vec![0usize; self.slot_count()];
+        for &v in varying {
+            assert!(v < self.n_inputs, "varying slot {v} is not an input slot");
+            below[v] = 1;
+        }
+        for (i, step) in self.steps.iter().enumerate() {
+            below[self.n_inputs + i] = below[step.lhs] + below[step.rhs];
+        }
+        below
+    }
+
+    /// The plan's [`ReplayCost`] for the `varying` input slots.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a varying slot is not an input slot.
+    pub fn replay_cost(&self, varying: &[usize]) -> ReplayCost {
+        let below = self.varying_below(varying);
+        let mut cost = ReplayCost::default();
+        for (i, &flops) in self.step_flops.iter().enumerate() {
+            let h = below[self.n_inputs + i];
+            if h == 0 {
+                cost.cold_flops = cost.cold_flops.saturating_add(flops);
+                cost.cold_steps += 1;
+            } else {
+                cost.hot_flops = cost.hot_flops.saturating_add(flops);
+                cost.hot_steps += 1;
+                cost.path_flops = cost
+                    .path_flops
+                    .saturating_add(flops.saturating_mul(h as u128));
+                cost.path_steps += h;
+            }
+        }
+        cost
     }
 
     /// The statistics of creating this plan: exactly one order search,
@@ -371,6 +583,7 @@ struct Planner {
     steps: Vec<PlanStep>,
     slot_parent: Vec<Option<usize>>,
     replay_stats: ContractionStats,
+    step_flops: Vec<u128>,
 }
 
 impl Planner {
@@ -400,6 +613,7 @@ impl Planner {
             n_legs: ids.len(),
             steps: Vec::new(),
             replay_stats: ContractionStats::default(),
+            step_flops: Vec::new(),
         }
     }
 
@@ -456,6 +670,40 @@ impl Planner {
             let Some((a, b)) = best.or_else(|| self.lowest_pair()) else {
                 break;
             };
+            for slot in [a, b] {
+                for &l in &self.slots[slot].1 {
+                    for owner in &mut owners[l] {
+                        if *owner == Some(slot) {
+                            *owner = None;
+                        }
+                    }
+                }
+            }
+            let c = self.contract(a, b);
+            self.push_pairs(c, &mut owners, &mut heap);
+        }
+    }
+
+    /// The cold phase of a delta-aware candidate: greedily contracts
+    /// connected pairs of slots with no `varying` input below them,
+    /// smallest result first (ties as in the greedy search), while the
+    /// result has at most `cap` elements. Varying slots and the slots
+    /// they reach are left for the greedy search that follows.
+    fn search_cold(&mut self, varying: &[bool], cap: usize) {
+        let mut owners: Vec<[Option<usize>; 2]> = vec![[None; 2]; self.n_legs];
+        let mut heap = BinaryHeap::new();
+        for slot in 0..self.slots.len() {
+            if !varying[slot] {
+                self.push_pairs(slot, &mut owners, &mut heap);
+            }
+        }
+        while let Some(Reverse((cost, a, b))) = heap.pop() {
+            if cost > cap {
+                break;
+            }
+            if !(self.live.contains(&a) && self.live.contains(&b)) {
+                continue;
+            }
             for slot in [a, b] {
                 for &l in &self.slots[slot].1 {
                     for owner in &mut owners[l] {
@@ -559,11 +807,11 @@ impl Planner {
             .fold(1usize, |acc, &i| acc.saturating_mul(sa[i]));
         let m = saturating_product(&sa) / k.max(1);
         let n = saturating_product(&sb) / k.max(1);
-        self.replay_stats.flops_proxy = self.replay_stats.flops_proxy.saturating_add(
-            (m as u128)
-                .saturating_mul(k.max(1) as u128)
-                .saturating_mul(n as u128),
-        );
+        let flops = (m as u128)
+            .saturating_mul(k.max(1) as u128)
+            .saturating_mul(n as u128);
+        self.replay_stats.flops_proxy = self.replay_stats.flops_proxy.saturating_add(flops);
+        self.step_flops.push(flops);
 
         let step_idx = self.steps.len();
         self.slot_parent[a] = Some(step_idx);
@@ -597,6 +845,7 @@ impl Planner {
             slot_parent: self.slot_parent,
             output_perm,
             replay_stats: self.replay_stats,
+            step_flops: self.step_flops,
         }
     }
 }

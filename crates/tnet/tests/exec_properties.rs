@@ -195,6 +195,92 @@ proptest! {
     }
 }
 
+/// A random subset of `0..k` (each node with probability ½).
+fn random_subset(rng: &mut StdRng, k: usize) -> Vec<usize> {
+    (0..k).filter(|_| rng.random_range(0..2u32) == 0).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A plan compiled with a random varying set runs its cold part
+    /// once and only hot steps afterwards: full and delta replays over
+    /// random dirty sequences of varying leaves are bit-identical to
+    /// the reference contraction of the mutated network, for the
+    /// greedy plan and for the delta-aware search (a huge replay count
+    /// makes it try every candidate).
+    #[test]
+    fn hot_cold_replay_matches_reference_bitwise(seed in 0u64..5000, k in 2usize..8) {
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xC01D);
+        let (mut net, shapes) = random_network(&mut rng, k);
+        let varying = random_subset(&mut rng, k);
+        let (searched, _) = net.plan_for_replay(&varying, 1 << 40);
+        for plan in [net.plan(OrderStrategy::Greedy), searched] {
+            let exec = plan.compile_for_replay(&net, &varying);
+            let cost = plan.replay_cost(&varying);
+            prop_assert_eq!(exec.replay_stats().contractions, cost.hot_steps);
+            for leaf in 0..k {
+                prop_assert_eq!(exec.is_varying(leaf), varying.contains(&leaf));
+            }
+            let mut ws = Workspace::new();
+            let out = exec.execute_network_into(&net, &mut ws).to_vec();
+            let (reference, _) = plan.execute_network_reference(&net);
+            prop_assert_eq!(out, reference.as_slice().to_vec());
+            for _round in 0..4 {
+                let dirty: Vec<usize> = varying
+                    .iter()
+                    .copied()
+                    .filter(|_| rng.random_range(0..2u32) == 0)
+                    .collect();
+                for &i in &dirty {
+                    net.set_tensor(net.node_id(i), rand_tensor(&mut rng, shapes[i].clone()));
+                }
+                let (out, stats) = exec.execute_network_delta_into(&net, &dirty, &mut ws);
+                let out = out.to_vec();
+                let (reference, _) = plan.execute_network_reference(&net);
+                prop_assert_eq!(out, reference.as_slice().to_vec());
+                prop_assert!(stats.contractions <= cost.hot_steps);
+            }
+            // A full replay through a fresh workspace agrees as well.
+            let mut fresh = Workspace::new();
+            let full = exec.execute_network_into(&net, &mut fresh).to_vec();
+            let (reference, _) = plan.execute_network_reference(&net);
+            prop_assert_eq!(full, reference.as_slice().to_vec());
+        }
+    }
+}
+
+/// Naming a leaf outside the varying set as dirty panics: its payload
+/// was folded into the cold cache when the plan was compiled.
+#[test]
+#[should_panic(expected = "is not a varying leaf")]
+fn delta_on_a_cold_leaf_panics() {
+    let mut rng = StdRng::seed_from_u64(0xC0FE);
+    let (net, _) = random_network(&mut rng, 4);
+    let exec = net
+        .plan(OrderStrategy::Greedy)
+        .compile_for_replay(&net, &[0, 1]);
+    let mut ws = Workspace::new();
+    exec.execute_network_into(&net, &mut ws);
+    let _ = exec.execute_network_delta_into(&net, &[2], &mut ws);
+}
+
+/// With no varying leaf every step is cold: the whole contraction ran
+/// at compile time and an execution only copies the result out.
+#[test]
+fn plan_without_varying_leaves_runs_no_step() {
+    let mut rng = StdRng::seed_from_u64(0xC0FF);
+    let (net, _) = random_network(&mut rng, 5);
+    let plan = net.plan(OrderStrategy::Greedy);
+    let exec = plan.compile_for_replay(&net, &[]);
+    assert_eq!(exec.replay_stats().contractions, 0);
+    let mut ws = Workspace::new();
+    let (out, stats) = exec.execute_network_delta_into(&net, &[], &mut ws);
+    assert_eq!(stats.contractions, 0);
+    let (reference, _) = plan.execute_network_reference(&net);
+    assert_eq!(out, reference.as_slice());
+}
+
 /// Deterministic edge cases the random generator may not hit.
 #[test]
 fn edge_cases_match_reference() {

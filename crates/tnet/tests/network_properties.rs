@@ -316,6 +316,45 @@ fn random_network(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
+    /// With no varying leaf the delta-aware search is the greedy
+    /// search, step for step, and runs exactly one search.
+    #[test]
+    fn replay_search_without_varying_leaves_is_greedy(
+        seed in 0u64..1_000_000,
+        n in 1usize..48,
+        density in 0usize..4,
+        components in 1usize..4,
+        replays in 0u64..1_000_000,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let net = random_network(&mut rng, n, n * density / 2 + n, 2, components, false);
+        let (plan, stats) = net.plan_for_replay(&[], replays as u128);
+        prop_assert_eq!(&plan, &net.plan(OrderStrategy::Greedy));
+        prop_assert_eq!(stats.order_searches, 1);
+    }
+
+    /// With varying leaves the search never picks a plan whose
+    /// modelled cost is above the greedy plan's.
+    #[test]
+    fn replay_search_never_models_worse_than_greedy(
+        seed in 0u64..1_000_000,
+        n in 2usize..40,
+        density in 0usize..4,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let net = random_network(&mut rng, n, n * density / 2 + n, 2, 1, false);
+        let varying: Vec<usize> = (0..n).filter(|_| rng.random_range(0..3u32) == 0).collect();
+        let replays = 1u128 << 30;
+        let (plan, stats) = net.plan_for_replay(&varying, replays);
+        let greedy = net.plan(OrderStrategy::Greedy);
+        let k = varying.len();
+        prop_assert!(
+            plan.replay_cost(&varying).modelled(k, replays)
+                <= greedy.replay_cost(&varying).modelled(k, replays)
+        );
+        prop_assert!(stats.order_searches >= 1);
+    }
+
     /// The greedy search records the rescan's plan on random networks:
     /// tie-heavy or mixed bond dimensions, parallel legs, open legs and
     /// disconnected components (including isolated nodes).
@@ -372,6 +411,56 @@ fn assert_paper_skeletons_match_rescan(name: &str, circuit: Circuit, noises: usi
         ("double", double.network()),
     ] {
         assert_greedy_matches_rescan(net, &format!("{name} {half}"));
+    }
+}
+
+/// On the `deep_sum` placements of `inst_4x4_16` and `hf_12` the
+/// delta-aware search runs its candidates and picks a plan other than
+/// greedy whose modelled replay cost per varying leaf is lower; on
+/// `qaoa_16` it keeps the greedy plan.
+#[test]
+fn replay_search_beats_greedy_on_the_deep_paper_jobs() {
+    let channel = channels::thermal_relaxation(30.0, 40.0, 25.0);
+    for (name, circuit, noises, seed, improves) in [
+        ("inst_4x4_16", inst_grid(4, 4, 16, 34), 9, 0xD5F0, true),
+        ("hf_12", hf_vqe(12, 6, 13), 12, 0xD5EE, true),
+        ("qaoa_16", qaoa_grid_random(4, 4, 2, 22), 12, 0xD5EE, false),
+    ] {
+        let noisy = NoisyCircuit::inject_random(circuit, &channel, noises, seed);
+        let n = noisy.n_qubits();
+        let placeholders: Vec<Insertion> = noisy
+            .events()
+            .iter()
+            .map(|e| Insertion {
+                after_gate: e.after_gate,
+                qubit: e.qubit,
+                matrix: Matrix::identity(2),
+            })
+            .collect();
+        let skel = AmplitudeSkeleton::new(
+            noisy.circuit(),
+            &ProductState::all_zeros(n),
+            &ProductState::basis(n, 0),
+            &placeholders,
+            false,
+        );
+        let varying: Vec<usize> = (0..noises).map(|i| skel.insertion_slot(i)).collect();
+        // The rank-aware level-1 count of rank-3 thermal noise.
+        let replays = 1 + 2 * noises as u128;
+        let greedy = skel.plan(OrderStrategy::Greedy);
+        let (plan, stats) = skel.network().plan_for_replay(&varying, replays);
+        let (g, p) = (greedy.replay_cost(&varying), plan.replay_cost(&varying));
+        if improves {
+            assert!(stats.order_searches > 1, "{name}: candidates ran");
+            assert_ne!(plan, greedy, "{name}");
+            assert!(p.path_flops < g.path_flops, "{name}: {p:?} vs {g:?}");
+            assert!(
+                p.modelled(noises, replays) < g.modelled(noises, replays),
+                "{name}"
+            );
+        } else {
+            assert_eq!(plan, greedy, "{name}");
+        }
     }
 }
 

@@ -152,3 +152,88 @@ proptest! {
         }
     }
 }
+
+/// A thermal-noise job on which the delta-aware planner picks a plan
+/// other than greedy: `hf_vqe(12, 6, 13)`, the benchmark's `hf_12`
+/// circuit, with four thermal sites. Returns the job's noisy circuit.
+fn delta_plan_fixture() -> NoisyCircuit {
+    let channel = channels::thermal_relaxation(30.0, 40.0, 25.0);
+    NoisyCircuit::inject_random(qns::circuit::generators::hf_vqe(12, 6, 13), &channel, 4, 1)
+}
+
+#[test]
+fn fixture_takes_the_delta_aware_plan() {
+    use qns::core::approx::{approximate_expectation, ApproxOptions};
+    use qns::linalg::Matrix;
+    use qns::tnet::builder::{AmplitudeSkeleton, Insertion, ProductState};
+    use qns::tnet::network::OrderStrategy;
+    let noisy = delta_plan_fixture();
+    let n = noisy.n_qubits();
+    let placeholders: Vec<Insertion> = noisy
+        .events()
+        .iter()
+        .map(|e| Insertion {
+            after_gate: e.after_gate,
+            qubit: e.qubit,
+            matrix: Matrix::identity(2),
+        })
+        .collect();
+    let (psi, v) = (ProductState::all_zeros(n), ProductState::basis(n, 0b101));
+    let skel = AmplitudeSkeleton::new(noisy.circuit(), &psi, &v, &placeholders, false);
+    let varying: Vec<usize> = (0..placeholders.len())
+        .map(|i| skel.insertion_slot(i))
+        .collect();
+    let replays = bounds::planned_patterns_for_ranks(&qns::core::site_ranks(&noisy), 1);
+    let (plan, searched) = skel.network().plan_for_replay(&varying, replays);
+    assert_ne!(plan, skel.plan(OrderStrategy::Greedy));
+    assert!(searched.order_searches > 1);
+    // The evaluator counts the same searches: the plan it runs is the
+    // delta-aware one.
+    let res = approximate_expectation(&noisy, &psi, &v, &ApproxOptions::default());
+    assert_eq!(res.stats.order_searches, searched.order_searches);
+}
+
+#[test]
+fn delta_aware_plan_streams_and_resumes_bitwise_like_direct_runs() {
+    let noisy = delta_plan_fixture();
+    let n = noisy.noise_count();
+    let job = Simulation::new(&noisy)
+        .observable_basis(0b101)
+        .build()
+        .unwrap();
+    for threads in [1usize, 2] {
+        let backend = ApproxBackend::level(n).with_threads(threads);
+        let mut refinement = backend.refinement(&job).unwrap();
+        let mut streamed = Vec::new();
+        for level in 0..=n {
+            let partial = refinement.advance().unwrap();
+            let direct = ApproxBackend::level(level)
+                .with_threads(threads)
+                .expectation(&job)
+                .unwrap();
+            assert_eq!(
+                partial.value.to_bits(),
+                direct.value.to_bits(),
+                "level {level}, threads {threads}"
+            );
+            streamed.push(partial);
+        }
+        for split in 1..=n {
+            let mut resumed = backend.refinement(&job).unwrap();
+            for p in &streamed[..split] {
+                resumed
+                    .install_level(p.level_contribution, p.level_patterns)
+                    .unwrap();
+            }
+            for expected in &streamed[split..] {
+                let got = resumed.advance().unwrap();
+                assert_eq!(
+                    got.value.to_bits(),
+                    expected.value.to_bits(),
+                    "level {} after resuming {split} levels, threads {threads}",
+                    expected.level
+                );
+            }
+        }
+    }
+}
