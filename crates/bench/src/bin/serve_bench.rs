@@ -52,8 +52,8 @@ use qns_bench::{arg_flag, arg_usize, print_row};
 use qns_noise::{channels, NoisyCircuit};
 use qns_obs::{catalog, export, json, MetricsSnapshot};
 use qns_serve::{
-    default_engines, ChaosBackend, FaultPlan, JobSpec, RetryPolicy, Route, Service, ServiceBuilder,
-    ServiceStats, TimeoutPolicy,
+    default_engines, ChaosBackend, Failpoint, FaultPlan, JobSpec, RetryPolicy, Route, Service,
+    ServiceBuilder, ServiceStats, TimeoutPolicy,
 };
 use std::io::Write;
 use std::sync::Arc;
@@ -301,9 +301,9 @@ fn main() {
         // path fires on the smoke set, bounded so retries converge.
         Arc::new(
             FaultPlan::new(seed)
-                .with_error("backend.error", 250)
-                .with_error("backend.panic", 100)
-                .with_delay("backend.delay", 150, 200),
+                .with_error(Failpoint::BackendError, 250)
+                .with_error(Failpoint::BackendPanic, 100)
+                .with_delay(Failpoint::BackendDelay, 150, 200),
         )
     });
     let service = if let Some(plan) = &plan {

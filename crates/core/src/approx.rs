@@ -707,13 +707,11 @@ pub(crate) fn matrix_element_run(
 
     let mut total = Complex64::ZERO;
     let mut terms = 0usize;
-    let mut assignment = vec![0usize; n];
     for u in 0..=level {
-        let mut stream = GrayPatternStream::with_ranks(&shared.ranks, u);
-        while stream.next_into(&mut assignment) {
-            total += delta.evaluate(&shared, &assignment, &mut stats);
-            terms += 1;
-        }
+        let (sum, count, level_stats) = evaluate_level_sequential(&mut delta, &shared, u);
+        total += sum;
+        terms += count;
+        stats.absorb(&level_stats);
     }
     Ok((total, terms, stats))
 }
@@ -1117,7 +1115,7 @@ mod tests {
         let v = ProductState::basis(3, 0b111);
         let elem = approximate_matrix_element(&noisy, &psi, &v, &v, &opts(1));
         let expect = approximate_expectation(&noisy, &psi, &v, &opts(1)).value;
-        assert!((elem.re - expect).abs() < 1e-12);
+        assert_eq!(elem.re.to_bits(), expect.to_bits());
         assert!(elem.im.abs() < 1e-10);
     }
 

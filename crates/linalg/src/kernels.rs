@@ -42,7 +42,6 @@ const PANEL: usize = 512;
 /// # Panics
 ///
 /// Panics if a slice length disagrees with its dimensions.
-// qns-lint: zero-alloc
 pub fn matmul_into(
     a: &[Complex64],
     b: &[Complex64],
@@ -87,7 +86,6 @@ pub fn matmul_into(
 ///
 /// Panics if a slice length disagrees with its dimensions or an offset
 /// pair indexes out of `a`.
-// qns-lint: zero-alloc
 pub fn matmul_gather_lhs_into(
     a: &[Complex64],
     row_off: &[usize],

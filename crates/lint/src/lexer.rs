@@ -11,8 +11,7 @@
 //!   but line comments are scanned for `qns-lint:` directives;
 //! * string literals (escaped, raw with any `#` depth, byte/C
 //!   prefixed) collapse into single [`TokKind::Str`] tokens carrying
-//!   their content, so `"call .unwrap() here"` is matchable as a
-//!   string by the lock-registry rule but invisible to the
+//!   their content, so `"call .unwrap() here"` is invisible to the
 //!   identifier-matching rules;
 //! * `'a` lifetimes are distinguished from `'a'` char literals;
 //! * identifiers are maximal (`unwrap_or_else` is one token, never a
@@ -20,7 +19,7 @@
 //!
 //! Everything else (numbers, punctuation) is tokenized just precisely
 //! enough to anchor sequence matches like `.` `unwrap` or
-//! `Vec` `::` `new`.
+//! `panic` `!`.
 
 /// What kind of lexeme a [`Tok`] is.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -66,8 +65,7 @@ impl Tok {
 pub struct Directive {
     /// 1-based line the comment sits on.
     pub line: u32,
-    /// The directive payload, trimmed: `allow(rule, …)` or
-    /// `zero-alloc`.
+    /// The directive payload, trimmed: `allow(rule, …)`.
     pub payload: String,
 }
 

@@ -2,18 +2,22 @@
 //!
 //! A workspace-specific static analyzer for the qns codebase: a small
 //! hand-rolled Rust lexer ([`lexer`]) feeding a rule engine ([`rules`])
-//! that enforces invariants ordinary compiler lints cannot express —
-//! which files must stay hash-order- and wall-clock-free, how many
-//! panic-prone call sites each crate may have (a ratchet that only
-//! tightens), which functions must not allocate, and that every lock in
-//! `qns-serve` belongs to the declared lock-order registry.
+//! that enforces the two invariants ordinary compiler lints cannot
+//! express — which files must stay hash-order- and wall-clock-free
+//! (`determinism`), and how many panic-prone call sites each crate may
+//! have (`panic`, a ratchet that only tightens). Invariants a type or
+//! a test can carry are left to them: lock ranks, metric families and
+//! failpoints are typed registries the compiler checks, raw locks in
+//! `qns-serve` are a clippy `disallowed-types` entry, and the
+//! allocation-free replay and record paths are asserted by
+//! counting-allocator tests (see `docs/ANALYSIS.md`).
 //!
 //! The lexer deliberately stops at tokens: it understands comments
 //! (line, nested block), strings (plain, raw with `#` fences, byte/C
 //! prefixed), lifetimes vs. char literals, and numbers, which is
 //! exactly enough to never mistake prose for code. No parsing, no type
-//! information — rules that need structure (test regions, function
-//! bodies, attribute spans) recover it with token-level brace matching.
+//! information — rules that need structure (test regions, attribute
+//! spans) recover it with token-level brace matching.
 //! See `docs/ANALYSIS.md` for the rule catalog and suppression grammar.
 
 pub mod baseline;

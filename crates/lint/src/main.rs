@@ -48,9 +48,7 @@ fn parse_args() -> Result<Args, String> {
                      --report FILE       write the JSON report here\n\
                      --deny              exit nonzero on findings or ratchet growth\n\
                      --update-baseline   rewrite the baseline to current counts\n\n\
-                     Rules: determinism, panic (ratcheted), zero-alloc,\n\
-                     lock-registry, metric-registry, failpoint-registry.\n\
-                     Suppress a site with\n\
+                     Rules: determinism, panic (ratcheted). Suppress a site with\n\
                      `// qns-lint: allow(rule)` on the same line or the line\n\
                      above. See docs/ANALYSIS.md."
                 );
@@ -121,21 +119,12 @@ fn run() -> Result<ExitCode, String> {
     let total_panics: usize = analysis.panic_counts.values().sum();
     println!(
         "qns-lint: {} files, {} findings ({} suppressed), {} panic-prone sites \
-         across {} crates, {} zero-alloc fns, {} registered lock sites, \
-         {} metric sites against a {}-name catalog, {} failpoint sites \
-         against a {}-name registry, lock order [{}]",
+         across {} crates",
         analysis.files_scanned,
         analysis.findings.len(),
         analysis.suppressed,
         total_panics,
         analysis.panic_counts.len(),
-        analysis.zero_alloc_functions,
-        analysis.lock_sites,
-        analysis.metric_sites,
-        analysis.metric_catalog.len(),
-        analysis.failpoint_sites,
-        analysis.failpoints.len(),
-        analysis.lock_order.join(" -> "),
     );
 
     let clean = analysis.findings.is_empty() && ratchet_violations.is_empty();

@@ -14,34 +14,7 @@ pub fn to_json(analysis: &Analysis, ratchet: &[RatchetRow]) -> String {
     let mut out = String::new();
     out.push_str("{\n");
     let _ = writeln!(out, "  \"files_scanned\": {},", analysis.files_scanned);
-    let _ = writeln!(
-        out,
-        "  \"zero_alloc_functions\": {},",
-        analysis.zero_alloc_functions
-    );
-    let _ = writeln!(out, "  \"lock_sites\": {},", analysis.lock_sites);
-    let _ = writeln!(out, "  \"metric_sites\": {},", analysis.metric_sites);
-    let _ = writeln!(
-        out,
-        "  \"metric_catalog_size\": {},",
-        analysis.metric_catalog.len()
-    );
-    let _ = writeln!(out, "  \"failpoint_sites\": {},", analysis.failpoint_sites);
-    let _ = writeln!(
-        out,
-        "  \"failpoint_registry_size\": {},",
-        analysis.failpoints.len()
-    );
     let _ = writeln!(out, "  \"suppressed\": {},", analysis.suppressed);
-
-    out.push_str("  \"lock_order\": [");
-    for (i, name) in analysis.lock_order.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        let _ = write!(out, "\"{}\"", json_escape(name));
-    }
-    out.push_str("],\n");
 
     out.push_str("  \"panic_counts\": {");
     for (i, (krate, count)) in analysis.panic_counts.iter().enumerate() {
@@ -140,7 +113,6 @@ mod tests {
                 line: 3,
                 message: "quote \" and newline \n".to_string(),
             }],
-            lock_order: vec!["serve.state".to_string()],
             ..Analysis::default()
         };
         let json = to_json(

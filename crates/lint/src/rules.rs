@@ -1,6 +1,7 @@
 //! The rule engine: walks lexed files and enforces the workspace's
-//! six invariant families. See `docs/ANALYSIS.md` for the catalog and
-//! the rationale behind each rule.
+//! two token-level invariants, `determinism` and the `panic` ratchet.
+//! See `docs/ANALYSIS.md` for the rationale, and for the invariants the
+//! compiler and tests check instead.
 
 use crate::lexer::{lex, Lexed, Tok, TokKind};
 use std::collections::BTreeMap;
@@ -11,14 +12,6 @@ pub mod rule {
     pub const DETERMINISM: &str = "determinism";
     /// The `unwrap`/`expect`/`panic!` ratchet.
     pub const PANIC: &str = "panic";
-    /// Allocating tokens inside `// qns-lint: zero-alloc` functions.
-    pub const ZERO_ALLOC: &str = "zero-alloc";
-    /// Serve locks must be `OrderedMutex`es named in `LOCK_ORDER`.
-    pub const LOCK_REGISTRY: &str = "lock-registry";
-    /// Metric names must be string literals from `obs::CATALOG`.
-    pub const METRIC_REGISTRY: &str = "metric-registry";
-    /// Failpoint names must be string literals from `faults::FAILPOINTS`.
-    pub const FAILPOINT_REGISTRY: &str = "failpoint-registry";
 }
 
 /// Files on the bit-reproducibility path: fingerprints, cache keys,
@@ -46,44 +39,6 @@ pub const DETERMINISM_PATHS: &[&str] = &[
 /// Identifiers banned by the `determinism` rule.
 pub const DETERMINISM_BANNED: &[&str] = &["HashMap", "HashSet", "Instant", "SystemTime"];
 
-/// Identifiers that allocate, banned inside `zero-alloc` functions
-/// (method/free-function names; matched as whole identifiers).
-const ALLOC_IDENTS: &[&str] = &[
-    "clone",
-    "collect",
-    "to_vec",
-    "to_owned",
-    "to_string",
-    "with_capacity",
-    "reserve",
-    "into_vec",
-];
-
-/// Macros that allocate (identifier followed by `!`).
-const ALLOC_MACROS: &[&str] = &["vec", "format"];
-
-/// Container types whose `::new`/`::from` constructions allocate.
-const ALLOC_TYPES: &[&str] = &[
-    "Vec", "String", "Box", "HashMap", "HashSet", "BTreeMap", "BTreeSet", "VecDeque",
-];
-
-/// Registry-access methods whose first argument names a metric family
-/// (`registry.counter("…")`, `registry.histogram_labeled("…", mode)`, …).
-const METRIC_METHODS: &[&str] = &[
-    "counter",
-    "gauge",
-    "histogram",
-    "counter_labeled",
-    "gauge_labeled",
-    "histogram_labeled",
-    "counter_values",
-];
-
-/// Directory prefixes whose registry call sites the `metric-registry`
-/// rule checks against the catalog parsed from
-/// `crates/obs/src/catalog.rs`.
-const METRIC_PATHS: &[&str] = &["crates/serve/src/", "crates/tnet/src/"];
-
 /// One reported rule violation.
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Finding {
@@ -108,25 +63,6 @@ pub struct Analysis {
     /// Panic-prone sites (`.unwrap()`, `.expect(…)`, `panic!`) per
     /// crate, after suppressions and test stripping.
     pub panic_counts: BTreeMap<String, usize>,
-    /// Functions annotated `// qns-lint: zero-alloc` that were
-    /// checked.
-    pub zero_alloc_functions: usize,
-    /// `OrderedMutex::new` sites verified against the registry.
-    pub lock_sites: usize,
-    /// The lock registry parsed out of `crates/serve/src/sync.rs`
-    /// (empty when that file is absent from the scanned set).
-    pub lock_order: Vec<String>,
-    /// Registry call sites verified against the metric catalog.
-    pub metric_sites: usize,
-    /// The metric catalog parsed out of `crates/obs/src/catalog.rs`
-    /// (empty when that file is absent from the scanned set).
-    pub metric_catalog: Vec<String>,
-    /// `failpoint(…)` consultations verified against the registry.
-    pub failpoint_sites: usize,
-    /// The failpoint registry parsed out of
-    /// `crates/serve/src/faults.rs` (empty when that file is absent
-    /// from the scanned set).
-    pub failpoints: Vec<String>,
     /// Findings silenced by `// qns-lint: allow(rule)` directives.
     pub suppressed: usize,
 }
@@ -140,20 +76,6 @@ pub fn analyze_sources(files: &[(String, String)]) -> Analysis {
         ..Analysis::default()
     };
 
-    // Pass 1: the lock registry and the metric catalog, each parsed
-    // from its single source of truth.
-    for (path, content) in files {
-        if path == "crates/serve/src/sync.rs" {
-            analysis.lock_order = parse_lock_order(&lex(content));
-        }
-        if path == "crates/obs/src/catalog.rs" {
-            analysis.metric_catalog = parse_metric_catalog(&lex(content));
-        }
-        if path == "crates/serve/src/faults.rs" {
-            analysis.failpoints = parse_failpoints(&lex(content));
-        }
-    }
-
     for (path, content) in files {
         let lexed = lex(content);
         let tests = test_ranges(&lexed.toks);
@@ -165,10 +87,6 @@ pub fn analyze_sources(files: &[(String, String)]) -> Analysis {
         };
         file.determinism();
         file.panic_ratchet();
-        file.zero_alloc();
-        file.lock_registry();
-        file.metric_registry();
-        file.failpoint_registry();
     }
 
     analysis.findings.sort();
@@ -279,267 +197,6 @@ impl FileCx<'_> {
             .panic_counts
             .entry(krate.to_string())
             .or_default() += count;
-    }
-
-    /// Rule `zero-alloc`: a `// qns-lint: zero-alloc` directive marks
-    /// the next `fn`; its body may contain no allocating tokens.
-    /// Token-level by design: calls into allocating helpers are not
-    /// chased (the runtime `allocation_events()` counters cover that),
-    /// but the annotation keeps the obvious allocators out of the
-    /// replay loops at review time.
-    fn zero_alloc(&mut self) {
-        let toks = &self.lexed.toks;
-        let directive_lines: Vec<u32> = self
-            .lexed
-            .directives
-            .iter()
-            .filter(|d| d.payload == "zero-alloc")
-            .map(|d| d.line)
-            .collect();
-        for dline in directive_lines {
-            // The next `fn` token at or after the directive's line.
-            let Some(fn_idx) = toks
-                .iter()
-                .position(|t| t.is_ident("fn") && t.line >= dline)
-            else {
-                self.report(
-                    rule::ZERO_ALLOC,
-                    dline,
-                    "zero-alloc annotation with no following fn".to_string(),
-                );
-                continue;
-            };
-            // Find the body: the first `{` after the signature (a `;`
-            // first means a bodyless declaration — nothing to check).
-            let mut open = None;
-            for (j, t) in toks.iter().enumerate().skip(fn_idx) {
-                if t.is_punct('{') {
-                    open = Some(j);
-                    break;
-                }
-                if t.is_punct(';') {
-                    break;
-                }
-            }
-            let Some(open) = open else {
-                continue;
-            };
-            let close = matching_brace(toks, open);
-            self.analysis.zero_alloc_functions += 1;
-            for j in open..close {
-                let t = &toks[j];
-                if t.kind != TokKind::Ident {
-                    continue;
-                }
-                let next_is = |c: char| toks.get(j + 1).is_some_and(|n| n.is_punct(c));
-                let offending = (ALLOC_IDENTS.contains(&t.text.as_str())
-                    && j > 0
-                    && toks[j - 1].is_punct('.'))
-                    || (ALLOC_MACROS.contains(&t.text.as_str()) && next_is('!'))
-                    || (ALLOC_TYPES.contains(&t.text.as_str())
-                        && next_is(':')
-                        && toks.get(j + 2).is_some_and(|n| n.is_punct(':'))
-                        && toks.get(j + 3).is_some_and(|n| {
-                            n.is_ident("new") || n.is_ident("from") || n.is_ident("with_capacity")
-                        }));
-                if offending {
-                    let (line, text) = (t.line, t.text.clone());
-                    self.report(
-                        rule::ZERO_ALLOC,
-                        line,
-                        format!(
-                            "allocating token `{text}` inside a `zero-alloc` function; \
-                             reuse a caller-provided buffer or drop the annotation"
-                        ),
-                    );
-                }
-            }
-        }
-    }
-
-    /// Rule `lock-registry`: in `qns-serve`, every lock is an
-    /// `OrderedMutex`/`OrderedCondvar`, and every `OrderedMutex::new`
-    /// names a `LOCK_ORDER` entry as a string literal. `sync.rs`
-    /// itself (the trusted wrapper implementation) is exempt from the
-    /// raw-primitive scan.
-    fn lock_registry(&mut self) {
-        if !self.path.starts_with("crates/serve/src/") {
-            return;
-        }
-        let is_sync = self.path == "crates/serve/src/sync.rs";
-        let order = self.analysis.lock_order.clone();
-        let toks = &self.lexed.toks;
-        for i in 0..toks.len() {
-            if self.is_test_tok(i) {
-                continue;
-            }
-            let t = &toks[i];
-            if t.kind != TokKind::Ident {
-                continue;
-            }
-            if !is_sync && matches!(t.text.as_str(), "Mutex" | "Condvar" | "RwLock") {
-                let (line, text) = (t.line, t.text.clone());
-                self.report(
-                    rule::LOCK_REGISTRY,
-                    line,
-                    format!(
-                        "raw `{text}` in qns-serve; use the OrderedMutex/OrderedCondvar \
-                         wrappers from crate::sync so the lock participates in \
-                         poison recovery and order checking"
-                    ),
-                );
-            }
-            if t.is_ident("OrderedMutex")
-                && toks.get(i + 1).is_some_and(|n| n.is_punct(':'))
-                && toks.get(i + 2).is_some_and(|n| n.is_punct(':'))
-                && toks.get(i + 3).is_some_and(|n| n.is_ident("new"))
-                && toks.get(i + 4).is_some_and(|n| n.is_punct('('))
-            {
-                self.analysis.lock_sites += 1;
-                let line = t.line;
-                match toks.get(i + 5) {
-                    Some(name) if name.kind == TokKind::Str => {
-                        if !order.iter().any(|o| o == &name.text) {
-                            let n = name.text.clone();
-                            self.report(
-                                rule::LOCK_REGISTRY,
-                                line,
-                                format!(
-                                    "lock name \"{n}\" is not declared in \
-                                     qns_serve::sync::LOCK_ORDER; add it to the \
-                                     registry (in acquired-before position) first"
-                                ),
-                            );
-                        }
-                    }
-                    _ => {
-                        self.report(
-                            rule::LOCK_REGISTRY,
-                            line,
-                            "OrderedMutex::new must name its LOCK_ORDER entry as a \
-                             string literal (the analyzer cannot resolve expressions)"
-                                .to_string(),
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    /// Rule `metric-registry`: in `qns-serve` and `qns-tnet`, every
-    /// registry access (`.counter("…")`, `.histogram_labeled("…", …)`,
-    /// …) names its metric family as a string literal declared in
-    /// `qns_obs::catalog::CATALOG`, so exporters and dashboards cannot
-    /// drift from the code.
-    fn metric_registry(&mut self) {
-        if !METRIC_PATHS.iter().any(|p| self.path.starts_with(p)) {
-            return;
-        }
-        let catalog = self.analysis.metric_catalog.clone();
-        let toks = &self.lexed.toks;
-        for i in 0..toks.len() {
-            if self.is_test_tok(i) {
-                continue;
-            }
-            let t = &toks[i];
-            if t.kind != TokKind::Ident || !METRIC_METHODS.contains(&t.text.as_str()) {
-                continue;
-            }
-            // A method call: `.counter(`, not a bare fn or definition.
-            if i == 0
-                || !toks[i - 1].is_punct('.')
-                || !toks.get(i + 1).is_some_and(|n| n.is_punct('('))
-            {
-                continue;
-            }
-            self.analysis.metric_sites += 1;
-            let (line, method) = (t.line, t.text.clone());
-            match toks.get(i + 2) {
-                Some(name) if name.kind == TokKind::Str => {
-                    if !catalog.iter().any(|c| c == &name.text) {
-                        let n = name.text.clone();
-                        self.report(
-                            rule::METRIC_REGISTRY,
-                            line,
-                            format!(
-                                "metric name \"{n}\" passed to `.{method}(…)` is not \
-                                 declared in qns_obs::catalog::CATALOG; add a MetricDef \
-                                 entry (name, kind, unit, help) first"
-                            ),
-                        );
-                    }
-                }
-                _ => {
-                    self.report(
-                        rule::METRIC_REGISTRY,
-                        line,
-                        format!(
-                            "`.{method}(…)` must name its metric family as a string \
-                             literal from qns_obs::catalog::CATALOG (the analyzer \
-                             cannot resolve expressions)"
-                        ),
-                    );
-                }
-            }
-        }
-    }
-    /// Rule `failpoint-registry`: in `qns-serve`, every fault-injection
-    /// consultation (`plan.failpoint("…")`, `faults::failpoint("…")`)
-    /// names its failpoint as a string literal declared in
-    /// `qns_serve::faults::FAILPOINTS`, so a chaos seed's replayed
-    /// schedule can never reference a failpoint the registry (and its
-    /// documented contract) does not know about.
-    fn failpoint_registry(&mut self) {
-        if !self.path.starts_with("crates/serve/src/") {
-            return;
-        }
-        let registry = self.analysis.failpoints.clone();
-        let toks = &self.lexed.toks;
-        for i in 0..toks.len() {
-            if self.is_test_tok(i) {
-                continue;
-            }
-            let t = &toks[i];
-            if !t.is_ident("failpoint") {
-                continue;
-            }
-            // A consultation: `.failpoint(` or `::failpoint(`, not the
-            // definition (`fn failpoint`) or a doc reference.
-            if i == 0
-                || !(toks[i - 1].is_punct('.') || toks[i - 1].is_punct(':'))
-                || !toks.get(i + 1).is_some_and(|n| n.is_punct('('))
-            {
-                continue;
-            }
-            self.analysis.failpoint_sites += 1;
-            let line = t.line;
-            match toks.get(i + 2) {
-                Some(name) if name.kind == TokKind::Str => {
-                    if !registry.iter().any(|r| r == &name.text) {
-                        let n = name.text.clone();
-                        self.report(
-                            rule::FAILPOINT_REGISTRY,
-                            line,
-                            format!(
-                                "failpoint \"{n}\" is not declared in \
-                                 qns_serve::faults::FAILPOINTS; add it to the \
-                                 registry (with its contract documented) first"
-                            ),
-                        );
-                    }
-                }
-                _ => {
-                    self.report(
-                        rule::FAILPOINT_REGISTRY,
-                        line,
-                        "failpoint(…) must name its failpoint as a string literal \
-                         from qns_serve::faults::FAILPOINTS (the analyzer cannot \
-                         resolve expressions)"
-                            .to_string(),
-                    );
-                }
-            }
-        }
     }
 }
 
@@ -654,59 +311,6 @@ fn skip_attr(toks: &[Tok], i: usize) -> usize {
     toks.len()
 }
 
-/// Extracts the string entries of `LOCK_ORDER` from the lexed
-/// `sync.rs` (every string literal between the `LOCK_ORDER` ident and
-/// the next `;`).
-fn parse_lock_order(lexed: &Lexed) -> Vec<String> {
-    let toks = &lexed.toks;
-    let Some(at) = toks.iter().position(|t| t.is_ident("LOCK_ORDER")) else {
-        return Vec::new();
-    };
-    toks[at..]
-        .iter()
-        .take_while(|t| !t.is_punct(';'))
-        .filter(|t| t.kind == TokKind::Str)
-        .map(|t| t.text.clone())
-        .collect()
-}
-
-/// Extracts the declared metric names from the lexed
-/// `crates/obs/src/catalog.rs`: every `name: "…"` field between the
-/// `CATALOG` ident and the `;` closing its const initializer.
-fn parse_metric_catalog(lexed: &Lexed) -> Vec<String> {
-    let toks = &lexed.toks;
-    let Some(at) = toks.iter().position(|t| t.is_ident("CATALOG")) else {
-        return Vec::new();
-    };
-    let body: Vec<&Tok> = toks[at..].iter().take_while(|t| !t.is_punct(';')).collect();
-    let mut names = Vec::new();
-    for i in 0..body.len() {
-        if body[i].is_ident("name")
-            && body.get(i + 1).is_some_and(|t| t.is_punct(':'))
-            && body.get(i + 2).is_some_and(|t| t.kind == TokKind::Str)
-        {
-            names.push(body[i + 2].text.clone());
-        }
-    }
-    names
-}
-
-/// Extracts the declared failpoint names from the lexed
-/// `crates/serve/src/faults.rs` (every string literal between the
-/// `FAILPOINTS` ident and the `;` closing its const initializer).
-fn parse_failpoints(lexed: &Lexed) -> Vec<String> {
-    let toks = &lexed.toks;
-    let Some(at) = toks.iter().position(|t| t.is_ident("FAILPOINTS")) else {
-        return Vec::new();
-    };
-    toks[at..]
-        .iter()
-        .take_while(|t| !t.is_punct(';'))
-        .filter(|t| t.kind == TokKind::Str)
-        .map(|t| t.text.clone())
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -762,146 +366,5 @@ mod tests {
             ("crates/lint/src/main.rs", src),
         ]));
         assert!(a.panic_counts.values().all(|&c| c == 0));
-    }
-
-    #[test]
-    fn zero_alloc_flags_allocating_tokens_in_annotated_fns_only() {
-        let src = "// qns-lint: zero-alloc\n\
-                   fn hot(xs: &mut Vec<u8>) { let v: Vec<u8> = xs.iter().copied().collect(); xs.extend(v); }\n\
-                   fn cold() -> Vec<u8> { (0..3).collect() }\n";
-        let a = analyze_sources(&files(&[("crates/tnet/src/exec.rs", src)]));
-        let za: Vec<_> = a
-            .findings
-            .iter()
-            .filter(|f| f.rule == rule::ZERO_ALLOC)
-            .collect();
-        assert_eq!(za.len(), 1, "{za:?}");
-        assert_eq!(za[0].line, 2);
-        assert_eq!(a.zero_alloc_functions, 1);
-    }
-
-    #[test]
-    fn lock_registry_validates_names_and_bans_raw_primitives() {
-        let sync = "pub const LOCK_ORDER: &[&str] = &[\"serve.state\"];";
-        let service = "fn build() {\n\
-                       let a = OrderedMutex::new(\"serve.state\", 0u8);\n\
-                       let b = OrderedMutex::new(\"rogue.lock\", 0u8);\n\
-                       let c = std::sync::Mutex::new(0u8);\n}\n";
-        let a = analyze_sources(&files(&[
-            ("crates/serve/src/sync.rs", sync),
-            ("crates/serve/src/service.rs", service),
-        ]));
-        assert_eq!(a.lock_order, vec!["serve.state".to_string()]);
-        assert_eq!(a.lock_sites, 2);
-        let lr: Vec<_> = a
-            .findings
-            .iter()
-            .filter(|f| f.rule == rule::LOCK_REGISTRY)
-            .collect();
-        assert_eq!(lr.len(), 2, "{lr:?}");
-        assert!(lr.iter().any(|f| f.message.contains("rogue.lock")));
-        assert!(lr.iter().any(|f| f.message.contains("raw `Mutex`")));
-    }
-
-    #[test]
-    fn metric_registry_validates_names_against_the_catalog() {
-        let catalog = "pub const CATALOG: &[MetricDef] = &[\n\
-                       MetricDef { name: \"qns_serve_jobs_total\", kind: Kind::Counter },\n\
-                       MetricDef { name: \"qns_tnet_replay_micros\", kind: Kind::Histogram },\n];\n";
-        let serve = "fn wire(r: &Registry) {\n\
-                     let a = r.counter(\"qns_serve_jobs_total\");\n\
-                     let b = r.gauge(\"qns_serve_rogue_depth\");\n\
-                     let name = \"qns_serve_jobs_total\";\n\
-                     let c = r.histogram_labeled(name, \"mode\");\n}\n";
-        let tnet = "fn hook(r: &Registry) { let h = r.histogram(\"qns_tnet_replay_micros\"); }";
-        let a = analyze_sources(&files(&[
-            ("crates/obs/src/catalog.rs", catalog),
-            ("crates/serve/src/obs.rs", serve),
-            ("crates/tnet/src/profile.rs", tnet),
-        ]));
-        assert_eq!(
-            a.metric_catalog,
-            vec![
-                "qns_serve_jobs_total".to_string(),
-                "qns_tnet_replay_micros".to_string()
-            ]
-        );
-        assert_eq!(a.metric_sites, 4);
-        let mr: Vec<_> = a
-            .findings
-            .iter()
-            .filter(|f| f.rule == rule::METRIC_REGISTRY)
-            .collect();
-        assert_eq!(mr.len(), 2, "{mr:?}");
-        assert!(mr
-            .iter()
-            .any(|f| f.message.contains("qns_serve_rogue_depth")));
-        assert!(mr
-            .iter()
-            .any(|f| f.message.contains("string literal") && f.file == "crates/serve/src/obs.rs"));
-    }
-
-    #[test]
-    fn failpoint_registry_validates_names_against_the_registry() {
-        let faults = "pub const FAILPOINTS: &[&str] = &[\"backend.error\", \"cache.probe\"];\n\
-                      pub fn failpoint(name: &str) -> FaultAction { FaultAction::None }\n";
-        let service = "fn probe(plan: &FaultPlan) {\n\
-                       let a = plan.failpoint(\"cache.probe\");\n\
-                       let b = faults::failpoint(\"serve.rogue\");\n\
-                       let name = \"backend.error\";\n\
-                       let c = plan.failpoint(name);\n\
-                       // qns-lint: allow(failpoint-registry)\n\
-                       let d = plan.failpoint(\"serve.offbook\");\n}\n";
-        let a = analyze_sources(&files(&[
-            ("crates/serve/src/faults.rs", faults),
-            ("crates/serve/src/service.rs", service),
-        ]));
-        assert_eq!(
-            a.failpoints,
-            vec!["backend.error".to_string(), "cache.probe".to_string()]
-        );
-        assert_eq!(a.failpoint_sites, 4);
-        let fr: Vec<_> = a
-            .findings
-            .iter()
-            .filter(|f| f.rule == rule::FAILPOINT_REGISTRY)
-            .collect();
-        assert_eq!(fr.len(), 2, "{fr:?}");
-        assert!(fr.iter().any(|f| f.message.contains("serve.rogue")));
-        assert!(fr.iter().any(|f| f.message.contains("string literal")));
-        assert_eq!(a.suppressed, 1);
-    }
-
-    #[test]
-    fn failpoint_registry_skips_definitions_other_crates_and_tests() {
-        let faults = "pub const FAILPOINTS: &[&str] = &[\"backend.error\"];";
-        let core = "fn f(plan: &FaultPlan) { let _ = plan.failpoint(\"core.rogue\"); }";
-        let serve = "#[cfg(test)]\n\
-                     mod tests { fn f(plan: &FaultPlan) { let _ = plan.failpoint(\"free.name\"); } }\n";
-        let a = analyze_sources(&files(&[
-            ("crates/serve/src/faults.rs", faults),
-            ("crates/core/src/approx.rs", core),
-            ("crates/serve/src/refine.rs", serve),
-        ]));
-        assert_eq!(a.failpoint_sites, 0);
-        assert!(a
-            .findings
-            .iter()
-            .all(|f| f.rule != rule::FAILPOINT_REGISTRY));
-    }
-
-    #[test]
-    fn metric_registry_ignores_other_crates_and_test_code() {
-        let catalog = "pub const CATALOG: &[MetricDef] = &[MetricDef { name: \"qns_ok\" }];";
-        let bench = "fn f(r: &Registry) { let _ = r.counter(\"not_in_catalog\"); }";
-        let serve = "#[cfg(test)]\n\
-                     mod tests { fn f(r: &Registry) { let _ = r.counter(\"free_name\"); } }\n";
-        let a = analyze_sources(&files(&[
-            ("crates/obs/src/catalog.rs", catalog),
-            ("crates/bench/src/lib.rs", bench),
-            ("crates/serve/src/obs.rs", serve),
-        ]));
-        assert_eq!(a.metric_sites, 0);
-        assert!(a.findings.iter().all(|f| f.rule != rule::METRIC_REGISTRY));
     }
 }

@@ -1,16 +1,39 @@
 //! The committed metric catalog.
 //!
-//! Every metric the workspace records must be declared here **by string
-//! literal**. The `qns-lint` `metric-registry` rule parses this file
-//! (pattern: `name: "…"` entries inside the [`CATALOG`] constant) and
-//! then checks that every registry call site in `qns-serve`/`qns-tnet`
-//! names one of these literals, so dashboards built against the catalog
-//! cannot silently drift from the code.
+//! Every metric family the workspace records is declared once in the
+//! table below, which emits both a `pub const` [`MetricDef`] per family
+//! and the [`CATALOG`] slice of all of them. The registry's record-side
+//! accessors ([`crate::Registry::counter`] and friends) take a
+//! `&'static MetricDef`, and [`MetricDef`] is `#[non_exhaustive]`, so
+//! no other crate can build one: a call site can only name a family
+//! declared here, and a misspelt constant fails to compile. The read
+//! side ([`crate::MetricsSnapshot`] lookups and the exporters) stays
+//! keyed by the name strings, which are what dashboards see.
+//!
+//! ```
+//! let registry = qns_obs::Registry::new();
+//! registry.counter(&qns_obs::catalog::SERVE_JOBS_SUBMITTED_TOTAL).inc();
+//! ```
+//!
+//! A family outside the catalog does not compile:
+//!
+//! ```compile_fail,E0425
+//! let registry = qns_obs::Registry::new();
+//! registry.counter(&qns_obs::catalog::SERVE_JOBS_SUBMITED_TOTAL).inc();
+//! ```
+//!
+//! Nor does a definition built outside this crate:
+//!
+//! ```compile_fail,E0639
+//! use qns_obs::{MetricDef, MetricKind};
+//! let rogue = MetricDef { name: "qns_rogue_total", kind: MetricKind::Counter, label: None, help: "" };
+//! ```
 //!
 //! Naming follows Prometheus conventions: `qns_<crate>_<what>_total`
 //! for counters, plain `qns_<crate>_<what>` for gauges, and
 //! `qns_<crate>_<what>_micros` (or another explicit unit) for
-//! histograms.
+//! histograms. Each constant is the family name without its `qns_`
+//! prefix, upper-cased.
 
 /// The kind of a metric family.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -35,7 +58,9 @@ impl MetricKind {
 }
 
 /// One catalog entry: the static description of a metric family.
+/// Only this module builds them (see the module docs).
 #[derive(Clone, Copy, Debug)]
+#[non_exhaustive]
 pub struct MetricDef {
     /// Unique metric family name (Prometheus-style snake case).
     pub name: &'static str,
@@ -48,215 +73,99 @@ pub struct MetricDef {
     pub help: &'static str,
 }
 
-/// Every metric family the workspace may record, in declaration order.
-///
-/// [`crate::Registry::new`] pre-registers all of these; asking the
-/// registry for a name outside the catalog is a programming error.
-pub const CATALOG: &[MetricDef] = &[
+/// Declares each family once: `IDENT: Kind, "name", label, help;`
+/// becomes `pub const IDENT: MetricDef` plus its [`CATALOG`] entry.
+macro_rules! catalog {
+    ($($ident:ident: $kind:ident, $name:literal, $label:expr, $help:literal;)*) => {
+        $(
+            #[doc = $help]
+            pub const $ident: MetricDef = MetricDef {
+                name: $name,
+                kind: MetricKind::$kind,
+                label: $label,
+                help: $help,
+            };
+        )*
+
+        /// Every metric family the workspace may record, in declaration
+        /// order. [`crate::Registry::new`] pre-registers all of them.
+        pub const CATALOG: &[MetricDef] = &[$($ident),*];
+    };
+}
+
+catalog! {
     // --- qns-serve: job intake and resolution -------------------------
-    MetricDef {
-        name: "qns_serve_jobs_submitted_total",
-        kind: MetricKind::Counter,
-        label: None,
-        help: "Accepted submissions (expect + refine), including dedup joins and cache hits",
-    },
-    MetricDef {
-        name: "qns_serve_jobs_executed_total",
-        kind: MetricKind::Counter,
-        label: None,
-        help: "Expectation jobs actually executed on a backend",
-    },
-    MetricDef {
-        name: "qns_serve_dedup_joins_total",
-        kind: MetricKind::Counter,
-        label: None,
-        help: "Submissions that joined an in-flight identical job",
-    },
-    MetricDef {
-        name: "qns_serve_cache_hits_total",
-        kind: MetricKind::Counter,
-        label: None,
-        help: "Result-cache lookups answered from the LRU",
-    },
-    MetricDef {
-        name: "qns_serve_cache_misses_total",
-        kind: MetricKind::Counter,
-        label: None,
-        help: "Result-cache lookups that missed",
-    },
-    MetricDef {
-        name: "qns_serve_cache_evictions_total",
-        kind: MetricKind::Counter,
-        label: None,
-        help: "Result-cache entries evicted to make room",
-    },
-    MetricDef {
-        name: "qns_serve_partial_cache_hits_total",
-        kind: MetricKind::Counter,
-        label: None,
-        help: "Partial-sum cache probes that found a usable level prefix",
-    },
-    MetricDef {
-        name: "qns_serve_partial_cache_misses_total",
-        kind: MetricKind::Counter,
-        label: None,
-        help: "Partial-sum cache probes that found nothing",
-    },
-    MetricDef {
-        name: "qns_serve_partial_cache_evictions_total",
-        kind: MetricKind::Counter,
-        label: None,
-        help: "Partial-sum cache entries evicted to make room",
-    },
-    MetricDef {
-        name: "qns_serve_queue_depth",
-        kind: MetricKind::Gauge,
-        label: None,
-        help: "Work items currently queued (high-water mark = peak depth)",
-    },
-    MetricDef {
-        name: "qns_serve_queue_wait_micros",
-        kind: MetricKind::Histogram,
-        label: None,
-        help: "Microseconds a work item waited in the queue before a worker picked it up",
-    },
-    MetricDef {
-        name: "qns_serve_e2e_latency_micros",
-        kind: MetricKind::Histogram,
-        label: None,
-        help: "Microseconds from submission to resolution for executed jobs and refinements",
-    },
-    MetricDef {
-        name: "qns_serve_backend_jobs_total",
-        kind: MetricKind::Counter,
-        label: Some("backend"),
-        help: "Jobs completed per backend (refinements under backend=\"refine\")",
-    },
-    MetricDef {
-        name: "qns_serve_backend_micros_total",
-        kind: MetricKind::Counter,
-        label: Some("backend"),
-        help: "Total execution microseconds per backend",
-    },
+    SERVE_JOBS_SUBMITTED_TOTAL: Counter, "qns_serve_jobs_submitted_total", None,
+        "Accepted submissions (expect + refine), including dedup joins and cache hits";
+    SERVE_JOBS_EXECUTED_TOTAL: Counter, "qns_serve_jobs_executed_total", None,
+        "Expectation jobs actually executed on a backend";
+    SERVE_DEDUP_JOINS_TOTAL: Counter, "qns_serve_dedup_joins_total", None,
+        "Submissions that joined an in-flight identical job";
+    SERVE_CACHE_HITS_TOTAL: Counter, "qns_serve_cache_hits_total", None,
+        "Result-cache lookups answered from the LRU";
+    SERVE_CACHE_MISSES_TOTAL: Counter, "qns_serve_cache_misses_total", None,
+        "Result-cache lookups that missed";
+    SERVE_CACHE_EVICTIONS_TOTAL: Counter, "qns_serve_cache_evictions_total", None,
+        "Result-cache entries evicted to make room";
+    SERVE_PARTIAL_CACHE_HITS_TOTAL: Counter, "qns_serve_partial_cache_hits_total", None,
+        "Partial-sum cache probes that found a usable level prefix";
+    SERVE_PARTIAL_CACHE_MISSES_TOTAL: Counter, "qns_serve_partial_cache_misses_total", None,
+        "Partial-sum cache probes that found nothing";
+    SERVE_PARTIAL_CACHE_EVICTIONS_TOTAL: Counter, "qns_serve_partial_cache_evictions_total", None,
+        "Partial-sum cache entries evicted to make room";
+    SERVE_QUEUE_DEPTH: Gauge, "qns_serve_queue_depth", None,
+        "Work items currently queued (high-water mark = peak depth)";
+    SERVE_QUEUE_WAIT_MICROS: Histogram, "qns_serve_queue_wait_micros", None,
+        "Microseconds a work item waited in the queue before a worker picked it up";
+    SERVE_E2E_LATENCY_MICROS: Histogram, "qns_serve_e2e_latency_micros", None,
+        "Microseconds from submission to resolution for executed jobs and refinements";
+    SERVE_BACKEND_JOBS_TOTAL: Counter, "qns_serve_backend_jobs_total", Some("backend"),
+        "Jobs completed per backend (refinements under backend=\"refine\")";
+    SERVE_BACKEND_MICROS_TOTAL: Counter, "qns_serve_backend_micros_total", Some("backend"),
+        "Total execution microseconds per backend";
     // --- qns-serve: anytime refinement --------------------------------
-    MetricDef {
-        name: "qns_serve_refinements_total",
-        kind: MetricKind::Counter,
-        label: None,
-        help: "Accepted refinement submissions",
-    },
-    MetricDef {
-        name: "qns_serve_refine_levels_completed_total",
-        kind: MetricKind::Counter,
-        label: Some("level"),
-        help: "Refinement levels freshly computed, by level index",
-    },
-    MetricDef {
-        name: "qns_serve_refine_levels_from_cache_total",
-        kind: MetricKind::Counter,
-        label: None,
-        help: "Refinement levels replayed from the partial-sum cache",
-    },
-    MetricDef {
-        name: "qns_serve_refine_active",
-        kind: MetricKind::Gauge,
-        label: None,
-        help: "Refinements in flight (high-water mark = peak concurrency)",
-    },
-    MetricDef {
-        name: "qns_serve_refine_cancelled_total",
-        kind: MetricKind::Counter,
-        label: None,
-        help: "Refinements observed cancelled before reaching their final level",
-    },
-    MetricDef {
-        name: "qns_serve_refine_level_micros",
-        kind: MetricKind::Histogram,
-        label: None,
-        help: "Microseconds to freshly compute one refinement level",
-    },
+    SERVE_REFINEMENTS_TOTAL: Counter, "qns_serve_refinements_total", None,
+        "Accepted refinement submissions";
+    SERVE_REFINE_LEVELS_COMPLETED_TOTAL: Counter, "qns_serve_refine_levels_completed_total", Some("level"),
+        "Refinement levels freshly computed, by level index";
+    SERVE_REFINE_LEVELS_FROM_CACHE_TOTAL: Counter, "qns_serve_refine_levels_from_cache_total", None,
+        "Refinement levels replayed from the partial-sum cache";
+    SERVE_REFINE_ACTIVE: Gauge, "qns_serve_refine_active", None,
+        "Refinements in flight (high-water mark = peak concurrency)";
+    SERVE_REFINE_CANCELLED_TOTAL: Counter, "qns_serve_refine_cancelled_total", None,
+        "Refinements observed cancelled before reaching their final level";
+    SERVE_REFINE_LEVEL_MICROS: Histogram, "qns_serve_refine_level_micros", None,
+        "Microseconds to freshly compute one refinement level";
     // --- qns-serve: fault tolerance ------------------------------------
-    MetricDef {
-        name: "qns_serve_retries_total",
-        kind: MetricKind::Counter,
-        label: None,
-        help: "Execution attempts beyond the first (retry policy re-submissions)",
-    },
-    MetricDef {
-        name: "qns_serve_failovers_total",
-        kind: MetricKind::Counter,
-        label: None,
-        help: "Retries that re-routed to a different engine than the failed attempt",
-    },
-    MetricDef {
-        name: "qns_serve_timeouts_total",
-        kind: MetricKind::Counter,
-        label: None,
-        help: "Jobs resolved with QnsError::Timeout by the deadline watchdog",
-    },
-    MetricDef {
-        name: "qns_serve_shed_total",
-        kind: MetricKind::Counter,
-        label: None,
-        help: "Submissions rejected with QnsError::Overloaded by admission control",
-    },
-    MetricDef {
-        name: "qns_serve_degraded_total",
-        kind: MetricKind::Counter,
-        label: None,
-        help: "Refinements admitted at a shallower Theorem-1 first level under overload",
-    },
-    MetricDef {
-        name: "qns_serve_breaker_state",
-        kind: MetricKind::Gauge,
-        label: Some("backend"),
-        help: "Circuit-breaker state per engine (0 = closed, 1 = half-open, 2 = open)",
-    },
-    MetricDef {
-        name: "qns_serve_breaker_opens_total",
-        kind: MetricKind::Counter,
-        label: Some("backend"),
-        help: "Closed/half-open to open transitions per engine circuit breaker",
-    },
+    SERVE_RETRIES_TOTAL: Counter, "qns_serve_retries_total", None,
+        "Execution attempts beyond the first (retry policy re-submissions)";
+    SERVE_FAILOVERS_TOTAL: Counter, "qns_serve_failovers_total", None,
+        "Retries that re-routed to a different engine than the failed attempt";
+    SERVE_TIMEOUTS_TOTAL: Counter, "qns_serve_timeouts_total", None,
+        "Jobs resolved with QnsError::Timeout by the deadline watchdog";
+    SERVE_SHED_TOTAL: Counter, "qns_serve_shed_total", None,
+        "Submissions rejected with QnsError::Overloaded by admission control";
+    SERVE_DEGRADED_TOTAL: Counter, "qns_serve_degraded_total", None,
+        "Refinements admitted at a shallower Theorem-1 first level under overload";
+    SERVE_BREAKER_STATE: Gauge, "qns_serve_breaker_state", Some("backend"),
+        "Circuit-breaker state per engine (0 = closed, 1 = half-open, 2 = open)";
+    SERVE_BREAKER_OPENS_TOTAL: Counter, "qns_serve_breaker_opens_total", Some("backend"),
+        "Closed/half-open to open transitions per engine circuit breaker";
     // --- qns-serve: event journal and measurement window ---------------
-    MetricDef {
-        name: "qns_serve_events_dropped_total",
-        kind: MetricKind::Counter,
-        label: None,
-        help: "Journal events overwritten before being drained (ring overflow)",
-    },
-    MetricDef {
-        name: "qns_serve_window_first_submit_micros",
-        kind: MetricKind::Gauge,
-        label: None,
-        help: "Service-clock micros of the first accepted submission (0 = none yet)",
-    },
-    MetricDef {
-        name: "qns_serve_window_last_resolve_micros",
-        kind: MetricKind::Gauge,
-        label: None,
-        help: "Service-clock micros of the most recent resolution (0 = none yet)",
-    },
+    SERVE_EVENTS_DROPPED_TOTAL: Counter, "qns_serve_events_dropped_total", None,
+        "Journal events overwritten before being drained (ring overflow)";
+    SERVE_WINDOW_FIRST_SUBMIT_MICROS: Gauge, "qns_serve_window_first_submit_micros", None,
+        "Service-clock micros of the first accepted submission (0 = none yet)";
+    SERVE_WINDOW_LAST_RESOLVE_MICROS: Gauge, "qns_serve_window_last_resolve_micros", None,
+        "Service-clock micros of the most recent resolution (0 = none yet)";
     // --- qns-tnet: compiled-plan replay profiling ----------------------
-    MetricDef {
-        name: "qns_tnet_replays_total",
-        kind: MetricKind::Counter,
-        label: Some("mode"),
-        help: "Compiled-plan replays, by mode (full vs delta)",
-    },
-    MetricDef {
-        name: "qns_tnet_replay_micros",
-        kind: MetricKind::Histogram,
-        label: Some("mode"),
-        help: "Microseconds per compiled-plan replay, by mode",
-    },
-    MetricDef {
-        name: "qns_tnet_replay_steps",
-        kind: MetricKind::Histogram,
-        label: Some("mode"),
-        help: "Contraction steps executed per replay (delta = dirty steps only)",
-    },
-];
+    TNET_REPLAYS_TOTAL: Counter, "qns_tnet_replays_total", Some("mode"),
+        "Compiled-plan replays, by mode (full vs delta)";
+    TNET_REPLAY_MICROS: Histogram, "qns_tnet_replay_micros", Some("mode"),
+        "Microseconds per compiled-plan replay, by mode";
+    TNET_REPLAY_STEPS: Histogram, "qns_tnet_replay_steps", Some("mode"),
+        "Contraction steps executed per replay (delta = dirty steps only)";
+}
 
 /// Looks up a catalog entry by name.
 pub fn find(name: &str) -> Option<&'static MetricDef> {

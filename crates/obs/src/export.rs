@@ -356,18 +356,19 @@ fn json_escape(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::catalog;
     use crate::journal::{Event, Journal};
     use crate::registry::Registry;
 
     fn seeded_registry() -> Registry {
         let reg = Registry::new();
-        reg.counter("qns_serve_jobs_submitted_total").add(7);
-        reg.counter_labeled("qns_serve_backend_jobs_total", "approx")
+        reg.counter(&catalog::SERVE_JOBS_SUBMITTED_TOTAL).add(7);
+        reg.counter_labeled(&catalog::SERVE_BACKEND_JOBS_TOTAL, "approx")
             .add(3);
-        reg.gauge("qns_serve_queue_depth").add(5);
-        reg.gauge("qns_serve_queue_depth").add(-2);
-        reg.histogram("qns_serve_queue_wait_micros").record(3);
-        reg.histogram("qns_serve_queue_wait_micros").record(700);
+        reg.gauge(&catalog::SERVE_QUEUE_DEPTH).add(5);
+        reg.gauge(&catalog::SERVE_QUEUE_DEPTH).add(-2);
+        reg.histogram(&catalog::SERVE_QUEUE_WAIT_MICROS).record(3);
+        reg.histogram(&catalog::SERVE_QUEUE_WAIT_MICROS).record(700);
         reg
     }
 

@@ -185,7 +185,6 @@ impl Journal {
     /// was preallocated by [`Journal::with_capacity`], so the push
     /// below never grows the buffer (tracked by
     /// [`Journal::allocation_events`]).
-    // qns-lint: zero-alloc
     pub fn record(&mut self, job: u64, kind: EventKind) {
         let seq = self.next_seq;
         self.next_seq += 1;

@@ -7,12 +7,13 @@
 //!
 //! 1. **Metrics registry** ([`Registry`]): atomic [`Counter`]s,
 //!    [`Gauge`]s with high-water marks, and fixed-bucket log₂
-//!    [`Histogram`]s with preallocated buckets. Every metric name is
-//!    declared in the committed [`CATALOG`]; the `qns-lint`
-//!    `metric-registry` rule statically checks that call sites in
-//!    `qns-serve`/`qns-tnet` only use catalog literals. The record
-//!    path is a few relaxed atomic ops and performs zero heap
-//!    allocations in steady state ([`Registry::allocation_events`]).
+//!    [`Histogram`]s with preallocated buckets. Every metric family is
+//!    a `pub const` [`MetricDef`] in the committed [`catalog`], and the
+//!    record-side accessors take `&'static MetricDef`, so a family
+//!    outside the catalog does not compile. The record path is a few
+//!    relaxed atomic ops and performs zero heap allocations in steady
+//!    state (`tests/zero_alloc.rs` counts them with a global
+//!    allocator; [`Registry::allocation_events`] counts registrations).
 //! 2. **Event journal** ([`Journal`]): a bounded preallocated ring of
 //!    structured per-job lifecycle [`Event`]s (submit → route → queue
 //!    wait → execute/cache/join → per-level refine progress →

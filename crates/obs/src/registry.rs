@@ -1,13 +1,15 @@
 //! The metrics registry: atomic counters, gauges, and log₂ histograms
 //! keyed by the committed [`crate::CATALOG`].
 //!
+//! Record-side handles are requested with a catalog constant
+//! (`registry.counter(&catalog::SERVE_JOBS_SUBMITTED_TOTAL)`), so only
+//! declared families can be recorded into; see [`crate::catalog`].
 //! Handles ([`Counter`], [`Gauge`], [`Histogram`]) are cheap `Arc`
 //! clones; the record path is a handful of relaxed atomic operations
-//! and performs **zero heap allocations** (the `// qns-lint: zero-alloc`
-//! annotations below are checked statically, and the registry counts
-//! its own registration-time allocations through
-//! [`Registry::allocation_events`] so tests can assert the steady
-//! state the same way the PR 5/6 kernels do).
+//! and performs **zero heap allocations** — `tests/zero_alloc.rs`
+//! asserts that under a counting global allocator, and the registry
+//! counts its own registration-time allocations through
+//! [`Registry::allocation_events`].
 //!
 //! All atomics use `Relaxed` ordering: each series is independently
 //! monotone, so a concurrent [`Registry::snapshot`] sees a consistent
@@ -56,13 +58,11 @@ impl Counter {
     }
 
     /// Adds one.
-    // qns-lint: zero-alloc
     pub fn inc(&self) {
         self.0.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Adds `n`.
-    // qns-lint: zero-alloc
     pub fn add(&self, n: u64) {
         self.0.fetch_add(n, Ordering::Relaxed);
     }
@@ -90,33 +90,28 @@ impl Gauge {
     }
 
     /// Adds `delta` (may be negative) and raises the high-water mark.
-    // qns-lint: zero-alloc
     pub fn add(&self, delta: i64) {
         let now = self.0.value.fetch_add(delta, Ordering::Relaxed) + delta;
         self.0.high.fetch_max(now, Ordering::Relaxed);
     }
 
     /// Adds one.
-    // qns-lint: zero-alloc
     pub fn inc(&self) {
         self.add(1);
     }
 
     /// Subtracts one (the high-water mark never decreases).
-    // qns-lint: zero-alloc
     pub fn dec(&self) {
         self.add(-1);
     }
 
     /// Stores `value` unconditionally and raises the high-water mark.
-    // qns-lint: zero-alloc
     pub fn set(&self, value: i64) {
         self.0.value.store(value, Ordering::Relaxed);
         self.0.high.fetch_max(value, Ordering::Relaxed);
     }
 
     /// Raises the stored value to at least `value`.
-    // qns-lint: zero-alloc
     pub fn set_max(&self, value: i64) {
         self.0.value.fetch_max(value, Ordering::Relaxed);
         self.0.high.fetch_max(value, Ordering::Relaxed);
@@ -125,7 +120,6 @@ impl Gauge {
     /// Stores `max(value, 1)` only if the gauge still reads zero —
     /// a one-shot latch (used for "first submission" timestamps,
     /// where zero means "not yet").
-    // qns-lint: zero-alloc
     pub fn set_if_unset(&self, value: i64) {
         let v = value.max(1);
         if self
@@ -177,7 +171,6 @@ impl Histogram {
 
     /// Records one sample. The buckets are preallocated, so this is
     /// two relaxed atomic adds and never touches the heap.
-    // qns-lint: zero-alloc
     pub fn record(&self, value: u64) {
         self.0.buckets[bucket_index(value)].fetch_add(1, Ordering::Relaxed);
         self.0.sum.fetch_add(value, Ordering::Relaxed);
@@ -286,9 +279,9 @@ struct Family {
 /// Construction pre-registers the whole catalog; labeled children are
 /// created on first use (each creation bumps
 /// [`Registry::allocation_events`], so a warmed-up registry records
-/// without allocating). Requesting a name outside the catalog panics —
-/// the `qns-lint` `metric-registry` rule keeps call sites honest at
-/// analysis time.
+/// without allocating). The accessors take catalog constants, so every
+/// family they name exists; asking for the wrong kind, or for a label
+/// on an unlabeled family (or none on a labeled one), still panics.
 pub struct Registry {
     families: BTreeMap<&'static str, Family>,
     allocation_events: AtomicU64,
@@ -331,20 +324,17 @@ impl Registry {
         self.allocation_events.load(Ordering::Relaxed)
     }
 
-    fn handle(&self, name: &str, label: &str) -> Handle {
-        assert!(
-            self.families.contains_key(name),
-            "metric `{name}` is not in obs::CATALOG"
-        );
+    fn handle(&self, def: &'static MetricDef, label: &str) -> Handle {
+        let name = def.name;
         let fam = &self.families[name];
         if label.is_empty() {
             assert!(
-                fam.def.label.is_none(),
+                def.label.is_none(),
                 "metric `{name}` requires a `{}` label",
-                fam.def.label.unwrap_or_default()
+                def.label.unwrap_or_default()
             );
         } else {
-            assert!(fam.def.label.is_some(), "metric `{name}` takes no label");
+            assert!(def.label.is_some(), "metric `{name}` takes no label");
         }
         if let Some(h) = fam
             .children
@@ -359,80 +349,76 @@ impl Registry {
             return h.clone();
         }
         self.allocation_events.fetch_add(1, Ordering::Relaxed);
-        let h = Handle::new(fam.def.kind);
+        let h = Handle::new(def.kind);
         children.insert(label.to_string(), h.clone());
         h
     }
 
-    /// Handle to an unlabeled counter. Panics if `name` is not a
-    /// catalog counter.
-    pub fn counter(&self, name: &str) -> Counter {
-        if let Handle::Counter(c) = self.handle(name, "") {
+    /// Handle to an unlabeled counter. Panics if `def` is not an
+    /// unlabeled counter.
+    pub fn counter(&self, def: &'static MetricDef) -> Counter {
+        if let Handle::Counter(c) = self.handle(def, "") {
             return c;
         }
         // qns-lint: allow(panic)
-        panic!("metric `{name}` is not an unlabeled counter")
+        panic!("metric `{}` is not an unlabeled counter", def.name)
     }
 
-    /// Handle to one labeled counter series. Panics if `name` is not a
-    /// labeled catalog counter.
-    pub fn counter_labeled(&self, name: &str, label: &str) -> Counter {
-        if let Handle::Counter(c) = self.handle(name, label) {
+    /// Handle to one labeled counter series. Panics if `def` is not a
+    /// labeled counter.
+    pub fn counter_labeled(&self, def: &'static MetricDef, label: &str) -> Counter {
+        if let Handle::Counter(c) = self.handle(def, label) {
             return c;
         }
         // qns-lint: allow(panic)
-        panic!("metric `{name}` is not a labeled counter")
+        panic!("metric `{}` is not a labeled counter", def.name)
     }
 
-    /// Handle to an unlabeled gauge. Panics if `name` is not a catalog
-    /// gauge.
-    pub fn gauge(&self, name: &str) -> Gauge {
-        if let Handle::Gauge(g) = self.handle(name, "") {
+    /// Handle to an unlabeled gauge. Panics if `def` is not an
+    /// unlabeled gauge.
+    pub fn gauge(&self, def: &'static MetricDef) -> Gauge {
+        if let Handle::Gauge(g) = self.handle(def, "") {
             return g;
         }
         // qns-lint: allow(panic)
-        panic!("metric `{name}` is not an unlabeled gauge")
+        panic!("metric `{}` is not an unlabeled gauge", def.name)
     }
 
-    /// Handle to one labeled gauge series. Panics if `name` is not a
-    /// labeled catalog gauge.
-    pub fn gauge_labeled(&self, name: &str, label: &str) -> Gauge {
-        if let Handle::Gauge(g) = self.handle(name, label) {
+    /// Handle to one labeled gauge series. Panics if `def` is not a
+    /// labeled gauge.
+    pub fn gauge_labeled(&self, def: &'static MetricDef, label: &str) -> Gauge {
+        if let Handle::Gauge(g) = self.handle(def, label) {
             return g;
         }
         // qns-lint: allow(panic)
-        panic!("metric `{name}` is not a labeled gauge")
+        panic!("metric `{}` is not a labeled gauge", def.name)
     }
 
-    /// Handle to an unlabeled histogram. Panics if `name` is not a
-    /// catalog histogram.
-    pub fn histogram(&self, name: &str) -> Histogram {
-        if let Handle::Histogram(h) = self.handle(name, "") {
+    /// Handle to an unlabeled histogram. Panics if `def` is not an
+    /// unlabeled histogram.
+    pub fn histogram(&self, def: &'static MetricDef) -> Histogram {
+        if let Handle::Histogram(h) = self.handle(def, "") {
             return h;
         }
         // qns-lint: allow(panic)
-        panic!("metric `{name}` is not an unlabeled histogram")
+        panic!("metric `{}` is not an unlabeled histogram", def.name)
     }
 
-    /// Handle to one labeled histogram series. Panics if `name` is not
-    /// a labeled catalog histogram.
-    pub fn histogram_labeled(&self, name: &str, label: &str) -> Histogram {
-        if let Handle::Histogram(h) = self.handle(name, label) {
+    /// Handle to one labeled histogram series. Panics if `def` is not
+    /// a labeled histogram.
+    pub fn histogram_labeled(&self, def: &'static MetricDef, label: &str) -> Histogram {
+        if let Handle::Histogram(h) = self.handle(def, label) {
             return h;
         }
         // qns-lint: allow(panic)
-        panic!("metric `{name}` is not a labeled histogram")
+        panic!("metric `{}` is not a labeled histogram", def.name)
     }
 
     /// All `(label, value)` pairs of a labeled counter family, in label
     /// order. Labels that were never touched are absent.
-    pub fn counter_values(&self, name: &str) -> Vec<(String, u64)> {
-        assert!(
-            self.families.contains_key(name),
-            "metric `{name}` is not in obs::CATALOG"
-        );
-        let fam = &self.families[name];
-        fam.children
+    pub fn counter_values(&self, def: &'static MetricDef) -> Vec<(String, u64)> {
+        self.families[def.name]
+            .children
             .read()
             .unwrap_or_else(PoisonError::into_inner)
             .iter()
@@ -458,10 +444,16 @@ impl Registry {
                         label: label.clone(),
                         value: match h {
                             Handle::Counter(c) => ValueSnapshot::Counter(c.get()),
-                            Handle::Gauge(g) => ValueSnapshot::Gauge(GaugeSnapshot {
-                                value: g.get(),
-                                high_water: g.high_water(),
-                            }),
+                            Handle::Gauge(g) => {
+                                // A racing writer raises the value before
+                                // the mark; the value read is itself a
+                                // stored value, so the mark is at least it.
+                                let value = g.get();
+                                ValueSnapshot::Gauge(GaugeSnapshot {
+                                    value,
+                                    high_water: g.high_water().max(value),
+                                })
+                            }
                             Handle::Histogram(hist) => ValueSnapshot::Histogram(hist.snapshot()),
                         },
                     })
@@ -591,6 +583,7 @@ impl MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::catalog::{SERVE_BACKEND_JOBS_TOTAL, SERVE_JOBS_SUBMITTED_TOTAL, SERVE_QUEUE_DEPTH};
 
     #[test]
     fn bucket_index_matches_ceil_log2() {
@@ -608,14 +601,14 @@ mod tests {
     #[test]
     fn counter_and_gauge_basics() {
         let reg = Registry::new();
-        let c = reg.counter("qns_serve_jobs_submitted_total");
+        let c = reg.counter(&SERVE_JOBS_SUBMITTED_TOTAL);
         c.inc();
         c.add(4);
         assert_eq!(c.get(), 5);
         // Handles alias the same cell.
-        assert_eq!(reg.counter("qns_serve_jobs_submitted_total").get(), 5);
+        assert_eq!(reg.counter(&SERVE_JOBS_SUBMITTED_TOTAL).get(), 5);
 
-        let g = reg.gauge("qns_serve_queue_depth");
+        let g = reg.gauge(&SERVE_QUEUE_DEPTH);
         g.add(3);
         g.dec();
         assert_eq!(g.get(), 2);
@@ -657,14 +650,14 @@ mod tests {
     fn labeled_children_register_on_first_use_only() {
         let reg = Registry::new();
         assert_eq!(reg.allocation_events(), 0);
-        let a = reg.counter_labeled("qns_serve_backend_jobs_total", "approx");
+        let a = reg.counter_labeled(&SERVE_BACKEND_JOBS_TOTAL, "approx");
         assert_eq!(reg.allocation_events(), 1);
-        let b = reg.counter_labeled("qns_serve_backend_jobs_total", "approx");
+        let b = reg.counter_labeled(&SERVE_BACKEND_JOBS_TOTAL, "approx");
         assert_eq!(reg.allocation_events(), 1, "second lookup reuses the child");
         a.inc();
         b.inc();
         assert_eq!(
-            reg.counter_values("qns_serve_backend_jobs_total"),
+            reg.counter_values(&SERVE_BACKEND_JOBS_TOTAL),
             vec![("approx".to_string(), 2)]
         );
     }
@@ -695,11 +688,5 @@ mod tests {
             snap.counter_value("qns_serve_queue_depth").is_none(),
             "kind mismatch is None"
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "not in obs::CATALOG")]
-    fn unknown_metric_panics() {
-        Registry::new().counter("qns_serve_not_a_metric_total");
     }
 }

@@ -11,31 +11,31 @@ use qns_obs::{export, json, Registry, CATALOG};
 fn seed(reg: &Registry, values: &[u64]) {
     for (def, &v) in CATALOG.iter().zip(values) {
         match (def.kind, def.label.is_some()) {
-            (MetricKind::Counter, false) => reg.counter(def.name).add(v),
+            (MetricKind::Counter, false) => reg.counter(def).add(v),
             (MetricKind::Counter, true) => {
-                reg.counter_labeled(def.name, "a").add(v);
-                reg.counter_labeled(def.name, "b").add(v / 3);
+                reg.counter_labeled(def, "a").add(v);
+                reg.counter_labeled(def, "b").add(v / 3);
             }
             (MetricKind::Gauge, false) => {
-                let g = reg.gauge(def.name);
+                let g = reg.gauge(def);
                 g.set(v as i64);
                 g.add(-((v / 2) as i64));
             }
             (MetricKind::Gauge, true) => {
-                let a = reg.gauge_labeled(def.name, "a");
+                let a = reg.gauge_labeled(def, "a");
                 a.set(v as i64);
                 a.add(-((v / 2) as i64));
-                reg.gauge_labeled(def.name, "b").set((v / 3) as i64);
+                reg.gauge_labeled(def, "b").set((v / 3) as i64);
             }
             (MetricKind::Histogram, false) => {
-                let h = reg.histogram(def.name);
+                let h = reg.histogram(def);
                 h.record(v);
                 h.record(v / 7);
                 h.record(v % 1024);
             }
             (MetricKind::Histogram, true) => {
-                reg.histogram_labeled(def.name, "a").record(v);
-                reg.histogram_labeled(def.name, "b").record(v % 4096);
+                reg.histogram_labeled(def, "a").record(v);
+                reg.histogram_labeled(def, "b").record(v % 4096);
             }
         }
     }

@@ -2,7 +2,7 @@
 //! snapshots are consistent monotone views, ring overflow is counted,
 //! and the steady-state record path never allocates.
 
-use qns_obs::{EventKind, Journal, Registry};
+use qns_obs::{catalog, EventKind, Journal, Registry};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
@@ -60,11 +60,11 @@ fn totals_conserved_while_reader_snapshots() {
         .map(|w| {
             let reg = Arc::clone(&reg);
             thread::spawn(move || {
-                let counter = reg.counter("qns_serve_jobs_submitted_total");
-                let hist = reg.histogram("qns_serve_queue_wait_micros");
-                let gauge = reg.gauge("qns_serve_refine_active");
+                let counter = reg.counter(&catalog::SERVE_JOBS_SUBMITTED_TOTAL);
+                let hist = reg.histogram(&catalog::SERVE_QUEUE_WAIT_MICROS);
+                let gauge = reg.gauge(&catalog::SERVE_REFINE_ACTIVE);
                 let labeled = reg.counter_labeled(
-                    "qns_serve_backend_jobs_total",
+                    &catalog::SERVE_BACKEND_JOBS_TOTAL,
                     if w % 2 == 0 { "a" } else { "b" },
                 );
                 for i in 0..OPS_PER_WRITER {
@@ -113,9 +113,9 @@ fn steady_state_recording_never_allocates() {
     let reg = Registry::new();
     // Warm-up: touch every handle the hot loop will use (labeled
     // children register here, exactly once).
-    let counter = reg.counter("qns_serve_jobs_executed_total");
-    let hist = reg.histogram("qns_serve_e2e_latency_micros");
-    let labeled = reg.counter_labeled("qns_serve_backend_micros_total", "approx");
+    let counter = reg.counter(&catalog::SERVE_JOBS_EXECUTED_TOTAL);
+    let hist = reg.histogram(&catalog::SERVE_E2E_LATENCY_MICROS);
+    let labeled = reg.counter_labeled(&catalog::SERVE_BACKEND_MICROS_TOTAL, "approx");
     let warm = reg.allocation_events();
 
     let mut journal = Journal::with_capacity(256);
@@ -123,7 +123,7 @@ fn steady_state_recording_never_allocates() {
         counter.inc();
         hist.record(i);
         labeled.add(i);
-        reg.counter_labeled("qns_serve_backend_micros_total", "approx")
+        reg.counter_labeled(&catalog::SERVE_BACKEND_MICROS_TOTAL, "approx")
             .inc();
         journal.record(
             i,

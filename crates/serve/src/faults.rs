@@ -14,50 +14,84 @@
 //!   by the service's `catch_unwind` harness), injected latency, and
 //!   hangs long enough to trip the deadline watchdog.
 //! * **Serve-internal faults** — [`install`] a plan process-globally
-//!   and the service's own failpoints (`cache.probe`, `refine.advance`)
-//!   consult it via [`failpoint`]. While **uninstalled** (the default)
-//!   that hook is a single relaxed atomic load — the same zero-overhead
-//!   contract as `qns_tnet::profile` — so production serving pays
-//!   nothing for the chaos machinery.
+//!   and the service's own failpoints ([`Failpoint::CacheProbe`],
+//!   [`Failpoint::RefineAdvance`]) consult it via [`failpoint`]. While
+//!   **uninstalled** (the default) that hook is a single relaxed atomic
+//!   load — the same zero-overhead contract as `qns_tnet::profile` — so
+//!   production serving pays nothing for the chaos machinery.
 //!
-//! Every failpoint name used anywhere in this crate must be a string
-//! literal declared in [`FAILPOINTS`]; the `qns-lint`
-//! `failpoint-registry` rule parses this constant and cross-checks the
-//! call sites, exactly as the lock and metric registries are checked.
+//! Every failpoint is a variant of [`Failpoint`], and every consult
+//! takes one, so a failpoint outside the registry does not compile:
+//!
+//! ```
+//! use qns_serve::{FaultPlan, Failpoint};
+//! let plan = FaultPlan::new(42).with_error(Failpoint::BackendError, 300);
+//! let _ = plan.failpoint(Failpoint::BackendError);
+//! ```
+//!
+//! ```compile_fail,E0599
+//! use qns_serve::{FaultPlan, Failpoint};
+//! let plan = FaultPlan::new(42).with_error(Failpoint::BackendEror, 300);
+//! ```
 
 use qns_api::{Backend, Estimate, ExpectationJob, QnsError};
 use rand::SplitMix64;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, PoisonError, RwLock}; // qns-lint: allow(lock-registry)
+use std::sync::{Arc, PoisonError};
 use std::time::Duration;
 
-/// Every failpoint the serving layer may consult, the single reviewable
-/// registry the `qns-lint` `failpoint-registry` rule checks call sites
-/// against.
-///
-/// * `backend.error` — [`ChaosBackend`] returns a retryable
-///   [`QnsError::ExecutionPanicked`] instead of executing.
-/// * `backend.panic` — [`ChaosBackend`] panics mid-execution (the
-///   service's `catch_unwind` harness must contain it).
-/// * `backend.delay` — [`ChaosBackend`] sleeps before executing
-///   (injected latency; stresses timeout margins).
-/// * `backend.hang` — [`ChaosBackend`] sleeps a long, bounded time
-///   (a hung engine; the deadline watchdog must resolve the handle).
-/// * `cache.probe` — the service stalls inside its result-cache probe,
-///   widening the dedup/cache race windows.
-/// * `refine.advance` — one refinement level fails or runs slow,
-///   exercising the EWMA poisoning guard and per-level error paths.
-pub const FAILPOINTS: &[&str] = &[
-    "backend.error",
-    "backend.panic",
-    "backend.delay",
-    "backend.hang",
-    "cache.probe",
-    "refine.advance",
-];
+/// Every failpoint the serving layer may consult. A plan indexes its
+/// per-failpoint state by discriminant, and [`Failpoint::name`] feeds
+/// the per-failpoint hash stream, so the dotted names are part of the
+/// replay contract: renaming one changes every chaos schedule.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Failpoint {
+    /// `backend.error` — [`ChaosBackend`] returns a retryable
+    /// [`QnsError::ExecutionPanicked`] instead of executing.
+    BackendError,
+    /// `backend.panic` — [`ChaosBackend`] panics mid-execution (the
+    /// service's `catch_unwind` harness must contain it).
+    BackendPanic,
+    /// `backend.delay` — [`ChaosBackend`] sleeps before executing
+    /// (injected latency; stresses timeout margins).
+    BackendDelay,
+    /// `backend.hang` — [`ChaosBackend`] sleeps a long, bounded time
+    /// (a hung engine; the deadline watchdog must resolve the handle).
+    BackendHang,
+    /// `cache.probe` — the service stalls inside its result-cache
+    /// probe, widening the dedup/cache race windows.
+    CacheProbe,
+    /// `refine.advance` — one refinement level fails or runs slow,
+    /// exercising the EWMA poisoning guard and per-level error paths.
+    RefineAdvance,
+}
 
-/// Number of registered failpoints (array sizes below).
-const N: usize = FAILPOINTS.len();
+impl Failpoint {
+    /// Every failpoint, in discriminant order.
+    pub const ALL: [Failpoint; 6] = [
+        Failpoint::BackendError,
+        Failpoint::BackendPanic,
+        Failpoint::BackendDelay,
+        Failpoint::BackendHang,
+        Failpoint::CacheProbe,
+        Failpoint::RefineAdvance,
+    ];
+
+    /// The failpoint's dotted name (`backend.error`, …).
+    pub const fn name(self) -> &'static str {
+        match self {
+            Failpoint::BackendError => "backend.error",
+            Failpoint::BackendPanic => "backend.panic",
+            Failpoint::BackendDelay => "backend.delay",
+            Failpoint::BackendHang => "backend.hang",
+            Failpoint::CacheProbe => "cache.probe",
+            Failpoint::RefineAdvance => "refine.advance",
+        }
+    }
+}
+
+/// Number of failpoints (array sizes below).
+const N: usize = Failpoint::ALL.len();
 
 /// What a consulted failpoint told the caller to do.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -98,7 +132,7 @@ pub struct FaultPlan {
     fired: [AtomicU64; N],
 }
 
-/// FNV-1a over the failpoint name, folding the registry string into
+/// FNV-1a over the failpoint name, folding [`Failpoint::name`] into
 /// the per-failpoint hash stream.
 fn fnv1a(name: &str) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
@@ -125,52 +159,39 @@ impl FaultPlan {
         self.seed
     }
 
-    fn index_of(name: &str) -> usize {
-        FAILPOINTS
-            .iter()
-            .position(|&f| f == name)
-            .unwrap_or_else(|| {
-                // qns-lint: allow(panic)
-                panic!("failpoint `{name}` is not declared in qns_serve::faults::FAILPOINTS")
-            })
-    }
-
-    /// Configures `name` to fire a failure effect with probability
+    /// Configures `fp` to fire a failure effect with probability
     /// `per_mille`/1000 per hit.
     #[must_use]
-    pub fn with_error(mut self, name: &str, per_mille: u32) -> FaultPlan {
-        self.rules[Self::index_of(name)] = FaultRule {
+    pub fn with_error(mut self, fp: Failpoint, per_mille: u32) -> FaultPlan {
+        self.rules[fp as usize] = FaultRule {
             per_mille,
             delay_micros: 0,
         };
         self
     }
 
-    /// Configures `name` to inject `delay_micros` of latency with
+    /// Configures `fp` to inject `delay_micros` of latency with
     /// probability `per_mille`/1000 per hit.
     #[must_use]
-    pub fn with_delay(mut self, name: &str, per_mille: u32, delay_micros: u64) -> FaultPlan {
-        self.rules[Self::index_of(name)] = FaultRule {
+    pub fn with_delay(mut self, fp: Failpoint, per_mille: u32, delay_micros: u64) -> FaultPlan {
+        self.rules[fp as usize] = FaultRule {
             per_mille,
             delay_micros: delay_micros.max(1),
         };
         self
     }
 
-    /// Consults failpoint `name`: advances its hit counter and returns
-    /// the (deterministic) action for this hit.
-    ///
-    /// Call sites in serve code must pass the name as a string literal
-    /// declared in [`FAILPOINTS`] — enforced by `qns-lint`.
-    pub fn failpoint(&self, name: &str) -> FaultAction {
-        let idx = Self::index_of(name);
+    /// Consults `fp`: advances its hit counter and returns the
+    /// (deterministic) action for this hit.
+    pub fn failpoint(&self, fp: Failpoint) -> FaultAction {
+        let idx = fp as usize;
         let rule = self.rules[idx];
         let hit = self.hits[idx].fetch_add(1, Ordering::Relaxed);
         if rule.per_mille == 0 {
             return FaultAction::None;
         }
         let mut mix =
-            SplitMix64::new(self.seed ^ fnv1a(name) ^ hit.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+            SplitMix64::new(self.seed ^ fnv1a(fp.name()) ^ hit.wrapping_mul(0x9e37_79b9_7f4a_7c15));
         if mix.next_u64() % 1000 >= u64::from(rule.per_mille) {
             return FaultAction::None;
         }
@@ -182,14 +203,14 @@ impl FaultPlan {
         }
     }
 
-    /// Times failpoint `name` was consulted.
-    pub fn hits(&self, name: &str) -> u64 {
-        self.hits[Self::index_of(name)].load(Ordering::Relaxed)
+    /// Times `fp` was consulted.
+    pub fn hits(&self, fp: Failpoint) -> u64 {
+        self.hits[fp as usize].load(Ordering::Relaxed)
     }
 
-    /// Times failpoint `name` actually fired.
-    pub fn fired(&self, name: &str) -> u64 {
-        self.fired[Self::index_of(name)].load(Ordering::Relaxed)
+    /// Times `fp` actually fired.
+    pub fn fired(&self, fp: Failpoint) -> u64 {
+        self.fired[fp as usize].load(Ordering::Relaxed)
     }
 
     /// Total firings across all failpoints.
@@ -206,8 +227,8 @@ static ENABLED: AtomicBool = AtomicBool::new(false);
 /// never acquired while any serve lock is held on the fast path (the
 /// relaxed load short-circuits first), and chaos installation is a
 /// test/bench harness concern outside the serve lock order.
-// qns-lint: allow(lock-registry)
-static PLAN: RwLock<Option<Arc<FaultPlan>>> = RwLock::new(None);
+#[allow(clippy::disallowed_types)]
+static PLAN: std::sync::RwLock<Option<Arc<FaultPlan>>> = std::sync::RwLock::new(None);
 
 /// Installs `plan` as the process-global fault plan consulted by the
 /// service's internal failpoints until [`uninstall`] (last install
@@ -230,15 +251,15 @@ pub fn is_enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// Consults the process-global plan's failpoint `name`;
+/// Consults the process-global plan's failpoint `fp`;
 /// [`FaultAction::None`] when no plan is installed.
-pub fn failpoint(name: &str) -> FaultAction {
+pub fn failpoint(fp: Failpoint) -> FaultAction {
     if !ENABLED.load(Ordering::Relaxed) {
         return FaultAction::None;
     }
     let guard = PLAN.read().unwrap_or_else(PoisonError::into_inner);
     match guard.as_ref() {
-        Some(plan) => plan.failpoint(name), // qns-lint: allow(failpoint-registry)
+        Some(plan) => plan.failpoint(fp),
         None => FaultAction::None,
     }
 }
@@ -289,14 +310,14 @@ impl<B: Backend> Backend for ChaosBackend<B> {
         // Latency first (delay, then hang), so a plan combining delay
         // and error observes the slow-then-fail ordering a real
         // degrading engine exhibits.
-        apply_delay(self.plan.failpoint("backend.delay"));
-        apply_delay(self.plan.failpoint("backend.hang"));
-        if apply_delay(self.plan.failpoint("backend.error")) {
+        apply_delay(self.plan.failpoint(Failpoint::BackendDelay));
+        apply_delay(self.plan.failpoint(Failpoint::BackendHang));
+        if apply_delay(self.plan.failpoint(Failpoint::BackendError)) {
             return Err(QnsError::ExecutionPanicked {
                 reason: format!("injected fault: backend.error on `{}`", self.inner.name()),
             });
         }
-        if apply_delay(self.plan.failpoint("backend.panic")) {
+        if apply_delay(self.plan.failpoint(Failpoint::BackendPanic)) {
             // An injected engine crash: must be contained by the
             // service's catch_unwind harness like any real panic.
             panic!("injected fault: backend.panic on `{}`", self.inner.name()); // qns-lint: allow(panic)
@@ -321,29 +342,65 @@ impl<B: Backend> Backend for ChaosBackend<B> {
 mod tests {
     use super::*;
 
-    fn decisions(plan: &FaultPlan, name: &str, hits: usize) -> Vec<FaultAction> {
-        (0..hits).map(|_| plan.failpoint(name)).collect()
+    fn decisions(plan: &FaultPlan, fp: Failpoint, hits: usize) -> Vec<FaultAction> {
+        (0..hits).map(|_| plan.failpoint(fp)).collect()
     }
 
     #[test]
     fn same_seed_replays_the_same_schedule() {
-        let a = FaultPlan::new(42).with_error("backend.error", 300);
-        let b = FaultPlan::new(42).with_error("backend.error", 300);
+        let a = FaultPlan::new(42).with_error(Failpoint::BackendError, 300);
+        let b = FaultPlan::new(42).with_error(Failpoint::BackendError, 300);
         assert_eq!(
-            decisions(&a, "backend.error", 200),
-            decisions(&b, "backend.error", 200)
+            decisions(&a, Failpoint::BackendError, 200),
+            decisions(&b, Failpoint::BackendError, 200)
         );
-        assert!(a.fired("backend.error") > 0, "p=0.3 over 200 hits fires");
-        assert_eq!(a.fired("backend.error"), b.fired("backend.error"));
+        assert!(
+            a.fired(Failpoint::BackendError) > 0,
+            "p=0.3 over 200 hits fires"
+        );
+        assert_eq!(
+            a.fired(Failpoint::BackendError),
+            b.fired(Failpoint::BackendError)
+        );
+    }
+
+    /// The first 64 decisions of every failpoint under seed 42 at
+    /// 500‰, as bitmasks (bit `k` = hit `k` tripped), recorded when
+    /// failpoints were still string-keyed. A chaos seed must replay the
+    /// same schedule across that change, so these may never move.
+    #[test]
+    fn pinned_seed_42_schedule_is_unchanged() {
+        const PINNED: [(Failpoint, u64); N] = [
+            (Failpoint::BackendError, 0x2b1b_e783_1e02_e113),
+            (Failpoint::BackendPanic, 0x52cd_98bb_b7ca_94cc),
+            (Failpoint::BackendDelay, 0x521e_ab87_7f23_c50c),
+            (Failpoint::BackendHang, 0xd072_4f43_e3aa_6e8b),
+            (Failpoint::CacheProbe, 0xd747_6b5e_0efb_656e),
+            (Failpoint::RefineAdvance, 0x20a1_2697_3cd9_21a0),
+        ];
+        for (fp, mask) in PINNED {
+            let plan = FaultPlan::new(42).with_error(fp, 500);
+            let expected: Vec<FaultAction> = (0..64)
+                .map(|k| {
+                    if mask >> k & 1 == 1 {
+                        FaultAction::Trip
+                    } else {
+                        FaultAction::None
+                    }
+                })
+                .collect();
+            assert_eq!(decisions(&plan, fp, 64), expected, "{}", fp.name());
+        }
+        assert_eq!(PINNED.map(|(fp, _)| fp), Failpoint::ALL);
     }
 
     #[test]
     fn different_seeds_diverge() {
-        let a = FaultPlan::new(1).with_error("backend.error", 500);
-        let b = FaultPlan::new(2).with_error("backend.error", 500);
+        let a = FaultPlan::new(1).with_error(Failpoint::BackendError, 500);
+        let b = FaultPlan::new(2).with_error(Failpoint::BackendError, 500);
         assert_ne!(
-            decisions(&a, "backend.error", 128),
-            decisions(&b, "backend.error", 128),
+            decisions(&a, Failpoint::BackendError, 128),
+            decisions(&b, Failpoint::BackendError, 128),
             "seeds 1 and 2 agree on 128 coin flips — hash is broken"
         );
     }
@@ -351,16 +408,16 @@ mod tests {
     #[test]
     fn failpoints_are_independent_streams() {
         let plan = FaultPlan::new(7)
-            .with_error("backend.error", 500)
-            .with_error("backend.panic", 500);
+            .with_error(Failpoint::BackendError, 500)
+            .with_error(Failpoint::BackendPanic, 500);
         // Interleaving consultations of one failpoint must not disturb
         // the other's sequence.
-        let solo = FaultPlan::new(7).with_error("backend.error", 500);
-        let expected = decisions(&solo, "backend.error", 64);
+        let solo = FaultPlan::new(7).with_error(Failpoint::BackendError, 500);
+        let expected = decisions(&solo, Failpoint::BackendError, 64);
         let mut got = Vec::new();
         for _ in 0..64 {
-            got.push(plan.failpoint("backend.error"));
-            let _ = plan.failpoint("backend.panic");
+            got.push(plan.failpoint(Failpoint::BackendError));
+            let _ = plan.failpoint(Failpoint::BackendPanic);
         }
         assert_eq!(got, expected);
     }
@@ -369,16 +426,19 @@ mod tests {
     fn unconfigured_failpoints_never_fire() {
         let plan = FaultPlan::new(9);
         for _ in 0..64 {
-            assert_eq!(plan.failpoint("cache.probe"), FaultAction::None);
+            assert_eq!(plan.failpoint(Failpoint::CacheProbe), FaultAction::None);
         }
-        assert_eq!(plan.hits("cache.probe"), 64);
+        assert_eq!(plan.hits(Failpoint::CacheProbe), 64);
         assert_eq!(plan.total_fired(), 0);
     }
 
     #[test]
     fn delay_rules_yield_sleep_actions() {
-        let plan = FaultPlan::new(3).with_delay("backend.delay", 1000, 5);
-        assert_eq!(plan.failpoint("backend.delay"), FaultAction::Sleep(5));
+        let plan = FaultPlan::new(3).with_delay(Failpoint::BackendDelay, 1000, 5);
+        assert_eq!(
+            plan.failpoint(Failpoint::BackendDelay),
+            FaultAction::Sleep(5)
+        );
     }
 
     #[test]
@@ -386,7 +446,7 @@ mod tests {
         // Note: global-state tests elsewhere serialize on a lock; this
         // one only asserts the uninstalled default.
         if !is_enabled() {
-            assert_eq!(failpoint("cache.probe"), FaultAction::None);
+            assert_eq!(failpoint(Failpoint::CacheProbe), FaultAction::None);
         }
     }
 

@@ -75,14 +75,14 @@ pub mod sync;
 
 pub use breaker::{BreakerPolicy, BreakerState, CircuitBreaker};
 pub use cache::{CacheCounters, LruCache};
-pub use faults::{ChaosBackend, FaultAction, FaultPlan, FAILPOINTS};
+pub use faults::{ChaosBackend, Failpoint, FaultAction, FaultPlan};
 pub use refine::{LevelSum, RefineRequest, RefinementHandle, RefinementUpdate};
 pub use router::{route_job, route_job_masked, Route, SharedBackend};
 pub use service::{
     default_engines, AdmissionPolicy, BackendStats, JobHandle, JobSpec, RetryPolicy, Service,
     ServiceBuilder, ServiceStats, TimeoutPolicy,
 };
-pub use sync::{OrderedCondvar, OrderedMutex, OrderedMutexGuard, LOCK_ORDER};
+pub use sync::{LockRank, OrderedCondvar, OrderedMutex, OrderedMutexGuard};
 
 // Re-exported so service code can be written against one crate.
 pub use qns_api::{Estimate, Fingerprint, PartialEstimate, QnsError};

@@ -3,14 +3,14 @@
 //! once at construction so steady-state recording is allocation-free.
 //!
 //! Lifecycle events are recorded into the journal behind the
-//! `serve.journal` [`OrderedMutex`] — the innermost lock in
-//! [`crate::sync::LOCK_ORDER`], so recording is legal from any point,
+//! `serve.journal` [`OrderedMutex`] — the innermost
+//! [`crate::sync::LockRank`], so recording is legal from any point,
 //! including while `serve.state` is held (which the submit paths rely
 //! on to keep each job's events in pipeline order).
 
-use crate::sync::OrderedMutex;
+use crate::sync::{LockRank, OrderedMutex};
 use qns_core::timing::Stopwatch;
-use qns_obs::{Counter, DrainedEvents, EventKind, Gauge, Histogram, Journal, Registry};
+use qns_obs::{catalog, Counter, DrainedEvents, EventKind, Gauge, Histogram, Journal, Registry};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -60,38 +60,38 @@ impl Obs {
     ) -> Obs {
         let registry = Arc::new(Registry::new());
         let journal = Journal::with_capacity(journal_capacity)
-            .with_drop_counter(registry.counter("qns_serve_events_dropped_total"));
+            .with_drop_counter(registry.counter(&catalog::SERVE_EVENTS_DROPPED_TOTAL));
         let mut backends = BTreeMap::new();
         for &name in engine_names.into_iter().chain(&["refine"]) {
             backends.insert(
                 name,
                 BackendHandles {
-                    jobs: registry.counter_labeled("qns_serve_backend_jobs_total", name),
-                    micros: registry.counter_labeled("qns_serve_backend_micros_total", name),
+                    jobs: registry.counter_labeled(&catalog::SERVE_BACKEND_JOBS_TOTAL, name),
+                    micros: registry.counter_labeled(&catalog::SERVE_BACKEND_MICROS_TOTAL, name),
                 },
             );
         }
         Obs {
-            submitted: registry.counter("qns_serve_jobs_submitted_total"),
-            executed: registry.counter("qns_serve_jobs_executed_total"),
-            dedup_joins: registry.counter("qns_serve_dedup_joins_total"),
-            queue_depth: registry.gauge("qns_serve_queue_depth"),
-            queue_wait: registry.histogram("qns_serve_queue_wait_micros"),
-            e2e: registry.histogram("qns_serve_e2e_latency_micros"),
-            refinements: registry.counter("qns_serve_refinements_total"),
-            refine_from_cache: registry.counter("qns_serve_refine_levels_from_cache_total"),
-            refine_cancelled: registry.counter("qns_serve_refine_cancelled_total"),
-            refine_active: registry.gauge("qns_serve_refine_active"),
-            refine_level_micros: registry.histogram("qns_serve_refine_level_micros"),
-            retries: registry.counter("qns_serve_retries_total"),
-            failovers: registry.counter("qns_serve_failovers_total"),
-            timeouts: registry.counter("qns_serve_timeouts_total"),
-            shed: registry.counter("qns_serve_shed_total"),
-            degraded: registry.counter("qns_serve_degraded_total"),
-            window_first_submit: registry.gauge("qns_serve_window_first_submit_micros"),
-            window_last_resolve: registry.gauge("qns_serve_window_last_resolve_micros"),
+            submitted: registry.counter(&catalog::SERVE_JOBS_SUBMITTED_TOTAL),
+            executed: registry.counter(&catalog::SERVE_JOBS_EXECUTED_TOTAL),
+            dedup_joins: registry.counter(&catalog::SERVE_DEDUP_JOINS_TOTAL),
+            queue_depth: registry.gauge(&catalog::SERVE_QUEUE_DEPTH),
+            queue_wait: registry.histogram(&catalog::SERVE_QUEUE_WAIT_MICROS),
+            e2e: registry.histogram(&catalog::SERVE_E2E_LATENCY_MICROS),
+            refinements: registry.counter(&catalog::SERVE_REFINEMENTS_TOTAL),
+            refine_from_cache: registry.counter(&catalog::SERVE_REFINE_LEVELS_FROM_CACHE_TOTAL),
+            refine_cancelled: registry.counter(&catalog::SERVE_REFINE_CANCELLED_TOTAL),
+            refine_active: registry.gauge(&catalog::SERVE_REFINE_ACTIVE),
+            refine_level_micros: registry.histogram(&catalog::SERVE_REFINE_LEVEL_MICROS),
+            retries: registry.counter(&catalog::SERVE_RETRIES_TOTAL),
+            failovers: registry.counter(&catalog::SERVE_FAILOVERS_TOTAL),
+            timeouts: registry.counter(&catalog::SERVE_TIMEOUTS_TOTAL),
+            shed: registry.counter(&catalog::SERVE_SHED_TOTAL),
+            degraded: registry.counter(&catalog::SERVE_DEGRADED_TOTAL),
+            window_first_submit: registry.gauge(&catalog::SERVE_WINDOW_FIRST_SUBMIT_MICROS),
+            window_last_resolve: registry.gauge(&catalog::SERVE_WINDOW_LAST_RESOLVE_MICROS),
             backends,
-            journal: OrderedMutex::new("serve.journal", journal),
+            journal: OrderedMutex::new(LockRank::Journal, journal),
             registry,
             clock: Stopwatch::start(),
             next_job_id: AtomicU64::new(0),
@@ -101,9 +101,9 @@ impl Obs {
     /// Result-cache counter handles, in (hits, misses, evictions) order.
     pub(crate) fn cache_counters(&self) -> (Counter, Counter, Counter) {
         (
-            self.registry.counter("qns_serve_cache_hits_total"),
-            self.registry.counter("qns_serve_cache_misses_total"),
-            self.registry.counter("qns_serve_cache_evictions_total"),
+            self.registry.counter(&catalog::SERVE_CACHE_HITS_TOTAL),
+            self.registry.counter(&catalog::SERVE_CACHE_MISSES_TOTAL),
+            self.registry.counter(&catalog::SERVE_CACHE_EVICTIONS_TOTAL),
         )
     }
 
@@ -111,11 +111,12 @@ impl Obs {
     /// order.
     pub(crate) fn partial_cache_counters(&self) -> (Counter, Counter, Counter) {
         (
-            self.registry.counter("qns_serve_partial_cache_hits_total"),
             self.registry
-                .counter("qns_serve_partial_cache_misses_total"),
+                .counter(&catalog::SERVE_PARTIAL_CACHE_HITS_TOTAL),
             self.registry
-                .counter("qns_serve_partial_cache_evictions_total"),
+                .counter(&catalog::SERVE_PARTIAL_CACHE_MISSES_TOTAL),
+            self.registry
+                .counter(&catalog::SERVE_PARTIAL_CACHE_EVICTIONS_TOTAL),
         )
     }
 
@@ -125,9 +126,10 @@ impl Obs {
     /// export — and the breaker transition paths never allocate.
     pub(crate) fn breaker_handles(&self, name: &'static str) -> (Gauge, Counter) {
         (
-            self.registry.gauge_labeled("qns_serve_breaker_state", name),
             self.registry
-                .counter_labeled("qns_serve_breaker_opens_total", name),
+                .gauge_labeled(&catalog::SERVE_BREAKER_STATE, name),
+            self.registry
+                .counter_labeled(&catalog::SERVE_BREAKER_OPENS_TOTAL, name),
         )
     }
 
@@ -136,7 +138,7 @@ impl Obs {
     pub(crate) fn refine_level_counter(&self, level: usize) -> Counter {
         let mut buf = [0u8; 20];
         self.registry.counter_labeled(
-            "qns_serve_refine_levels_completed_total",
+            &catalog::SERVE_REFINE_LEVELS_COMPLETED_TOTAL,
             fmt_usize(level, &mut buf),
         )
     }

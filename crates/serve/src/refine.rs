@@ -18,7 +18,7 @@
 //! will read); [`RefinementHandle::cancel`] does the same explicitly.
 
 use crate::cache::CacheCounters;
-use crate::sync::{OrderedCondvar, OrderedMutex};
+use crate::sync::{LockRank, OrderedCondvar, OrderedMutex};
 use qns_api::{Estimate, PartialEstimate, QnsError};
 use qns_obs::Counter;
 use std::collections::BTreeMap;
@@ -301,7 +301,7 @@ pub(crate) struct RefineShared {
 impl Default for RefineShared {
     fn default() -> Self {
         RefineShared {
-            progress: OrderedMutex::new("refine.progress", RefineProgress::default()),
+            progress: OrderedMutex::new(LockRank::RefineProgress, RefineProgress::default()),
             advanced: OrderedCondvar::new(),
         }
     }

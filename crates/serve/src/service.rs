@@ -33,14 +33,14 @@
 
 use crate::breaker::{BreakerPolicy, CircuitBreaker};
 use crate::cache::LruCache;
-use crate::faults::{self, FaultAction};
+use crate::faults::{self, Failpoint, FaultAction};
 use crate::obs::Obs;
 use crate::refine::{
     deadline_level, LevelSum, PartialSumCache, RefineRequest, RefineShared, RefinementHandle,
     RefinementUpdate,
 };
 use crate::router::{route_job_masked, Route, SharedBackend};
-use crate::sync::{OrderedCondvar, OrderedMutex, OrderedMutexGuard};
+use crate::sync::{LockRank, OrderedCondvar, OrderedMutex, OrderedMutexGuard};
 use qns_api::{
     partial_sum_key, ApproxBackend, ApproxOptions, DensityBackend, Estimate, ExpectationJob,
     Fingerprint, InitialState, MpoBackend, Observable, QnsError, Refinement, TddBackend,
@@ -48,7 +48,7 @@ use qns_api::{
 };
 use qns_core::timing::time_it;
 use qns_noise::NoisyCircuit;
-use qns_obs::{DrainedEvents, EventKind, MetricsSnapshot, Registry};
+use qns_obs::{catalog, DrainedEvents, EventKind, MetricsSnapshot, Registry};
 use rand::SplitMix64;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -234,14 +234,14 @@ struct Flight {
 impl Flight {
     fn pending() -> Arc<Flight> {
         Arc::new(Flight {
-            slot: OrderedMutex::new("flight.slot", None),
+            slot: OrderedMutex::new(LockRank::FlightSlot, None),
             done: OrderedCondvar::new(),
         })
     }
 
     fn resolved(result: Result<Estimate, QnsError>) -> Arc<Flight> {
         Arc::new(Flight {
-            slot: OrderedMutex::new("flight.slot", Some(result)),
+            slot: OrderedMutex::new(LockRank::FlightSlot, Some(result)),
             done: OrderedCondvar::new(),
         })
     }
@@ -790,7 +790,7 @@ impl ServiceBuilder {
             .collect();
         let shared = Arc::new(Shared {
             state: OrderedMutex::new(
-                "serve.state",
+                LockRank::State,
                 State {
                     queue: VecDeque::new(),
                     cache: LruCache::with_counters(
@@ -818,7 +818,7 @@ impl ServiceBuilder {
             retry: self.retry,
             timeout: self.timeout,
             admission: self.admission,
-            watchdog: OrderedMutex::new("serve.watchdog", Vec::new()),
+            watchdog: OrderedMutex::new(LockRank::Watchdog, Vec::new()),
             watchdog_wake: OrderedCondvar::new(),
             stopping: AtomicBool::new(false),
             refine_opts: self.refine_opts,
@@ -910,7 +910,7 @@ impl Service {
         //    stalls the submitter under the state lock — deliberately,
         //    that is what a slow cache does); Trip is meaningless for a
         //    probe and ignored. No plan installed ⇒ one relaxed load.
-        faults::apply_delay(faults::failpoint("cache.probe"));
+        faults::apply_delay(faults::failpoint(Failpoint::CacheProbe));
         if let Some(est) = state.cache.get(key) {
             let job_id = obs.job_id();
             obs.submitted.inc();
@@ -1216,7 +1216,7 @@ impl Service {
         }
         let refine_levels_completed = obs
             .registry
-            .counter_values("qns_serve_refine_levels_completed_total")
+            .counter_values(&catalog::SERVE_REFINE_LEVELS_COMPLETED_TOTAL)
             .into_iter()
             .filter_map(|(label, count)| label.parse::<usize>().ok().map(|level| (level, count)))
             .collect();
@@ -1750,7 +1750,7 @@ fn run_refinement_inner(shared: &Shared, task: &RefineTask) -> Result<bool, QnsE
             // Chaos hook: an injected `refine.advance` fault fails the
             // level outright (Trip) or stalls it (Sleep). No plan
             // installed ⇒ one relaxed atomic load.
-            let fault = faults::failpoint("refine.advance");
+            let fault = faults::failpoint(Failpoint::RefineAdvance);
             if matches!(fault, FaultAction::Trip) {
                 return Err(QnsError::ExecutionPanicked {
                     reason: format!("injected fault: refine.advance at level {level}"),

@@ -22,12 +22,17 @@
 //! With no fault plan in play, results stay byte-identical to an
 //! unchaosed service (the zero-cost contract).
 
+// The raw std locks below are test-harness gates that no serve code
+// ever acquires, so they sit outside the serve lock ranks that
+// `crates/serve/clippy.toml` enforces for the crate itself.
+#![allow(clippy::disallowed_types)]
+
 use qns_api::{ApproxBackend, Backend, Estimate, ExpectationJob, QnsError};
 use qns_circuit::generators::ghz;
 use qns_noise::{channels, NoisyCircuit};
 use qns_serve::{
-    faults, AdmissionPolicy, BreakerPolicy, BreakerState, ChaosBackend, FaultPlan, JobSpec,
-    RefineRequest, RetryPolicy, Route, ServiceBuilder, SharedBackend, TimeoutPolicy,
+    faults, AdmissionPolicy, BreakerPolicy, BreakerState, ChaosBackend, Failpoint, FaultPlan,
+    JobSpec, RefineRequest, RetryPolicy, Route, ServiceBuilder, SharedBackend, TimeoutPolicy,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -170,9 +175,9 @@ fn seeded_chaos_resolves_every_handle_exactly_once() {
     for seed in [1u64, 7, 42, 1234] {
         let plan = Arc::new(
             FaultPlan::new(seed)
-                .with_error("backend.error", 350)
-                .with_error("backend.panic", 150)
-                .with_delay("backend.delay", 200, 300),
+                .with_error(Failpoint::BackendError, 350)
+                .with_error(Failpoint::BackendPanic, 150)
+                .with_delay(Failpoint::BackendDelay, 200, 300),
         );
         let service = ServiceBuilder::new()
             .workers(2)
@@ -228,7 +233,7 @@ fn seeded_chaos_resolves_every_handle_exactly_once() {
 #[test]
 fn same_seed_replays_bit_identically() {
     let run = |seed: u64| -> Vec<Result<u64, String>> {
-        let plan = Arc::new(FaultPlan::new(seed).with_error("backend.error", 400));
+        let plan = Arc::new(FaultPlan::new(seed).with_error(Failpoint::BackendError, 400));
         // One worker: queue order, failpoint hit order and backoff
         // jitter are then all pure functions of the seed.
         let service = ServiceBuilder::new()
@@ -373,7 +378,7 @@ fn a_timed_out_refinement_cancels_cooperatively() {
     // Every refinement level stalls 60 ms; a 20 ms deadline must fire
     // before level 0 lands, resolving the stream with Timeout.
     faults::install(Arc::new(FaultPlan::new(5).with_delay(
-        "refine.advance",
+        Failpoint::RefineAdvance,
         1000,
         60_000,
     )));
@@ -403,7 +408,7 @@ fn fault_stalled_levels_never_poison_the_refine_rate_ewma() {
     // its (absurdly slow) wall time into the EWMA and every later
     // deadline converted to a near-zero pattern budget.
     faults::install(Arc::new(FaultPlan::new(1).with_delay(
-        "refine.advance",
+        Failpoint::RefineAdvance,
         1000,
         3_000,
     )));

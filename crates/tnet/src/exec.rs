@@ -115,7 +115,6 @@ struct Kernel {
 impl Kernel {
     /// `dst = a · b` with the operand permutations applied; `scratch`
     /// holds the permuted rhs when it needs one (at least `k·n` long).
-    // qns-lint: zero-alloc
     fn run(
         &self,
         a: &[Complex64],
@@ -874,7 +873,6 @@ impl ExecutablePlan {
     /// other intermediate cached in the arena. Falls back to a full
     /// [`ExecutablePlan::run`] when `ws` is not warm for this plan.
     /// The returned stats count the steps actually executed.
-    // qns-lint: zero-alloc
     fn run_delta<'w, 'i>(
         &self,
         input: impl Fn(usize) -> &'i [Complex64],
@@ -937,7 +935,6 @@ impl ExecutablePlan {
     /// destination region is disjoint from every other slot region by
     /// construction (persistent bump layout), so a step only ever
     /// overwrites its own node's cache.
-    // qns-lint: zero-alloc
     fn exec_step<'i>(
         &self,
         step: &ExecStep,
@@ -965,7 +962,6 @@ impl ExecutablePlan {
 
     /// The buffer of an operand: a checked input, a cold-cache region,
     /// or the arena region `split3` carved out for it.
-    // qns-lint: zero-alloc
     fn operand<'a, 'i: 'a>(
         &'a self,
         loc: SlotLoc,
@@ -988,7 +984,6 @@ impl ExecutablePlan {
     /// Final stage: copy/gather the root slot into the output buffer
     /// (applying the open-leg output permutation when present). Always
     /// rerun — even by delta replay, whose dirty set may be empty.
-    // qns-lint: zero-alloc
     fn finalize<'i>(
         &self,
         input: &impl Fn(usize) -> &'i [Complex64],
@@ -1015,7 +1010,6 @@ impl ExecutablePlan {
 /// buffer. Regions must be pairwise disjoint (the compile-time
 /// allocator guarantees this: the destination is carved out while both
 /// operands are still live).
-// qns-lint: zero-alloc
 #[allow(clippy::type_complexity)]
 fn split3<'a>(
     buf: &'a mut [Complex64],

@@ -20,7 +20,7 @@
 //! data: nothing downstream of the pattern sum reads them, so the
 //! determinism story of `exec` is untouched.
 
-use qns_obs::{Counter, Histogram, Registry};
+use qns_obs::{catalog, Counter, Histogram, Registry};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, PoisonError, RwLock};
 use std::time::Instant;
@@ -35,9 +35,9 @@ struct ModeHandles {
 impl ModeHandles {
     fn new(registry: &Registry, mode: &'static str) -> ModeHandles {
         ModeHandles {
-            replays: registry.counter_labeled("qns_tnet_replays_total", mode),
-            micros: registry.histogram_labeled("qns_tnet_replay_micros", mode),
-            steps: registry.histogram_labeled("qns_tnet_replay_steps", mode),
+            replays: registry.counter_labeled(&catalog::TNET_REPLAYS_TOTAL, mode),
+            micros: registry.histogram_labeled(&catalog::TNET_REPLAY_MICROS, mode),
+            steps: registry.histogram_labeled(&catalog::TNET_REPLAY_STEPS, mode),
         }
     }
 }
