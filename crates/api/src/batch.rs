@@ -27,6 +27,10 @@ pub fn run_batch(
 /// isolated, exactly as in [`run_batch`]. `threads` is clamped to
 /// `≥ 1`; `1` (and a single-job batch) falls back to the sequential
 /// path.
+#[expect(
+    clippy::expect_used,
+    reason = "a worker panic is re-raised on the caller, as in the sequential path"
+)]
 pub fn run_batch_parallel(
     backend: &(dyn Backend + Sync),
     jobs: &[ExpectationJob<'_>],

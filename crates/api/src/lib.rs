@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 //! The unified simulation API for the `qns` workspace.
 //!
 //! The paper's central claim (Theorem 1) is a *comparison*: the

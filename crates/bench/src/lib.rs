@@ -1,3 +1,4 @@
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 //! Shared infrastructure for the experiment harnesses.
 //!
 //! Each paper table/figure has a binary in `src/bin` (`table2`,

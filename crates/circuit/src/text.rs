@@ -126,6 +126,10 @@ pub fn from_text(text: &str) -> Result<Circuit, CircuitTextError> {
             circuit = Some(Circuit::new(n));
             continue;
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "the loop `continue`s until the header has set `circuit`"
+        )]
         let c = circuit.as_mut().expect("header parsed");
         let name = tokens[0];
         let parse_q = |tok: &str| -> Result<usize, CircuitTextError> {

@@ -557,6 +557,10 @@ pub(crate) fn evaluate_level_parallel(
                     let mut buf = vec![0usize; PATTERN_CHUNK * n];
                     loop {
                         let (seq, filled) = {
+                            #[expect(
+                                clippy::expect_used,
+                                reason = "poisoned only if a sibling worker panicked, which join re-raises"
+                            )]
                             let mut guard = stream.lock().expect("pattern stream lock");
                             let (s, next_seq) = &mut *guard;
                             let mut f = 0;
@@ -588,6 +592,10 @@ pub(crate) fn evaluate_level_parallel(
         let mut count = 0usize;
         let mut stats = ContractionStats::default();
         for h in handles {
+            #[expect(
+                clippy::expect_used,
+                reason = "a worker panic is re-raised on the caller, as in the sequential path"
+            )]
             let (chunks, c, s) = h.join().expect("worker thread panicked");
             all_chunks.extend(chunks);
             count += c;
@@ -608,6 +616,10 @@ pub(crate) fn evaluate_level_parallel(
 ///
 /// Panics if state sizes mismatch the circuit, or the configured
 /// [`ApproxOptions::max_terms`] guard would be exceeded.
+#[expect(
+    clippy::panic,
+    reason = "documented panicking wrapper of the `try_` variant"
+)]
 pub fn approximate_expectation(
     noisy: &NoisyCircuit,
     psi: &ProductState,
@@ -654,6 +666,10 @@ pub fn try_approximate_expectation(
 /// # Panics
 ///
 /// Panics under the same conditions as [`approximate_expectation`].
+#[expect(
+    clippy::panic,
+    reason = "documented panicking wrapper of the `try_` variant"
+)]
 pub fn approximate_matrix_element(
     noisy: &NoisyCircuit,
     psi: &ProductState,
@@ -725,6 +741,10 @@ pub(crate) fn matrix_element_run(
 ///
 /// Panics if `n > 6` or under the underlying run's conditions. Use
 /// [`try_reconstruct_density`] for a non-panicking variant.
+#[expect(
+    clippy::panic,
+    reason = "documented panicking wrapper of the `try_` variant"
+)]
 pub fn reconstruct_density(
     noisy: &NoisyCircuit,
     psi: &ProductState,

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 //! The paper's contribution: an SVD-based approximation algorithm for
 //! noisy quantum circuit simulation.
 //!

@@ -233,7 +233,7 @@ impl LevelEvaluator {
         self.stats.absorb(&level_stats);
         self.per_level.push(tu.re);
         self.level_counts.push(count);
-        Ok(self.partial().expect("a level just completed"))
+        Ok(self.estimate_at(u))
     }
 
     /// Installs a previously computed contribution for the next level
@@ -265,7 +265,7 @@ impl LevelEvaluator {
         }
         self.per_level.push(contribution);
         self.level_counts.push(patterns);
-        Ok(self.partial().expect("a level just completed"))
+        Ok(self.estimate_at(u))
     }
 
     /// Completion/budget gate shared by [`advance`](Self::advance) and
@@ -285,15 +285,20 @@ impl LevelEvaluator {
     /// The estimate as of the highest completed level, or `None`
     /// before the first [`advance`](Self::advance).
     pub fn partial(&self) -> Option<PartialEstimate> {
-        let level = self.completed_level()?;
-        Some(PartialEstimate {
+        self.completed_level().map(|level| self.estimate_at(level))
+    }
+
+    /// The estimate through `level`, which must be the highest
+    /// completed level (the callers pass the level they just pushed).
+    fn estimate_at(&self, level: usize) -> PartialEstimate {
+        PartialEstimate {
             value: self.per_level.iter().sum(),
             level,
             theorem1_bound: crate::bounds::error_bound(self.n, self.noise_rate, level),
             patterns_done: self.level_counts.iter().sum(),
             level_contribution: self.per_level[level],
             level_patterns: self.level_counts[level],
-        })
+        }
     }
 
     /// Converts the completed levels into the [`ApproxResult`] a direct

@@ -1,6 +1,10 @@
 //! Wall-clock timing, shared by the serving layer's per-backend
 //! latency accounting and the `qns-bench` harness binaries (both
 //! re-export [`time_it`] and add their own concerns on top).
+#![expect(
+    clippy::disallowed_types,
+    reason = "the workspace clock: the one place qns-core reads `Instant`"
+)]
 
 use std::time::Instant;
 
@@ -15,9 +19,9 @@ pub fn time_it<T>(f: impl FnOnce() -> T) -> (T, f64) {
 /// fixed origin (e.g. service construction).
 ///
 /// This is the sanctioned wall-clock access point for
-/// determinism-path code: files under the `qns-lint` determinism rule
-/// may not name `Instant` directly, but may hold a `Stopwatch` and
-/// read elapsed offsets from it.
+/// determinism-path code: crates under the `disallowed-types` clock ban
+/// (see `docs/ANALYSIS.md`) may not name `Instant` directly, but may
+/// hold a `Stopwatch` and read elapsed offsets from it.
 #[derive(Clone, Copy, Debug)]
 pub struct Stopwatch {
     origin: Instant,

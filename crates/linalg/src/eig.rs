@@ -125,6 +125,10 @@ pub fn eigh(a: &Matrix) -> HermitianEig {
 
     let mut order: Vec<usize> = (0..n).collect();
     let diag: Vec<f64> = (0..n).map(|i| m[(i, i)].re).collect();
+    #[expect(
+        clippy::expect_used,
+        reason = "Jacobi sweeps on a finite Hermitian matrix keep the diagonal finite"
+    )]
     order.sort_by(|&x, &y| diag[y].partial_cmp(&diag[x]).expect("NaN eigenvalue"));
 
     let mut eigenvalues = Vec::with_capacity(n);

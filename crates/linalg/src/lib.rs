@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 //! Dense complex linear algebra substrate for the `qns` workspace.
 //!
 //! This crate is deliberately self-contained (no external numeric

@@ -165,6 +165,10 @@ pub fn svd(a: &Matrix) -> Svd {
     let norms: Vec<f64> = (0..n)
         .map(|j| (0..m).map(|i| b[(i, j)].norm_sqr()).sum::<f64>().sqrt())
         .collect();
+    #[expect(
+        clippy::expect_used,
+        reason = "column norms of a finite matrix are finite and non-negative"
+    )]
     order.sort_by(|&x, &y| norms[y].partial_cmp(&norms[x]).expect("NaN singular value"));
 
     let mut u = Matrix::zeros(m, n);

@@ -175,6 +175,7 @@ pub fn coherent_overrotation(axis: char, epsilon: f64) -> Kraus {
         'x' => Gate::Rx(epsilon),
         'y' => Gate::Ry(epsilon),
         'z' => Gate::Rz(epsilon),
+        #[expect(clippy::panic, reason = "documented: an unknown axis is a caller bug")]
         other => panic!("unknown rotation axis `{other}`"),
     };
     Kraus::from_unitary(gate.matrix())

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 //! Quantum noise channels and noisy-circuit construction.
 //!
 //! * [`Kraus`] — a quantum channel in Kraus form, with CPTP validation,

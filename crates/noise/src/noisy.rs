@@ -76,6 +76,10 @@ impl NoisyCircuit {
     /// Panics if an event references a gate index or qubit out of
     /// range, or a channel that is not single-qubit. Use
     /// [`NoisyCircuit::try_new`] for a non-panicking variant.
+    #[expect(
+        clippy::panic,
+        reason = "documented panicking wrapper of the `try_` variant"
+    )]
     pub fn new(circuit: Circuit, events: Vec<NoiseEvent>) -> Self {
         Self::try_new(circuit, events).unwrap_or_else(|e| panic!("{e}"))
     }
@@ -152,6 +156,10 @@ impl NoisyCircuit {
     /// Panics if the qubit is out of range or the channel is not
     /// single-qubit. Use [`NoisyCircuit::try_push_initial`] for a
     /// non-panicking variant.
+    #[expect(
+        clippy::panic,
+        reason = "documented panicking wrapper of the `try_` variant"
+    )]
     pub fn push_initial(&mut self, qubit: usize, kraus: Kraus) -> &mut Self {
         self.try_push_initial(qubit, kraus)
             .unwrap_or_else(|e| panic!("{e}"))

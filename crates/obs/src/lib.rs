@@ -1,9 +1,9 @@
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 //! `qns-obs` — dependency-free observability substrate for the `qns`
 //! workspace.
 //!
-//! Three pieces, all hand-rolled on `std` (no crates.io dependencies,
-//! in the same spirit as `qns-lint`):
+//! Three pieces, all hand-rolled on `std` (no crates.io dependencies):
 //!
 //! 1. **Metrics registry** ([`Registry`]): atomic [`Counter`]s,
 //!    [`Gauge`]s with high-water marks, and fixed-bucket log₂

@@ -356,61 +356,79 @@ impl Registry {
 
     /// Handle to an unlabeled counter. Panics if `def` is not an
     /// unlabeled counter.
+    #[expect(
+        clippy::panic,
+        reason = "a `MetricDef` of the wrong kind is a caller bug"
+    )]
     pub fn counter(&self, def: &'static MetricDef) -> Counter {
         if let Handle::Counter(c) = self.handle(def, "") {
             return c;
         }
-        // qns-lint: allow(panic)
         panic!("metric `{}` is not an unlabeled counter", def.name)
     }
 
     /// Handle to one labeled counter series. Panics if `def` is not a
     /// labeled counter.
+    #[expect(
+        clippy::panic,
+        reason = "a `MetricDef` of the wrong kind is a caller bug"
+    )]
     pub fn counter_labeled(&self, def: &'static MetricDef, label: &str) -> Counter {
         if let Handle::Counter(c) = self.handle(def, label) {
             return c;
         }
-        // qns-lint: allow(panic)
         panic!("metric `{}` is not a labeled counter", def.name)
     }
 
     /// Handle to an unlabeled gauge. Panics if `def` is not an
     /// unlabeled gauge.
+    #[expect(
+        clippy::panic,
+        reason = "a `MetricDef` of the wrong kind is a caller bug"
+    )]
     pub fn gauge(&self, def: &'static MetricDef) -> Gauge {
         if let Handle::Gauge(g) = self.handle(def, "") {
             return g;
         }
-        // qns-lint: allow(panic)
         panic!("metric `{}` is not an unlabeled gauge", def.name)
     }
 
     /// Handle to one labeled gauge series. Panics if `def` is not a
     /// labeled gauge.
+    #[expect(
+        clippy::panic,
+        reason = "a `MetricDef` of the wrong kind is a caller bug"
+    )]
     pub fn gauge_labeled(&self, def: &'static MetricDef, label: &str) -> Gauge {
         if let Handle::Gauge(g) = self.handle(def, label) {
             return g;
         }
-        // qns-lint: allow(panic)
         panic!("metric `{}` is not a labeled gauge", def.name)
     }
 
     /// Handle to an unlabeled histogram. Panics if `def` is not an
     /// unlabeled histogram.
+    #[expect(
+        clippy::panic,
+        reason = "a `MetricDef` of the wrong kind is a caller bug"
+    )]
     pub fn histogram(&self, def: &'static MetricDef) -> Histogram {
         if let Handle::Histogram(h) = self.handle(def, "") {
             return h;
         }
-        // qns-lint: allow(panic)
         panic!("metric `{}` is not an unlabeled histogram", def.name)
     }
 
     /// Handle to one labeled histogram series. Panics if `def` is not
     /// a labeled histogram.
+    #[expect(
+        clippy::panic,
+        reason = "a `MetricDef` of the wrong kind is a caller bug"
+    )]
     pub fn histogram_labeled(&self, def: &'static MetricDef, label: &str) -> Histogram {
         if let Handle::Histogram(h) = self.handle(def, label) {
             return h;
         }
-        // qns-lint: allow(panic)
         panic!("metric `{}` is not a labeled histogram", def.name)
     }
 

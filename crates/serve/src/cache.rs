@@ -13,7 +13,7 @@
 //! which jobs later answer from cache. Recency ticks are unique today,
 //! but keeping the iteration key-ordered means the cache's observable
 //! behaviour can never silently become hash-order-dependent
-//! (`qns-lint`'s `determinism` rule pins this file to that contract).
+//! (the crate's `clippy.toml` bans `HashMap` to pin that contract).
 
 use qns_api::Estimate;
 use qns_obs::Counter;
@@ -133,10 +133,11 @@ impl LruCache {
                 .entries
                 .iter()
                 .min_by_key(|(_, (_, tick))| *tick)
-                .map(|(k, _)| *k)
-                .expect("cache is non-empty when full");
-            self.entries.remove(&oldest);
-            self.evictions.inc();
+                .map(|(k, _)| *k);
+            if let Some(oldest) = oldest {
+                self.entries.remove(&oldest);
+                self.evictions.inc();
+            }
         }
         self.entries.insert(key, (value, self.tick));
     }

@@ -317,10 +317,14 @@ impl<B: Backend> Backend for ChaosBackend<B> {
                 reason: format!("injected fault: backend.error on `{}`", self.inner.name()),
             });
         }
+        #[expect(
+            clippy::panic,
+            reason = "the injected crash this failpoint exists to raise"
+        )]
         if apply_delay(self.plan.failpoint(Failpoint::BackendPanic)) {
             // An injected engine crash: must be contained by the
             // service's catch_unwind harness like any real panic.
-            panic!("injected fault: backend.panic on `{}`", self.inner.name()); // qns-lint: allow(panic)
+            panic!("injected fault: backend.panic on `{}`", self.inner.name());
         }
         self.inner.expectation(job)
     }

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 //! `qns-serve` — the serving layer over the unified [`qns_api`]
 //! facade.
 //!

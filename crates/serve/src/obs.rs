@@ -179,6 +179,7 @@ impl Obs {
 
 /// Formats `v` into `buf` without allocating (the label for a level
 /// counter; levels are tiny, but the buffer covers full `u64` range).
+#[expect(clippy::expect_used, reason = "the buffer holds only ASCII digits")]
 fn fmt_usize(mut v: usize, buf: &mut [u8; 20]) -> &str {
     let mut i = buf.len();
     loop {
@@ -189,7 +190,6 @@ fn fmt_usize(mut v: usize, buf: &mut [u8; 20]) -> &str {
             break;
         }
     }
-    // Infallible: the buffer holds only ASCII digits. qns-lint: allow(panic)
     std::str::from_utf8(&buf[i..]).expect("decimal digits are ASCII")
 }
 

@@ -155,8 +155,8 @@ pub struct LevelSum {
 /// Entries live in a `BTreeMap`, not a `HashMap`: the eviction scan
 /// iterates the map, and partial sums feed bit-reproducible estimates,
 /// so even tie-breaking between equally stale entries must not depend
-/// on hash iteration order (`qns-lint`'s `determinism` rule enforces
-/// this file-wide).
+/// on hash iteration order (the crate's `clippy.toml` bans `HashMap`
+/// crate-wide).
 #[derive(Debug)]
 pub(crate) struct PartialSumCache {
     capacity: usize,
@@ -243,10 +243,11 @@ impl PartialSumCache {
                 .entries
                 .iter()
                 .min_by_key(|(_, (_, tick))| *tick)
-                .map(|(k, _)| *k)
-                .expect("cache is non-empty when full");
-            self.entries.remove(&oldest);
-            self.evictions.inc();
+                .map(|(k, _)| *k);
+            if let Some(oldest) = oldest {
+                self.entries.remove(&oldest);
+                self.evictions.inc();
+            }
         }
         self.entries.insert(key, (vec![sum], self.tick));
     }
@@ -512,6 +513,7 @@ impl RefinementHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn deadline_level_degrades_to_zero_and_respects_cached_prefixes() {
@@ -585,6 +587,91 @@ mod tests {
             .with_deadline_secs(0.0)
             .validate()
             .is_ok());
+    }
+
+    /// Adversarial deadlines, budgets, level caps and measured rates.
+    fn adversarial_request() -> impl Strategy<Value = (RefineRequest, f64)> {
+        let deadline = prop_oneof![
+            Just(None),
+            prop_oneof![
+                Just(f64::NAN),
+                Just(f64::INFINITY),
+                Just(f64::NEG_INFINITY),
+                Just(-1.0),
+                Just(0.0),
+                Just(-0.0),
+                Just(1e-300),
+                Just(1e300),
+                Just(f64::MIN_POSITIVE),
+                -10.0f64..10.0,
+            ]
+            .prop_map(Some),
+        ];
+        let budget = prop_oneof![
+            Just(None),
+            prop_oneof![
+                Just(0u128),
+                Just(1),
+                Just(u128::MAX),
+                (0u64..100_000).prop_map(u128::from)
+            ]
+            .prop_map(Some),
+        ];
+        let max_level = prop_oneof![
+            Just(None),
+            prop_oneof![Just(0usize), Just(usize::MAX), 0usize..40].prop_map(Some),
+        ];
+        let rate = prop_oneof![
+            Just(0.0),
+            Just(-5.0),
+            Just(f64::NAN),
+            Just(f64::INFINITY),
+            Just(1e-300),
+            Just(DEFAULT_REFINE_RATE_PPS),
+            1.0f64..1e7,
+        ];
+        (deadline, budget, max_level, rate).prop_map(|(deadline, budget, max_level, rate)| {
+            let req = RefineRequest {
+                deadline_secs: deadline,
+                pattern_budget: budget,
+                max_level,
+            };
+            (req, rate)
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        /// The submission path (`validate`, then `resolved_budget` and
+        /// `deadline_level` over the clamped final level) either
+        /// rejects the request as `InvalidJob` or picks a level in
+        /// `0..=final_level`; it never panics.
+        #[test]
+        fn adversarial_requests_resolve_to_a_level_or_invalid_job(
+            request in adversarial_request(),
+            n in 0usize..48,
+            cached in 0usize..50,
+        ) {
+            let (req, rate) = request;
+            let nan_deadline = req.deadline_secs.is_some_and(f64::is_nan);
+            match req.validate() {
+                Err(e) => {
+                    prop_assert!(matches!(e, QnsError::InvalidJob { .. }), "{e:?}");
+                    prop_assert!(nan_deadline);
+                }
+                Ok(()) => {
+                    prop_assert!(!nan_deadline, "NaN deadline accepted");
+                    let final_level = req.max_level.unwrap_or(n).min(n);
+                    let budget = req.resolved_budget(rate);
+                    let level = deadline_level(n, final_level, cached, budget);
+                    prop_assert!(level <= final_level, "level {level} > final {final_level}");
+                    if budget == u128::MAX {
+                        prop_assert_eq!(level, final_level);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -50,7 +50,7 @@ use qns_core::timing::time_it;
 use qns_noise::NoisyCircuit;
 use qns_obs::{catalog, DrainedEvents, EventKind, MetricsSnapshot, Registry};
 use rand::SplitMix64;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -198,6 +198,10 @@ impl JobSpec {
     }
 
     /// The default job on `noisy`: `|0…0⟩` in, `|0…0⟩⟨0…0|` measured.
+    #[expect(
+        clippy::expect_used,
+        reason = "the state and observable are built for the circuit's qubit count"
+    )]
     pub fn zeros(noisy: impl Into<Arc<NoisyCircuit>>) -> Self {
         let noisy = noisy.into();
         let n = noisy.n_qubits();
@@ -206,6 +210,7 @@ impl JobSpec {
     }
 
     /// The borrowing [`ExpectationJob`] view backends consume.
+    #[expect(clippy::expect_used, reason = "`JobSpec::new` ran the same validation")]
     pub fn job(&self) -> ExpectationJob<'_> {
         ExpectationJob::new(&self.noisy, self.initial.clone(), self.observable.clone())
             .expect("spec was validated at construction")
@@ -482,7 +487,11 @@ struct RefineTask {
 struct State {
     queue: VecDeque<Work>,
     cache: LruCache,
-    inflight: HashMap<u128, Arc<Flight>>,
+    #[expect(
+        clippy::disallowed_types,
+        reason = "lookup-only: flights are found by fingerprint, never iterated"
+    )]
+    inflight: std::collections::HashMap<u128, Arc<Flight>>,
     partial: PartialSumCache,
     /// EWMA of observed refinement throughput (Theorem-1
     /// patterns/second, the unit levels are priced in), used to
@@ -799,7 +808,7 @@ impl ServiceBuilder {
                         cache_misses,
                         cache_evictions,
                     ),
-                    inflight: HashMap::new(),
+                    inflight: Default::default(),
                     partial: PartialSumCache::with_counters(
                         self.partial_cache_capacity,
                         partial_hits,
@@ -824,6 +833,10 @@ impl ServiceBuilder {
             refine_opts: self.refine_opts,
             obs,
         });
+        #[expect(
+            clippy::expect_used,
+            reason = "a service without its worker threads cannot run any job"
+        )]
         let workers = (0..self.workers)
             .map(|i| {
                 let shared = Arc::clone(&shared);
@@ -834,12 +847,16 @@ impl ServiceBuilder {
             })
             .collect();
         // The watchdog thread only exists when deadlines do.
+        #[expect(
+            clippy::expect_used,
+            reason = "a service without its watchdog cannot enforce its deadlines"
+        )]
         let watchdog = self.timeout.map(|policy| {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
                 .name("qns-serve-watchdog".into())
                 .spawn(move || watchdog_loop(&shared, policy))
-                .expect("spawn service watchdog") // qns-lint: allow(panic)
+                .expect("spawn service watchdog")
         });
         Service {
             shared,

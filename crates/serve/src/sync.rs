@@ -146,14 +146,22 @@ pub struct OrderedMutexGuard<'a, T> {
 
 impl<T> std::ops::Deref for OrderedMutexGuard<'_, T> {
     type Target = T;
+    #[expect(
+        clippy::expect_used,
+        reason = "the guard is `None` only inside `OrderedCondvar::wait`, which owns it"
+    )]
     fn deref(&self) -> &T {
-        self.guard.as_ref().expect("guard held") // qns-lint: allow(panic)
+        self.guard.as_ref().expect("guard held")
     }
 }
 
 impl<T> std::ops::DerefMut for OrderedMutexGuard<'_, T> {
+    #[expect(
+        clippy::expect_used,
+        reason = "the guard is `None` only inside `OrderedCondvar::wait`, which owns it"
+    )]
     fn deref_mut(&mut self) -> &mut T {
-        self.guard.as_mut().expect("guard held") // qns-lint: allow(panic)
+        self.guard.as_mut().expect("guard held")
     }
 }
 
@@ -189,7 +197,11 @@ impl OrderedCondvar {
     /// Atomically releases `guard`'s mutex and blocks until notified;
     /// re-acquires (and re-registers) the lock before returning.
     pub fn wait<'a, T>(&self, mut guard: OrderedMutexGuard<'a, T>) -> OrderedMutexGuard<'a, T> {
-        let raw = guard.guard.take().expect("guard held"); // qns-lint: allow(panic)
+        #[expect(
+            clippy::expect_used,
+            reason = "an `OrderedMutexGuard` holds its guard until this wait takes it"
+        )]
+        let raw = guard.guard.take().expect("guard held");
 
         // Blocked threads hold nothing: pop before sleeping, re-check
         // and re-push on wake (the wake-up re-acquisition is an
@@ -210,7 +222,11 @@ impl OrderedCondvar {
         mut guard: OrderedMutexGuard<'a, T>,
         timeout: std::time::Duration,
     ) -> (OrderedMutexGuard<'a, T>, bool) {
-        let raw = guard.guard.take().expect("guard held"); // qns-lint: allow(panic)
+        #[expect(
+            clippy::expect_used,
+            reason = "an `OrderedMutexGuard` holds its guard until this wait takes it"
+        )]
+        let raw = guard.guard.take().expect("guard held");
         checker::release(guard.rank);
         let (raw, res) = self
             .inner
@@ -256,6 +272,10 @@ mod checker {
     pub(super) fn acquire(rank: LockRank) {
         let innermost = HELD.with(|h| h.borrow().last().copied());
         if let Some(held) = innermost {
+            #[expect(
+                clippy::panic,
+                reason = "the debug lock-rank trap fires before blocking"
+            )]
             if held >= rank {
                 let stack = HELD.with(|h| h.borrow().clone());
                 panic!(

@@ -72,7 +72,7 @@ pub fn partial_trace(rho: &DensityMatrix, keep: &[usize]) -> Matrix {
         assert!(w[0] < w[1], "keep list must be strictly ascending");
     }
     assert!(
-        *keep.last().expect("non-empty") < n,
+        keep.last().is_some_and(|&q| q < n),
         "kept qubit out of range"
     );
 

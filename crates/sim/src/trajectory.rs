@@ -105,6 +105,10 @@ fn sample_noise(
                     return;
                 }
             }
+            #[expect(
+                clippy::expect_used,
+                reason = "a mixed-unitary decomposition has at least one term"
+            )]
             let last = &mix.last().expect("non-empty mixture").1;
             kernels::apply_single(state, n, qubit, last);
             return;
@@ -133,6 +137,10 @@ fn sample_noise(
             return;
         }
     }
+    #[expect(
+        clippy::expect_used,
+        reason = "a Kraus channel has at least one operator"
+    )]
     let (w, branch) = branches.last().expect("non-empty channel");
     let inv = 1.0 / w.sqrt();
     *state = branch.iter().map(|&z| z * inv).collect();
@@ -232,6 +240,10 @@ fn sample_from_mixture(
             return;
         }
     }
+    #[expect(
+        clippy::expect_used,
+        reason = "a mixed-unitary decomposition has at least one term"
+    )]
     let last = &mix.last().expect("non-empty mixture").1;
     kernels::apply_single(state, n, qubit, last);
 }

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 //! Decision-diagram (QMDD-style) quantum simulation substrate.
 //!
 //! The paper's third accurate baseline is the TDD-based method — a

@@ -226,6 +226,10 @@ fn amplitude_network_impl(
         let t = maybe_conj_t(Tensor::from_vec(vec![f[0].conj(), f[1].conj()], vec![2]));
         net.add(t, vec![cur[q]]);
     }
+    #[expect(
+        clippy::expect_used,
+        reason = "validation guarantees every insertion point is on the circuit's path"
+    )]
     let insertion_nodes = insertion_nodes
         .into_iter()
         .map(|id| id.expect("every validated insertion is spliced"))

@@ -1011,6 +1011,10 @@ impl ExecutablePlan {
 /// allocator guarantees this: the destination is carved out while both
 /// operands are still live).
 #[allow(clippy::type_complexity)]
+#[expect(
+    clippy::expect_used,
+    reason = "the write region `w` is always one of the three"
+)]
 fn split3<'a>(
     buf: &'a mut [Complex64],
     r1: Option<(usize, usize)>,

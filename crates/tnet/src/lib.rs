@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 //! Tensor networks for (noisy) quantum circuit simulation.
 //!
 //! This crate is the workspace's replacement for the Google

@@ -16,7 +16,6 @@
 
 use crate::plan::{ContractionPlan, SkeletonNode};
 use qns_tensor::Tensor;
-use std::collections::HashMap;
 
 /// Identifier of a network leg (bond or open index).
 pub type LegId = usize;
@@ -88,7 +87,11 @@ pub struct TensorNetwork {
     /// [`TensorNetwork::add`] is `O(legs)` instead of rescanning every
     /// live node per leg (quadratic in gate count when building
     /// circuit networks).
-    leg_uses: HashMap<LegId, u8>,
+    #[expect(
+        clippy::disallowed_types,
+        reason = "lookup-only: the map is never iterated, so its order cannot leak"
+    )]
+    leg_uses: std::collections::HashMap<LegId, u8>,
     next_leg: LegId,
 }
 

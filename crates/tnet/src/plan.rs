@@ -545,11 +545,17 @@ impl ContractionPlan {
         }
         let mut slots: Vec<Option<Cow<'_, Tensor>>> = inputs.into_iter().map(Some).collect();
         for step in &self.steps {
+            #[expect(clippy::expect_used, reason = "the planner consumes each slot once")]
             let ta = slots[step.lhs].take().expect("plan slot consumed once");
+            #[expect(clippy::expect_used, reason = "the planner consumes each slot once")]
             let tb = slots[step.rhs].take().expect("plan slot consumed once");
             let t = ta.contract(&tb, &step.axes_lhs, &step.axes_rhs);
             slots.push(Some(Cow::Owned(t)));
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "a plan over at least one input leaves one tensor"
+        )]
         let tensor = slots
             .into_iter()
             .rev()

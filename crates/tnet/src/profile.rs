@@ -19,6 +19,10 @@
 //! `qns-serve` service exports. Timing samples are observability, not
 //! data: nothing downstream of the pattern sum reads them, so the
 //! determinism story of `exec` is untouched.
+#![expect(
+    clippy::disallowed_types,
+    reason = "the replay timer; its samples are metrics, never pattern-sum data"
+)]
 
 use qns_obs::{catalog, Counter, Histogram, Registry};
 use std::sync::atomic::{AtomicBool, Ordering};

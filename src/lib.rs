@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 //! Umbrella crate re-exporting the entire `qns` workspace.
 //!
 //! `qns` reproduces "Approximation Algorithm for Noisy Quantum Circuit
