@@ -1,5 +1,6 @@
 #![warn(missing_docs)]
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![forbid(unsafe_code)]
 //! The unified simulation API for the `qns` workspace.
 //!
 //! The paper's central claim (Theorem 1) is a *comparison*: the

@@ -39,7 +39,14 @@
 //! evaluator's single amplitude network and its rank-aware level-1
 //! Gray sequence. It is reported under `"delta_aware"`.
 //!
-//! Eight invariants are *asserted* on every run (and gate CI via
+//! A fifth section times the **kernel layer** alone: one matmul step
+//! (`qns_linalg::kernels::matmul_into`) per shape that dominates the
+//! `deep_sum` level sums, through the scalar oracle
+//! (`kernels::scalar::matmul_into`) and through the dispatched kernel
+//! (the AVX2 row update where the CPU has it), as ns per step and
+//! complex G MAC/s. It is reported under `"kernels"`.
+//!
+//! Nine invariants are *asserted* on every run (and gate CI via
 //! `--smoke`):
 //!
 //! 1. reference and compiled paths produce **bit-identical** pattern
@@ -54,14 +61,16 @@
 //! 6. the delta-aware plan's modelled cost is **at most the greedy
 //!    plan's**,
 //! 7. its delta replay is **bit-identical** to its full replay, and
-//! 8. its warmed hot-arena replays perform **zero allocations**.
+//! 8. its warmed hot-arena replays perform **zero allocations**, and
+//! 9. the dispatched kernel's output is **bit-identical** to the scalar
+//!    oracle's on every kernel shape.
 
 use qns_bench::registry::{full_set, smoke_set, BenchCircuit, Family};
 use qns_bench::timing::time_it;
 use qns_bench::{arg_flag, arg_usize, print_row};
 use qns_core::patterns::GrayPatternStream;
 use qns_core::NoiseSvd;
-use qns_linalg::{Complex64, Matrix};
+use qns_linalg::{kernels, Complex64, Matrix};
 use qns_noise::{channels, NoisyCircuit};
 use qns_tensor::Tensor;
 use qns_tnet::builder::{AmplitudeSkeleton, DoubleSkeleton, Insertion, ProductState};
@@ -69,6 +78,7 @@ use qns_tnet::exec::Workspace;
 use qns_tnet::network::OrderStrategy;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+use std::hint::black_box;
 use std::io::Write;
 
 /// The split-half skeletons, compiled plans and pre-resolved SVD-term
@@ -468,6 +478,97 @@ fn delta_aware_row(bench: &BenchCircuit, noises: usize, seed: u64) -> DeltaAware
     }
 }
 
+/// The `m×k×n` matmul steps that dominate the `deep_sum` level sums.
+const KERNEL_SHAPES: [(usize, usize, usize); 6] = [
+    (2, 2, 2048),
+    (1, 4, 1024),
+    (16, 16, 256),
+    (64, 64, 64),
+    (16, 16, 16),
+    (4, 8, 8),
+];
+
+/// Timed trials per kernel shape and path; the median is reported.
+const KERNEL_TRIALS: usize = 7;
+
+/// One kernel shape's scalar-vs-dispatched timing.
+struct KernelRow {
+    shape: (usize, usize, usize),
+    scalar_ns: f64,
+    dispatched_ns: f64,
+}
+
+impl KernelRow {
+    /// Complex multiply-adds per second, in units of 10⁹.
+    fn gmacs(&self, ns: f64) -> f64 {
+        let (m, k, n) = self.shape;
+        (m * k * n) as f64 / ns
+    }
+}
+
+/// Median ns per call of `step`, over [`KERNEL_TRIALS`] trials of
+/// `reps` calls each, after one untimed trial.
+fn median_step_ns(reps: usize, mut step: impl FnMut()) -> f64 {
+    let mut trial = || {
+        time_it(|| {
+            for _ in 0..reps {
+                step();
+            }
+        })
+        .1
+    };
+    trial();
+    let mut ns: Vec<f64> = (0..KERNEL_TRIALS)
+        .map(|_| trial() * 1e9 / reps as f64)
+        .collect();
+    ns.sort_by(f64::total_cmp);
+    ns[ns.len() / 2]
+}
+
+/// Times one dense matmul step of `shape` through the scalar oracle and
+/// the dispatched kernel, asserting their outputs are bitwise equal.
+/// Each trial runs about `macs_per_trial` complex multiply-adds.
+fn kernel_row(shape: (usize, usize, usize), macs_per_trial: usize, seed: u64) -> KernelRow {
+    let (m, k, n) = shape;
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut values = |len: usize| -> Vec<Complex64> {
+        (0..len)
+            .map(|_| qns_linalg::c64(rng.random_range(-1.0..1.0), rng.random_range(-1.0..1.0)))
+            .collect()
+    };
+    let (a, b) = (values(m * k), values(k * n));
+    let mut scalar_out = vec![Complex64::ZERO; m * n];
+    let mut dispatched_out = vec![Complex64::ZERO; m * n];
+    let reps = (macs_per_trial / (m * k * n)).max(1);
+    let scalar_ns = median_step_ns(reps, || {
+        kernels::scalar::matmul_into(black_box(&a), &b, &mut scalar_out, m, k, n);
+    });
+    let dispatched_ns = median_step_ns(reps, || {
+        kernels::matmul_into(black_box(&a), &b, &mut dispatched_out, m, k, n);
+    });
+    let bits = |v: &[Complex64]| -> Vec<(u64, u64)> {
+        v.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+    };
+    assert!(
+        bits(&dispatched_out) == bits(&scalar_out),
+        "{m}x{k}x{n}: dispatched kernel must be bitwise the scalar oracle"
+    );
+    KernelRow {
+        shape,
+        scalar_ns,
+        dispatched_ns,
+    }
+}
+
+/// The row update the dispatched kernels run on this CPU.
+fn dispatched_path() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        return "avx2";
+    }
+    "scalar"
+}
+
 fn main() {
     let smoke = arg_flag("--smoke");
     let patterns_per = arg_usize("--patterns", if smoke { 64 } else { 256 });
@@ -730,6 +831,61 @@ fn main() {
         .collect::<Vec<_>>()
         .join(",");
 
+    // ── Kernel layer: one matmul step, scalar oracle vs dispatched ──
+    let path = dispatched_path();
+    println!(
+        "\nkernel layer (one matmul step, median of {KERNEL_TRIALS} trials; \
+         dispatched = {path})\n"
+    );
+    let k_widths = [12usize, 13, 13, 12, 12, 9];
+    print_row(
+        &[
+            "m×k×n".into(),
+            "scalar ns".into(),
+            "disp. ns".into(),
+            "scalar GMAC/s".into(),
+            "disp. GMAC/s".into(),
+            "speedup".into(),
+        ],
+        &k_widths,
+    );
+    let macs_per_trial = if smoke { 1 << 18 } else { 1 << 22 };
+    let kernel_rows: Vec<KernelRow> = KERNEL_SHAPES
+        .iter()
+        .enumerate()
+        .map(|(i, &shape)| kernel_row(shape, macs_per_trial, 0x4B45 + i as u64))
+        .collect();
+    for r in &kernel_rows {
+        let (m, k, n) = r.shape;
+        print_row(
+            &[
+                format!("{m}×{k}×{n}"),
+                format!("{:.0}", r.scalar_ns),
+                format!("{:.0}", r.dispatched_ns),
+                format!("{:.2}", r.gmacs(r.scalar_ns)),
+                format!("{:.2}", r.gmacs(r.dispatched_ns)),
+                format!("{:.2}x", r.scalar_ns / r.dispatched_ns),
+            ],
+            &k_widths,
+        );
+    }
+    let kernel_per = kernel_rows
+        .iter()
+        .map(|r| {
+            let (m, k, n) = r.shape;
+            format!(
+                "{{\"shape\":\"{m}x{k}x{n}\",\"scalar_ns\":{:.1},\"dispatched_ns\":{:.1},\
+                 \"scalar_gmacs\":{:.3},\"dispatched_gmacs\":{:.3},\"speedup\":{:.3}}}",
+                r.scalar_ns,
+                r.dispatched_ns,
+                r.gmacs(r.scalar_ns),
+                r.gmacs(r.dispatched_ns),
+                r.scalar_ns / r.dispatched_ns
+            )
+        })
+        .collect::<Vec<_>>()
+        .join(",");
+
     let mut per = String::new();
     for (i, (name, r, e, s)) in rows.iter().enumerate() {
         if i > 0 {
@@ -770,7 +926,9 @@ fn main() {
          \"planning\":{{\"strategy\":\"greedy\",\"repeats\":{PLAN_REPEATS},\
          \"workloads\":[{plan_per}]}},\
          \"delta_aware\":{{\"level\":1,\"order\":\"gray\",\"ranks\":\"rank-aware\",\
-         \"workloads\":[{da_per}]}}}}\n",
+         \"workloads\":[{da_per}]}},\
+         \"kernels\":{{\"trials\":{KERNEL_TRIALS},\"dispatched\":\"{path}\",\
+         \"bitwise_equal\":true,\"shapes\":[{kernel_per}]}}}}\n",
         if smoke { "smoke" } else { "default" },
     );
     let mut f = std::fs::File::create(&out).expect("create bench report");

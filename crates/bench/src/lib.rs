@@ -1,4 +1,5 @@
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![forbid(unsafe_code)]
 //! Shared infrastructure for the experiment harnesses.
 //!
 //! Each paper table/figure has a binary in `src/bin` (`table2`,

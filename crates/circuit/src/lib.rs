@@ -1,5 +1,6 @@
 #![warn(missing_docs)]
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![forbid(unsafe_code)]
 //! Quantum circuit intermediate representation and benchmark generators.
 //!
 //! * [`Gate`] — the gate library: every single-qubit gate of the paper's

@@ -1,5 +1,6 @@
 #![warn(missing_docs)]
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![forbid(unsafe_code)]
 //! The paper's contribution: an SVD-based approximation algorithm for
 //! noisy quantum circuit simulation.
 //!

@@ -15,7 +15,12 @@ use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssi
 /// let i = Complex64::I;
 /// assert_eq!(i * i, Complex64::new(-1.0, 0.0));
 /// ```
+///
+/// The layout is fixed (`#[repr(C)]`: `re`, then `im`), so a slice of
+/// `Complex64` is an interleaved `[re, im, re, im, …]` run of `f64`,
+/// which the vector matmul kernels load directly.
 #[derive(Clone, Copy, Default, PartialEq)]
+#[repr(C)]
 pub struct Complex64 {
     /// Real part.
     pub re: f64,

@@ -16,17 +16,38 @@
 //!   the axes into two groups (free → rows, contracted → columns), so
 //!   the permuted flat index factorizes as `row_off[i] + col_off[j]`.
 //!
+//! # One loop nest, two row updates
+//!
+//! Both flavors run one cache-blocked loop nest whose innermost step is
+//! a *row update*, `out[i][j0..j1] += a[i][k] · b[k][j0..j1]`. On
+//! x86-64 CPUs with AVX2 (checked once per call) the row update takes
+//! two output elements per 256-bit register: with `y = [re, im, re,
+//! im]` loaded from `b` and `x = a[i][k]` broadcast, it adds
+//! `addsub(x.re·y, x.im·swap(y))` to `out`, and an odd last element
+//! takes the scalar expression. Elsewhere the scalar loop runs. The
+//! vector code is the workspace's only `unsafe` and lives in a private
+//! module; [`scalar`] exposes the portable loops, which are also the
+//! oracle the vector path is tested against.
+//!
 //! # Accumulation order
 //!
 //! Every kernel accumulates `out[i][j] += a[i][k] · b[k][j]` with `k`
 //! strictly ascending per output element and skips `a[i][k] == 0`
-//! exactly like [`Matrix::matmul`](crate::Matrix::matmul). This makes
-//! the results **bit-identical** to the allocating reference path — a
-//! property the contraction engine's tests rely on. Keep it when
-//! touching the loops: blocking that reorders the `k` sum would break
-//! replay-vs-reference equality.
+//! exactly like [`Matrix::matmul`](crate::Matrix::matmul). The vector
+//! row update performs, per element, the IEEE operations of the scalar
+//! `re = x.re·y.re − x.im·y.im`, `im = x.re·y.im + x.im·y.re`, then the
+//! add into `out`: no fused multiply-add (Rust never contracts `a*b +
+//! c`, and the `fma` feature is not enabled). So both paths are
+//! **bit-identical** to each other and to the allocating reference
+//! path — a property the contraction engine's tests rely on. Keep it
+//! when touching the loops: blocking that reorders the `k` sum, or an
+//! FMA, would break replay-vs-reference equality.
 
 use crate::Complex64;
+
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod avx2;
 
 /// Column-panel width (elements) for the cache-blocked loops: panels of
 /// `b` rows and the `out` row stay resident while `k` streams. 512
@@ -37,7 +58,8 @@ const PANEL: usize = 512;
 /// row-major `m×n` product into `out` (fully overwritten).
 ///
 /// Bit-identical to [`Matrix::matmul`](crate::Matrix::matmul) (same
-/// accumulation order, same zero-skip), but allocation-free.
+/// accumulation order, same zero-skip), but allocation-free. Runs the
+/// AVX2 row update where the CPU has it.
 ///
 /// # Panics
 ///
@@ -50,26 +72,8 @@ pub fn matmul_into(
     k: usize,
     n: usize,
 ) {
-    assert_eq!(a.len(), m * k, "lhs buffer length mismatch");
-    assert_eq!(b.len(), k * n, "rhs buffer length mismatch");
-    assert_eq!(out.len(), m * n, "output buffer length mismatch");
-    out.fill(Complex64::ZERO);
-    for j0 in (0..n).step_by(PANEL) {
-        let j1 = (j0 + PANEL).min(n);
-        for i in 0..m {
-            let a_row = &a[i * k..(i + 1) * k];
-            let out_row = &mut out[i * n + j0..i * n + j1];
-            for (kk, &aik) in a_row.iter().enumerate() {
-                if aik == Complex64::ZERO {
-                    continue;
-                }
-                let b_row = &b[kk * n + j0..kk * n + j1];
-                for (o, &bkj) in out_row.iter_mut().zip(b_row) {
-                    *o += aik * bkj;
-                }
-            }
-        }
-    }
+    check_dense(a, b, out, m, k, n);
+    dispatch(m, k, n, |i, kk| a[i * k + kk], b, out);
 }
 
 /// `out = A · b` where `A`'s elements are gathered from `a` as
@@ -94,25 +98,130 @@ pub fn matmul_gather_lhs_into(
     out: &mut [Complex64],
     n: usize,
 ) {
+    let (m, k) = check_gather(row_off, col_off, b, out, n);
+    dispatch(m, k, n, |i, kk| a[row_off[i] + col_off[kk]], b, out);
+}
+
+/// The portable scalar kernels: the fallback on CPUs without AVX2 and
+/// the oracle the vector path must match bit for bit. Same signatures
+/// and contracts as the dispatched [`matmul_into`] and
+/// [`matmul_gather_lhs_into`].
+pub mod scalar {
+    use super::{check_dense, check_gather, panel_loops, scalar_row_update};
+    use crate::Complex64;
+
+    /// [`matmul_into`](crate::kernels::matmul_into) on the scalar row update.
+    ///
+    /// # Panics
+    ///
+    /// As [`matmul_into`](crate::kernels::matmul_into).
+    pub fn matmul_into(
+        a: &[Complex64],
+        b: &[Complex64],
+        out: &mut [Complex64],
+        m: usize,
+        k: usize,
+        n: usize,
+    ) {
+        check_dense(a, b, out, m, k, n);
+        panel_loops(m, k, n, |i, kk| a[i * k + kk], b, out, scalar_row_update);
+    }
+
+    /// [`matmul_gather_lhs_into`](crate::kernels::matmul_gather_lhs_into) on the
+    /// scalar row update.
+    ///
+    /// # Panics
+    ///
+    /// As [`matmul_gather_lhs_into`](crate::kernels::matmul_gather_lhs_into).
+    pub fn matmul_gather_lhs_into(
+        a: &[Complex64],
+        row_off: &[usize],
+        col_off: &[usize],
+        b: &[Complex64],
+        out: &mut [Complex64],
+        n: usize,
+    ) {
+        let (m, k) = check_gather(row_off, col_off, b, out, n);
+        let lhs = |i: usize, kk: usize| a[row_off[i] + col_off[kk]];
+        panel_loops(m, k, n, lhs, b, out, scalar_row_update);
+    }
+}
+
+fn check_dense(a: &[Complex64], b: &[Complex64], out: &[Complex64], m: usize, k: usize, n: usize) {
+    assert_eq!(a.len(), m * k, "lhs buffer length mismatch");
+    assert_eq!(b.len(), k * n, "rhs buffer length mismatch");
+    assert_eq!(out.len(), m * n, "output buffer length mismatch");
+}
+
+/// Checks a gather call's buffers; returns its `(m, k)`.
+fn check_gather(
+    row_off: &[usize],
+    col_off: &[usize],
+    b: &[Complex64],
+    out: &[Complex64],
+    n: usize,
+) -> (usize, usize) {
     let (m, k) = (row_off.len(), col_off.len());
     assert_eq!(b.len(), k * n, "rhs buffer length mismatch");
     assert_eq!(out.len(), m * n, "output buffer length mismatch");
+    (m, k)
+}
+
+/// Runs the loop nest with the AVX2 row update when this CPU has AVX2,
+/// else with the scalar one. Chosen once per call, not per row.
+#[inline(always)]
+fn dispatch(
+    m: usize,
+    k: usize,
+    n: usize,
+    lhs: impl Fn(usize, usize) -> Complex64,
+    b: &[Complex64],
+    out: &mut [Complex64],
+) {
+    #[cfg(target_arch = "x86_64")]
+    if let Some(cpu) = avx2::Avx2::detect() {
+        return cpu.panel_loops(m, k, n, lhs, b, out);
+    }
+    panel_loops(m, k, n, lhs, b, out, scalar_row_update);
+}
+
+/// The loop nest every kernel runs: `out = A · b` with `A[i][kk] =
+/// lhs(i, kk)`, over column panels of [`PANEL`] elements, `k`
+/// ascending per output element, zero entries of `A` skipped.
+/// `update(x, b_row, out_row)` adds `x · b_row` to `out_row` (equal
+/// lengths). Always inlined, so the AVX2 caller compiles the whole
+/// nest, row update included, with the vector feature enabled.
+#[inline(always)]
+fn panel_loops(
+    m: usize,
+    k: usize,
+    n: usize,
+    lhs: impl Fn(usize, usize) -> Complex64,
+    b: &[Complex64],
+    out: &mut [Complex64],
+    update: impl Fn(Complex64, &[Complex64], &mut [Complex64]),
+) {
     out.fill(Complex64::ZERO);
     for j0 in (0..n).step_by(PANEL) {
         let j1 = (j0 + PANEL).min(n);
-        for (i, &ro) in row_off.iter().enumerate() {
+        for i in 0..m {
             let out_row = &mut out[i * n + j0..i * n + j1];
-            for (kk, &co) in col_off.iter().enumerate() {
-                let aik = a[ro + co];
+            for kk in 0..k {
+                let aik = lhs(i, kk);
                 if aik == Complex64::ZERO {
                     continue;
                 }
-                let b_row = &b[kk * n + j0..kk * n + j1];
-                for (o, &bkj) in out_row.iter_mut().zip(b_row) {
-                    *o += aik * bkj;
-                }
+                update(aik, &b[kk * n + j0..kk * n + j1], out_row);
             }
         }
+    }
+}
+
+/// `out_row += x · b_row`, one element at a time.
+#[inline(always)]
+fn scalar_row_update(x: Complex64, b_row: &[Complex64], out_row: &mut [Complex64]) {
+    for (o, &y) in out_row.iter_mut().zip(b_row) {
+        *o += x * y;
     }
 }
 

@@ -1,5 +1,6 @@
 #![warn(missing_docs)]
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(unsafe_code)]
 //! Dense complex linear algebra substrate for the `qns` workspace.
 //!
 //! This crate is deliberately self-contained (no external numeric

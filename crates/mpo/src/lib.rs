@@ -1,5 +1,6 @@
 #![warn(missing_docs)]
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![forbid(unsafe_code)]
 //! Matrix product operator (MPO) noisy-circuit simulation.
 //!
 //! The paper's related work (Section I) lists MPS/MPO/MPDO methods as

@@ -1,5 +1,6 @@
 #![warn(missing_docs)]
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![forbid(unsafe_code)]
 //! Quantum noise channels and noisy-circuit construction.
 //!
 //! * [`Kraus`] — a quantum channel in Kraus form, with CPTP validation,

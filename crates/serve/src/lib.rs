@@ -1,5 +1,6 @@
 #![warn(missing_docs)]
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![forbid(unsafe_code)]
 //! `qns-serve` — the serving layer over the unified [`qns_api`]
 //! facade.
 //!

@@ -1,5 +1,6 @@
 #![warn(missing_docs)]
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![forbid(unsafe_code)]
 //! Reference simulators for noisy quantum circuits.
 //!
 //! Three of the paper's baselines live here:

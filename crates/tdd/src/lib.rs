@@ -1,5 +1,6 @@
 #![warn(missing_docs)]
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![forbid(unsafe_code)]
 //! Decision-diagram (QMDD-style) quantum simulation substrate.
 //!
 //! The paper's third accurate baseline is the TDD-based method — a

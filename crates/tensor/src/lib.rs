@@ -1,5 +1,6 @@
 #![warn(missing_docs)]
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![forbid(unsafe_code)]
 //! Dense complex tensors for the `qns` tensor-network machinery.
 //!
 //! A [`Tensor`] is a multi-dimensional array of [`qns_linalg::Complex64`]

@@ -13,7 +13,8 @@
 //!   kernel reads `a[row_off[i] + col_off[k]]` through tables
 //!   precomputed here (a contraction permutation always splits the
 //!   axes into a free group and a contracted group, so the permuted
-//!   flat index factorizes),
+//!   flat index factorizes); see *Operand layouts* below for where the
+//!   other permutations run,
 //! * an exact slot-buffer layout inside a shared arena: every hot tree
 //!   node (intermediate) owns a **persistent, non-overlapping region**
 //!   for the plan's lifetime, so cached intermediates survive across
@@ -32,6 +33,20 @@
 //! has read it, in a pool it shares with other such nodes.
 //! [`ContractionPlan::compile`] is the case where every leaf varies:
 //! every step is hot and the cold cache is empty.
+//!
+//! # Operand layouts
+//!
+//! A node read through a permutation is stored in its reader's layout,
+//! so no replay permutes an operand that did not change. Cold nodes
+//! get this at compile time, whichever side their hot reader reads
+//! them on. A hot node read through an **rhs** permutation gets it from
+//! its own step: that step stages its product in the workspace scratch
+//! and copies it, permuted, into its arena region, so the copy runs
+//! only when the node itself reruns — never when its parent reruns for
+//! its other child. Two readers keep their permutation: an input leaf
+//! (a 2×2 payload) is copied into the scratch by its reader, and a hot
+//! lhs is gathered by the fused matmul. Every element is moved, never
+//! recomputed, so the bits are those of the reference path.
 //!
 //! Execution then threads a [`Workspace`] — one per worker thread,
 //! sized once from the plan — through the whole pattern sum: after the
@@ -95,6 +110,20 @@ struct Gather {
     col: Vec<usize>,
 }
 
+impl Gather {
+    /// `dst[r·cols + c] = src[row[r] + col[c]]`: the permuted copy, as
+    /// a two-level offset walk.
+    fn copy(&self, src: &[Complex64], dst: &mut [Complex64]) {
+        let cols = self.col.len();
+        for (r, &ro) in self.row.iter().enumerate() {
+            let drow = &mut dst[r * cols..(r + 1) * cols];
+            for (d, &co) in drow.iter_mut().zip(&self.col) {
+                *d = src[ro + co];
+            }
+        }
+    }
+}
+
 /// The arithmetic of one lowered pair contraction, independent of
 /// where its operands live.
 #[derive(Clone, Debug)]
@@ -108,13 +137,20 @@ struct Kernel {
     lhs_gather: Option<Gather>,
     /// `Some` when the rhs needs permuting: materialized into the
     /// workspace scratch with a two-level offset copy (no div/mod).
-    /// `None` = contracted axes already leading, buffer used as-is.
+    /// `None` = contracted axes already leading, or the rhs is a node
+    /// stored in this step's layout.
     rhs_gather: Option<Gather>,
+    /// `Some` when this step's node is stored in its reader's layout:
+    /// the product is staged in the scratch and copied through the
+    /// reader's operand gather into the destination.
+    out_gather: Option<Gather>,
 }
 
 impl Kernel {
-    /// `dst = a · b` with the operand permutations applied; `scratch`
-    /// holds the permuted rhs when it needs one (at least `k·n` long).
+    /// `dst = a · b` with the operand permutations applied, `dst` in
+    /// the reader's layout when [`Kernel::out_gather`] is set.
+    /// `scratch` (at least [`Kernel::scratch_len`] long) holds the
+    /// permuted rhs, then the staged product.
     fn run(
         &self,
         a: &[Complex64],
@@ -122,26 +158,41 @@ impl Kernel {
         dst: &mut [Complex64],
         scratch: &mut [Complex64],
     ) {
-        // Materialize the permuted rhs into scratch (factorized
-        // two-level offset copy; no div/mod) when it isn't already
-        // in k-leading order.
+        let (rhs_scratch, stage) = scratch.split_at_mut(self.rhs_scratch_len());
+        // Materialize the permuted rhs when it isn't already in
+        // k-leading order.
         let b = match &self.rhs_gather {
             None => b,
             Some(g) => {
-                let permuted = &mut scratch[..self.k * self.n];
-                for (r, &ro) in g.row.iter().enumerate() {
-                    let drow = &mut permuted[r * self.n..(r + 1) * self.n];
-                    for (d, &co) in drow.iter_mut().zip(&g.col) {
-                        *d = b[ro + co];
-                    }
-                }
-                &*permuted
+                g.copy(b, rhs_scratch);
+                &*rhs_scratch
             }
         };
+        match &self.out_gather {
+            None => self.matmul(a, b, dst),
+            Some(g) => {
+                let staged = &mut stage[..self.m * self.n];
+                self.matmul(a, b, staged);
+                g.copy(staged, dst);
+            }
+        }
+    }
+
+    fn matmul(&self, a: &[Complex64], b: &[Complex64], dst: &mut [Complex64]) {
         match &self.lhs_gather {
             None => matmul_into(a, b, dst, self.m, self.k, self.n),
             Some(g) => matmul_gather_lhs_into(a, &g.row, &g.col, b, dst, self.n),
         }
+    }
+
+    fn rhs_scratch_len(&self) -> usize {
+        self.rhs_gather.as_ref().map_or(0, |_| self.k * self.n)
+    }
+
+    /// Scratch elements [`Kernel::run`] uses: the permuted rhs, then
+    /// the staged product.
+    fn scratch_len(&self) -> usize {
+        self.rhs_scratch_len() + self.out_gather.as_ref().map_or(0, |_| self.m * self.n)
     }
 
     fn flops(&self) -> u128 {
@@ -203,7 +254,9 @@ pub struct ExecutablePlan {
 
 /// Per-thread scratch memory for [`ExecutablePlan`] execution: the
 /// hot-node arena (the contraction tree's cache of the nodes that
-/// change), the rhs-permutation scratch and the output buffer. Grown
+/// change), the scratch (a step's permuted input-leaf rhs, then its
+/// staged product when its node is stored in its reader's layout) and
+/// the output buffer. Grown
 /// on first use (or by [`Workspace::for_plan`]) and reused verbatim
 /// afterwards; buffers are never shrunk, so one workspace can serve
 /// several plans at the maximum of their footprints — though only the
@@ -347,6 +400,7 @@ fn lower_kernels(plan: &ContractionPlan) -> (Vec<Kernel>, Vec<Vec<usize>>) {
             n: free_b.iter().map(|&i| sb[i]).product(),
             lhs_gather,
             rhs_gather,
+            out_gather: None,
         });
         slot_shapes.push(shape);
     }
@@ -422,7 +476,7 @@ impl ExecutablePlan {
             None => plan.varying_below(&(0..n_inputs).collect::<Vec<_>>()),
         };
         let hot = |slot: usize| below[slot] > 0;
-        let (kernels, slot_shapes) = lower_kernels(plan);
+        let (mut kernels, slot_shapes) = lower_kernels(plan);
         let slot_len = |slot: usize| -> usize { slot_shapes[slot].iter().product() };
         let root = match n_steps {
             0 => 0,
@@ -449,24 +503,23 @@ impl ExecutablePlan {
             mark(root, &mut frontier);
         }
 
-        // The operand permutation a cold node's hot parent applies to
-        // it, if any: stored pre-permuted, the node needs none per
-        // replay (same values, same kernel order, same bits).
-        let parent_gather = |slot: usize| -> Option<&Gather> {
-            let p = plan.slot_parent(slot)?;
+        // Store every node a hot step reads through a permutation in
+        // that step's layout (module docs, *Operand layouts*): move the
+        // gather from the reader's kernel to the node's own, for a cold
+        // node on either side and a hot node read as the rhs.
+        for (p, step) in plan.steps().iter().enumerate() {
             if !hot(n_inputs + p) {
-                return None;
+                continue;
             }
-            let k = &kernels[p];
-            if plan.steps()[p].lhs == slot {
-                k.lhs_gather.as_ref()
-            } else {
-                k.rhs_gather.as_ref()
+            if step.lhs >= n_inputs && !hot(step.lhs) {
+                let gather = kernels[p].lhs_gather.take();
+                kernels[step.lhs - n_inputs].out_gather = gather;
             }
-        };
-        let pre_permuted: Vec<bool> = (0..n_inputs + n_steps)
-            .map(|slot| frontier[slot].is_some() && parent_gather(slot).is_some())
-            .collect();
+            if step.rhs >= n_inputs {
+                let gather = kernels[p].rhs_gather.take();
+                kernels[step.rhs - n_inputs].out_gather = gather;
+            }
+        }
 
         // Run the cold steps once. Each cold node is dropped as soon
         // as its parent has consumed it, unless the hot part reads it.
@@ -475,8 +528,7 @@ impl ExecutablePlan {
             let cold_steps: Vec<usize> = (0..n_steps).filter(|&i| !hot(n_inputs + i)).collect();
             let scratch_need = cold_steps
                 .iter()
-                .filter(|&&i| kernels[i].rhs_gather.is_some())
-                .map(|&i| kernels[i].k * kernels[i].n)
+                .map(|&i| kernels[i].scratch_len())
                 .max()
                 .unwrap_or(0);
             let mut scratch = vec![Complex64::ZERO; scratch_need];
@@ -509,24 +561,14 @@ impl ExecutablePlan {
                 } else {
                     &tb
                 };
-                let mut dst = vec![Complex64::ZERO; slot_len(slot)];
-                kernels[i].run(a, b, &mut dst, &mut scratch);
-                match frontier[slot] {
-                    // The hot parent's operand permutation is applied
-                    // here, once, instead of on every replay.
-                    Some(off) => match parent_gather(slot) {
-                        Some(g) => {
-                            let cols = g.col.len();
-                            for (r, &ro) in g.row.iter().enumerate() {
-                                for (c, &co) in g.col.iter().enumerate() {
-                                    cold_cache[off + r * cols + c] = dst[ro + co];
-                                }
-                            }
-                        }
-                        None => cold_cache[off..off + dst.len()].copy_from_slice(&dst),
-                    },
-                    None => temp[i] = dst,
-                }
+                let dst: &mut [Complex64] = match frontier[slot] {
+                    Some(off) => &mut cold_cache[off..off + slot_len(slot)],
+                    None => {
+                        temp[i] = vec![Complex64::ZERO; slot_len(slot)];
+                        &mut temp[i]
+                    }
+                };
+                kernels[i].run(a, b, dst, &mut scratch);
             }
         }
 
@@ -559,15 +601,9 @@ impl ExecutablePlan {
             plan_reuses: 1,
             ..Default::default()
         };
-        for (i, (step, mut kernel)) in plan.steps().iter().zip(kernels).enumerate() {
+        for (i, (step, kernel)) in plan.steps().iter().zip(kernels).enumerate() {
             let slot = n_inputs + i;
             let len = slot_len(slot);
-            if pre_permuted[step.lhs] {
-                kernel.lhs_gather = None;
-            }
-            if pre_permuted[step.rhs] {
-                kernel.rhs_gather = None;
-            }
             if !hot(slot) {
                 locs.push(match frontier[slot] {
                     Some(offset) => SlotLoc::Cold { offset, len },
@@ -576,9 +612,7 @@ impl ExecutablePlan {
                 });
                 continue;
             }
-            if kernel.rhs_gather.is_some() {
-                scratch_len = scratch_len.max(kernel.k * kernel.n);
-            }
+            scratch_len = scratch_len.max(kernel.scratch_len());
             let offset = if transient(slot) {
                 pool.alloc(len)
             } else {
@@ -671,6 +705,17 @@ impl ExecutablePlan {
     /// scratch + output).
     pub fn workspace_len(&self) -> usize {
         self.arena_len + self.scratch_len + self.result_len.max(1)
+    }
+
+    /// The hot nodes stored in their reader's layout: each is its hot
+    /// parent's rhs through a permutation, so its own step writes it
+    /// permuted and the parent's kernel reads it as it lies (module
+    /// docs, *Operand layouts*).
+    pub fn pre_permuted_hot_nodes(&self) -> usize {
+        self.steps
+            .iter()
+            .filter(|s| s.kernel.out_gather.is_some())
+            .count()
     }
 
     /// Whether input slot `leaf` may change between executions — the
@@ -1176,6 +1221,52 @@ mod tests {
         assert!(ws.is_warm_for(&clone));
         let (_, stats) = clone.execute_network_delta_into(&net, &[], &mut ws);
         assert_eq!(stats.contractions, 0);
+    }
+
+    #[test]
+    fn hot_rhs_node_is_stored_in_its_readers_layout() {
+        // ((n0·n1)·(n2·n3)): the right pair's result has axes [o1, b],
+        // and the root contracts b, so it reads that node through a
+        // non-identity rhs permutation.
+        let mut rng = StdRng::seed_from_u64(25);
+        let mut net = TensorNetwork::new();
+        let [o0, o1, a, b, c] = std::array::from_fn(|_| net.fresh_leg());
+        let shapes = [vec![2, 3], vec![3, 2], vec![2, 3], vec![3, 2]];
+        for (shape, legs) in shapes.iter().zip([[o0, a], [a, b], [o1, c], [c, b]]) {
+            net.add(rand_tensor(&mut rng, shape.clone()), legs.to_vec());
+        }
+        let plan = net.plan_order(&[(0, 1), (2, 3), (4, 5)]);
+        let (kernels, _) = lower_kernels(&plan);
+        assert!(
+            kernels[2].rhs_gather.is_some(),
+            "the root's rhs is permuted"
+        );
+
+        for exec in [plan.compile(), plan.compile_for_replay(&net, &[0, 3])] {
+            assert_eq!(exec.pre_permuted_hot_nodes(), 1);
+            assert!(exec.steps[1].kernel.out_gather.is_some());
+            let root = &exec.steps[2].kernel;
+            assert!(root.rhs_gather.is_none(), "the root copies no rhs");
+            let mut ws = Workspace::new();
+            let _ = exec.execute_network_into(&net, &mut ws);
+            for dirty in [0, 3, 0] {
+                net.set_tensor(
+                    net.node_id(dirty),
+                    rand_tensor(&mut rng, shapes[dirty].clone()),
+                );
+                // Leaf 0 reruns the root with its rhs node cached.
+                let delta = exec
+                    .execute_network_delta_into(&net, &[dirty], &mut ws)
+                    .0
+                    .to_vec();
+                let full = exec
+                    .execute_network_into(&net, &mut Workspace::new())
+                    .to_vec();
+                let (reference, _) = plan.execute_network_reference(&net);
+                assert_eq!(delta, full, "leaf {dirty}");
+                assert_eq!(full, reference.as_slice(), "leaf {dirty}");
+            }
+        }
     }
 
     #[test]

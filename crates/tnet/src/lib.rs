@@ -1,5 +1,6 @@
 #![warn(missing_docs)]
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![forbid(unsafe_code)]
 //! Tensor networks for (noisy) quantum circuit simulation.
 //!
 //! This crate is the workspace's replacement for the Google

@@ -8,7 +8,9 @@
 //! once to warm the workspace, once counted. The counted pass runs a full replay and
 //! one delta replay per pattern, which drives the `qns-linalg` matmul
 //! kernels and the executor's step loop; it must perform zero heap
-//! allocations.
+//! allocations. The HF-VQE plan stores hot nodes in their reader's
+//! layout, so the staged, permuted writes of those nodes are counted
+//! too.
 
 use qns_circuit::generators::{hf_vqe, inst_grid};
 use qns_circuit::Circuit;
@@ -92,10 +94,17 @@ fn patterns(ranks: &[usize]) -> Vec<Vec<usize>> {
     out
 }
 
+/// Allocation counts of [`replay_allocations`].
+struct Replays {
+    warm_up: u64,
+    counted: u64,
+    /// The plan's hot nodes stored in their reader's layout.
+    pre_permuted: usize,
+}
+
 /// Warms, then counts, full and delta replays of `circuit` with
-/// `noises` thermal sites at placement `seed`; returns the
-/// `(warm-up, counted)` allocation counts.
-fn replay_allocations(circuit: Circuit, noises: usize, seed: u64) -> (u64, u64) {
+/// `noises` thermal sites at placement `seed`.
+fn replay_allocations(circuit: Circuit, noises: usize, seed: u64) -> Replays {
     let channel = channels::thermal_relaxation(30.0, 40.0, 25.0);
     let noisy = NoisyCircuit::inject_random(circuit, &channel, noises, seed);
     let n = noisy.n_qubits();
@@ -151,21 +160,26 @@ fn replay_allocations(circuit: Circuit, noises: usize, seed: u64) -> (u64, u64) 
         }
         assert!(acc.re.is_finite());
     };
-    let warm = allocations_in(|| pass(&mut skel));
+    let warm_up = allocations_in(|| pass(&mut skel));
     let counted = allocations_in(|| pass(&mut skel));
-    (warm, counted)
+    Replays {
+        warm_up,
+        counted,
+        pre_permuted: exec.pre_permuted_hot_nodes(),
+    }
 }
 
 #[test]
 fn warmed_hf_vqe_replays_do_not_allocate() {
-    let (warm, counted) = replay_allocations(hf_vqe(12, 6, 13), 12, 0xD5EE);
-    assert!(warm > 0, "the warm-up sizes the workspace arena");
-    assert_eq!(counted, 0, "warmed full + delta replays allocated");
+    let r = replay_allocations(hf_vqe(12, 6, 13), 12, 0xD5EE);
+    assert!(r.pre_permuted > 0, "no hot node in its reader's layout");
+    assert!(r.warm_up > 0, "the warm-up sizes the workspace arena");
+    assert_eq!(r.counted, 0, "warmed full + delta replays allocated");
 }
 
 #[test]
 fn warmed_inst_grid_replays_do_not_allocate() {
-    let (warm, counted) = replay_allocations(inst_grid(4, 4, 16, 34), 9, 0xD5F0);
-    assert!(warm > 0, "the warm-up sizes the workspace arena");
-    assert_eq!(counted, 0, "warmed full + delta replays allocated");
+    let r = replay_allocations(inst_grid(4, 4, 16, 34), 9, 0xD5F0);
+    assert!(r.warm_up > 0, "the warm-up sizes the workspace arena");
+    assert_eq!(r.counted, 0, "warmed full + delta replays allocated");
 }

@@ -1,5 +1,6 @@
 #![warn(missing_docs)]
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![forbid(unsafe_code)]
 //! Umbrella crate re-exporting the entire `qns` workspace.
 //!
 //! `qns` reproduces "Approximation Algorithm for Noisy Quantum Circuit
