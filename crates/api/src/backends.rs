@@ -1,8 +1,7 @@
-//! The [`Backend`] trait and its six engine implementations.
+//! The [`Backend`] trait and its five engine implementations.
 
 use crate::job::{Estimate, ExpectationJob};
 use qns_core::ApproxOptions;
-use qns_mpo::MpoState;
 use qns_noise::{NoisyCircuit, QnsError};
 use qns_sim::trajectory::SamplingStrategy;
 use qns_sim::{density, trajectory};
@@ -11,7 +10,7 @@ use qns_tnet::network::OrderStrategy;
 /// A simulation engine that can answer the paper's Problem 1,
 /// `⟨v|E_N(|ψ⟩⟨ψ|)|v⟩`, for a validated [`ExpectationJob`].
 ///
-/// All six engines in the workspace implement this trait, so
+/// All five engines in the workspace implement this trait, so
 /// cross-backend comparisons (the paper's tables), benchmark
 /// harnesses, and services can hold a `&dyn Backend` and stay agnostic
 /// of the engine's native state representation.
@@ -59,8 +58,8 @@ pub trait Backend {
     }
 
     /// The absolute tolerance within which this backend, *configured
-    /// to be exact* (full level, generous bond, …), agrees with the
-    /// dense density-matrix reference. Sampling backends return a
+    /// to be exact* (full level, …), agrees with the dense
+    /// density-matrix reference. Sampling backends return a
     /// loose default; prefer a multiple of [`Estimate::std_error`].
     fn tolerance(&self) -> f64 {
         1e-9
@@ -442,113 +441,12 @@ impl Backend for TnetBackend {
     }
 }
 
-/// Matrix-product-operator density evolution with a bond cap.
-///
-/// Exact while the state's bond dimension stays below the cap; once
-/// entanglement exceeds it, SVD truncation kicks in and the estimate
-/// reports the accumulated discarded weight in
-/// [`Estimate::truncation_error`] instead of claiming exactness.
-#[non_exhaustive]
-#[derive(Clone, Copy, Debug)]
-pub struct MpoBackend {
-    max_bond: usize,
-}
-
-impl Default for MpoBackend {
-    fn default() -> Self {
-        MpoBackend { max_bond: 64 }
-    }
-}
-
-impl MpoBackend {
-    /// An MPO backend truncating bonds to `max_bond`.
-    pub fn max_bond(max_bond: usize) -> Self {
-        MpoBackend { max_bond }
-    }
-}
-
-impl Backend for MpoBackend {
-    fn name(&self) -> &'static str {
-        "mpo"
-    }
-
-    fn expectation(&self, job: &ExpectationJob<'_>) -> Result<Estimate, QnsError> {
-        self.supports(job)?;
-        let mut rho = MpoState::from_product(&job.initial().factors(), self.max_bond);
-        rho.run(job.noisy());
-        let value = rho.expectation_product(&job.observable().factors());
-        let truncation = rho.truncation_error();
-        if truncation > 0.0 {
-            Ok(Estimate::truncated(value, truncation, self.name()))
-        } else {
-            Ok(Estimate::exact(value, self.name()))
-        }
-    }
-
-    fn tolerance(&self) -> f64 {
-        1e-8
-    }
-
-    fn supports(&self, job: &ExpectationJob<'_>) -> Result<(), QnsError> {
-        let _ = job;
-        if self.max_bond == 0 {
-            return Err(QnsError::InvalidJob {
-                reason: "MPO backend needs max_bond ≥ 1".into(),
-            });
-        }
-        Ok(())
-    }
-
-    fn cost_hint(&self, job: &ExpectationJob<'_>) -> Option<u128> {
-        self.supports(job).ok()?;
-        // A chain of n χ×χ tensors, SVD-swept once per gate/noise.
-        let chi3 = (self.max_bond as u128).saturating_pow(3);
-        Some(
-            (job.n_qubits() as u128)
-                .saturating_mul(job_units(job))
-                .saturating_mul(chi3),
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::job::Simulation;
     use qns_circuit::Circuit;
     use qns_noise::channels;
-
-    /// A circuit that at χ = 1 must truncate and at χ = 64 must not:
-    /// a GHZ ladder followed by an entangling ZZ round.
-    fn entangling_circuit() -> NoisyCircuit {
-        let mut c = Circuit::new(5);
-        c.h(0);
-        for q in 1..5 {
-            c.cx(q - 1, q);
-        }
-        for q in 0..4 {
-            c.zz(q, q + 1, 0.7);
-        }
-        NoisyCircuit::noiseless(c)
-    }
-
-    #[test]
-    fn mpo_backend_reports_truncation_under_tight_bond() {
-        let noisy = entangling_circuit();
-        let job = Simulation::new(&noisy).build().unwrap();
-
-        let tight = MpoBackend::max_bond(1).expectation(&job).unwrap();
-        let err = tight
-            .truncation_error
-            .expect("χ=1 must truncate and say so");
-        assert!(err > 1e-6, "truncation bound should be visible: {err}");
-        assert!(tight.is_deterministic(), "no sampling error bar");
-        assert!(!tight.is_exact(), "a truncated run is not exact");
-
-        let loose = MpoBackend::max_bond(64).expectation(&job).unwrap();
-        assert!(loose.is_exact(), "χ=64 is exact on this circuit");
-        assert_eq!(loose.truncation_error, None);
-    }
 
     #[test]
     fn approx_backend_threads_setter_routes_to_options() {
@@ -600,7 +498,6 @@ mod tests {
 
         // Degenerate configurations decline before running.
         assert!(TrajectoryBackend::samples(0).supports(&job).is_err());
-        assert!(MpoBackend::max_bond(0).supports(&job).is_err());
         assert!(TrajectoryBackend::samples(10).supports(&job).is_ok());
     }
 
@@ -619,7 +516,6 @@ mod tests {
             None
         );
         assert_eq!(TrajectoryBackend::samples(0).cost_hint(&job), None);
-        assert_eq!(MpoBackend::max_bond(0).cost_hint(&job), None);
 
         // A low-level approximation must model as far cheaper than the
         // dense engine on a noisy job — that asymmetry is what the

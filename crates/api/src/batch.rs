@@ -74,7 +74,7 @@ pub fn compare_backends(
 mod tests {
     use super::*;
     use crate::backends::{
-        ApproxBackend, DensityBackend, MpoBackend, TddBackend, TnetBackend, TrajectoryBackend,
+        ApproxBackend, DensityBackend, TddBackend, TnetBackend, TrajectoryBackend,
     };
     use crate::job::{InitialState, Observable, Simulation};
     use qns_circuit::generators::ghz;
@@ -85,7 +85,7 @@ mod tests {
     }
 
     #[test]
-    fn all_six_backends_agree_on_one_job() {
+    fn all_backends_agree_on_one_job() {
         let noisy = noisy_ghz(3, 2);
         let job = Simulation::new(&noisy)
             .observable_basis(0b111)
@@ -97,7 +97,6 @@ mod tests {
         let deterministic: Vec<Box<dyn Backend>> = vec![
             Box::new(TddBackend::new()),
             Box::new(TnetBackend::new()),
-            Box::new(MpoBackend::default()),
             Box::new(ApproxBackend::exact_for(&noisy)),
         ];
         for b in &deterministic {

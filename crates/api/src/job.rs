@@ -60,7 +60,7 @@ impl InitialState {
         &self.state
     }
 
-    /// The per-qubit factor representation (TDD and MPO engines).
+    /// The per-qubit factor representation (the TDD engine).
     pub fn factors(&self) -> Vec<[Complex64; 2]> {
         (0..self.state.n_qubits())
             .map(|q| self.state.factor(q))
@@ -234,10 +234,6 @@ pub struct Estimate {
     /// Statistical standard error of the mean for sampling backends;
     /// `None` for deterministic ones.
     pub std_error: Option<f64>,
-    /// Accumulated truncation-error bound for bond-capped engines
-    /// (the MPO backend's discarded singular-value weight); `None`
-    /// when the run was exact to machine precision.
-    pub truncation_error: Option<f64>,
     /// A-priori Theorem-1 error bound for level-truncated pattern-sum
     /// runs: `|value − exact| ≤ error_bound`. `None` when the run was
     /// exact or the backend carries its uncertainty elsewhere.
@@ -256,7 +252,6 @@ impl Estimate {
         Estimate {
             value,
             std_error: None,
-            truncation_error: None,
             error_bound: None,
             level: None,
             backend,
@@ -268,20 +263,6 @@ impl Estimate {
         Estimate {
             value,
             std_error: Some(std_error),
-            truncation_error: None,
-            error_bound: None,
-            level: None,
-            backend,
-        }
-    }
-
-    /// An estimate from a deterministic backend whose resource cap
-    /// forced truncation, with the accumulated truncation-error bound.
-    pub fn truncated(value: f64, truncation_error: f64, backend: &'static str) -> Self {
-        Estimate {
-            value,
-            std_error: None,
-            truncation_error: Some(truncation_error),
             error_bound: None,
             level: None,
             backend,
@@ -294,7 +275,6 @@ impl Estimate {
         Estimate {
             value,
             std_error: None,
-            truncation_error: None,
             error_bound: Some(error_bound),
             level: Some(level),
             backend,
@@ -307,15 +287,14 @@ impl Estimate {
     }
 
     /// `true` when the estimate is exact up to machine precision:
-    /// deterministic *and* free of truncation (bond-cap or level).
+    /// deterministic *and* free of level truncation.
     pub fn is_exact(&self) -> bool {
-        self.std_error.is_none() && self.truncation_error.is_none() && self.error_bound.is_none()
+        self.std_error.is_none() && self.error_bound.is_none()
     }
 
     /// Bound-aware agreement check between two estimates: the values
     /// must differ by at most `tol` **plus** each side's declared
-    /// uncertainty — five standard errors for sampling backends, the
-    /// accumulated truncation bound for bond-capped ones, and the
+    /// uncertainty — five standard errors for sampling backends and the
     /// Theorem-1 bound for level-truncated ones. This is the one
     /// comparison the agreement suites share instead of hand-rolling
     /// `max(k·σ, ε)` at every call site.
@@ -331,8 +310,6 @@ impl Estimate {
         let slack = tol
             + 5.0 * self.std_error.unwrap_or(0.0)
             + 5.0 * other.std_error.unwrap_or(0.0)
-            + self.truncation_error.unwrap_or(0.0)
-            + other.truncation_error.unwrap_or(0.0)
             + self.error_bound.unwrap_or(0.0)
             + other.error_bound.unwrap_or(0.0);
         (self.value - other.value).abs() <= slack

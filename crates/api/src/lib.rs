@@ -5,9 +5,9 @@
 //!
 //! The paper's central claim (Theorem 1) is a *comparison*: the
 //! level-`l` SVD expansion matches the density-matrix, trajectory,
-//! decision-diagram, tensor-network and MPO baselines at a fraction of
+//! decision-diagram and tensor-network baselines at a fraction of
 //! their cost. This crate makes that comparison a one-liner by putting
-//! all six engines behind one [`Backend`] trait with a single
+//! all five engines behind one [`Backend`] trait with a single
 //! request/response protocol:
 //!
 //! * [`ExpectationJob`] — the paper's Problem 1, `⟨v|E_N(|ψ⟩⟨ψ|)|v⟩`,
@@ -19,8 +19,7 @@
 //!   at every call site.
 //! * [`Backend`] — `fn expectation(&self, job) -> Result<Estimate, QnsError>`,
 //!   implemented by [`ApproxBackend`], [`DensityBackend`],
-//!   [`TrajectoryBackend`], [`TddBackend`], [`TnetBackend`] and
-//!   [`MpoBackend`].
+//!   [`TrajectoryBackend`], [`TddBackend`] and [`TnetBackend`].
 //! * [`Simulation`] — a fluent builder:
 //!   `Simulation::new(&noisy).initial(..).observable(..).run_on(&backend)`.
 //! * [`run_batch`] / [`run_batch_parallel`] / [`compare_backends`] —
@@ -50,7 +49,7 @@ mod job;
 pub mod refine;
 
 pub use backends::{
-    ApproxBackend, Backend, DensityBackend, MpoBackend, TddBackend, TnetBackend, TrajectoryBackend,
+    ApproxBackend, Backend, DensityBackend, TddBackend, TnetBackend, TrajectoryBackend,
 };
 pub use batch::{compare_backends, run_batch, run_batch_parallel};
 pub use fingerprint::{Fingerprint, Fingerprinter};

@@ -16,7 +16,13 @@
 //!   cargo run -p qns-bench --release --bin contract_bench -- \
 //!       [--smoke] [--patterns P] [--noises N] [--out PATH]
 //!
-//! A second section replays a **minimal-change (Gray-ordered) level-2
+//! The first two sections replay what the approximation evaluator
+//! replays: one amplitude network `⟨v|K_p ψ⟩` with the Kraus `U` terms
+//! of its thermal noise sites inserted, summed as `Σ amp·conj(amp)`
+//! over rank-aware patterns (no pattern uses an exactly-zero Kraus
+//! term). Each reports the median of repeated timed passes.
+//!
+//! The second section replays a **minimal-change (Gray-ordered) level-2
 //! pattern sequence** — the pattern sum's real access pattern — through
 //! the full compiled path and through **delta replay**
 //! (`ExecutablePlan::execute_network_delta_scalar`: only the
@@ -27,8 +33,9 @@
 //!
 //! A third section times the **order search** itself
 //! (`TensorNetwork::plan`, the once-per-run planning layer) on each
-//! workload's split halves and its double network, as the median of
-//! repeated runs, and reports it under `"planning"` as `plan_us`.
+//! workload's amplitude network and on the double network the exact
+//! `tnet` engine contracts, as the median of repeated runs, and reports
+//! it under `"planning"` as `plan_us`.
 //!
 //! A fourth section compares the **delta-aware plan**
 //! (`TensorNetwork::plan_for_replay`, the evaluator's order search)
@@ -36,8 +43,8 @@
 //! with the noise sites varying (`ContractionPlan::compile_for_replay`,
 //! so the noise-free part is contracted once): the modelled `m·k·n`
 //! and the measured µs of replaying one varying leaf's path, on the
-//! evaluator's single amplitude network and its rank-aware level-1
-//! Gray sequence. It is reported under `"delta_aware"`.
+//! same amplitude network and its rank-aware level-1 Gray sequence. It
+//! is reported under `"delta_aware"`.
 //!
 //! A fifth section times the **kernel layer** alone: one matmul step
 //! (`qns_linalg::kernels::matmul_into`) per shape that dominates the
@@ -47,7 +54,7 @@
 //! complex G MAC/s. It is reported under `"kernels"`.
 //!
 //! Nine invariants are *asserted* on every run (and gate CI via
-//! `--smoke`):
+//! `--smoke`); 1–4 on every timed pass:
 //!
 //! 1. reference and compiled paths produce **bit-identical** pattern
 //!    sums,
@@ -55,9 +62,9 @@
 //!    first pattern**,
 //! 3. delta replay's pattern sum is **bit-identical** to the full
 //!    compiled replay of the same Gray sequence, and
-//! 4. the delta path's warmed timing pass performs **zero
+//! 4. the delta path's warmed timing passes perform **zero
 //!    allocations**, and
-//! 5. repeated order searches on one skeleton record **equal plans**,
+//! 5. repeated order searches on one network record **equal plans**,
 //! 6. the delta-aware plan's modelled cost is **at most the greedy
 //!    plan's**,
 //! 7. its delta replay is **bit-identical** to its full replay, and
@@ -73,38 +80,35 @@ use qns_core::NoiseSvd;
 use qns_linalg::{kernels, Complex64, Matrix};
 use qns_noise::{channels, NoisyCircuit};
 use qns_tensor::Tensor;
-use qns_tnet::builder::{AmplitudeSkeleton, DoubleSkeleton, Insertion, ProductState};
-use qns_tnet::exec::Workspace;
+use qns_tnet::builder::{double_network, AmplitudeSkeleton, Insertion, ProductState};
+use qns_tnet::exec::{ExecutablePlan, Workspace};
 use qns_tnet::network::OrderStrategy;
+use qns_tnet::plan::ContractionPlan;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+use std::collections::BTreeMap;
 use std::hint::black_box;
 use std::io::Write;
 
-/// The split-half skeletons, compiled plans and pre-resolved SVD-term
-/// payloads of one workload — the same once-per-run setup the
-/// approximation evaluator performs.
+/// The evaluator's amplitude skeleton, its compiled greedy plan and the
+/// pre-resolved Kraus-term payloads of one workload — the once-per-run
+/// setup of the pattern sum.
 struct Workload {
     name: String,
-    upper: AmplitudeSkeleton,
-    lower: AmplitudeSkeleton,
-    /// The double-size network of the same noisy circuit (the exact
-    /// `tnet` engine's topology), planned only in the planning section.
-    double: DoubleSkeleton,
-    up_plan: qns_tnet::plan::ContractionPlan,
-    lo_plan: qns_tnet::plan::ContractionPlan,
-    up_exec: qns_tnet::exec::ExecutablePlan,
-    lo_exec: qns_tnet::exec::ExecutablePlan,
-    /// `payloads[site][term] = (U tensor, V tensor)`.
-    payloads: Vec<[(Tensor, Tensor); 4]>,
+    noisy: NoisyCircuit,
+    skel: AmplitudeSkeleton,
+    plan: ContractionPlan,
+    exec: ExecutablePlan,
+    /// `payloads[site][term]` = the Kraus `U` term of the site.
+    payloads: Vec<[Tensor; 4]>,
+    /// Nonzero Kraus terms per site ([`NoiseSvd::rank`]).
+    ranks: Vec<usize>,
 }
 
 fn build_workload(bench: &BenchCircuit, noises: usize, seed: u64) -> Workload {
     let channel = channels::thermal_relaxation(30.0, 40.0, 25.0);
     let noisy = NoisyCircuit::inject_random(bench.circuit.clone(), &channel, noises, seed);
     let n = noisy.n_qubits();
-    let psi = ProductState::all_zeros(n);
-    let v = ProductState::basis(n, 0);
     let placeholders: Vec<Insertion> = noisy
         .events()
         .iter()
@@ -114,42 +118,50 @@ fn build_workload(bench: &BenchCircuit, noises: usize, seed: u64) -> Workload {
             matrix: Matrix::identity(2),
         })
         .collect();
-    let upper = AmplitudeSkeleton::new(noisy.circuit(), &psi, &v, &placeholders, false);
-    let lower = AmplitudeSkeleton::new(noisy.circuit(), &psi, &v, &placeholders, true);
-    let double = DoubleSkeleton::new(&noisy, &psi, &v);
-    let up_plan = upper.plan(OrderStrategy::Greedy);
-    let lo_plan = lower.plan(OrderStrategy::Greedy);
-    let payloads = noisy
+    let skel = AmplitudeSkeleton::new(
+        noisy.circuit(),
+        &ProductState::all_zeros(n),
+        &ProductState::basis(n, 0),
+        &placeholders,
+        false,
+    );
+    let svds: Vec<NoiseSvd> = noisy
         .events()
         .iter()
-        .map(|e| {
-            let svd = NoiseSvd::decompose(&e.kraus);
-            std::array::from_fn(|term| {
-                let (u, vm) = svd.term(term);
-                (Tensor::from_matrix(u), Tensor::from_matrix(vm))
-            })
-        })
+        .map(|e| NoiseSvd::decompose(&e.kraus))
         .collect();
+    let plan = skel.plan(OrderStrategy::Greedy);
     Workload {
         name: bench.name.clone(),
-        up_exec: up_plan.compile(),
-        lo_exec: lo_plan.compile(),
-        upper,
-        lower,
-        double,
-        up_plan,
-        lo_plan,
-        payloads,
+        exec: plan.compile(),
+        plan,
+        skel,
+        ranks: svds.iter().map(NoiseSvd::rank).collect(),
+        payloads: svds
+            .iter()
+            .map(|s| std::array::from_fn(|t| Tensor::from_matrix(s.term(t).0)))
+            .collect(),
+        noisy,
     }
 }
 
-/// Random substitution patterns, fixed per workload so both paths
-/// replay the identical sequence.
-fn random_patterns(n_sites: usize, count: usize, seed: u64) -> Vec<Vec<usize>> {
+/// Random rank-aware substitution patterns, fixed per workload so both
+/// paths replay the identical sequence.
+fn random_patterns(ranks: &[usize], count: usize, seed: u64) -> Vec<Vec<usize>> {
     let mut rng = StdRng::seed_from_u64(seed);
     (0..count)
-        .map(|_| (0..n_sites).map(|_| rng.random_range(0..4usize)).collect())
+        .map(|_| ranks.iter().map(|&r| rng.random_range(0..r)).collect())
         .collect()
+}
+
+/// Timed passes per path in the first two sections, after one untimed
+/// pass; the median is reported.
+const REPLAY_PASSES: usize = 7;
+
+/// The median of `values`.
+fn median(mut values: Vec<f64>) -> f64 {
+    values.sort_by(f64::total_cmp);
+    values[values.len() / 2]
 }
 
 struct PathResult {
@@ -157,20 +169,21 @@ struct PathResult {
     seconds: f64,
 }
 
-/// The pre-PR allocating path: payload swap by tensor replacement,
-/// reference replay chaining `Tensor::contract`.
+/// The allocating path: payload swap by tensor replacement, reference
+/// replay chaining `Tensor::contract`.
 fn run_reference(w: &mut Workload, patterns: &[Vec<usize>]) -> PathResult {
     let (sum, seconds) = time_it(|| {
         let mut acc = Complex64::ZERO;
         for pat in patterns {
             for (i, &term) in pat.iter().enumerate() {
-                let (u, v) = &w.payloads[i][term];
-                w.upper.set_insertion_tensor(i, u.clone());
-                w.lower.set_insertion_tensor(i, v.clone());
+                w.skel.set_insertion_tensor(i, w.payloads[i][term].clone());
             }
-            let (t_up, _) = w.up_plan.execute_network_reference(w.upper.network());
-            let (t_lo, _) = w.lo_plan.execute_network_reference(w.lower.network());
-            acc += t_up.scalar_value() * t_lo.scalar_value();
+            let a = w
+                .plan
+                .execute_network_reference(w.skel.network())
+                .0
+                .scalar_value();
+            acc += a * a.conj();
         }
         acc
     });
@@ -188,13 +201,10 @@ fn run_compiled(w: &mut Workload, patterns: &[Vec<usize>]) -> (PathResult, u64) 
         let mut acc = Complex64::ZERO;
         for (p, pat) in patterns.iter().enumerate() {
             for (i, &term) in pat.iter().enumerate() {
-                let (u, v) = &w.payloads[i][term];
-                w.upper.set_insertion_payload(i, u);
-                w.lower.set_insertion_payload(i, v);
+                w.skel.set_insertion_payload(i, &w.payloads[i][term]);
             }
-            let up = w.up_exec.execute_network_scalar(w.upper.network(), &mut ws);
-            let lo = w.lo_exec.execute_network_scalar(w.lower.network(), &mut ws);
-            acc += up * lo;
+            let a = w.exec.execute_network_scalar(w.skel.network(), &mut ws);
+            acc += a * a.conj();
             if p == 0 {
                 warm = ws.allocation_events();
             }
@@ -206,14 +216,14 @@ fn run_compiled(w: &mut Workload, patterns: &[Vec<usize>]) -> (PathResult, u64) 
 }
 
 /// The minimal-change pattern sequence of one approximation run:
-/// levels `0..=level` enumerated in Gray order, so consecutive
-/// patterns differ in at most two sites (three across a level
-/// boundary, since the per-level streams chain).
-fn gray_patterns(n_sites: usize, level: usize) -> Vec<Vec<usize>> {
+/// levels `0..=level` enumerated in rank-aware Gray order, so
+/// consecutive patterns differ in at most two sites (three across a
+/// level boundary, since the per-level streams chain).
+fn gray_patterns(ranks: &[usize], level: usize) -> Vec<Vec<usize>> {
     let mut out = Vec::new();
-    let mut pat = vec![0usize; n_sites];
-    for u in 0..=level.min(n_sites) {
-        let mut stream = GrayPatternStream::new(n_sites, u);
+    let mut pat = vec![0usize; ranks.len()];
+    for u in 0..=level.min(ranks.len()) {
+        let mut stream = GrayPatternStream::with_ranks(ranks, u);
         while stream.next_into(&mut pat) {
             out.push(pat.clone());
         }
@@ -222,29 +232,20 @@ fn gray_patterns(n_sites: usize, level: usize) -> Vec<Vec<usize>> {
 }
 
 /// Mutable state of the delta path: the installed assignment plus one
-/// warm workspace per split half (cached intermediates belong to a
-/// single plan, so the halves must not share).
+/// warm workspace holding the cached intermediates of the plan.
 struct DeltaState {
-    ws_up: Workspace,
-    ws_lo: Workspace,
+    ws: Workspace,
     current: Vec<usize>,
-    dirty_up: Vec<usize>,
-    dirty_lo: Vec<usize>,
+    dirty: Vec<usize>,
 }
 
 impl DeltaState {
     fn new(w: &Workload) -> Self {
         DeltaState {
-            ws_up: Workspace::for_plan(&w.up_exec),
-            ws_lo: Workspace::for_plan(&w.lo_exec),
+            ws: Workspace::for_plan(&w.exec),
             current: vec![usize::MAX; w.payloads.len()],
-            dirty_up: Vec::new(),
-            dirty_lo: Vec::new(),
+            dirty: Vec::new(),
         }
-    }
-
-    fn allocation_events(&self) -> u64 {
-        self.ws_up.allocation_events() + self.ws_lo.allocation_events()
     }
 }
 
@@ -262,31 +263,20 @@ fn run_delta_pass(
         let mut acc = Complex64::ZERO;
         let mut steps = 0u64;
         for pat in patterns {
-            st.dirty_up.clear();
-            st.dirty_lo.clear();
+            st.dirty.clear();
             for (i, &term) in pat.iter().enumerate() {
                 if st.current[i] == term {
                     continue;
                 }
-                let (u, v) = &w.payloads[i][term];
-                w.upper.set_insertion_payload(i, u);
-                w.lower.set_insertion_payload(i, v);
-                st.dirty_up.push(w.upper.insertion_slot(i));
-                st.dirty_lo.push(w.lower.insertion_slot(i));
+                w.skel.set_insertion_payload(i, &w.payloads[i][term]);
+                st.dirty.push(w.skel.insertion_slot(i));
                 st.current[i] = term;
             }
-            let (up, s_up) = w.up_exec.execute_network_delta_scalar(
-                w.upper.network(),
-                &st.dirty_up,
-                &mut st.ws_up,
-            );
-            let (lo, s_lo) = w.lo_exec.execute_network_delta_scalar(
-                w.lower.network(),
-                &st.dirty_lo,
-                &mut st.ws_lo,
-            );
-            steps += (s_up.contractions + s_lo.contractions) as u64;
-            acc += up * lo;
+            let (a, stats) =
+                w.exec
+                    .execute_network_delta_scalar(w.skel.network(), &st.dirty, &mut st.ws);
+            steps += stats.contractions as u64;
+            acc += a * a.conj();
         }
         (acc, steps)
     });
@@ -301,15 +291,15 @@ const PLAN_REPEATS: usize = 15;
 /// untimed warm-up run. Every run must record the warm-up's plan.
 fn median_plan_us<P: PartialEq + std::fmt::Debug>(name: &str, search: impl Fn() -> P) -> f64 {
     let first = search();
-    let mut us: Vec<f64> = (0..PLAN_REPEATS)
-        .map(|_| {
-            let (plan, seconds) = time_it(&search);
-            assert_eq!(plan, first, "{name}: order search is not deterministic");
-            seconds * 1e6
-        })
-        .collect();
-    us.sort_by(f64::total_cmp);
-    us[us.len() / 2]
+    median(
+        (0..PLAN_REPEATS)
+            .map(|_| {
+                let (plan, seconds) = time_it(&search);
+                assert_eq!(plan, first, "{name}: order search is not deterministic");
+                seconds * 1e6
+            })
+            .collect(),
+    )
 }
 
 /// One plan's replay cost in the delta-aware section.
@@ -351,56 +341,26 @@ const DELTA_PASS_PATTERNS: usize = 512;
 /// delta replay is bitwise its full replay, and that warmed passes
 /// allocate nothing.
 fn delta_aware_row(bench: &BenchCircuit, noises: usize, seed: u64) -> DeltaAwareRow {
-    let channel = channels::thermal_relaxation(30.0, 40.0, 25.0);
-    let noisy = NoisyCircuit::inject_random(bench.circuit.clone(), &channel, noises, seed);
-    let n = noisy.n_qubits();
-    let placeholders: Vec<Insertion> = noisy
-        .events()
-        .iter()
-        .map(|e| Insertion {
-            after_gate: e.after_gate,
-            qubit: e.qubit,
-            matrix: Matrix::identity(2),
-        })
-        .collect();
-    let mut skel = AmplitudeSkeleton::new(
-        noisy.circuit(),
-        &ProductState::all_zeros(n),
-        &ProductState::basis(n, 0),
-        &placeholders,
-        false,
-    );
-    let svds: Vec<NoiseSvd> = noisy
-        .events()
-        .iter()
-        .map(|e| NoiseSvd::decompose(&e.kraus))
-        .collect();
-    let ranks: Vec<usize> = svds.iter().map(NoiseSvd::rank).collect();
-    let payloads: Vec<[Tensor; 4]> = svds
-        .iter()
-        .map(|s| std::array::from_fn(|t| Tensor::from_matrix(s.term(t).0)))
-        .collect();
+    let Workload {
+        name,
+        mut skel,
+        plan: greedy_plan,
+        payloads,
+        ranks,
+        ..
+    } = build_workload(bench, noises, seed);
     let varying: Vec<usize> = (0..noises).map(|i| skel.insertion_slot(i)).collect();
     let replays = qns_core::planned_patterns_for_ranks(&ranks, 1);
-    let mut pats = Vec::new();
-    let mut pat = vec![0usize; noises];
-    for u in 0..=1 {
-        let mut stream = GrayPatternStream::with_ranks(&ranks, u);
-        while stream.next_into(&mut pat) {
-            pats.push(pat.clone());
-        }
-    }
+    let pats = gray_patterns(&ranks, 1);
 
-    let greedy_plan = skel.plan(OrderStrategy::Greedy);
     let (delta_plan, searched) = skel.network().plan_for_replay(&varying, replays);
     let greedy_cost = greedy_plan.replay_cost(&varying).modelled(noises, replays);
     let delta_cost = delta_plan.replay_cost(&varying).modelled(noises, replays);
     assert!(
         delta_cost <= greedy_cost,
-        "{}: delta-aware plan models {delta_cost} > greedy {greedy_cost}",
-        bench.name
+        "{name}: delta-aware plan models {delta_cost} > greedy {greedy_cost}"
     );
-    let mut measure = |plan: &qns_tnet::plan::ContractionPlan| -> PlanReplay {
+    let mut measure = |plan: &ContractionPlan| -> PlanReplay {
         let exec = plan.compile_for_replay(skel.network(), &varying);
         let cost = plan.replay_cost(&varying);
         // Reference: every pattern fully replayed.
@@ -448,16 +408,14 @@ fn delta_aware_row(bench: &BenchCircuit, noises: usize, seed: u64) -> DeltaAware
                 best = best.min(seconds);
                 assert_eq!(
                     sum, full_sum,
-                    "{}: delta replay must be bitwise the full replay",
-                    bench.name
+                    "{name}: delta replay must be bitwise the full replay"
                 );
             }
         }
         assert_eq!(
             ws.allocation_events(),
             warm,
-            "{}: warmed hot-arena replays allocated",
-            bench.name
+            "{name}: warmed hot-arena replays allocated"
         );
         PlanReplay {
             us_per_leaf: best * 1e6 / leaves.max(1) as f64,
@@ -470,7 +428,7 @@ fn delta_aware_row(bench: &BenchCircuit, noises: usize, seed: u64) -> DeltaAware
     let greedy = measure(&greedy_plan);
     let delta = measure(&delta_plan);
     DeltaAwareRow {
-        name: bench.name.clone(),
+        name,
         searches: searched.order_searches,
         same_plan: delta_plan == greedy_plan,
         greedy,
@@ -518,11 +476,11 @@ fn median_step_ns(reps: usize, mut step: impl FnMut()) -> f64 {
         .1
     };
     trial();
-    let mut ns: Vec<f64> = (0..KERNEL_TRIALS)
-        .map(|_| trial() * 1e9 / reps as f64)
-        .collect();
-    ns.sort_by(f64::total_cmp);
-    ns[ns.len() / 2]
+    median(
+        (0..KERNEL_TRIALS)
+            .map(|_| trial() * 1e9 / reps as f64)
+            .collect(),
+    )
 }
 
 /// Times one dense matmul step of `shape` through the scalar oracle and
@@ -593,7 +551,7 @@ fn main() {
 
     println!(
         "contract_bench — {} workloads × {patterns_per} patterns, {noises} noise sites, \
-         allocating reference vs compiled kernels\n",
+         allocating reference vs compiled kernels, median of {REPLAY_PASSES} passes\n",
         set.len()
     );
     let widths = [14usize, 10, 14, 14, 9, 13];
@@ -612,30 +570,34 @@ fn main() {
     let mut rows = Vec::new();
     for (i, bench) in set.iter().enumerate() {
         let mut w = build_workload(bench, noises, 0xC047 + i as u64);
-        let pats = random_patterns(w.payloads.len(), patterns_per, 0xFEED + i as u64);
+        let pats = random_patterns(&w.ranks, patterns_per, 0xFEED + i as u64);
 
-        // Warm both paths once (cold caches, lazy page faults).
-        let warmup = &pats[..1.min(pats.len())];
-        let _ = run_reference(&mut w, warmup);
-        let _ = run_compiled(&mut w, warmup);
+        // Pass 0 warms both paths (cold caches, lazy page faults) and is
+        // not timed; every pass is checked.
+        let (mut ref_s, mut exec_s) = (Vec::new(), Vec::new());
+        for pass in 0..=REPLAY_PASSES {
+            let reference = run_reference(&mut w, &pats);
+            let (compiled, steady_allocs) = run_compiled(&mut w, &pats);
+            assert_eq!(
+                compiled.sum, reference.sum,
+                "{}: compiled pattern sum must be bit-identical to the reference",
+                w.name
+            );
+            assert_eq!(
+                steady_allocs, 0,
+                "{}: workspace allocated after the first pattern",
+                w.name
+            );
+            if pass > 0 {
+                ref_s.push(reference.seconds);
+                exec_s.push(compiled.seconds);
+            }
+        }
 
-        let reference = run_reference(&mut w, &pats);
-        let (compiled, steady_allocs) = run_compiled(&mut w, &pats);
-
-        assert_eq!(
-            compiled.sum, reference.sum,
-            "{}: compiled pattern sum must be bit-identical to the reference",
-            w.name
-        );
-        assert_eq!(
-            steady_allocs, 0,
-            "{}: workspace allocated after the first pattern",
-            w.name
-        );
-
-        let ref_us = reference.seconds * 1e6 / patterns_per as f64;
-        let exec_us = compiled.seconds * 1e6 / patterns_per as f64;
-        let speedup = reference.seconds / compiled.seconds.max(1e-12);
+        let (ref_s, exec_s) = (median(ref_s), median(exec_s));
+        let ref_us = ref_s * 1e6 / patterns_per as f64;
+        let exec_us = exec_s * 1e6 / patterns_per as f64;
+        let speedup = ref_s / exec_s.max(1e-12);
         print_row(
             &[
                 w.name.clone(),
@@ -643,7 +605,7 @@ fn main() {
                 format!("{ref_us:.1}"),
                 format!("{exec_us:.1}"),
                 format!("{speedup:.2}x"),
-                steady_allocs.to_string(),
+                "0".into(),
             ],
             &widths,
         );
@@ -659,13 +621,17 @@ fn main() {
     println!("\ngeometric-mean speedup: {geomean:.2}x");
 
     // ── Incremental (delta) vs full compiled replay ──
-    // The pattern sum's real access pattern: the Gray-ordered level-2
-    // sequence, where consecutive patterns differ in at most two
-    // sites. The full path re-executes every plan step per pattern;
-    // the delta path re-executes only the dirty leaf-to-root paths of
-    // the contraction tree and reuses every other cached intermediate.
+    // The pattern sum's real access pattern: the rank-aware Gray-ordered
+    // level-2 sequence, where consecutive patterns differ in at most
+    // two sites. The full path re-executes every plan step per
+    // pattern; the delta path re-executes only the dirty leaf-to-root
+    // paths of the contraction tree and reuses every other cached
+    // intermediate.
     let level = 2usize;
-    println!("\nincremental (Gray order, level {level}) vs full compiled replay\n");
+    println!(
+        "\nincremental (Gray order, level {level}) vs full compiled replay, \
+         median of {REPLAY_PASSES} passes\n"
+    );
     let inc_widths = [14usize, 10, 14, 14, 9, 11, 11];
     print_row(
         &[
@@ -682,38 +648,44 @@ fn main() {
     let mut inc_rows = Vec::new();
     for (i, bench) in set.iter().enumerate() {
         let mut w = build_workload(bench, noises, 0xC047 + i as u64);
-        let pats = gray_patterns(w.payloads.len(), level);
-        let full_steps_per =
-            (w.up_exec.replay_stats().contractions + w.lo_exec.replay_stats().contractions) as f64;
+        let pats = gray_patterns(&w.ranks, level);
+        let full_steps_per = w.exec.replay_stats().contractions as f64;
 
-        // Full compiled baseline: warm once, then time the sequence.
-        let _ = run_compiled(&mut w, &pats[..1.min(pats.len())]);
-        let (full, _) = run_compiled(&mut w, &pats);
-
-        // Delta path: one untimed pass warms the node caches and sizes
-        // the dirty-step merge buffers; the timed pass must then be
-        // allocation-free.
+        // Pass 0 warms the full path, and the delta path's node caches
+        // and dirty-step merge buffers; every later delta pass must be
+        // allocation-free. Both paths end each pass on the sequence's
+        // last pattern, so the delta path's installed assignment stays
+        // the skeleton's.
         let mut st = DeltaState::new(&w);
-        let _ = run_delta_pass(&mut w, &mut st, &pats);
-        let warm = st.allocation_events();
-        let (delta, delta_steps) = run_delta_pass(&mut w, &mut st, &pats);
-        let steady_allocs = st.allocation_events() - warm;
+        let (mut full_s, mut delta_s) = (Vec::new(), Vec::new());
+        let mut delta_steps = 0;
+        for pass in 0..=REPLAY_PASSES {
+            let (full, _) = run_compiled(&mut w, &pats);
+            let warm = st.ws.allocation_events();
+            let (delta, steps) = run_delta_pass(&mut w, &mut st, &pats);
+            assert_eq!(
+                delta.sum, full.sum,
+                "{}: delta pattern sum must be bit-identical to full compiled replay",
+                w.name
+            );
+            if pass > 0 {
+                assert_eq!(
+                    st.ws.allocation_events(),
+                    warm,
+                    "{}: delta path allocated during a warmed timing pass",
+                    w.name
+                );
+                full_s.push(full.seconds);
+                delta_s.push(delta.seconds);
+                delta_steps = steps;
+            }
+        }
 
-        assert_eq!(
-            delta.sum, full.sum,
-            "{}: delta pattern sum must be bit-identical to full compiled replay",
-            w.name
-        );
-        assert_eq!(
-            steady_allocs, 0,
-            "{}: delta path allocated during the warmed timing pass",
-            w.name
-        );
-
+        let (full_s, delta_s) = (median(full_s), median(delta_s));
         let n_pats = pats.len() as f64;
-        let full_us = full.seconds * 1e6 / n_pats;
-        let delta_us = delta.seconds * 1e6 / n_pats;
-        let speedup = full.seconds / delta.seconds.max(1e-12);
+        let full_us = full_s * 1e6 / n_pats;
+        let delta_us = delta_s * 1e6 / n_pats;
+        let speedup = full_s / delta_s.max(1e-12);
         let delta_steps_per = delta_steps as f64 / n_pats;
         print_row(
             &[
@@ -748,28 +720,30 @@ fn main() {
     println!("\nplanning (greedy order search, median of {PLAN_REPEATS})\n");
     let plan_widths = [14usize, 14, 16];
     print_row(
-        &["workload".into(), "split µs".into(), "double µs".into()],
+        &["workload".into(), "amplitude µs".into(), "double µs".into()],
         &plan_widths,
     );
     let mut plan_rows = Vec::new();
     for (i, bench) in set.iter().enumerate() {
         let w = build_workload(bench, noises, 0xC047 + i as u64);
-        let split = median_plan_us(&w.name, || {
-            (
-                w.upper.plan(OrderStrategy::Greedy),
-                w.lower.plan(OrderStrategy::Greedy),
-            )
-        });
-        let double = median_plan_us(&w.name, || w.double.plan(OrderStrategy::Greedy));
+        let n = w.noisy.n_qubits();
+        let double = double_network(
+            &w.noisy,
+            &ProductState::all_zeros(n),
+            &ProductState::basis(n, 0),
+            &BTreeMap::new(),
+        );
+        let amplitude = median_plan_us(&w.name, || w.skel.plan(OrderStrategy::Greedy));
+        let double = median_plan_us(&w.name, || double.plan(OrderStrategy::Greedy));
         print_row(
             &[
                 w.name.clone(),
-                format!("{split:.1}"),
+                format!("{amplitude:.1}"),
                 format!("{double:.1}"),
             ],
             &plan_widths,
         );
-        plan_rows.push((w.name.clone(), split, double));
+        plan_rows.push((w.name.clone(), amplitude, double));
     }
 
     // ── Delta-aware vs greedy plans ──
@@ -910,16 +884,17 @@ fn main() {
     }
     let plan_per = plan_rows
         .iter()
-        .map(|(name, split, double)| {
+        .map(|(name, amplitude, double)| {
             format!(
-                "{{\"workload\":\"{name}\",\"plan_us\":{{\"split\":{split:.2},\"double\":{double:.2}}}}}"
+                "{{\"workload\":\"{name}\",\"plan_us\":{{\"amplitude\":{amplitude:.2},\
+                 \"double\":{double:.2}}}}}"
             )
         })
         .collect::<Vec<_>>()
         .join(",");
     let json = format!(
         "{{\"mode\":\"{}\",\"patterns_per_workload\":{patterns_per},\
-         \"noises\":{noises},\"steady_state_allocations\":0,\
+         \"noises\":{noises},\"passes\":{REPLAY_PASSES},\"steady_state_allocations\":0,\
          \"geomean_speedup\":{geomean:.3},\"workloads\":[{per}],\
          \"incremental\":{{\"level\":{level},\"order\":\"gray\",\
          \"geomean_speedup\":{inc_geomean:.3},\"workloads\":[{inc_per}]}},\

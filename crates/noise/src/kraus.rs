@@ -1,6 +1,6 @@
 //! Quantum channels in Kraus form.
 
-use qns_linalg::{Complex64, Matrix};
+use qns_linalg::Matrix;
 use std::fmt;
 
 /// A quantum channel `E(ρ) = Σ_k E_k ρ E_k†` given by its Kraus
@@ -190,22 +190,12 @@ impl fmt::Debug for Kraus {
     }
 }
 
-/// Helper: `⟨x|ρ|x⟩` for a computational basis index.
-///
-/// # Panics
-///
-/// Panics if `x` is out of range.
-pub fn diagonal_element(rho: &Matrix, x: usize) -> Complex64 {
-    assert!(x < rho.rows(), "basis index out of range");
-    rho[(x, x)]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::channels;
     use qns_circuit::Gate;
-    use qns_linalg::cr;
+    use qns_linalg::{cr, Complex64};
 
     fn density_zero() -> Matrix {
         let mut rho = Matrix::zeros(2, 2);

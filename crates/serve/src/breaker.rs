@@ -41,17 +41,6 @@ pub enum BreakerState {
     Open,
 }
 
-impl BreakerState {
-    /// The gauge encoding (0 = closed, 1 = half-open, 2 = open).
-    pub fn as_gauge(self) -> i64 {
-        match self {
-            BreakerState::Closed => 0,
-            BreakerState::HalfOpen => 1,
-            BreakerState::Open => 2,
-        }
-    }
-}
-
 const CLOSED: u8 = 0;
 const HALF_OPEN: u8 = 1;
 const OPEN: u8 = 2;

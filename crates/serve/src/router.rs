@@ -19,7 +19,7 @@ pub enum Route {
     /// Pick the cheapest feasible engine by cost model (never an
     /// engine whose [`Backend::supports`] rejects the job).
     Auto,
-    /// Pin the engine with this [`Backend::name`] (e.g. `"mpo"`).
+    /// Pin the engine with this [`Backend::name`] (e.g. `"tdd"`).
     /// Unknown names and infeasible jobs surface as errors on the
     /// job's handle.
     Fixed(&'static str),
@@ -211,12 +211,36 @@ mod tests {
     }
 
     #[test]
+    fn default_engines_rank_approx_then_tnet_on_paper_jobs() {
+        use crate::service::default_engines;
+        use qns_circuit::generators::{hf_vqe, qaoa_grid_random};
+
+        // The registry's hf_12 and qaoa_25 circuits with 4 thermal
+        // sites: Auto runs approx, and the first failover is the exact
+        // tensor-network engine on both.
+        let channel = channels::thermal_relaxation(30.0, 40.0, 25.0);
+        let engines = default_engines();
+        for circuit in [hf_vqe(12, 6, 13), qaoa_grid_random(5, 5, 2, 23)] {
+            let noisy = NoisyCircuit::inject_random(circuit, &channel, 4, 7);
+            let job = Simulation::new(&noisy).build().unwrap();
+            let first = route_job(&engines, &job, Route::Auto).unwrap();
+            let second = route_job_masked(&engines, &job, Route::Auto, |i| i != first).unwrap();
+            assert_eq!(
+                [engines[first].name(), engines[second].name()],
+                ["approx", "tnet"],
+                "{} qubits",
+                job.n_qubits()
+            );
+        }
+    }
+
+    #[test]
     fn routes_cache_under_distinct_keys() {
         let noisy = NoisyCircuit::noiseless(ghz(3));
         let fp = Simulation::new(&noisy).build().unwrap().fingerprint();
         let auto = Route::Auto.cache_key(fp);
-        let fixed = Route::Fixed("mpo").cache_key(fp);
-        let fixed2 = Route::Fixed("tdd").cache_key(fp);
+        let fixed = Route::Fixed("tdd").cache_key(fp);
+        let fixed2 = Route::Fixed("tnet").cache_key(fp);
         assert_ne!(auto, fixed);
         assert_ne!(fixed, fixed2);
         // …but the keys are stable across calls.

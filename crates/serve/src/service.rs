@@ -43,8 +43,8 @@ use crate::router::{route_job_masked, Route, SharedBackend};
 use crate::sync::{LockRank, OrderedCondvar, OrderedMutex, OrderedMutexGuard};
 use qns_api::{
     partial_sum_key, ApproxBackend, ApproxOptions, DensityBackend, Estimate, ExpectationJob,
-    Fingerprint, InitialState, MpoBackend, Observable, QnsError, Refinement, TddBackend,
-    TnetBackend, TrajectoryBackend,
+    Fingerprint, InitialState, Observable, QnsError, Refinement, TddBackend, TnetBackend,
+    TrajectoryBackend,
 };
 use qns_core::timing::time_it;
 use qns_noise::NoisyCircuit;
@@ -621,7 +621,7 @@ impl Shared {
 /// Defaults: 2 workers, a 256-entry cache, a 1024-deep queue,
 /// [`Route::Auto`], and one default-configured instance of every
 /// engine in the workspace. Replace the engine set (to pick
-/// approximation levels, bond caps, sample counts or seeds) with
+/// approximation levels, sample counts or seeds) with
 /// [`ServiceBuilder::engines`] / [`ServiceBuilder::with_engine`].
 #[derive(Clone)]
 pub struct ServiceBuilder {
@@ -647,7 +647,6 @@ pub fn default_engines() -> Vec<SharedBackend> {
         Arc::new(DensityBackend::new()),
         Arc::new(TnetBackend::new()),
         Arc::new(TddBackend::new()),
-        Arc::new(MpoBackend::default()),
         Arc::new(TrajectoryBackend::default()),
     ]
 }

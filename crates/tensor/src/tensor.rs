@@ -101,12 +101,6 @@ impl Tensor {
         &self.data
     }
 
-    /// Mutable view of the flat row-major buffer.
-    #[inline]
-    pub fn as_mut_slice(&mut self) -> &mut [Complex64] {
-        &mut self.data
-    }
-
     /// Element access by multi-index.
     ///
     /// # Panics

@@ -4,15 +4,15 @@
 //!
 //! * [`amplitude_network`] — the single-size network for the noiseless
 //!   amplitude `⟨v|C|ψ⟩` (optionally with arbitrary single-qubit
-//!   matrix insertions, which is how the approximation algorithm's
-//!   split networks are formed).
+//!   matrix insertions). The approximation algorithm's pattern terms
+//!   are `|⟨v|K_p ψ⟩|²` of one such network with the Kraus-form noise
+//!   terms inserted; [`AmplitudeSkeleton`] keeps it built once and
+//!   swaps the insertions per pattern.
 //! * [`double_network`] — the paper's Fig. 2 diagram: a `2n`-rail
 //!   network carrying the circuit on the upper half, its conjugate on
 //!   the lower half, and each noise channel as the rank-4 tensor of its
-//!   superoperator `M_E = Σ E_k ⊗ E_k*` bridging the halves. Noise
-//!   tensors can be selectively replaced by Kronecker factors `A ⊗ B`
-//!   for the ablation that contracts the double network at a given
-//!   approximation level without splitting.
+//!   superoperator `M_E = Σ E_k ⊗ E_k*` bridging the halves. It is the
+//!   network the exact `tnet` engine contracts.
 
 use crate::network::{LegId, NodeId, OrderStrategy, TensorNetwork};
 use crate::plan::ContractionPlan;
@@ -250,8 +250,8 @@ pub fn amplitude_network(circuit: &Circuit, psi: &ProductState, v: &ProductState
 ///
 /// This is the plan-once/execute-many building block of the
 /// approximation algorithm: every substitution pattern shares one
-/// skeleton per split half, so the greedy order search runs once per
-/// run instead of once per pattern.
+/// skeleton, so the order search runs once per run instead of once per
+/// pattern.
 #[derive(Clone, Debug)]
 pub struct AmplitudeSkeleton {
     net: TensorNetwork,
@@ -357,10 +357,11 @@ impl AmplitudeSkeleton {
 /// `⟨v|E_N(|ψ⟩⟨ψ|)|v⟩ = (⟨v|⊗⟨v*|)·M_{E_d}···M_{E_1}·(|ψ⟩⊗|ψ*⟩)`.
 ///
 /// `replacements` maps a noise-event index (into
-/// `noisy.events()`) to a Kronecker substitute `(A, B)`: the event's
-/// `M_E` tensor is replaced by `A` on the upper rail and `B` on the
-/// lower rail. With an empty map this is the exact diagram contracted
-/// by the TN-based accurate method.
+/// `noisy.events()`; initial events are keyed after them, at
+/// `noisy.events().len() + offset`) to a Kronecker substitute
+/// `(A, B)`: the event's `M_E` tensor is replaced by `A` on the upper
+/// rail and `B` on the lower rail. With an empty map this is the exact
+/// diagram contracted by the TN-based accurate method.
 ///
 /// # Panics
 ///
@@ -372,18 +373,6 @@ pub fn double_network(
     v: &ProductState,
     replacements: &BTreeMap<usize, (Matrix, Matrix)>,
 ) -> TensorNetwork {
-    double_network_impl(noisy, psi, v, replacements).0
-}
-
-/// As [`double_network`], also returning the `(upper, lower)` node
-/// pair of every Kronecker replacement, keyed like `replacements`, so
-/// callers can swap the substituted factors without rebuilding.
-fn double_network_impl(
-    noisy: &NoisyCircuit,
-    psi: &ProductState,
-    v: &ProductState,
-    replacements: &BTreeMap<usize, (Matrix, Matrix)>,
-) -> (TensorNetwork, BTreeMap<usize, (NodeId, NodeId)>) {
     let circuit = noisy.circuit();
     let n = circuit.n_qubits();
     assert_eq!(psi.n_qubits(), n, "input state size mismatch");
@@ -407,23 +396,17 @@ fn double_network_impl(
         );
     }
 
-    let mut replacement_nodes: BTreeMap<usize, (NodeId, NodeId)> = BTreeMap::new();
-
     // Initial noise events (before any gate).
     for (idx_off, e) in noisy.initial_events().iter().enumerate() {
-        // Initial events are keyed after regular events in `replacements`
-        // by convention: index = noisy.events().len() + offset.
         let key = noisy.events().len() + idx_off;
-        if let Some(pair) = add_noise_tensor(
+        add_noise_tensor(
             &mut net,
             &mut upper,
             &mut lower,
             e.qubit,
             &e.kraus,
             replacements.get(&key),
-        ) {
-            replacement_nodes.insert(key, pair);
-        }
+        );
     }
 
     let events = noisy.events();
@@ -463,16 +446,14 @@ fn double_network_impl(
             if e.after_gate != g {
                 break;
             }
-            if let Some(pair) = add_noise_tensor(
+            add_noise_tensor(
                 &mut net,
                 &mut upper,
                 &mut lower,
                 e.qubit,
                 &e.kraus,
                 replacements.get(idx),
-            ) {
-                replacement_nodes.insert(*idx, pair);
-            }
+            );
             ev_iter.next();
         }
     }
@@ -486,106 +467,11 @@ fn double_network_impl(
         );
         net.add(Tensor::from_vec(vec![f[0], f[1]], vec![2]), vec![lower[q]]);
     }
-    (net, replacement_nodes)
-}
-
-/// The paper's double-size network with **every** noise event replaced
-/// by a swappable Kronecker pair `(A, B)`: a plan-once/execute-many
-/// skeleton that replays the whole double network per replacement
-/// map (the `contract_bench` paper-form workload uses it).
-///
-/// Replacement slots are keyed like [`double_network`]'s
-/// `replacements` map (regular events by index, initial events after
-/// them) and start as `I ⊗ I` placeholders; swap them with
-/// [`DoubleSkeleton::set_replacement`] and replay a plan computed once
-/// from [`DoubleSkeleton::plan`].
-#[derive(Clone, Debug)]
-pub struct DoubleSkeleton {
-    net: TensorNetwork,
-    replacement_nodes: Vec<(NodeId, NodeId)>,
-}
-
-impl DoubleSkeleton {
-    /// Builds the all-replaced double network for `noisy` with
-    /// identity placeholders in every slot.
-    ///
-    /// # Panics
-    ///
-    /// As [`double_network`].
-    pub fn new(noisy: &NoisyCircuit, psi: &ProductState, v: &ProductState) -> Self {
-        let n_slots = noisy.events().len() + noisy.initial_events().len();
-        let eye = Matrix::identity(2);
-        let placeholders: BTreeMap<usize, (Matrix, Matrix)> = (0..n_slots)
-            .map(|k| (k, (eye.clone(), eye.clone())))
-            .collect();
-        let (net, by_key) = double_network_impl(noisy, psi, v, &placeholders);
-        let replacement_nodes = (0..n_slots).map(|k| by_key[&k]).collect();
-        DoubleSkeleton {
-            net,
-            replacement_nodes,
-        }
-    }
-
-    /// Sets replacement slot `key` to the Kronecker pair `(a, b)` (`a`
-    /// on the upper rail, `b` on the lower rail).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `key` is out of range or a matrix is not 2×2.
-    pub fn set_replacement(&mut self, key: usize, a: &Matrix, b: &Matrix) {
-        let (up, lo) = self.replacement_nodes[key];
-        self.net.set_tensor(up, Tensor::from_matrix(a));
-        self.net.set_tensor(lo, Tensor::from_matrix(b));
-    }
-
-    /// As [`DoubleSkeleton::set_replacement`], but copies pre-built
-    /// payload tensors into the existing node buffers — **zero heap
-    /// allocations**, for callers that resolve their replacement
-    /// tensors once and swap them per pattern.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `key` is out of range or a shape is not 2×2.
-    pub fn set_replacement_payload(&mut self, key: usize, a: &Tensor, b: &Tensor) {
-        let (up, lo) = self.replacement_nodes[key];
-        self.net.copy_tensor_from(up, a);
-        self.net.copy_tensor_from(lo, b);
-    }
-
-    /// Number of replacement slots (the circuit's noise-event count).
-    pub fn replacement_count(&self) -> usize {
-        self.replacement_nodes.len()
-    }
-
-    /// The network node indices (= plan input-slot indices) holding
-    /// replacement slot `key`'s upper- and lower-rail tensors — what
-    /// delta execution wants as the dirty leaves after a
-    /// [`DoubleSkeleton::set_replacement_payload`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `key` is out of range.
-    pub fn replacement_slots(&self, key: usize) -> (usize, usize) {
-        let (up, lo) = self.replacement_nodes[key];
-        (up.0, lo.0)
-    }
-
-    /// The underlying network (current payloads included).
-    pub fn network(&self) -> &TensorNetwork {
-        &self.net
-    }
-
-    /// Plans the skeleton's contraction once; valid for every later
-    /// [`DoubleSkeleton::set_replacement`].
-    pub fn plan(&self, strategy: OrderStrategy) -> ContractionPlan {
-        self.net.plan(strategy)
-    }
+    net
 }
 
 /// Adds a noise superoperator tensor (or its Kronecker replacement)
-/// bridging the upper and lower rails of qubit `q`. For a replacement,
-/// returns the `(upper, lower)` node pair so the factors can be
-/// swapped later.
+/// bridging the upper and lower rails of qubit `q`.
 fn add_noise_tensor(
     net: &mut TensorNetwork,
     upper: &mut [LegId],
@@ -593,16 +479,15 @@ fn add_noise_tensor(
     q: usize,
     kraus: &qns_noise::Kraus,
     replacement: Option<&(Matrix, Matrix)>,
-) -> Option<(NodeId, NodeId)> {
+) {
     match replacement {
         Some((a, b)) => {
             let nu = net.fresh_leg();
-            let id_up = net.add(Tensor::from_matrix(a), vec![nu, upper[q]]);
+            net.add(Tensor::from_matrix(a), vec![nu, upper[q]]);
             upper[q] = nu;
             let nl = net.fresh_leg();
-            let id_lo = net.add(Tensor::from_matrix(b), vec![nl, lower[q]]);
+            net.add(Tensor::from_matrix(b), vec![nl, lower[q]]);
             lower[q] = nl;
-            Some((id_up, id_lo))
         }
         None => {
             // M_E is 4×4 with row (i1,i2), col (j1,j2): reshape to
@@ -614,7 +499,6 @@ fn add_noise_tensor(
             net.add(t, vec![nu, nl, upper[q], lower[q]]);
             upper[q] = nu;
             lower[q] = nl;
-            None
         }
     }
 }
@@ -746,37 +630,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn double_skeleton_matches_rebuilt_networks() {
-        use qns_noise::channels;
-        let mut noisy =
-            NoisyCircuit::inject_random(ghz(3), &channels::amplitude_damping(0.1), 2, 21);
-        noisy.push_initial(0, channels::depolarizing(0.05));
-        let psi = ProductState::all_zeros(3);
-        let v = ProductState::basis(3, 0b110);
-        let mut skel = DoubleSkeleton::new(&noisy, &psi, &v);
-        assert_eq!(skel.replacement_count(), 3);
-        let plan = skel.plan(OrderStrategy::Greedy);
-
-        let subs = [
-            qns_circuit::Gate::X.matrix(),
-            qns_circuit::Gate::T.matrix(),
-            Matrix::identity(2),
-        ];
-        let mut repl = BTreeMap::new();
-        for key in 0..3usize {
-            let (a, b) = (subs[key].clone(), subs[(key + 1) % 3].conj());
-            skel.set_replacement(key, &a, &b);
-            repl.insert(key, (a, b));
-        }
-        let replayed = plan.execute_network(skel.network()).0.scalar_value();
-        let fresh = double_network(&noisy, &psi, &v, &repl)
-            .contract_all(OrderStrategy::Greedy)
-            .0
-            .scalar_value();
-        assert!(replayed.approx_eq(fresh, 1e-12), "{replayed} vs {fresh}");
     }
 
     #[test]

@@ -701,12 +701,6 @@ impl ExecutablePlan {
         &self.output_shape
     }
 
-    /// Elements of workspace memory one execution needs (hot arena +
-    /// scratch + output).
-    pub fn workspace_len(&self) -> usize {
-        self.arena_len + self.scratch_len + self.result_len.max(1)
-    }
-
     /// The hot nodes stored in their reader's layout: each is its hot
     /// parent's rhs through a permutation, so its own step writes it
     /// permuted and the parent's kernel reads it as it lies (module
@@ -793,12 +787,15 @@ impl ExecutablePlan {
         self.execute_network_into(net, ws)[0]
     }
 
-    /// Delta execution against borrowed input tensors: recomputes only
-    /// the contraction-tree paths from the `dirty_leaves` (input-slot
-    /// indices whose payloads changed since the previous execution
-    /// through `ws`) to the root, reusing every other intermediate
-    /// cached in the workspace arena — bit-identical to
-    /// [`ExecutablePlan::execute_into`] by construction.
+    /// Delta execution against the tensors currently held by `net`:
+    /// recomputes only the contraction-tree paths from the
+    /// `dirty_leaves` (node indices whose payloads changed since the
+    /// previous execution through `ws`) to the root, reusing every
+    /// other intermediate cached in the workspace arena — bit-identical
+    /// to
+    /// [`ExecutablePlan::execute_network_into`] by construction. This
+    /// is the pattern sum's incremental entry point: swap only the
+    /// payloads that changed, then replay only their tree paths.
     ///
     /// Falls back to a full replay when `ws` was not warmed by this
     /// plan (first execution, or the workspace last ran a different
@@ -817,30 +814,6 @@ impl ExecutablePlan {
     /// hold the same payloads as the previous execution through `ws`;
     /// this is the caller's contract and is not checked (checking would
     /// cost the full replay the delta path avoids).
-    pub fn execute_delta_into<'w>(
-        &self,
-        inputs: &[&Tensor],
-        dirty_leaves: &[usize],
-        ws: &'w mut Workspace,
-    ) -> (&'w [Complex64], ContractionStats) {
-        assert_eq!(
-            inputs.len(),
-            self.n_inputs,
-            "plan expects {} input tensors, got {}",
-            self.n_inputs,
-            inputs.len()
-        );
-        self.run_delta(|i| inputs[i].as_slice(), dirty_leaves, ws)
-    }
-
-    /// [`ExecutablePlan::execute_delta_into`] against the tensors
-    /// currently held by `net` — `dirty_leaves` are node indices. This
-    /// is the pattern sum's incremental entry point: swap only the
-    /// payloads that changed, then replay only their tree paths.
-    ///
-    /// # Panics
-    ///
-    /// As [`ExecutablePlan::execute_delta_into`].
     pub fn execute_network_delta_into<'w>(
         &self,
         net: &TensorNetwork,
@@ -863,7 +836,7 @@ impl ExecutablePlan {
     /// # Panics
     ///
     /// Panics if the plan's output is not rank 0, and as
-    /// [`ExecutablePlan::execute_delta_into`].
+    /// [`ExecutablePlan::execute_network_delta_into`].
     pub fn execute_network_delta_scalar(
         &self,
         net: &TensorNetwork,

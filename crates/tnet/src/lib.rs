@@ -23,9 +23,8 @@
 //!   amplitude network `⟨v|C|ψ⟩` and the paper's **double-size noisy
 //!   network** (Fig. 2) in which each noise channel appears as its
 //!   superoperator tensor `M_E = Σ E_k ⊗ E_k*` bridging the two halves,
-//!   plus the reusable [`builder::AmplitudeSkeleton`] /
-//!   [`builder::DoubleSkeleton`] whose insertion payloads can be
-//!   swapped between plan executions.
+//!   plus the reusable [`builder::AmplitudeSkeleton`] whose insertion
+//!   payloads can be swapped between plan executions.
 //! * [`simulator`] — the **TN-based exact method** (contract the double
 //!   network) and a TN-based quantum-trajectories variant.
 //! * [`profile`] — opt-in replay profiling: [`profile::install`] routes

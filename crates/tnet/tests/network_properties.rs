@@ -10,10 +10,11 @@ use qns_circuit::Circuit;
 use qns_linalg::{c64, Matrix};
 use qns_noise::{channels, NoisyCircuit};
 use qns_tensor::Tensor;
-use qns_tnet::builder::{AmplitudeSkeleton, DoubleSkeleton, Insertion, ProductState};
+use qns_tnet::builder::{double_network, AmplitudeSkeleton, Insertion, ProductState};
 use qns_tnet::network::{LegId, OrderStrategy, TensorNetwork};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+use std::collections::BTreeMap;
 
 fn tensor_strategy(shape: Vec<usize>) -> impl Strategy<Value = Tensor> {
     let len: usize = shape.iter().product();
@@ -385,9 +386,10 @@ fn greedy_plan_matches_rescan_on_large_random_networks() {
     }
 }
 
-/// Asserts the greedy search records the rescan's plan on the upper,
-/// lower and double skeletons of a paper-family circuit, with the
-/// noise placement of the benchmark's level-3 job on it.
+/// Asserts the greedy search records the rescan's plan on the
+/// evaluator's amplitude network and the exact engine's double network
+/// of a paper-family circuit, with the noise placement of the
+/// benchmark's level-3 job on it.
 fn assert_paper_skeletons_match_rescan(name: &str, circuit: Circuit, noises: usize, seed: u64) {
     let channel = channels::thermal_relaxation(30.0, 40.0, 25.0);
     let noisy = NoisyCircuit::inject_random(circuit, &channel, noises, seed);
@@ -402,15 +404,10 @@ fn assert_paper_skeletons_match_rescan(name: &str, circuit: Circuit, noises: usi
             matrix: Matrix::identity(2),
         })
         .collect();
-    let upper = AmplitudeSkeleton::new(noisy.circuit(), &psi, &v, &placeholders, false);
-    let lower = AmplitudeSkeleton::new(noisy.circuit(), &psi, &v, &placeholders, true);
-    let double = DoubleSkeleton::new(&noisy, &psi, &v);
-    for (half, net) in [
-        ("upper", upper.network()),
-        ("lower", lower.network()),
-        ("double", double.network()),
-    ] {
-        assert_greedy_matches_rescan(net, &format!("{name} {half}"));
+    let amplitude = AmplitudeSkeleton::new(noisy.circuit(), &psi, &v, &placeholders, false);
+    let double = double_network(&noisy, &psi, &v, &BTreeMap::new());
+    for (kind, net) in [("amplitude", amplitude.network()), ("double", &double)] {
+        assert_greedy_matches_rescan(net, &format!("{name} {kind}"));
     }
 }
 

@@ -1,4 +1,4 @@
-//! Quickstart: simulate a noisy GHZ circuit on all six engines through
+//! Quickstart: simulate a noisy GHZ circuit on all five engines through
 //! the unified `Backend` trait.
 //!
 //! Demonstrates the workspace end to end: build a circuit, inject
@@ -9,9 +9,8 @@
 //! 1. exact density-matrix simulation (MM-based baseline),
 //! 2. the decision-diagram baseline,
 //! 3. exact tensor-network contraction,
-//! 4. the MPO engine,
-//! 5. quantum trajectories (sampling baseline),
-//! 6. the paper's SVD approximation at levels 0, 1, 2.
+//! 4. quantum trajectories (sampling baseline),
+//! 5. the paper's SVD approximation at levels 0, 1, 2.
 //!
 //! Run with: `cargo run --release --example quickstart`
 
@@ -48,12 +47,11 @@ fn main() {
         .build()
         .expect("valid job");
 
-    // 1–4: the deterministic engines, one trait call each.
+    // 1–3: the deterministic engines, one trait call each.
     let density = DensityBackend::new();
     let tdd = TddBackend::new();
     let tnet = TnetBackend::new();
-    let mpo = MpoBackend::max_bond(64);
-    let backends: Vec<&dyn Backend> = vec![&density, &tdd, &tnet, &mpo];
+    let backends: Vec<&dyn Backend> = vec![&density, &tdd, &tnet];
     let mut exact = f64::NAN;
     for result in compare_backends(&backends, &job) {
         let est = result.expect("engines feasible at this size");
@@ -63,7 +61,7 @@ fn main() {
         }
     }
 
-    // 5: quantum trajectories — same job, statistical answer.
+    // 4: quantum trajectories — same job, statistical answer.
     let est = TrajectoryBackend::samples(2000)
         .with_seed(7)
         .expectation(&job)
@@ -76,7 +74,7 @@ fn main() {
             .expect("sampling backends report an error bar")
     );
 
-    // 6: the paper's approximation, level by level.
+    // 5: the paper's approximation, level by level.
     let p = noisy.max_noise_rate();
     for level in 0..=2 {
         let est = ApproxBackend::level(level)

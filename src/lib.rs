@@ -9,7 +9,7 @@
 //! can depend on a single package.
 //!
 //! The recommended entry point is the unified [`api`] facade: build an
-//! [`api::ExpectationJob`] once and run it on any of the six engines
+//! [`api::ExpectationJob`] once and run it on any of the five engines
 //! through the [`api::Backend`] trait. For many jobs, use the [`serve`]
 //! layer: a [`serve::Service`] routes each job to the cheapest feasible
 //! engine, caches results by canonical fingerprint, and deduplicates
@@ -34,7 +34,6 @@ pub use qns_api as api;
 pub use qns_circuit as circuit;
 pub use qns_core as core;
 pub use qns_linalg as linalg;
-pub use qns_mpo as mpo;
 pub use qns_noise as noise;
 pub use qns_serve as serve;
 pub use qns_sim as sim;
@@ -46,8 +45,8 @@ pub use qns_tnet as tnet;
 pub mod prelude {
     pub use qns_api::{
         compare_backends, run_batch, run_batch_parallel, ApproxBackend, Backend, DensityBackend,
-        Estimate, ExpectationJob, Fingerprint, InitialState, MpoBackend, Observable, QnsError,
-        Simulation, TddBackend, TnetBackend, TrajectoryBackend,
+        Estimate, ExpectationJob, Fingerprint, InitialState, Observable, QnsError, Simulation,
+        TddBackend, TnetBackend, TrajectoryBackend,
     };
     pub use qns_circuit::{generators, Circuit, Gate, Operation};
     pub use qns_core::{

@@ -13,8 +13,8 @@
 use qns::core::bounds;
 use qns::noise::{channels, NoisyCircuit, QnsError};
 use qns::prelude::{
-    run_batch, ApproxBackend, Backend, DensityBackend, Estimate, ExpectationJob, MpoBackend,
-    Simulation, TddBackend, TnetBackend, TrajectoryBackend,
+    run_batch, ApproxBackend, Backend, DensityBackend, Estimate, ExpectationJob, Simulation,
+    TddBackend, TnetBackend, TrajectoryBackend,
 };
 use qns_bench::registry;
 
@@ -38,11 +38,6 @@ fn probes(noisy: &NoisyCircuit) -> Vec<Probe> {
             // Exact double-network contraction.
             backend: Box::new(TnetBackend::new()),
             max_qubits: 10,
-        },
-        Probe {
-            // Bond 64 covers the worst-case 4^{n/2} rank only to n = 6.
-            backend: Box::new(MpoBackend::max_bond(64)),
-            max_qubits: 6,
         },
         Probe {
             // Full level = exact at any size (2·4^N cheap contractions).

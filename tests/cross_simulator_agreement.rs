@@ -4,16 +4,16 @@
 //! This is the load-bearing integration test, now phrased entirely
 //! through the unified `Backend` trait: one `ExpectationJob` per
 //! configuration, evaluated by MM-based density matrices, decision
-//! diagrams, tensor-network contraction, the MPO engine, the
-//! full-level (exact) SVD approximation, and quantum trajectories —
-//! all agreeing within their respective tolerances.
+//! diagrams, tensor-network contraction, the full-level (exact) SVD
+//! approximation, and quantum trajectories — all agreeing within their
+//! respective tolerances.
 
 use qns::circuit::generators::{ghz, hf_vqe, inst_grid, qaoa_ring, qft, QaoaRound};
 use qns::circuit::Circuit;
 use qns::noise::{channels, Kraus, NoisyCircuit};
 use qns::prelude::{
-    compare_backends, ApproxBackend, Backend, DensityBackend, MpoBackend, Simulation, TddBackend,
-    TnetBackend, TrajectoryBackend,
+    compare_backends, ApproxBackend, Backend, DensityBackend, Simulation, TddBackend, TnetBackend,
+    TrajectoryBackend,
 };
 use qns::sim::{density, statevector};
 use qns::tnet::builder::ProductState;
@@ -35,12 +35,11 @@ fn check_all_engines(noisy: &NoisyCircuit, v_bits: usize, label: &str) {
 
     let tdd = TddBackend::new();
     let tnet = TnetBackend::new();
-    let mpo = MpoBackend::max_bond(64);
     let approx = ApproxBackend::exact_for(noisy); // full level = exact
-    let backends: Vec<&dyn Backend> = vec![&tdd, &tnet, &mpo, &approx];
+    let backends: Vec<&dyn Backend> = vec![&tdd, &tnet, &approx];
     for (backend, result) in backends.iter().zip(compare_backends(&backends, &job)) {
         let est = result.unwrap_or_else(|e| panic!("{label}/{}: {e}", backend.name()));
-        // Bound-aware agreement (truncation slack included for MPO).
+        // Bound-aware agreement.
         assert!(
             est.agrees_with(&reference, backend.tolerance()),
             "{label}: MM {} vs {} {}",
