@@ -53,7 +53,20 @@
 //! (the AVX2 row update where the CPU has it), as ns per step and
 //! complex G MAC/s. It is reported under `"kernels"`.
 //!
-//! Nine invariants are *asserted* on every run (and gate CI via
+//! A sixth section times the **set-up layer**: what a level-1
+//! evaluator does before its first pattern, phase by phase as
+//! `LevelEvaluator::new` runs it — the sites' Kraus decompositions
+//! (`site_ranks`), the amplitude skeleton, the delta-aware order search
+//! with its candidates, and the lowering with its cold run
+//! (`compile_for_replay`) — then `LevelEvaluator::new` whole, on the
+//! registry circuits (and, outside `--smoke`, the `deep_sum` jobs). It
+//! reports each phase's median µs and its exact allocation count per
+//! network node, counted by this binary's per-thread counting
+//! allocator, under `"setup"`. Allocation counts repeat exactly from
+//! run to run and process to process, unlike the µs, so they carry the
+//! gate.
+//!
+//! Ten invariants are *asserted* on every run (and gate CI via
 //! `--smoke`); 1–4 on every timed pass:
 //!
 //! 1. reference and compiled paths produce **bit-identical** pattern
@@ -70,13 +83,18 @@
 //! 7. its delta replay is **bit-identical** to its full replay, and
 //! 8. its warmed hot-arena replays perform **zero allocations**, and
 //! 9. the dispatched kernel's output is **bit-identical** to the scalar
-//!    oracle's on every kernel shape.
+//!    oracle's on every kernel shape, and
+//! 10. set-up allocates a **bounded number of times per network
+//!     node**: the order search and the lowering together at most once
+//!     per node on every workload, and `LevelEvaluator::new` at most 5
+//!     times per node on networks of at least 80 nodes. The counts
+//!     must also repeat exactly across the section's repeats.
 
 use qns_bench::registry::{full_set, smoke_set, BenchCircuit, Family};
 use qns_bench::timing::time_it;
 use qns_bench::{arg_flag, arg_usize, print_row};
 use qns_core::patterns::GrayPatternStream;
-use qns_core::NoiseSvd;
+use qns_core::{ApproxOptions, LevelEvaluator, NoiseSvd};
 use qns_linalg::{kernels, Complex64, Matrix};
 use qns_noise::{channels, NoisyCircuit};
 use qns_tensor::Tensor;
@@ -86,9 +104,63 @@ use qns_tnet::network::OrderStrategy;
 use qns_tnet::plan::ContractionPlan;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::hint::black_box;
 use std::io::Write;
+
+thread_local! {
+    /// Allocations (including reallocations) made by this thread.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The system allocator, counting allocation calls per thread, so the
+/// set-up section can report exact allocation counts per phase.
+struct CountingAlloc;
+
+fn count_allocation() {
+    // `try_with`: the slot is gone while a thread tears down its TLS.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method forwards to `System` with the caller's layout
+// and pointer unchanged; the counter never touches the allocation.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_allocation();
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count_allocation();
+        // SAFETY: as `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from this allocator with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_allocation();
+        // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Runs `f`, returning its result, its wall time in µs and the
+/// allocations this thread made meanwhile.
+fn measured<T>(f: impl FnOnce() -> T) -> (T, f64, u64) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let (t, seconds) = time_it(f);
+    (t, seconds * 1e6, ALLOCATIONS.with(Cell::get) - before)
+}
 
 /// The evaluator's amplitude skeleton, its compiled greedy plan and the
 /// pre-resolved Kraus-term payloads of one workload — the once-per-run
@@ -527,6 +599,122 @@ fn dispatched_path() -> &'static str {
     "scalar"
 }
 
+/// The `deep_sum` jobs' `(circuit, noise sites, placement seed)`: the
+/// set-up section reports them next to the registry circuits.
+const DEEP_SUM_SETUPS: [(&str, usize, u64); 5] = [
+    ("qaoa_16", 12, 0xD5EE),
+    ("inst_4x4_16", 9, 0xD5F0),
+    ("hf_12", 12, 0xD5EE),
+    ("qaoa_25", 12, 0xD5EB),
+    ("inst_3x4_8", 32, 0xD5E9),
+];
+
+/// The phases of an evaluator's set-up, in the order it runs them.
+const SETUP_PHASES: [&str; 4] = ["sites", "skeleton", "search", "compile"];
+
+/// Timed repeats per set-up phase; the median is reported.
+const SETUP_REPEATS: usize = 9;
+
+/// Allocations per network node that `LevelEvaluator::new` may make
+/// on a network of at least [`SETUP_CEILING_NODES`] nodes (invariant
+/// 10).
+const SETUP_ALLOCS_PER_NODE: u64 = 5;
+
+/// The smallest network the evaluator's per-node ceiling applies to:
+/// below it, a job's fixed set-up allocations (the channel
+/// decomposition and noise rate, the payload table, the workspace)
+/// outweigh the per-node ones.
+const SETUP_CEILING_NODES: usize = 80;
+
+/// Allocations per network node that the order search and the lowering
+/// (with its cold run) may make together (invariant 10).
+const SEARCH_COMPILE_ALLOCS_PER_NODE: u64 = 1;
+
+/// One workload's set-up cost, phase by phase.
+struct SetupRow {
+    name: String,
+    nodes: usize,
+    /// Order searches the delta-aware planner ran.
+    searches: usize,
+    /// Median µs and allocations of each of [`SETUP_PHASES`].
+    phases: [(f64, u64); 4],
+    /// Median µs and allocations of the whole `LevelEvaluator::new`.
+    evaluator: (f64, u64),
+}
+
+impl SetupRow {
+    fn per_node(&self, allocs: u64) -> f64 {
+        allocs as f64 / self.nodes.max(1) as f64
+    }
+}
+
+/// Times and counts the allocations of every set-up phase of a
+/// level-1 evaluator over `circuit` with `noises` thermal sites: the
+/// sites' Kraus decompositions (`site_ranks`), the amplitude skeleton,
+/// the delta-aware order search and the lowering with its cold run,
+/// each as the evaluator runs it, then `LevelEvaluator::new` whole.
+/// Allocation counts must repeat exactly across the repeats.
+fn setup_row(name: String, circuit: &qns_circuit::Circuit, noises: usize, seed: u64) -> SetupRow {
+    let channel = channels::thermal_relaxation(30.0, 40.0, 25.0);
+    let noisy = NoisyCircuit::inject_random(circuit.clone(), &channel, noises, seed);
+    let n = noisy.n_qubits();
+    let (psi, v) = (ProductState::all_zeros(n), ProductState::basis(n, 0));
+    let placeholders: Vec<Insertion> = noisy
+        .events()
+        .iter()
+        .map(|e| Insertion {
+            after_gate: e.after_gate,
+            qubit: e.qubit,
+            matrix: Matrix::identity(2),
+        })
+        .collect();
+    let opts = ApproxOptions::default();
+    let mut samples: Vec<[(f64, u64); 5]> = Vec::new();
+    let mut shape = (0, 0);
+    for _ in 0..=SETUP_REPEATS {
+        let (ranks, sites_us, sites_allocs) = measured(|| qns_core::site_ranks(&noisy));
+        let (skel, skel_us, skel_allocs) =
+            measured(|| AmplitudeSkeleton::new(noisy.circuit(), &psi, &v, &placeholders, false));
+        let varying: Vec<usize> = (0..skel.insertion_count())
+            .map(|i| skel.insertion_slot(i))
+            .collect();
+        let replays = qns_core::planned_patterns_for_ranks(&ranks, 1);
+        let ((plan, searched), search_us, search_allocs) =
+            measured(|| skel.network().plan_for_replay(&varying, replays));
+        let (exec, compile_us, compile_allocs) =
+            measured(|| plan.compile_for_replay(skel.network(), &varying));
+        black_box(exec);
+        let (eval, eval_us, eval_allocs) =
+            measured(|| LevelEvaluator::new(&noisy, &psi, &v, &opts).expect("valid job"));
+        black_box(eval);
+        shape = (skel.network().node_count(), searched.order_searches);
+        samples.push([
+            (sites_us, sites_allocs),
+            (skel_us, skel_allocs),
+            (search_us, search_allocs),
+            (compile_us, compile_allocs),
+            (eval_us, eval_allocs),
+        ]);
+    }
+    // The first repeat warms caches and is not timed.
+    let timed = &samples[1..];
+    let phase = |p: usize| -> (f64, u64) {
+        let allocs = timed[0][p].1;
+        assert!(
+            timed.iter().all(|s| s[p].1 == allocs),
+            "{name}: set-up allocation counts must repeat exactly"
+        );
+        (median(timed.iter().map(|s| s[p].0).collect()), allocs)
+    };
+    SetupRow {
+        nodes: shape.0,
+        searches: shape.1,
+        phases: std::array::from_fn(phase),
+        evaluator: phase(4),
+        name,
+    }
+}
+
 fn main() {
     let smoke = arg_flag("--smoke");
     let patterns_per = arg_usize("--patterns", if smoke { 64 } else { 256 });
@@ -747,7 +935,7 @@ fn main() {
     }
 
     // ── Delta-aware vs greedy plans ──
-    let delta_set: Vec<BenchCircuit> = if smoke { registry } else { full_set() };
+    let delta_set: Vec<BenchCircuit> = if smoke { registry.clone() } else { full_set() };
     println!(
         "\ndelta-aware vs greedy plan (one amplitude network, rank-aware level-1 \
          Gray sequence, per varying leaf replayed)\n"
@@ -860,6 +1048,109 @@ fn main() {
         .collect::<Vec<_>>()
         .join(",");
 
+    // ── Set-up layer: what a level-1 evaluator spends before its sum ──
+    println!(
+        "\nset-up layer (level-1 evaluator, median of {SETUP_REPEATS}; allocations per \
+         network node)\n"
+    );
+    let setup_widths = [18usize, 6, 9, 12, 12, 12, 12, 13];
+    print_row(
+        &[
+            "workload".into(),
+            "nodes".into(),
+            "searches".into(),
+            "sites µs/a".into(),
+            "skel µs/a".into(),
+            "search µs/a".into(),
+            "compile µs/a".into(),
+            "evaluator µs/a".into(),
+        ],
+        &setup_widths,
+    );
+    let mut setup_cases: Vec<(String, qns_circuit::Circuit, usize, u64)> = registry
+        .iter()
+        .enumerate()
+        .map(|(i, b)| {
+            (
+                format!("{}/{noises}", b.name),
+                b.circuit.clone(),
+                noises,
+                0x5E7 + i as u64,
+            )
+        })
+        .collect();
+    if !smoke {
+        let full = full_set();
+        for (name, sites, seed) in DEEP_SUM_SETUPS {
+            let bench = full
+                .iter()
+                .find(|b| b.name == name)
+                .expect("registry circuit");
+            setup_cases.push((
+                format!("{name}/{sites}"),
+                bench.circuit.clone(),
+                sites,
+                seed,
+            ));
+        }
+    }
+    let mut setup_rows = Vec::new();
+    for (name, circuit, sites, seed) in &setup_cases {
+        let row = setup_row(name.clone(), circuit, *sites, *seed);
+        let cell = |(us, allocs): (f64, u64)| format!("{us:.0}/{:.1}", row.per_node(allocs));
+        let mut cells = vec![
+            row.name.clone(),
+            row.nodes.to_string(),
+            row.searches.to_string(),
+        ];
+        cells.extend(row.phases.iter().map(|&p| cell(p)));
+        cells.push(cell(row.evaluator));
+        print_row(&cells, &setup_widths);
+        // Invariant 10: set-up allocates a bounded number of times per
+        // network node.
+        let nodes = row.nodes as u64;
+        let (search, compile) = (row.phases[2].1, row.phases[3].1);
+        assert!(
+            row.nodes < SETUP_CEILING_NODES || row.evaluator.1 <= SETUP_ALLOCS_PER_NODE * nodes,
+            "{}: LevelEvaluator::new made {} allocations for {nodes} nodes",
+            row.name,
+            row.evaluator.1
+        );
+        assert!(
+            search + compile <= SEARCH_COMPILE_ALLOCS_PER_NODE * nodes,
+            "{}: search and lowering made {} allocations for {nodes} nodes",
+            row.name,
+            search + compile
+        );
+        setup_rows.push(row);
+    }
+    let setup_per = setup_rows
+        .iter()
+        .map(|r| {
+            let phase = |(us, allocs): (f64, u64)| {
+                format!(
+                    "{{\"us\":{us:.1},\"allocations\":{allocs},\"per_node\":{:.2}}}",
+                    r.per_node(allocs)
+                )
+            };
+            let phases = SETUP_PHASES
+                .iter()
+                .zip(&r.phases)
+                .map(|(name, &p)| format!("\"{name}\":{}", phase(p)))
+                .collect::<Vec<_>>()
+                .join(",");
+            format!(
+                "{{\"workload\":\"{}\",\"nodes\":{},\"searches\":{},{phases},\
+                 \"evaluator\":{}}}",
+                r.name,
+                r.nodes,
+                r.searches,
+                phase(r.evaluator)
+            )
+        })
+        .collect::<Vec<_>>()
+        .join(",");
+
     let mut per = String::new();
     for (i, (name, r, e, s)) in rows.iter().enumerate() {
         if i > 0 {
@@ -903,7 +1194,12 @@ fn main() {
          \"delta_aware\":{{\"level\":1,\"order\":\"gray\",\"ranks\":\"rank-aware\",\
          \"workloads\":[{da_per}]}},\
          \"kernels\":{{\"trials\":{KERNEL_TRIALS},\"dispatched\":\"{path}\",\
-         \"bitwise_equal\":true,\"shapes\":[{kernel_per}]}}}}\n",
+         \"bitwise_equal\":true,\"shapes\":[{kernel_per}]}},\
+         \"setup\":{{\"level\":1,\"repeats\":{SETUP_REPEATS},\
+         \"allocs_per_node_max\":{SETUP_ALLOCS_PER_NODE},\
+         \"ceiling_min_nodes\":{SETUP_CEILING_NODES},\
+         \"search_compile_allocs_per_node_max\":{SEARCH_COMPILE_ALLOCS_PER_NODE},\
+         \"workloads\":[{setup_per}]}}}}\n",
         if smoke { "smoke" } else { "default" },
     );
     let mut f = std::fs::File::create(&out).expect("create bench report");

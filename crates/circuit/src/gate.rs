@@ -92,63 +92,95 @@ impl Gate {
     ///
     /// Panics if a `Custom1`/`Custom2`/`CU` payload has the wrong shape.
     pub fn matrix(&self) -> Matrix {
+        let dim = 1 << self.arity();
+        let mut data = vec![Complex64::ZERO; dim * dim];
+        self.write_matrix(&mut data);
+        Matrix::from_vec(dim, dim, data)
+    }
+
+    /// Writes the entries of [`Gate::matrix`], row-major, into `out`
+    /// without building a [`Matrix`]: the tensor-network builders fill
+    /// a node's buffer in place with it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` does not hold exactly the matrix's `4` (1-qubit)
+    /// or `16` (2-qubit) entries, or if a `Custom1`/`Custom2`/`CU`
+    /// payload has the wrong shape.
+    pub fn write_matrix(&self, out: &mut [Complex64]) {
         use Gate::*;
+        let dim = 1usize << self.arity();
+        assert_eq!(out.len(), dim * dim, "gate matrix buffer length");
         let inv = FRAC_1_SQRT_2;
+        let (zero, one) = (Complex64::ZERO, Complex64::ONE);
+        // Diagonal gates: zeros off the diagonal.
+        let mut diag = |d: &[Complex64]| {
+            out.fill(zero);
+            for (i, &z) in d.iter().enumerate() {
+                out[i * dim + i] = z;
+            }
+        };
         match self {
-            H => Matrix::from_rows(&[vec![cr(inv), cr(inv)], vec![cr(inv), cr(-inv)]]),
-            X => Matrix::from_rows(&[vec![cr(0.0), cr(1.0)], vec![cr(1.0), cr(0.0)]]),
-            Y => Matrix::from_rows(&[vec![cr(0.0), c64(0.0, -1.0)], vec![c64(0.0, 1.0), cr(0.0)]]),
-            Z => Matrix::from_rows(&[vec![cr(1.0), cr(0.0)], vec![cr(0.0), cr(-1.0)]]),
-            S => Matrix::from_diag(&[cr(1.0), Complex64::I]),
-            Sdg => Matrix::from_diag(&[cr(1.0), -Complex64::I]),
-            T => Matrix::from_diag(&[cr(1.0), Complex64::from_polar(1.0, FRAC_PI_4)]),
-            Tdg => Matrix::from_diag(&[cr(1.0), Complex64::from_polar(1.0, -FRAC_PI_4)]),
-            SqrtX => Matrix::from_rows(&[
-                vec![c64(0.5, 0.5), c64(0.5, -0.5)],
-                vec![c64(0.5, -0.5), c64(0.5, 0.5)],
-            ]),
-            SqrtY => Matrix::from_rows(&[
-                vec![c64(0.5, 0.5), c64(-0.5, -0.5)],
-                vec![c64(0.5, 0.5), c64(0.5, 0.5)],
-            ]),
+            H => out.copy_from_slice(&[cr(inv), cr(inv), cr(inv), cr(-inv)]),
+            X => out.copy_from_slice(&[cr(0.0), cr(1.0), cr(1.0), cr(0.0)]),
+            Y => out.copy_from_slice(&[cr(0.0), c64(0.0, -1.0), c64(0.0, 1.0), cr(0.0)]),
+            Z => out.copy_from_slice(&[cr(1.0), cr(0.0), cr(0.0), cr(-1.0)]),
+            S => diag(&[cr(1.0), Complex64::I]),
+            Sdg => diag(&[cr(1.0), -Complex64::I]),
+            T => diag(&[cr(1.0), Complex64::from_polar(1.0, FRAC_PI_4)]),
+            Tdg => diag(&[cr(1.0), Complex64::from_polar(1.0, -FRAC_PI_4)]),
+            SqrtX => {
+                out.copy_from_slice(&[c64(0.5, 0.5), c64(0.5, -0.5), c64(0.5, -0.5), c64(0.5, 0.5)])
+            }
+            SqrtY => {
+                out.copy_from_slice(&[c64(0.5, 0.5), c64(-0.5, -0.5), c64(0.5, 0.5), c64(0.5, 0.5)])
+            }
             SqrtW => {
-                // √W where W = (X+Y)/√2; matrix from the supremacy paper:
-                // [[1, -√i·? ]] — constructed numerically as exp(-iπW/4)·phase.
-                // Use the published form:
-                //   sqrt(W) = [[1+i, -i√2·e^{iπ/4}·…]]
-                // Simplest robust construction: W is Hermitian unitary, so
-                // √W = (I + iW)·e^{-iπ/4}/√2 · … — build via spectral form.
-                let w = Matrix::from_rows(&[
-                    vec![cr(0.0), c64(inv, -inv)],
-                    vec![c64(inv, inv), cr(0.0)],
-                ]);
-                sqrt_hermitian_unitary(&w)
+                // √W where W = (X+Y)/√2 is Hermitian and unitary: see
+                // `sqrt_hermitian_unitary`.
+                let w = [cr(0.0), c64(inv, -inv), c64(inv, inv), cr(0.0)];
+                let id = [one, zero, zero, one];
+                for ((o, &e), &x) in out.iter_mut().zip(&id).zip(&w) {
+                    *o = sqrt_hermitian_unitary_entry(e, x);
+                }
             }
             Rx(theta) => {
                 let (c, s) = ((theta / 2.0).cos(), (theta / 2.0).sin());
-                Matrix::from_rows(&[vec![cr(c), c64(0.0, -s)], vec![c64(0.0, -s), cr(c)]])
+                out.copy_from_slice(&[cr(c), c64(0.0, -s), c64(0.0, -s), cr(c)]);
             }
             Ry(theta) => {
                 let (c, s) = ((theta / 2.0).cos(), (theta / 2.0).sin());
-                Matrix::from_rows(&[vec![cr(c), cr(-s)], vec![cr(s), cr(c)]])
+                out.copy_from_slice(&[cr(c), cr(-s), cr(s), cr(c)]);
             }
-            Rz(theta) => Matrix::from_diag(&[
+            Rz(theta) => diag(&[
                 Complex64::from_polar(1.0, -theta / 2.0),
                 Complex64::from_polar(1.0, theta / 2.0),
             ]),
-            Phase(theta) => Matrix::from_diag(&[cr(1.0), Complex64::from_polar(1.0, *theta)]),
+            Phase(theta) => diag(&[cr(1.0), Complex64::from_polar(1.0, *theta)]),
             Custom1(m) => {
                 assert_eq!((m.rows(), m.cols()), (2, 2), "Custom1 must be 2×2");
-                (**m).clone()
+                out.copy_from_slice(m.as_slice());
             }
-            CZ => Matrix::from_diag(&[cr(1.0), cr(1.0), cr(1.0), cr(-1.0)]),
-            CX => Matrix::from_rows(&[
-                vec![cr(1.0), cr(0.0), cr(0.0), cr(0.0)],
-                vec![cr(0.0), cr(1.0), cr(0.0), cr(0.0)],
-                vec![cr(0.0), cr(0.0), cr(0.0), cr(1.0)],
-                vec![cr(0.0), cr(0.0), cr(1.0), cr(0.0)],
+            CZ => diag(&[cr(1.0), cr(1.0), cr(1.0), cr(-1.0)]),
+            CX => out.copy_from_slice(&[
+                cr(1.0),
+                cr(0.0),
+                cr(0.0),
+                cr(0.0),
+                cr(0.0),
+                cr(1.0),
+                cr(0.0),
+                cr(0.0),
+                cr(0.0),
+                cr(0.0),
+                cr(0.0),
+                cr(1.0),
+                cr(0.0),
+                cr(0.0),
+                cr(1.0),
+                cr(0.0),
             ]),
-            CPhase(theta) => Matrix::from_diag(&[
+            CPhase(theta) => diag(&[
                 cr(1.0),
                 cr(1.0),
                 cr(1.0),
@@ -156,46 +188,48 @@ impl Gate {
             ]),
             CU(u) => {
                 assert_eq!((u.rows(), u.cols()), (2, 2), "CU payload must be 2×2");
-                let mut m = Matrix::identity(4);
+                diag(&[one; 4]);
                 for i in 0..2 {
                     for j in 0..2 {
-                        m[(2 + i, 2 + j)] = u[(i, j)];
+                        out[(2 + i) * 4 + 2 + j] = u[(i, j)];
                     }
                 }
-                m
             }
-            ISwap => Matrix::from_rows(&[
-                vec![cr(1.0), cr(0.0), cr(0.0), cr(0.0)],
-                vec![cr(0.0), cr(0.0), Complex64::I, cr(0.0)],
-                vec![cr(0.0), Complex64::I, cr(0.0), cr(0.0)],
-                vec![cr(0.0), cr(0.0), cr(0.0), cr(1.0)],
-            ]),
+            ISwap => {
+                out.fill(cr(0.0));
+                out[0] = cr(1.0);
+                out[6] = Complex64::I;
+                out[9] = Complex64::I;
+                out[15] = cr(1.0);
+            }
             FSim(theta, phi) => {
                 let (c, s) = (theta.cos(), theta.sin());
-                Matrix::from_rows(&[
-                    vec![cr(1.0), cr(0.0), cr(0.0), cr(0.0)],
-                    vec![cr(0.0), cr(c), c64(0.0, -s), cr(0.0)],
-                    vec![cr(0.0), c64(0.0, -s), cr(c), cr(0.0)],
-                    vec![cr(0.0), cr(0.0), cr(0.0), Complex64::from_polar(1.0, -phi)],
-                ])
+                out.fill(cr(0.0));
+                out[0] = cr(1.0);
+                out[5] = cr(c);
+                out[6] = c64(0.0, -s);
+                out[9] = c64(0.0, -s);
+                out[10] = cr(c);
+                out[15] = Complex64::from_polar(1.0, -phi);
             }
             Givens(theta) => {
                 let (c, s) = (theta.cos(), theta.sin());
-                Matrix::from_rows(&[
-                    vec![cr(1.0), cr(0.0), cr(0.0), cr(0.0)],
-                    vec![cr(0.0), cr(c), cr(-s), cr(0.0)],
-                    vec![cr(0.0), cr(s), cr(c), cr(0.0)],
-                    vec![cr(0.0), cr(0.0), cr(0.0), cr(1.0)],
-                ])
+                out.fill(cr(0.0));
+                out[0] = cr(1.0);
+                out[5] = cr(c);
+                out[6] = cr(-s);
+                out[9] = cr(s);
+                out[10] = cr(c);
+                out[15] = cr(1.0);
             }
             ZZ(theta) => {
                 let p = Complex64::from_polar(1.0, -theta / 2.0);
                 let m = Complex64::from_polar(1.0, theta / 2.0);
-                Matrix::from_diag(&[p, m, m, p])
+                diag(&[p, m, m, p]);
             }
             Custom2(m) => {
                 assert_eq!((m.rows(), m.cols()), (4, 4), "Custom2 must be 4×4");
-                (**m).clone()
+                out.copy_from_slice(m.as_slice());
             }
         }
     }
@@ -268,17 +302,14 @@ impl fmt::Display for Gate {
     }
 }
 
-/// Principal square root of a Hermitian unitary `W` (eigenvalues ±1):
-/// `√W = P₊ + i·P₋` written via `(I+W)/2 + i·(I−W)/2`, normalized to be
-/// unitary. Used for `√W`; also correct for `√X`, `√Y`.
-fn sqrt_hermitian_unitary(w: &Matrix) -> Matrix {
-    let n = w.rows();
-    let id = Matrix::identity(n);
-    // P+ = (I+W)/2 projects onto eigenvalue +1, P- onto -1.
-    let p_plus = (&id + w).scale(cr(0.5));
-    let p_minus = (&id - w).scale(cr(0.5));
-    // sqrt picks e^{i·0}=1 on +1 and e^{iπ/2}=i on −1 branch.
-    &p_plus + &p_minus.scale(Complex64::I)
+/// One entry of the principal square root of a Hermitian unitary `W`
+/// (eigenvalues ±1), from the same entries `e` of `I` and `w` of `W`:
+/// `√W = P₊ + i·P₋` with the projectors `P₊ = (I+W)/2` onto eigenvalue
+/// `+1` and `P₋ = (I−W)/2` onto `−1`, so the root picks `e^{i·0} = 1`
+/// on the `+1` branch and `e^{iπ/2} = i` on the `−1` branch. Used for
+/// `√W`; also correct for `√X`, `√Y`.
+fn sqrt_hermitian_unitary_entry(e: Complex64, w: Complex64) -> Complex64 {
+    (e + w) * cr(0.5) + ((e - w) * cr(0.5)) * Complex64::I
 }
 
 /// Returns `true` when `g` is diagonal in the computational basis.

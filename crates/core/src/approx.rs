@@ -99,7 +99,7 @@ use crate::noise_svd::NoiseSvd;
 use crate::patterns::{GrayPatternStream, TERM_UNSET};
 use qns_circuit::Circuit;
 use qns_linalg::{Complex64, Matrix};
-use qns_noise::{NoiseEvent, NoisyCircuit, QnsError};
+use qns_noise::{Kraus, NoisyCircuit, QnsError};
 use qns_tensor::Tensor;
 use qns_tnet::builder::{AmplitudeSkeleton, Insertion, ProductState};
 use qns_tnet::exec::{ExecutablePlan, Workspace};
@@ -205,7 +205,34 @@ pub(crate) struct Site {
     /// `after_gate` index for [`Insertion`] (`usize::MAX` = initial).
     after_gate: usize,
     qubit: usize,
-    svd: NoiseSvd,
+    /// The site's channel: an index into [`Sites::svds`].
+    channel: usize,
+}
+
+/// Every noise site of a circuit, in the evaluators' site order
+/// (initial events first, then the circuit's events), and the
+/// decomposition of each distinct channel among them.
+pub(crate) struct Sites {
+    sites: Vec<Site>,
+    /// One [`NoiseSvd`] per distinct channel, in order of first use.
+    svds: Vec<NoiseSvd>,
+}
+
+impl Sites {
+    /// Number of noise sites `N`.
+    pub(crate) fn len(&self) -> usize {
+        self.sites.len()
+    }
+
+    /// The decomposition of site `i`'s channel.
+    fn svd(&self, i: usize) -> &NoiseSvd {
+        &self.svds[self.sites[i].channel]
+    }
+
+    /// Every site's Kraus rank ([`NoiseSvd::rank`]).
+    fn ranks(&self) -> Vec<usize> {
+        (0..self.len()).map(|i| self.svd(i).rank()).collect()
+    }
 }
 
 /// The Kraus rank ([`NoiseSvd::rank`]) of every noise site, in the
@@ -214,21 +241,36 @@ pub(crate) struct Site {
 /// [`crate::bounds::planned_patterns_for_ranks`] takes to count the
 /// patterns a run contracts.
 pub fn site_ranks(noisy: &NoisyCircuit) -> Vec<usize> {
-    collect_sites(noisy).iter().map(|s| s.svd.rank()).collect()
+    collect_sites(noisy).ranks()
 }
 
-pub(crate) fn collect_sites(noisy: &NoisyCircuit) -> Vec<Site> {
-    let mk = |after_gate: usize, e: &NoiseEvent| Site {
-        after_gate,
-        qubit: e.qubit,
-        svd: NoiseSvd::decompose(&e.kraus),
-    };
-    noisy
-        .initial_events()
-        .iter()
-        .map(|e| mk(usize::MAX, e))
-        .chain(noisy.events().iter().map(|e| mk(e.after_gate, e)))
-        .collect()
+/// Collects the noise sites, decomposing each distinct channel once: a
+/// site whose channel equals an earlier site's bit for bit
+/// ([`Kraus::same_bits`]) shares that decomposition.
+/// [`NoiseSvd::decompose`] is deterministic, so sharing changes no
+/// rank, term or bit.
+pub(crate) fn collect_sites(noisy: &NoisyCircuit) -> Sites {
+    let initial = noisy.initial_events().iter().map(|e| (usize::MAX, e));
+    let events = initial.chain(noisy.events().iter().map(|e| (e.after_gate, e)));
+    let mut channels: Vec<&Kraus> = Vec::new();
+    let mut svds = Vec::new();
+    let mut sites = Vec::with_capacity(noisy.noise_count());
+    for (after_gate, e) in events {
+        let channel = match channels.iter().position(|k| k.same_bits(&e.kraus)) {
+            Some(c) => c,
+            None => {
+                channels.push(&e.kraus);
+                svds.push(NoiseSvd::decompose(&e.kraus));
+                svds.len() - 1
+            }
+        };
+        sites.push(Site {
+            after_gate,
+            qubit: e.qubit,
+            channel,
+        });
+    }
+    Sites { sites, svds }
 }
 
 /// The split-half skeletons of one run. Payload swaps mutate the
@@ -255,10 +297,13 @@ pub(crate) struct SplitShared {
     /// The lower half's plan, present exactly when the skeletons'
     /// lower half is.
     lo: Option<ExecutablePlan>,
-    /// `payloads[site][term] = U_term`, installed in both halves. The
-    /// paper's lower factor `V_term` is `conj(U_term)` by construction
-    /// ([`NoiseSvd`]), applied by conjugating the lower half's scalar.
+    /// `payloads[channel][term] = U_term` of every distinct channel,
+    /// installed in both halves. The paper's lower factor `V_term` is
+    /// `conj(U_term)` by construction ([`NoiseSvd`]), applied by
+    /// conjugating the lower half's scalar.
     payloads: Vec<[Tensor; 4]>,
+    /// Every site's channel: an index into `payloads`.
+    channels: Vec<usize>,
     /// Every site's Kraus rank ([`NoiseSvd::rank`]): the pattern
     /// streams skip the terms at and past it, which are zero matrices.
     pub(crate) ranks: Vec<usize>,
@@ -315,10 +360,11 @@ pub(crate) fn build_split(
     psi: &ProductState,
     x: &ProductState,
     y: &ProductState,
-    sites: &[Site],
+    sites: &Sites,
     strategy: OrderStrategy,
 ) -> (SplitSkeletons, SplitShared) {
     let placeholders: Vec<Insertion> = sites
+        .sites
         .iter()
         .map(|s| Insertion {
             after_gate: s.after_gate,
@@ -326,7 +372,7 @@ pub(crate) fn build_split(
             matrix: Matrix::identity(2),
         })
         .collect();
-    let ranks: Vec<usize> = sites.iter().map(|s| s.svd.rank()).collect();
+    let ranks = sites.ranks();
     let mut planning = ContractionStats::default();
     let mut half = |cap: &ProductState| {
         let skel = AmplitudeSkeleton::new(circuit, psi, cap, &placeholders, false);
@@ -343,8 +389,9 @@ pub(crate) fn build_split(
         (Some(skel), Some(plan))
     };
     let payloads = sites
+        .svds
         .iter()
-        .map(|s| std::array::from_fn(|term| Tensor::from_matrix(s.svd.term(term).0)))
+        .map(|svd| std::array::from_fn(|term| Tensor::from_matrix(svd.term(term).0)))
         .collect();
     (
         SplitSkeletons { upper, lower },
@@ -352,6 +399,7 @@ pub(crate) fn build_split(
             up,
             lo,
             payloads,
+            channels: sites.sites.iter().map(|s| s.channel).collect(),
             ranks,
             planning,
         },
@@ -428,7 +476,7 @@ impl SplitDelta {
             if term == *cur {
                 continue;
             }
-            let u = &shared.payloads[i][term];
+            let u = &shared.payloads[shared.channels[i]][term];
             skels.upper.set_insertion_payload(i, u);
             self.dirty_up.push(skels.upper.insertion_slot(i));
             if let Some(lower) = &mut skels.lower {
@@ -493,7 +541,7 @@ pub(crate) fn check_budget(
 /// Patterns pulled from the shared stream per lock acquisition. Small
 /// enough that the tail imbalance between workers stays negligible,
 /// large enough that the mutex is cold next to the contractions.
-const PATTERN_CHUNK: usize = 32;
+pub(crate) const PATTERN_CHUNK: usize = 32;
 
 /// Streams the level-`u` patterns sequentially through the shared
 /// plans in minimal-change order, delta-replaying each one. Only the
@@ -522,20 +570,22 @@ pub(crate) fn evaluate_level_sequential(
 /// one per evaluator in `workers`. Each worker keeps its own skeletons
 /// and warm workspaces across levels, shares the run's plans, and
 /// pulls [`PATTERN_CHUNK`]-sized chunks from the stream — peak pattern
-/// memory is `O(workers · chunk)` regardless of the level's size.
+/// memory is `O(workers · chunk)` regardless of the level's size. A
+/// single worker runs the same chunked loop on the calling thread,
+/// with no spawn.
 ///
 /// Which worker evaluates which chunk depends on OS scheduling, so to
 /// keep the (non-associative) floating-point sum run-to-run
 /// deterministic every chunk carries a sequence number and the partial
 /// sums are reduced in sequence order after the join. A worker's
 /// history only decides which intermediates it reuses, and delta
-/// replay is bitwise a full replay, so the sum does not depend on it.
+/// replay is bitwise a full replay, so the sum does not depend on it,
+/// nor on how many workers ran.
 pub(crate) fn evaluate_level_parallel(
     workers: &mut [SplitDelta],
     shared: &SplitShared,
     u: usize,
 ) -> (Complex64, usize, ContractionStats) {
-    let n = shared.ranks.len();
     // Shared state: the pattern stream plus the next chunk's sequence
     // number, handed out under the same lock as the chunk itself.
     // Minimal-change order keeps consecutive patterns *within* a chunk
@@ -543,68 +593,86 @@ pub(crate) fn evaluate_level_parallel(
     // larger, which the delta evaluator absorbs (it diffs, it does not
     // assume adjacency).
     let stream = Mutex::new((GrayPatternStream::with_ranks(&shared.ranks, u), 0usize));
-    std::thread::scope(|scope| {
-        let stream = &stream;
-        let handles: Vec<_> = workers
-            .iter_mut()
-            .map(|delta| {
-                scope.spawn(move || {
-                    let mut chunk_sums: Vec<(usize, Complex64)> = Vec::new();
-                    let mut count = 0usize;
-                    let mut stats = ContractionStats::default();
-                    // Flat chunk buffer: PATTERN_CHUNK assignments of n
-                    // sites each, refilled under one lock.
-                    let mut buf = vec![0usize; PATTERN_CHUNK * n];
-                    loop {
-                        let (seq, filled) = {
-                            #[expect(
-                                clippy::expect_used,
-                                reason = "poisoned only if a sibling worker panicked, which join re-raises"
-                            )]
-                            let mut guard = stream.lock().expect("pattern stream lock");
-                            let (s, next_seq) = &mut *guard;
-                            let mut f = 0;
-                            while f < PATTERN_CHUNK && s.next_into(&mut buf[f * n..(f + 1) * n]) {
-                                f += 1;
-                            }
-                            let seq = *next_seq;
-                            if f > 0 {
-                                *next_seq += 1;
-                            }
-                            (seq, f)
-                        };
-                        if filled == 0 {
-                            break;
-                        }
-                        let mut chunk_acc = Complex64::ZERO;
-                        for k in 0..filled {
-                            chunk_acc +=
-                                delta.evaluate(shared, &buf[k * n..(k + 1) * n], &mut stats);
-                        }
-                        chunk_sums.push((seq, chunk_acc));
-                        count += filled;
-                    }
-                    (chunk_sums, count, stats)
+    let results: Vec<ChunkSums> = match workers {
+        [delta] => vec![evaluate_chunks(delta, shared, &stream)],
+        _ => std::thread::scope(|scope| {
+            let stream = &stream;
+            let handles: Vec<_> = workers
+                .iter_mut()
+                .map(|delta| scope.spawn(move || evaluate_chunks(delta, shared, stream)))
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| {
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "a worker panic is re-raised on the caller, as in the sequential path"
+                    )]
+                    h.join().expect("worker thread panicked")
                 })
-            })
-            .collect();
-        let mut all_chunks: Vec<(usize, Complex64)> = Vec::new();
-        let mut count = 0usize;
-        let mut stats = ContractionStats::default();
-        for h in handles {
+                .collect()
+        }),
+    };
+    let mut all_chunks: Vec<(usize, Complex64)> = Vec::new();
+    let mut count = 0usize;
+    let mut stats = ContractionStats::default();
+    for (chunks, c, s) in results {
+        all_chunks.extend(chunks);
+        count += c;
+        stats.absorb(&s);
+    }
+    all_chunks.sort_unstable_by_key(|&(seq, _)| seq);
+    let acc = all_chunks.into_iter().map(|(_, v)| v).sum();
+    (acc, count, stats)
+}
+
+/// One worker's share of a level: its `(sequence number, partial sum)`
+/// per chunk, its pattern count and its stats.
+type ChunkSums = (Vec<(usize, Complex64)>, usize, ContractionStats);
+
+/// Pulls [`PATTERN_CHUNK`]-pattern chunks from the shared `stream`
+/// until it runs dry, summing each chunk through `delta`.
+fn evaluate_chunks(
+    delta: &mut SplitDelta,
+    shared: &SplitShared,
+    stream: &Mutex<(GrayPatternStream, usize)>,
+) -> ChunkSums {
+    let n = shared.ranks.len();
+    let mut chunk_sums: Vec<(usize, Complex64)> = Vec::new();
+    let mut count = 0usize;
+    let mut stats = ContractionStats::default();
+    // Flat chunk buffer: PATTERN_CHUNK assignments of n sites each,
+    // refilled under one lock.
+    let mut buf = vec![0usize; PATTERN_CHUNK * n];
+    loop {
+        let (seq, filled) = {
             #[expect(
                 clippy::expect_used,
-                reason = "a worker panic is re-raised on the caller, as in the sequential path"
+                reason = "poisoned only if a sibling worker panicked, which join re-raises"
             )]
-            let (chunks, c, s) = h.join().expect("worker thread panicked");
-            all_chunks.extend(chunks);
-            count += c;
-            stats.absorb(&s);
+            let mut guard = stream.lock().expect("pattern stream lock");
+            let (s, next_seq) = &mut *guard;
+            let mut f = 0;
+            while f < PATTERN_CHUNK && s.next_into(&mut buf[f * n..(f + 1) * n]) {
+                f += 1;
+            }
+            let seq = *next_seq;
+            if f > 0 {
+                *next_seq += 1;
+            }
+            (seq, f)
+        };
+        if filled == 0 {
+            break;
         }
-        all_chunks.sort_unstable_by_key(|&(seq, _)| seq);
-        let acc = all_chunks.into_iter().map(|(_, v)| v).sum();
-        (acc, count, stats)
-    })
+        let mut chunk_acc = Complex64::ZERO;
+        for k in 0..filled {
+            chunk_acc += delta.evaluate(shared, &buf[k * n..(k + 1) * n], &mut stats);
+        }
+        chunk_sums.push((seq, chunk_acc));
+        count += filled;
+    }
+    (chunk_sums, count, stats)
 }
 
 /// The l-level approximation of `⟨v| E_N(|ψ⟩⟨ψ|) |v⟩`
@@ -868,7 +936,7 @@ pub fn append_ideal_inverse(noisy: &NoisyCircuit) -> NoisyCircuit {
 mod tests {
     use super::*;
     use qns_circuit::generators::{ghz, inst_grid, qaoa_ring, QaoaRound};
-    use qns_noise::channels;
+    use qns_noise::{channels, NoiseEvent};
     use qns_sim::density;
     use qns_sim::statevector;
 
@@ -1376,6 +1444,7 @@ mod tests {
         let circuit = noisy.circuit();
         let sites = collect_sites(noisy);
         let placeholders: Vec<Insertion> = sites
+            .sites
             .iter()
             .map(|s| Insertion {
                 after_gate: s.after_gate,
@@ -1407,7 +1476,7 @@ mod tests {
                 };
                 while stream.next_into(&mut assignment) {
                     for (i, &t) in assignment.iter().enumerate() {
-                        let (a, b) = sites[i].svd.term(t);
+                        let (a, b) = sites.svd(i).term(t);
                         upper.set_insertion_payload(i, &Tensor::from_matrix(a));
                         lower.set_insertion_payload(i, &Tensor::from_matrix(b));
                     }
@@ -1550,6 +1619,62 @@ mod tests {
         pats.sort();
         pats.dedup();
         assert_eq!(pats.len() as u128, crate::bounds::level_patterns(6, 3));
+    }
+
+    #[test]
+    fn equal_channels_share_one_decomposition_with_per_site_results() {
+        // Two different channels over five sites, one of them initial:
+        // each distinct channel is decomposed once, and every site sees
+        // the ranks and `U` payloads of its own decomposition.
+        let (thermal, damping) = (
+            channels::thermal_relaxation(30.0, 40.0, 25.0),
+            channels::amplitude_damping(0.05),
+        );
+        let event = |after_gate, qubit, kraus: &Kraus| NoiseEvent {
+            after_gate,
+            qubit,
+            kraus: kraus.clone(),
+        };
+        let mut noisy = NoisyCircuit::new(
+            ghz(3),
+            vec![
+                event(0, 0, &thermal),
+                event(1, 1, &damping),
+                event(1, 2, &thermal),
+                event(2, 2, &damping),
+            ],
+        );
+        noisy.push_initial(1, thermal.clone());
+        let per_site: Vec<NoiseSvd> = [&thermal, &thermal, &damping, &thermal, &damping]
+            .into_iter()
+            .map(NoiseSvd::decompose)
+            .collect();
+
+        let sites = collect_sites(&noisy);
+        assert_eq!(
+            sites.svds.len(),
+            2,
+            "one decomposition per distinct channel"
+        );
+        let ranks: Vec<usize> = per_site.iter().map(NoiseSvd::rank).collect();
+        assert_eq!(site_ranks(&noisy), ranks);
+
+        let psi = ProductState::all_zeros(3);
+        let v = ProductState::basis(3, 0b111);
+        let (_, shared) = build_split(noisy.circuit(), &psi, &v, &v, &sites, OrderStrategy::Greedy);
+        let bits = |t: &Tensor| -> Vec<(u64, u64)> {
+            t.as_slice()
+                .iter()
+                .map(|z| (z.re.to_bits(), z.im.to_bits()))
+                .collect()
+        };
+        for (i, svd) in per_site.iter().enumerate() {
+            for term in 0..4 {
+                let expected = Tensor::from_matrix(svd.term(term).0);
+                let installed = &shared.payloads[shared.channels[i]][term];
+                assert_eq!(bits(installed), bits(&expected), "site {i}, term {term}");
+            }
+        }
     }
 
     #[test]

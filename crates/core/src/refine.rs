@@ -65,7 +65,7 @@
 
 use crate::approx::{
     build_split, check_budget, check_state, collect_sites, evaluate_level_parallel,
-    evaluate_level_sequential, ApproxOptions, ApproxResult, SplitDelta, SplitShared,
+    evaluate_level_sequential, ApproxOptions, ApproxResult, SplitDelta, SplitShared, PATTERN_CHUNK,
 };
 use qns_noise::{NoisyCircuit, QnsError};
 use qns_tnet::builder::ProductState;
@@ -119,7 +119,8 @@ pub struct LevelEvaluator {
     /// intermediates and installed assignment carry over (a level's
     /// first pattern diffs against the worker's last one). Worker 0 is
     /// also the sequential evaluator; the others are forked from it
-    /// on the first parallel level.
+    /// on the first level with more than one pattern chunk, at most
+    /// one worker per chunk.
     workers: Vec<SplitDelta>,
     /// Contributions `T_0 … T_k` of the completed levels.
     per_level: Vec<f64>,
@@ -221,7 +222,10 @@ impl LevelEvaluator {
         let u = self.begin_level()?;
         let patterns = crate::bounds::level_patterns_for_ranks(&self.shared.ranks, u);
         let (tu, count, level_stats) = if self.threads > 1 && patterns > 1 {
-            let workers = (self.threads as u128).min(patterns) as usize;
+            // A worker per chunk at most: a level of one chunk runs on
+            // the calling thread.
+            let chunks = patterns.div_ceil(PATTERN_CHUNK as u128);
+            let workers = (self.threads as u128).min(chunks) as usize;
             while self.workers.len() < workers {
                 let fork = self.workers[0].fork(&self.shared);
                 self.workers.push(fork);
@@ -405,6 +409,30 @@ mod tests {
         eval.advance().unwrap();
         let err = eval.advance().unwrap_err();
         assert!(matches!(err, QnsError::TermBudgetExceeded { level: 1, .. }));
+    }
+
+    #[test]
+    fn a_level_runs_at_most_one_worker_per_chunk() {
+        // Level 1 of 12 thermal sites is one 32-pattern chunk: it runs
+        // on the calling thread, with no fork. Level 2 forks the second
+        // worker, and its sum is bitwise a fresh two-thread run's.
+        let thermal = channels::thermal_relaxation(30.0, 40.0, 25.0);
+        let noisy = NoisyCircuit::inject_random(ghz(4), &thermal, 12, 29);
+        let (psi, v) = (ProductState::all_zeros(4), ProductState::basis(4, 0b1111));
+        let opts = ApproxOptions::default().with_level(2).with_threads(2);
+        let mut eval = LevelEvaluator::new(&noisy, &psi, &v, &opts).unwrap();
+        eval.advance().unwrap();
+        let level_1 = eval.advance().unwrap();
+        assert!(level_1.level_patterns <= PATTERN_CHUNK);
+        assert_eq!(eval.workers.len(), 1, "a one-chunk level forked a worker");
+        let level_2 = eval.advance().unwrap();
+        assert_eq!(eval.workers.len(), 2);
+        let fresh = approximate_expectation(&noisy, &psi, &v, &opts);
+        assert_eq!(level_2.value.to_bits(), fresh.value.to_bits());
+        assert_eq!(
+            level_2.level_contribution.to_bits(),
+            fresh.per_level[2].to_bits()
+        );
     }
 
     #[test]

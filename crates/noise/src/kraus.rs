@@ -1,6 +1,6 @@
 //! Quantum channels in Kraus form.
 
-use qns_linalg::Matrix;
+use qns_linalg::{Complex64, Matrix};
 use std::fmt;
 
 /// A quantum channel `E(ρ) = Σ_k E_k ρ E_k†` given by its Kraus
@@ -56,6 +56,24 @@ impl Kraus {
         &self.ops
     }
 
+    /// Whether `other` has the same operators as `self`, bit for bit
+    /// (`-0.0` and `0.0` differ; so do NaNs with different payloads):
+    /// the equality under which every derived quantity — the
+    /// superoperator, the noise rate, a decomposition — is the same.
+    pub fn same_bits(&self, other: &Kraus) -> bool {
+        fn bits(m: &Matrix) -> impl Iterator<Item = (u64, u64)> + '_ {
+            m.as_slice()
+                .iter()
+                .map(|z| (z.re.to_bits(), z.im.to_bits()))
+        }
+        self.ops.len() == other.ops.len()
+            && self
+                .ops
+                .iter()
+                .zip(&other.ops)
+                .all(|(x, y)| (x.rows(), x.cols()) == (y.rows(), y.cols()) && bits(x).eq(bits(y)))
+    }
+
     /// Hilbert space dimension the channel acts on.
     #[inline]
     pub fn dim(&self) -> usize {
@@ -107,10 +125,28 @@ impl Kraus {
     /// `M_E = Σ_k E_k ⊗ E_k*` acting on vectorized density matrices
     /// (paper, Section III).
     pub fn superoperator(&self) -> Matrix {
-        let d2 = self.dim * self.dim;
-        let mut m = Matrix::zeros(d2, d2);
+        let d = self.dim;
+        let mut m = Matrix::zeros(d * d, d * d);
+        // Accumulates each `E ⊗ E*` in place, entry by entry: the sum
+        // `Matrix::kron` and `+` would build, with the zero entries of
+        // `E` contributing exactly `0` as `kron` writes them.
         for e in &self.ops {
-            m = &m + &e.kron(&e.conj());
+            for i in 0..d {
+                for j in 0..d {
+                    let a = e[(i, j)];
+                    for k in 0..d {
+                        for l in 0..d {
+                            let term = if a == Complex64::ZERO {
+                                Complex64::ZERO
+                            } else {
+                                a * e[(k, l)].conj()
+                            };
+                            let at = (i * d + k, j * d + l);
+                            m[at] += term;
+                        }
+                    }
+                }
+            }
         }
         m
     }

@@ -221,12 +221,18 @@ impl NoisyCircuit {
     }
 
     /// The largest noise rate among all events (the paper's `p`).
+    /// Each distinct channel's rate is computed once: events whose
+    /// channels are equal bit for bit ([`Kraus::same_bits`]) share it.
     pub fn max_noise_rate(&self) -> f64 {
-        self.initial
-            .iter()
-            .chain(&self.events)
-            .map(|e| e.kraus.noise_rate())
-            .fold(0.0, f64::max)
+        let mut seen: Vec<&Kraus> = Vec::new();
+        let mut max = 0.0;
+        for e in self.initial.iter().chain(&self.events) {
+            if !seen.iter().any(|k| k.same_bits(&e.kraus)) {
+                seen.push(&e.kraus);
+                max = f64::max(max, e.kraus.noise_rate());
+            }
+        }
+        max
     }
 
     /// The interleaved execution order: initial noise, then each gate

@@ -157,23 +157,29 @@ fn amplitude_network_impl(
         );
         assert!(ins.qubit < n, "insertion qubit out of range");
     }
-    let mut net = TensorNetwork::new();
+    // Every node is built in place: its entries written straight into
+    // the buffer it keeps, one shape and one leg list beside it.
+    let gate_legs: usize = circuit.operations().iter().map(|op| op.qubits.len()).sum();
+    let mut net = TensorNetwork::with_capacity(
+        2 * n + circuit.gate_count() + insertions.len(),
+        n + gate_legs + insertions.len(),
+    );
     let mut cur: Vec<LegId> = (0..n).map(|_| net.fresh_leg()).collect();
-
-    let maybe_conj_t = |t: Tensor| if conjugate { t.conj() } else { t };
-    let maybe_conj_m = |m: Matrix| if conjugate { m.conj() } else { m };
+    let maybe_conj = |z: Complex64| if conjugate { z.conj() } else { z };
 
     // Input caps |ψ⟩.
     for q in 0..n {
         let f = psi.factor(q);
-        let t = maybe_conj_t(Tensor::from_vec(vec![f[0], f[1]], vec![2]));
+        let t = Tensor::from_vec(vec![maybe_conj(f[0]), maybe_conj(f[1])], vec![2]);
         net.add(t, vec![cur[q]]);
     }
 
     let mut insertion_nodes: Vec<Option<NodeId>> = vec![None; insertions.len()];
     let splice = |net: &mut TensorNetwork, cur: &mut Vec<LegId>, ins: &Insertion| -> NodeId {
         let new = net.fresh_leg();
-        let t = Tensor::from_matrix(&maybe_conj_m(ins.matrix.clone()));
+        let m = &ins.matrix;
+        let data = m.as_slice().iter().map(|&z| maybe_conj(z)).collect();
+        let t = Tensor::from_vec(data, vec![m.rows(), m.cols()]);
         let id = net.add(t, vec![new, cur[ins.qubit]]);
         cur[ins.qubit] = new;
         id
@@ -189,21 +195,27 @@ fn amplitude_network_impl(
     }
 
     for (g, op) in circuit.operations().iter().enumerate() {
-        let m = maybe_conj_m(op.gate.matrix());
-        match op.qubits.len() {
+        // A k-qubit gate is a 2^k × 2^k matrix [r, c] with
+        // r = o0·2+o1, c = i0·2+i1: row-major, its entries are the
+        // tensor with axes [o0, o1, i0, i1] (or [o, i] for one qubit).
+        let arity = op.qubits.len();
+        let mut data = vec![Complex64::ZERO; 1 << (2 * arity)];
+        op.gate.write_matrix(&mut data);
+        if conjugate {
+            data.iter_mut().for_each(|z| *z = z.conj());
+        }
+        match arity {
             1 => {
                 let q = op.qubits[0];
                 let new = net.fresh_leg();
-                net.add(Tensor::from_matrix(&m), vec![new, cur[q]]);
+                net.add(Tensor::from_vec(data, vec![2, 2]), vec![new, cur[q]]);
                 cur[q] = new;
             }
             2 => {
                 let (q0, q1) = (op.qubits[0], op.qubits[1]);
                 let n0 = net.fresh_leg();
                 let n1 = net.fresh_leg();
-                // 4×4 matrix [r, c] with r = o0·2+o1, c = i0·2+i1
-                // reshapes to axes [o0, o1, i0, i1].
-                let t = Tensor::from_matrix(&m).into_reshaped(vec![2, 2, 2, 2]);
+                let t = Tensor::from_vec(data, vec![2, 2, 2, 2]);
                 net.add(t, vec![n0, n1, cur[q0], cur[q1]]);
                 cur[q0] = n0;
                 cur[q1] = n1;
@@ -223,8 +235,8 @@ fn amplitude_network_impl(
     // whole network is the conjugate half).
     for q in 0..n {
         let f = v.factor(q);
-        let t = maybe_conj_t(Tensor::from_vec(vec![f[0].conj(), f[1].conj()], vec![2]));
-        net.add(t, vec![cur[q]]);
+        let data = vec![maybe_conj(f[0].conj()), maybe_conj(f[1].conj())];
+        net.add(Tensor::from_vec(data, vec![2]), vec![cur[q]]);
     }
     #[expect(
         clippy::expect_used,

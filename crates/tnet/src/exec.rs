@@ -20,6 +20,17 @@
 //!   for the plan's lifetime, so cached intermediates survive across
 //!   executions and delta replay can reuse them.
 //!
+//! # Storage
+//!
+//! A lowered plan is a fixed set of flat buffers, whatever its size:
+//! the hot steps, one table buffer holding every gather table the hot
+//! steps and the output stage read (a kernel holds ranges into it),
+//! and the varying leaves' paths as one offset/step pair. Lowering
+//! reads the slot shapes from the plan's shape pool, builds every
+//! step's tables in one scratch buffer, runs the cold steps with their
+//! temporaries in one first-fit pool, and keeps only the hot tables.
+//! Replay reads the same offsets as before, as slices of that buffer.
+//!
 //! # Hot and cold steps
 //!
 //! [`ContractionPlan::compile_for_replay`] takes the input slots that
@@ -103,21 +114,70 @@ enum SlotLoc {
     Cold { offset: usize, len: usize },
 }
 
-/// Precomputed gather tables: `element(r, c) = src[row[r] + col[c]]`.
-#[derive(Clone, Debug)]
+/// Precomputed gather tables, `element(r, c) = src[row[r] + col[c]]`,
+/// held as two ranges of a table buffer shared by a whole plan: `row`
+/// is `tables[row..row + rows]`, `col` is `tables[col..col + cols]`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct Gather {
-    row: Vec<usize>,
-    col: Vec<usize>,
+    row: usize,
+    rows: usize,
+    col: usize,
+    cols: usize,
 }
 
 impl Gather {
+    /// Appends the gather that reads a row-major tensor of `shape`
+    /// with the `row_axes` as rows and the `col_axes` as columns: the
+    /// two halves of a factorized permutation.
+    fn push(
+        tables: &mut Vec<usize>,
+        shape: &[usize],
+        row_axes: impl Iterator<Item = usize>,
+        col_axes: impl Iterator<Item = usize>,
+        odometer: &mut Vec<[usize; 3]>,
+    ) -> Gather {
+        let row = tables.len();
+        let rows = push_offsets(tables, shape, row_axes, odometer);
+        let col = tables.len();
+        let cols = push_offsets(tables, shape, col_axes, odometer);
+        Gather {
+            row,
+            rows,
+            col,
+            cols,
+        }
+    }
+
+    fn row<'t>(&self, tables: &'t [usize]) -> &'t [usize] {
+        &tables[self.row..self.row + self.rows]
+    }
+
+    fn col<'t>(&self, tables: &'t [usize]) -> &'t [usize] {
+        &tables[self.col..self.col + self.cols]
+    }
+
+    /// Table entries the gather holds.
+    fn len(&self) -> usize {
+        self.rows + self.cols
+    }
+
+    /// The same gather, its tables copied from `from` to the end of `to`.
+    fn moved(&self, from: &[usize], to: &mut Vec<usize>) -> Gather {
+        let row = to.len();
+        to.extend_from_slice(self.row(from));
+        let col = to.len();
+        to.extend_from_slice(self.col(from));
+        Gather { row, col, ..*self }
+    }
+
     /// `dst[r·cols + c] = src[row[r] + col[c]]`: the permuted copy, as
     /// a two-level offset walk.
-    fn copy(&self, src: &[Complex64], dst: &mut [Complex64]) {
-        let cols = self.col.len();
-        for (r, &ro) in self.row.iter().enumerate() {
+    fn copy(&self, tables: &[usize], src: &[Complex64], dst: &mut [Complex64]) {
+        let (row, col) = (self.row(tables), self.col(tables));
+        let cols = col.len();
+        for (r, &ro) in row.iter().enumerate() {
             let drow = &mut dst[r * cols..(r + 1) * cols];
-            for (d, &co) in drow.iter_mut().zip(&self.col) {
+            for (d, &co) in drow.iter_mut().zip(col) {
                 *d = src[ro + co];
             }
         }
@@ -125,8 +185,9 @@ impl Gather {
 }
 
 /// The arithmetic of one lowered pair contraction, independent of
-/// where its operands live.
-#[derive(Clone, Debug)]
+/// where its operands live. Its gathers are ranges of its plan's table
+/// buffer, passed to [`Kernel::run`].
+#[derive(Clone, Copy, Debug)]
 struct Kernel {
     m: usize,
     k: usize,
@@ -153,6 +214,7 @@ impl Kernel {
     /// permuted rhs, then the staged product.
     fn run(
         &self,
+        tables: &[usize],
         a: &[Complex64],
         b: &[Complex64],
         dst: &mut [Complex64],
@@ -164,24 +226,24 @@ impl Kernel {
         let b = match &self.rhs_gather {
             None => b,
             Some(g) => {
-                g.copy(b, rhs_scratch);
+                g.copy(tables, b, rhs_scratch);
                 &*rhs_scratch
             }
         };
         match &self.out_gather {
-            None => self.matmul(a, b, dst),
+            None => self.matmul(tables, a, b, dst),
             Some(g) => {
                 let staged = &mut stage[..self.m * self.n];
-                self.matmul(a, b, staged);
-                g.copy(staged, dst);
+                self.matmul(tables, a, b, staged);
+                g.copy(tables, staged, dst);
             }
         }
     }
 
-    fn matmul(&self, a: &[Complex64], b: &[Complex64], dst: &mut [Complex64]) {
+    fn matmul(&self, tables: &[usize], a: &[Complex64], b: &[Complex64], dst: &mut [Complex64]) {
         match &self.lhs_gather {
             None => matmul_into(a, b, dst, self.m, self.k, self.n),
-            Some(g) => matmul_gather_lhs_into(a, &g.row, &g.col, b, dst, self.n),
+            Some(g) => matmul_gather_lhs_into(a, g.row(tables), g.col(tables), b, dst, self.n),
         }
     }
 
@@ -199,6 +261,15 @@ impl Kernel {
         (self.m as u128)
             .saturating_mul(self.k.max(1) as u128)
             .saturating_mul(self.n as u128)
+    }
+
+    /// Table entries of the kernel's gathers.
+    fn table_len(&self) -> usize {
+        [self.lhs_gather, self.rhs_gather, self.out_gather]
+            .iter()
+            .flatten()
+            .map(Gather::len)
+            .sum()
     }
 }
 
@@ -224,6 +295,11 @@ struct ExecStep {
 /// [`Arc`]. Only the hot steps run per execution, and only hot nodes
 /// take workspace memory. [`ContractionPlan::compile`] treats every
 /// leaf as varying, so every step is hot and the cold cache is empty.
+///
+/// Its storage is a fixed set of flat buffers, whatever the plan's
+/// size: the hot steps, one table buffer holding every gather table
+/// (each kernel keeps ranges into it), and the leaf paths as one
+/// offset/step pair.
 #[derive(Clone, Debug)]
 pub struct ExecutablePlan {
     /// Identity for workspace warm-tracking (shared by clones).
@@ -234,10 +310,15 @@ pub struct ExecutablePlan {
     varying: Vec<bool>,
     /// The hot steps, in execution order.
     steps: Vec<ExecStep>,
+    /// Every gather table the hot steps and the output stage read.
+    tables: Vec<usize>,
     /// Per input slot: the hot-step indices on its leaf-to-root path,
     /// in ascending (execution) order — precomputed so delta replay is
-    /// a merge of sorted lists, no tree walk. Empty for a cold leaf.
-    leaf_paths: Vec<Vec<u32>>,
+    /// a merge of sorted lists, no tree walk. Leaf `l`'s path is
+    /// `path_steps[path_start[l]..path_start[l + 1]]`, empty for a
+    /// cold leaf.
+    path_start: Vec<usize>,
+    path_steps: Vec<u32>,
     /// The cold nodes hot steps read (and a cold root), packed.
     cold: Arc<Vec<Complex64>>,
     /// Location of the final tensor before the output permutation.
@@ -245,8 +326,9 @@ pub struct ExecutablePlan {
     result_len: usize,
     /// Shape of the executed result (after the output permutation).
     output_shape: Vec<usize>,
-    /// `out[i] = result[out_gather[i]]`; `None` = already in order.
-    out_gather: Option<Vec<usize>>,
+    /// Start of the output table in `tables`:
+    /// `out[i] = result[tables[start + i]]`; `None` = already in order.
+    out_gather: Option<usize>,
     arena_len: usize,
     scratch_len: usize,
     replay_stats: ContractionStats,
@@ -326,93 +408,86 @@ impl Workspace {
     }
 }
 
-/// Row-major strides of a shape.
-fn strides_of(shape: &[usize]) -> Vec<usize> {
-    let mut strides = vec![1usize; shape.len()];
-    for i in (0..shape.len().saturating_sub(1)).rev() {
-        strides[i] = strides[i + 1] * shape[i + 1];
-    }
-    strides
-}
-
-/// Flat source offsets of every row-major index combination over
-/// `axes` of a tensor with the given `strides` — one half of a
-/// factorized permutation.
-fn offset_table(shape: &[usize], strides: &[usize], axes: &[usize]) -> Vec<usize> {
-    let dims: Vec<usize> = axes.iter().map(|&a| shape[a]).collect();
-    let total: usize = dims.iter().product();
-    let mut table = Vec::with_capacity(total);
-    let mut coords = vec![0usize; axes.len()];
+/// Appends to `out` the flat offsets of every row-major index
+/// combination over `axes` of a row-major tensor of `shape` — one half
+/// of a factorized permutation — and returns how many it appended.
+/// `odometer` is scratch: per axis its dimension, stride and digit.
+fn push_offsets(
+    out: &mut Vec<usize>,
+    shape: &[usize],
+    axes: impl Iterator<Item = usize>,
+    odometer: &mut Vec<[usize; 3]>,
+) -> usize {
+    odometer.clear();
+    odometer.extend(axes.map(|a| [shape[a], shape[a + 1..].iter().product(), 0]));
+    let total: usize = odometer.iter().map(|&[dim, _, _]| dim).product();
     for _ in 0..total {
-        table.push(coords.iter().zip(axes).map(|(&c, &a)| c * strides[a]).sum());
-        for t in (0..axes.len()).rev() {
-            coords[t] += 1;
-            if coords[t] < dims[t] {
+        out.push(odometer.iter().map(|&[_, stride, at]| at * stride).sum());
+        for [dim, _, at] in odometer.iter_mut().rev() {
+            *at += 1;
+            if *at < *dim {
                 break;
             }
-            coords[t] = 0;
+            *at = 0;
         }
     }
-    table
+    total
 }
 
 fn is_identity(perm: impl Iterator<Item = usize>) -> bool {
     perm.enumerate().all(|(i, p)| i == p)
 }
 
-/// Lowers every step of `plan` to its [`Kernel`], returning the kernels
-/// and the shape of every slot (inputs, then one per step).
-fn lower_kernels(plan: &ContractionPlan) -> (Vec<Kernel>, Vec<Vec<usize>>) {
-    let mut slot_shapes: Vec<Vec<usize>> = plan.input_shapes().to_vec();
+/// Lowers every step of `plan` to its [`Kernel`], appending every
+/// gather table to `tables`.
+fn lower_kernels(plan: &ContractionPlan, tables: &mut Vec<usize>) -> Vec<Kernel> {
+    let mut odometer = Vec::new();
     let mut kernels = Vec::with_capacity(plan.steps().len());
-    for step in plan.steps() {
-        let sa = &slot_shapes[step.lhs];
-        let sb = &slot_shapes[step.rhs];
-        let free_a: Vec<usize> = (0..sa.len())
-            .filter(|i| !step.axes_lhs.contains(i))
-            .collect();
-        let free_b: Vec<usize> = (0..sb.len())
-            .filter(|i| !step.axes_rhs.contains(i))
-            .collect();
+    for (i, step) in plan.steps().iter().enumerate() {
+        let (axes_lhs, axes_rhs) = plan.step_axes(i);
+        let sa = plan.slot_shape(step.lhs);
+        let sb = plan.slot_shape(step.rhs);
+        let free_a = || (0..sa.len()).filter(move |i| !axes_lhs.contains(i));
+        let free_b = || (0..sb.len()).filter(move |i| !axes_rhs.contains(i));
         // Permutations bringing contracted axes trailing (lhs) /
         // leading (rhs), elided when already in place.
-        let lhs_gather =
-            (!is_identity(free_a.iter().chain(step.axes_lhs.iter()).copied())).then(|| {
-                let strides = strides_of(sa);
-                Gather {
-                    row: offset_table(sa, &strides, &free_a),
-                    col: offset_table(sa, &strides, &step.axes_lhs),
-                }
-            });
-        let rhs_gather =
-            (!is_identity(step.axes_rhs.iter().chain(free_b.iter()).copied())).then(|| {
-                let strides = strides_of(sb);
-                Gather {
-                    row: offset_table(sb, &strides, &step.axes_rhs),
-                    col: offset_table(sb, &strides, &free_b),
-                }
-            });
-        let mut shape: Vec<usize> = free_a.iter().map(|&i| sa[i]).collect();
-        shape.extend(free_b.iter().map(|&i| sb[i]));
+        let lhs_gather = (!is_identity(free_a().chain(axes_lhs.iter().copied()))).then(|| {
+            Gather::push(
+                tables,
+                sa,
+                free_a(),
+                axes_lhs.iter().copied(),
+                &mut odometer,
+            )
+        });
+        let rhs_gather = (!is_identity(axes_rhs.iter().copied().chain(free_b()))).then(|| {
+            Gather::push(
+                tables,
+                sb,
+                axes_rhs.iter().copied(),
+                free_b(),
+                &mut odometer,
+            )
+        });
         kernels.push(Kernel {
-            m: free_a.iter().map(|&i| sa[i]).product(),
-            k: step.axes_lhs.iter().map(|&i| sa[i]).product(),
-            n: free_b.iter().map(|&i| sb[i]).product(),
+            m: free_a().map(|i| sa[i]).product(),
+            k: axes_lhs.iter().map(|&i| sa[i]).product(),
+            n: free_b().map(|i| sb[i]).product(),
             lhs_gather,
             rhs_gather,
             out_gather: None,
         });
-        slot_shapes.push(shape);
     }
-    (kernels, slot_shapes)
+    kernels
 }
 
 /// What [`ExecutablePlan::lower`] needs to run a plan's cold part: the
 /// varying input slots and a reader of every input's payload.
 type ColdInputs<'a, 'i> = (&'a [usize], &'a dyn Fn(usize) -> &'i [Complex64]);
 
-/// First-fit allocator of the transient hot nodes' arena regions,
-/// above the persistent ones.
+/// First-fit allocator of short-lived regions of one buffer, above a
+/// base offset: the transient hot nodes' arena regions, and the cold
+/// run's temporaries.
 struct TransientPool {
     /// Live `(offset, len)` blocks, sorted by offset.
     live: Vec<(usize, usize)>,
@@ -466,42 +541,43 @@ impl ExecutablePlan {
     ) -> ExecutablePlan {
         let n_inputs = plan.n_inputs();
         let n_steps = plan.steps().len();
-        let input_lens: Vec<usize> = plan
-            .input_shapes()
-            .iter()
-            .map(|s| s.iter().product())
-            .collect();
+        let slot_len = |slot: usize| -> usize { plan.slot_shape(slot).iter().product() };
+        let input_lens: Vec<usize> = (0..n_inputs).map(slot_len).collect();
         let below = match cold {
             Some((varying, _)) => plan.varying_below(varying),
             None => plan.varying_below(&(0..n_inputs).collect::<Vec<_>>()),
         };
         let hot = |slot: usize| below[slot] > 0;
-        let (mut kernels, slot_shapes) = lower_kernels(plan);
-        let slot_len = |slot: usize| -> usize { slot_shapes[slot].iter().product() };
+        let mut tables = Vec::new();
+        let mut kernels = lower_kernels(plan, &mut tables);
         let root = match n_steps {
             0 => 0,
             _ => n_inputs + n_steps - 1,
         };
 
-        // The cold nodes the hot part reads — children of hot steps,
-        // and the root when no step is hot — packed in slot order.
-        let mut frontier: Vec<Option<usize>> = vec![None; n_inputs + n_steps];
+        // Where each step's node lives outside the hot arena: the cold
+        // nodes the hot part reads — children of hot steps, and the
+        // root when no step is hot — packed in slot order in the cold
+        // cache; every other cold node in the cold run's temporaries.
+        const NOWHERE: usize = usize::MAX;
+        let mut cold_at = vec![NOWHERE; n_steps];
         let mut cold_len = 0usize;
-        let mut mark = |slot: usize, frontier: &mut Vec<Option<usize>>| {
-            if slot >= n_inputs && !hot(slot) && frontier[slot].is_none() {
-                frontier[slot] = Some(cold_len);
+        let mut mark = |slot: usize, cold_at: &mut Vec<usize>| {
+            if slot >= n_inputs && !hot(slot) && cold_at[slot - n_inputs] == NOWHERE {
+                cold_at[slot - n_inputs] = cold_len;
                 cold_len += slot_len(slot);
             }
         };
         for (i, step) in plan.steps().iter().enumerate() {
             if hot(n_inputs + i) {
-                mark(step.lhs, &mut frontier);
-                mark(step.rhs, &mut frontier);
+                mark(step.lhs, &mut cold_at);
+                mark(step.rhs, &mut cold_at);
             }
         }
         if n_steps > 0 {
-            mark(root, &mut frontier);
+            mark(root, &mut cold_at);
         }
+        let cached = |slot: usize| cold_at[slot - n_inputs] != NOWHERE;
 
         // Store every node a hot step reads through a permutation in
         // that step's layout (module docs, *Operand layouts*): move the
@@ -521,54 +597,65 @@ impl ExecutablePlan {
             }
         }
 
-        // Run the cold steps once. Each cold node is dropped as soon
-        // as its parent has consumed it, unless the hot part reads it.
+        // Run the cold steps once. A cold node the hot part does not
+        // read is a temporary: it lives from its step until its (cold)
+        // parent has read it, in a first-fit pool laid out before the
+        // run, so all temporaries share one buffer.
         let mut cold_cache = vec![Complex64::ZERO; cold_len];
         if let Some((_, input)) = cold {
-            let cold_steps: Vec<usize> = (0..n_steps).filter(|&i| !hot(n_inputs + i)).collect();
-            let scratch_need = cold_steps
-                .iter()
-                .map(|&i| kernels[i].scratch_len())
-                .max()
-                .unwrap_or(0);
+            let cold_step = |i: usize| !hot(n_inputs + i);
+            let mut temp_at = vec![NOWHERE; n_steps];
+            let mut pool = TransientPool::new(0);
+            let mut scratch_need = 0;
+            for (i, step) in plan.steps().iter().enumerate() {
+                if !cold_step(i) {
+                    continue;
+                }
+                scratch_need = scratch_need.max(kernels[i].scratch_len());
+                if !cached(n_inputs + i) {
+                    temp_at[i] = pool.alloc(slot_len(n_inputs + i));
+                }
+                for child in [step.lhs, step.rhs] {
+                    if child >= n_inputs {
+                        pool.free(temp_at[child - n_inputs], slot_len(child));
+                    }
+                }
+            }
+            let mut temps = vec![Complex64::ZERO; pool.end];
             let mut scratch = vec![Complex64::ZERO; scratch_need];
-            let mut temp: Vec<Vec<Complex64>> = vec![Vec::new(); n_steps];
-            for i in cold_steps {
-                let step = &plan.steps()[i];
+            let leaf = |s: usize| {
+                let data = input(s);
+                assert_eq!(data.len(), input_lens[s], "input tensor {s} length");
+                data
+            };
+            // A cold child is either an input leaf or a temporary only
+            // this step reads.
+            let region = |s: usize| (s >= n_inputs).then(|| (temp_at[s - n_inputs], slot_len(s)));
+            for (i, step) in plan.steps().iter().enumerate() {
+                if !cold_step(i) {
+                    continue;
+                }
                 let slot = n_inputs + i;
-                // A cold child is either an input leaf or a cold node
-                // only this step reads, so its buffer can be taken.
-                let mut take = |s: usize| {
-                    if s < n_inputs {
-                        Vec::new()
-                    } else {
-                        std::mem::take(&mut temp[s - n_inputs])
-                    }
-                };
-                let (ta, tb) = (take(step.lhs), take(step.rhs));
-                let leaf = |s: usize| {
-                    let data = input(s);
-                    assert_eq!(data.len(), input_lens[s], "input tensor {s} length");
-                    data
-                };
-                let a: &[Complex64] = if step.lhs < n_inputs {
-                    leaf(step.lhs)
+                let (ra, rb, dst) = if cached(slot) {
+                    let off = cold_at[i];
+                    let temp =
+                        |r: Option<(usize, usize)>| r.map(|(off, len)| &temps[off..off + len]);
+                    (
+                        temp(region(step.lhs)),
+                        temp(region(step.rhs)),
+                        &mut cold_cache[off..off + slot_len(slot)],
+                    )
                 } else {
-                    &ta
+                    split3(
+                        &mut temps,
+                        region(step.lhs),
+                        region(step.rhs),
+                        (temp_at[i], slot_len(slot)),
+                    )
                 };
-                let b: &[Complex64] = if step.rhs < n_inputs {
-                    leaf(step.rhs)
-                } else {
-                    &tb
-                };
-                let dst: &mut [Complex64] = match frontier[slot] {
-                    Some(off) => &mut cold_cache[off..off + slot_len(slot)],
-                    None => {
-                        temp[i] = vec![Complex64::ZERO; slot_len(slot)];
-                        &mut temp[i]
-                    }
-                };
-                kernels[i].run(a, b, dst, &mut scratch);
+                let a = ra.unwrap_or_else(|| leaf(step.lhs));
+                let b = rb.unwrap_or_else(|| leaf(step.rhs));
+                kernels[i].run(&tables, a, b, dst, &mut scratch);
             }
         }
 
@@ -591,9 +678,11 @@ impl ExecutablePlan {
             .map(slot_len)
             .sum();
         let mut pool = TransientPool::new(persistent_len);
-        let mut locs: Vec<SlotLoc> = (0..n_inputs).map(SlotLoc::Input).collect();
+        let mut locs: Vec<SlotLoc> = Vec::with_capacity(n_inputs + n_steps);
+        locs.extend((0..n_inputs).map(SlotLoc::Input));
         let mut hot_index = vec![u32::MAX; n_steps];
-        let mut steps = Vec::new();
+        let n_hot = (0..n_steps).filter(|&i| hot(n_inputs + i)).count();
+        let mut steps = Vec::with_capacity(n_hot);
         let mut next_persistent = 0usize;
         let mut scratch_len = 0usize;
         let mut replay_stats = ContractionStats {
@@ -601,14 +690,13 @@ impl ExecutablePlan {
             plan_reuses: 1,
             ..Default::default()
         };
-        for (i, (step, kernel)) in plan.steps().iter().zip(kernels).enumerate() {
+        for (i, (step, kernel)) in plan.steps().iter().zip(&kernels).enumerate() {
             let slot = n_inputs + i;
             let len = slot_len(slot);
             if !hot(slot) {
-                locs.push(match frontier[slot] {
-                    Some(offset) => SlotLoc::Cold { offset, len },
-                    // Read by no hot step: never resolved.
-                    None => SlotLoc::Cold { offset: 0, len: 0 },
+                locs.push(match cold_at[i] {
+                    NOWHERE => SlotLoc::Cold { offset: 0, len: 0 },
+                    offset => SlotLoc::Cold { offset, len },
                 });
                 continue;
             }
@@ -634,7 +722,7 @@ impl ExecutablePlan {
                 lhs: locs[step.lhs],
                 rhs: locs[step.rhs],
                 dst_offset: offset,
-                kernel,
+                kernel: *kernel,
             });
             locs.push(SlotLoc::Arena { offset, len });
         }
@@ -642,43 +730,79 @@ impl ExecutablePlan {
 
         let (result, result_shape) = if n_inputs == 0 {
             // Empty plan: the scalar 1 is synthesized at run time.
-            (SlotLoc::Arena { offset: 0, len: 0 }, Vec::new())
+            (SlotLoc::Arena { offset: 0, len: 0 }, &[][..])
         } else {
-            (locs[root], slot_shapes[root].clone())
+            (locs[root], plan.slot_shape(root))
         };
         let result_len: usize = result_shape.iter().product();
 
-        let (output_shape, out_gather) = match plan.output_perm() {
+        // Keep only the tables the hot steps and the output stage read,
+        // in one exactly sized buffer.
+        let perm = plan.output_perm();
+        let hot_tables_len = steps.iter().map(|s| s.kernel.table_len()).sum::<usize>()
+            + perm.map_or(0, |_| result_len);
+        let mut hot_tables = Vec::with_capacity(hot_tables_len);
+        for step in &mut steps {
+            let k = &mut step.kernel;
+            for gather in [&mut k.lhs_gather, &mut k.rhs_gather, &mut k.out_gather]
+                .into_iter()
+                .flatten()
+            {
+                *gather = gather.moved(&tables, &mut hot_tables);
+            }
+        }
+        let (output_shape, out_gather) = match perm {
             Some(perm) => {
                 let out_shape: Vec<usize> = perm.iter().map(|&p| result_shape[p]).collect();
                 // Row-major walk over the output axes, offsets through
                 // the un-permuted result's strides — the same
                 // factorized-permutation table as the operand gathers.
-                let table = offset_table(&result_shape, &strides_of(&result_shape), perm);
-                (out_shape, Some(table))
+                let start = hot_tables.len();
+                push_offsets(
+                    &mut hot_tables,
+                    result_shape,
+                    perm.iter().copied(),
+                    &mut Vec::new(),
+                );
+                (out_shape, Some(start))
             }
-            None => (result_shape, None),
+            None => (result_shape.to_vec(), None),
         };
 
         let varying: Vec<bool> = (0..n_inputs).map(hot).collect();
-        let leaf_paths = (0..n_inputs)
-            .map(|l| {
-                if !varying[l] {
-                    return Vec::new();
+        // Every step on a varying leaf's path is hot.
+        let path_len = |leaf: usize| {
+            let mut len = 0;
+            let mut slot = leaf;
+            while let Some(step) = plan.slot_parent(slot) {
+                len += 1;
+                slot = n_inputs + step;
+            }
+            len
+        };
+        let total: usize = (0..n_inputs).filter(|&l| varying[l]).map(path_len).sum();
+        let mut path_start = Vec::with_capacity(n_inputs + 1);
+        let mut path_steps = Vec::with_capacity(total);
+        path_start.push(0);
+        for (leaf, &is_varying) in varying.iter().enumerate() {
+            if is_varying {
+                let mut slot = leaf;
+                while let Some(step) = plan.slot_parent(slot) {
+                    path_steps.push(hot_index[step]);
+                    slot = n_inputs + step;
                 }
-                plan.leaf_path(l)
-                    .into_iter()
-                    .map(|s| hot_index[s])
-                    .collect()
-            })
-            .collect();
+            }
+            path_start.push(path_steps.len());
+        }
         ExecutablePlan {
             id: NEXT_PLAN_ID.fetch_add(1, Ordering::Relaxed),
             n_inputs,
             input_lens,
             varying,
             steps,
-            leaf_paths,
+            tables: hot_tables,
+            path_start,
+            path_steps,
             cold: Arc::new(cold_cache),
             result,
             result_len,
@@ -917,10 +1041,11 @@ impl ExecutablePlan {
         let mut dirty_steps = std::mem::take(&mut ws.dirty_steps);
         dirty_steps.clear();
         for &leaf in dirty_leaves {
-            if dirty_steps.len() + self.leaf_paths[leaf].len() > dirty_steps.capacity() {
+            let path = &self.path_steps[self.path_start[leaf]..self.path_start[leaf + 1]];
+            if dirty_steps.len() + path.len() > dirty_steps.capacity() {
                 ws.allocation_events += 1;
             }
-            dirty_steps.extend_from_slice(&self.leaf_paths[leaf]);
+            dirty_steps.extend_from_slice(path);
         }
         dirty_steps.sort_unstable();
         dirty_steps.dedup();
@@ -975,7 +1100,7 @@ impl ExecutablePlan {
         );
         let a = self.operand(step.lhs, input, lhs_arena);
         let b = self.operand(step.rhs, input, rhs_arena);
-        k.run(a, b, dst, scratch);
+        k.run(&self.tables, a, b, dst, scratch);
     }
 
     /// The buffer of an operand: a checked input, a cold-cache region,
@@ -1013,8 +1138,9 @@ impl ExecutablePlan {
             loc => self.operand(loc, input, None),
         };
         let out = &mut out[..self.result_len];
-        match &self.out_gather {
-            Some(table) => {
+        match self.out_gather {
+            Some(start) => {
+                let table = &self.tables[start..start + self.result_len];
                 for (o, &src_idx) in out.iter_mut().zip(table) {
                     *o = res[src_idx];
                 }
@@ -1209,7 +1335,7 @@ mod tests {
             net.add(rand_tensor(&mut rng, shape.clone()), legs.to_vec());
         }
         let plan = net.plan_order(&[(0, 1), (2, 3), (4, 5)]);
-        let (kernels, _) = lower_kernels(&plan);
+        let kernels = lower_kernels(&plan, &mut Vec::new());
         assert!(
             kernels[2].rhs_gather.is_some(),
             "the root's rhs is permuted"

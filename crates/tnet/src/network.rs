@@ -101,6 +101,15 @@ impl TensorNetwork {
         TensorNetwork::default()
     }
 
+    /// An empty network with room for `nodes` nodes carrying `legs`
+    /// distinct legs, so building it does not regrow its tables.
+    pub(crate) fn with_capacity(nodes: usize, legs: usize) -> Self {
+        let mut net = TensorNetwork::new();
+        net.nodes.reserve_exact(nodes);
+        net.leg_uses.reserve(legs);
+        net
+    }
+
     /// Allocates a fresh leg identifier.
     pub fn fresh_leg(&mut self) -> LegId {
         let l = self.next_leg;
@@ -235,7 +244,7 @@ impl TensorNetwork {
         replays: u128,
     ) -> (ContractionPlan, ContractionStats) {
         let (plan, searches) =
-            ContractionPlan::from_skeleton_for_replay(|| self.skeleton(), varying, replays);
+            ContractionPlan::from_skeleton_for_replay(self.skeleton(), varying, replays);
         let stats = ContractionStats {
             order_searches: searches,
             ..Default::default()
@@ -258,12 +267,12 @@ impl TensorNetwork {
         ContractionPlan::from_order(self.skeleton(), order)
     }
 
-    /// The shape/leg pairs of the nodes, in node order.
-    fn skeleton(&self) -> Vec<SkeletonNode> {
+    /// The shape/leg pairs of the nodes, in node order, borrowed: the
+    /// order searches read them in place.
+    fn skeleton(&self) -> impl ExactSizeIterator<Item = SkeletonNode<'_>> + Clone {
         self.nodes
             .iter()
-            .map(|(t, legs)| (t.shape().to_vec(), legs.clone()))
-            .collect()
+            .map(|(t, legs)| (t.shape(), legs.as_slice()))
     }
 
     /// Contracts the whole network to a single tensor.

@@ -18,6 +18,14 @@
 //! [`TensorNetwork::plan_for_replay`] instead: it prices those paths
 //! ([`ReplayCost`]) rather than one full contraction.
 //!
+//! A plan is a handful of flat buffers: the steps, one pool of every
+//! step's contracted axes and one pool of every slot's shape. The
+//! order search reads shapes and legs from the network in place and
+//! keeps its slots in flat pools indexed by ranges, so one search
+//! allocates a fixed number of buffers whatever the network's size;
+//! the delta-aware candidates rewind one prepared search instead of
+//! rebuilding it.
+//!
 //! ```
 //! use qns_tnet::network::TensorNetwork;
 //! use qns_tensor::Tensor;
@@ -41,7 +49,7 @@ use qns_linalg::Complex64;
 use qns_tensor::Tensor;
 use std::borrow::Cow;
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap};
+use std::collections::BinaryHeap;
 
 /// One pair contraction in a [`ContractionPlan`] — an internal node of
 /// the contraction **tree**.
@@ -51,17 +59,18 @@ use std::collections::{BTreeSet, BinaryHeap};
 /// and produces slot `n_inputs + i`. Because every slot is consumed
 /// exactly once, the step list is a binary tree in topological order:
 /// the slot indices on any leaf-to-root path are strictly increasing.
+/// The contracted axes live in the plan's axis pool
+/// ([`ContractionPlan::step_axes`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PlanStep {
     /// Slot index of the left operand.
     pub lhs: usize,
     /// Slot index of the right operand.
     pub rhs: usize,
-    /// Axes of the left operand contracted in this step.
-    pub axes_lhs: Vec<usize>,
-    /// Axes of the right operand contracted in this step (aligned with
-    /// `axes_lhs`).
-    pub axes_rhs: Vec<usize>,
+    /// Start of this step's axes in the plan's axis pool: `n_axes`
+    /// lhs axes, then the `n_axes` rhs axes they contract with.
+    axes: usize,
+    n_axes: usize,
 }
 
 impl PlanStep {
@@ -81,11 +90,21 @@ impl PlanStep {
 /// [`ContractionPlan::execute_network`] against tensors with the same
 /// shapes. Replay performs no order search and no topology validation,
 /// which is what makes the pattern sum's per-term cost pure arithmetic.
+///
+/// A plan is a handful of flat buffers, whatever its size: the steps,
+/// one pool of every step's contracted axes, and one pool of every
+/// slot's shape.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ContractionPlan {
     n_inputs: usize,
-    input_shapes: Vec<Vec<usize>>,
     steps: Vec<PlanStep>,
+    /// Every step's contracted axes, packed in step order (see
+    /// [`PlanStep`]).
+    axes: Vec<usize>,
+    /// Every slot's shape (inputs, then one per step), packed: slot
+    /// `s` is `dims[dim_start[s]..dim_start[s + 1]]`.
+    dims: Vec<usize>,
+    dim_start: Vec<usize>,
     /// Explicit tree structure: `slot_parent[s]` is the index of the
     /// step consuming slot `s` (`None` for the root slot). Leaves are
     /// slots `0..n_inputs`; step `i` produces slot `n_inputs + i`.
@@ -177,8 +196,55 @@ impl ReplayCost {
     }
 }
 
-/// Skeleton view of a node during planning: shape + legs, no payload.
-pub(crate) type SkeletonNode = (Vec<usize>, Vec<LegId>);
+/// Skeleton view of a node during planning: its shape and legs,
+/// borrowed, no payload.
+pub(crate) type SkeletonNode<'a> = (&'a [usize], &'a [LegId]);
+
+/// Fills `below` with how many of the `varying` input slots lie below
+/// each slot of a plan with `n_inputs` leaves and these `steps`
+/// (leaves first, then one entry per step): `0` marks a cold slot.
+///
+/// # Panics
+///
+/// Panics if a varying slot is not an input slot.
+fn fill_varying_below(
+    n_inputs: usize,
+    steps: &[PlanStep],
+    varying: &[usize],
+    below: &mut Vec<usize>,
+) {
+    below.clear();
+    below.resize(n_inputs + steps.len(), 0);
+    for &v in varying {
+        assert!(v < n_inputs, "varying slot {v} is not an input slot");
+        below[v] = 1;
+    }
+    for (i, step) in steps.iter().enumerate() {
+        below[n_inputs + i] = below[step.lhs] + below[step.rhs];
+    }
+}
+
+/// The [`ReplayCost`] of steps whose `m·k·n` are `step_flops`, given
+/// how many varying leaves lie below each slot (`below`, from
+/// [`fill_varying_below`]).
+fn replay_cost_of(n_inputs: usize, step_flops: &[u128], below: &[usize]) -> ReplayCost {
+    let mut cost = ReplayCost::default();
+    for (i, &flops) in step_flops.iter().enumerate() {
+        let h = below[n_inputs + i];
+        if h == 0 {
+            cost.cold_flops = cost.cold_flops.saturating_add(flops);
+            cost.cold_steps += 1;
+        } else {
+            cost.hot_flops = cost.hot_flops.saturating_add(flops);
+            cost.hot_steps += 1;
+            cost.path_flops = cost
+                .path_flops
+                .saturating_add(flops.saturating_mul(h as u128));
+            cost.path_steps += h;
+        }
+    }
+    cost
+}
 
 impl ContractionPlan {
     /// Runs the `strategy` order search over a skeleton (the
@@ -200,21 +266,23 @@ impl ContractionPlan {
     /// When the search finds no connected pair (greedy: none at all;
     /// sequential: none for the first live slot), it outer-products
     /// the two lowest live slots.
-    pub(crate) fn from_skeleton(skeleton: Vec<SkeletonNode>, strategy: OrderStrategy) -> Self {
+    pub(crate) fn from_skeleton<'a, S>(skeleton: S, strategy: OrderStrategy) -> Self
+    where
+        S: ExactSizeIterator<Item = SkeletonNode<'a>> + Clone,
+    {
         let mut planner = Planner::new(skeleton);
         match strategy {
             OrderStrategy::Greedy => planner.search_greedy(),
             OrderStrategy::Sequential => planner.search_sequential(),
         }
-        planner.finish()
+        planner.into_plan()
     }
 
-    /// The delta-aware order search of a pattern sum over the skeleton
-    /// `skeleton()` builds: the plan that
-    /// minimises [`ReplayCost::modelled`] for the `varying` input slots
-    /// (the leaves whose payloads change between replays) and
-    /// `replays` leaf-path replays, plus the number of order searches
-    /// it ran.
+    /// The delta-aware order search of a pattern sum over a skeleton:
+    /// the plan that minimises [`ReplayCost::modelled`] for the
+    /// `varying` input slots (the leaves whose payloads change between
+    /// replays) and `replays` leaf-path replays, plus the number of
+    /// order searches it ran.
     ///
     /// The candidates are the greedy plan and, for every cap in
     /// [`COLD_CAPS`], a plan that first merges only *cold* slots (no
@@ -227,16 +295,24 @@ impl ContractionPlan {
     /// ([`candidates_can_pay`]), only the greedy search runs and the
     /// result is exactly [`OrderStrategy::Greedy`]'s plan.
     ///
+    /// Every search runs on one prepared planner, rewound to its
+    /// inputs between candidates: its buffers are reused, and only a
+    /// candidate that beats the best so far is copied out as a plan.
+    ///
     /// # Panics
     ///
     /// Panics if a varying slot is not an input slot.
-    pub(crate) fn from_skeleton_for_replay(
-        skeleton: impl Fn() -> Vec<SkeletonNode>,
+    pub(crate) fn from_skeleton_for_replay<'a, S>(
+        skeleton: S,
         varying: &[usize],
         replays: u128,
-    ) -> (Self, usize) {
-        let greedy = Self::from_skeleton(skeleton(), OrderStrategy::Greedy);
-        let n = greedy.n_inputs;
+    ) -> (Self, usize)
+    where
+        S: ExactSizeIterator<Item = SkeletonNode<'a>> + Clone,
+    {
+        let mut planner = Planner::new(skeleton);
+        let n = planner.n_inputs;
+        planner.search_greedy();
         let mut is_varying = vec![false; n];
         for &v in varying {
             assert!(v < n, "varying slot {v} is not an input slot");
@@ -244,23 +320,22 @@ impl ContractionPlan {
         }
         let n_varying = is_varying.iter().filter(|&&v| v).count();
         if n_varying == 0 {
-            return (greedy, 1);
+            return (planner.into_plan(), 1);
         }
-        let mut best_cost = greedy.replay_cost(varying).modelled(n_varying, replays);
+        let mut best_cost = planner.replay_cost(varying).modelled(n_varying, replays);
         if !candidates_can_pay(best_cost, n_varying, n) {
-            return (greedy, 1);
+            return (planner.into_plan(), 1);
         }
-        let base = greedy.replay_stats.max_intermediate.max(1);
-        let mut best = greedy;
+        let base = planner.replay_stats.max_intermediate.max(1);
+        let mut best = planner.to_plan();
         for cap in COLD_CAPS {
-            let mut planner = Planner::new(skeleton());
+            planner.rewind();
             planner.search_cold(&is_varying, base.saturating_mul(cap));
             planner.search_greedy();
-            let candidate = planner.finish();
-            let cost = candidate.replay_cost(varying).modelled(n_varying, replays);
+            let cost = planner.replay_cost(varying).modelled(n_varying, replays);
             if cost < best_cost {
                 best_cost = cost;
-                best = candidate;
+                best = planner.to_plan();
             }
         }
         (best, 1 + COLD_CAPS.len())
@@ -273,21 +348,24 @@ impl ContractionPlan {
     ///
     /// Panics if a pair names a slot that is not live (or one slot
     /// twice), or if the sequence leaves more than one live slot.
-    pub(crate) fn from_order(skeleton: Vec<SkeletonNode>, order: &[(usize, usize)]) -> Self {
+    pub(crate) fn from_order<'a, S>(skeleton: S, order: &[(usize, usize)]) -> Self
+    where
+        S: ExactSizeIterator<Item = SkeletonNode<'a>> + Clone,
+    {
         let mut planner = Planner::new(skeleton);
         for &(a, b) in order {
             assert!(
-                a != b && planner.live.contains(&a) && planner.live.contains(&b),
+                a != b && planner.is_live(a) && planner.is_live(b),
                 "pair ({a}, {b}) does not name two live slots"
             );
             planner.contract(a, b);
         }
         assert!(
-            planner.live.len() <= 1,
+            planner.n_live <= 1,
             "order leaves {} live slots",
-            planner.live.len()
+            planner.n_live
         );
-        planner.finish()
+        planner.into_plan()
     }
 
     /// Number of input tensors the plan expects.
@@ -295,9 +373,25 @@ impl ContractionPlan {
         self.n_inputs
     }
 
-    /// The planned shape of every input slot, in node order.
-    pub(crate) fn input_shapes(&self) -> &[Vec<usize>] {
-        &self.input_shapes
+    /// The shape of slot `slot`: an input's planned shape, or the
+    /// result shape of step `slot - n_inputs()`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot >= slot_count()`.
+    pub(crate) fn slot_shape(&self, slot: usize) -> &[usize] {
+        &self.dims[self.dim_start[slot]..self.dim_start[slot + 1]]
+    }
+
+    /// The axes step `step` contracts: `(lhs axes, rhs axes)`, aligned
+    /// pairwise.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `step >= steps().len()`.
+    pub fn step_axes(&self, step: usize) -> (&[usize], &[usize]) {
+        let PlanStep { axes, n_axes, .. } = self.steps[step];
+        self.axes[axes..axes + 2 * n_axes].split_at(n_axes)
     }
 
     /// The final output-axis permutation (`None` when already in
@@ -358,14 +452,8 @@ impl ContractionPlan {
     ///
     /// Panics if a varying slot is not an input slot.
     pub(crate) fn varying_below(&self, varying: &[usize]) -> Vec<usize> {
-        let mut below = vec![0usize; self.slot_count()];
-        for &v in varying {
-            assert!(v < self.n_inputs, "varying slot {v} is not an input slot");
-            below[v] = 1;
-        }
-        for (i, step) in self.steps.iter().enumerate() {
-            below[self.n_inputs + i] = below[step.lhs] + below[step.rhs];
-        }
+        let mut below = Vec::new();
+        fill_varying_below(self.n_inputs, &self.steps, varying, &mut below);
         below
     }
 
@@ -375,23 +463,11 @@ impl ContractionPlan {
     ///
     /// Panics if a varying slot is not an input slot.
     pub fn replay_cost(&self, varying: &[usize]) -> ReplayCost {
-        let below = self.varying_below(varying);
-        let mut cost = ReplayCost::default();
-        for (i, &flops) in self.step_flops.iter().enumerate() {
-            let h = below[self.n_inputs + i];
-            if h == 0 {
-                cost.cold_flops = cost.cold_flops.saturating_add(flops);
-                cost.cold_steps += 1;
-            } else {
-                cost.hot_flops = cost.hot_flops.saturating_add(flops);
-                cost.hot_steps += 1;
-                cost.path_flops = cost
-                    .path_flops
-                    .saturating_add(flops.saturating_mul(h as u128));
-                cost.path_steps += h;
-            }
-        }
-        cost
+        replay_cost_of(
+            self.n_inputs,
+            &self.step_flops,
+            &self.varying_below(varying),
+        )
     }
 
     /// The statistics of creating this plan: exactly one order search,
@@ -534,8 +610,8 @@ impl ContractionPlan {
         debug_assert!(
             inputs
                 .iter()
-                .zip(&self.input_shapes)
-                .all(|(t, s)| t.shape() == s.as_slice()),
+                .enumerate()
+                .all(|(i, t)| t.shape() == self.slot_shape(i)),
             "input tensor shapes differ from the planned skeleton"
         );
         let mut stats = self.replay_stats;
@@ -544,12 +620,13 @@ impl ContractionPlan {
             return (Tensor::scalar(Complex64::ONE), stats);
         }
         let mut slots: Vec<Option<Cow<'_, Tensor>>> = inputs.into_iter().map(Some).collect();
-        for step in &self.steps {
+        for (i, step) in self.steps.iter().enumerate() {
             #[expect(clippy::expect_used, reason = "the planner consumes each slot once")]
             let ta = slots[step.lhs].take().expect("plan slot consumed once");
             #[expect(clippy::expect_used, reason = "the planner consumes each slot once")]
             let tb = slots[step.rhs].take().expect("plan slot consumed once");
-            let t = ta.contract(&tb, &step.axes_lhs, &step.axes_rhs);
+            let (axes_lhs, axes_rhs) = self.step_axes(i);
+            let t = ta.contract(&tb, axes_lhs, axes_rhs);
             slots.push(Some(Cow::Owned(t)));
         }
         #[expect(
@@ -576,80 +653,194 @@ fn saturating_product(shape: &[usize]) -> usize {
     shape.iter().fold(1usize, |acc, &d| acc.saturating_mul(d))
 }
 
-/// The state of one order search: the skeleton of every slot (inputs,
-/// then one per recorded step; a consumed slot's entry is emptied), the
-/// live slots, and the plan recorded so far. Legs are renumbered to
-/// dense ranks `0..n_legs` in ascending id order, so per-leg tables
-/// are plain vectors and the output permutation's leg order is kept.
+/// A connected pair `(cost, lhs, rhs)` as one integer that orders like
+/// the tuple: the cost in the high 64 bits, then the two slots in 32
+/// bits each (a network of 2³¹ nodes would need far more memory than
+/// any machine has). Half the size of the tuple, so the greedy
+/// search's heap, its dominant cost, moves less memory.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+struct PairKey(u128);
+
+impl PairKey {
+    fn pack(cost: usize, lhs: usize, rhs: usize) -> PairKey {
+        debug_assert!(lhs <= u32::MAX as usize && rhs <= u32::MAX as usize);
+        PairKey((cost as u128) << 64 | (lhs as u128) << 32 | rhs as u128)
+    }
+
+    fn unpack(self) -> (usize, usize, usize) {
+        let low = |x: u128| (x & 0xffff_ffff) as usize;
+        ((self.0 >> 64) as usize, low(self.0 >> 32), low(self.0))
+    }
+}
+
+/// The state of one order search, in flat buffers: every slot's shape
+/// and legs (inputs, then one per recorded step) packed into two pools,
+/// which slots are live, and the plan recorded so far. Legs are
+/// renumbered to dense ranks `0..n_legs` in ascending id order, so
+/// per-leg tables are plain vectors and the output permutation's leg
+/// order is kept. A consumed slot keeps its pool entries; the searches
+/// only read live slots.
+///
+/// [`Planner::rewind`] drops every recorded step and leaves the inputs,
+/// so one planner serves several searches over the same skeleton with
+/// no new buffers; the search scratch (`owners`, `heap`, `neighbours`,
+/// `below`) is reused the same way.
 struct Planner {
-    input_shapes: Vec<Vec<usize>>,
-    slots: Vec<SkeletonNode>,
-    live: BTreeSet<usize>,
+    n_inputs: usize,
     n_legs: usize,
+    /// Every slot's dimensions, packed; slot `s` is
+    /// `dims[start[s]..start[s + 1]]`.
+    dims: Vec<usize>,
+    /// Every slot's dense leg ranks, aligned with `dims`.
+    legs: Vec<usize>,
+    start: Vec<usize>,
+    live: Vec<bool>,
+    n_live: usize,
     steps: Vec<PlanStep>,
+    axes: Vec<usize>,
     slot_parent: Vec<Option<usize>>,
     replay_stats: ContractionStats,
     step_flops: Vec<u128>,
+    /// `owners[l]`: the live slots carrying leg `l` (see
+    /// [`Planner::search_greedy`]).
+    owners: Vec<[Option<usize>; 2]>,
+    /// Connected pairs `(cost, lhs, rhs)`, packed by [`PairKey`].
+    heap: BinaryHeap<Reverse<PairKey>>,
+    neighbours: Vec<usize>,
+    below: Vec<usize>,
+    /// Per-leg tokens of [`Planner::pair_cost`]; `token` is the last
+    /// one handed out.
+    marks: Vec<usize>,
+    token: usize,
 }
 
 impl Planner {
-    fn new(skeleton: Vec<SkeletonNode>) -> Self {
-        let mut ids: Vec<LegId> = skeleton
-            .iter()
-            .flat_map(|(_, l)| l.iter().copied())
-            .collect();
+    fn new<'a, S>(skeleton: S) -> Self
+    where
+        S: ExactSizeIterator<Item = SkeletonNode<'a>> + Clone,
+    {
+        let n_inputs = skeleton.len();
+        let total: usize = skeleton.clone().map(|(_, legs)| legs.len()).sum();
+        let mut ids: Vec<LegId> = Vec::with_capacity(total);
+        for (_, legs) in skeleton.clone() {
+            ids.extend_from_slice(legs);
+        }
         ids.sort_unstable();
         ids.dedup();
-        let input_shapes = skeleton.iter().map(|(s, _)| s.clone()).collect();
-        let slots: Vec<SkeletonNode> = skeleton
-            .into_iter()
-            .map(|(shape, legs)| {
-                let dense = legs
+        // A plan over n inputs has n - 1 steps, so 2n - 1 slots; the
+        // pools start at twice the inputs' total rank and grow if the
+        // intermediates need more.
+        let slots = (2 * n_inputs).saturating_sub(1);
+        let mut dims = Vec::with_capacity(2 * total);
+        let mut legs = Vec::with_capacity(2 * total);
+        let mut start = Vec::with_capacity(slots + 1);
+        start.push(0);
+        for (shape, node_legs) in skeleton {
+            dims.extend_from_slice(shape);
+            legs.extend(
+                node_legs
                     .iter()
-                    .map(|l| ids.binary_search(l).unwrap_or_else(|i| i))
-                    .collect();
-                (shape, dense)
-            })
-            .collect();
-        Planner {
-            input_shapes,
-            live: (0..slots.len()).collect(),
-            slot_parent: vec![None; slots.len()],
-            slots,
-            n_legs: ids.len(),
-            steps: Vec::new(),
-            replay_stats: ContractionStats::default(),
-            step_flops: Vec::new(),
+                    .map(|l| ids.binary_search(l).unwrap_or_else(|i| i)),
+            );
+            start.push(dims.len());
         }
+        let mut live = Vec::with_capacity(slots);
+        live.resize(n_inputs, true);
+        let mut slot_parent = Vec::with_capacity(slots);
+        slot_parent.resize(n_inputs, None);
+        let n_steps = n_inputs.saturating_sub(1);
+        Planner {
+            n_inputs,
+            n_legs: ids.len(),
+            dims,
+            legs,
+            start,
+            live,
+            n_live: n_inputs,
+            steps: Vec::with_capacity(n_steps),
+            // Every leg is contracted at most once, on both sides.
+            axes: Vec::with_capacity(2 * ids.len()),
+            slot_parent,
+            replay_stats: ContractionStats::default(),
+            step_flops: Vec::with_capacity(n_steps),
+            owners: Vec::with_capacity(ids.len()),
+            heap: BinaryHeap::with_capacity(2 * ids.len()),
+            neighbours: Vec::new(),
+            below: Vec::new(),
+            marks: vec![0; ids.len()],
+            token: 0,
+        }
+    }
+
+    /// Drops every recorded step: the planner is back at its inputs,
+    /// all live, with its buffers kept.
+    fn rewind(&mut self) {
+        let n = self.n_inputs;
+        let end = self.start[n];
+        self.dims.truncate(end);
+        self.legs.truncate(end);
+        self.start.truncate(n + 1);
+        self.live.truncate(n);
+        self.live.fill(true);
+        self.n_live = n;
+        self.steps.clear();
+        self.axes.clear();
+        self.slot_parent.truncate(n);
+        self.slot_parent.fill(None);
+        self.replay_stats = ContractionStats::default();
+        self.step_flops.clear();
+    }
+
+    /// Number of slots so far: inputs plus recorded steps.
+    fn slot_count(&self) -> usize {
+        self.live.len()
+    }
+
+    fn is_live(&self, slot: usize) -> bool {
+        self.live.get(slot).copied().unwrap_or(false)
+    }
+
+    /// The dense leg ranks of slot `s`.
+    fn legs_of(&self, s: usize) -> &[usize] {
+        &self.legs[self.start[s]..self.start[s + 1]]
     }
 
     /// Whether slots `a` and `b` share a leg.
     fn connected(&self, a: usize, b: usize) -> bool {
-        let lb = &self.slots[b].1;
-        self.slots[a].1.iter().any(|l| lb.contains(l))
+        let lb = self.legs_of(b);
+        self.legs_of(a).iter().any(|l| lb.contains(l))
     }
 
     /// The two lowest live slots — the outer-product fallback when a
     /// search finds no connected pair.
     fn lowest_pair(&self) -> Option<(usize, usize)> {
-        let mut it = self.live.iter().copied();
+        let mut it = (0..self.slot_count()).filter(|&s| self.live[s]);
         Some((it.next()?, it.next()?))
     }
 
     /// Result size (elements) of contracting slots `a` and `b` — the
-    /// greedy search's cost function.
-    fn pair_cost(&self, a: usize, b: usize) -> usize {
-        let (sa, la) = &self.slots[a];
-        let (sb, lb) = &self.slots[b];
+    /// greedy search's cost function: the product of `a`'s free
+    /// dimensions, then `b`'s, in axis order. Shared legs are found
+    /// through `marks` in `O(rank)`: `b`'s legs get one token, the
+    /// legs of `a` carrying it (the shared ones) the next.
+    fn pair_cost(&mut self, a: usize, b: usize) -> usize {
+        let (in_b, shared) = (self.token + 1, self.token + 2);
+        self.token = shared;
+        for i in self.start[b]..self.start[b + 1] {
+            self.marks[self.legs[i]] = in_b;
+        }
         let mut size = 1usize;
-        for (i, l) in la.iter().enumerate() {
-            if !lb.contains(l) {
-                size = size.saturating_mul(sa[i]);
+        for i in self.start[a]..self.start[a + 1] {
+            let mark = &mut self.marks[self.legs[i]];
+            if *mark == in_b {
+                *mark = shared;
+            } else {
+                size = size.saturating_mul(self.dims[i]);
             }
         }
-        for (i, l) in lb.iter().enumerate() {
-            if !la.contains(l) {
-                size = size.saturating_mul(sb[i]);
+        for i in self.start[b]..self.start[b + 1] {
+            if self.marks[self.legs[i]] != shared {
+                size = size.saturating_mul(self.dims[i]);
             }
         }
         size
@@ -660,15 +851,17 @@ impl Planner {
     /// since a network leg joins at most two nodes and a contraction
     /// only moves its free legs onto the new slot.
     fn search_greedy(&mut self) {
-        let mut owners: Vec<[Option<usize>; 2]> = vec![[None; 2]; self.n_legs];
-        let mut heap = BinaryHeap::new();
-        for slot in 0..self.slots.len() {
-            self.push_pairs(slot, &mut owners, &mut heap);
+        self.reset_search();
+        for slot in 0..self.slot_count() {
+            if self.live[slot] {
+                self.push_pairs(slot);
+            }
         }
-        while self.live.len() > 1 {
+        while self.n_live > 1 {
             let mut best = None;
-            while let Some(Reverse((_, a, b))) = heap.pop() {
-                if self.live.contains(&a) && self.live.contains(&b) {
+            while let Some(Reverse(key)) = self.heap.pop() {
+                let (_, a, b) = key.unpack();
+                if self.live[a] && self.live[b] {
                     best = Some((a, b));
                     break;
                 }
@@ -676,17 +869,7 @@ impl Planner {
             let Some((a, b)) = best.or_else(|| self.lowest_pair()) else {
                 break;
             };
-            for slot in [a, b] {
-                for &l in &self.slots[slot].1 {
-                    for owner in &mut owners[l] {
-                        if *owner == Some(slot) {
-                            *owner = None;
-                        }
-                    }
-                }
-            }
-            let c = self.contract(a, b);
-            self.push_pairs(c, &mut owners, &mut heap);
+            self.merge(a, b);
         }
     }
 
@@ -696,47 +879,57 @@ impl Planner {
     /// result has at most `cap` elements. Varying slots and the slots
     /// they reach are left for the greedy search that follows.
     fn search_cold(&mut self, varying: &[bool], cap: usize) {
-        let mut owners: Vec<[Option<usize>; 2]> = vec![[None; 2]; self.n_legs];
-        let mut heap = BinaryHeap::new();
-        for slot in 0..self.slots.len() {
-            if !varying[slot] {
-                self.push_pairs(slot, &mut owners, &mut heap);
+        self.reset_search();
+        for slot in 0..self.slot_count() {
+            if self.live[slot] && !varying[slot] {
+                self.push_pairs(slot);
             }
         }
-        while let Some(Reverse((cost, a, b))) = heap.pop() {
+        while let Some(Reverse(key)) = self.heap.pop() {
+            let (cost, a, b) = key.unpack();
             if cost > cap {
                 break;
             }
-            if !(self.live.contains(&a) && self.live.contains(&b)) {
-                continue;
+            if self.live[a] && self.live[b] {
+                self.merge(a, b);
             }
-            for slot in [a, b] {
-                for &l in &self.slots[slot].1 {
-                    for owner in &mut owners[l] {
-                        if *owner == Some(slot) {
-                            *owner = None;
-                        }
+        }
+    }
+
+    /// Empties the owner table (one entry per leg) and the pair heap
+    /// for a new search.
+    fn reset_search(&mut self) {
+        self.owners.clear();
+        self.owners.resize(self.n_legs, [None; 2]);
+        self.heap.clear();
+    }
+
+    /// Contracts live slots `a` and `b` inside a heap-driven search:
+    /// drops both from the owner table, records the step and pushes
+    /// the new slot's pairs.
+    fn merge(&mut self, a: usize, b: usize) {
+        for slot in [a, b] {
+            for i in self.start[slot]..self.start[slot + 1] {
+                for owner in &mut self.owners[self.legs[i]] {
+                    if *owner == Some(slot) {
+                        *owner = None;
                     }
                 }
             }
-            let c = self.contract(a, b);
-            self.push_pairs(c, &mut owners, &mut heap);
         }
+        let c = self.contract(a, b);
+        self.push_pairs(c);
     }
 
     /// Registers `slot` as an owner of its legs and pushes its pair
     /// with every live slot it shares a leg with. Those neighbours are
     /// all older than `slot`, so each pair enters as `(cost, lhs, rhs)`
     /// with `lhs < rhs`.
-    fn push_pairs(
-        &self,
-        slot: usize,
-        owners: &mut [[Option<usize>; 2]],
-        heap: &mut BinaryHeap<Reverse<(usize, usize, usize)>>,
-    ) {
-        let mut neighbours = Vec::new();
-        for &l in &self.slots[slot].1 {
-            let pair = &mut owners[l];
+    fn push_pairs(&mut self, slot: usize) {
+        let mut neighbours = std::mem::take(&mut self.neighbours);
+        neighbours.clear();
+        for i in self.start[slot]..self.start[slot + 1] {
+            let pair = &mut self.owners[self.legs[i]];
             neighbours.extend(pair.iter().flatten().copied());
             if let Some(free) = pair.iter_mut().find(|o| o.is_none()) {
                 *free = Some(slot);
@@ -745,21 +938,19 @@ impl Planner {
         // Pairs sharing several legs are pushed once.
         neighbours.sort_unstable();
         neighbours.dedup();
-        for n in neighbours {
-            heap.push(Reverse((self.pair_cost(n, slot), n, slot)));
+        for &n in &neighbours {
+            let cost = self.pair_cost(n, slot);
+            self.heap.push(Reverse(PairKey::pack(cost, n, slot)));
         }
+        self.neighbours = neighbours;
     }
 
     /// The sequential search: the first live slot with the first live
     /// slot it shares a leg with.
     fn search_sequential(&mut self) {
-        while let Some(&a) = self.live.first() {
-            let connected = self
-                .live
-                .iter()
-                .copied()
-                .skip(1)
-                .find(|&b| self.connected(a, b));
+        while let Some(a) = (0..self.slot_count()).find(|&s| self.live[s]) {
+            let connected =
+                (a + 1..self.slot_count()).find(|&b| self.live[b] && self.connected(a, b));
             let Some((a, b)) = connected.map(|b| (a, b)).or_else(|| self.lowest_pair()) else {
                 break;
             };
@@ -770,49 +961,53 @@ impl Planner {
     /// Records the contraction of live slots `a` (lhs) and `b` (rhs)
     /// and returns the new slot holding its result.
     fn contract(&mut self, a: usize, b: usize) -> usize {
-        self.live.remove(&a);
-        self.live.remove(&b);
-        let (sa, la) = std::mem::take(&mut self.slots[a]);
-        let (sb, lb) = std::mem::take(&mut self.slots[b]);
+        self.live[a] = false;
+        self.live[b] = false;
+        let (a0, a1) = (self.start[a], self.start[a + 1]);
+        let (b0, b1) = (self.start[b], self.start[b + 1]);
 
+        // Contracted axes: the lhs axes whose leg `b` shares, then the
+        // rhs axes holding those legs, in the same order.
+        let axes = self.axes.len();
+        for i in a0..a1 {
+            if self.legs[b0..b1].contains(&self.legs[i]) {
+                self.axes.push(i - a0);
+            }
+        }
+        let n_axes = self.axes.len() - axes;
+        for i in a0..a1 {
+            if let Some(j) = self.legs[b0..b1].iter().position(|&l| l == self.legs[i]) {
+                self.axes.push(j);
+            }
+        }
         // Result shape: free axes of `a` then free axes of `b`,
-        // matching `Tensor::contract`'s output layout. Exact capacities:
-        // the axes live as long as the plan.
-        let n_shared = la.iter().filter(|l| lb.contains(l)).count();
-        let mut axes_lhs = Vec::with_capacity(n_shared);
-        let mut axes_rhs = Vec::with_capacity(n_shared);
-        let mut shape = Vec::with_capacity(la.len() + lb.len() - 2 * n_shared);
-        let mut legs = Vec::with_capacity(shape.capacity());
-        for (i, l) in la.iter().enumerate() {
-            match lb.iter().position(|x| x == l) {
-                Some(j) => {
-                    axes_lhs.push(i);
-                    axes_rhs.push(j);
-                }
-                None => {
-                    shape.push(sa[i]);
-                    legs.push(*l);
-                }
+        // matching `Tensor::contract`'s output layout.
+        for i in a0..a1 {
+            if !self.legs[b0..b1].contains(&self.legs[i]) {
+                self.dims.push(self.dims[i]);
+                self.legs.push(self.legs[i]);
             }
         }
-        for (j, l) in lb.iter().enumerate() {
-            if !la.contains(l) {
-                shape.push(sb[j]);
-                legs.push(*l);
+        for j in b0..b1 {
+            if !self.legs[a0..a1].contains(&self.legs[j]) {
+                self.dims.push(self.dims[j]);
+                self.legs.push(self.legs[j]);
             }
         }
+        let c0 = self.start[self.start.len() - 1];
+        self.start.push(self.dims.len());
 
         // Stats are advisory sizing, so saturate like `pair_cost`
         // does — adversarial shapes must not be able to panic the
         // planner (debug overflow checks).
         self.replay_stats.contractions += 1;
-        let result_len = saturating_product(&shape);
+        let result_len = saturating_product(&self.dims[c0..]);
         self.replay_stats.max_intermediate = self.replay_stats.max_intermediate.max(result_len);
-        let k = axes_lhs
+        let k = self.axes[axes..axes + n_axes]
             .iter()
-            .fold(1usize, |acc, &i| acc.saturating_mul(sa[i]));
-        let m = saturating_product(&sa) / k.max(1);
-        let n = saturating_product(&sb) / k.max(1);
+            .fold(1usize, |acc, &i| acc.saturating_mul(self.dims[a0 + i]));
+        let m = saturating_product(&self.dims[a0..a1]) / k.max(1);
+        let n = saturating_product(&self.dims[b0..b1]) / k.max(1);
         let flops = (m as u128)
             .saturating_mul(k.max(1) as u128)
             .saturating_mul(n as u128);
@@ -826,30 +1021,60 @@ impl Planner {
         self.steps.push(PlanStep {
             lhs: a,
             rhs: b,
-            axes_lhs,
-            axes_rhs,
+            axes,
+            n_axes,
         });
-        let c = self.slots.len();
-        self.slots.push((shape, legs));
-        self.live.insert(c);
-        c
+        self.live.push(true);
+        self.n_live -= 1;
+        self.slot_count() - 1
+    }
+
+    /// The [`ReplayCost`] of the plan recorded so far.
+    fn replay_cost(&mut self, varying: &[usize]) -> ReplayCost {
+        let mut below = std::mem::take(&mut self.below);
+        fill_varying_below(self.n_inputs, &self.steps, varying, &mut below);
+        let cost = replay_cost_of(self.n_inputs, &self.step_flops, &below);
+        self.below = below;
+        cost
+    }
+
+    /// The permutation bringing the root's axes into ascending leg
+    /// order, `None` when they already are (or there is no root).
+    fn output_perm(&self) -> Option<Vec<usize>> {
+        let root = (0..self.slot_count()).find(|&s| self.live[s])?;
+        let legs = self.legs_of(root);
+        let mut order: Vec<usize> = (0..legs.len()).collect();
+        order.sort_by_key(|&i| legs[i]);
+        (!order.windows(2).all(|w| w[0] < w[1])).then_some(order)
+    }
+
+    /// A copy of the plan recorded so far, in exactly sized buffers;
+    /// the planner keeps its own for the next search.
+    fn to_plan(&self) -> ContractionPlan {
+        ContractionPlan {
+            n_inputs: self.n_inputs,
+            steps: self.steps.clone(),
+            axes: self.axes.clone(),
+            dims: self.dims.clone(),
+            dim_start: self.start.clone(),
+            slot_parent: self.slot_parent.clone(),
+            output_perm: self.output_perm(),
+            replay_stats: self.replay_stats,
+            step_flops: self.step_flops.clone(),
+        }
     }
 
     /// The recorded plan, its output axes normalised to ascending leg
     /// order.
-    fn finish(self) -> ContractionPlan {
-        let output_perm = self.live.first().and_then(|&root| {
-            let legs = &self.slots[root].1;
-            let mut order: Vec<usize> = (0..legs.len()).collect();
-            order.sort_by_key(|&i| legs[i]);
-            (!order.windows(2).all(|w| w[0] < w[1])).then_some(order)
-        });
+    fn into_plan(self) -> ContractionPlan {
         ContractionPlan {
-            n_inputs: self.input_shapes.len(),
-            input_shapes: self.input_shapes,
+            output_perm: self.output_perm(),
+            n_inputs: self.n_inputs,
             steps: self.steps,
+            axes: self.axes,
+            dims: self.dims,
+            dim_start: self.start,
             slot_parent: self.slot_parent,
-            output_perm,
             replay_stats: self.replay_stats,
             step_flops: self.step_flops,
         }
@@ -1008,7 +1233,8 @@ mod tests {
             (vec![dim; 4], vec![0, 1, 2, 3]),
             (vec![dim; 4], vec![3, 4, 5, 6]),
         ];
-        let plan = ContractionPlan::from_skeleton(skeleton, OrderStrategy::Greedy);
+        let nodes = skeleton.iter().map(|(s, l)| (s.as_slice(), l.as_slice()));
+        let plan = ContractionPlan::from_skeleton(nodes, OrderStrategy::Greedy);
         let stats = plan.replay_stats();
         assert_eq!(stats.contractions, 1);
         assert_eq!(stats.max_intermediate, usize::MAX);
