@@ -113,8 +113,9 @@ impl ApproxBackend {
     /// (see [`ApproxOptions::threads`]): the workers share one cached
     /// contraction plan per split half and pull substitution patterns
     /// from a streaming enumerator in chunks. `0` is clamped to `1`
-    /// (sequential), so a computed thread count can never produce a
-    /// degenerate configuration.
+    /// (the calling thread alone), so a computed thread count can never
+    /// produce a degenerate configuration. The count changes no bit of
+    /// the estimate.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.opts = self.opts.with_threads(threads);
         self
@@ -149,22 +150,17 @@ impl Backend for ApproxBackend {
         "approx"
     }
 
+    /// Runs the job's [`Refinement`](crate::Refinement) through the
+    /// configured level: a truncated level carries its a-priori
+    /// Theorem-1 certificate, the full level is exact.
     fn expectation(&self, job: &ExpectationJob<'_>) -> Result<Estimate, QnsError> {
-        let res = qns_core::try_approximate_expectation(
-            job.noisy(),
-            job.initial().product(),
-            job.observable().product(),
-            &self.opts,
-        )?;
-        let n = job.noisy().noise_count();
-        let level = self.opts.level.min(n);
-        if level < n {
-            // A truncated level carries its a-priori Theorem-1
-            // certificate instead of claiming exactness.
-            let bound = qns_core::bounds::error_bound(n, job.noisy().max_noise_rate(), level);
-            Ok(Estimate::bounded(res.value, bound, level, self.name()))
-        } else {
-            Ok(Estimate::exact(res.value, self.name()))
+        let mut refinement = self.refinement(job)?;
+        let level = self.opts.level.min(refinement.max_level());
+        loop {
+            let partial = refinement.advance()?;
+            if partial.level >= level {
+                return Ok(refinement.estimate_for(&partial));
+            }
         }
     }
 

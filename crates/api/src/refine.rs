@@ -8,23 +8,19 @@
 //! # Cache-key semantics
 //!
 //! [`ExpectationJob::fingerprint`] hashes the *job* — circuit, noise,
-//! states — and deliberately **not** the [`ApproxOptions`]. That is
-//! correct for exact engines (the answer does not depend on options)
-//! but a per-level partial-sum cache stores *bits*, and two option
-//! fields change the bits of a level's contribution: the contraction
-//! [`ApproxOptions::strategy`] (a different contraction tree sums
-//! intermediates in a different order) and the worker
-//! [`ApproxOptions::threads`] count (a different chunk partition sums
-//! the patterns in a different order). [`partial_sum_key`] therefore
-//! mixes a domain-separation tag plus exactly those two fields:
+//! states — and deliberately **not** the [`ApproxOptions`]. A
+//! per-level partial-sum cache stores *bits*, and no option changes the
+//! bits of a level's contribution: the contraction order is chosen
+//! from the job alone, and every level is summed in the same chunk
+//! order whatever [`ApproxOptions::threads`] says. `level` only picks
+//! how many levels run (the cache is indexed *per level* under one key,
+//! which is what lets a higher-level resubmission resume from the
+//! cached prefix instead of restarting), and `max_terms` only gates
+//! feasibility. [`partial_sum_key`] therefore mixes a domain-separation
+//! tag into the fingerprint and nothing else, so one cached prefix
+//! serves every option set.
 //!
-//! * `level` is **excluded** — the cache is indexed *per level* under
-//!   one key, which is what lets a higher-level resubmission resume
-//!   from the cached prefix instead of restarting.
-//! * `max_terms` is **excluded** — it gates feasibility but never
-//!   changes any computed value.
-//!
-//! The domain tag also keeps partial-sum keys disjoint from the keys a
+//! The domain tag keeps partial-sum keys disjoint from the keys a
 //! result cache derives from the same fingerprint (e.g. a serving
 //! layer's `route/…` mixes), so a same-job-different-level partial sum
 //! can never collide with a full-run result.
@@ -35,21 +31,13 @@ use crate::job::{Estimate, ExpectationJob};
 use qns_core::refine::LevelEvaluator;
 use qns_core::ApproxOptions;
 use qns_noise::QnsError;
-use qns_tnet::network::OrderStrategy;
 
 pub use qns_core::refine::PartialEstimate;
 
 /// Derives the key under which a job's per-level partial sums are
-/// cached (see the module docs for what is mixed and why).
-pub fn partial_sum_key(job_fingerprint: Fingerprint, opts: &ApproxOptions) -> Fingerprint {
-    let strategy = match opts.strategy {
-        OrderStrategy::Greedy => 0u64,
-        OrderStrategy::Sequential => 1u64,
-    };
-    job_fingerprint
-        .mix_str("refine/v1")
-        .mix_u64(strategy)
-        .mix_u64(opts.threads.max(1) as u64)
+/// cached (see the module docs for why no option is mixed in).
+pub fn partial_sum_key(job_fingerprint: Fingerprint) -> Fingerprint {
+    job_fingerprint.mix_str("refine/v1")
 }
 
 /// A level-streaming refinement of one job: wraps the core
@@ -235,36 +223,32 @@ mod tests {
     }
 
     #[test]
-    fn partial_sum_keys_separate_bit_affecting_options_only() {
+    fn partial_sum_keys_are_domain_separated_and_option_free() {
         let noisy = noisy();
         let job = Simulation::new(&noisy).build().unwrap();
         let fp = job.fingerprint();
-        let base = ApproxOptions::default();
 
-        // Domain-separated from the raw job fingerprint.
-        assert_ne!(partial_sum_key(fp, &base), fp);
-        // Stable across calls.
-        assert_eq!(partial_sum_key(fp, &base), partial_sum_key(fp, &base));
-        // level and max_terms do NOT change the key: the cache is
-        // per-level indexed and max_terms never changes values.
-        assert_eq!(
-            partial_sum_key(fp, &base.with_level(3).with_max_terms(42)),
-            partial_sum_key(fp, &base)
-        );
-        // strategy and threads DO: they change summation order, which
-        // changes bits.
-        assert_ne!(
-            partial_sum_key(fp, &base.with_strategy(OrderStrategy::Sequential)),
-            partial_sum_key(fp, &base)
-        );
-        assert_ne!(
-            partial_sum_key(fp, &base.with_threads(4)),
-            partial_sum_key(fp, &base)
-        );
-        // threads 0 and 1 are the same (sequential) configuration.
-        assert_eq!(
-            partial_sum_key(fp, &base.with_threads(0)),
-            partial_sum_key(fp, &base.with_threads(1))
-        );
+        // Domain-separated from the raw job fingerprint, and stable.
+        assert_ne!(partial_sum_key(fp), fp);
+        assert_eq!(partial_sum_key(fp), partial_sum_key(fp));
+
+        // No option changes a level's bits, so levels cached under one
+        // option set serve every other: threads, level and max_terms
+        // all leave the estimates, and with them the key, alone.
+        let runs = [
+            ApproxOptions::default().with_level(3),
+            ApproxOptions::default().with_level(2).with_threads(4),
+            ApproxOptions::default().with_level(3).with_max_terms(64),
+        ];
+        let per_level = |opts: &ApproxOptions| {
+            let mut r = Refinement::new(&job, opts).unwrap();
+            (0..=opts.level)
+                .map(|_| r.advance().unwrap().level_contribution.to_bits())
+                .collect::<Vec<_>>()
+        };
+        let reference = per_level(&runs[0]);
+        for opts in &runs[1..] {
+            assert_eq!(per_level(opts), reference[..=opts.level], "{opts:?}");
+        }
     }
 }

@@ -9,10 +9,11 @@
 //! `--smoke` runs a reduced one-circuit-per-family mode intended for
 //! CI: it times our approximation on the smoke set and *asserts* the
 //! plan-once/execute-many invariants (O(1) order searches per run, one
-//! plan replay per pattern) and that the run skips the patterns that
-//! use the thermal channel's zero Kraus term, so contraction-plan and
-//! enumeration regressions in the bench path fail the pipeline instead
-//! of silently slowing it down.
+//! plan replay per pattern), that the run skips the patterns that use
+//! the thermal channel's zero Kraus term, and that its value and level
+//! sums are bitwise a 1-thread run's, so contraction-plan, enumeration
+//! and summation-order regressions in the bench path fail the pipeline
+//! instead of silently slowing it down or moving bits.
 //!
 //! Differences from the paper (see EXPERIMENTS.md): circuits are
 //! laptop-scale versions of the same families; the memory-out (MO)
@@ -109,6 +110,19 @@ fn run_smoke(level: usize, threads: usize, channel: &Kraus) {
             "{}: the run must skip the patterns that use a zero Kraus term",
             bench.name
         );
+        // Every level is summed in one chunk order, so the thread count
+        // changes no bit.
+        let one = qns_core::try_approximate_expectation(&noisy, &psi, &v, &opts.with_threads(1))
+            .expect("smoke job within budget");
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert!(
+            res.value.to_bits() == one.value.to_bits()
+                && bits(&res.per_level) == bits(&one.per_level),
+            "{}: {threads} thread(s) gave level sums {:?}, 1 thread {:?}",
+            bench.name,
+            res.per_level,
+            one.per_level
+        );
 
         print_row(
             &[
@@ -126,7 +140,7 @@ fn run_smoke(level: usize, threads: usize, channel: &Kraus) {
     }
     println!(
         "\nplan invariants hold: order searches O(1), one plan replay per pattern, \
-         zero Kraus terms skipped"
+         zero Kraus terms skipped, level sums bitwise a 1-thread run's"
     );
 }
 

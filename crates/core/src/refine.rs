@@ -19,12 +19,13 @@
 //! level execute the same code in the same order: the per-level
 //! contributions, and therefore every partial sum, are **bitwise
 //! identical** — not merely close. Each level's contribution `T_u` is
-//! a well-defined `f64` independent of evaluator history (the Gray
+//! a well-defined `f64` that depends on the job alone: the Gray
 //! enumeration order is fixed, delta replay is bit-identical to full
-//! replay, and the parallel reduction is chunk-sequence-ordered), which
-//! is what makes per-level caching sound: a cached `T_u` can be
-//! [installed](LevelEvaluator::install_level) into a fresh evaluator
-//! without changing any later bit.
+//! replay, and every level is reduced in the same chunk order whatever
+//! the thread count. That is what makes per-level caching sound: a
+//! cached `T_u` can be [installed](LevelEvaluator::install_level) into
+//! a fresh evaluator, on any thread count, without changing any later
+//! bit.
 //!
 //! # One network per pattern
 //!
@@ -38,6 +39,10 @@
 //! the replays. Every pattern term is a Kraus-trajectory probability,
 //! so every `T_u ≥ 0` and `A(l)` rises monotonically toward the exact
 //! value from below.
+//!
+//! A matrix element `⟨x|E(ρ)|y⟩` runs on the same evaluator with two
+//! caps ([`crate::approx::try_approximate_matrix_element`]); it keeps
+//! its level sums complex and adds the lower network `⟨y|·|ψ⟩`.
 //!
 //! # Example
 //!
@@ -64,9 +69,10 @@
 //! ```
 
 use crate::approx::{
-    build_split, check_budget, check_state, collect_sites, evaluate_level_parallel,
-    evaluate_level_sequential, ApproxOptions, ApproxResult, SplitDelta, SplitShared, PATTERN_CHUNK,
+    build_split, check_budget, check_state, collect_sites, evaluate_level, ApproxOptions,
+    ApproxResult, SplitDelta, SplitShared, PATTERN_CHUNK,
 };
+use qns_linalg::Complex64;
 use qns_noise::{NoisyCircuit, QnsError};
 use qns_tnet::builder::ProductState;
 use qns_tnet::network::ContractionStats;
@@ -117,13 +123,15 @@ pub struct LevelEvaluator {
     /// One delta evaluator per worker thread, each with its own
     /// skeletons and hot workspace, kept across levels so its warm
     /// intermediates and installed assignment carry over (a level's
-    /// first pattern diffs against the worker's last one). Worker 0 is
-    /// also the sequential evaluator; the others are forked from it
-    /// on the first level with more than one pattern chunk, at most
-    /// one worker per chunk.
+    /// first pattern diffs against the worker's last one). Worker 0
+    /// runs on the calling thread; the others are forked from it on
+    /// the first level with more than one pattern chunk, at most one
+    /// worker per chunk.
     workers: Vec<SplitDelta>,
-    /// Contributions `T_0 … T_k` of the completed levels.
-    per_level: Vec<f64>,
+    /// Sums `T_0 … T_k` of the completed levels. An expectation's are
+    /// real and only their real parts are read; a matrix element's
+    /// are complex.
+    per_level: Vec<Complex64>,
     /// Pattern count of each completed level.
     level_counts: Vec<usize>,
     stats: ContractionStats,
@@ -150,10 +158,23 @@ impl LevelEvaluator {
         let circuit = noisy.circuit();
         check_state("input state", psi, circuit)?;
         check_state("test state", v, circuit)?;
+        Self::with_caps(noisy, psi, v, v, opts)
+    }
+
+    /// [`new`](Self::new) for the matrix element `⟨x|E(ρ)|y⟩`: the
+    /// upper network is capped with `x`, and a lower one with `y` when
+    /// it differs. The caller has validated the three states.
+    pub(crate) fn with_caps(
+        noisy: &NoisyCircuit,
+        psi: &ProductState,
+        x: &ProductState,
+        y: &ProductState,
+        opts: &ApproxOptions,
+    ) -> Result<Self, QnsError> {
         let sites = collect_sites(noisy);
         let n = sites.len();
         check_budget(n, opts.level.min(n), opts.max_terms)?;
-        let (skels, shared) = build_split(circuit, psi, v, v, &sites, opts.strategy);
+        let (skels, shared) = build_split(noisy.circuit(), psi, x, y, &sites);
         let mut stats = ContractionStats::default();
         stats.absorb(&shared.planning);
         let workers = vec![SplitDelta::new(skels, &shared)];
@@ -170,12 +191,8 @@ impl LevelEvaluator {
         })
     }
 
-    /// Number of noise sites `N`; level `N` makes the sum exact.
-    pub fn site_count(&self) -> usize {
-        self.n
-    }
-
-    /// Alias for [`site_count`](Self::site_count): the deepest level.
+    /// Number of noise sites `N`: the deepest level, at which the sum
+    /// is exact.
     pub fn max_level(&self) -> usize {
         self.n
     }
@@ -198,11 +215,6 @@ impl LevelEvaluator {
         self.per_level.len() > self.n
     }
 
-    /// Per-level contributions `T_0 … T_k` of the completed levels.
-    pub fn per_level(&self) -> &[f64] {
-        &self.per_level
-    }
-
     /// Aggregated contraction statistics so far (planning included).
     pub fn stats(&self) -> &ContractionStats {
         &self.stats
@@ -220,24 +232,30 @@ impl LevelEvaluator {
     /// [is already complete](Self::is_complete).
     pub fn advance(&mut self) -> Result<PartialEstimate, QnsError> {
         let u = self.begin_level()?;
+        // A worker per chunk at most: a level of one chunk runs on the
+        // calling thread.
         let patterns = crate::bounds::level_patterns_for_ranks(&self.shared.ranks, u);
-        let (tu, count, level_stats) = if self.threads > 1 && patterns > 1 {
-            // A worker per chunk at most: a level of one chunk runs on
-            // the calling thread.
-            let chunks = patterns.div_ceil(PATTERN_CHUNK as u128);
-            let workers = (self.threads as u128).min(chunks) as usize;
-            while self.workers.len() < workers {
-                let fork = self.workers[0].fork(&self.shared);
-                self.workers.push(fork);
-            }
-            evaluate_level_parallel(&mut self.workers[..workers], &self.shared, u)
-        } else {
-            evaluate_level_sequential(&mut self.workers[0], &self.shared, u)
-        };
+        let chunks = patterns.div_ceil(PATTERN_CHUNK as u128);
+        let workers = (self.threads as u128).min(chunks).max(1) as usize;
+        while self.workers.len() < workers {
+            let fork = self.workers[0].fork(&self.shared);
+            self.workers.push(fork);
+        }
+        let (tu, count, level_stats) =
+            evaluate_level(&mut self.workers[..workers], &self.shared, u);
         self.stats.absorb(&level_stats);
-        self.per_level.push(tu.re);
+        self.per_level.push(tu);
         self.level_counts.push(count);
         Ok(self.estimate_at(u))
+    }
+
+    /// [`advance`](Self::advance)s until `level` (clamped to
+    /// [`max_level`](Self::max_level)) is complete.
+    pub(crate) fn advance_to(&mut self, level: usize) -> Result<(), QnsError> {
+        while self.next_level() <= level.min(self.n) {
+            self.advance()?;
+        }
+        Ok(())
     }
 
     /// Installs a previously computed contribution for the next level
@@ -267,7 +285,7 @@ impl LevelEvaluator {
                 ),
             });
         }
-        self.per_level.push(contribution);
+        self.per_level.push(Complex64::new(contribution, 0.0));
         self.level_counts.push(patterns);
         Ok(self.estimate_at(u))
     }
@@ -296,11 +314,11 @@ impl LevelEvaluator {
     /// completed level (the callers pass the level they just pushed).
     fn estimate_at(&self, level: usize) -> PartialEstimate {
         PartialEstimate {
-            value: self.per_level.iter().sum(),
+            value: self.per_level.iter().map(|t| t.re).sum(),
             level,
             theorem1_bound: crate::bounds::error_bound(self.n, self.noise_rate, level),
             patterns_done: self.level_counts.iter().sum(),
-            level_contribution: self.per_level[level],
+            level_contribution: self.per_level[level].re,
             level_patterns: self.level_counts[level],
         }
     }
@@ -310,14 +328,24 @@ impl LevelEvaluator {
     /// would return, except that `contractions` and `stats` count only
     /// the levels computed here, not those installed from a cache.
     pub fn into_result(self) -> ApproxResult {
-        let terms_evaluated: usize = self.level_counts.iter().sum();
+        let per_level: Vec<f64> = self.per_level.iter().map(|t| t.re).collect();
         ApproxResult {
-            value: self.per_level.iter().sum(),
-            per_level: self.per_level,
-            terms_evaluated,
+            value: per_level.iter().sum(),
+            per_level,
+            terms_evaluated: self.level_counts.iter().sum(),
             contractions: self.stats.plan_reuses,
             stats: self.stats,
         }
+    }
+
+    /// The matrix element through the completed levels, with its
+    /// pattern count and contraction statistics.
+    pub(crate) fn into_element(self) -> (Complex64, usize, ContractionStats) {
+        (
+            self.per_level.iter().copied().sum(),
+            self.level_counts.iter().sum(),
+            self.stats,
+        )
     }
 }
 

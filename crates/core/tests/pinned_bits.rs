@@ -1,14 +1,13 @@
 //! Level sums pinned to the bit.
 //!
 //! Every level contribution `T_0, T_1, T_2` of three paper-family
-//! fixtures, run on one and on two evaluator threads, as raw `f64`
-//! bits. They were recorded with the scalar kernels and the
-//! reader-side rhs copies, before the AVX2 row update and the
-//! reader-layout storage of hot nodes, and must never move: a kernel
-//! or layout change that alters any bit of a level sum fails here,
-//! whatever the tolerance-based suites say. The two thread counts are
-//! pinned separately because the chunked parallel sum adds in a
-//! different order.
+//! fixtures as raw `f64` bits. They were recorded on two evaluator
+//! threads with the scalar kernels and the reader-side rhs copies,
+//! before the AVX2 row update and the reader-layout storage of hot
+//! nodes, and must never move: a kernel or layout change that alters
+//! any bit of a level sum fails here, whatever the tolerance-based
+//! suites say. Every level is summed in the same chunk order whatever
+//! the thread count, so one, two and three threads must all give them.
 //!
 //! Each fixture's evaluator plan stores at least one hot node in its
 //! reader's layout, so the pinned bits cover that path too.
@@ -21,15 +20,14 @@ use qns_noise::{channels, NoisyCircuit};
 use qns_tnet::builder::{AmplitudeSkeleton, Insertion, ProductState};
 
 /// One fixture: the circuit, its thermal noise placement and the basis
-/// observable, with the pinned `to_bits` of `T_0..=T_2` at 1 and at 2
-/// threads.
+/// observable, with the pinned `to_bits` of `T_0..=T_2`.
 struct Fixture {
     name: &'static str,
     circuit: fn() -> Circuit,
     noises: usize,
     seed: u64,
     observable: usize,
-    bits: [[u64; 3]; 2],
+    bits: [u64; 3],
 }
 
 fn qaoa_16() -> Circuit {
@@ -54,16 +52,9 @@ const FIXTURES: [Fixture; 3] = [
         seed: 0xD5EE,
         observable: 0b1111_1100_0000,
         bits: [
-            [
-                0x3fc1_d866_9273_0dc2,
-                0x3f25_68a5_c4c4_2818,
-                0x3e77_749d_fd68_d20f,
-            ],
-            [
-                0x3fc1_d866_9273_0dc2,
-                0x3f25_68a5_c4c4_2818,
-                0x3e77_749d_fd68_d206,
-            ],
+            0x3fc1_d866_9273_0dc2,
+            0x3f25_68a5_c4c4_2818,
+            0x3e77_749d_fd68_d206,
         ],
     },
     Fixture {
@@ -73,16 +64,9 @@ const FIXTURES: [Fixture; 3] = [
         seed: 0xD5F0,
         observable: 0b1011_0010_0110_1001,
         bits: [
-            [
-                0x3ef4_342a_3446_5252,
-                0x3e75_3860_76cf_e9a2,
-                0x3de5_39af_6f23_d1e8,
-            ],
-            [
-                0x3ef4_342a_3446_5252,
-                0x3e75_3860_76cf_e9a2,
-                0x3de5_39af_6f23_d1e9,
-            ],
+            0x3ef4_342a_3446_5252,
+            0x3e75_3860_76cf_e9a2,
+            0x3de5_39af_6f23_d1e9,
         ],
     },
     Fixture {
@@ -92,16 +76,9 @@ const FIXTURES: [Fixture; 3] = [
         seed: 0xD5EE,
         observable: 0b0101_0101_0101_0101,
         bits: [
-            [
-                0x3e92_8fbc_cdef_c3ec,
-                0x3e15_f9ba_058c_c0fc,
-                0x3d93_fdcf_d4da_b110,
-            ],
-            [
-                0x3e92_8fbc_cdef_c3ec,
-                0x3e15_f9ba_058c_c0fc,
-                0x3d93_fdcf_d4da_b111,
-            ],
+            0x3e92_8fbc_cdef_c3ec,
+            0x3e15_f9ba_058c_c0fc,
+            0x3d93_fdcf_d4da_b111,
         ],
     },
 ];
@@ -153,8 +130,7 @@ fn level_sums_keep_their_pinned_bits() {
             f.name
         );
         let n = noisy.n_qubits();
-        for (t, pinned) in f.bits.iter().enumerate() {
-            let threads = t + 1;
+        for threads in 1..=3 {
             let res = approximate_expectation(
                 &noisy,
                 &ProductState::all_zeros(n),
@@ -163,7 +139,7 @@ fn level_sums_keep_their_pinned_bits() {
             );
             let got: Vec<u64> = res.per_level.iter().map(|x| x.to_bits()).collect();
             assert_eq!(
-                got, pinned,
+                got, f.bits,
                 "{} at {threads} thread(s): level sums {:?} moved",
                 f.name, res.per_level
             );

@@ -140,8 +140,7 @@ pub(crate) fn deadline_level(
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct LevelSum {
     /// The level's contribution `T_u` (bitwise well-defined for a
-    /// given job + bit-affecting options; see
-    /// [`qns_api::partial_sum_key`]).
+    /// given job under any options; see [`qns_api::partial_sum_key`]).
     pub contribution: f64,
     /// The level's pattern count, revalidated on resume.
     pub patterns: usize,

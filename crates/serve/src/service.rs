@@ -465,7 +465,7 @@ struct Task {
 /// One queued anytime refinement (see [`crate::refine`]).
 struct RefineTask {
     /// Partial-sum cache key ([`partial_sum_key`] of the spec's
-    /// fingerprint under the service's refine options).
+    /// fingerprint).
     key: u128,
     spec: JobSpec,
     /// The deadline level promised to the caller; escalation past it
@@ -573,8 +573,8 @@ struct Shared {
     /// must not take the state lock (retry backoff, the watchdog scan
     /// loop).
     stopping: AtomicBool,
-    /// Options every refinement runs under (strategy/threads are part
-    /// of the partial-sum cache key; see [`partial_sum_key`]).
+    /// Options every refinement runs under (none of them changes a
+    /// cached level's bits; see [`partial_sum_key`]).
     refine_opts: ApproxOptions,
     /// Metrics registry + event journal (lock-free counters; the
     /// journal has its own innermost lock, see `crate::obs`).
@@ -735,8 +735,9 @@ impl ServiceBuilder {
     /// refinement runs under. The `level` field is ignored (the
     /// request's budget and `max_level` choose levels); `max_terms`
     /// caps the deepest level the service will ever escalate to, and
-    /// `strategy`/`threads` select the (bit-affecting) contraction
-    /// configuration the partial-sum cache is keyed by.
+    /// `threads` sets the evaluator's workers. No field changes a
+    /// level's bits, so the partial-sum cache is keyed by the job alone
+    /// ([`partial_sum_key`]).
     pub fn refine_options(mut self, opts: ApproxOptions) -> Self {
         self.refine_opts = opts;
         self
@@ -1069,7 +1070,7 @@ impl Service {
             });
         };
         let final_level = req.max_level.unwrap_or(n).min(n).min(feasible_cap);
-        let key = partial_sum_key(spec.fingerprint(), &opts).as_u128();
+        let key = partial_sum_key(spec.fingerprint()).as_u128();
         let cancel = Arc::new(AtomicBool::new(false));
         let progress = Arc::new(RefineShared::default());
 

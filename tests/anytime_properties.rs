@@ -1,7 +1,7 @@
 //! Property tests for the anytime refinement subsystem: for random
 //! circuits, channels and noise placements, the level-streamed partial
 //! sums must be *bitwise* identical to direct one-shot runs at the
-//! same level (sequential and parallel), resuming from cached
+//! same level, whatever the thread count, resuming from cached
 //! per-level contributions must not change a single bit, and the
 //! streamed Theorem-1 bounds must tighten monotonically to zero.
 
@@ -105,6 +105,13 @@ proptest! {
                 partial.value.to_bits(),
                 direct.value.to_bits(),
                 "level {} (threads {})", level, threads
+            );
+            // The thread count changes no bit.
+            let one = ApproxBackend::level(level).expectation(&job).unwrap();
+            prop_assert_eq!(
+                direct.value.to_bits(),
+                one.value.to_bits(),
+                "level {} (threads {} vs 1)", level, threads
             );
 
             // Theorem-1 bounds tighten monotonically…
