@@ -1,12 +1,14 @@
-//! The LRU result cache.
+//! The LRU cache behind the service's result and partial-sum caches.
 //!
-//! Keys are the 128-bit cache keys the service derives from a job's
-//! [`qns_api::Fingerprint`] mixed with its routing policy; values are
-//! completed [`Estimate`]s. The implementation favours simplicity and
-//! observability over asymptotics: recency is a monotone tick per
-//! entry, eviction scans for the minimum tick — `O(capacity)` per
-//! eviction, which is noise next to any simulation this workspace
-//! runs and keeps the structure a single map.
+//! Keys are the 128-bit keys the service derives from a job's
+//! [`qns_api::Fingerprint`] (mixed with the routing policy for the
+//! result cache, with a domain tag for the partial-sum cache); values
+//! are completed [`Estimate`]s or per-level partial sums. The
+//! implementation favours simplicity and observability over
+//! asymptotics: recency is a monotone tick per entry, eviction scans
+//! for the minimum tick — `O(capacity)` per eviction, which is noise
+//! next to any simulation this workspace runs and keeps the structure
+//! a single map.
 //!
 //! That map is a `BTreeMap` rather than a `HashMap` on purpose: the
 //! eviction scan iterates the map, and which entry survives decides
@@ -42,8 +44,9 @@ impl CacheCounters {
     }
 }
 
-/// A least-recently-used cache of [`Estimate`]s keyed by 128-bit
-/// fingerprint-derived keys.
+/// A least-recently-used cache keyed by 128-bit fingerprint-derived
+/// keys. The service keeps completed [`Estimate`]s in one (the
+/// default value type) and per-level partial sums in another.
 ///
 /// ```
 /// use qns_serve::cache::LruCache;
@@ -59,16 +62,16 @@ impl CacheCounters {
 /// assert_eq!(cache.counters().evictions, 1);
 /// ```
 #[derive(Debug)]
-pub struct LruCache {
+pub struct LruCache<V = Estimate> {
     capacity: usize,
     tick: u64,
-    entries: BTreeMap<u128, (Estimate, u64)>,
+    entries: BTreeMap<u128, (V, u64)>,
     hits: Counter,
     misses: Counter,
     evictions: Counter,
 }
 
-impl LruCache {
+impl<V> LruCache<V> {
     /// A cache holding at most `capacity` entries. Capacity `0` is a
     /// valid "caching disabled" configuration: every lookup misses and
     /// inserts are dropped.
@@ -105,24 +108,35 @@ impl LruCache {
     }
 
     /// Looks `key` up, refreshing its recency on a hit.
-    pub fn get(&mut self, key: u128) -> Option<Estimate> {
-        self.tick += 1;
-        match self.entries.get_mut(&key) {
-            Some((est, tick)) => {
-                *tick = self.tick;
-                self.hits.inc();
-                Some(est.clone())
-            }
-            None => {
-                self.misses.inc();
-                None
-            }
+    pub fn get(&mut self, key: u128) -> Option<V>
+    where
+        V: Clone,
+    {
+        let found = self.touch(key).cloned();
+        match found {
+            Some(_) => self.hits.inc(),
+            None => self.misses.inc(),
         }
+        found
+    }
+
+    /// The entry for `key` without touching recency or counters.
+    pub(crate) fn peek(&self, key: u128) -> Option<&V> {
+        self.entries.get(&key).map(|(value, _)| value)
+    }
+
+    /// The entry for `key`, for in-place update: refreshes its recency
+    /// but counts neither a hit nor a miss.
+    pub(crate) fn touch(&mut self, key: u128) -> Option<&mut V> {
+        self.tick += 1;
+        let (value, tick) = self.entries.get_mut(&key)?;
+        *tick = self.tick;
+        Some(value)
     }
 
     /// Inserts (or refreshes) `key`, evicting the least-recently-used
     /// entry when the cache is full.
-    pub fn insert(&mut self, key: u128, value: Estimate) {
+    pub fn insert(&mut self, key: u128, value: V) {
         if self.capacity == 0 {
             return;
         }

@@ -17,11 +17,10 @@
 //! next level boundary (the service stops paying for answers nobody
 //! will read); [`RefinementHandle::cancel`] does the same explicitly.
 
-use crate::cache::CacheCounters;
+use crate::cache::{CacheCounters, LruCache};
 use crate::sync::{LockRank, OrderedCondvar, OrderedMutex};
 use qns_api::{Estimate, PartialEstimate, QnsError};
 use qns_obs::Counter;
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -149,34 +148,12 @@ pub struct LevelSum {
 /// LRU cache of per-level partial sums, keyed by
 /// [`qns_api::partial_sum_key`]-derived 128-bit keys. Each entry is a
 /// contiguous level prefix `T_0 … T_k`; resuming installs the prefix
-/// and computes only the new levels.
-///
-/// Entries live in a `BTreeMap`, not a `HashMap`: the eviction scan
-/// iterates the map, and partial sums feed bit-reproducible estimates,
-/// so even tie-breaking between equally stale entries must not depend
-/// on hash iteration order (the crate's `clippy.toml` bans `HashMap`
-/// crate-wide).
+/// and computes only the new levels. Recency, eviction and counters
+/// are the [`LruCache`]'s; this type adds only the prefix rule.
 #[derive(Debug)]
-pub(crate) struct PartialSumCache {
-    capacity: usize,
-    tick: u64,
-    entries: BTreeMap<u128, (Vec<LevelSum>, u64)>,
-    hits: Counter,
-    misses: Counter,
-    evictions: Counter,
-}
+pub(crate) struct PartialSumCache(LruCache<Vec<LevelSum>>);
 
 impl PartialSumCache {
-    #[cfg(test)]
-    pub(crate) fn new(capacity: usize) -> Self {
-        Self::with_counters(
-            capacity,
-            Counter::detached(),
-            Counter::detached(),
-            Counter::detached(),
-        )
-    }
-
     /// A cache whose hit/miss/eviction counts feed the given (usually
     /// registry-attached) counter handles.
     pub(crate) fn with_counters(
@@ -185,37 +162,19 @@ impl PartialSumCache {
         misses: Counter,
         evictions: Counter,
     ) -> Self {
-        PartialSumCache {
-            capacity,
-            tick: 0,
-            entries: BTreeMap::new(),
-            hits,
-            misses,
-            evictions,
-        }
+        PartialSumCache(LruCache::with_counters(capacity, hits, misses, evictions))
     }
 
     /// Length of the cached level prefix without touching recency or
     /// counters (used at submission to price the deadline level).
     pub(crate) fn peek_len(&self, key: u128) -> usize {
-        self.entries.get(&key).map_or(0, |(levels, _)| levels.len())
+        self.0.peek(key).map_or(0, Vec::len)
     }
 
     /// The cached prefix for `key`, counting a hit when at least one
     /// level resumes and a miss otherwise; refreshes recency.
     pub(crate) fn probe(&mut self, key: u128) -> Vec<LevelSum> {
-        self.tick += 1;
-        match self.entries.get_mut(&key) {
-            Some((levels, tick)) if !levels.is_empty() => {
-                *tick = self.tick;
-                self.hits.inc();
-                levels.clone()
-            }
-            _ => {
-                self.misses.inc();
-                Vec::new()
-            }
-        }
+        self.0.get(key).unwrap_or_default()
     }
 
     /// Appends `sum` as level `level` of `key`'s prefix. Out-of-order
@@ -223,40 +182,16 @@ impl PartialSumCache {
     /// entry was evicted mid-run) are dropped — the cache only ever
     /// holds contiguous prefixes.
     pub(crate) fn record(&mut self, key: u128, level: usize, sum: LevelSum) {
-        if self.capacity == 0 {
-            return;
+        match self.0.touch(key) {
+            Some(levels) if levels.len() == level => levels.push(sum),
+            Some(_) => {}
+            None if level == 0 => self.0.insert(key, vec![sum]),
+            None => {}
         }
-        self.tick += 1;
-        if let Some((levels, tick)) = self.entries.get_mut(&key) {
-            if levels.len() == level {
-                levels.push(sum);
-            }
-            *tick = self.tick;
-            return;
-        }
-        if level != 0 {
-            return;
-        }
-        if self.entries.len() >= self.capacity {
-            let oldest = self
-                .entries
-                .iter()
-                .min_by_key(|(_, (_, tick))| *tick)
-                .map(|(k, _)| *k);
-            if let Some(oldest) = oldest {
-                self.entries.remove(&oldest);
-                self.evictions.inc();
-            }
-        }
-        self.entries.insert(key, (vec![sum], self.tick));
     }
 
     pub(crate) fn counters(&self) -> CacheCounters {
-        CacheCounters {
-            hits: self.hits.get(),
-            misses: self.misses.get(),
-            evictions: self.evictions.get(),
-        }
+        self.0.counters()
     }
 }
 
@@ -320,7 +255,7 @@ impl RefineShared {
         self.advanced.notify_all();
     }
 
-    /// Marks the refinement finished and wakes every waiter. Returns
+    /// Marks the refinement finished, wakes every waiter, and returns
     /// whether *this* call performed the transition.
     ///
     /// **First finish wins**: the watchdog and the executing worker
@@ -328,19 +263,12 @@ impl RefineShared {
     /// while the worker is mid-level); whichever gets here first sets
     /// the terminal state and later calls are no-ops, so a refinement
     /// finishes exactly once and a timeout verdict is never
-    /// overwritten by the worker's eventual "stopped" bookkeeping. The
-    /// return value lets the winner alone record terminal counters and
-    /// journal events.
-    pub(crate) fn finish(&self, error: Option<QnsError>, cancelled: bool) -> bool {
-        self.finish_with(error, cancelled, || {})
-    }
-
-    /// [`RefineShared::finish`] that runs `bookkeeping` under the
-    /// progress lock, after winning but *before* waiters can observe
-    /// completion: anyone unblocked by this finish is guaranteed to
-    /// also see the winner's counters and journal events (the journal
-    /// lock is innermost, so recording here is legal). Losers never
-    /// run it.
+    /// overwritten by the worker's eventual "stopped" bookkeeping.
+    /// `bookkeeping` runs under the progress lock, after winning but
+    /// *before* waiters can observe completion: anyone unblocked by
+    /// this finish is guaranteed to also see the winner's counters and
+    /// journal events (the journal lock is innermost, so recording
+    /// here is legal). Losers never run it.
     pub(crate) fn finish_with(
         &self,
         error: Option<QnsError>,
@@ -675,7 +603,7 @@ mod tests {
 
     #[test]
     fn partial_sum_cache_keeps_contiguous_prefixes() {
-        let mut cache = PartialSumCache::new(2);
+        let mut cache = PartialSumCache(LruCache::new(2));
         let sum = |v: f64| LevelSum {
             contribution: v,
             patterns: 1,

@@ -1,35 +1,47 @@
 //! The concurrent expectation-value service.
 //!
 //! A [`Service`] owns a pool of worker threads, a bounded submission
-//! queue, an LRU result cache and a single-flight table. Submissions
-//! go through [`Service::submit`] and come back as [`JobHandle`]s —
-//! lightweight futures resolved by whichever worker runs (or whichever
-//! cache entry already answers) the job.
+//! queue, an LRU result cache, a partial-sum cache and a single-flight
+//! table. One-shot jobs ([`Service::submit`]) come back as
+//! [`JobHandle`]s, anytime refinements ([`Service::submit_refine`]) as
+//! [`RefinementHandle`]s — lightweight futures resolved by whichever
+//! worker runs the job (or whichever cache entry already answers it).
 //!
-//! Concurrency protocol, in submission order under one state lock:
+//! Every submission follows one lifecycle, whatever its kind:
 //!
-//! 1. **Single-flight join** — an identical (fingerprint + route) job
-//!    already queued or running hands back a handle to the *same*
-//!    flight: N concurrent submissions of one job cost exactly one
-//!    backend execution. Joins happen before (and without) a cache
-//!    probe, so they never count against the cache hit rate.
-//! 2. **Cache probe** — a completed identical job answers immediately
-//!    from the LRU cache.
-//! 3. **Enqueue** — otherwise the job registers as the flight owner
-//!    and joins the bounded queue (submission blocks while the queue
-//!    is at capacity — backpressure, not unbounded memory).
+//! 1. **Submit** — the kind's own front, under the state lock. A
+//!    one-shot job joins an identical (fingerprint + route) job that is
+//!    already queued or running, so N concurrent submissions cost one
+//!    backend execution; joins never probe the cache, so they never
+//!    count against its hit rate. Otherwise a completed identical job
+//!    answers from the result cache. A refinement checks its term
+//!    budget and prices its deadline level against the cached level
+//!    prefix.
+//! 2. **Admit** — admission control sheds work above the shed
+//!    pressure (a refinement first degrades to a shallower first level
+//!    between the two thresholds); the submitter then waits for queue
+//!    space (backpressure, not unbounded memory) and re-checks shutdown
+//!    after the wait.
+//! 3. **Queue** — the job gets its id, its journal events and its
+//!    deadline, and joins the bounded queue.
+//! 4. **Stop check** — a worker dequeues it. A job stopped while it
+//!    queued (its deadline fired, or the refinement was cancelled or
+//!    abandoned) ends here, before any set-up or cache probe.
+//! 5. **Run** — route-execute-retry for a one-shot job, the level loop
+//!    for a refinement, with panics contained.
+//! 6. **Resolve** — the flight or refinement stream completes
+//!    first-writer-wins against the deadline watchdog; only the winner
+//!    records the terminal bookkeeping.
 //!
-//! A key is never in the single-flight table and the cache at once:
-//! workers insert the result and retire the flight under one lock, and
-//! a flight only registers after a cache miss.
-//!
-//! Anytime refinements ([`Service::submit_refine`]) share the same
-//! bounded queue and worker pool but deliberately **not** the result
-//! cache or single-flight table: a refinement's product is a *stream*
-//! of per-level estimates, cached level-by-level in the partial-sum
-//! cache under [`qns_api::partial_sum_key`]-derived keys (disjoint
-//! from the `route/…` result-cache keys), never as a single
-//! [`Estimate`]. See [`crate::refine`] for the deadline/level model.
+//! A result-cache key is never in the single-flight table and the cache
+//! at once: workers insert the result and retire the flight under one
+//! lock, and a flight only registers after a cache miss. Refinements
+//! share the queue and workers but not the result cache or the
+//! single-flight table: their product is a stream of per-level
+//! estimates, cached level by level under
+//! [`qns_api::partial_sum_key`]-derived keys (disjoint from the
+//! `route/…` result-cache keys). See [`crate::refine`] for the
+//! deadline/level model.
 
 use crate::breaker::{BreakerPolicy, CircuitBreaker};
 use crate::cache::LruCache;
@@ -256,16 +268,12 @@ impl Flight {
     /// watchdog may race to resolve the same flight (the deadline
     /// fires while the backend is mid-execution); the loser's result
     /// is dropped, so every handle observes exactly one result.
-    /// Returns whether this call was the resolving one.
-    fn try_fill(&self, result: Result<Estimate, QnsError>) -> bool {
-        self.try_fill_with(result, || {})
-    }
-
-    /// [`Flight::try_fill`] that runs `bookkeeping` under the slot
-    /// lock, after winning but *before* the result becomes observable:
-    /// a waiter that sees the resolution is guaranteed to also see the
-    /// winner's counters and journal events (the journal lock is
-    /// innermost, so recording here is legal). Losers never run it.
+    /// `bookkeeping` runs under the slot lock, after winning but
+    /// *before* the result becomes observable: a waiter that sees the
+    /// resolution is guaranteed to also see the winner's counters and
+    /// journal events (the journal lock is innermost, so recording
+    /// here is legal). Losers never run it. Returns whether this call
+    /// was the resolving one.
     fn try_fill_with(
         &self,
         result: Result<Estimate, QnsError>,
@@ -279,14 +287,6 @@ impl Flight {
         *slot = Some(result);
         self.done.notify_all();
         true
-    }
-
-    /// [`Flight::try_fill`] for paths with a single possible writer
-    /// (submission-side rejections), where losing the race would be a
-    /// protocol bug.
-    fn fill(&self, result: Result<Estimate, QnsError>) {
-        let filled = self.try_fill(result);
-        debug_assert!(filled, "a flight resolves exactly once");
     }
 
     fn wait(&self) -> Result<Estimate, QnsError> {
@@ -436,48 +436,45 @@ impl ServiceStats {
     }
 }
 
-/// One queued unit of work: a one-shot expectation job or an anytime
-/// refinement.
-enum Work {
-    Expect(Task),
-    Refine(RefineTask),
-}
-
-/// One queued expectation job.
-struct Task {
-    key: u128,
-    route: Route,
-    spec: JobSpec,
-    flight: Arc<Flight>,
-    /// Set by the deadline watchdog when it resolves the flight with
-    /// [`QnsError::Timeout`]: workers skip execution of a job that
-    /// timed out while queued and stop retrying one that timed out
-    /// mid-backoff.
-    timed_out: Arc<AtomicBool>,
+/// One queued submission. Both kinds share one lifecycle (see the
+/// module docs); only their execution bodies differ.
+struct Job {
     /// Per-submission id tying the job's journal events together.
     job_id: u64,
     /// Service-clock timestamp of acceptance; queue wait and
     /// end-to-end latency both measure from here (acceptance and
     /// enqueue happen under one lock hold).
     submitted_micros: u64,
+    spec: JobSpec,
+    /// Set by the deadline watchdog, by [`RefinementHandle::cancel`]
+    /// or when the last refinement handle drops. A job stopped while
+    /// queued never starts; a running one-shot job stops retrying, a
+    /// running refinement stops at its next level boundary.
+    stop: Arc<AtomicBool>,
+    kind: Kind,
 }
 
-/// One queued anytime refinement (see [`crate::refine`]).
-struct RefineTask {
-    /// Partial-sum cache key ([`partial_sum_key`] of the spec's
-    /// fingerprint).
-    key: u128,
-    spec: JobSpec,
-    /// The deadline level promised to the caller; escalation past it
-    /// is best-effort (it stops early on cancel or shutdown).
-    first_level: usize,
-    final_level: usize,
-    shared: Arc<RefineShared>,
-    cancel: Arc<AtomicBool>,
-    /// See [`Task::job_id`].
-    job_id: u64,
-    /// See [`Task::submitted_micros`].
-    submitted_micros: u64,
+/// What a [`Job`] computes and where its result goes.
+#[derive(Clone)]
+enum Kind {
+    /// A one-shot expectation: the result fills `flight` and, on
+    /// success, the result cache under `key`.
+    Expect {
+        key: u128,
+        route: Route,
+        flight: Arc<Flight>,
+    },
+    /// An anytime refinement (see [`crate::refine`]): levels stream
+    /// through `progress` and into the partial-sum cache under `key`.
+    /// `first_level` is the deadline level promised to the caller;
+    /// escalation past it up to `final_level` is best-effort (it stops
+    /// early on cancel or shutdown).
+    Refine {
+        key: u128,
+        first_level: usize,
+        final_level: usize,
+        progress: Arc<RefineShared>,
+    },
 }
 
 /// Everything behind the service's single state lock. Workers hold the
@@ -485,7 +482,7 @@ struct RefineTask {
 /// runs. Counters live in the metrics registry ([`crate::obs::Obs`]),
 /// not here: [`ServiceStats`] is a view over that registry.
 struct State {
-    queue: VecDeque<Work>,
+    queue: VecDeque<Job>,
     cache: LruCache,
     #[expect(
         clippy::disallowed_types,
@@ -502,6 +499,12 @@ struct State {
 }
 
 impl State {
+    /// Admission pressure of one more job of estimated cost `cost`:
+    /// `(queue depth + 1) × cost`.
+    fn pressure(&self, cost: u128) -> u128 {
+        (self.queue.len() as u128 + 1).saturating_mul(cost.max(1))
+    }
+
     /// Folds one fresh level's throughput into the deadline-conversion
     /// EWMA (α = 0.3; the first sample seeds it).
     fn observe_refine_rate(&mut self, patterns: usize, seconds: f64) {
@@ -517,35 +520,21 @@ impl State {
     }
 }
 
-/// What the deadline watchdog resolves when an entry expires.
-enum WatchdogTarget {
-    /// One expectation flight: resolve with [`QnsError::Timeout`]
-    /// (first writer wins against the executing worker) and retire the
-    /// single-flight entry so later submissions re-execute.
-    Expect {
-        key: u128,
-        flight: Arc<Flight>,
-        timed_out: Arc<AtomicBool>,
-    },
-    /// One refinement: request cooperative cancellation at the next
-    /// level boundary and finish the progress stream with
-    /// [`QnsError::Timeout`] — already-published levels stay readable
-    /// (anytime semantics: a timed-out refinement still answers at the
-    /// deepest level it reached, bound attached).
-    Refine {
-        shared: Arc<RefineShared>,
-        cancel: Arc<AtomicBool>,
-    },
-}
-
-/// One armed deadline.
+/// One armed deadline. On expiry the watchdog sets `stop` and resolves
+/// the job with [`QnsError::Timeout`], first writer wins against the
+/// executing worker: a one-shot flight is filled and its single-flight
+/// entry retired (so later submissions re-execute); a refinement stream
+/// is finished, and its already-published levels stay readable (a
+/// timed-out refinement still answers at the deepest level it reached,
+/// bound attached).
 struct WatchdogEntry {
     /// Service-clock expiry.
     deadline_micros: u64,
     /// The budget the job was given (for the error/journal).
     budget_micros: u64,
     job_id: u64,
-    target: WatchdogTarget,
+    stop: Arc<AtomicBool>,
+    kind: Kind,
 }
 
 struct Shared {
@@ -586,6 +575,17 @@ impl Shared {
         self.state.lock_or_recover()
     }
 
+    /// The state lock, or [`QnsError::InvalidJob`] once shutdown began.
+    fn lock_open(&self) -> Result<OrderedMutexGuard<'_, State>, QnsError> {
+        let state = self.lock();
+        if state.shutdown {
+            return Err(QnsError::InvalidJob {
+                reason: "service has shut down".into(),
+            });
+        }
+        Ok(state)
+    }
+
     /// Arms a deadline. Called with **no** other lock held (the
     /// watchdog lock is outermost in the declared order).
     fn arm_deadline(&self, entry: WatchdogEntry) {
@@ -596,8 +596,13 @@ impl Shared {
     /// The routed cost estimate deadlines and admission pressure scale
     /// with: the pinned engine's cost hint for fixed routes, the
     /// cheapest feasible hint for Auto. `0` when no engine offers a
-    /// model — the policy then degrades to its flat base behavior.
-    fn cost_estimate(&self, job: &ExpectationJob<'_>, route: Route) -> u128 {
+    /// model — the policy then degrades to its flat base behavior — and
+    /// when neither policy is installed, since nothing reads it then.
+    fn cost_estimate(&self, spec: &JobSpec, route: Route) -> u128 {
+        if self.admission.is_none() && self.timeout.is_none() {
+            return 0;
+        }
+        let job = &spec.job();
         match route {
             Route::Fixed(name) => self
                 .engines
@@ -897,15 +902,10 @@ impl Service {
     pub fn submit_routed(&self, spec: &JobSpec, route: Route) -> Result<JobHandle, QnsError> {
         let key = route.cache_key(spec.fingerprint);
         let obs = &self.shared.obs;
-        let mut state = self.shared.lock();
-        if state.shutdown {
-            return Err(QnsError::InvalidJob {
-                reason: "service has shut down".into(),
-            });
-        }
-        // `submitted` counts *accepted* submissions only, so each of
-        // the three accept paths below bumps it — never a rejection
-        // (including the post-backpressure shutdown rejection).
+        let mut state = self.shared.lock_open()?;
+        // `submitted` counts *accepted* submissions only, so each
+        // accept path (join, cache hit, enqueue) bumps it — never a
+        // rejection.
         // Submit-path events are recorded while the state lock is held
         // (the journal lock is innermost), so a racing worker's
         // `Dequeued` can never precede this submission's `Enqueued` in
@@ -941,92 +941,16 @@ impl Service {
                 flight: Flight::resolved(Ok(est)),
             });
         }
-        // 3. Admission control (only for work that would actually
-        //    consume a worker: joins and cache hits above are free and
-        //    must never shed). Expectation jobs have no level lever,
-        //    so the only admission verdict here is shed-or-accept.
-        let cost = self.shared.admission.map(|adm| {
-            let c = self.shared.cost_estimate(&spec.job(), route);
-            (adm, c)
-        });
-        if let Some((adm, cost)) = cost {
-            let pressure = (state.queue.len() as u128 + 1).saturating_mul(cost.max(1));
-            if pressure >= adm.shed_pressure {
-                let queue_depth = state.queue.len();
-                let job_id = obs.job_id();
-                obs.shed.inc();
-                obs.record(
-                    job_id,
-                    EventKind::Shed {
-                        queue_depth: u32::try_from(queue_depth).unwrap_or(u32::MAX),
-                    },
-                );
-                return Err(QnsError::Overloaded { queue_depth });
-            }
-        }
-        // 4. First submission: own the flight, enter the bounded queue.
+        // 3. First submission: own a new flight and take the shared
+        //    admit-and-enqueue path.
+        let cost = self.shared.cost_estimate(spec, route);
         let flight = Flight::pending();
-        state.inflight.insert(key, Arc::clone(&flight));
-        while state.queue.len() >= self.shared.queue_capacity && !state.shutdown {
-            state = self.shared.space.wait(state);
-        }
-        // The shutdown check must come AFTER the wait loop, not only
-        // inside it: workers may drain the queue and exit (observing
-        // `shutdown && queue empty`) between our wake-up and
-        // reacquiring the lock, in which case the queue has space but a
-        // pushed task would never run. Other submissions may have
-        // dedup-joined this flight while we waited — resolve it with
-        // the shutdown error before abandoning it, or their handles
-        // would hang forever.
-        if state.shutdown {
-            let err = QnsError::InvalidJob {
-                reason: "service shut down while awaiting queue space".into(),
-            };
-            flight.fill(Err(err.clone()));
-            state.inflight.remove(&key);
-            return Err(err);
-        }
-        let job_id = obs.job_id();
-        obs.submitted.inc();
-        let now = obs.now_micros();
-        obs.mark_submit(now);
-        let timed_out = Arc::new(AtomicBool::new(false));
-        state.queue.push_back(Work::Expect(Task {
+        let kind = Kind::Expect {
             key,
             route,
-            spec: spec.clone(),
             flight: Arc::clone(&flight),
-            timed_out: Arc::clone(&timed_out),
-            job_id,
-            submitted_micros: now,
-        }));
-        let depth = state.queue.len();
-        obs.queue_depth.set(depth as i64);
-        obs.record(job_id, EventKind::Submitted);
-        obs.record(
-            job_id,
-            EventKind::Enqueued {
-                queue_depth: u32::try_from(depth).unwrap_or(u32::MAX),
-            },
-        );
-        drop(state);
-        self.shared.work.notify_one();
-        // Deadline armed AFTER the state lock is released: the
-        // watchdog table is outermost in the lock order, so it is
-        // never acquired while `serve.state` is held.
-        if let Some(tp) = &self.shared.timeout {
-            let budget = tp.budget_micros(self.shared.cost_estimate(&spec.job(), route));
-            self.shared.arm_deadline(WatchdogEntry {
-                deadline_micros: now.saturating_add(budget),
-                budget_micros: budget,
-                job_id,
-                target: WatchdogTarget::Expect {
-                    key,
-                    flight: Arc::clone(&flight),
-                    timed_out,
-                },
-            });
-        }
+        };
+        self.enqueue(state, spec, cost, kind, None)?;
         Ok(JobHandle { flight })
     }
 
@@ -1054,59 +978,35 @@ impl Service {
         let opts = self.shared.refine_opts;
         let n = spec.noisy().noise_count();
         // Deepest level the options' term budget allows at all.
-        let mut feasible = None;
-        for level in 0..=n {
-            if qns_core::bounds::planned_patterns(n, level) <= opts.max_terms {
-                feasible = Some(level);
-            } else {
-                break;
-            }
-        }
-        let Some(feasible_cap) = feasible else {
-            return Err(QnsError::TermBudgetExceeded {
+        let feasible_cap = (0..=n)
+            .take_while(|&level| qns_core::bounds::planned_patterns(n, level) <= opts.max_terms)
+            .last()
+            .ok_or(QnsError::TermBudgetExceeded {
                 level: 0,
                 planned: 1,
                 max_terms: opts.max_terms,
-            });
-        };
+            })?;
         let final_level = req.max_level.unwrap_or(n).min(n).min(feasible_cap);
         let key = partial_sum_key(spec.fingerprint()).as_u128();
-        let cancel = Arc::new(AtomicBool::new(false));
-        let progress = Arc::new(RefineShared::default());
 
-        let mut state = self.shared.lock();
-        if state.shutdown {
-            return Err(QnsError::InvalidJob {
-                reason: "service has shut down".into(),
-            });
-        }
+        let state = self.shared.lock_open()?;
         // Deadline level: cached levels are free, so pricing happens
         // against the cache as it stands at submission time.
         let cached_levels = state.partial.peek_len(key);
         let budget = req.resolved_budget(state.refine_rate_pps);
         let requested_level = deadline_level(n, final_level, cached_levels, budget);
+        // The full Theorem-1 pattern plan prices admission pressure and
+        // the deadline, so deeper refinements earn proportionally more
+        // time.
+        let cost = qns_core::bounds::planned_patterns(n, final_level);
         let mut first_level = requested_level;
         // Admission control: between the two pressure thresholds the
         // refinement is admitted at a shallower first level — the
         // Theorem-1 bound still holds at the served level, so the
         // degraded answer is worse only in tightness, never in
-        // validity. Above the shed threshold it is rejected outright.
+        // validity. Above the shed threshold `enqueue` rejects it.
         if let Some(adm) = &self.shared.admission {
-            let cost = qns_core::bounds::planned_patterns(n, final_level);
-            let pressure = (state.queue.len() as u128 + 1).saturating_mul(cost.max(1));
-            if pressure >= adm.shed_pressure {
-                let queue_depth = state.queue.len();
-                let obs = &self.shared.obs;
-                let job_id = obs.job_id();
-                obs.shed.inc();
-                obs.record(
-                    job_id,
-                    EventKind::Shed {
-                        queue_depth: u32::try_from(queue_depth).unwrap_or(u32::MAX),
-                    },
-                );
-                return Err(QnsError::Overloaded { queue_depth });
-            }
+            let pressure = state.pressure(cost);
             if pressure >= adm.degrade_pressure {
                 // Overload factor ≥ 2: the budget shrinks in
                 // proportion to how far past the threshold we are.
@@ -1118,55 +1018,125 @@ impl Service {
                 first_level = deadline_level(n, final_level, cached_levels, scaled);
             }
         }
-        while state.queue.len() >= self.shared.queue_capacity && !state.shutdown {
-            state = self.shared.space.wait(state);
+        let degraded = (first_level < requested_level).then(|| EventKind::Degraded {
+            requested_level: u32::try_from(requested_level).unwrap_or(u32::MAX),
+            served_level: u32::try_from(first_level).unwrap_or(u32::MAX),
+        });
+        let progress = Arc::new(RefineShared::default());
+        let kind = Kind::Refine {
+            key,
+            first_level,
+            final_level,
+            progress: Arc::clone(&progress),
+        };
+        let stop = self.enqueue(state, spec, cost, kind, degraded)?;
+        Ok(RefinementHandle::new(
+            progress,
+            stop,
+            first_level,
+            final_level,
+        ))
+    }
+
+    /// The admit-and-enqueue path of every submission that needs a
+    /// worker, entered with the state lock held: the shed check, the
+    /// backpressure wait, the shutdown re-check, the job id and
+    /// counters, the journal, the push, the worker wake-up and the
+    /// deadline. `cost` prices the admission pressure and the deadline
+    /// budget; `degraded` is the `Degraded` event of a refinement
+    /// admitted at a shallower first level. Returns the job's stop flag.
+    fn enqueue(
+        &self,
+        mut state: OrderedMutexGuard<'_, State>,
+        spec: &JobSpec,
+        cost: u128,
+        kind: Kind,
+        degraded: Option<EventKind>,
+    ) -> Result<Arc<AtomicBool>, QnsError> {
+        let shared = &*self.shared;
+        let obs = &shared.obs;
+        // Only work that would consume a worker reaches admission
+        // control: joins and cache hits are free and never shed.
+        if shared
+            .admission
+            .is_some_and(|adm| state.pressure(cost) >= adm.shed_pressure)
+        {
+            let queue_depth = state.queue.len();
+            let job_id = obs.job_id();
+            obs.shed.inc();
+            obs.record(
+                job_id,
+                EventKind::Shed {
+                    queue_depth: u32::try_from(queue_depth).unwrap_or(u32::MAX),
+                },
+            );
+            return Err(QnsError::Overloaded { queue_depth });
         }
-        // Same post-backpressure re-check as submit_routed: workers may
-        // have drained and exited while we waited for space.
+        // A one-shot job owns its flight from here on, so identical
+        // submissions join it even while this one waits for space.
+        if let Kind::Expect { key, flight, .. } = &kind {
+            state.inflight.insert(*key, Arc::clone(flight));
+        }
+        while state.queue.len() >= shared.queue_capacity && !state.shutdown {
+            state = shared.space.wait(state);
+        }
+        // The shutdown check must come AFTER the wait loop, not only
+        // inside it: workers may drain the queue and exit (observing
+        // `shutdown && queue empty`) between our wake-up and
+        // reacquiring the lock, in which case the queue has space but a
+        // pushed job would never run. Other submissions may have
+        // dedup-joined a one-shot flight while we waited — resolve it
+        // with the shutdown error before abandoning it, or their
+        // handles would hang forever.
         if state.shutdown {
             let err = QnsError::InvalidJob {
                 reason: "service shut down while awaiting queue space".into(),
             };
-            progress.finish(Some(err.clone()), false);
+            if let Kind::Expect { key, flight, .. } = &kind {
+                let filled = flight.try_fill_with(Err(err.clone()), || {});
+                debug_assert!(filled, "only the submitter can resolve an unqueued flight");
+                state.inflight.remove(key);
+            }
             return Err(err);
         }
-        let obs = &self.shared.obs;
         let job_id = obs.job_id();
         obs.submitted.inc();
-        obs.refinements.inc();
-        obs.refine_active.inc();
-        if first_level < requested_level {
+        let refine_submitted = match &kind {
+            Kind::Expect { .. } => None,
+            Kind::Refine {
+                first_level,
+                final_level,
+                ..
+            } => {
+                obs.refinements.inc();
+                obs.refine_active.inc();
+                Some(EventKind::RefineSubmitted {
+                    first_level: u32::try_from(*first_level).unwrap_or(u32::MAX),
+                    final_level: u32::try_from(*final_level).unwrap_or(u32::MAX),
+                })
+            }
+        };
+        if let Some(event) = degraded {
             obs.degraded.inc();
-            obs.record(
-                job_id,
-                EventKind::Degraded {
-                    requested_level: u32::try_from(requested_level).unwrap_or(u32::MAX),
-                    served_level: u32::try_from(first_level).unwrap_or(u32::MAX),
-                },
-            );
+            obs.record(job_id, event);
         }
         let now = obs.now_micros();
         obs.mark_submit(now);
-        state.queue.push_back(Work::Refine(RefineTask {
-            key,
-            spec: spec.clone(),
-            first_level,
-            final_level,
-            shared: Arc::clone(&progress),
-            cancel: Arc::clone(&cancel),
+        let stop = Arc::new(AtomicBool::new(false));
+        let watched = shared.timeout.map(|tp| (tp, kind.clone()));
+        state.queue.push_back(Job {
             job_id,
             submitted_micros: now,
-        }));
+            spec: spec.clone(),
+            stop: Arc::clone(&stop),
+            kind,
+        });
         let depth = state.queue.len();
         obs.queue_depth.set(depth as i64);
         obs.record(job_id, EventKind::Submitted);
-        obs.record(
-            job_id,
-            EventKind::RefineSubmitted {
-                first_level: u32::try_from(first_level).unwrap_or(u32::MAX),
-                final_level: u32::try_from(final_level).unwrap_or(u32::MAX),
-            },
-        );
+        if let Some(event) = refine_submitted {
+            obs.record(job_id, event);
+        }
         obs.record(
             job_id,
             EventKind::Enqueued {
@@ -1174,28 +1144,21 @@ impl Service {
             },
         );
         drop(state);
-        self.shared.work.notify_one();
-        // Same post-release deadline arming as `submit_routed`; the
-        // cost estimate is the refinement's full Theorem-1 pattern
-        // plan, so deeper refinements earn proportionally more time.
-        if let Some(tp) = &self.shared.timeout {
-            let budget = tp.budget_micros(qns_core::bounds::planned_patterns(n, final_level));
-            self.shared.arm_deadline(WatchdogEntry {
+        shared.work.notify_one();
+        // Deadline armed AFTER the state lock is released: the
+        // watchdog table is outermost in the lock order, so it is
+        // never acquired while `serve.state` is held.
+        if let Some((tp, kind)) = watched {
+            let budget = tp.budget_micros(cost);
+            shared.arm_deadline(WatchdogEntry {
                 deadline_micros: now.saturating_add(budget),
                 budget_micros: budget,
                 job_id,
-                target: WatchdogTarget::Refine {
-                    shared: Arc::clone(&progress),
-                    cancel: Arc::clone(&cancel),
-                },
+                stop: Arc::clone(&stop),
+                kind,
             });
         }
-        Ok(RefinementHandle::new(
-            progress,
-            cancel,
-            first_level,
-            final_level,
-        ))
+        Ok(stop)
     }
 
     /// The options every refinement runs under (see
@@ -1348,18 +1311,18 @@ impl Drop for Service {
     }
 }
 
-/// One worker: pop, route, execute (lock released), record, resolve.
-/// On shutdown the loop drains the queue before exiting, so every
-/// accepted submission resolves.
+/// One worker: pop a job and run it (lock released). On shutdown the
+/// loop drains the queue before exiting, so every accepted submission
+/// resolves.
 fn worker_loop(shared: &Shared) {
     loop {
-        let work = {
+        let job = {
             let mut state = shared.lock();
             loop {
-                if let Some(work) = state.queue.pop_front() {
+                if let Some(job) = state.queue.pop_front() {
                     shared.obs.queue_depth.set(state.queue.len() as i64);
                     shared.space.notify_one();
-                    break Some(work);
+                    break Some(job);
                 }
                 if state.shutdown {
                     break None;
@@ -1367,15 +1330,109 @@ fn worker_loop(shared: &Shared) {
                 state = shared.work.wait(state);
             }
         };
-        match work {
-            Some(Work::Expect(task)) => run_expectation(shared, task),
-            Some(Work::Refine(task)) => run_refinement(shared, task),
+        match job {
+            Some(job) => run_job(shared, job),
             None => return,
         }
     }
 }
 
-/// Removes `task`'s single-flight entry iff it still owns it. The
+/// The one run wrapper: records the queue wait, ends a job stopped
+/// while queued before any set-up or cache probe, runs the kind's body
+/// with panics contained, and resolves through the kind's
+/// first-writer-wins completion — only the winner records the
+/// end-to-end latency and `Resolved`.
+fn run_job(shared: &Shared, job: Job) {
+    let obs = &shared.obs;
+    let wait_micros = obs.now_micros().saturating_sub(job.submitted_micros);
+    obs.queue_wait.record(wait_micros);
+    obs.record(
+        job.job_id,
+        EventKind::Dequeued {
+            queue_wait_micros: wait_micros,
+        },
+    );
+    // Stopped while queued: the deadline fired (the watchdog already
+    // resolved the job) or every refinement handle was cancelled or
+    // dropped. Nothing is built, probed or executed.
+    let stopped = job.stop.load(Ordering::Acquire);
+    let resolved = |ok: bool| {
+        let now = obs.now_micros();
+        obs.e2e.record(now.saturating_sub(job.submitted_micros));
+        obs.mark_resolve(now);
+        obs.record(job.job_id, EventKind::Resolved { ok });
+    };
+    match &job.kind {
+        Kind::Expect { key, route, flight } => {
+            let result = (!stopped)
+                .then(|| contain("job", || execute(shared, &job, *route)).and_then(|r| r));
+            {
+                let mut state = shared.lock();
+                if let Some(Ok(est)) = &result {
+                    state.cache.insert(*key, est.clone());
+                }
+                retire_flight(&mut state, *key, flight);
+            }
+            // A job stopped while queued was resolved by the watchdog.
+            // On a lost race the watchdog resolved (and journaled) the
+            // flight as timed out mid-execution; the late result was
+            // still cached above.
+            if let Some(result) = result {
+                let ok = result.is_ok();
+                flight.try_fill_with(result, || resolved(ok));
+            }
+        }
+        Kind::Refine {
+            key,
+            first_level,
+            final_level,
+            progress,
+        } => {
+            let outcome = if stopped {
+                Ok(true)
+            } else {
+                contain("refinement", || {
+                    refine(shared, &job, *key, *first_level, *final_level, progress)
+                })
+                .and_then(|r| r)
+            };
+            let (error, cancelled) = match outcome {
+                Ok(cancelled) => (None, cancelled),
+                Err(e) => (Some(e), false),
+            };
+            // Retire the gauge BEFORE publishing completion: anyone who
+            // observes the refinement as done (via a handle wait) must
+            // also observe `refine_active` already decremented.
+            obs.refine_active.dec();
+            let ok = error.is_none();
+            // When the deadline watchdog finished the stream first, it
+            // already journaled `TimedOut` + `Resolved`, and a
+            // cooperative cancel-on-timeout must not also count as a
+            // user cancellation.
+            progress.finish_with(error, cancelled, || {
+                if cancelled {
+                    obs.refine_cancelled.inc();
+                }
+                resolved(ok);
+            });
+        }
+    }
+}
+
+/// Runs `body`, turning a panic into [`QnsError::ExecutionPanicked`].
+/// A panic (custom engines arrive through
+/// [`ServiceBuilder::with_engine`]) must not kill the worker: that would
+/// strand the job — every handle would hang forever — and silently
+/// shrink the pool.
+fn contain<T>(what: &str, body: impl FnOnce() -> T) -> Result<T, QnsError> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(body)).map_err(|payload| {
+        QnsError::ExecutionPanicked {
+            reason: format!("{what} panicked: {}", panic_reason(payload.as_ref())),
+        }
+    })
+}
+
+/// Removes `key`'s single-flight entry iff `flight` still owns it. The
 /// watchdog retires entries for timed-out jobs (so later submissions
 /// re-execute), after which the same key may belong to a *newer*
 /// flight — which must not be clobbered by this worker's cleanup.
@@ -1390,12 +1447,12 @@ fn retire_flight(state: &mut State, key: u128, flight: &Arc<Flight>) {
 }
 
 /// Sleeps out a retry backoff in small slices, aborting early on
-/// shutdown or when the job's deadline fired. Returns whether the full
-/// backoff elapsed (i.e. the retry should proceed).
-fn backoff_sleep(shared: &Shared, task: &Task, micros: u64) -> bool {
+/// shutdown or when the job was stopped (its deadline fired). Returns
+/// whether the full backoff elapsed (i.e. the retry should proceed).
+fn backoff_sleep(shared: &Shared, stop: &AtomicBool, micros: u64) -> bool {
     let mut remaining = micros;
     loop {
-        if shared.stopping.load(Ordering::Acquire) || task.timed_out.load(Ordering::Acquire) {
+        if shared.stopping.load(Ordering::Acquire) || stop.load(Ordering::Acquire) {
             return false;
         }
         if remaining == 0 {
@@ -1407,27 +1464,12 @@ fn backoff_sleep(shared: &Shared, task: &Task, micros: u64) -> bool {
     }
 }
 
-/// Executes one expectation task: route (around open breakers and
-/// already-failed engines), execute (lock released), retry retryable
-/// failures under the retry policy, record, resolve.
-fn run_expectation(shared: &Shared, task: Task) {
+/// The one-shot body: route (around open breakers and already-failed
+/// engines), execute, and retry retryable failures under the retry
+/// policy. Each attempt is contained on its own, so a panicking engine
+/// is a failed (retryable) attempt that feeds its breaker.
+fn execute(shared: &Shared, job: &Job, route: Route) -> Result<Estimate, QnsError> {
     let obs = &shared.obs;
-    let wait_micros = obs.now_micros().saturating_sub(task.submitted_micros);
-    obs.queue_wait.record(wait_micros);
-    obs.record(
-        task.job_id,
-        EventKind::Dequeued {
-            queue_wait_micros: wait_micros,
-        },
-    );
-    if task.timed_out.load(Ordering::Acquire) {
-        // The deadline fired while the job was still queued: the
-        // watchdog already resolved the flight, so there is nothing
-        // left to execute — just drop our (already-retired) ownership.
-        let mut state = shared.lock();
-        retire_flight(&mut state, task.key, &task.flight);
-        return;
-    }
     let max_attempts = shared.retry.map_or(1, |r| r.max_attempts.max(1));
     // Engines that failed this job (Auto failover skips them on the
     // next attempt; the router falls back if they were the only
@@ -1435,19 +1477,14 @@ fn run_expectation(shared: &Shared, task: Task) {
     let mut failed: Vec<usize> = Vec::new();
     let mut prev_engine: Option<&'static str> = None;
     let mut attempt = 0u32;
-    let result = loop {
+    loop {
         attempt += 1;
         let mut routed_idx: Option<usize> = None;
         let mut routed_name: Option<&'static str> = None;
-        // A panicking backend (custom engines arrive through
-        // `ServiceBuilder::with_engine`) must not kill the worker:
-        // that would strand the flight — every joined handle would
-        // hang in `wait()` forever — and silently shrink the pool.
-        // Contain it and treat it as a (retryable) failed attempt.
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let job = task.spec.job();
+        let outcome = contain("backend", || {
+            let spec_job = job.spec.job();
             let now = obs.now_micros();
-            let pick = route_job_masked(&shared.engines, &job, task.route, |i| {
+            let pick = route_job_masked(&shared.engines, &spec_job, route, |i| {
                 !failed.contains(&i) && shared.breakers[i].candidate(now)
             });
             match pick {
@@ -1459,11 +1496,11 @@ fn run_expectation(shared: &Shared, task: Task) {
                     // trial on this attempt.
                     shared.breakers[idx].begin_attempt(now);
                     obs.record(
-                        task.job_id,
+                        job.job_id,
                         EventKind::Routed {
                             engine: engine.name(),
                             cost: engine
-                                .cost_hint(&job)
+                                .cost_hint(&spec_job)
                                 .map_or(u64::MAX, |c| u64::try_from(c).unwrap_or(u64::MAX)),
                         },
                     );
@@ -1471,7 +1508,7 @@ fn run_expectation(shared: &Shared, task: Task) {
                         if prev != engine.name() {
                             obs.failovers.inc();
                             obs.record(
-                                task.job_id,
+                                job.job_id,
                                 EventKind::FailedOver {
                                     from: prev,
                                     to: engine.name(),
@@ -1479,20 +1516,13 @@ fn run_expectation(shared: &Shared, task: Task) {
                             );
                         }
                     }
-                    let (result, seconds) = time_it(|| engine.expectation(&job));
+                    let (result, seconds) = time_it(|| engine.expectation(&spec_job));
                     (result, Some((engine.name(), seconds)))
                 }
                 Err(e) => (Err(e), None),
             }
-        }));
-        let (attempt_result, executed_on) = outcome.unwrap_or_else(|payload| {
-            (
-                Err(QnsError::ExecutionPanicked {
-                    reason: format!("backend panicked: {}", panic_reason(payload.as_ref())),
-                }),
-                None,
-            )
         });
+        let (attempt_result, executed_on) = outcome.unwrap_or_else(|err| (Err(err), None));
         if let Some((name, seconds)) = executed_on {
             let micros = (seconds * 1e6) as u64;
             obs.executed.inc();
@@ -1501,7 +1531,7 @@ fn run_expectation(shared: &Shared, task: Task) {
                 handles.micros.add(micros);
             }
             obs.record(
-                task.job_id,
+                job.job_id,
                 EventKind::Executed {
                     engine: name,
                     micros,
@@ -1517,59 +1547,40 @@ fn run_expectation(shared: &Shared, task: Task) {
                 Err(_) => shared.breakers[idx].on_failure(obs.now_micros()),
             }
         }
-        match attempt_result {
-            Ok(est) => break Ok(est),
-            Err(err) => {
-                if attempt >= max_attempts
-                    || !err.is_retryable()
-                    || task.timed_out.load(Ordering::Acquire)
-                    || shared.stopping.load(Ordering::Acquire)
-                {
-                    break Err(err);
-                }
-                if let Some(idx) = routed_idx {
-                    if !failed.contains(&idx) {
-                        failed.push(idx);
-                    }
-                }
-                prev_engine = routed_name.or(prev_engine);
-                let backoff = shared
-                    .retry
-                    .map_or(0, |r| r.backoff_micros(attempt, task.job_id));
-                obs.retries.inc();
-                obs.record(
-                    task.job_id,
-                    EventKind::Retried {
-                        attempt: attempt + 1,
-                        backoff_micros: backoff,
-                    },
-                );
-                if !backoff_sleep(shared, &task, backoff) {
-                    // Shutdown or deadline interrupted the backoff:
-                    // resolve with the last error instead of retrying.
-                    break Err(err);
-                }
+        let err = match attempt_result {
+            Ok(est) => return Ok(est),
+            Err(err) => err,
+        };
+        if attempt >= max_attempts
+            || !err.is_retryable()
+            || job.stop.load(Ordering::Acquire)
+            || shared.stopping.load(Ordering::Acquire)
+        {
+            return Err(err);
+        }
+        if let Some(idx) = routed_idx {
+            if !failed.contains(&idx) {
+                failed.push(idx);
             }
         }
-    };
-
-    {
-        let mut state = shared.lock();
-        if let Ok(est) = &result {
-            state.cache.insert(task.key, est.clone());
+        prev_engine = routed_name.or(prev_engine);
+        let backoff = shared
+            .retry
+            .map_or(0, |r| r.backoff_micros(attempt, job.job_id));
+        obs.retries.inc();
+        obs.record(
+            job.job_id,
+            EventKind::Retried {
+                attempt: attempt + 1,
+                backoff_micros: backoff,
+            },
+        );
+        if !backoff_sleep(shared, &job.stop, backoff) {
+            // Shutdown or deadline interrupted the backoff: resolve
+            // with the last error instead of retrying.
+            return Err(err);
         }
-        retire_flight(&mut state, task.key, &task.flight);
     }
-    let ok = result.is_ok();
-    task.flight.try_fill_with(result, || {
-        let now = obs.now_micros();
-        obs.e2e.record(now.saturating_sub(task.submitted_micros));
-        obs.mark_resolve(now);
-        obs.record(task.job_id, EventKind::Resolved { ok });
-    });
-    // On a lost race the watchdog already resolved (and journaled) the
-    // flight as timed out mid-execution; the late result was still
-    // cached above.
 }
 
 /// The deadline watchdog: scans the armed-deadline table, fires every
@@ -1638,15 +1649,12 @@ fn fire_deadline(shared: &Shared, entry: WatchdogEntry) {
         obs.mark_resolve(obs.now_micros());
         obs.record(entry.job_id, EventKind::Resolved { ok: false });
     };
-    match entry.target {
-        WatchdogTarget::Expect {
-            key,
-            flight,
-            timed_out,
-        } => {
-            // Flag first: workers skip executing a job that timed out
-            // while queued and abandon retry backoffs in progress.
-            timed_out.store(true, Ordering::Release);
+    // Stop first: a worker skips a job that timed out while queued,
+    // abandons a retry backoff in progress, and stops a refinement at
+    // its next level boundary.
+    entry.stop.store(true, Ordering::Release);
+    match entry.kind {
+        Kind::Expect { key, flight, .. } => {
             // Retire the single-flight entry (if this flight still
             // owns it) so later identical submissions re-execute
             // instead of joining a timed-out verdict.
@@ -1656,13 +1664,11 @@ fn fire_deadline(shared: &Shared, entry: WatchdogEntry) {
             }
             flight.try_fill_with(Err(timeout), bookkeeping);
         }
-        WatchdogTarget::Refine { shared, cancel } => {
-            // Cooperative: the worker stops at the next level
-            // boundary; levels already published stay readable
-            // (anytime semantics — the caller still gets the deepest
+        Kind::Refine { progress, .. } => {
+            // Levels already published stay readable (anytime
+            // semantics — the caller still gets the deepest
             // Theorem-1-bounded answer the budget paid for).
-            cancel.store(true, Ordering::Relaxed);
-            shared.finish_with(Some(timeout), false, bookkeeping);
+            progress.finish_with(Some(timeout), false, bookkeeping);
         }
     }
 }
@@ -1675,68 +1681,30 @@ fn panic_reason(payload: &(dyn std::any::Any + Send)) -> String {
         .unwrap_or_else(|| "non-string panic payload".into())
 }
 
-/// Executes one refinement: install the cached level prefix, compute
-/// the remaining levels up to `final_level`, publish each completed
-/// level, and stop at a level boundary on cancel — or, once the
+/// The refinement body: install the cached level prefix, compute the
+/// remaining levels up to `final_level`, publish each completed level,
+/// and stop at a level boundary when the job is stopped — or, once the
 /// promised `first_level` is in, on shutdown (the deadline answer is
 /// honoured even while draining; escalation past it is best-effort).
-fn run_refinement(shared: &Shared, task: RefineTask) {
-    let obs = &shared.obs;
-    let wait_micros = obs.now_micros().saturating_sub(task.submitted_micros);
-    obs.queue_wait.record(wait_micros);
-    obs.record(
-        task.job_id,
-        EventKind::Dequeued {
-            queue_wait_micros: wait_micros,
-        },
-    );
-    // Same containment rationale as `run_expectation`: a panic must
-    // resolve the progress state, not strand every handle.
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        run_refinement_inner(shared, &task)
-    }));
-    let (error, cancelled) = match outcome {
-        Ok(Ok(cancelled)) => (None, cancelled),
-        Ok(Err(e)) => (Some(e), false),
-        Err(payload) => (
-            Some(QnsError::ExecutionPanicked {
-                reason: format!("refinement panicked: {}", panic_reason(payload.as_ref())),
-            }),
-            false,
-        ),
-    };
-    // Retire the gauge BEFORE publishing completion: anyone who
-    // observes the refinement as done (via a handle wait) must also
-    // observe `refine_active` already decremented.
-    obs.refine_active.dec();
-    let ok = error.is_none();
-    // Only a winning finish records the terminal bookkeeping: when the
-    // deadline watchdog finished the stream first, it already journaled
-    // `TimedOut` + `Resolved`, and a cooperative cancel-on-timeout must
-    // not also count as a user cancellation.
-    task.shared.finish_with(error, cancelled, || {
-        if cancelled {
-            obs.refine_cancelled.inc();
-        }
-        let now = obs.now_micros();
-        obs.e2e.record(now.saturating_sub(task.submitted_micros));
-        obs.mark_resolve(now);
-        obs.record(task.job_id, EventKind::Resolved { ok });
-    });
-}
-
-/// The refinement loop proper; returns whether it stopped on a cancel.
-fn run_refinement_inner(shared: &Shared, task: &RefineTask) -> Result<bool, QnsError> {
-    let job = task.spec.job();
-    let mut refinement = Refinement::new(&job, &shared.refine_opts)?;
-    let cached = shared.lock().partial.probe(task.key);
+/// Returns whether it stopped on the stop flag.
+fn refine(
+    shared: &Shared,
+    job: &Job,
+    key: u128,
+    first_level: usize,
+    final_level: usize,
+    progress: &RefineShared,
+) -> Result<bool, QnsError> {
+    let spec_job = job.spec.job();
+    let mut refinement = Refinement::new(&spec_job, &shared.refine_opts)?;
+    let cached = shared.lock().partial.probe(key);
     let mut total_seconds = 0.0;
     let mut cancelled = false;
-    while refinement.next_level() <= task.final_level {
+    while refinement.next_level() <= final_level {
         let reached_first = refinement
             .completed_level()
-            .is_some_and(|c| c >= task.first_level);
-        if task.cancel.load(Ordering::Relaxed) {
+            .is_some_and(|c| c >= first_level);
+        if job.stop.load(Ordering::Acquire) {
             cancelled = true;
             break;
         }
@@ -1744,25 +1712,12 @@ fn run_refinement_inner(shared: &Shared, task: &RefineTask) -> Result<bool, QnsE
             break;
         }
         let level = refinement.next_level();
-        if level < cached.len() {
+        let from_cache = level < cached.len();
+        let (partial, micros) = if from_cache {
             let partial =
                 refinement.install_level(cached[level].contribution, cached[level].patterns)?;
-            let estimate = refinement.estimate_for(&partial);
             shared.obs.refine_from_cache.inc();
-            shared.obs.record(
-                task.job_id,
-                EventKind::RefineLevel {
-                    level: u32::try_from(level).unwrap_or(u32::MAX),
-                    patterns: partial.level_patterns as u64,
-                    micros: 0,
-                    from_cache: true,
-                },
-            );
-            task.shared.publish(RefinementUpdate {
-                partial,
-                estimate,
-                from_cache: true,
-            });
+            (partial, 0)
         } else {
             // Chaos hook: an injected `refine.advance` fault fails the
             // level outright (Trip) or stalls it (Sleep). No plan
@@ -1780,19 +1735,17 @@ fn run_refinement_inner(shared: &Shared, task: &RefineTask) -> Result<bool, QnsE
             let partial = result?;
             total_seconds += seconds;
             let micros = (seconds * 1e6) as u64;
-            let estimate = refinement.estimate_for(&partial);
             // A level whose wall time was stalled by an injected fault
             // — or that a timeout/cancel interrupted mid-flight — is
             // not a throughput signal: feeding it into the
             // deadline-conversion EWMA would poison every later
             // deadline → level conversion toward absurdly shallow
             // answers. (Failed levels never get here: `?` above.)
-            let poisoned =
-                !matches!(fault, FaultAction::None) || task.cancel.load(Ordering::Relaxed);
+            let poisoned = !matches!(fault, FaultAction::None) || job.stop.load(Ordering::Acquire);
             {
                 let mut state = shared.lock();
                 state.partial.record(
-                    task.key,
+                    key,
                     level,
                     LevelSum {
                         contribution: partial.level_contribution,
@@ -1813,21 +1766,23 @@ fn run_refinement_inner(shared: &Shared, task: &RefineTask) -> Result<bool, QnsE
             }
             shared.obs.refine_level_micros.record(micros);
             shared.obs.refine_level_counter(level).inc();
-            shared.obs.record(
-                task.job_id,
-                EventKind::RefineLevel {
-                    level: u32::try_from(level).unwrap_or(u32::MAX),
-                    patterns: partial.level_patterns as u64,
-                    micros,
-                    from_cache: false,
-                },
-            );
-            task.shared.publish(RefinementUpdate {
-                partial,
-                estimate,
-                from_cache: false,
-            });
-        }
+            (partial, micros)
+        };
+        let estimate = refinement.estimate_for(&partial);
+        shared.obs.record(
+            job.job_id,
+            EventKind::RefineLevel {
+                level: u32::try_from(level).unwrap_or(u32::MAX),
+                patterns: partial.level_patterns as u64,
+                micros,
+                from_cache,
+            },
+        );
+        progress.publish(RefinementUpdate {
+            partial,
+            estimate,
+            from_cache,
+        });
     }
     if let Some(handles) = shared.obs.backends.get("refine") {
         handles.jobs.inc();

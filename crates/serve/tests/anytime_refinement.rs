@@ -353,6 +353,10 @@ fn explicit_cancel_stops_the_refinement_before_it_starts() {
     assert_eq!(stats.refine_cancelled, 1);
     assert_eq!(stats.refine_levels_completed.values().sum::<u64>(), 0);
     assert!(stats.refine_high_water >= 1);
+    assert_eq!(
+        stats.partial_cache.misses, 0,
+        "a stopped job probes nothing"
+    );
 }
 
 #[test]
@@ -374,4 +378,8 @@ fn dropping_every_handle_cancels_the_refinement() {
     let stats = service.stats();
     assert_eq!(stats.refine_cancelled, 1, "abandoned refinement cancelled");
     assert_eq!(stats.refine_levels_completed.values().sum::<u64>(), 0);
+    assert_eq!(
+        stats.partial_cache.misses, 0,
+        "a stopped job probes nothing"
+    );
 }

@@ -46,10 +46,18 @@ impl ProductState {
     ///
     /// Panics if `bits ≥ 2^n`.
     pub fn basis(n: usize, bits: usize) -> Self {
-        assert!(bits < (1usize << n), "bit pattern out of range");
+        // `bits >> shift` for any shift: a bit beyond `usize::BITS` is 0
+        // (`n` may exceed the word size; the paper runs 225 qubits).
+        let shr = |shift: usize| {
+            u32::try_from(shift)
+                .ok()
+                .and_then(|s| bits.checked_shr(s))
+                .unwrap_or(0)
+        };
+        assert!(shr(n) == 0, "bit pattern out of range");
         let factors = (0..n)
             .map(|q| {
-                if (bits >> (n - 1 - q)) & 1 == 1 {
+                if shr(n - 1 - q) & 1 == 1 {
                     [Complex64::ZERO, Complex64::ONE]
                 } else {
                     [Complex64::ONE, Complex64::ZERO]
@@ -530,6 +538,25 @@ mod tests {
         assert_eq!(v.len(), 8);
         assert_eq!(v[0b101], Complex64::ONE);
         assert_eq!(v.iter().filter(|z| **z != Complex64::ZERO).count(), 1);
+    }
+
+    #[test]
+    fn basis_reads_bits_from_the_last_qubit_for_any_width() {
+        for n in [1usize, 63, 64, 65, 70, 225] {
+            let patterns = [0, 1, 0b10_0001, (1 << 62) | (1 << 5) | 1, usize::MAX];
+            for bits in patterns.into_iter().filter(|&b| n >= 64 || b >> n == 0) {
+                let state = ProductState::basis(n, bits);
+                let excited: Vec<usize> = (0..n)
+                    .filter(|&q| state.factor(q) == [Complex64::ZERO, Complex64::ONE])
+                    .collect();
+                let expected: Vec<usize> = (0..n.min(64))
+                    .filter(|&k| (bits >> k) & 1 == 1)
+                    .map(|k| n - 1 - k)
+                    .rev()
+                    .collect();
+                assert_eq!(excited, expected, "n = {n}, bits = {bits:#x}");
+            }
+        }
     }
 
     #[test]
