@@ -392,20 +392,12 @@ impl Backend for TddBackend {
 /// Exact contraction of the paper's double-size tensor network.
 #[non_exhaustive]
 #[derive(Clone, Copy, Debug, Default)]
-pub struct TnetBackend {
-    strategy: OrderStrategy,
-}
+pub struct TnetBackend;
 
 impl TnetBackend {
     /// A tensor-network backend with the greedy contraction order.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Returns a copy with the contraction-order strategy set.
-    pub fn with_strategy(mut self, strategy: OrderStrategy) -> Self {
-        self.strategy = strategy;
-        self
+        TnetBackend
     }
 }
 
@@ -419,7 +411,7 @@ impl Backend for TnetBackend {
             job.noisy(),
             job.initial().product(),
             job.observable().product(),
-            self.strategy,
+            OrderStrategy::Greedy,
         );
         Ok(Estimate::exact(value, self.name()))
     }

@@ -62,4 +62,3 @@ pub use qns_core::ApproxOptions;
 pub use qns_noise::QnsError;
 pub use qns_sim::trajectory::SamplingStrategy;
 pub use qns_tnet::builder::ProductState;
-pub use qns_tnet::network::OrderStrategy;

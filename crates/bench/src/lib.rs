@@ -3,10 +3,10 @@
 //! Shared infrastructure for the experiment harnesses.
 //!
 //! Each paper table/figure has a binary in `src/bin` (`table2`,
-//! `table3`, `table4`, `fig4`, `fig5`, `fig6`); Criterion micro/macro
-//! benchmarks live in `benches/`. This library provides the common
-//! pieces: the scaled benchmark-circuit registry, timing helpers and
-//! plain-text table rendering.
+//! `table3`, `table4`, `fig4`, `fig5`, `fig6`), and `contract_bench`
+//! times the contraction kernels and plan replays. This library
+//! provides the common pieces: the scaled benchmark-circuit registry,
+//! timing helpers and plain-text table rendering.
 
 pub mod registry;
 pub mod timing;

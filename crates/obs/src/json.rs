@@ -1,8 +1,8 @@
 //! A minimal hand-rolled JSON reader (the workspace vendors no serde).
 //!
 //! Just enough to re-read the deterministic documents this crate's own
-//! exporters write — used by the export round-trip tests and by
-//! `serve_bench --smoke` to assert the dumped snapshot parses and
+//! exporters write — used by the export round-trip tests and by the
+//! serve tests that assert a service's dumped snapshot parses and
 //! covers the catalog. Numbers are held as `f64`, which is exact for
 //! the integer magnitudes the exporters emit (all ≤ 2^53).
 

@@ -39,10 +39,8 @@
 //! exports the whole catalog (Prometheus text or JSON via
 //! [`qns_obs::export`]), and [`Service::drain_events`] returns the
 //! bounded journal of per-job lifecycle timelines (submit → route →
-//! queue → execute/refine → resolve). The `serve_bench` and
-//! `anytime_bench` harnesses turn these into `BENCH_serve.json` /
-//! `BENCH_anytime.json`; see `docs/OBSERVABILITY.md` for the metric
-//! catalog and determinism rules.
+//! queue → execute/refine → resolve). See `docs/OBSERVABILITY.md` for
+//! the metric catalog and determinism rules.
 //!
 //! # Example
 //!

@@ -36,109 +36,126 @@ fn spec() -> JobSpec {
     ))
 }
 
+/// The same circuit with thermal-relaxation sites, whose Kraus rank is
+/// 3: a level runs `C(N,u)·2^u` patterns, fewer than the Theorem-1
+/// count `C(N,u)·3^u` that admission prices. At rank 4 the two agree,
+/// so only this input tells them apart.
+fn thermal_spec() -> JobSpec {
+    let spec = JobSpec::zeros(NoisyCircuit::inject_random(
+        ghz(3),
+        &channels::thermal_relaxation(30.0, 40.0, 25.0),
+        4,
+        13,
+    ));
+    assert_eq!(qns_core::site_ranks(spec.noisy()), vec![3; 4]);
+    spec
+}
+
 fn n_sites(spec: &JobSpec) -> usize {
     spec.noisy().noise_count()
 }
 
 #[test]
 fn tight_budget_answers_early_and_escalations_match_fresh_runs_bitwise() {
-    let service = ServiceBuilder::new().workers(1).build();
-    let spec = spec();
-    let n = n_sites(&spec);
+    for spec in [spec(), thermal_spec()] {
+        let service = ServiceBuilder::new().workers(1).build();
+        let n = n_sites(&spec);
 
-    // Budget covers exactly levels 0..=1 (1 + 3n = 13 patterns).
-    let req = RefineRequest::new().with_pattern_budget(bounds::planned_patterns(n, 1));
-    let handle = service.submit_refine(&spec, &req).unwrap();
-    assert_eq!(handle.first_level(), 1);
-    assert_eq!(handle.final_level(), n);
+        // Budget covers exactly levels 0..=1 (1 + 3n = 13 patterns).
+        let req = RefineRequest::new().with_pattern_budget(bounds::planned_patterns(n, 1));
+        let handle = service.submit_refine(&spec, &req).unwrap();
+        assert_eq!(handle.first_level(), 1);
+        assert_eq!(handle.final_level(), n);
 
-    // The deadline answer arrives at level 1 with its Theorem-1 bound,
-    // and `patterns_done` proves no level-2 pattern was executed for
-    // it.
-    let first = handle.wait_first().unwrap();
-    assert_eq!(first.partial.level, 1);
-    assert_eq!(
-        first.partial.patterns_done as u128,
-        bounds::planned_patterns(n, 1)
-    );
-    assert!(first.estimate.error_bound.is_some());
-    assert_eq!(first.estimate.level, Some(1));
-    assert!(!first.estimate.is_exact());
-
-    // Every escalated level is bit-identical to a fresh full run at
-    // that level under the same options.
-    for level in 0..=n {
-        let update = handle.wait_level(level).unwrap();
-        let direct = ApproxBackend::level(level)
-            .expectation(&spec.job())
-            .unwrap();
+        // The deadline answer arrives at level 1 with its Theorem-1
+        // bound, and `patterns_done` — the rank-aware count of levels
+        // 0..=1 — proves no level-2 pattern was executed for it.
+        let first = handle.wait_first().unwrap();
+        assert_eq!(first.partial.level, 1);
         assert_eq!(
-            update.estimate.value.to_bits(),
-            direct.value.to_bits(),
-            "level {level} must match a fresh run bitwise"
+            first.partial.patterns_done as u128,
+            bounds::planned_patterns_for_ranks(&qns_core::site_ranks(spec.noisy()), 1)
         );
-        assert_eq!(update.estimate.error_bound, direct.error_bound);
-    }
+        assert!(first.estimate.error_bound.is_some());
+        assert_eq!(first.estimate.level, Some(1));
+        assert!(!first.estimate.is_exact());
 
-    // The final update carries the full sum, exactly.
-    let last = handle.wait_final().unwrap();
-    assert_eq!(last.partial.level, n);
-    assert!(last.estimate.is_exact());
+        // Every escalated level is bit-identical to a fresh full run at
+        // that level under the same options.
+        for level in 0..=n {
+            let update = handle.wait_level(level).unwrap();
+            let direct = ApproxBackend::level(level)
+                .expectation(&spec.job())
+                .unwrap();
+            assert_eq!(
+                update.estimate.value.to_bits(),
+                direct.value.to_bits(),
+                "level {level} must match a fresh run bitwise"
+            );
+            assert_eq!(update.estimate.error_bound, direct.error_bound);
+        }
 
-    // Theorem-1 bounds tighten monotonically across the stream.
-    let updates = handle.updates();
-    assert_eq!(updates.len(), n + 1);
-    for pair in updates.windows(2) {
-        assert!(pair[1].partial.theorem1_bound <= pair[0].partial.theorem1_bound);
+        // The final update carries the full sum, exactly.
+        let last = handle.wait_final().unwrap();
+        assert_eq!(last.partial.level, n);
+        assert!(last.estimate.is_exact());
+
+        // Theorem-1 bounds tighten monotonically across the stream.
+        let updates = handle.updates();
+        assert_eq!(updates.len(), n + 1);
+        for pair in updates.windows(2) {
+            assert!(pair[1].partial.theorem1_bound <= pair[0].partial.theorem1_bound);
+        }
+        // Zero up to the fp residue of the bound's difference of
+        // near-equal products.
+        assert!(updates[n].partial.theorem1_bound <= 1e-9);
     }
-    // Zero up to the fp residue of the bound's difference of
-    // near-equal products.
-    assert!(updates[n].partial.theorem1_bound <= 1e-9);
 }
 
 #[test]
 fn resubmission_resumes_from_the_partial_sum_cache_bitwise() {
-    let service = ServiceBuilder::new().workers(1).build();
-    let spec = spec();
-    let n = n_sites(&spec);
+    for spec in [spec(), thermal_spec()] {
+        let service = ServiceBuilder::new().workers(1).build();
+        let n = n_sites(&spec);
 
-    // First pass computes everything fresh.
-    let fresh = service.submit_refine(&spec, &RefineRequest::new()).unwrap();
-    let fresh_updates = {
-        fresh.wait_final().unwrap();
-        fresh.updates()
-    };
-    assert!(fresh_updates.iter().all(|u| !u.from_cache));
+        // First pass computes everything fresh.
+        let fresh = service.submit_refine(&spec, &RefineRequest::new()).unwrap();
+        let fresh_updates = {
+            fresh.wait_final().unwrap();
+            fresh.updates()
+        };
+        assert!(fresh_updates.iter().all(|u| !u.from_cache));
 
-    // Second pass: even a zero pattern budget affords the final level,
-    // because every level replays for free from the cache.
-    let resumed = service
-        .submit_refine(&spec, &RefineRequest::new().with_pattern_budget(0))
-        .unwrap();
-    assert_eq!(resumed.first_level(), n, "cached levels are free");
-    let resumed_updates = {
-        resumed.wait_final().unwrap();
-        resumed.updates()
-    };
-    assert_eq!(resumed_updates.len(), n + 1);
-    for (a, b) in fresh_updates.iter().zip(&resumed_updates) {
-        assert!(b.from_cache);
-        assert_eq!(
-            a.estimate.value.to_bits(),
-            b.estimate.value.to_bits(),
-            "resumed level {} must be bit-identical",
-            b.partial.level
-        );
+        // Second pass: even a zero pattern budget affords the final
+        // level, because every level replays for free from the cache.
+        let resumed = service
+            .submit_refine(&spec, &RefineRequest::new().with_pattern_budget(0))
+            .unwrap();
+        assert_eq!(resumed.first_level(), n, "cached levels are free");
+        let resumed_updates = {
+            resumed.wait_final().unwrap();
+            resumed.updates()
+        };
+        assert_eq!(resumed_updates.len(), n + 1);
+        for (a, b) in fresh_updates.iter().zip(&resumed_updates) {
+            assert!(b.from_cache);
+            assert_eq!(
+                a.estimate.value.to_bits(),
+                b.estimate.value.to_bits(),
+                "resumed level {} must be bit-identical",
+                b.partial.level
+            );
+        }
+
+        let stats = service.stats();
+        assert_eq!(stats.refinements, 2);
+        assert_eq!(stats.partial_cache.hits, 1, "second run resumed");
+        assert_eq!(stats.partial_cache.misses, 1, "first run found nothing");
+        assert_eq!(stats.refine_levels_from_cache, (n + 1) as u64);
+        let fresh_levels: u64 = stats.refine_levels_completed.values().sum();
+        assert_eq!(fresh_levels, (n + 1) as u64, "each level computed once");
+        assert!(stats.partial_cache_hit_rate() > 0.0);
     }
-
-    let stats = service.stats();
-    assert_eq!(stats.refinements, 2);
-    assert_eq!(stats.partial_cache.hits, 1, "second run resumed");
-    assert_eq!(stats.partial_cache.misses, 1, "first run found nothing");
-    assert_eq!(stats.refine_levels_from_cache, (n + 1) as u64);
-    let fresh_levels: u64 = stats.refine_levels_completed.values().sum();
-    assert_eq!(fresh_levels, (n + 1) as u64, "each level computed once");
-    assert!(stats.partial_cache_hit_rate() > 0.0);
 }
 
 #[test]

@@ -209,6 +209,15 @@ fn seeded_chaos_resolves_every_handle_exactly_once() {
         let stats = service.stats();
         assert_eq!(stats.inflight, 0, "seed {seed}: leaked flight entries");
         assert_eq!(stats.submitted, 24);
+        // Injected errors and panics must reach the recovery machinery
+        // (seed 1 fires only a delay, which no policy here reacts to).
+        let failures = plan.fired(Failpoint::BackendError) + plan.fired(Failpoint::BackendPanic);
+        if failures > 0 {
+            assert!(
+                stats.retries + stats.timeouts > 0,
+                "seed {seed}: {failures} injected failures never reached the recovery machinery"
+            );
+        }
         // Stats reconcile with the metrics registry they view.
         let snap = service.metrics_snapshot();
         assert_eq!(

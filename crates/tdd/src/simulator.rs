@@ -72,40 +72,30 @@ pub fn expectation(noisy: &NoisyCircuit, psi: &[[Complex64; 2]], v: &[[Complex64
     man.scalar_value(scalar).re
 }
 
-/// Convenience: all-`|0⟩` product factors.
-pub fn zeros(n: usize) -> Vec<[Complex64; 2]> {
-    vec![[Complex64::ONE, Complex64::ZERO]; n]
-}
-
-/// Convenience: computational basis factors for `bits` (qubit 0 is the
-/// most significant bit).
-///
-/// # Panics
-///
-/// Panics if `bits ≥ 2^n`.
-pub fn basis(n: usize, bits: usize) -> Vec<[Complex64; 2]> {
-    assert!(bits < (1usize << n), "bit pattern out of range");
-    (0..n)
-        .map(|q| {
-            if (bits >> (n - 1 - q)) & 1 == 1 {
-                [Complex64::ZERO, Complex64::ONE]
-            } else {
-                [Complex64::ONE, Complex64::ZERO]
-            }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use qns_circuit::generators::{ghz, inst_grid, qaoa_ring, QaoaRound};
     use qns_noise::channels;
 
+    /// Computational basis factors for `bits` on the small widths used
+    /// here (qubit 0 is the most significant bit).
+    fn basis(n: usize, bits: usize) -> Vec<[Complex64; 2]> {
+        (0..n)
+            .map(|q| {
+                if (bits >> (n - 1 - q)) & 1 == 1 {
+                    [Complex64::ZERO, Complex64::ONE]
+                } else {
+                    [Complex64::ONE, Complex64::ZERO]
+                }
+            })
+            .collect()
+    }
+
     #[test]
     fn noiseless_ghz_probabilities() {
         let noisy = NoisyCircuit::noiseless(ghz(4));
-        let psi = zeros(4);
+        let psi = basis(4, 0);
         let p000 = expectation(&noisy, &psi, &basis(4, 0));
         let p111 = expectation(&noisy, &psi, &basis(4, 0b1111));
         let p_mid = expectation(&noisy, &psi, &basis(4, 0b0101));
@@ -122,7 +112,7 @@ mod tests {
             ("thermal", channels::thermal_relaxation(30.0, 40.0, 200.0)),
         ] {
             let noisy = NoisyCircuit::inject_random(ghz(3), &ch, 3, 13);
-            let psi_dd = zeros(3);
+            let psi_dd = basis(3, 0);
             let v_dd = basis(3, 0b111);
             let dd = expectation(&noisy, &psi_dd, &v_dd);
 
@@ -141,7 +131,7 @@ mod tests {
         }];
         let c = qaoa_ring(4, &rounds);
         let noisy = NoisyCircuit::inject_random(c, &channels::depolarizing(0.01), 4, 21);
-        let dd = expectation(&noisy, &zeros(4), &basis(4, 0));
+        let dd = expectation(&noisy, &basis(4, 0), &basis(4, 0));
         let mm = qns_sim::density::expectation(
             &noisy,
             &qns_sim::statevector::zero_state(4),
@@ -154,7 +144,7 @@ mod tests {
     fn matches_dense_on_supremacy() {
         let c = inst_grid(2, 2, 6, 8);
         let noisy = NoisyCircuit::inject_random(c, &channels::phase_damping(0.05), 2, 3);
-        let dd = expectation(&noisy, &zeros(4), &basis(4, 0b1001));
+        let dd = expectation(&noisy, &basis(4, 0), &basis(4, 0b1001));
         let mm = qns_sim::density::expectation(
             &noisy,
             &qns_sim::statevector::zero_state(4),
@@ -166,7 +156,7 @@ mod tests {
     #[test]
     fn trace_preserved_on_diagram() {
         let noisy = NoisyCircuit::inject_random(ghz(3), &channels::depolarizing(0.2), 4, 5);
-        let (man, rho) = run(&noisy, &zeros(3));
+        let (man, rho) = run(&noisy, &basis(3, 0));
         let m = man.to_matrix(rho);
         assert!((m.trace().re - 1.0).abs() < 1e-10);
         assert!(m.is_hermitian(1e-10));
@@ -178,7 +168,7 @@ mod tests {
         // (the DD success regime the paper's Table II reflects for hf).
         let n = 8;
         let noisy = NoisyCircuit::inject_random(ghz(n), &channels::phase_flip(0.01), 1, 2);
-        let (man, rho) = run(&noisy, &zeros(n));
+        let (man, rho) = run(&noisy, &basis(n, 0));
         assert!(
             man.node_count(rho) < 8 * n,
             "GHZ density DD too large: {}",

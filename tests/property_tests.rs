@@ -2,6 +2,7 @@
 //! channels and states.
 
 use proptest::prelude::*;
+use qns::api::{InitialState, Observable};
 use qns::circuit::{Circuit, Gate};
 use qns::core::approx::{approximate_expectation, ApproxOptions};
 use qns::core::bounds::level_patterns_for_ranks;
@@ -187,8 +188,8 @@ proptest! {
         );
         let dd = qns::tdd::expectation(
             &noisy,
-            &qns::tdd::simulator::zeros(3),
-            &qns::tdd::simulator::basis(3, v_bits),
+            &InitialState::zeros(3).factors(),
+            &Observable::basis(3, v_bits).factors(),
         );
         prop_assert!((mm - dd).abs() < 1e-8, "mm {} vs dd {}", mm, dd);
     }
