@@ -66,7 +66,16 @@
 //! run to run and process to process, unlike the µs, so they carry the
 //! gate.
 //!
-//! Ten invariants are *asserted* on every run (and gate CI via
+//! A seventh section compares the two **schedules of the level sums**
+//! on the registry circuits (and, outside `--smoke`, the `deep_sum`
+//! jobs at their levels), one thread, per level: every pattern
+//! delta-replayed on its own (the schedule the evaluator retired),
+//! against `LevelEvaluator`'s one delta replay and one environment
+//! sweep per parent pattern. It reports each schedule's exact kernel
+//! steps and `Σ m·k·n`, its median µs per level, and the bytes a sweep
+//! adds to a worker's workspace, under `"sweeps"`.
+//!
+//! Eleven invariants are *asserted* on every run (and gate CI via
 //! `--smoke`); 1–4 on every timed pass:
 //!
 //! 1. reference and compiled paths produce **bit-identical** pattern
@@ -88,7 +97,10 @@
 //!     node**: the order search and the lowering together at most once
 //!     per node on every workload, and `LevelEvaluator::new` at most 5
 //!     times per node on networks of at least 80 nodes. The counts
-//!     must also repeat exactly across the section's repeats.
+//!     must also repeat exactly across the section's repeats, and
+//! 11. both level-sum schedules' step and `m·k·n` counts **repeat
+//!     exactly** from pass to pass, and their level sums **agree to
+//!     1e-12 relative**.
 
 use qns_bench::registry::{full_set, smoke_set, BenchCircuit, Family};
 use qns_bench::timing::time_it;
@@ -715,6 +727,173 @@ fn setup_row(name: String, circuit: &qns_circuit::Circuit, noises: usize, seed: 
     }
 }
 
+/// Level of each `deep_sum` job in the sweeps section, in
+/// [`DEEP_SUM_SETUPS`] order.
+const DEEP_SUM_LEVELS: [usize; 5] = [3, 3, 3, 2, 3];
+
+/// Level of the registry workloads in the sweeps section.
+const SWEEP_REGISTRY_LEVEL: usize = 3;
+
+/// One level of one schedule in the sweeps section: its exact kernel
+/// steps and `Σ m·k·n`, its median µs and its level sum.
+#[derive(Clone, Copy, Debug, Default)]
+struct ScheduleLevel {
+    steps: usize,
+    flops: u128,
+    us: f64,
+    sum: f64,
+}
+
+/// The sweeps section's row of one job: per level, the per-pattern
+/// schedule and the parent-plus-sweep schedule.
+struct SweepRow {
+    name: String,
+    patterns: Vec<usize>,
+    per_pattern: Vec<ScheduleLevel>,
+    sweeps: Vec<ScheduleLevel>,
+    /// Bytes an environment sweep adds to a worker's workspace.
+    sweep_bytes: usize,
+}
+
+/// Runs one job's levels `0..=level` both ways, [`REPLAY_PASSES`] timed
+/// passes after an untimed one, each on a fresh workspace and
+/// evaluator. The per-pattern schedule delta-replays every pattern of
+/// the rank-aware Gray stream through the evaluator's own plan; the
+/// parent-plus-sweep schedule is `LevelEvaluator` on one thread. Both
+/// schedules' step and `m·k·n` counts must repeat exactly from pass to
+/// pass, and their level sums agree to 1e-12 relative (invariant 11).
+fn sweep_row(
+    name: String,
+    circuit: &qns_circuit::Circuit,
+    sites: usize,
+    seed: u64,
+    level: usize,
+) -> SweepRow {
+    let channel = channels::thermal_relaxation(30.0, 40.0, 25.0);
+    let noisy = NoisyCircuit::inject_random(circuit.clone(), &channel, sites, seed);
+    let n = noisy.n_qubits();
+    let (psi, v) = (ProductState::all_zeros(n), ProductState::basis(n, 0));
+    let placeholders: Vec<Insertion> = noisy
+        .events()
+        .iter()
+        .map(|e| Insertion {
+            after_gate: e.after_gate,
+            qubit: e.qubit,
+            matrix: Matrix::identity(2),
+        })
+        .collect();
+    let mut skel = AmplitudeSkeleton::new(noisy.circuit(), &psi, &v, &placeholders, false);
+    let svds: Vec<NoiseSvd> = noisy
+        .events()
+        .iter()
+        .map(|e| NoiseSvd::decompose(&e.kraus))
+        .collect();
+    let ranks: Vec<usize> = svds.iter().map(NoiseSvd::rank).collect();
+    let payloads: Vec<[Tensor; 4]> = svds
+        .iter()
+        .map(|s| std::array::from_fn(|t| Tensor::from_matrix(s.term(t).0)))
+        .collect();
+    let varying: Vec<usize> = (0..sites).map(|i| skel.insertion_slot(i)).collect();
+    let replays = qns_core::planned_patterns_for_ranks(&ranks, 1);
+    let (plan, _) = skel.network().plan_for_replay(&varying, replays);
+    let exec = plan.compile_for_replay(skel.network(), &varying);
+    let levels = level.min(sites);
+    let patterns: Vec<usize> = (0..=levels)
+        .map(|u| qns_core::level_patterns_for_ranks(&ranks, u) as usize)
+        .collect();
+    let opts = ApproxOptions::default().with_level(levels);
+
+    let mut times = vec![(Vec::new(), Vec::new()); levels + 1];
+    let mut counted: Option<(Vec<ScheduleLevel>, Vec<ScheduleLevel>)> = None;
+    for pass in 0..=REPLAY_PASSES {
+        let mut ws = Workspace::for_plan(&exec);
+        let mut current = vec![usize::MAX; sites];
+        let mut dirty = Vec::new();
+        let mut pattern = vec![0usize; sites];
+        let mut per_pattern = vec![ScheduleLevel::default(); levels + 1];
+        for (u, row) in per_pattern.iter_mut().enumerate() {
+            let ((sum, steps, flops), seconds) = time_it(|| {
+                let (mut sum, mut steps, mut flops) = (0.0, 0, 0);
+                let mut stream = GrayPatternStream::with_ranks(&ranks, u);
+                while stream.next_into(&mut pattern) {
+                    dirty.clear();
+                    for (i, &term) in pattern.iter().enumerate() {
+                        if current[i] != term {
+                            skel.set_insertion_payload(i, &payloads[i][term]);
+                            dirty.push(varying[i]);
+                            current[i] = term;
+                        }
+                    }
+                    let (amp, stats) =
+                        exec.execute_network_delta_scalar(skel.network(), &dirty, &mut ws);
+                    sum += (amp * amp.conj()).re;
+                    steps += stats.contractions;
+                    flops += stats.flops_proxy;
+                }
+                (sum, steps, flops)
+            });
+            *row = ScheduleLevel {
+                steps,
+                flops,
+                us: seconds * 1e6,
+                sum,
+            };
+        }
+        let mut eval = LevelEvaluator::new(&noisy, &psi, &v, &opts).expect("sweep job runs");
+        let mut sweeps = vec![ScheduleLevel::default(); levels + 1];
+        for row in &mut sweeps {
+            let before = *eval.stats();
+            let (partial, seconds) = time_it(|| eval.advance().expect("level within budget"));
+            let after = eval.stats();
+            *row = ScheduleLevel {
+                steps: after.contractions - before.contractions,
+                flops: after.flops_proxy - before.flops_proxy,
+                us: seconds * 1e6,
+                sum: partial.level_contribution,
+            };
+        }
+        // Invariant 11: the two schedules' level sums agree to the
+        // oracle tolerance, and their counts repeat exactly.
+        for (u, (a, b)) in per_pattern.iter().zip(&sweeps).enumerate() {
+            assert!(
+                (a.sum - b.sum).abs() <= 1e-12 * a.sum.abs(),
+                "{name}: level {u} per-pattern sum {} vs sweep sum {}",
+                a.sum,
+                b.sum
+            );
+        }
+        let counts =
+            |rows: &[ScheduleLevel]| rows.iter().map(|r| (r.steps, r.flops)).collect::<Vec<_>>();
+        if let Some((p, w)) = &counted {
+            assert_eq!(
+                counts(p),
+                counts(&per_pattern),
+                "{name}: per-pattern counts moved"
+            );
+            assert_eq!(counts(w), counts(&sweeps), "{name}: sweep counts moved");
+        }
+        if pass > 0 {
+            for (t, (a, b)) in times.iter_mut().zip(per_pattern.iter().zip(&sweeps)) {
+                t.0.push(a.us);
+                t.1.push(b.us);
+            }
+        }
+        counted = Some((per_pattern, sweeps));
+    }
+    let (mut per_pattern, mut sweeps) = counted.expect("at least one pass");
+    for (u, (a, b)) in times.into_iter().enumerate() {
+        per_pattern[u].us = median(a);
+        sweeps[u].us = median(b);
+    }
+    SweepRow {
+        name,
+        patterns,
+        per_pattern,
+        sweeps,
+        sweep_bytes: exec.sweep_footprint() * std::mem::size_of::<Complex64>(),
+    }
+}
+
 fn main() {
     let smoke = arg_flag("--smoke");
     let patterns_per = arg_usize("--patterns", if smoke { 64 } else { 256 });
@@ -1151,6 +1330,112 @@ fn main() {
         .collect::<Vec<_>>()
         .join(",");
 
+    // ── Top levels by environments: per-pattern vs parent-plus-sweep ──
+    println!(
+        "\nsweeps (one amplitude network, rank-aware Gray order, one thread; per-pattern \
+         delta replay vs one replay and one environment sweep per parent, median of \
+         {REPLAY_PASSES} passes)\n"
+    );
+    let sw_widths = [18usize, 6, 9, 11, 11, 14, 14, 11, 11];
+    print_row(
+        &[
+            "workload".into(),
+            "level".into(),
+            "patterns".into(),
+            "pat steps".into(),
+            "sweep steps".into(),
+            "pat m·k·n".into(),
+            "sweep m·k·n".into(),
+            "pat µs".into(),
+            "sweep µs".into(),
+        ],
+        &sw_widths,
+    );
+    let mut sweep_cases: Vec<(String, qns_circuit::Circuit, usize, u64, usize)> = registry
+        .iter()
+        .enumerate()
+        .map(|(i, b)| {
+            (
+                format!("{}/{noises}", b.name),
+                b.circuit.clone(),
+                noises,
+                0x5E7 + i as u64,
+                SWEEP_REGISTRY_LEVEL,
+            )
+        })
+        .collect();
+    if !smoke {
+        let full = full_set();
+        for ((name, sites, seed), level) in DEEP_SUM_SETUPS.into_iter().zip(DEEP_SUM_LEVELS) {
+            let bench = full
+                .iter()
+                .find(|b| b.name == name)
+                .expect("registry circuit");
+            sweep_cases.push((
+                format!("{name}/{sites}"),
+                bench.circuit.clone(),
+                sites,
+                seed,
+                level,
+            ));
+        }
+    }
+    let sweep_rows: Vec<SweepRow> = sweep_cases
+        .iter()
+        .map(|(name, circuit, sites, seed, level)| {
+            sweep_row(name.clone(), circuit, *sites, *seed, *level)
+        })
+        .collect();
+    for r in &sweep_rows {
+        for (u, (a, b)) in r.per_pattern.iter().zip(&r.sweeps).enumerate() {
+            print_row(
+                &[
+                    r.name.clone(),
+                    u.to_string(),
+                    r.patterns[u].to_string(),
+                    a.steps.to_string(),
+                    b.steps.to_string(),
+                    a.flops.to_string(),
+                    b.flops.to_string(),
+                    format!("{:.1}", a.us),
+                    format!("{:.1}", b.us),
+                ],
+                &sw_widths,
+            );
+        }
+    }
+    let sweep_per = sweep_rows
+        .iter()
+        .map(|r| {
+            let levels = r
+                .per_pattern
+                .iter()
+                .zip(&r.sweeps)
+                .enumerate()
+                .map(|(u, (a, b))| {
+                    let side = |l: &ScheduleLevel| {
+                        format!(
+                            "{{\"steps\":{},\"flops\":{},\"us\":{:.1}}}",
+                            l.steps, l.flops, l.us
+                        )
+                    };
+                    format!(
+                        "{{\"level\":{u},\"patterns\":{},\"per_pattern\":{},\"sweep\":{}}}",
+                        r.patterns[u],
+                        side(a),
+                        side(b)
+                    )
+                })
+                .collect::<Vec<_>>()
+                .join(",");
+            format!(
+                "{{\"workload\":\"{}\",\"sweep_bytes\":{},\"levels\":[{levels}]}}",
+                r.name, r.sweep_bytes
+            )
+        })
+        .collect::<Vec<_>>()
+        .join(",");
+
     let mut per = String::new();
     for (i, (name, r, e, s)) in rows.iter().enumerate() {
         if i > 0 {
@@ -1199,7 +1484,9 @@ fn main() {
          \"allocs_per_node_max\":{SETUP_ALLOCS_PER_NODE},\
          \"ceiling_min_nodes\":{SETUP_CEILING_NODES},\
          \"search_compile_allocs_per_node_max\":{SEARCH_COMPILE_ALLOCS_PER_NODE},\
-         \"workloads\":[{setup_per}]}}}}\n",
+         \"workloads\":[{setup_per}]}},\
+         \"sweeps\":{{\"passes\":{REPLAY_PASSES},\"threads\":1,\"order\":\"gray\",\
+         \"tolerance\":1e-12,\"workloads\":[{sweep_per}]}}}}\n",
         if smoke { "smoke" } else { "default" },
     );
     let mut f = std::fs::File::create(&out).expect("create bench report");

@@ -49,7 +49,7 @@
 //! `amp_lo = conj(amp_up)` **bit for bit**. The evaluators therefore
 //! contract only the upper network and take `amp·conj(amp)` — the
 //! probability of one Kraus trajectory, so every pattern term is
-//! non-negative — at one contraction per pattern. A matrix element
+//! non-negative — at one amplitude per pattern. A matrix element
 //! `⟨x|E(ρ)|y⟩` with `x != y` still builds a second half: the plain
 //! circuit capped with `y` and the same `U` payloads, whose scalar is
 //! conjugated. [`ApproxResult::contractions`] counts what ran.
@@ -60,10 +60,11 @@
 //! only the 2×2 `U` payloads differ — so the evaluators here build
 //! each half's [`AmplitudeSkeleton`] **once per run**, capture its
 //! contraction order as a [`qns_tnet::plan::ContractionPlan`], and
-//! then merely swap payloads and replay the plan per pattern. The
-//! order search therefore runs `O(1)` times per run instead of once
-//! per pattern (`O(N^l)` times); [`ApproxResult::stats`] reports the
-//! search/replay counts so the amortization is observable.
+//! then merely swap payloads and replay and sweep the plan per parent
+//! pattern. The order search therefore runs `O(1)` times per run
+//! instead of once per pattern (`O(N^l)` times); [`ApproxResult::stats`]
+//! reports the search and plan-use counts so the amortization is
+//! observable.
 //!
 //! The order is **delta-aware**
 //! ([`qns_tnet::network::TensorNetwork::plan_for_replay`]): it minimises
@@ -73,44 +74,64 @@
 //! noise leaf below them (*cold*) are contracted once per run into a
 //! cache the workers share ([`ContractionPlan::compile_for_replay`]).
 //!
-//! Patterns themselves are *streamed*, pulled in 32-pattern chunks by
-//! the workers, so pattern-buffer memory is `O(chunk)` rather than
-//! `O(N^l)`.
+//! Patterns themselves are *streamed*, so pattern-buffer memory is
+//! `O(chunk)` rather than `O(N^l)`.
+//!
+//! # Top levels by environments
+//!
+//! Every level-`u` pattern with nonzero terms is a level-`(u − 1)`
+//! *parent* `P` plus one correction `j ≥ 1` at a site `t > max(P)`, and
+//! the amplitude is linear in site `t`'s payload: `amp(P ∪ {t:j}) =
+//! ⟨E_t(P), U_j⟩`, with `E_t(P)` the environment of `t`'s leaf in the
+//! network of `P`. So level 0 replays the all-dominant pattern, and a
+//! level `u ≥ 1` streams its parents — the level-`(u − 1)` patterns
+//! with a correction site above their highest active site — and per
+//! parent runs one delta replay to install `P` and one environment
+//! sweep ([`ExecutablePlan::sweep_network_envs`]) for the leaves
+//! `t > max(P)`, adding `Σ_t Σ_j amp·conj(amp)` in site then term order.
+//! At level 1 the parent is the all-dominant pattern level 0 left
+//! installed, so level 1 is one sweep. A matrix element sweeps both of
+//! its networks and adds `⟨E^x_t, U_j⟩·conj(⟨E^y_t, U_j⟩)`.
+//! [`ApproxResult::contractions`] still counts the pattern amplitudes,
+//! and `stats.plan_reuses` the replays and sweeps
+//! ([`crate::bounds::plan_uses_for_ranks`]).
 //!
 //! # One level sum
 //!
-//! Every level is summed one way, whatever the thread count: each
-//! chunk's patterns are added in stream order, and the chunk sums are
-//! added in chunk order. A level's bits are therefore a function of the
-//! job alone, and one thread gives the bits of any other count.
+//! Every level is summed one way, whatever the thread count: parents
+//! are pulled in fixed chunks of four, each chunk's terms are added in
+//! stream order with Neumaier compensation, and the chunk sums are
+//! added in chunk order, compensated too. A level's bits are therefore
+//! a function of the job alone, and one thread gives the bits of any
+//! other count.
 //!
 //! # Incremental (delta) replay
 //!
-//! Patterns are enumerated in the minimal-change order of
+//! Parents are enumerated in the minimal-change order of
 //! [`crate::patterns::GrayPatternStream`]: consecutive patterns differ
 //! in at most two noise sites. The evaluators track the previously
 //! installed assignment, swap only the payloads that changed, and
 //! replay only the contraction-tree paths those leaves feed
 //! ([`ExecutablePlan::execute_network_delta_into`]); every other
 //! intermediate is reused from the plan's persistent workspace arena.
-//! Steady-state cost per pattern is therefore `O(tree depth)`
-//! contractions instead of the full plan. Delta replay is bit-identical
-//! to full replay by construction — the recomputed steps read the same
-//! operand values a full replay would — so this is purely a
-//! performance change; workers that start cold fall back to one full
+//! Delta replay is bit-identical to full replay by construction — the
+//! recomputed steps read the same operand values a full replay would —
+//! and a sweep reads only those values, so no bit depends on a
+//! worker's history; workers that start cold fall back to one full
 //! replay of the hot steps automatically. A
 //! [`crate::refine::LevelEvaluator`] keeps each worker's evaluator for
 //! the whole run, so later levels start warm.
 
 use crate::noise_svd::NoiseSvd;
 use crate::patterns::{GrayPatternStream, TERM_UNSET};
+use crate::sum::ComplexSum;
 use qns_circuit::Circuit;
 use qns_linalg::{Complex64, Matrix};
 use qns_noise::{Kraus, NoisyCircuit, QnsError};
 use qns_tensor::Tensor;
 use qns_tnet::builder::{AmplitudeSkeleton, Insertion, ProductState};
 use qns_tnet::exec::{ExecutablePlan, Workspace};
-use qns_tnet::network::ContractionStats;
+use qns_tnet::network::{ContractionStats, TensorNetwork};
 use qns_tnet::plan::ContractionPlan;
 use std::sync::Mutex;
 
@@ -134,9 +155,9 @@ pub struct ApproxOptions {
     /// Worker threads for pattern evaluation (patterns are independent,
     /// so the sum parallelizes embarrassingly — the paper's server runs
     /// exploited exactly this). `0` or `1` runs on the calling thread.
-    /// Workers share one contraction plan and pull patterns from a
-    /// streaming enumerator in fixed-size chunks; the count changes no
-    /// bit of the result.
+    /// Workers share one contraction plan and pull parent patterns
+    /// from a streaming enumerator in fixed-size chunks; the count
+    /// changes no bit of the result.
     pub threads: usize,
 }
 
@@ -185,17 +206,20 @@ pub struct ApproxResult {
     /// ([`crate::bounds::planned_patterns_for_ranks`]), at most the
     /// Theorem-1 count [`crate::bounds::planned_patterns`].
     pub terms_evaluated: usize,
-    /// Number of whole-network contractions actually executed: one
-    /// per pattern (the paper's two-half count is
-    /// [`crate::bounds::contraction_count`]); levels installed from a
-    /// cache add none.
+    /// Number of pattern amplitudes computed: one per pattern, by a
+    /// replay at level 0 and by a sweep's environment above it (the
+    /// paper's two-half count is [`crate::bounds::contraction_count`]);
+    /// levels installed from a cache add none.
     pub contractions: usize,
     /// Aggregated contraction statistics across the whole pattern sum.
     /// With plan reuse, `stats.order_searches` stays `O(1)` per run —
     /// every search the delta-aware planner ran: 1 per half when it
     /// keeps the greedy plan, more when it tried its candidates, and
     /// two halves for a matrix element with distinct caps — while
-    /// `stats.plan_reuses` counts the replays.
+    /// `stats.plan_reuses` counts the replays and environment sweeps
+    /// ([`crate::bounds::plan_uses_for_ranks`] per half), and
+    /// `contractions` and `flops_proxy` their forward and reverse
+    /// steps.
     pub stats: ContractionStats,
 }
 
@@ -211,13 +235,25 @@ pub(crate) struct Site {
 /// Every noise site of a circuit, in the evaluators' site order
 /// (initial events first, then the circuit's events), and the
 /// decomposition of each distinct channel among them.
-pub(crate) struct Sites {
+pub(crate) struct Sites<'a> {
     sites: Vec<Site>,
-    /// One [`NoiseSvd`] per distinct channel, in order of first use.
+    /// The distinct channels, in order of first use.
+    channels: Vec<&'a Kraus>,
+    /// One [`NoiseSvd`] per distinct channel, in the same order.
     svds: Vec<NoiseSvd>,
 }
 
-impl Sites {
+impl Sites<'_> {
+    /// The largest noise rate ([`Kraus::noise_rate`]) among the
+    /// distinct channels: the `p` of the Theorem-1 bound, computed once
+    /// per channel. Equal to [`NoisyCircuit::max_noise_rate`], which
+    /// takes the maximum over the same channels.
+    pub(crate) fn max_noise_rate(&self) -> f64 {
+        self.channels
+            .iter()
+            .fold(0.0, |max, k| f64::max(max, k.noise_rate()))
+    }
+
     /// Number of noise sites `N`.
     pub(crate) fn len(&self) -> usize {
         self.sites.len()
@@ -248,7 +284,7 @@ pub fn site_ranks(noisy: &NoisyCircuit) -> Vec<usize> {
 /// ([`Kraus::same_bits`]) shares that decomposition.
 /// [`NoiseSvd::decompose`] is deterministic, so sharing changes no
 /// rank, term or bit.
-pub(crate) fn collect_sites(noisy: &NoisyCircuit) -> Sites {
+pub(crate) fn collect_sites(noisy: &NoisyCircuit) -> Sites<'_> {
     let initial = noisy.initial_events().iter().map(|e| (usize::MAX, e));
     let events = initial.chain(noisy.events().iter().map(|e| (e.after_gate, e)));
     let mut channels: Vec<&Kraus> = Vec::new();
@@ -269,7 +305,11 @@ pub(crate) fn collect_sites(noisy: &NoisyCircuit) -> Sites {
             channel,
         });
     }
-    Sites { sites, svds }
+    Sites {
+        sites,
+        channels,
+        svds,
+    }
 }
 
 /// The split-half skeletons of one run. Payload swaps mutate the
@@ -290,7 +330,7 @@ pub(crate) struct SplitSkeletons {
 /// site's four `U`-term payload tensors, pre-resolved so the hot loop
 /// only memcpys 2×2 buffers into the skeleton slots and replays
 /// kernels through a per-worker [`Workspace`]: zero heap allocations
-/// per pattern in steady state.
+/// per parent in steady state.
 pub(crate) struct SplitShared {
     up: ExecutablePlan,
     /// The lower half's plan, present exactly when the skeletons'
@@ -306,8 +346,40 @@ pub(crate) struct SplitShared {
     /// Every site's Kraus rank ([`NoiseSvd::rank`]): the pattern
     /// streams skip the terms at and past it, which are zero matrices.
     pub(crate) ranks: Vec<usize>,
+    /// The sites with a correction term (rank at least 2), ascending:
+    /// the sites a sweep adds to a parent pattern.
+    corrections: Vec<usize>,
+    /// The leaves each half's sweeps want.
+    up_leaves: SweepLeaves,
+    lo_leaves: Option<SweepLeaves>,
     /// The stats of the once-per-run setup: every order search run.
     pub(crate) planning: ContractionStats,
+}
+
+/// One half's network leaves of the correction sites.
+struct SweepLeaves {
+    /// The insertion slot of every correction site, in the order of
+    /// [`SplitShared::corrections`].
+    slots: Vec<usize>,
+    /// The site of every network node, `usize::MAX` off the insertion
+    /// slots.
+    site_of: Vec<usize>,
+}
+
+impl SweepLeaves {
+    fn new(skel: &AmplitudeSkeleton, corrections: &[usize]) -> Self {
+        let mut site_of = vec![usize::MAX; skel.network().node_count()];
+        for i in 0..skel.insertion_count() {
+            site_of[skel.insertion_slot(i)] = i;
+        }
+        SweepLeaves {
+            slots: corrections
+                .iter()
+                .map(|&t| skel.insertion_slot(t))
+                .collect(),
+            site_of,
+        }
+    }
 }
 
 /// The contraction plan of one split half of a pattern sum whose
@@ -381,6 +453,9 @@ pub(crate) fn build_split(
         .iter()
         .map(|svd| std::array::from_fn(|term| Tensor::from_matrix(svd.term(term).0)))
         .collect();
+    let corrections: Vec<usize> = (0..ranks.len()).filter(|&t| ranks[t] >= 2).collect();
+    let up_leaves = SweepLeaves::new(&upper, &corrections);
+    let lo_leaves = lower.as_ref().map(|l| SweepLeaves::new(l, &corrections));
     (
         SplitSkeletons { upper, lower },
         SplitShared {
@@ -389,29 +464,32 @@ pub(crate) fn build_split(
             payloads,
             channels: sites.sites.iter().map(|s| s.channel).collect(),
             ranks,
+            corrections,
+            up_leaves,
+            lo_leaves,
             planning,
         },
     )
 }
 
-/// One worker's incremental evaluator for the split networks: its own
-/// skeletons, the assignment installed in them, and one warm
-/// [`Workspace`] per half holding only the hot nodes (the cold ones
-/// are in the shared plans).
+/// One worker's evaluator for the split networks: its own skeletons,
+/// the assignment installed in them, one warm [`Workspace`] per half
+/// holding only the hot nodes (the cold ones are in the shared plans),
+/// and the amplitudes of the installed pattern's children.
 ///
-/// Per pattern it diffs the new assignment against the installed one,
+/// [`SplitDelta::install`] diffs a pattern against the installed one,
 /// memcpys only the changed `U` payloads into the skeleton slots, and
-/// delta-replays only the contraction-tree paths those leaves feed
-/// — bit-identical to a full replay, but `O(changes · tree depth)`
-/// contractions under the minimal-change [`GrayPatternStream`] order.
-/// A cold workspace (a worker's first pattern) falls back to one full
-/// replay of the hot steps inside the executor; no coordination is
-/// needed.
+/// delta-replays only the contraction-tree paths those leaves feed —
+/// bit-identical to a full replay. A cold workspace (a worker's first
+/// pattern) falls back to one full replay of the hot steps inside the
+/// executor; no coordination is needed. [`SplitDelta::add_children`]
+/// then prices every child of the installed pattern with one
+/// environment sweep per half.
 ///
 /// Aligned to 128 bytes: the evaluators of one run sit side by side in
-/// a `Vec`, and each pattern writes a worker's dirty lists and
+/// a `Vec`, and each parent writes a worker's dirty lists and
 /// workspace fields, so a cache line shared by two workers would bounce
-/// between their cores on every pattern.
+/// between their cores on every parent.
 #[repr(align(128))]
 pub(crate) struct SplitDelta {
     skels: SplitSkeletons,
@@ -425,17 +503,30 @@ pub(crate) struct SplitDelta {
     /// evict the warm arena on every pattern.
     ws_up: Workspace,
     ws_lo: Option<Workspace>,
+    /// The installed pattern's amplitude per half (`amp_lo` only read
+    /// with a lower half).
+    amp_up: Complex64,
+    amp_lo: Complex64,
+    /// Per half, at `3·t + j − 1`: the amplitude of the installed
+    /// pattern with term `j ≥ 1` at site `t`, as the last sweep left it.
+    child_up: Vec<Complex64>,
+    child_lo: Vec<Complex64>,
 }
 
 impl SplitDelta {
     pub(crate) fn new(skels: SplitSkeletons, shared: &SplitShared) -> Self {
+        let n = shared.ranks.len();
         SplitDelta {
-            current: vec![TERM_UNSET; shared.ranks.len()],
+            current: vec![TERM_UNSET; n],
             skels,
             dirty_up: Vec::new(),
             dirty_lo: Vec::new(),
-            ws_up: Workspace::for_plan(&shared.up),
-            ws_lo: shared.lo.as_ref().map(Workspace::for_plan),
+            ws_up: Workspace::for_sweeps(&shared.up),
+            ws_lo: shared.lo.as_ref().map(Workspace::for_sweeps),
+            amp_up: Complex64::ZERO,
+            amp_lo: Complex64::ZERO,
+            child_up: vec![Complex64::ZERO; 3 * n],
+            child_lo: vec![Complex64::ZERO; if shared.lo.is_some() { 3 * n } else { 0 }],
         }
     }
 
@@ -446,12 +537,13 @@ impl SplitDelta {
         SplitDelta::new(self.skels.clone(), shared)
     }
 
-    /// Evaluates one substitution pattern incrementally. Returns
-    /// `amp_up · conj(amp_lo)`, which is `amp_up · conj(amp_up)` when
-    /// there is no lower half; no network construction, no order
-    /// search, and — once the workspaces are warm — no heap
-    /// allocations and no work for unchanged subtrees.
-    fn evaluate(
+    /// Installs one substitution pattern incrementally and returns its
+    /// term `amp_up · conj(amp_lo)`, which is `amp_up · conj(amp_up)`
+    /// when there is no lower half. A half whose workspace is warm and
+    /// whose payloads did not change replays nothing. No network
+    /// construction, no order search, and — once the workspaces are
+    /// warm — no heap allocations and no work for unchanged subtrees.
+    pub(crate) fn install(
         &mut self,
         shared: &SplitShared,
         assignment: &[usize],
@@ -473,23 +565,111 @@ impl SplitDelta {
             }
             *cur = term;
         }
-        let (amp_up, st_up) = shared.up.execute_network_delta_scalar(
-            skels.upper.network(),
-            &self.dirty_up,
-            &mut self.ws_up,
-        );
-        stats.absorb(&st_up);
-        let amp_lo = match (&skels.lower, &shared.lo, &mut self.ws_lo) {
+        if !self.dirty_up.is_empty() || !self.ws_up.is_warm_for(&shared.up) {
+            let (amp, st) = shared.up.execute_network_delta_scalar(
+                skels.upper.network(),
+                &self.dirty_up,
+                &mut self.ws_up,
+            );
+            stats.absorb(&st);
+            self.amp_up = amp;
+        }
+        match (&skels.lower, &shared.lo, &mut self.ws_lo) {
             (Some(lower), Some(lo), Some(ws)) => {
-                let (amp, st_lo) =
-                    lo.execute_network_delta_scalar(lower.network(), &self.dirty_lo, ws);
-                stats.absorb(&st_lo);
-                amp
+                if !self.dirty_lo.is_empty() || !ws.is_warm_for(lo) {
+                    let (amp, st) =
+                        lo.execute_network_delta_scalar(lower.network(), &self.dirty_lo, ws);
+                    stats.absorb(&st);
+                    self.amp_lo = amp;
+                }
+                self.amp_up * self.amp_lo.conj()
             }
-            _ => amp_up,
-        };
-        amp_up * amp_lo.conj()
+            _ => self.amp_up * self.amp_up.conj(),
+        }
     }
+
+    /// Adds to `sum` the term of every child of the installed pattern:
+    /// the pattern with one more correction `j ≥ 1` at a site `t` of
+    /// `shared.corrections[from..]`, in site then term order. One
+    /// environment sweep per half gives every child's amplitude
+    /// `⟨E_t, U_j⟩` ([`ExecutablePlan::sweep_network_envs`]). Returns
+    /// the number of children.
+    fn add_children(
+        &mut self,
+        shared: &SplitShared,
+        from: usize,
+        sum: &mut ComplexSum,
+        stats: &mut ContractionStats,
+    ) -> usize {
+        sweep_half(
+            shared,
+            &shared.up,
+            self.skels.upper.network(),
+            &shared.up_leaves,
+            from,
+            &mut self.ws_up,
+            &mut self.child_up,
+            stats,
+        );
+        let lower = match (
+            &self.skels.lower,
+            &shared.lo,
+            &shared.lo_leaves,
+            &mut self.ws_lo,
+        ) {
+            (Some(lower), Some(lo), Some(leaves), Some(ws)) => {
+                sweep_half(
+                    shared,
+                    lo,
+                    lower.network(),
+                    leaves,
+                    from,
+                    ws,
+                    &mut self.child_lo,
+                    stats,
+                );
+                true
+            }
+            _ => false,
+        };
+        let mut children = 0;
+        for &t in &shared.corrections[from..] {
+            for at in 3 * t..3 * t + shared.ranks[t] - 1 {
+                let up = self.child_up[at];
+                let lo = if lower { self.child_lo[at] } else { up };
+                sum.add(up * lo.conj());
+                children += 1;
+            }
+        }
+        children
+    }
+}
+
+/// Sweeps one half for the correction sites `shared.corrections[from..]`
+/// and writes, at `3·t + j − 1` of `children`, each child amplitude
+/// `⟨E_t, U_j⟩ = Σ_x E_t[x]·U_j[x]` of site `t`'s correction terms.
+#[allow(clippy::too_many_arguments)]
+fn sweep_half(
+    shared: &SplitShared,
+    plan: &ExecutablePlan,
+    net: &TensorNetwork,
+    leaves: &SweepLeaves,
+    from: usize,
+    ws: &mut Workspace,
+    children: &mut [Complex64],
+    stats: &mut ContractionStats,
+) {
+    let swept = plan.sweep_network_envs(net, &leaves.slots[from..], ws, |leaf, env| {
+        let t = leaves.site_of[leaf];
+        let terms = &shared.payloads[shared.channels[t]];
+        for j in 1..shared.ranks[t] {
+            children[3 * t + j - 1] = env
+                .iter()
+                .zip(terms[j].as_slice())
+                .fold(Complex64::ZERO, |acc, (&e, &u)| acc + e * u);
+        }
+    });
+    stats.absorb(&swept);
 }
 
 /// Validates that a state's qubit count matches the circuit's.
@@ -526,43 +706,87 @@ pub(crate) fn check_budget(
     Ok(planned)
 }
 
-/// Patterns pulled from the shared stream per lock acquisition. Small
-/// enough that the tail imbalance between workers stays negligible,
-/// large enough that the mutex is cold next to the contractions.
-pub(crate) const PATTERN_CHUNK: usize = 32;
+/// Parent patterns pulled from the shared stream per lock acquisition.
+/// A parent costs a delta replay and a sweep per half, so a few make a
+/// chunk whose lock is cold next to its work; few enough that a level
+/// of a few dozen parents still splits between workers. The chunk
+/// boundaries set the summation order, so this is part of every level
+/// sum's bits.
+pub(crate) const PARENT_CHUNK: usize = 4;
 
-/// Sums the level-`u` patterns through the shared plans in
-/// minimal-change order, delta-replaying each one, and returns
+/// The level-`(u − 1)` patterns a level-`u` sum extends, in the
+/// minimal-change order of [`GrayPatternStream::with_ranks`], without
+/// those that have no correction site above their highest active site
+/// (they have no child).
+struct ParentStream<'s> {
+    patterns: GrayPatternStream,
+    corrections: &'s [usize],
+}
+
+impl<'s> ParentStream<'s> {
+    fn new(shared: &'s SplitShared, u: usize) -> Self {
+        ParentStream {
+            patterns: GrayPatternStream::with_ranks(&shared.ranks, u - 1),
+            corrections: &shared.corrections,
+        }
+    }
+
+    /// Writes the next parent into `out` and returns the index in the
+    /// correction sites of its first child site, or `None` once the
+    /// stream is exhausted.
+    fn next_into(&mut self, out: &mut [usize]) -> Option<usize> {
+        while self.patterns.next_into(out) {
+            let from = match out.iter().rposition(|&t| t != 0) {
+                None => 0,
+                Some(top) => self.corrections.partition_point(|&t| t <= top),
+            };
+            if from < self.corrections.len() {
+                return Some(from);
+            }
+        }
+        None
+    }
+}
+
+/// Sums the level-`u` patterns through the shared plans and returns
 /// `(Σ amp_up·conj(amp_lo), patterns evaluated, stats)`. Only the
-/// patterns whose terms are all nonzero run.
+/// patterns whose terms all have a nonzero eigenvalue run.
+///
+/// Level 0 is one replay of the all-dominant pattern on worker 0. A
+/// level `u ≥ 1` streams its parents: every level-`(u − 1)` pattern
+/// `P` with a correction site above `max(P)`, in minimal-change order.
+/// Each level-`u` pattern is exactly one parent plus one correction at
+/// a site `t > max(P)`, so a worker installs each parent with one delta
+/// replay and prices all its children with one environment sweep per
+/// half ([`SplitDelta::add_children`]).
 ///
 /// The stream is fanned across scoped worker threads, one per
 /// evaluator in `workers`. Each worker keeps its own skeletons and warm
 /// workspaces across levels, shares the run's plans, and pulls
-/// [`PATTERN_CHUNK`]-sized chunks from the stream — peak pattern
-/// memory is `O(workers · chunk)` regardless of the level's size. A
-/// single worker runs the same chunked loop on the calling thread,
-/// with no spawn.
+/// [`PARENT_CHUNK`]-parent chunks from the stream. A single worker
+/// runs the same chunked loop on the calling thread, with no spawn.
 ///
-/// Which worker evaluates which chunk depends on OS scheduling, so to
-/// keep the (non-associative) floating-point sum deterministic every
-/// chunk carries a sequence number and the partial sums are reduced in
-/// sequence order after the join. A worker's history only decides
-/// which intermediates it reuses, and delta replay is bitwise a full
-/// replay, so the sum does not depend on it, nor on how many workers
-/// ran.
+/// Every chunk's terms are added in stream order with Neumaier
+/// compensation, and every chunk carries a sequence number: the chunk
+/// sums are reduced in sequence order after the join, compensated
+/// too. A worker's history only decides which intermediates it reuses,
+/// and delta replay is bitwise a full replay, so the sum depends on
+/// neither, nor on how many workers ran.
 pub(crate) fn evaluate_level(
     workers: &mut [SplitDelta],
     shared: &SplitShared,
     u: usize,
 ) -> (Complex64, usize, ContractionStats) {
-    // Shared state: the pattern stream plus the next chunk's sequence
+    let mut stats = ContractionStats::default();
+    let mut sum = ComplexSum::default();
+    if u == 0 {
+        let all_dominant = vec![0; shared.ranks.len()];
+        sum.add(workers[0].install(shared, &all_dominant, &mut stats));
+        return (sum.value(), 1, stats);
+    }
+    // Shared state: the parent stream plus the next chunk's sequence
     // number, handed out under the same lock as the chunk itself.
-    // Minimal-change order keeps consecutive patterns *within* a chunk
-    // two sites apart; across chunk boundaries a worker's diff may be
-    // larger, which the delta evaluator absorbs (it diffs, it does not
-    // assume adjacency).
-    let stream = Mutex::new((GrayPatternStream::with_ranks(&shared.ranks, u), 0usize));
+    let stream = Mutex::new((ParentStream::new(shared, u), 0usize));
     let results: Vec<ChunkSums> = match workers {
         [delta] => vec![evaluate_chunks(delta, shared, &stream)],
         _ => std::thread::scope(|scope| {
@@ -585,45 +809,51 @@ pub(crate) fn evaluate_level(
     };
     let mut all_chunks: Vec<(usize, Complex64)> = Vec::new();
     let mut count = 0usize;
-    let mut stats = ContractionStats::default();
     for (chunks, c, s) in results {
         all_chunks.extend(chunks);
         count += c;
         stats.absorb(&s);
     }
     all_chunks.sort_unstable_by_key(|&(seq, _)| seq);
-    let acc = all_chunks.into_iter().map(|(_, v)| v).sum();
-    (acc, count, stats)
+    for (_, chunk) in all_chunks {
+        sum.add(chunk);
+    }
+    (sum.value(), count, stats)
 }
 
 /// One worker's share of a level: its `(sequence number, partial sum)`
 /// per chunk, its pattern count and its stats.
 type ChunkSums = (Vec<(usize, Complex64)>, usize, ContractionStats);
 
-/// Pulls [`PATTERN_CHUNK`]-pattern chunks from the shared `stream`
-/// until it runs dry, summing each chunk through `delta`.
+/// Pulls [`PARENT_CHUNK`]-parent chunks from the shared `stream` until
+/// it runs dry, summing each chunk's children through `delta`.
 fn evaluate_chunks(
     delta: &mut SplitDelta,
     shared: &SplitShared,
-    stream: &Mutex<(GrayPatternStream, usize)>,
+    stream: &Mutex<(ParentStream<'_>, usize)>,
 ) -> ChunkSums {
     let n = shared.ranks.len();
     let mut chunk_sums: Vec<(usize, Complex64)> = Vec::new();
     let mut count = 0usize;
     let mut stats = ContractionStats::default();
-    // Flat chunk buffer: PATTERN_CHUNK assignments of n sites each,
-    // refilled under one lock.
-    let mut buf = vec![0usize; PATTERN_CHUNK * n];
+    // Flat chunk buffer: PARENT_CHUNK parents of n sites each and the
+    // first child site of each, refilled under one lock.
+    let mut buf = vec![0usize; PARENT_CHUNK * n];
+    let mut from = [0usize; PARENT_CHUNK];
     loop {
         let (seq, filled) = {
             #[expect(
                 clippy::expect_used,
                 reason = "poisoned only if a sibling worker panicked, which join re-raises"
             )]
-            let mut guard = stream.lock().expect("pattern stream lock");
+            let mut guard = stream.lock().expect("parent stream lock");
             let (s, next_seq) = &mut *guard;
             let mut f = 0;
-            while f < PATTERN_CHUNK && s.next_into(&mut buf[f * n..(f + 1) * n]) {
+            while f < PARENT_CHUNK {
+                match s.next_into(&mut buf[f * n..(f + 1) * n]) {
+                    Some(first) => from[f] = first,
+                    None => break,
+                }
                 f += 1;
             }
             let seq = *next_seq;
@@ -635,14 +865,51 @@ fn evaluate_chunks(
         if filled == 0 {
             break;
         }
-        let mut chunk_acc = Complex64::ZERO;
-        for k in 0..filled {
-            chunk_acc += delta.evaluate(shared, &buf[k * n..(k + 1) * n], &mut stats);
+        let mut chunk = ComplexSum::default();
+        for (k, &first) in from[..filled].iter().enumerate() {
+            delta.install(shared, &buf[k * n..(k + 1) * n], &mut stats);
+            count += delta.add_children(shared, first, &mut chunk, &mut stats);
         }
-        chunk_sums.push((seq, chunk_acc));
-        count += filled;
+        chunk_sums.push((seq, chunk.value()));
     }
     (chunk_sums, count, stats)
+}
+
+/// Patterns per chunk of [`per_pattern_level`].
+#[cfg(test)]
+pub(crate) const PATTERN_CHUNK: usize = 32;
+
+/// The schedule the parent sweeps replaced, kept as a test oracle:
+/// every level-`u` pattern of the minimal-change stream installed by
+/// its own delta replay ([`SplitDelta::install`]), its terms summed in
+/// [`PATTERN_CHUNK`]-pattern chunks, chunks and sums compensated.
+/// Returns the level sum, the sum of the terms' moduli (the scale its
+/// rounding error is relative to) and the pattern count.
+#[cfg(test)]
+pub(crate) fn per_pattern_level(
+    delta: &mut SplitDelta,
+    shared: &SplitShared,
+    u: usize,
+) -> (Complex64, f64, usize) {
+    let mut stream = GrayPatternStream::with_ranks(&shared.ranks, u);
+    let mut pattern = vec![0usize; shared.ranks.len()];
+    let mut stats = ContractionStats::default();
+    let (mut total, mut chunk, mut scale) = (ComplexSum::default(), ComplexSum::default(), 0.0);
+    let mut count = 0usize;
+    while stream.next_into(&mut pattern) {
+        let term = delta.install(shared, &pattern, &mut stats);
+        chunk.add(term);
+        scale += term.abs();
+        count += 1;
+        if count.is_multiple_of(PATTERN_CHUNK) {
+            total.add(chunk.value());
+            chunk = ComplexSum::default();
+        }
+    }
+    if !count.is_multiple_of(PATTERN_CHUNK) {
+        total.add(chunk.value());
+    }
+    (total.value(), scale, count)
 }
 
 /// The l-level approximation of `⟨v| E_N(|ψ⟩⟨ψ|) |v⟩`
@@ -1040,15 +1307,24 @@ mod tests {
         }
     }
 
+    /// The plan uses (replays plus sweeps) of one half's schedule
+    /// through `level`.
+    fn schedule_plan_uses(ranks: &[usize], level: usize) -> usize {
+        crate::bounds::plan_uses_for_ranks(ranks, level) as usize
+    }
+
     #[test]
     fn plan_reuse_amortizes_order_searches() {
         // The acceptance criterion of the plan subsystem: per-run
         // order searches are O(1) — one for an expectation, two for a
-        // matrix element with distinct caps — while every pattern
-        // replays a plan.
+        // matrix element with distinct caps — while every parent
+        // pattern replays and sweeps a plan, fewer uses than patterns.
         let noisy = NoisyCircuit::inject_random(ghz(4), &channels::depolarizing(1e-2), 5, 37);
         let psi = ProductState::all_zeros(4);
         let v = ProductState::basis(4, 0b1111);
+        let ranks = site_ranks(&noisy);
+        // 1 + 1 + 2·12 uses for 1 + 15 + 90 patterns.
+        assert_eq!(schedule_plan_uses(&ranks, 2), 26);
         for threads in [1usize, 4] {
             let o = ApproxOptions {
                 level: 2,
@@ -1059,9 +1335,11 @@ mod tests {
             assert!(res.terms_evaluated > 50, "nontrivial pattern count");
             assert_eq!(res.stats.order_searches, 1, "threads={threads}");
             assert_eq!(
-                res.stats.plan_reuses, res.terms_evaluated,
-                "threads={threads}: every pattern replays the one plan"
+                res.stats.plan_reuses,
+                schedule_plan_uses(&ranks, 2),
+                "threads={threads}: one replay and one sweep per parent"
             );
+            assert!(res.stats.plan_reuses < res.terms_evaluated);
             assert_eq!(res.contractions, res.terms_evaluated);
         }
 
@@ -1071,8 +1349,8 @@ mod tests {
         assert_eq!(stats.order_searches, 2, "one search per half");
         assert_eq!(
             stats.plan_reuses,
-            2 * terms,
-            "every pattern replays both half-plans"
+            2 * schedule_plan_uses(&ranks, 2),
+            "every parent replays and sweeps both half-plans"
         );
     }
 
@@ -1336,11 +1614,11 @@ mod tests {
 
     #[test]
     fn parallel_evaluation_streams_multiple_chunks() {
-        // 9 thermal (rank-3) sites at level 2 run C(9,2)·2² = 144
-        // patterns in the top level — more than PATTERN_CHUNK ×
-        // threads, so workers must go back to the shared stream for
-        // further chunks and still reproduce the 1-thread sum and term
-        // count bit for bit.
+        // 9 thermal (rank-3) sites at level 2 sweep the 16 level-1
+        // parents with a site above them, 4 chunks of PARENT_CHUNK —
+        // more than the 2 workers, so they must go back to the shared
+        // stream for further chunks and still reproduce the 1-thread
+        // sum and term count bit for bit.
         let noisy = NoisyCircuit::inject_random(
             ghz(4),
             &channels::thermal_relaxation(30.0, 40.0, 100.0),
@@ -1351,10 +1629,8 @@ mod tests {
         let v = ProductState::basis(4, 0b1111);
         let ranks = site_ranks(&noisy);
         assert_eq!(ranks, vec![3; 9]);
-        assert!(
-            crate::bounds::level_patterns_for_ranks(&ranks, 2) as usize > PATTERN_CHUNK * 4,
-            "test must exercise multiple chunks in flight"
-        );
+        let chunks = crate::patterns::parent_count(&ranks, 1).div_ceil(PARENT_CHUNK as u128);
+        assert_eq!(chunks, 4, "test must exercise multiple chunks in flight");
         let seq = approximate_expectation(&noisy, &psi, &v, &opts(2));
         let par = approximate_expectation(
             &noisy,
@@ -1362,7 +1638,7 @@ mod tests {
             &v,
             &ApproxOptions {
                 level: 2,
-                threads: 4,
+                threads: 2,
                 ..Default::default()
             },
         );
@@ -1375,7 +1651,7 @@ mod tests {
         );
         assert_eq!(seq.terms_evaluated, par.terms_evaluated);
         assert_eq!(par.terms_evaluated, 1 + 2 * 9 + 36 * 4);
-        assert_eq!(par.stats.plan_reuses, par.terms_evaluated);
+        assert_eq!(par.stats.plan_reuses, schedule_plan_uses(&ranks, 2));
 
         // Run-to-run determinism: chunk assignment depends on OS
         // scheduling, but the sequence-ordered reduction must make the
@@ -1387,7 +1663,7 @@ mod tests {
                 &v,
                 &ApproxOptions {
                     level: 2,
-                    threads: 4,
+                    threads: 2,
                     ..Default::default()
                 },
             );
@@ -1412,12 +1688,15 @@ mod tests {
     }
 
     /// The two-network evaluator the Kraus form replaced, kept as an
-    /// oracle: per pattern, the upper network times a `conjugate = true`
-    /// lower network carrying the `V` payloads, each fully replayed.
-    /// It sums every `C(N,u)·3^u` pattern in Gray order, zero terms
-    /// included, in the evaluators' [`PATTERN_CHUNK`]-pattern chunks of
-    /// the patterns that run: a pattern that uses a zero term joins the
-    /// chunk of the last one that ran before it.
+    /// oracle, on the parent-plus-sweep schedule: per parent, the upper
+    /// network and a `conjugate = true` lower network carrying the `V`
+    /// payloads, each fully replayed and then swept, and every child
+    /// term `⟨E^up_t, U_j⟩·⟨E^lo_t, V_j⟩`. It streams every
+    /// `C(N,u−1)·3^(u−1)` parent in Gray order and runs all three
+    /// correction terms of every site above it, zero terms included,
+    /// in the evaluators' [`PARENT_CHUNK`]-parent chunks of the parents
+    /// that run: a parent the evaluators skip joins the chunk of the
+    /// last one that ran before it.
     fn two_half_per_level(
         noisy: &NoisyCircuit,
         psi: &ProductState,
@@ -1426,6 +1705,7 @@ mod tests {
     ) -> Vec<f64> {
         let circuit = noisy.circuit();
         let sites = collect_sites(noisy);
+        let n = sites.len();
         let placeholders: Vec<Insertion> = sites
             .sites
             .iter()
@@ -1440,33 +1720,86 @@ mod tests {
         // The plan the evaluators run, found by the same search, but
         // compiled with every leaf hot and replayed in full.
         let ranks = site_ranks(noisy);
+        let last = ranks.iter().rposition(|&r| r >= 2);
         let up = pattern_sum_plan(&upper, &ranks).0.compile();
         let lo = pattern_sum_plan(&lower, &ranks).0.compile();
         let (mut ws_up, mut ws_lo) = (Workspace::for_plan(&up), Workspace::for_plan(&lo));
-        let mut assignment = vec![0usize; sites.len()];
+        let terms = |i: usize, t: usize| {
+            let (a, b) = sites.svd(i).term(t);
+            (Tensor::from_matrix(a), Tensor::from_matrix(b))
+        };
+        let dot = |env: &[Complex64], t: &Tensor| {
+            env.iter()
+                .zip(t.as_slice())
+                .fold(Complex64::ZERO, |acc, (&e, &u)| acc + e * u)
+        };
+        let install = |upper: &mut AmplitudeSkeleton,
+                       lower: &mut AmplitudeSkeleton,
+                       ws_up: &mut Workspace,
+                       ws_lo: &mut Workspace,
+                       parent: &[usize]| {
+            for (i, &t) in parent.iter().enumerate() {
+                let (a, b) = terms(i, t);
+                upper.set_insertion_payload(i, &a);
+                lower.set_insertion_payload(i, &b);
+            }
+            let amp_up = up.execute_network_scalar(upper.network(), ws_up);
+            let amp_lo = lo.execute_network_scalar(lower.network(), ws_lo);
+            amp_up * amp_lo
+        };
+        let mut parent = vec![0usize; n];
         (0..=level)
             .map(|u| {
-                let mut chunks: Vec<Complex64> = Vec::new();
+                if u == 0 {
+                    let mut sum = ComplexSum::default();
+                    sum.add(install(
+                        &mut upper,
+                        &mut lower,
+                        &mut ws_up,
+                        &mut ws_lo,
+                        &vec![0; n],
+                    ));
+                    return sum.value().re;
+                }
+                let mut chunks: Vec<ComplexSum> = Vec::new();
                 let mut ran = 0usize;
-                let mut stream = GrayPatternStream::new(sites.len(), u);
-                while stream.next_into(&mut assignment) {
-                    for (i, &t) in assignment.iter().enumerate() {
-                        let (a, b) = sites.svd(i).term(t);
-                        upper.set_insertion_payload(i, &Tensor::from_matrix(a));
-                        lower.set_insertion_payload(i, &Tensor::from_matrix(b));
-                    }
-                    let amp_up = up.execute_network_scalar(upper.network(), &mut ws_up);
-                    let amp_lo = lo.execute_network_scalar(lower.network(), &mut ws_lo);
-                    if assignment.iter().zip(&ranks).all(|(&t, &r)| t < r) {
+                let mut stream = GrayPatternStream::new(n, u - 1);
+                while stream.next_into(&mut parent) {
+                    let top = parent.iter().rposition(|&t| t != 0);
+                    let nonzero = parent.iter().zip(&ranks).all(|(&t, &r)| t < r);
+                    if nonzero && last.is_some_and(|l| top.is_none_or(|t| t < l)) {
                         ran += 1;
                     }
-                    let chunk = ran.saturating_sub(1) / PATTERN_CHUNK;
+                    let chunk = ran.saturating_sub(1) / PARENT_CHUNK;
                     if chunk == chunks.len() {
-                        chunks.push(Complex64::ZERO);
+                        chunks.push(ComplexSum::default());
                     }
-                    chunks[chunk] += amp_up * amp_lo;
+                    let _ = install(&mut upper, &mut lower, &mut ws_up, &mut ws_lo, &parent);
+                    let first = top.map_or(0, |t| t + 1);
+                    let (mut env_up, mut env_lo) = (vec![Vec::new(); n], vec![Vec::new(); n]);
+                    let leaves: Vec<usize> = (first..n).map(|t| upper.insertion_slot(t)).collect();
+                    let site = |skel: &AmplitudeSkeleton, leaf| {
+                        (0..n).position(|t| skel.insertion_slot(t) == leaf).unwrap()
+                    };
+                    up.sweep_network_envs(upper.network(), &leaves, &mut ws_up, |leaf, env| {
+                        env_up[site(&upper, leaf)] = env.to_vec();
+                    });
+                    let leaves: Vec<usize> = (first..n).map(|t| lower.insertion_slot(t)).collect();
+                    lo.sweep_network_envs(lower.network(), &leaves, &mut ws_lo, |leaf, env| {
+                        env_lo[site(&lower, leaf)] = env.to_vec();
+                    });
+                    for t in first..n {
+                        for j in 1..4 {
+                            let (a, b) = terms(t, j);
+                            chunks[chunk].add(dot(&env_up[t], &a) * dot(&env_lo[t], &b));
+                        }
+                    }
                 }
-                chunks.into_iter().sum::<Complex64>().re
+                let mut sum = ComplexSum::default();
+                for chunk in chunks {
+                    sum.add(chunk.value());
+                }
+                sum.value().re
             })
             .collect()
     }
@@ -1492,6 +1825,58 @@ mod tests {
                     );
                     let sum: f64 = oracle[..=level].iter().sum();
                     assert_eq!(res.value.to_bits(), sum.to_bits(), "{name}, level {level}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn environment_sums_agree_with_per_pattern_sums_and_the_dense_engine() {
+        // Per level, the parent-plus-sweep sums against the retired
+        // one-replay-per-pattern schedule, for expectations and
+        // off-diagonal matrix elements on every catalogue channel plus
+        // thermal relaxation; 4 sites, so level 4 is exact.
+        let mut chans = channels::catalogue(0.02);
+        chans.push(("thermal", channels::thermal_relaxation(30.0, 40.0, 100.0)));
+        let sites = 4;
+        for (cname, channel) in &chans {
+            for (name, c) in registry_circuits() {
+                let n = c.n_qubits();
+                let noisy = NoisyCircuit::inject_random(c, channel, sites, 83);
+                let psi = ProductState::all_zeros(n);
+                let rho = density::run(&noisy, &psi.to_statevector());
+                let (a, b) = (ProductState::basis(n, 0b101), ProductState::basis(n, 0b011));
+                for (x, y) in [(&a, &a), (&a, &b)] {
+                    let (skels, shared) =
+                        build_split(noisy.circuit(), &psi, x, y, &collect_sites(&noisy));
+                    let mut delta = SplitDelta::new(skels, &shared);
+                    let oracle: Vec<(Complex64, f64, usize)> = (0..=sites)
+                        .map(|u| per_pattern_level(&mut delta, &shared, u))
+                        .collect();
+                    let exact = rho.matrix_element(&x.to_statevector(), &y.to_statevector());
+                    let at = |what: &str| format!("{cname} on {name}, {what}, x == y: {}", x == y);
+                    for threads in [1usize, 2] {
+                        let o = opts(sites).with_threads(threads);
+                        let mut eval =
+                            crate::refine::LevelEvaluator::with_caps(&noisy, &psi, x, y, &o)
+                                .unwrap();
+                        eval.advance_to(sites).unwrap();
+                        for (u, (&got, &(want, scale, count))) in
+                            eval.level_sums().iter().zip(&oracle).enumerate()
+                        {
+                            let at = at(&format!("level {u}, threads {threads}"));
+                            assert!((got - want).abs() <= 1e-12 * scale, "{at}: {got} vs {want}");
+                            assert_eq!(eval.level_counts()[u], count, "{at}");
+                        }
+                        let (value, _, _) = eval.into_element();
+                        let per_pattern = oracle.iter().map(|&(t, _, _)| t).sum::<Complex64>();
+                        assert!((value - exact).abs() <= 1e-12, "{}", at("approx vs dense"));
+                        assert!(
+                            (per_pattern - exact).abs() <= 1e-12,
+                            "{}",
+                            at("oracle vs dense")
+                        );
+                    }
                 }
             }
         }

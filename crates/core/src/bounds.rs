@@ -145,6 +145,28 @@ pub fn planned_patterns_for_ranks(ranks: &[usize], level: usize) -> u128 {
         .fold(0u128, u128::saturating_add)
 }
 
+/// The plan uses — replays plus environment sweeps — that one network
+/// of a level-`l` run over sites with Kraus ranks `ranks` performs, on
+/// a fresh evaluator: level 0 replays the all-dominant pattern, level
+/// 1 sweeps it as it stands, and every deeper level `u` installs each
+/// of its parents (the level-`(u − 1)` patterns with a correction site
+/// above their highest active one) with one replay and sweeps it. A
+/// matrix element with distinct caps runs two networks. This is what
+/// [`crate::approx::ApproxResult::stats`] counts as `plan_reuses`,
+/// whatever the thread count, and it is below the pattern count at
+/// every level above 0 where a site has a correction. Saturating, like
+/// [`level_patterns`].
+pub fn plan_uses_for_ranks(ranks: &[usize], level: usize) -> u128 {
+    let parents = |u| crate::patterns::parent_count(ranks, u);
+    (0..=level.min(ranks.len())).fold(0u128, |total, u| {
+        total.saturating_add(match u {
+            0 => 1,
+            1 => parents(0),
+            _ => parents(u - 1).saturating_mul(2),
+        })
+    })
+}
+
 /// The paper's contraction count for the level-`l` approximation,
 /// two single-size networks per pattern: `2·Σ_{i=0..l} C(N,i)·3^i`
 /// (Theorem 1) — the unit of `table4` and Fig. 5. An expectation run

@@ -53,6 +53,7 @@ pub mod noise_svd;
 pub mod patterns;
 pub mod permutation;
 pub mod refine;
+mod sum;
 pub mod timing;
 
 pub use approx::{
@@ -62,7 +63,7 @@ pub use approx::{
 };
 pub use bounds::{
     contraction_count, error_bound, level_patterns, level_patterns_for_ranks, level_recommendation,
-    planned_patterns, planned_patterns_for_ranks,
+    plan_uses_for_ranks, planned_patterns, planned_patterns_for_ranks,
 };
 pub use noise_svd::NoiseSvd;
 pub use patterns::{GrayPatternStream, PatternStream};

@@ -129,6 +129,32 @@ pub(crate) fn correction_terms(rank: usize) -> usize {
     rank.clamp(1, 4) - 1
 }
 
+/// The level-`u` patterns with nonzero terms that have a correction
+/// site (Kraus rank at least 2) above their highest active site: the
+/// parents a level-`(u + 1)` sum extends by one correction. The
+/// all-dominant pattern (`u = 0`) has no active site, so it is a parent
+/// when any site has a correction.
+pub(crate) fn parent_count(ranks: &[usize], u: usize) -> u128 {
+    let caps: Vec<u128> = ranks.iter().map(|&r| correction_terms(r) as u128).collect();
+    let Some(last) = caps.iter().rposition(|&c| c > 0) else {
+        return 0;
+    };
+    if u == 0 {
+        return 1;
+    }
+    // below[k]: the level-k patterns over the sites before `s`.
+    let mut below = vec![0u128; u];
+    below[0] = 1;
+    let mut count = 0u128;
+    for &cap in &caps[..last] {
+        count = count.saturating_add(cap.saturating_mul(below[u - 1]));
+        for k in (1..u).rev() {
+            below[k] = below[k].saturating_add(below[k - 1].saturating_mul(cap));
+        }
+    }
+    count
+}
+
 /// Sentinel "no term installed" marker for diffing against a
 /// [`GrayPatternStream`]'s patterns (all real terms are `0..=3`).
 pub const TERM_UNSET: usize = usize::MAX;
@@ -486,6 +512,28 @@ mod tests {
                 prev.copy_from_slice(&pat);
             }
             assert!(s.changed_sites().is_empty(), "cleared after exhaustion");
+        }
+    }
+
+    #[test]
+    fn parent_counts_match_the_enumeration() {
+        // Mixed ranks, a rank-1 site last: a parent needs a site of
+        // rank at least 2 above its highest active site.
+        for ranks in [vec![3, 4, 2, 1, 3, 1], vec![3; 5], vec![1, 1], vec![2]] {
+            let n = ranks.len();
+            let last = ranks.iter().rposition(|&r| r >= 2);
+            for u in 0..=n {
+                let mut s = GrayPatternStream::with_ranks(&ranks, u);
+                let pats = collect(n, |p| s.next_into(p));
+                let parents = pats
+                    .iter()
+                    .filter(|p| {
+                        let top = p.iter().rposition(|&t| t > 0);
+                        last.is_some_and(|l| top.is_none_or(|t| t < l))
+                    })
+                    .count();
+                assert_eq!(parent_count(&ranks, u), parents as u128, "{ranks:?} u={u}");
+            }
         }
     }
 

@@ -20,12 +20,13 @@
 //! contributions, and therefore every partial sum, are **bitwise
 //! identical** — not merely close. Each level's contribution `T_u` is
 //! a well-defined `f64` that depends on the job alone: the Gray
-//! enumeration order is fixed, delta replay is bit-identical to full
-//! replay, and every level is reduced in the same chunk order whatever
-//! the thread count. That is what makes per-level caching sound: a
-//! cached `T_u` can be [installed](LevelEvaluator::install_level) into
-//! a fresh evaluator, on any thread count, without changing any later
-//! bit.
+//! enumeration order of the parent patterns is fixed, delta replay is
+//! bit-identical to full replay, an environment sweep reads only what
+//! a full replay of its parent computes, and every level is reduced in
+//! the same compensated chunk order whatever the thread count. That is
+//! what makes per-level caching sound: a cached `T_u` can be
+//! [installed](LevelEvaluator::install_level) into a fresh evaluator,
+//! on any thread count, without changing any later bit.
 //!
 //! # One network per pattern
 //!
@@ -33,16 +34,25 @@
 //! and [`crate::NoiseSvd`] builds each lower factor as exactly
 //! `V_i = conj(U_i)`; the lower network is then the entry-wise
 //! conjugate of the upper one, and so is its contraction, bit for bit
-//! (see [`crate::approx`]). The evaluator plans, compiles, warms and
-//! delta-replays only the upper network and adds `amp·conj(amp)` per
-//! pattern — bitwise what the two-network product would give, at half
-//! the replays. Every pattern term is a Kraus-trajectory probability,
-//! so every `T_u ≥ 0` and `A(l)` rises monotonically toward the exact
-//! value from below.
+//! (see [`crate::approx`]). The evaluator plans, compiles, warms,
+//! delta-replays and sweeps only the upper network and adds
+//! `amp·conj(amp)` per pattern — bitwise what the two-network product
+//! would give, at half the work. Every pattern term is a
+//! Kraus-trajectory probability, so every `T_u ≥ 0` and `A(l)` rises
+//! monotonically toward the exact value from below.
 //!
 //! A matrix element `⟨x|E(ρ)|y⟩` runs on the same evaluator with two
 //! caps ([`crate::approx::try_approximate_matrix_element`]); it keeps
 //! its level sums complex and adds the lower network `⟨y|·|ψ⟩`.
+//!
+//! # One sweep per parent
+//!
+//! Level 0 is one replay. Above it, each level-`u` pattern is a
+//! level-`(u − 1)` parent plus one correction at a site above the
+//! parent's highest one, so the evaluator installs each parent with
+//! one delta replay and prices all its children with one environment
+//! sweep (see [`crate::approx`]); level 1 sweeps the pattern level 0
+//! left installed.
 //!
 //! # Example
 //!
@@ -70,7 +80,7 @@
 
 use crate::approx::{
     build_split, check_budget, check_state, collect_sites, evaluate_level, ApproxOptions,
-    ApproxResult, SplitDelta, SplitShared, PATTERN_CHUNK,
+    ApproxResult, SplitDelta, SplitShared, PARENT_CHUNK,
 };
 use qns_linalg::Complex64;
 use qns_noise::{NoisyCircuit, QnsError};
@@ -107,9 +117,10 @@ pub struct PartialEstimate {
 ///
 /// Construction performs the once-per-run setup (validation, SVD site
 /// collection, planning + compiling the amplitude network); each
-/// [`advance`](Self::advance) then contracts exactly one level's new
-/// patterns through the compiled plans, reusing the warm-workspace
-/// delta-replay machinery, and returns the tightened
+/// [`advance`](Self::advance) then sums exactly one level's new
+/// patterns through the compiled plans, one delta replay and one
+/// environment sweep per parent pattern on warm workspaces, and
+/// returns the tightened
 /// [`PartialEstimate`]. Levels already paid for elsewhere can be
 /// [installed](Self::install_level) from a cache instead of recomputed.
 pub struct LevelEvaluator {
@@ -117,15 +128,16 @@ pub struct LevelEvaluator {
     n: usize,
     threads: usize,
     max_terms: u128,
-    /// Largest per-event noise rate, the `p` of the Theorem-1 bound.
-    noise_rate: f64,
+    /// Largest per-event noise rate, the `p` of the Theorem-1 bound:
+    /// `None` for a matrix element, whose estimates carry no bound.
+    noise_rate: Option<f64>,
     shared: SplitShared,
     /// One delta evaluator per worker thread, each with its own
     /// skeletons and hot workspace, kept across levels so its warm
     /// intermediates and installed assignment carry over (a level's
-    /// first pattern diffs against the worker's last one). Worker 0
+    /// first parent diffs against the worker's last one). Worker 0
     /// runs on the calling thread; the others are forked from it on
-    /// the first level with more than one pattern chunk, at most one
+    /// the first level with more than one parent chunk, at most one
     /// worker per chunk.
     workers: Vec<SplitDelta>,
     /// Sums `T_0 … T_k` of the completed levels. An expectation's are
@@ -134,6 +146,8 @@ pub struct LevelEvaluator {
     per_level: Vec<Complex64>,
     /// Pattern count of each completed level.
     level_counts: Vec<usize>,
+    /// Patterns of the levels computed here, not installed.
+    computed: usize,
     stats: ContractionStats,
 }
 
@@ -158,12 +172,14 @@ impl LevelEvaluator {
         let circuit = noisy.circuit();
         check_state("input state", psi, circuit)?;
         check_state("test state", v, circuit)?;
-        Self::with_caps(noisy, psi, v, v, opts)
+        Self::build(noisy, psi, v, v, opts, true)
     }
 
     /// [`new`](Self::new) for the matrix element `⟨x|E(ρ)|y⟩`: the
     /// upper network is capped with `x`, and a lower one with `y` when
-    /// it differs. The caller has validated the three states.
+    /// it differs. The caller has validated the three states. Its
+    /// estimates carry no Theorem-1 bound (`theorem1_bound` reads
+    /// infinity), so it computes no noise rate.
     pub(crate) fn with_caps(
         noisy: &NoisyCircuit,
         psi: &ProductState,
@@ -171,9 +187,21 @@ impl LevelEvaluator {
         y: &ProductState,
         opts: &ApproxOptions,
     ) -> Result<Self, QnsError> {
+        Self::build(noisy, psi, x, y, opts, false)
+    }
+
+    fn build(
+        noisy: &NoisyCircuit,
+        psi: &ProductState,
+        x: &ProductState,
+        y: &ProductState,
+        opts: &ApproxOptions,
+        bounded: bool,
+    ) -> Result<Self, QnsError> {
         let sites = collect_sites(noisy);
         let n = sites.len();
         check_budget(n, opts.level.min(n), opts.max_terms)?;
+        let noise_rate = bounded.then(|| sites.max_noise_rate());
         let (skels, shared) = build_split(noisy.circuit(), psi, x, y, &sites);
         let mut stats = ContractionStats::default();
         stats.absorb(&shared.planning);
@@ -182,11 +210,12 @@ impl LevelEvaluator {
             n,
             threads: opts.threads,
             max_terms: opts.max_terms,
-            noise_rate: noisy.max_noise_rate(),
+            noise_rate,
             shared,
             workers,
             per_level: Vec::new(),
             level_counts: Vec::new(),
+            computed: 0,
             stats,
         })
     }
@@ -232,10 +261,13 @@ impl LevelEvaluator {
     /// [is already complete](Self::is_complete).
     pub fn advance(&mut self) -> Result<PartialEstimate, QnsError> {
         let u = self.begin_level()?;
-        // A worker per chunk at most: a level of one chunk runs on the
-        // calling thread.
-        let patterns = crate::bounds::level_patterns_for_ranks(&self.shared.ranks, u);
-        let chunks = patterns.div_ceil(PATTERN_CHUNK as u128);
+        // A worker per parent chunk at most: level 0 (one pattern) and
+        // a level of one chunk run on the calling thread.
+        let chunks = match u {
+            0 => 1,
+            _ => crate::patterns::parent_count(&self.shared.ranks, u - 1)
+                .div_ceil(PARENT_CHUNK as u128),
+        };
         let workers = (self.threads as u128).min(chunks).max(1) as usize;
         while self.workers.len() < workers {
             let fork = self.workers[0].fork(&self.shared);
@@ -246,6 +278,7 @@ impl LevelEvaluator {
         self.stats.absorb(&level_stats);
         self.per_level.push(tu);
         self.level_counts.push(count);
+        self.computed += count;
         Ok(self.estimate_at(u))
     }
 
@@ -316,7 +349,9 @@ impl LevelEvaluator {
         PartialEstimate {
             value: self.per_level.iter().map(|t| t.re).sum(),
             level,
-            theorem1_bound: crate::bounds::error_bound(self.n, self.noise_rate, level),
+            theorem1_bound: self.noise_rate.map_or(f64::INFINITY, |p| {
+                crate::bounds::error_bound(self.n, p, level)
+            }),
             patterns_done: self.level_counts.iter().sum(),
             level_contribution: self.per_level[level].re,
             level_patterns: self.level_counts[level],
@@ -333,9 +368,21 @@ impl LevelEvaluator {
             value: per_level.iter().sum(),
             per_level,
             terms_evaluated: self.level_counts.iter().sum(),
-            contractions: self.stats.plan_reuses,
+            contractions: self.computed,
             stats: self.stats,
         }
+    }
+
+    /// The complex sums `T_0 … T_k` of the completed levels.
+    #[cfg(test)]
+    pub(crate) fn level_sums(&self) -> &[Complex64] {
+        &self.per_level
+    }
+
+    /// The pattern counts of the completed levels.
+    #[cfg(test)]
+    pub(crate) fn level_counts(&self) -> &[usize] {
+        &self.level_counts
     }
 
     /// The matrix element through the completed levels, with its
@@ -441,9 +488,11 @@ mod tests {
 
     #[test]
     fn a_level_runs_at_most_one_worker_per_chunk() {
-        // Level 1 of 12 thermal sites is one 32-pattern chunk: it runs
-        // on the calling thread, with no fork. Level 2 forks the second
-        // worker, and its sum is bitwise a fresh two-thread run's.
+        // Level 1 of 12 thermal sites sweeps one parent, the
+        // all-dominant pattern: one chunk, so it runs on the calling
+        // thread, with no fork. Level 2 sweeps 22 parents in 6 chunks,
+        // forks the second worker, and its sum is bitwise a fresh
+        // two-thread run's.
         let thermal = channels::thermal_relaxation(30.0, 40.0, 25.0);
         let noisy = NoisyCircuit::inject_random(ghz(4), &thermal, 12, 29);
         let (psi, v) = (ProductState::all_zeros(4), ProductState::basis(4, 0b1111));
@@ -451,8 +500,10 @@ mod tests {
         let mut eval = LevelEvaluator::new(&noisy, &psi, &v, &opts).unwrap();
         eval.advance().unwrap();
         let level_1 = eval.advance().unwrap();
-        assert!(level_1.level_patterns <= PATTERN_CHUNK);
+        assert_eq!(level_1.level_patterns, 24);
+        assert_eq!(crate::patterns::parent_count(&eval.shared.ranks, 0), 1);
         assert_eq!(eval.workers.len(), 1, "a one-chunk level forked a worker");
+        assert!(crate::patterns::parent_count(&eval.shared.ranks, 1) > PARENT_CHUNK as u128);
         let level_2 = eval.advance().unwrap();
         assert_eq!(eval.workers.len(), 2);
         let fresh = approximate_expectation(&noisy, &psi, &v, &opts);

@@ -6,7 +6,7 @@
 //! the same shapes millions of times (the pattern sum) performs zero
 //! heap allocations per call.
 //!
-//! Two flavors:
+//! Three flavors:
 //!
 //! * [`matmul_into`] — both operands contiguous row-major.
 //! * [`matmul_gather_lhs_into`] — the left operand is read through
@@ -15,6 +15,9 @@
 //!   works because a contraction's operand permutation always splits
 //!   the axes into two groups (free → rows, contracted → columns), so
 //!   the permuted flat index factorizes as `row_off[i] + col_off[j]`.
+//! * [`matmul_transposed_lhs_into`] — the left operand is a contiguous
+//!   row-major matrix read transposed: the reverse (environment) step
+//!   `aᵀ · b` of a contraction whose lhs needed no permutation.
 //!
 //! # One loop nest, two row updates
 //!
@@ -100,6 +103,26 @@ pub fn matmul_gather_lhs_into(
 ) {
     let (m, k) = check_gather(row_off, col_off, b, out, n);
     dispatch(m, k, n, |i, kk| a[row_off[i] + col_off[kk]], b, out);
+}
+
+/// `out = aᵀ · b` for row-major `a` (`k×m`, read transposed), `b`
+/// (`k×n`), writing the row-major `m×n` product into `out` (fully
+/// overwritten): the lhs-transposed variant of [`matmul_into`], with
+/// the same accumulation order and zero-skip.
+///
+/// # Panics
+///
+/// Panics if a slice length disagrees with its dimensions.
+pub fn matmul_transposed_lhs_into(
+    a: &[Complex64],
+    b: &[Complex64],
+    out: &mut [Complex64],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    check_dense(a, b, out, m, k, n);
+    dispatch(m, k, n, |i, kk| a[kk * m + i], b, out);
 }
 
 /// The portable scalar kernels: the fallback on CPUs without AVX2 and
@@ -288,6 +311,21 @@ mod tests {
         let mut materialized = vec![Complex64::ZERO; m * n];
         matmul_into(a.as_slice(), &b, &mut materialized, m, k, n);
         assert_eq!(fused, materialized);
+    }
+
+    #[test]
+    fn transposed_lhs_matches_materialized_transpose() {
+        let mut rng = StdRng::seed_from_u64(6);
+        for &(m, k, n) in &[(1, 1, 1), (3, 4, 5), (8, 2, 1), (2, 7, 600)] {
+            let a_t = rand_buf(&mut rng, k * m); // [k][m] layout
+            let b = rand_buf(&mut rng, k * n);
+            let mut fused = vec![c64(9.0, 9.0); m * n];
+            matmul_transposed_lhs_into(&a_t, &b, &mut fused, m, k, n);
+            let a = Matrix::from_vec(k, m, a_t).transpose();
+            let mut materialized = vec![Complex64::ZERO; m * n];
+            matmul_into(a.as_slice(), &b, &mut materialized, m, k, n);
+            assert_eq!(fused, materialized, "{m}x{k}x{n}");
+        }
     }
 
     #[test]

@@ -160,11 +160,11 @@ catalog! {
         "Service-clock micros of the most recent resolution (0 = none yet)";
     // --- qns-tnet: compiled-plan replay profiling ----------------------
     TNET_REPLAYS_TOTAL: Counter, "qns_tnet_replays_total", Some("mode"),
-        "Compiled-plan replays, by mode (full vs delta)";
+        "Compiled-plan replays and environment sweeps, by mode (full, delta or sweep)";
     TNET_REPLAY_MICROS: Histogram, "qns_tnet_replay_micros", Some("mode"),
-        "Microseconds per compiled-plan replay, by mode";
+        "Microseconds per compiled-plan replay or sweep, by mode";
     TNET_REPLAY_STEPS: Histogram, "qns_tnet_replay_steps", Some("mode"),
-        "Contraction steps executed per replay (delta = dirty steps only)";
+        "Contraction steps executed per replay (delta = dirty steps only, sweep = reverse steps)";
 }
 
 /// Looks up a catalog entry by name.

@@ -1,7 +1,11 @@
 //! A service's full metrics dump: with the tnet replay profiler
 //! installed on the service's own registry, the JSON export of a
 //! snapshot parses with the workspace's reader, carries exactly the
-//! catalog's families, and counts both full and delta plan replays.
+//! catalog's families, and counts full plan replays and environment
+//! sweeps. The jobs run levels 0 and 1: level 0 replays the plan in
+//! full and level 1 sweeps that same pattern, so no delta replay runs
+//! (delta replays are counted by `qns-tnet`'s `zero_alloc` tests and
+//! `contract_bench`'s delta section).
 //!
 //! One test function on purpose: the profiler switch is process-global,
 //! so this binary must not run concurrent replays with it installed.
@@ -72,7 +76,7 @@ fn profiled_service_dump_parses_covers_the_catalog_and_counts_replays() {
     };
     assert!(replays("full") > 0, "approx jobs replay compiled plans");
     assert!(
-        replays("delta") > 0,
-        "the pattern sum's warm replays take the delta path"
+        replays("sweep") > 0,
+        "the pattern sum's top level sweeps the installed parent"
     );
 }

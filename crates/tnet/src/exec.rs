@@ -87,10 +87,35 @@
 //! ([`crate::plan::ContractionPlan::execute_reference`]): the micro
 //! kernels in [`qns_linalg::kernels`] keep the reference accumulation
 //! order, and elided/fused permutations move the same values.
+//!
+//! # Environment sweeps
+//!
+//! A rank-0 result is linear in every leaf, so replacing one leaf's
+//! payload by `U` gives `Σ_x E[x]·U[x]`, where `E` is the leaf's
+//! *environment*: the contraction of everything else.
+//! [`ExecutablePlan::sweep_network_envs`] computes the environments of
+//! any set of varying leaves in one reverse pass over the hot steps
+//! (reverse-mode differentiation of the contraction tree: Liao, Liu,
+//! Wang and Xiang, "Differentiable Programming Tensor Networks", PRX 9,
+//! 031041, 2019). For a hot step `dst = lhs·rhs`, `env(lhs) =
+//! env(dst)·rhsᵀ` and `env(rhs) = lhsᵀ·env(dst)`, each a kernel of the
+//! same `m·k·n` as the forward step, reading the forward gathers (and,
+//! where it is cheap, the inverse of a node's reader gather); narrow
+//! ones are taken as dot products. The forward operands come from the
+//! warm workspace: a hot node's sibling is either cold, in the cold
+//! cache, or a persistent hot node, because only hot nodes with a cold
+//! sibling are transient. So a sweep reads no transient node, and its
+//! environments live on a depth-first stack in the arena's transient
+//! region, dead between executions: a parent's environment stays on it
+//! only while its second child waits, and the last child computed takes
+//! its parent's place. The stack, the reverse steps' scratch and the
+//! walk's bookkeeping are sized at lowering; a workspace made by
+//! [`Workspace::for_sweeps`], or one that has swept once, allocates
+//! nothing more.
 
 use crate::network::{ContractionStats, TensorNetwork};
 use crate::plan::ContractionPlan;
-use qns_linalg::kernels::{matmul_gather_lhs_into, matmul_into};
+use qns_linalg::kernels::{matmul_gather_lhs_into, matmul_into, matmul_transposed_lhs_into};
 use qns_linalg::Complex64;
 use qns_tensor::Tensor;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -182,6 +207,136 @@ impl Gather {
             }
         }
     }
+
+    /// `dst[row[r] + col[c]] = src[r·cols + c]`: the inverse of
+    /// [`Gather::copy`], which moves an environment from the gathered
+    /// layout back to the layout the gather reads.
+    fn scatter(&self, tables: &[usize], src: &[Complex64], dst: &mut [Complex64]) {
+        let (row, col) = (self.row(tables), self.col(tables));
+        let cols = col.len();
+        for (r, &ro) in row.iter().enumerate() {
+            let srow = &src[r * cols..(r + 1) * cols];
+            for (&s, &co) in srow.iter().zip(col) {
+                dst[ro + co] = s;
+            }
+        }
+    }
+
+    /// The gather that undoes this one, appended to `tables`: this
+    /// gather reads a row-major `m × n` matrix `p` into the layout
+    /// `d` (`d[r·cols + c] = p[row[r] + col[c]]`), and the inverse
+    /// reads `p` back out of `d`. Both index an axis permutation, so
+    /// the inverse factorizes too: its offsets are those of `p`'s first
+    /// column and first row in `d`. `inverse` is scratch.
+    fn inverse(
+        &self,
+        m: usize,
+        n: usize,
+        tables: &mut Vec<usize>,
+        inverse: &mut Vec<usize>,
+    ) -> Gather {
+        inverse.clear();
+        inverse.resize(m * n, 0);
+        let (row, col) = (self.row(tables), self.col(tables));
+        for (r, &ro) in row.iter().enumerate() {
+            for (c, &co) in col.iter().enumerate() {
+                inverse[ro + co] = r * col.len() + c;
+            }
+        }
+        let start = tables.len();
+        tables.extend((0..m).map(|i| inverse[i * n]));
+        tables.extend_from_slice(&inverse[..n]);
+        Gather {
+            row: start,
+            rows: m,
+            col: start + m,
+            cols: n,
+        }
+    }
+
+    /// The same tables with rows and columns swapped: the gather of
+    /// the transposed matrix.
+    fn transposed(&self) -> Gather {
+        Gather {
+            row: self.col,
+            rows: self.cols,
+            col: self.row,
+            cols: self.rows,
+        }
+    }
+}
+
+/// Output columns up to which an lhs reverse step takes dot products
+/// ([`Kernel::env_by_dots`]).
+const DOT_COLUMNS: usize = 4;
+
+/// `Σ_t x[t]·y[t]` over two equal-length rows, in four interleaved
+/// partial sums (`t mod 4`) added pairwise at the end, so the adds do
+/// not wait on one another.
+fn dot(x: &[Complex64], y: &[Complex64]) -> Complex64 {
+    let mut acc = [Complex64::ZERO; 4];
+    let (xs, ys) = (x.chunks_exact(4), y.chunks_exact(4));
+    let (x_tail, y_tail) = (xs.remainder(), ys.remainder());
+    for (xq, yq) in xs.zip(ys) {
+        for ((a, &u), &v) in acc.iter_mut().zip(xq).zip(yq) {
+            *a += u * v;
+        }
+    }
+    for ((a, &u), &v) in acc.iter_mut().zip(x_tail).zip(y_tail) {
+        *a += u * v;
+    }
+    (acc[0] + acc[1]) + (acc[2] + acc[3])
+}
+
+/// A matrix read in place: row-major, or through a gather's tables.
+#[derive(Clone, Copy)]
+enum View<'a> {
+    Dense {
+        data: &'a [Complex64],
+        cols: usize,
+    },
+    Gathered {
+        data: &'a [Complex64],
+        row: &'a [usize],
+        col: &'a [usize],
+    },
+}
+
+impl View<'_> {
+    #[inline(always)]
+    fn at(&self, r: usize, c: usize) -> Complex64 {
+        match *self {
+            View::Dense { data, cols } => data[r * cols + c],
+            View::Gathered { data, row, col } => data[row[r] + col[c]],
+        }
+    }
+}
+
+/// `out[r·cols + c] = Σ_t x(r, t)·y(c, t)`, `t` ascending: a product
+/// with a transposed right factor, one dot product per output entry.
+#[inline(always)]
+fn dot_products(
+    rows: usize,
+    cols: usize,
+    inner: usize,
+    x: impl Fn(usize, usize) -> Complex64,
+    y: impl Fn(usize, usize) -> Complex64,
+    out: &mut [Complex64],
+) {
+    for (r, out_row) in out.chunks_exact_mut(cols).take(rows).enumerate() {
+        for (c, o) in out_row.iter_mut().enumerate() {
+            *o = (0..inner).fold(Complex64::ZERO, |acc, t| acc + x(r, t) * y(c, t));
+        }
+    }
+}
+
+/// `dst = srcᵀ` for a row-major `rows × cols` matrix `src`.
+fn transpose_into(src: &[Complex64], rows: usize, cols: usize, dst: &mut [Complex64]) {
+    for (c, drow) in dst.chunks_exact_mut(rows).take(cols).enumerate() {
+        for (r, d) in drow.iter_mut().enumerate() {
+            *d = src[r * cols + c];
+        }
+    }
 }
 
 /// The arithmetic of one lowered pair contraction, independent of
@@ -205,6 +360,11 @@ struct Kernel {
     /// the product is staged in the scratch and copied through the
     /// reader's operand gather into the destination.
     out_gather: Option<Gather>,
+    /// Set on a hot step when [`Kernel::inverts_out_gather`]: the
+    /// inverse of `out_gather`, reading the product's natural `m × n`
+    /// layout out of the reader's, so the lhs reverse step reads its
+    /// node's environment as the product's without staging it.
+    env_gather: Option<Gather>,
 }
 
 impl Kernel {
@@ -257,6 +417,65 @@ impl Kernel {
         self.rhs_scratch_len() + self.out_gather.as_ref().map_or(0, |_| self.m * self.n)
     }
 
+    /// Whether the step is a dot product of two operands read as they
+    /// lie: a `1 × k` lhs and a `k × 1` rhs, neither gathered.
+    fn is_dot(&self) -> bool {
+        self.m == 1 && self.n == 1 && self.lhs_gather.is_none() && self.rhs_gather.is_none()
+    }
+
+    /// Elements of the environment of operand `side` (its buffer's
+    /// length): `m·k` for the lhs, `k·n` for the rhs.
+    fn env_len(&self, side: usize) -> usize {
+        match side {
+            LHS => self.m * self.k,
+            _ => self.k * self.n,
+        }
+    }
+
+    /// Whether the reverse step of operand `side` takes its output
+    /// entries as dot products ([`dot_products`]) rather than as a
+    /// matmul: for an lhs of one row or at most [`DOT_COLUMNS`]
+    /// columns, whose matmul would need the rhs transposed and run a
+    /// few elements per row update, and for a one-column rhs, whose
+    /// matmul's row update would run one element per call.
+    fn env_by_dots(&self, side: usize) -> bool {
+        match side {
+            LHS => self.m == 1 || self.k <= DOT_COLUMNS,
+            _ => self.n == 1,
+        }
+    }
+
+    /// Scratch elements [`ExecutablePlan::env_step`] uses for the
+    /// environment of operand `side`: the product's environment staged
+    /// in its natural layout (when the node is stored in its reader's
+    /// and the step cannot read it through the inverse gather), the
+    /// transposed rhs of an lhs matmul, and the operand's environment
+    /// staged before its gather scatters it.
+    fn env_scratch_len(&self, side: usize) -> usize {
+        let (m, k, n) = (self.m, self.k, self.n);
+        let staged = |g: Option<Gather>, len: usize| g.map_or(0, |_| len);
+        let product = match side {
+            LHS if self.inverts_out_gather() => 0,
+            _ => staged(self.out_gather, m * n),
+        };
+        product
+            + match side {
+                LHS if self.env_by_dots(LHS) => staged(self.lhs_gather, m * k),
+                LHS => n * k + staged(self.lhs_gather, m * k),
+                _ => staged(self.rhs_gather, k * n),
+            }
+    }
+
+    /// Whether the step keeps the inverse of its `out_gather`
+    /// ([`Kernel::env_gather`]): only a step whose lhs reverse step
+    /// reads its environment as a matrix of several rows uses it, and
+    /// only where its `m + n` table entries, which the plan holds once,
+    /// cost at most an eighth of the `m·n` staged elements they spare
+    /// every worker's scratch.
+    fn inverts_out_gather(&self) -> bool {
+        self.out_gather.is_some() && self.m > 1 && 8 * (self.m + self.n) <= self.m * self.n
+    }
+
     fn flops(&self) -> u128 {
         (self.m as u128)
             .saturating_mul(self.k.max(1) as u128)
@@ -265,11 +484,39 @@ impl Kernel {
 
     /// Table entries of the kernel's gathers.
     fn table_len(&self) -> usize {
-        [self.lhs_gather, self.rhs_gather, self.out_gather]
-            .iter()
-            .flatten()
-            .map(Gather::len)
-            .sum()
+        [
+            self.lhs_gather,
+            self.rhs_gather,
+            self.out_gather,
+            self.env_gather,
+        ]
+        .iter()
+        .flatten()
+        .map(Gather::len)
+        .sum()
+    }
+}
+
+/// Operand sides of a step, as indices into [`ExecStep::env`].
+const LHS: usize = 0;
+const RHS: usize = 1;
+
+/// Where the environment of one operand of a hot step goes in an
+/// environment sweep ([`ExecutablePlan::sweep_network_envs`]).
+#[derive(Clone, Copy, Debug)]
+enum EnvTarget {
+    /// A cold operand: nothing varies below it, so no environment.
+    Cold,
+    /// A varying input leaf.
+    Leaf(usize),
+    /// A hot node: the hot step with this index.
+    Step(u32),
+}
+
+impl EnvTarget {
+    /// Whether the operand is hot: a varying leaf or a hot node.
+    fn is_hot(self) -> bool {
+        !matches!(self, EnvTarget::Cold)
     }
 }
 
@@ -281,6 +528,23 @@ struct ExecStep {
     /// Arena offset of the `m × n` result.
     dst_offset: usize,
     kernel: Kernel,
+    /// Where the environments of the lhs and the rhs go.
+    env: [EnvTarget; 2],
+}
+
+/// One node of an environment sweep's depth-first walk: the hot step,
+/// where its environment is, and the operand side to visit next
+/// (`2` once both are done).
+#[derive(Clone, Copy, Debug)]
+struct EnvFrame {
+    step: u32,
+    /// Where the node's environment starts on the env stack, or, for a
+    /// child of a dot-product root, where its children's start.
+    base: usize,
+    /// For a child of a dot-product root: the sibling it multiplies,
+    /// whose forward value is its environment.
+    alias: Option<SlotLoc>,
+    next: usize,
 }
 
 /// A [`ContractionPlan`] lowered to executable kernels; created by
@@ -332,13 +596,25 @@ pub struct ExecutablePlan {
     arena_len: usize,
     scratch_len: usize,
     replay_stats: ContractionStats,
+    /// Arena offset of the environment stack: the end of the
+    /// persistent hot nodes, where the transient ones (dead between
+    /// executions) start.
+    env_base: usize,
+    /// Elements of the environment stack: its height when a sweep
+    /// visits every hot node, the most any sweep needs.
+    env_len: usize,
+    /// Frames of the deepest environment walk: the hot tree's height.
+    env_depth: usize,
+    /// Scratch elements of the largest reverse step.
+    env_scratch_len: usize,
 }
 
 /// Per-thread scratch memory for [`ExecutablePlan`] execution: the
 /// hot-node arena (the contraction tree's cache of the nodes that
-/// change), the scratch (a step's permuted input-leaf rhs, then its
-/// staged product when its node is stored in its reader's layout) and
-/// the output buffer. Grown
+/// change, then the environment stack of a sweep), the scratch (a
+/// step's permuted input-leaf rhs, then its staged product when its
+/// node is stored in its reader's layout; a reverse step's staged
+/// operands) and the output buffer. Grown
 /// on first use (or by [`Workspace::for_plan`]) and reused verbatim
 /// afterwards; buffers are never shrunk, so one workspace can serve
 /// several plans at the maximum of their footprints — though only the
@@ -355,6 +631,11 @@ pub struct Workspace {
     warm_for: Option<u64>,
     /// Reused buffer for the merged dirty-step set of a delta replay.
     dirty_steps: Vec<u32>,
+    /// An environment sweep's depth-first walk.
+    env_frames: Vec<EnvFrame>,
+    /// Per input slot, then per hot step: whether an environment sweep
+    /// wants it (a wanted leaf, or a step above one).
+    env_wanted: Vec<bool>,
 }
 
 impl Workspace {
@@ -367,6 +648,16 @@ impl Workspace {
     /// performs no allocations at all).
     pub fn for_plan(plan: &ExecutablePlan) -> Self {
         let mut ws = Workspace::new();
+        ws.ensure(plan);
+        ws
+    }
+
+    /// A workspace pre-sized for executions and environment sweeps of
+    /// `plan` ([`ExecutablePlan::sweep_network_envs`]): neither the
+    /// first execution nor the first sweep allocates.
+    pub fn for_sweeps(plan: &ExecutablePlan) -> Self {
+        let mut ws = Workspace::new();
+        ws.ensure_sweep(plan);
         ws.ensure(plan);
         ws
     }
@@ -400,11 +691,41 @@ impl Workspace {
             (&mut self.scratch, plan.scratch_len),
             (&mut self.out, plan.result_len.max(1)),
         ] {
-            if buf.len() < need {
-                buf.resize(need, Complex64::ZERO);
-                self.allocation_events += 1;
-            }
+            grow(buf, need, &mut self.allocation_events);
         }
+    }
+
+    /// Grows any undersized buffer to what an environment sweep of
+    /// `plan` needs on top of its executions: the env stack above the
+    /// persistent hot nodes, the reverse steps' scratch and the walk's
+    /// bookkeeping. Executions alone never pay for it.
+    fn ensure_sweep(&mut self, plan: &ExecutablePlan) {
+        for (buf, need) in [
+            (&mut self.arena, plan.env_base + plan.env_len),
+            (&mut self.scratch, plan.env_scratch_len),
+        ] {
+            grow(buf, need, &mut self.allocation_events);
+        }
+        let wanted = plan.n_inputs + plan.steps.len();
+        if self.env_wanted.len() < wanted {
+            self.env_wanted.resize(wanted, false);
+            self.allocation_events += 1;
+        }
+        if self.env_frames.capacity() < plan.env_depth {
+            self.env_frames.reserve(plan.env_depth);
+            self.allocation_events += 1;
+        }
+    }
+}
+
+/// Grows `buf` to exactly `need` elements if it is shorter, counting
+/// the allocation. Exact, not amortized: a buffer grown for a sweep
+/// after its executions must not double.
+fn grow(buf: &mut Vec<Complex64>, need: usize, events: &mut u64) {
+    if buf.len() < need {
+        buf.reserve_exact(need - buf.len());
+        buf.resize(need, Complex64::ZERO);
+        *events += 1;
     }
 }
 
@@ -476,6 +797,7 @@ fn lower_kernels(plan: &ContractionPlan, tables: &mut Vec<usize>) -> Vec<Kernel>
             lhs_gather,
             rhs_gather,
             out_gather: None,
+            env_gather: None,
         });
     }
     kernels
@@ -718,14 +1040,71 @@ impl ExecutablePlan {
             replay_stats.contractions += 1;
             replay_stats.flops_proxy += kernel.flops();
             hot_index[i] = steps.len() as u32;
+            let env_target = |child: usize| match (hot(child), child < n_inputs) {
+                (false, _) => EnvTarget::Cold,
+                (true, true) => EnvTarget::Leaf(child),
+                (true, false) => EnvTarget::Step(hot_index[child - n_inputs]),
+            };
             steps.push(ExecStep {
                 lhs: locs[step.lhs],
                 rhs: locs[step.rhs],
                 dst_offset: offset,
                 kernel: *kernel,
+                env: [env_target(step.lhs), env_target(step.rhs)],
             });
             locs.push(SlotLoc::Arena { offset, len });
         }
+
+        // Bound the environment stack of a sweep. It walks the hot
+        // tree depth first from the root: a child's environment is
+        // computed right above its parent's, and stays there while the
+        // parent still has its rhs to visit; the last child a parent
+        // visits is computed in the scratch and moves down into the
+        // parent's place. The stack holds one root-to-leaf path of
+        // pending parents at a time, at most what it holds when every
+        // child is visited, laid out here: per hot step, its stack
+        // base, whether its environment is its sibling's forward value
+        // (the children of a dot-product root), and its depth. It lives
+        // where the transient nodes do, which no execution reads across
+        // executions and no sweep reads at all: a transient node's
+        // sibling is cold.
+        let mut env_at = vec![(0usize, false, 1usize); steps.len()];
+        let (mut env_len, mut env_scratch_len) = (0usize, 0usize);
+        for si in (0..steps.len()).rev() {
+            let (base, alias, depth) = env_at[si];
+            let step = &steps[si];
+            let k = &step.kernel;
+            if si + 1 == steps.len() && k.is_dot() {
+                for target in step.env {
+                    if let EnvTarget::Step(c) = target {
+                        env_at[c as usize] = (0, true, depth);
+                    }
+                }
+                continue;
+            }
+            let above = base + if alias { 0 } else { k.m * k.n };
+            env_len = env_len.max(above);
+            let pending = step.env[RHS].is_hot();
+            for side in [LHS, RHS] {
+                let (len, work) = (k.env_len(side), k.env_scratch_len(side));
+                let (stack_top, scratch) = match step.env[side] {
+                    EnvTarget::Cold => continue,
+                    EnvTarget::Leaf(_) => (above + len, work),
+                    EnvTarget::Step(c) if side == LHS && pending => {
+                        env_at[c as usize] = (above, false, depth + 1);
+                        (above + len, work)
+                    }
+                    EnvTarget::Step(c) => {
+                        env_at[c as usize] = (base, false, depth + 1);
+                        (base + len, work + len)
+                    }
+                };
+                env_len = env_len.max(stack_top);
+                env_scratch_len = env_scratch_len.max(scratch);
+            }
+        }
+        // A dot-product root's two children may both wait on the walk.
+        let env_depth = 1 + env_at.iter().map(|&(_, _, depth)| depth).max().unwrap_or(0);
         let arena_len = pool.end;
 
         let (result, result_shape) = if n_inputs == 0 {
@@ -739,9 +1118,14 @@ impl ExecutablePlan {
         // Keep only the tables the hot steps and the output stage read,
         // in one exactly sized buffer.
         let perm = plan.output_perm();
-        let hot_tables_len = steps.iter().map(|s| s.kernel.table_len()).sum::<usize>()
+        let env_tables = |k: &Kernel| if k.inverts_out_gather() { k.m + k.n } else { 0 };
+        let hot_tables_len = steps
+            .iter()
+            .map(|s| s.kernel.table_len() + env_tables(&s.kernel))
+            .sum::<usize>()
             + perm.map_or(0, |_| result_len);
         let mut hot_tables = Vec::with_capacity(hot_tables_len);
+        let mut inverse = Vec::new();
         for step in &mut steps {
             let k = &mut step.kernel;
             for gather in [&mut k.lhs_gather, &mut k.rhs_gather, &mut k.out_gather]
@@ -749,6 +1133,9 @@ impl ExecutablePlan {
                 .flatten()
             {
                 *gather = gather.moved(&tables, &mut hot_tables);
+            }
+            if let Some(out) = k.out_gather.filter(|_| k.inverts_out_gather()) {
+                k.env_gather = Some(out.inverse(k.m, k.n, &mut hot_tables, &mut inverse));
             }
         }
         let (output_shape, out_gather) = match perm {
@@ -811,6 +1198,10 @@ impl ExecutablePlan {
             arena_len,
             scratch_len,
             replay_stats,
+            env_base: persistent_len,
+            env_len,
+            env_depth,
+            env_scratch_len,
         }
     }
 
@@ -834,6 +1225,14 @@ impl ExecutablePlan {
             .iter()
             .filter(|s| s.kernel.out_gather.is_some())
             .count()
+    }
+
+    /// Workspace elements an environment sweep needs on top of what
+    /// executions need: the part of the env stack above the transient
+    /// nodes' region, and the reverse steps' extra scratch.
+    pub fn sweep_footprint(&self) -> usize {
+        (self.env_base + self.env_len).saturating_sub(self.arena_len)
+            + self.env_scratch_len.saturating_sub(self.scratch_len)
     }
 
     /// Whether input slot `leaf` may change between executions — the
@@ -973,6 +1372,348 @@ impl ExecutablePlan {
         );
         let (out, stats) = self.execute_network_delta_into(net, dirty_leaves, ws);
         (out[0], stats)
+    }
+
+    /// Environment sweep against the tensors currently held by `net`:
+    /// one reverse pass over the hot steps that computes, for each of
+    /// the varying `leaves`, its **environment** `E` — the derivative
+    /// of the scalar result with respect to the leaf's payload, in the
+    /// payload's own layout — and hands it to `visit(leaf, E)`. The
+    /// result is linear in every leaf, so replacing leaf `l`'s payload
+    /// with `U` (and nothing else) gives the scalar `Σ_x E[x]·U[x]`:
+    /// one sweep prices every single-leaf substitution at once.
+    ///
+    /// The sweep walks the hot tree depth first from the root and
+    /// visits only the steps above a wanted leaf. A hot step
+    /// `dst = lhs·rhs` gives `env(lhs) = env(dst)·rhsᵀ` and
+    /// `env(rhs) = lhsᵀ·env(dst)`, read through the forward kernel's
+    /// own gathers, with the forward operands taken from the
+    /// workspace's cached intermediates (or the cold cache, or the
+    /// inputs). Environments live on a stack above the persistent hot
+    /// nodes, so the sweep leaves every cached intermediate as it was
+    /// and the workspace stays warm for delta replay; once the
+    /// workspace has swept this plan it allocates nothing. Environments
+    /// arrive in walk order, not leaf order, and are deterministic
+    /// functions of the payloads: no bit depends on the workspace's
+    /// history.
+    ///
+    /// The workspace must hold the intermediates of `net`'s current
+    /// payloads, as any execution of them leaves it; a workspace that
+    /// is not warm for this plan is warmed by a full replay first, and
+    /// the returned stats count it. Otherwise they count one plan use
+    /// and the reverse steps run.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the plan's output is not rank 0, if `net` does not
+    /// match the plan, or if a leaf is out of range or not varying.
+    pub fn sweep_network_envs(
+        &self,
+        net: &TensorNetwork,
+        leaves: &[usize],
+        ws: &mut Workspace,
+        mut visit: impl FnMut(usize, &[Complex64]),
+    ) -> ContractionStats {
+        assert!(
+            self.output_shape.is_empty(),
+            "sweep_network_envs requires a rank-0 output"
+        );
+        assert_eq!(
+            net.node_count(),
+            self.n_inputs,
+            "plan expects {} input tensors, got {}",
+            self.n_inputs,
+            net.node_count()
+        );
+        for &leaf in leaves {
+            assert!(leaf < self.n_inputs, "leaf {leaf} out of range");
+            assert!(
+                self.varying[leaf],
+                "leaf {leaf} is not a varying leaf of this plan"
+            );
+        }
+        let input = |i: usize| net.node_tensor(i).as_slice();
+        let mut stats = ContractionStats::default();
+        if ws.warm_for != Some(self.id) {
+            let _ = self.run(input, ws);
+            stats.absorb(&self.replay_stats);
+        }
+        stats.absorb(&self.run_sweep(input, leaves, ws, &mut visit));
+        stats
+    }
+
+    fn run_sweep<'i>(
+        &self,
+        input: impl Fn(usize) -> &'i [Complex64],
+        leaves: &[usize],
+        ws: &mut Workspace,
+        visit: &mut impl FnMut(usize, &[Complex64]),
+    ) -> ContractionStats {
+        let timer = crate::profile::start_replay();
+        let mut stats = ContractionStats {
+            plan_reuses: 1,
+            max_intermediate: self.replay_stats.max_intermediate,
+            ..Default::default()
+        };
+        let Some(root) = self.steps.len().checked_sub(1) else {
+            // No hot step: a varying leaf is the whole network.
+            for &leaf in leaves {
+                visit(leaf, &[Complex64::ONE]);
+            }
+            crate::profile::record_sweep(timer, 0);
+            return stats;
+        };
+        ws.ensure_sweep(self);
+        let Workspace {
+            arena,
+            scratch,
+            env_frames,
+            env_wanted,
+            ..
+        } = ws;
+        // Mark the wanted leaves and every hot step above one. A path
+        // runs leaf to root, so it stops at the first marked step.
+        let n_inputs = self.n_inputs;
+        env_wanted.fill(false);
+        for &leaf in leaves {
+            env_wanted[leaf] = true;
+            for &si in &self.path_steps[self.path_start[leaf]..self.path_start[leaf + 1]] {
+                let mark = &mut env_wanted[n_inputs + si as usize];
+                if *mark {
+                    break;
+                }
+                *mark = true;
+            }
+        }
+        let (persistent, envs) = arena.split_at_mut(self.env_base);
+        let wanted = |target: EnvTarget| match target {
+            EnvTarget::Cold => false,
+            EnvTarget::Leaf(leaf) => env_wanted[leaf],
+            EnvTarget::Step(c) => env_wanted[n_inputs + c as usize],
+        };
+        env_frames.clear();
+        let top = &self.steps[root];
+        if top.kernel.is_dot() {
+            // The root's environment is 1 and the root is a dot product
+            // of two operands in the same order: each operand's
+            // environment is the other's forward value as it lies.
+            for (side, other) in [(RHS, top.lhs), (LHS, top.rhs)] {
+                match top.env[side] {
+                    EnvTarget::Leaf(leaf) if env_wanted[leaf] => {
+                        visit(leaf, self.forward(other, &input, persistent));
+                    }
+                    EnvTarget::Step(c) if env_wanted[n_inputs + c as usize] => {
+                        env_frames.push(EnvFrame {
+                            step: c,
+                            base: 0,
+                            alias: Some(other),
+                            next: LHS,
+                        });
+                    }
+                    _ => {}
+                }
+            }
+        } else {
+            envs[0] = Complex64::ONE;
+            env_frames.push(EnvFrame {
+                step: root as u32,
+                base: 0,
+                alias: None,
+                next: LHS,
+            });
+        }
+        while let Some(frame) = env_frames.last_mut() {
+            let side = frame.next;
+            if side > RHS {
+                env_frames.pop();
+                continue;
+            }
+            frame.next += 1;
+            let (si, base, alias) = (frame.step as usize, frame.base, frame.alias);
+            let step = &self.steps[si];
+            if !wanted(step.env[side]) {
+                continue;
+            }
+            let k = &step.kernel;
+            let above = base + alias.map_or(k.m * k.n, |_| 0);
+            let len = k.env_len(side);
+            let (below, rest) = envs.split_at_mut(above);
+            let env_dst = match alias {
+                Some(loc) => self.forward(loc, &input, persistent),
+                None => &below[base..],
+            };
+            stats.contractions += 1;
+            stats.flops_proxy += k.flops();
+            match step.env[side] {
+                EnvTarget::Leaf(leaf) => {
+                    let env = &mut rest[..len];
+                    self.env_step(step, side, &input, persistent, env_dst, env, scratch);
+                    visit(leaf, env);
+                }
+                EnvTarget::Step(c) if side == LHS && step.env[RHS].is_hot() => {
+                    // The parent has a hot rhs: the child goes on the
+                    // stack above it, and moves down into the parent's
+                    // place when the rhs is not wanted after all.
+                    let env = &mut rest[..len];
+                    self.env_step(step, side, &input, persistent, env_dst, env, scratch);
+                    let last = !wanted(step.env[RHS]);
+                    if last {
+                        envs.copy_within(above..above + len, base);
+                        env_frames.pop();
+                    }
+                    env_frames.push(EnvFrame {
+                        step: c,
+                        base: if last { base } else { above },
+                        alias: None,
+                        next: LHS,
+                    });
+                }
+                EnvTarget::Step(c) => {
+                    // The parent's last child: computed in the scratch
+                    // past what the reverse step uses, it then takes
+                    // the parent's place on the stack.
+                    let (work, out) = scratch.split_at_mut(k.env_scratch_len(side));
+                    let env = &mut out[..len];
+                    self.env_step(step, side, &input, persistent, env_dst, env, work);
+                    envs[base..base + len].copy_from_slice(env);
+                    env_frames.pop();
+                    env_frames.push(EnvFrame {
+                        step: c,
+                        base,
+                        alias: None,
+                        next: LHS,
+                    });
+                }
+                EnvTarget::Cold => {}
+            }
+        }
+        crate::profile::record_sweep(timer, stats.contractions as u64);
+        stats
+    }
+
+    /// The forward value of an operand a reverse step reads: an input,
+    /// a cold-cache region, or a hot node in `persistent`, the arena
+    /// below the env stack.
+    fn forward<'a, 'i: 'a>(
+        &'a self,
+        loc: SlotLoc,
+        input: &impl Fn(usize) -> &'i [Complex64],
+        persistent: &'a [Complex64],
+    ) -> &'a [Complex64] {
+        match loc {
+            SlotLoc::Arena { offset, len } => &persistent[offset..offset + len],
+            loc => self.operand(loc, input, None),
+        }
+    }
+
+    /// One reverse step: the environment `env` of operand `side` of
+    /// `step` from the environment `env_dst` of its node, through the
+    /// forward kernel's gathers and the inverse of its reader's.
+    /// `persistent` is the arena below the env stack, where every hot
+    /// operand a reverse step reads lives.
+    #[allow(clippy::too_many_arguments)]
+    fn env_step<'i>(
+        &self,
+        step: &ExecStep,
+        side: usize,
+        input: &impl Fn(usize) -> &'i [Complex64],
+        persistent: &[Complex64],
+        env_dst: &[Complex64],
+        env: &mut [Complex64],
+        scratch: &mut [Complex64],
+    ) {
+        let k = &step.kernel;
+        let (m, inner, n) = (k.m, k.k, k.n);
+        let tables = &self.tables[..];
+        let view = |data, gather: &Option<Gather>, cols| match gather {
+            Some(g) => View::Gathered {
+                data,
+                row: g.row(tables),
+                col: g.col(tables),
+            },
+            None => View::Dense { data, cols },
+        };
+        // The product's environment: read through the inverse gather,
+        // or staged in its natural layout when the node is stored in
+        // its reader's, or `env_dst` itself.
+        let stage = k.out_gather.is_some() && (side == RHS || k.env_gather.is_none());
+        let (staged_p, scratch) = scratch.split_at_mut(if stage { m * n } else { 0 });
+        let env_p = match (&k.env_gather, &k.out_gather) {
+            (Some(g), _) if !stage => view(env_dst, &Some(*g), n),
+            (Some(g), _) => {
+                g.copy(tables, env_dst, staged_p);
+                view(&*staged_p, &None, n)
+            }
+            (None, Some(g)) => {
+                g.scatter(tables, env_dst, staged_p);
+                view(&*staged_p, &None, n)
+            }
+            (None, None) => view(env_dst, &None, n),
+        };
+        let (own_gather, own_len) = match side {
+            LHS => (&k.lhs_gather, m * inner),
+            _ => (&k.rhs_gather, inner * n),
+        };
+        let (staged, scratch) = scratch.split_at_mut(own_gather.map_or(0, |_| own_len));
+        let dst = if own_gather.is_some() {
+            &mut *staged
+        } else {
+            &mut *env
+        };
+        if side == LHS {
+            // env(lhs) = env(P) · rhsᵀ: (m × n)·(n × k).
+            let b = self.forward(step.rhs, input, persistent);
+            if k.env_by_dots(LHS) {
+                match (env_p, &k.rhs_gather) {
+                    // Both factors row-major: each entry is a dot
+                    // product of two contiguous rows.
+                    (View::Dense { data: e, .. }, None) => {
+                        for (d_row, e_row) in dst.chunks_exact_mut(inner).zip(e.chunks_exact(n)) {
+                            for (d, b_row) in d_row.iter_mut().zip(b.chunks_exact(n)) {
+                                *d = dot(e_row, b_row);
+                            }
+                        }
+                    }
+                    _ => {
+                        let b = view(b, &k.rhs_gather, n);
+                        dot_products(m, inner, n, |i, j| env_p.at(i, j), |c, j| b.at(c, j), dst);
+                    }
+                }
+            } else {
+                let b_t = &mut scratch[..n * inner];
+                match &k.rhs_gather {
+                    Some(g) => g.transposed().copy(tables, b, b_t),
+                    None => transpose_into(b, inner, n, b_t),
+                }
+                match env_p {
+                    View::Dense { data, .. } => matmul_into(data, b_t, dst, m, n, inner),
+                    View::Gathered { data, row, col } => {
+                        matmul_gather_lhs_into(data, row, col, b_t, dst, inner)
+                    }
+                }
+            }
+        } else {
+            // env(rhs) = lhsᵀ · env(P): (k × m)·(m × n).
+            let a = self.forward(step.lhs, input, persistent);
+            if k.env_by_dots(RHS) {
+                let a = view(a, &k.lhs_gather, inner);
+                dot_products(inner, n, m, |c, i| a.at(i, c), |j, i| env_p.at(i, j), dst);
+            } else {
+                let View::Dense { data: env_p, .. } = env_p else {
+                    unreachable!("an rhs reverse step stages a gathered environment")
+                };
+                match &k.lhs_gather {
+                    None => matmul_transposed_lhs_into(a, env_p, dst, inner, m, n),
+                    Some(g) => {
+                        let g = g.transposed();
+                        matmul_gather_lhs_into(a, g.row(tables), g.col(tables), env_p, dst, n);
+                    }
+                }
+            }
+        }
+        if let Some(g) = own_gather {
+            g.scatter(tables, staged, env);
+        }
     }
 
     fn run<'w, 'i>(
@@ -1365,6 +2106,79 @@ mod tests {
                 assert_eq!(delta, full, "leaf {dirty}");
                 assert_eq!(full, reference.as_slice(), "leaf {dirty}");
             }
+        }
+    }
+
+    #[test]
+    fn leaf_environments_price_single_leaf_substitutions() {
+        // ((n0·n1)·(n2·n3)) against the cold pair (n4·n5), contracted
+        // to a scalar. The right pair's node is read as an rhs through
+        // a permutation (stored in its reader's layout), leaf 0 as a
+        // gathered lhs, and the node (n0·n1)·(n2·n3) has a cold
+        // sibling, so it is transient when only some leaves vary.
+        let mut rng = StdRng::seed_from_u64(26);
+        let mut net = TensorNetwork::new();
+        let [x, y, a, b, c, z] = std::array::from_fn(|_| net.fresh_leg());
+        let nodes = [
+            (vec![2, 2], [a, x]),
+            (vec![2, 4], [a, b]),
+            (vec![3, 2], [y, c]),
+            (vec![2, 4], [c, b]),
+            (vec![2, 3], [x, z]),
+            (vec![3, 3], [y, z]),
+        ];
+        for (shape, legs) in &nodes {
+            net.add(rand_tensor(&mut rng, shape.clone()), legs.to_vec());
+        }
+        let plan = net.plan_order(&[(0, 1), (2, 3), (4, 5), (6, 7), (9, 8)]);
+        let varying = [0, 1, 3];
+        for (exec, leaves) in [
+            (plan.compile(), (0..6).collect::<Vec<_>>()),
+            (plan.compile_for_replay(&net, &varying), varying.to_vec()),
+        ] {
+            assert_eq!(exec.pre_permuted_hot_nodes(), 1);
+            let mut ws = Workspace::new();
+            let scalar = exec.execute_network_scalar(&net, &mut ws);
+            let mut envs = Vec::new();
+            let stats = exec.sweep_network_envs(&net, &leaves, &mut ws, |leaf, env| {
+                envs.push((leaf, env.to_vec()));
+            });
+            assert_eq!(stats.plan_reuses, 1);
+            assert_eq!(envs.len(), leaves.len());
+            let close = |got: Complex64, want: Complex64| {
+                assert!((got - want).abs() <= 1e-14 * want.abs(), "{got} vs {want}");
+            };
+            for (leaf, env) in &envs {
+                // The result is linear in the leaf: its environment
+                // dotted with its own payload is the full scalar, and
+                // with another payload the scalar of that payload.
+                let dot = |t: &Tensor| {
+                    env.iter()
+                        .zip(t.as_slice())
+                        .fold(Complex64::ZERO, |acc, (&e, &u)| acc + e * u)
+                };
+                close(dot(net.node_tensor(*leaf)), scalar);
+                let saved = net.node_tensor(*leaf).clone();
+                let other = rand_tensor(&mut rng, saved.shape().to_vec());
+                net.set_tensor(net.node_id(*leaf), other.clone());
+                let replayed = exec.execute_network_scalar(&net, &mut Workspace::new());
+                close(dot(&other), replayed);
+                net.set_tensor(net.node_id(*leaf), saved);
+            }
+            // The sweep left the cached intermediates alone: a delta
+            // replay after it is bitwise a full replay.
+            let leaf = leaves[0];
+            net.set_tensor(
+                net.node_id(leaf),
+                rand_tensor(&mut rng, nodes[leaf].0.clone()),
+            );
+            let (delta, _) = exec.execute_network_delta_scalar(&net, &[leaf], &mut ws);
+            let full = exec.execute_network_scalar(&net, &mut Workspace::new());
+            assert_eq!(delta, full);
+            // A warmed sweep allocates nothing.
+            let warm = ws.allocation_events();
+            let _ = exec.sweep_network_envs(&net, &leaves, &mut ws, |_, _| {});
+            assert_eq!(ws.allocation_events(), warm);
         }
     }
 

@@ -18,7 +18,8 @@
 //!   lowers every planned step to precomputed kernels (matmul dims,
 //!   identity-elided/fused permutations, exact buffer layout) and
 //!   replays through a per-thread [`exec::Workspace`] with **zero
-//!   heap allocations per execution**.
+//!   heap allocations per execution**; a reverse sweep gives every
+//!   varying leaf's environment at once.
 //! * [`builder`] — circuit-to-network translation: the single-side
 //!   amplitude network `⟨v|C|ψ⟩` and the paper's **double-size noisy
 //!   network** (Fig. 2) in which each noise channel appears as its
@@ -28,7 +29,7 @@
 //! * [`simulator`] — the **TN-based exact method** (contract the double
 //!   network) and a TN-based quantum-trajectories variant.
 //! * [`profile`] — opt-in replay profiling: [`profile::install`] routes
-//!   per-replay timing and step counts (full vs delta) into a
+//!   per-replay timing and step counts (full, delta or sweep) into a
 //!   [`qns_obs::Registry`]; while uninstalled the hooks cost one atomic
 //!   load, and `exec` itself never touches the wall clock.
 //!

@@ -6,9 +6,10 @@
 //! lives here, off that path, behind a process-global switch:
 //!
 //! * [`install`] points the hooks at a [`qns_obs::Registry`]; every
-//!   full or delta replay then records one sample into
-//!   `qns_tnet_replays_total` / `qns_tnet_replay_micros` /
-//!   `qns_tnet_replay_steps`, labeled by mode (`full` vs `delta`).
+//!   full or delta replay, and every environment sweep, then records
+//!   one sample into `qns_tnet_replays_total` /
+//!   `qns_tnet_replay_micros` / `qns_tnet_replay_steps`, labeled by
+//!   mode (`full`, `delta` or `sweep`).
 //! * While **uninstalled** (the default), the hook in the replay loop
 //!   is a single relaxed atomic load — no clock read, no lock, no
 //!   allocation — so the zero-overhead execution path is preserved.
@@ -29,7 +30,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, PoisonError, RwLock};
 use std::time::Instant;
 
-/// Handles for one replay mode (`full` or `delta`).
+/// Handles for one replay mode (`full`, `delta` or `sweep`).
 struct ModeHandles {
     replays: Counter,
     micros: Histogram,
@@ -46,10 +47,11 @@ impl ModeHandles {
     }
 }
 
-/// Prefetched registry handles for both modes.
+/// Prefetched registry handles for the three modes.
 struct ExecProfiler {
     full: ModeHandles,
     delta: ModeHandles,
+    sweep: ModeHandles,
 }
 
 /// Fast-path switch: checked (relaxed) on every replay before anything
@@ -64,6 +66,7 @@ pub fn install(registry: &Arc<Registry>) {
     let profiler = ExecProfiler {
         full: ModeHandles::new(registry, "full"),
         delta: ModeHandles::new(registry, "delta"),
+        sweep: ModeHandles::new(registry, "sweep"),
     };
     *PROFILER.write().unwrap_or_else(PoisonError::into_inner) = Some(profiler);
     ENABLED.store(true, Ordering::Release);
@@ -96,18 +99,32 @@ pub(crate) fn start_replay() -> ReplayTimer {
     }
 }
 
+/// The mode a replay sample is recorded under.
+#[derive(Clone, Copy)]
+enum Mode {
+    Full,
+    Delta,
+    Sweep,
+}
+
 /// Records a completed full replay of `steps` pair contractions.
 pub(crate) fn record_full(timer: ReplayTimer, steps: u64) {
-    record(timer, steps, true);
+    record(timer, steps, Mode::Full);
 }
 
 /// Records a completed delta replay that executed `dirty_steps` pair
 /// contractions (the dirty leaf-to-root union, not the whole tree).
 pub(crate) fn record_delta(timer: ReplayTimer, dirty_steps: u64) {
-    record(timer, dirty_steps, false);
+    record(timer, dirty_steps, Mode::Delta);
 }
 
-fn record(timer: ReplayTimer, steps: u64, full: bool) {
+/// Records a completed environment sweep that ran `env_steps` reverse
+/// steps.
+pub(crate) fn record_sweep(timer: ReplayTimer, env_steps: u64) {
+    record(timer, env_steps, Mode::Sweep);
+}
+
+fn record(timer: ReplayTimer, steps: u64, mode: Mode) {
     let Some(start) = timer.0 else {
         return;
     };
@@ -116,10 +133,10 @@ fn record(timer: ReplayTimer, steps: u64, full: bool) {
     let Some(profiler) = guard.as_ref() else {
         return;
     };
-    let mode = if full {
-        &profiler.full
-    } else {
-        &profiler.delta
+    let mode = match mode {
+        Mode::Full => &profiler.full,
+        Mode::Delta => &profiler.delta,
+        Mode::Sweep => &profiler.sweep,
     };
     mode.replays.inc();
     mode.micros.record(micros);

@@ -5,12 +5,14 @@
 //! case compiles a delta-aware replay plan with the noise sites
 //! varying — the plan the approximate evaluator runs — then replays
 //! every level-0–2 assignment of the sites' Kraus operators twice:
-//! once to warm the workspace, once counted. The counted pass runs a full replay and
-//! one delta replay per pattern, which drives the `qns-linalg` matmul
-//! kernels and the executor's step loop; it must perform zero heap
-//! allocations. The HF-VQE plan stores hot nodes in their reader's
-//! layout, so the staged, permuted writes of those nodes are counted
-//! too.
+//! once to warm the workspace, once counted. The counted pass runs a
+//! full replay, and per pattern one delta replay and one environment
+//! sweep of the sites above the pattern's highest active site (the
+//! sweep a parent pattern gets), which drives the `qns-linalg` matmul
+//! kernels, the executor's step loop and its reverse steps; it must
+//! perform zero heap allocations. The HF-VQE plan stores hot nodes in
+//! their reader's layout, so the staged, permuted writes of those
+//! nodes and their reverse scatters are counted too.
 
 use qns_circuit::generators::{hf_vqe, inst_grid};
 use qns_circuit::Circuit;
@@ -102,7 +104,7 @@ struct Replays {
     pre_permuted: usize,
 }
 
-/// Warms, then counts, full and delta replays of `circuit` with
+/// Warms, then counts, full and delta replays and sweeps of `circuit` with
 /// `noises` thermal sites at placement `seed`.
 fn replay_allocations(circuit: Circuit, noises: usize, seed: u64) -> Replays {
     let channel = channels::thermal_relaxation(30.0, 40.0, 25.0);
@@ -157,6 +159,13 @@ fn replay_allocations(circuit: Circuit, noises: usize, seed: u64) -> Replays {
             }
             let (amp, _) = exec.execute_network_delta_scalar(skel.network(), &dirty, &mut ws);
             acc += amp * amp.conj();
+            // Sweep the installed pattern for the sites above its top
+            // one, as a parent of the next level.
+            let above = p.iter().rposition(|&t| t != 0).map_or(0, |top| top + 1);
+            let _ =
+                exec.sweep_network_envs(skel.network(), &varying[above..], &mut ws, |_, env| {
+                    acc += env[0];
+                });
         }
         assert!(acc.re.is_finite());
     };
@@ -174,12 +183,18 @@ fn warmed_hf_vqe_replays_do_not_allocate() {
     let r = replay_allocations(hf_vqe(12, 6, 13), 12, 0xD5EE);
     assert!(r.pre_permuted > 0, "no hot node in its reader's layout");
     assert!(r.warm_up > 0, "the warm-up sizes the workspace arena");
-    assert_eq!(r.counted, 0, "warmed full + delta replays allocated");
+    assert_eq!(
+        r.counted, 0,
+        "warmed full + delta replays and sweeps allocated"
+    );
 }
 
 #[test]
 fn warmed_inst_grid_replays_do_not_allocate() {
     let r = replay_allocations(inst_grid(4, 4, 16, 34), 9, 0xD5F0);
     assert!(r.warm_up > 0, "the warm-up sizes the workspace arena");
-    assert_eq!(r.counted, 0, "warmed full + delta replays allocated");
+    assert_eq!(
+        r.counted, 0,
+        "warmed full + delta replays and sweeps allocated"
+    );
 }
