@@ -51,7 +51,9 @@
 //! `deep_sum` level sums, through the scalar oracle
 //! (`kernels::scalar::matmul_into`) and through the dispatched kernel
 //! (the AVX2 row update where the CPU has it), as ns per step and
-//! complex G MAC/s. It is reported under `"kernels"`.
+//! complex G MAC/s, and one dot product (`kernels::dot` against
+//! `kernels::scalar::dot`) per row length the level sums' reverse steps
+//! take, as ns per call. It is reported under `"kernels"`.
 //!
 //! A sixth section times the **set-up layer**: what a level-1
 //! evaluator does before its first pattern, phase by phase as
@@ -72,10 +74,11 @@
 //! delta-replayed on its own (the schedule the evaluator retired),
 //! against `LevelEvaluator`'s one delta replay and one environment
 //! sweep per parent pattern. It reports each schedule's exact kernel
-//! steps and `Σ m·k·n`, its median µs per level, and the bytes a sweep
-//! adds to a worker's workspace, under `"sweeps"`.
+//! steps and `Σ m·k·n`, its median µs per level, its `Σ m·k·n` per µs,
+//! and the bytes a sweep adds to a worker's workspace, under
+//! `"sweeps"`.
 //!
-//! Eleven invariants are *asserted* on every run (and gate CI via
+//! Twelve invariants are *asserted* on every run (and gate CI via
 //! `--smoke`); 1–4 on every timed pass:
 //!
 //! 1. reference and compiled paths produce **bit-identical** pattern
@@ -100,7 +103,9 @@
 //!     must also repeat exactly across the section's repeats, and
 //! 11. both level-sum schedules' step and `m·k·n` counts **repeat
 //!     exactly** from pass to pass, and their level sums **agree to
-//!     1e-12 relative**.
+//!     1e-12 relative**, and
+//! 12. the dispatched dot product is **bit-identical** to the scalar
+//!     oracle's at every dot length.
 
 use qns_bench::registry::{full_set, smoke_set, BenchCircuit, Family};
 use qns_bench::timing::time_it;
@@ -530,6 +535,10 @@ const KERNEL_SHAPES: [(usize, usize, usize); 6] = [
     (4, 8, 8),
 ];
 
+/// The dot-product lengths of the `deep_sum` level sums' reverse
+/// steps (an lhs environment taken as one dot product per entry).
+const DOT_LENGTHS: [usize; 8] = [2, 4, 16, 64, 256, 1024, 2048, 4096];
+
 /// Timed trials per kernel shape and path; the median is reported.
 const KERNEL_TRIALS: usize = 7;
 
@@ -597,6 +606,41 @@ fn kernel_row(shape: (usize, usize, usize), macs_per_trial: usize, seed: u64) ->
     );
     KernelRow {
         shape,
+        scalar_ns,
+        dispatched_ns,
+    }
+}
+
+/// One dot length's scalar-vs-dispatched timing, ns per call.
+struct DotRow {
+    len: usize,
+    scalar_ns: f64,
+    dispatched_ns: f64,
+}
+
+/// Times `kernels::dot` of `len`-element rows through the scalar oracle
+/// and the dispatched kernel, asserting their results are bitwise equal
+/// (invariant 12). Each trial runs about `macs_per_trial` complex
+/// multiply-adds.
+fn dot_row(len: usize, macs_per_trial: usize, seed: u64) -> DotRow {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut values = || -> Vec<Complex64> {
+        (0..len)
+            .map(|_| qns_linalg::c64(rng.random_range(-1.0..1.0), rng.random_range(-1.0..1.0)))
+            .collect()
+    };
+    let (x, y) = (values(), values());
+    let reps = (macs_per_trial / len).max(1);
+    let (mut scalar, mut dispatched) = (Complex64::ZERO, Complex64::ZERO);
+    let scalar_ns = median_step_ns(reps, || scalar = kernels::scalar::dot(black_box(&x), &y));
+    let dispatched_ns = median_step_ns(reps, || dispatched = kernels::dot(black_box(&x), &y));
+    assert!(
+        (dispatched.re.to_bits(), dispatched.im.to_bits())
+            == (scalar.re.to_bits(), scalar.im.to_bits()),
+        "dot of {len}: dispatched kernel must be bitwise the scalar oracle"
+    );
+    DotRow {
+        len,
         scalar_ns,
         dispatched_ns,
     }
@@ -742,6 +786,14 @@ struct ScheduleLevel {
     flops: u128,
     us: f64,
     sum: f64,
+}
+
+impl ScheduleLevel {
+    /// Complex multiply-adds (`Σ m·k·n`) per µs: the kernel rate of the
+    /// level's steps, forward and reverse.
+    fn macs_per_us(&self) -> f64 {
+        self.flops as f64 / self.us
+    }
 }
 
 /// The sweeps section's row of one job: per level, the per-pattern
@@ -1210,6 +1262,38 @@ fn main() {
             &k_widths,
         );
     }
+    let dot_rows: Vec<DotRow> = DOT_LENGTHS
+        .iter()
+        .enumerate()
+        .map(|(i, &len)| dot_row(len, macs_per_trial, 0xD07 + i as u64))
+        .collect();
+    for r in &dot_rows {
+        let gmacs = |ns: f64| r.len as f64 / ns;
+        print_row(
+            &[
+                format!("dot {}", r.len),
+                format!("{:.1}", r.scalar_ns),
+                format!("{:.1}", r.dispatched_ns),
+                format!("{:.2}", gmacs(r.scalar_ns)),
+                format!("{:.2}", gmacs(r.dispatched_ns)),
+                format!("{:.2}x", r.scalar_ns / r.dispatched_ns),
+            ],
+            &k_widths,
+        );
+    }
+    let dot_per = dot_rows
+        .iter()
+        .map(|r| {
+            format!(
+                "{{\"len\":{},\"scalar_ns\":{:.1},\"dispatched_ns\":{:.1},\"speedup\":{:.3}}}",
+                r.len,
+                r.scalar_ns,
+                r.dispatched_ns,
+                r.scalar_ns / r.dispatched_ns
+            )
+        })
+        .collect::<Vec<_>>()
+        .join(",");
     let kernel_per = kernel_rows
         .iter()
         .map(|r| {
@@ -1336,7 +1420,7 @@ fn main() {
          delta replay vs one replay and one environment sweep per parent, median of \
          {REPLAY_PASSES} passes)\n"
     );
-    let sw_widths = [18usize, 6, 9, 11, 11, 14, 14, 11, 11];
+    let sw_widths = [18usize, 6, 9, 11, 11, 14, 14, 11, 11, 11, 11];
     print_row(
         &[
             "workload".into(),
@@ -1348,6 +1432,8 @@ fn main() {
             "sweep m·k·n".into(),
             "pat µs".into(),
             "sweep µs".into(),
+            "pat MAC/µs".into(),
+            "swp MAC/µs".into(),
         ],
         &sw_widths,
     );
@@ -1399,6 +1485,8 @@ fn main() {
                     b.flops.to_string(),
                     format!("{:.1}", a.us),
                     format!("{:.1}", b.us),
+                    format!("{:.0}", a.macs_per_us()),
+                    format!("{:.0}", b.macs_per_us()),
                 ],
                 &sw_widths,
             );
@@ -1415,8 +1503,11 @@ fn main() {
                 .map(|(u, (a, b))| {
                     let side = |l: &ScheduleLevel| {
                         format!(
-                            "{{\"steps\":{},\"flops\":{},\"us\":{:.1}}}",
-                            l.steps, l.flops, l.us
+                            "{{\"steps\":{},\"flops\":{},\"us\":{:.1},\"macs_per_us\":{:.1}}}",
+                            l.steps,
+                            l.flops,
+                            l.us,
+                            l.macs_per_us()
                         )
                     };
                     format!(
@@ -1479,7 +1570,7 @@ fn main() {
          \"delta_aware\":{{\"level\":1,\"order\":\"gray\",\"ranks\":\"rank-aware\",\
          \"workloads\":[{da_per}]}},\
          \"kernels\":{{\"trials\":{KERNEL_TRIALS},\"dispatched\":\"{path}\",\
-         \"bitwise_equal\":true,\"shapes\":[{kernel_per}]}},\
+         \"bitwise_equal\":true,\"shapes\":[{kernel_per}],\"dots\":[{dot_per}]}},\
          \"setup\":{{\"level\":1,\"repeats\":{SETUP_REPEATS},\
          \"allocs_per_node_max\":{SETUP_ALLOCS_PER_NODE},\
          \"ceiling_min_nodes\":{SETUP_CEILING_NODES},\

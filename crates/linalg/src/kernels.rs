@@ -19,6 +19,10 @@
 //!   row-major matrix read transposed: the reverse (environment) step
 //!   `aᵀ · b` of a contraction whose lhs needed no permutation.
 //!
+//! Next to them, [`dot`] takes `Σ_t x[t]·y[t]` of two contiguous rows:
+//! the reverse step of a contraction whose operands' environments are
+//! narrow, one dot product per entry.
+//!
 //! # One loop nest, two row updates
 //!
 //! Both flavors run one cache-blocked loop nest whose innermost step is
@@ -27,7 +31,10 @@
 //! two output elements per 256-bit register: with `y = [re, im, re,
 //! im]` loaded from `b` and `x = a[i][k]` broadcast, it adds
 //! `addsub(x.re·y, x.im·swap(y))` to `out`, and an odd last element
-//! takes the scalar expression. Elsewhere the scalar loop runs. The
+//! takes the scalar expression. The vector [`dot`] forms the same
+//! product from two elements of each row per register (`x.re` and
+//! `x.im` duplicated in place) and keeps its four partial sums in two
+//! registers. Elsewhere the scalar loop runs. The
 //! vector code is the workspace's only `unsafe` and lives in a private
 //! module; [`scalar`] exposes the portable loops, which are also the
 //! oracle the vector path is tested against.
@@ -45,6 +52,11 @@
 //! path — a property the contraction engine's tests rely on. Keep it
 //! when touching the loops: blocking that reorders the `k` sum, or an
 //! FMA, would break replay-vs-reference equality.
+//!
+//! [`dot`] has its own fixed order, the same on both paths: four
+//! partial sums, term `t` added into sum `t mod 4` (`t` ascending), the
+//! last `len mod 4` terms into the first sums, then `(s0 + s1) + (s2 +
+//! s3)`. It skips no zero.
 
 use crate::Complex64;
 
@@ -125,13 +137,45 @@ pub fn matmul_transposed_lhs_into(
     dispatch(m, k, n, |i, kk| a[kk * m + i], b, out);
 }
 
+/// `Σ_t x[t]·y[t]` over two equal-length rows, in four interleaved
+/// partial sums (`t mod 4`) added pairwise at the end, so the adds do
+/// not wait on one another (module docs, *Accumulation order*). Runs
+/// two terms per AVX2 register where the CPU has it; rows of fewer than
+/// four terms, which have no vector step, take the scalar loop inline.
+/// Bit-identical to [`scalar::dot`] either way.
+///
+/// # Panics
+///
+/// Panics if the rows' lengths differ.
+#[inline]
+pub fn dot(x: &[Complex64], y: &[Complex64]) -> Complex64 {
+    assert_eq!(x.len(), y.len(), "dot operand length mismatch");
+    #[cfg(target_arch = "x86_64")]
+    if x.len() >= 4 {
+        if let Some(cpu) = avx2::Avx2::detect() {
+            return cpu.dot(x, y);
+        }
+    }
+    scalar_dot(x, y)
+}
+
 /// The portable scalar kernels: the fallback on CPUs without AVX2 and
 /// the oracle the vector path must match bit for bit. Same signatures
-/// and contracts as the dispatched [`matmul_into`] and
-/// [`matmul_gather_lhs_into`].
+/// and contracts as the dispatched [`matmul_into`],
+/// [`matmul_gather_lhs_into`] and [`dot`].
 pub mod scalar {
-    use super::{check_dense, check_gather, panel_loops, scalar_row_update};
+    use super::{check_dense, check_gather, panel_loops, scalar_dot, scalar_row_update};
     use crate::Complex64;
+
+    /// [`dot`](crate::kernels::dot) on the scalar loop.
+    ///
+    /// # Panics
+    ///
+    /// As [`dot`](crate::kernels::dot).
+    pub fn dot(x: &[Complex64], y: &[Complex64]) -> Complex64 {
+        assert_eq!(x.len(), y.len(), "dot operand length mismatch");
+        scalar_dot(x, y)
+    }
 
     /// [`matmul_into`](crate::kernels::matmul_into) on the scalar row update.
     ///
@@ -238,6 +282,36 @@ fn panel_loops(
             }
         }
     }
+}
+
+/// The scalar [`dot`] of two rows of equal length: the order the
+/// vector body keeps.
+#[inline(always)]
+fn scalar_dot(x: &[Complex64], y: &[Complex64]) -> Complex64 {
+    let mut acc = [Complex64::ZERO; 4];
+    let (xs, ys) = (x.chunks_exact(4), y.chunks_exact(4));
+    let (x_tail, y_tail) = (xs.remainder(), ys.remainder());
+    for (xq, yq) in xs.zip(ys) {
+        for ((a, &u), &v) in acc.iter_mut().zip(xq).zip(yq) {
+            *a += u * v;
+        }
+    }
+    finish_dot(acc, x_tail, y_tail)
+}
+
+/// Adds the last `len mod 4` terms into the first partial sums, then
+/// the sums pairwise: the end every [`dot`] shares. The sums stay in
+/// named locals (an indexed array would be spilled and reloaded).
+#[inline(always)]
+fn finish_dot(acc: [Complex64; 4], x_tail: &[Complex64], y_tail: &[Complex64]) -> Complex64 {
+    let [mut s0, mut s1, mut s2, s3] = acc;
+    let mut terms = x_tail.iter().zip(y_tail).map(|(&u, &v)| u * v);
+    for s in [&mut s0, &mut s1, &mut s2] {
+        if let Some(t) = terms.next() {
+            *s += t;
+        }
+    }
+    (s0 + s1) + (s2 + s3)
 }
 
 /// `out_row += x · b_row`, one element at a time.

@@ -1,14 +1,15 @@
-//! The dispatched matmul kernels equal the scalar oracle bit for bit.
+//! The dispatched kernels equal the scalar oracle bit for bit.
 //!
 //! `Matrix::matmul` and `Tensor::contract` call the dispatched kernels
 //! themselves, so the "compiled == reference" suites elsewhere compare
 //! the vector path with itself. Here the subject is
 //! [`kernels::matmul_into`] / [`kernels::matmul_gather_lhs_into`]
-//! (the AVX2 row update on CPUs that have it) and the oracle is
-//! [`kernels::scalar`], on shapes that cross the 512-wide column panel
-//! and leave an odd last element, and on values that probe the
-//! arithmetic: exact `±0.0` entries of `a` (the zero-skip), subnormals,
-//! and `-0.0` in `b`.
+//! (the AVX2 row update on CPUs that have it) and [`kernels::dot`]
+//! (the AVX2 dot product), and the oracle is [`kernels::scalar`], on
+//! shapes that cross the 512-wide column panel and leave an odd last
+//! element (dots of every length modulo 4), and on values that probe
+//! the arithmetic: exact `±0.0` entries of `a` (the zero-skip),
+//! subnormals, and `-0.0` in `b`.
 
 use proptest::prelude::*;
 use qns_linalg::{c64, kernels, Complex64};
@@ -81,6 +82,42 @@ fn offsets(shape: &[usize], axes: &[usize]) -> Vec<usize> {
             .collect();
     }
     table
+}
+
+/// Dot lengths: every tail length on short rows, and long rows on both
+/// sides of a multiple of four.
+const DOT_LENGTHS: [usize; 14] = [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 511, 512, 513, 1030];
+
+#[test]
+fn dot_matches_scalar_oracle() {
+    for (seed, &len) in (0u64..).zip(DOT_LENGTHS.iter().cycle().take(4 * DOT_LENGTHS.len())) {
+        let mut rng = StdRng::seed_from_u64(0xd07 + seed);
+        // Either side may carry the exact zeros.
+        let (x, y) = match seed % 2 {
+            0 => (lhs_values(&mut rng, len), rhs_values(&mut rng, len)),
+            _ => (rhs_values(&mut rng, len), lhs_values(&mut rng, len)),
+        };
+        let (got, want) = (kernels::dot(&x, &y), kernels::scalar::dot(&x, &y));
+        assert_eq!(bits(&[got]), bits(&[want]), "len {len}, seed {seed}");
+    }
+}
+
+#[test]
+fn dot_keeps_the_sign_of_exact_zeros() {
+    // Every product's real part is `-0.0 · 1 − 0.0 · 0.0 = -0.0`; each
+    // partial sum starts at `+0.0`, so the result is `+0.0` on both
+    // paths, whatever the length.
+    let z = c64(-0.0, 0.0);
+    for &len in &DOT_LENGTHS {
+        let (x, y) = (vec![z; len], vec![c64(1.0, 0.0); len]);
+        let got = kernels::dot(&x, &y);
+        assert_eq!(
+            bits(&[got]),
+            bits(&[kernels::scalar::dot(&x, &y)]),
+            "len {len}"
+        );
+        assert_eq!(bits(&[got]), bits(&[Complex64::ZERO]), "len {len}");
+    }
 }
 
 proptest! {

@@ -323,16 +323,16 @@ impl DdManager {
     }
 
     /// Column-vector diagram of the basis state `|bits⟩` (qubit 0 is
-    /// the most significant bit).
+    /// the most significant bit; qubits beyond the word size read 0).
     ///
     /// # Panics
     ///
     /// Panics if `bits ≥ 2^n`.
     pub fn basis_vector(&mut self, bits: usize) -> Edge {
-        assert!(bits < (1usize << self.n), "bit pattern out of range");
+        assert!(shr(bits, self.n) == 0, "bit pattern out of range");
         let factors: Vec<[Complex64; 2]> = (0..self.n)
             .map(|q| {
-                if (bits >> (self.n - 1 - q)) & 1 == 1 {
+                if shr(bits, self.n - 1 - q) & 1 == 1 {
                     [Complex64::ZERO, Complex64::ONE]
                 } else {
                     [Complex64::ONE, Complex64::ZERO]
@@ -497,18 +497,19 @@ impl DdManager {
         result
     }
 
-    /// Amplitude `⟨bits|ψ⟩` of a column-vector diagram.
+    /// Amplitude `⟨bits|ψ⟩` of a column-vector diagram (qubit 0 is the
+    /// most significant bit; qubits beyond the word size read 0).
     ///
     /// # Panics
     ///
     /// Panics if `bits ≥ 2^n`.
     pub fn vector_amplitude(&self, e: Edge, bits: usize) -> Complex64 {
-        assert!(bits < (1usize << self.n), "bit pattern out of range");
+        assert!(shr(bits, self.n) == 0, "bit pattern out of range");
         let mut amp = e.w;
         let mut node = e.node;
         let mut var = 0usize;
         while node != TERMINAL {
-            let b = (bits >> (self.n - 1 - var)) & 1;
+            let b = shr(bits, self.n - 1 - var) & 1;
             let child = self.nodes[node as usize].children[b * 2];
             amp *= child.w;
             if amp.abs() <= ZERO_TOL {
@@ -579,11 +580,66 @@ impl DdManager {
     }
 }
 
+/// `bits >> shift` for any shift: a bit beyond `usize::BITS` is 0, so
+/// basis patterns address the last `usize::BITS` qubits of any width.
+fn shr(bits: usize, shift: usize) -> usize {
+    u32::try_from(shift)
+        .ok()
+        .and_then(|s| bits.checked_shr(s))
+        .unwrap_or(0)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use qns_circuit::{Circuit, Gate, Operation};
     use qns_linalg::cr;
+
+    #[test]
+    fn basis_vectors_read_bits_from_the_last_qubit_for_any_width() {
+        let (zero, one) = (
+            [Complex64::ONE, Complex64::ZERO],
+            [Complex64::ZERO, Complex64::ONE],
+        );
+        for n in [63usize, 64, 65, 225] {
+            let patterns = [0, 1, 0b10_0001, (1 << 62) | (1 << 5) | 1, 1 << 62];
+            let patterns: Vec<usize> = patterns
+                .into_iter()
+                .chain((n >= 64).then_some(usize::MAX))
+                .collect();
+            let mut man = DdManager::new(n);
+            for &bits in &patterns {
+                // Qubit n − 1 − k carries bit k; qubits below n − 64 none.
+                let factors: Vec<[Complex64; 2]> = (0..n)
+                    .map(|q| {
+                        let k = n - 1 - q;
+                        if k < 64 && (bits >> k) & 1 == 1 {
+                            one
+                        } else {
+                            zero
+                        }
+                    })
+                    .collect();
+                let dd = man.basis_vector(bits);
+                assert_eq!(dd, man.product_vector(&factors), "n {n}, bits {bits:#x}");
+                for &read in &patterns {
+                    let amp = man.vector_amplitude(dd, read);
+                    let want = if read == bits {
+                        Complex64::ONE
+                    } else {
+                        Complex64::ZERO
+                    };
+                    assert_eq!(amp, want, "n {n}, bits {bits:#x}, read {read:#x}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "bit pattern out of range")]
+    fn basis_vector_rejects_bits_beyond_the_width() {
+        let _ = DdManager::new(63).basis_vector(1 << 63);
+    }
 
     #[test]
     fn identity_diagram_is_identity_matrix() {

@@ -59,6 +59,16 @@
 //! lhs is gathered by the fused matmul. Every element is moved, never
 //! recomputed, so the bits are those of the reference path.
 //!
+//! A gather's copies move whole runs: lowering records the contiguous
+//! run of each of its tables (the elements it moves per table entry),
+//! and a copy with a column run of eight or more moves each run as one
+//! slice. A copy without one walks a large matrix in square tiles, so
+//! the strided side of a transposition stays in cache, and a small one
+//! element by element; a one-column gather walks as one row. Replays
+//! (an input leaf's rhs copy, the permuted copy of a node stored in its
+//! reader's layout), the cold run and a sweep's scatters all share
+//! these copies.
+//!
 //! Execution then threads a [`Workspace`] — one per worker thread,
 //! sized once from the plan — through the whole pattern sum: after the
 //! first execution has grown the workspace buffers, replaying the plan
@@ -99,23 +109,29 @@
 //! Wang and Xiang, "Differentiable Programming Tensor Networks", PRX 9,
 //! 031041, 2019). For a hot step `dst = lhs·rhs`, `env(lhs) =
 //! env(dst)·rhsᵀ` and `env(rhs) = lhsᵀ·env(dst)`, each a kernel of the
-//! same `m·k·n` as the forward step, reading the forward gathers (and,
-//! where it is cheap, the inverse of a node's reader gather); narrow
-//! ones are taken as dot products. The forward operands come from the
-//! warm workspace: a hot node's sibling is either cold, in the cold
-//! cache, or a persistent hot node, because only hot nodes with a cold
-//! sibling are transient. So a sweep reads no transient node, and its
-//! environments live on a depth-first stack in the arena's transient
-//! region, dead between executions: a parent's environment stays on it
-//! only while its second child waits, and the last child computed takes
-//! its parent's place. The stack, the reverse steps' scratch and the
-//! walk's bookkeeping are sized at lowering; a workspace made by
-//! [`Workspace::for_sweeps`], or one that has swept once, allocates
-//! nothing more.
+//! same `m·k·n` as the forward step, reading the forward gathers;
+//! narrow ones are taken as dot products ([`qns_linalg::kernels::dot`]
+//! where both factors are row-major). Every environment is written in
+//! its operand's own layout, scattered back through the gather the
+//! forward step reads the operand with, so a hot node's environment
+//! lies in its product's natural `m × n` layout, where its own reverse
+//! steps read it: a node stored in its reader's layout has its
+//! environment permuted once per sweep, by its parent's reverse step,
+//! however many of its children the sweep wants. The forward operands
+//! come from the warm workspace: a hot node's sibling is either cold,
+//! in the cold cache, or a persistent hot node, because only hot nodes
+//! with a cold sibling are transient. So a sweep reads no transient
+//! node, and its environments live on a depth-first stack in the
+//! arena's transient region, dead between executions: a parent's
+//! environment stays on it only while its second child waits, and the
+//! last child computed takes its parent's place. The stack, the reverse
+//! steps' scratch and the walk's bookkeeping are sized at lowering; a
+//! workspace made by [`Workspace::for_sweeps`], or one that has swept
+//! once, allocates nothing more.
 
 use crate::network::{ContractionStats, TensorNetwork};
 use crate::plan::ContractionPlan;
-use qns_linalg::kernels::{matmul_gather_lhs_into, matmul_into, matmul_transposed_lhs_into};
+use qns_linalg::kernels::{dot, matmul_gather_lhs_into, matmul_into, matmul_transposed_lhs_into};
 use qns_linalg::Complex64;
 use qns_tensor::Tensor;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -142,12 +158,30 @@ enum SlotLoc {
 /// Precomputed gather tables, `element(r, c) = src[row[r] + col[c]]`,
 /// held as two ranges of a table buffer shared by a whole plan: `row`
 /// is `tables[row..row + rows]`, `col` is `tables[col..col + cols]`.
+/// Each table's [`contiguous_run`] is recorded with it, so a copy moves
+/// whole runs of elements per table entry. The positions are `u32`s
+/// ([`table_pos`]), which keeps every step's kernel (four of these)
+/// small: lowering slows sharply as kernels grow, by 40 % on one
+/// registry plan for kernels a third larger.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct Gather {
-    row: usize,
-    rows: usize,
-    col: usize,
-    cols: usize,
+    row: u32,
+    rows: u32,
+    col: u32,
+    cols: u32,
+    row_run: u32,
+    col_run: u32,
+}
+
+/// A position or length in a plan's table buffer, as stored in a
+/// [`Gather`].
+///
+/// # Panics
+///
+/// Panics past `u32::MAX`: a table that long would not fit in memory.
+fn table_pos(at: usize) -> u32 {
+    assert!(at <= u32::MAX as usize, "gather tables beyond 2^32 entries");
+    at as u32
 }
 
 impl Gather {
@@ -165,46 +199,75 @@ impl Gather {
         let rows = push_offsets(tables, shape, row_axes, odometer);
         let col = tables.len();
         let cols = push_offsets(tables, shape, col_axes, odometer);
+        Gather::new(tables, row, rows, col, cols)
+    }
+
+    /// The gather whose row table is `tables[row..row + rows]` and
+    /// column table `tables[col..col + cols]`. A table shorter than
+    /// [`MIN_RUN`] entries is recorded with run 1: no walk reads a run
+    /// it could have ([`Gather::walk`] tiles only longer tables).
+    fn new(tables: &[usize], row: usize, rows: usize, col: usize, cols: usize) -> Gather {
+        let run = |table: &[usize]| match table.len() {
+            len if len < MIN_RUN => 1,
+            _ => table_pos(contiguous_run(table)),
+        };
         Gather {
-            row,
-            rows,
-            col,
-            cols,
+            row: table_pos(row),
+            rows: table_pos(rows),
+            col: table_pos(col),
+            cols: table_pos(cols),
+            row_run: run(&tables[row..row + rows]),
+            col_run: run(&tables[col..col + cols]),
         }
     }
 
+    fn rows(&self) -> usize {
+        self.rows as usize
+    }
+
+    fn cols(&self) -> usize {
+        self.cols as usize
+    }
+
     fn row<'t>(&self, tables: &'t [usize]) -> &'t [usize] {
-        &tables[self.row..self.row + self.rows]
+        &tables[self.row as usize..][..self.rows()]
     }
 
     fn col<'t>(&self, tables: &'t [usize]) -> &'t [usize] {
-        &tables[self.col..self.col + self.cols]
+        &tables[self.col as usize..][..self.cols()]
     }
 
     /// Table entries the gather holds.
     fn len(&self) -> usize {
-        self.rows + self.cols
+        self.rows() + self.cols()
     }
 
     /// The same gather, its tables copied from `from` to the end of `to`.
     fn moved(&self, from: &[usize], to: &mut Vec<usize>) -> Gather {
-        let row = to.len();
+        let row = table_pos(to.len());
         to.extend_from_slice(self.row(from));
-        let col = to.len();
+        let col = table_pos(to.len());
         to.extend_from_slice(self.col(from));
         Gather { row, col, ..*self }
     }
 
-    /// `dst[r·cols + c] = src[row[r] + col[c]]`: the permuted copy, as
-    /// a two-level offset walk.
+    /// `dst[r·cols + c] = src[row[r] + col[c]]`: the permuted copy.
     fn copy(&self, tables: &[usize], src: &[Complex64], dst: &mut [Complex64]) {
-        let (row, col) = (self.row(tables), self.col(tables));
-        let cols = col.len();
-        for (r, &ro) in row.iter().enumerate() {
-            let drow = &mut dst[r * cols..(r + 1) * cols];
-            for (d, &co) in drow.iter_mut().zip(col) {
-                *d = src[ro + co];
+        let g = self.one_row();
+        let (row, col) = (g.row(tables), g.col(tables));
+        match g.walk() {
+            Walk::Elements => {
+                let cols = col.len();
+                for (r, &ro) in row.iter().enumerate() {
+                    let drow = &mut dst[r * cols..(r + 1) * cols];
+                    for (d, &co) in drow.iter_mut().zip(col) {
+                        *d = src[ro + co];
+                    }
+                }
             }
+            walk => walk.pieces(row, col, g.col_run as usize, |d, s, len| {
+                dst[d..d + len].copy_from_slice(&src[s..s + len])
+            }),
         }
     }
 
@@ -212,13 +275,21 @@ impl Gather {
     /// [`Gather::copy`], which moves an environment from the gathered
     /// layout back to the layout the gather reads.
     fn scatter(&self, tables: &[usize], src: &[Complex64], dst: &mut [Complex64]) {
-        let (row, col) = (self.row(tables), self.col(tables));
-        let cols = col.len();
-        for (r, &ro) in row.iter().enumerate() {
-            let srow = &src[r * cols..(r + 1) * cols];
-            for (&s, &co) in srow.iter().zip(col) {
-                dst[ro + co] = s;
+        let g = self.one_row();
+        let (row, col) = (g.row(tables), g.col(tables));
+        match g.walk() {
+            Walk::Elements => {
+                let cols = col.len();
+                for (r, &ro) in row.iter().enumerate() {
+                    let srow = &src[r * cols..(r + 1) * cols];
+                    for (&x, &co) in srow.iter().zip(col) {
+                        dst[ro + co] = x;
+                    }
+                }
             }
+            walk => walk.pieces(row, col, g.col_run as usize, |d, s, len| {
+                dst[s..s + len].copy_from_slice(&src[d..d + len])
+            }),
         }
     }
 
@@ -246,11 +317,28 @@ impl Gather {
         let start = tables.len();
         tables.extend((0..m).map(|i| inverse[i * n]));
         tables.extend_from_slice(&inverse[..n]);
-        Gather {
-            row: start,
-            rows: m,
-            col: start + m,
-            cols: n,
+        Gather::new(tables, start, m, start + m, n)
+    }
+
+    /// A one-column gather as the one-row gather of the same elements
+    /// in the same order, so its copies walk one long row.
+    fn one_row(&self) -> Gather {
+        if self.cols == 1 {
+            self.transposed()
+        } else {
+            *self
+        }
+    }
+
+    /// How [`Gather::copy`] and [`Gather::scatter`] walk the elements.
+    fn walk(&self) -> Walk {
+        let (rows, cols) = (self.rows(), self.cols());
+        if self.col_run as usize >= MIN_RUN {
+            Walk::Runs
+        } else if rows >= TILE && cols >= TILE && rows * cols >= TILED {
+            Walk::Tiles
+        } else {
+            Walk::Elements
         }
     }
 
@@ -262,6 +350,104 @@ impl Gather {
             rows: self.cols,
             col: self.row,
             cols: self.rows,
+            row_run: self.col_run,
+            col_run: self.row_run,
+        }
+    }
+}
+
+/// The length of `table`'s first contiguous stretch (entries that count
+/// up by one), if every piece of that length (the last may be shorter)
+/// is contiguous too, else 1: the elements a gather reading through
+/// `table` moves per entry. For an offset table over row-major axes it
+/// is the product of the trailing axes laid out contiguously. Found
+/// once, at lowering.
+fn contiguous_run(table: &[usize]) -> usize {
+    let contiguous = |piece: &[usize]| piece.windows(2).all(|w| w[1] == w[0] + 1);
+    let run = 1 + table.windows(2).take_while(|w| w[1] == w[0] + 1).count();
+    if run == 1 || table.chunks(run).skip(1).all(contiguous) {
+        run
+    } else {
+        1
+    }
+}
+
+/// The order in which a gather's copies move its elements.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Walk {
+    /// A column run of at least [`MIN_RUN`] elements: row by row, one
+    /// contiguous piece per run.
+    Runs,
+    /// Shorter runs on a matrix of at least [`TILE`] rows and columns
+    /// and [`TILED`] elements: a run (one to three elements) at a time,
+    /// in square tiles, so the strided side of a transposition stays in
+    /// cache.
+    Tiles,
+    /// Anything smaller: element by element, row by row.
+    Elements,
+}
+
+impl Walk {
+    /// Calls `mv(d, s, len)` for pieces that cover a `Runs` or `Tiles`
+    /// walk of the gather with tables `row` and `col` and column run
+    /// `run`: gathered elements `d..d + len` (row-major) are the read
+    /// elements `s..s + len`. The pieces of [`TILE`] rows come column
+    /// block by column block: whole rows for `Runs`, tiles of [`TILE`]
+    /// columns (a multiple of the run) for `Tiles`. Out of line, so
+    /// the element walk of the small copies that dominate a replay stays
+    /// a short function.
+    #[inline(never)]
+    fn pieces(self, row: &[usize], col: &[usize], run: usize, mv: impl FnMut(usize, usize, usize)) {
+        match (self, run) {
+            (Walk::Tiles, 2) => pieces::<2>(row, col, 2, TILE, mv),
+            (Walk::Tiles, 3) => pieces::<3>(row, col, 3, TILE / 3 * 3, mv),
+            (Walk::Tiles, _) => pieces::<1>(row, col, 1, TILE, mv),
+            _ => pieces::<0>(row, col, run, col.len().max(1), mv),
+        }
+    }
+}
+
+/// The shortest column run a gather copies as contiguous pieces row by
+/// row (a `memcpy` each): below it, a piece's bookkeeping and call cost
+/// more than its moves.
+const MIN_RUN: usize = 8;
+
+/// Edge of the square tiles of [`Walk::Tiles`]: 16 complex elements
+/// are four cache lines.
+const TILE: usize = 16;
+
+/// The fewest elements a gather walks in tiles: 32 KiB a side, so its
+/// source and destination no longer share a core's L1 cache. Smaller
+/// ones stay in cache whatever the order.
+const TILED: usize = 2048;
+
+/// [`Walk::pieces`] for runs of `R` elements (`run`, known at run time,
+/// when `R` is 0), in blocks of `width` columns, a multiple of the run.
+/// A run that does not divide the row leaves a shorter last piece.
+#[inline(always)]
+fn pieces<const R: usize>(
+    row: &[usize],
+    col: &[usize],
+    run: usize,
+    width: usize,
+    mut mv: impl FnMut(usize, usize, usize),
+) {
+    let n = col.len();
+    let len = if R == 0 { run } else { R };
+    for (r0, row_block) in (0..).step_by(TILE).zip(row.chunks(TILE)) {
+        for (c0, cols) in (0..).step_by(width).zip(col.chunks(width)) {
+            let runs = cols.chunks_exact(len);
+            let last = runs.remainder();
+            for (r, &ro) in (r0..).zip(row_block) {
+                let mut d = r * n + c0;
+                for first in runs.clone().map(|p| p[0]) {
+                    mv(d, ro + first, len);
+                    d += len;
+                }
+                if let Some(&first) = last.first() {
+                    mv(d, ro + first, last.len());
+                }
+            }
         }
     }
 }
@@ -269,24 +455,6 @@ impl Gather {
 /// Output columns up to which an lhs reverse step takes dot products
 /// ([`Kernel::env_by_dots`]).
 const DOT_COLUMNS: usize = 4;
-
-/// `Σ_t x[t]·y[t]` over two equal-length rows, in four interleaved
-/// partial sums (`t mod 4`) added pairwise at the end, so the adds do
-/// not wait on one another.
-fn dot(x: &[Complex64], y: &[Complex64]) -> Complex64 {
-    let mut acc = [Complex64::ZERO; 4];
-    let (xs, ys) = (x.chunks_exact(4), y.chunks_exact(4));
-    let (x_tail, y_tail) = (xs.remainder(), ys.remainder());
-    for (xq, yq) in xs.zip(ys) {
-        for ((a, &u), &v) in acc.iter_mut().zip(xq).zip(yq) {
-            *a += u * v;
-        }
-    }
-    for ((a, &u), &v) in acc.iter_mut().zip(x_tail).zip(y_tail) {
-        *a += u * v;
-    }
-    (acc[0] + acc[1]) + (acc[2] + acc[3])
-}
 
 /// A matrix read in place: row-major, or through a gather's tables.
 #[derive(Clone, Copy)]
@@ -352,7 +520,7 @@ struct Kernel {
     /// already trailing, buffer used as-is.
     lhs_gather: Option<Gather>,
     /// `Some` when the rhs needs permuting: materialized into the
-    /// workspace scratch with a two-level offset copy (no div/mod).
+    /// workspace scratch by [`Gather::copy`] (no div/mod).
     /// `None` = contracted axes already leading, or the rhs is a node
     /// stored in this step's layout.
     rhs_gather: Option<Gather>,
@@ -360,10 +528,11 @@ struct Kernel {
     /// the product is staged in the scratch and copied through the
     /// reader's operand gather into the destination.
     out_gather: Option<Gather>,
-    /// Set on a hot step when [`Kernel::inverts_out_gather`]: the
-    /// inverse of `out_gather`, reading the product's natural `m × n`
-    /// layout out of the reader's, so the lhs reverse step reads its
-    /// node's environment as the product's without staging it.
+    /// The inverse of `out_gather`, reading the product's natural
+    /// `m × n` layout out of the reader's: kept by a child of a
+    /// dot-product root when [`Kernel::inverts_out_gather`], whose lhs
+    /// reverse step reads its environment (the sibling's forward value,
+    /// in the reader's layout) through it rather than staging it.
     env_gather: Option<Gather>,
 }
 
@@ -445,35 +614,28 @@ impl Kernel {
         }
     }
 
-    /// Scratch elements [`ExecutablePlan::env_step`] uses for the
-    /// environment of operand `side`: the product's environment staged
-    /// in its natural layout (when the node is stored in its reader's
-    /// and the step cannot read it through the inverse gather), the
-    /// transposed rhs of an lhs matmul, and the operand's environment
-    /// staged before its gather scatters it.
-    fn env_scratch_len(&self, side: usize) -> usize {
-        let (m, k, n) = (self.m, self.k, self.n);
-        let staged = |g: Option<Gather>, len: usize| g.map_or(0, |_| len);
-        let product = match side {
-            LHS if self.inverts_out_gather() => 0,
-            _ => staged(self.out_gather, m * n),
-        };
-        product
-            + match side {
-                LHS if self.env_by_dots(LHS) => staged(self.lhs_gather, m * k),
-                LHS => n * k + staged(self.lhs_gather, m * k),
-                _ => staged(self.rhs_gather, k * n),
-            }
-    }
-
-    /// Whether the step keeps the inverse of its `out_gather`
-    /// ([`Kernel::env_gather`]): only a step whose lhs reverse step
-    /// reads its environment as a matrix of several rows uses it, and
-    /// only where its `m + n` table entries, which the plan holds once,
-    /// cost at most an eighth of the `m·n` staged elements they spare
-    /// every worker's scratch.
+    /// Whether the inverse of the step's `out_gather` is worth keeping
+    /// ([`Kernel::env_gather`]): its `m + n` table entries, which the
+    /// plan holds once, cost at most an eighth of the `m·n` staged
+    /// elements they spare every worker's scratch, and the lhs reverse
+    /// step reads a matrix of several rows. Such a step's lhs reverse
+    /// step adds each dot product in one running sum ([`dot_products`],
+    /// the order of a gathered read) wherever its environment lies, so
+    /// no level sum depends on where it is read from.
     fn inverts_out_gather(&self) -> bool {
         self.out_gather.is_some() && self.m > 1 && 8 * (self.m + self.n) <= self.m * self.n
+    }
+
+    /// Scratch elements a reverse step uses for the environment of
+    /// operand `side`: the transposed rhs of an lhs matmul, and the
+    /// operand's environment when it is `staged` there (to be scattered,
+    /// [`env_scatter`], or to replace its parent's on the env stack).
+    fn env_scratch_len(&self, side: usize, staged: bool) -> usize {
+        let staged = if staged { self.env_len(side) } else { 0 };
+        match side {
+            LHS if !self.env_by_dots(LHS) => self.n * self.k + staged,
+            _ => staged,
+        }
     }
 
     fn flops(&self) -> u128 {
@@ -1067,7 +1229,10 @@ impl ExecutablePlan {
         // (the children of a dot-product root), and its depth. It lives
         // where the transient nodes do, which no execution reads across
         // executions and no sweep reads at all: a transient node's
-        // sibling is cold.
+        // sibling is cold. A child of a dot-product root stored in its
+        // reader's layout has its sibling's forward value, in that
+        // layout, for environment: its reverse steps stage it in the
+        // product's, or read it through the inverse gather.
         let mut env_at = vec![(0usize, false, 1usize); steps.len()];
         let (mut env_len, mut env_scratch_len) = (0usize, 0usize);
         for si in (0..steps.len()).rev() {
@@ -1086,21 +1251,28 @@ impl ExecutablePlan {
             env_len = env_len.max(above);
             let pending = step.env[RHS].is_hot();
             for side in [LHS, RHS] {
-                let (len, work) = (k.env_len(side), k.env_scratch_len(side));
+                let scattered = env_scatter(&steps, step, side).is_some();
+                let len = k.env_len(side);
                 let (stack_top, scratch) = match step.env[side] {
                     EnvTarget::Cold => continue,
-                    EnvTarget::Leaf(_) => (above + len, work),
+                    EnvTarget::Leaf(_) => (above + len, k.env_scratch_len(side, scattered)),
                     EnvTarget::Step(c) if side == LHS && pending => {
                         env_at[c as usize] = (above, false, depth + 1);
-                        (above + len, work)
+                        (above + len, k.env_scratch_len(side, scattered))
                     }
                     EnvTarget::Step(c) => {
                         env_at[c as usize] = (base, false, depth + 1);
-                        (base + len, work + len)
+                        (base + len, k.env_scratch_len(side, true))
                     }
                 };
+                // A dot-product root's child stored in its reader's
+                // layout stages its environment unless it reads it
+                // through the inverse gather.
+                let staged =
+                    alias && k.out_gather.is_some() && (side == RHS || !k.inverts_out_gather());
+                let staged = if staged { k.m * k.n } else { 0 };
                 env_len = env_len.max(stack_top);
-                env_scratch_len = env_scratch_len.max(scratch);
+                env_scratch_len = env_scratch_len.max(staged + scratch);
             }
         }
         // A dot-product root's two children may both wait on the walk.
@@ -1118,15 +1290,23 @@ impl ExecutablePlan {
         // Keep only the tables the hot steps and the output stage read,
         // in one exactly sized buffer.
         let perm = plan.output_perm();
-        let env_tables = |k: &Kernel| if k.inverts_out_gather() { k.m + k.n } else { 0 };
-        let hot_tables_len = steps
+        // The dot-product root's children (alias frames) keep the
+        // inverse of their reader's gather where it is cheap.
+        let inverted =
+            |k: &Kernel, &(_, alias, _): &(usize, bool, usize)| alias && k.inverts_out_gather();
+        let env_tables: usize = steps
             .iter()
-            .map(|s| s.kernel.table_len() + env_tables(&s.kernel))
-            .sum::<usize>()
+            .zip(&env_at)
+            .filter(|(s, at)| inverted(&s.kernel, at))
+            .map(|(s, _)| s.kernel.m + s.kernel.n)
+            .sum();
+        let hot_tables_len = steps.iter().map(|s| s.kernel.table_len()).sum::<usize>()
+            + env_tables
             + perm.map_or(0, |_| result_len);
         let mut hot_tables = Vec::with_capacity(hot_tables_len);
         let mut inverse = Vec::new();
-        for step in &mut steps {
+        for (step, at) in steps.iter_mut().zip(&env_at) {
+            let inverted = inverted(&step.kernel, at);
             let k = &mut step.kernel;
             for gather in [&mut k.lhs_gather, &mut k.rhs_gather, &mut k.out_gather]
                 .into_iter()
@@ -1134,7 +1314,7 @@ impl ExecutablePlan {
             {
                 *gather = gather.moved(&tables, &mut hot_tables);
             }
-            if let Some(out) = k.out_gather.filter(|_| k.inverts_out_gather()) {
+            if let Some(out) = k.out_gather.filter(|_| inverted) {
                 k.env_gather = Some(out.inverse(k.m, k.n, &mut hot_tables, &mut inverse));
             }
         }
@@ -1529,25 +1709,58 @@ impl ExecutablePlan {
                 continue;
             }
             frame.next += 1;
-            let (si, base, alias) = (frame.step as usize, frame.base, frame.alias);
+            let (si, base) = (frame.step as usize, frame.base);
             let step = &self.steps[si];
+            let k = &step.kernel;
+            let alias = frame.alias;
             if !wanted(step.env[side]) {
                 continue;
             }
-            let k = &step.kernel;
             let above = base + alias.map_or(k.m * k.n, |_| 0);
             let len = k.env_len(side);
             let (below, rest) = envs.split_at_mut(above);
-            let env_dst = match alias {
-                Some(loc) => self.forward(loc, &input, persistent),
-                None => &below[base..],
+            // A dot-product root's child stored in its reader's layout:
+            // its environment is its sibling's forward value in that
+            // layout, read through the inverse gather or staged in the
+            // product's layout for each reverse step, so it takes no
+            // stack.
+            let inverse = k.env_gather.filter(|_| side == LHS);
+            let staged = match (alias, k.out_gather, inverse) {
+                (Some(_), Some(_), None) => k.m * k.n,
+                _ => 0,
+            };
+            let (staged, scratch) = scratch.split_at_mut(staged);
+            let tables = &self.tables[..];
+            let env_p = match (alias, k.out_gather, inverse) {
+                (Some(loc), Some(_), Some(inv)) => View::Gathered {
+                    data: self.forward(loc, &input, persistent),
+                    row: inv.row(tables),
+                    col: inv.col(tables),
+                },
+                (Some(loc), Some(g), None) => {
+                    g.scatter(tables, self.forward(loc, &input, persistent), staged);
+                    #[cfg(test)]
+                    tests::count_node_env_permutation();
+                    View::Dense {
+                        data: staged,
+                        cols: k.n,
+                    }
+                }
+                (Some(loc), None, _) => View::Dense {
+                    data: self.forward(loc, &input, persistent),
+                    cols: k.n,
+                },
+                (None, _, _) => View::Dense {
+                    data: &below[base..],
+                    cols: k.n,
+                },
             };
             stats.contractions += 1;
             stats.flops_proxy += k.flops();
             match step.env[side] {
                 EnvTarget::Leaf(leaf) => {
                     let env = &mut rest[..len];
-                    self.env_step(step, side, &input, persistent, env_dst, env, scratch);
+                    self.reverse_step(step, side, &input, persistent, env_p, env, scratch);
                     visit(leaf, env);
                 }
                 EnvTarget::Step(c) if side == LHS && step.env[RHS].is_hot() => {
@@ -1555,7 +1768,7 @@ impl ExecutablePlan {
                     // stack above it, and moves down into the parent's
                     // place when the rhs is not wanted after all.
                     let env = &mut rest[..len];
-                    self.env_step(step, side, &input, persistent, env_dst, env, scratch);
+                    self.reverse_step(step, side, &input, persistent, env_p, env, scratch);
                     let last = !wanted(step.env[RHS]);
                     if last {
                         envs.copy_within(above..above + len, base);
@@ -1569,13 +1782,11 @@ impl ExecutablePlan {
                     });
                 }
                 EnvTarget::Step(c) => {
-                    // The parent's last child: computed in the scratch
-                    // past what the reverse step uses, it then takes
-                    // the parent's place on the stack.
-                    let (work, out) = scratch.split_at_mut(k.env_scratch_len(side));
-                    let env = &mut out[..len];
-                    self.env_step(step, side, &input, persistent, env_dst, env, work);
-                    envs[base..base + len].copy_from_slice(env);
+                    // The parent's last child: computed in the scratch,
+                    // it then takes the parent's place on the stack.
+                    let (staged, work) = scratch.split_at_mut(len);
+                    self.env_step(step, side, &input, persistent, env_p, staged, work);
+                    self.settle_env(step, side, staged, &mut envs[base..base + len]);
                     env_frames.pop();
                     env_frames.push(EnvFrame {
                         step: c,
@@ -1606,11 +1817,59 @@ impl ExecutablePlan {
         }
     }
 
-    /// One reverse step: the environment `env` of operand `side` of
-    /// `step` from the environment `env_dst` of its node, through the
-    /// forward kernel's gathers and the inverse of its reader's.
-    /// `persistent` is the arena below the env stack, where every hot
-    /// operand a reverse step reads lives.
+    /// One reverse step into `env`, the environment of operand `side`
+    /// of `step` in the operand's own layout: [`ExecutablePlan::env_step`],
+    /// staged in the scratch and settled when the operand's layout is
+    /// not the one the step reads it in.
+    #[allow(clippy::too_many_arguments)]
+    fn reverse_step<'i>(
+        &self,
+        step: &ExecStep,
+        side: usize,
+        input: &impl Fn(usize) -> &'i [Complex64],
+        persistent: &[Complex64],
+        env_p: View<'_>,
+        env: &mut [Complex64],
+        scratch: &mut [Complex64],
+    ) {
+        if env_scatter(&self.steps, step, side).is_some() {
+            let (staged, work) = scratch.split_at_mut(env.len());
+            self.env_step(step, side, input, persistent, env_p, staged, work);
+            self.settle_env(step, side, staged, env);
+        } else {
+            self.env_step(step, side, input, persistent, env_p, env, scratch);
+        }
+    }
+
+    /// Moves the environment of operand `side` of `step` from the
+    /// layout the step reads the operand in (`staged`, as
+    /// [`ExecutablePlan::env_step`] leaves it) into the operand's own
+    /// (`env`): scattered through [`env_scatter`]'s gather, or copied.
+    fn settle_env(
+        &self,
+        step: &ExecStep,
+        side: usize,
+        staged: &[Complex64],
+        env: &mut [Complex64],
+    ) {
+        match env_scatter(&self.steps, step, side) {
+            Some(g) => {
+                g.scatter(&self.tables, staged, env);
+                #[cfg(test)]
+                if matches!((side, step.env[side]), (RHS, EnvTarget::Step(_))) {
+                    tests::count_node_env_permutation();
+                }
+            }
+            None => env.copy_from_slice(staged),
+        }
+    }
+
+    /// One reverse step's arithmetic: the environment `dst` of operand
+    /// `side` of `step`, in the layout the step reads the operand in,
+    /// from the environment `env_p` of its node, read as the product's
+    /// natural `m × n` matrix (row-major for an rhs step), through the
+    /// forward kernel's gathers. `persistent` is the arena below the
+    /// env stack, where every hot operand a reverse step reads lives.
     #[allow(clippy::too_many_arguments)]
     fn env_step<'i>(
         &self,
@@ -1618,8 +1877,8 @@ impl ExecutablePlan {
         side: usize,
         input: &impl Fn(usize) -> &'i [Complex64],
         persistent: &[Complex64],
-        env_dst: &[Complex64],
-        env: &mut [Complex64],
+        env_p: View<'_>,
+        dst: &mut [Complex64],
         scratch: &mut [Complex64],
     ) {
         let k = &step.kernel;
@@ -1633,33 +1892,6 @@ impl ExecutablePlan {
             },
             None => View::Dense { data, cols },
         };
-        // The product's environment: read through the inverse gather,
-        // or staged in its natural layout when the node is stored in
-        // its reader's, or `env_dst` itself.
-        let stage = k.out_gather.is_some() && (side == RHS || k.env_gather.is_none());
-        let (staged_p, scratch) = scratch.split_at_mut(if stage { m * n } else { 0 });
-        let env_p = match (&k.env_gather, &k.out_gather) {
-            (Some(g), _) if !stage => view(env_dst, &Some(*g), n),
-            (Some(g), _) => {
-                g.copy(tables, env_dst, staged_p);
-                view(&*staged_p, &None, n)
-            }
-            (None, Some(g)) => {
-                g.scatter(tables, env_dst, staged_p);
-                view(&*staged_p, &None, n)
-            }
-            (None, None) => view(env_dst, &None, n),
-        };
-        let (own_gather, own_len) = match side {
-            LHS => (&k.lhs_gather, m * inner),
-            _ => (&k.rhs_gather, inner * n),
-        };
-        let (staged, scratch) = scratch.split_at_mut(own_gather.map_or(0, |_| own_len));
-        let dst = if own_gather.is_some() {
-            &mut *staged
-        } else {
-            &mut *env
-        };
         if side == LHS {
             // env(lhs) = env(P) · rhsᵀ: (m × n)·(n × k).
             let b = self.forward(step.rhs, input, persistent);
@@ -1667,15 +1899,16 @@ impl ExecutablePlan {
                 match (env_p, &k.rhs_gather) {
                     // Both factors row-major: each entry is a dot
                     // product of two contiguous rows.
-                    (View::Dense { data: e, .. }, None) => {
+                    (View::Dense { data: e, .. }, None) if !k.inverts_out_gather() => {
                         for (d_row, e_row) in dst.chunks_exact_mut(inner).zip(e.chunks_exact(n)) {
                             for (d, b_row) in d_row.iter_mut().zip(b.chunks_exact(n)) {
                                 *d = dot(e_row, b_row);
                             }
                         }
                     }
-                    _ => {
-                        let b = view(b, &k.rhs_gather, n);
+                    // One running sum per entry.
+                    (_, gather) => {
+                        let b = view(b, gather, n);
                         dot_products(m, inner, n, |i, j| env_p.at(i, j), |c, j| b.at(c, j), dst);
                     }
                 }
@@ -1686,7 +1919,7 @@ impl ExecutablePlan {
                     None => transpose_into(b, inner, n, b_t),
                 }
                 match env_p {
-                    View::Dense { data, .. } => matmul_into(data, b_t, dst, m, n, inner),
+                    View::Dense { data, .. } => matmul_into(&data[..m * n], b_t, dst, m, n, inner),
                     View::Gathered { data, row, col } => {
                         matmul_gather_lhs_into(data, row, col, b_t, dst, inner)
                     }
@@ -1695,24 +1928,29 @@ impl ExecutablePlan {
         } else {
             // env(rhs) = lhsᵀ · env(P): (k × m)·(m × n).
             let a = self.forward(step.lhs, input, persistent);
+            let View::Dense { data: env_dst, .. } = env_p else {
+                unreachable!("an rhs reverse step stages a gathered environment")
+            };
+            let env_dst = &env_dst[..m * n];
             if k.env_by_dots(RHS) {
                 let a = view(a, &k.lhs_gather, inner);
-                dot_products(inner, n, m, |c, i| a.at(i, c), |j, i| env_p.at(i, j), dst);
+                dot_products(
+                    inner,
+                    n,
+                    m,
+                    |c, i| a.at(i, c),
+                    |j, i| env_dst[i * n + j],
+                    dst,
+                );
             } else {
-                let View::Dense { data: env_p, .. } = env_p else {
-                    unreachable!("an rhs reverse step stages a gathered environment")
-                };
                 match &k.lhs_gather {
-                    None => matmul_transposed_lhs_into(a, env_p, dst, inner, m, n),
+                    None => matmul_transposed_lhs_into(a, env_dst, dst, inner, m, n),
                     Some(g) => {
                         let g = g.transposed();
-                        matmul_gather_lhs_into(a, g.row(tables), g.col(tables), env_p, dst, n);
+                        matmul_gather_lhs_into(a, g.row(tables), g.col(tables), env_dst, dst, n);
                     }
                 }
             }
-        }
-        if let Some(g) = own_gather {
-            g.scatter(tables, staged, env);
         }
     }
 
@@ -1891,6 +2129,21 @@ impl ExecutablePlan {
     }
 }
 
+/// The gather that takes the environment of operand `side` of `step`
+/// from the layout the step reads the operand in back to the operand's
+/// own: the step's lhs or rhs gather, or, for a hot rhs node stored in
+/// the step's layout, that node's `out_gather`. So a hot node's
+/// environment always lies in its product's natural layout, where its
+/// own reverse steps read it, and is permuted once per sweep.
+fn env_scatter(steps: &[ExecStep], step: &ExecStep, side: usize) -> Option<Gather> {
+    match (side, step.env[side]) {
+        (LHS, _) => step.kernel.lhs_gather,
+        // A hot rhs node read through a permutation carries it.
+        (_, EnvTarget::Step(c)) => steps[c as usize].kernel.out_gather,
+        _ => step.kernel.rhs_gather,
+    }
+}
+
 /// Borrows up to two shared regions and one mutable region out of one
 /// buffer. Regions must be pairwise disjoint (the compile-time
 /// allocator guarantees this: the destination is carved out while both
@@ -1945,6 +2198,135 @@ mod tests {
     use qns_linalg::cr;
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
+
+    thread_local! {
+        /// Permutations of a hot node's environment into its product's
+        /// layout made by sweeps on this thread.
+        static NODE_ENV_PERMUTATIONS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
+
+    pub(super) fn count_node_env_permutation() {
+        NODE_ENV_PERMUTATIONS.with(|n| n.set(n.get() + 1));
+    }
+
+    fn node_env_permutations() -> usize {
+        NODE_ENV_PERMUTATIONS.with(std::cell::Cell::get)
+    }
+
+    /// The element walk every gather copy must equal:
+    /// `dst[r·cols + c] = src[row[r] + col[c]]`, one element at a time.
+    fn walked_copy(row: &[usize], col: &[usize], src: &[Complex64]) -> Vec<Complex64> {
+        row.iter()
+            .flat_map(|&ro| col.iter().map(move |&co| src[ro + co]))
+            .collect()
+    }
+
+    /// Checks both copies of `g` against the element walk, on `src`
+    /// (the read layout, `len` elements).
+    fn check_gather(g: Gather, tables: &[usize], len: usize, rng: &mut StdRng, what: &str) {
+        let src: Vec<Complex64> = rand_tensor(rng, vec![len]).as_slice().to_vec();
+        let want = walked_copy(g.row(tables), g.col(tables), &src);
+        let mut copied = vec![Complex64::ZERO; want.len()];
+        g.copy(tables, &src, &mut copied);
+        assert_eq!(copied, want, "copy, {what}");
+        // Scattering the gathered copy back restores every element it
+        // read; the others stay as they were.
+        let mut back = vec![cr(7.0); len];
+        g.scatter(tables, &want, &mut back);
+        let mut expect = vec![cr(7.0); len];
+        for (&ro, row) in g.row(tables).iter().zip(want.chunks(g.cols())) {
+            for (&co, &x) in g.col(tables).iter().zip(row) {
+                expect[ro + co] = x;
+            }
+        }
+        assert_eq!(back, expect, "scatter, {what}");
+    }
+
+    #[test]
+    fn gather_copies_match_the_element_walk() {
+        let mut rng = StdRng::seed_from_u64(27);
+        let mut walks = [0usize; 3];
+        for case in 0..300 {
+            // Up to 8 axes of 1–5 elements (up to 2^12 in all), or 12
+            // binary ones, in a random order split into rows and
+            // columns.
+            let shape: Vec<usize> = match case % 3 {
+                0 => vec![2; 12],
+                _ => {
+                    let rank = rng.random_range(1..9usize);
+                    let mut shape: Vec<usize> =
+                        (0..rank).map(|_| rng.random_range(1..6usize)).collect();
+                    while shape.iter().product::<usize>() > 1 << 12 {
+                        shape.pop();
+                    }
+                    shape
+                }
+            };
+            let rank = shape.len();
+            let mut perm: Vec<usize> = (0..rank).collect();
+            for t in (1..rank).rev() {
+                perm.swap(t, rng.random_range(0..t + 1));
+            }
+            // Keep the identity's trailing axes now and then, so long
+            // column runs occur.
+            if case % 4 == 0 {
+                perm.sort_unstable();
+            }
+            let split = rng.random_range(0..rank + 1);
+            let mut tables = Vec::new();
+            let g = Gather::push(
+                &mut tables,
+                &shape,
+                perm[..split].iter().copied(),
+                perm[split..].iter().copied(),
+                &mut Vec::new(),
+            );
+            walks[g.one_row().walk() as usize] += 1;
+            let what = format!("shape {shape:?}, perm {perm:?}, split {split}");
+            check_gather(g, &tables, shape.iter().product(), &mut rng, &what);
+            check_gather(
+                g.transposed(),
+                &tables,
+                shape.iter().product(),
+                &mut rng,
+                &what,
+            );
+        }
+        assert!(walks.iter().all(|&n| n > 0), "every walk runs: {walks:?}");
+
+        // Hand-made tables: column runs of 9 over 11 and 10 columns
+        // (each row ends in a shorter piece), short runs of 2 and 3 on small
+        // and on tiled matrices (tiles of 16 and 15 columns, the last
+        // one narrower), and runless tiles over rows and columns that
+        // are no multiple of the tile.
+        let pieces = |run: usize, gap: usize, count: usize| -> Vec<usize> {
+            (0..count)
+                .flat_map(|p| (0..run).map(move |t| p * gap + t))
+                .collect()
+        };
+        for (rows, col, walk) in [
+            (3, (0..9).chain([20, 21]).collect(), Walk::Runs),
+            (3, (0..9).chain([20]).collect(), Walk::Runs),
+            (3, pieces(4, 8, 3), Walk::Elements),
+            (3, pieces(2, 4, 2), Walk::Elements),
+            (3, pieces(3, 6, 2), Walk::Elements),
+            (17, pieces(2, 4, 17), Walk::Elements),
+            (64, pieces(2, 4, 17), Walk::Tiles),
+            (64, pieces(3, 5, 16), Walk::Tiles),
+            (65, pieces(1, 2, 40), Walk::Tiles),
+        ] {
+            let row: Vec<usize> = (0..rows).map(|r| r * 128).collect();
+            let mut tables = row.clone();
+            tables.extend_from_slice(&col);
+            let g = Gather::new(&tables, 0, rows, rows, col.len());
+            assert_eq!(g.walk(), walk, "col {col:?}");
+            check_gather(g, &tables, rows * 128, &mut rng, &format!("col {col:?}"));
+        }
+        assert_eq!(contiguous_run(&[0, 1, 2, 3, 4, 10]), 5);
+        assert_eq!(contiguous_run(&[0, 1, 4, 5, 8]), 2);
+        assert_eq!(contiguous_run(&[0, 1, 2, 4, 6, 7]), 1);
+        assert_eq!(contiguous_run(&[3]), 1);
+    }
 
     fn rand_tensor(rng: &mut StdRng, shape: Vec<usize>) -> Tensor {
         let len = shape.iter().product();
@@ -2179,6 +2561,109 @@ mod tests {
             let warm = ws.allocation_events();
             let _ = exec.sweep_network_envs(&net, &leaves, &mut ws, |_, _| {});
             assert_eq!(ws.allocation_events(), warm);
+        }
+    }
+
+    #[test]
+    fn reader_layout_environment_is_permuted_once() {
+        // The network of the test above: the node n2·n3 is its parent's
+        // rhs through a permutation, so it is stored in its reader's
+        // layout, and both its children are varying leaves.
+        let mut rng = StdRng::seed_from_u64(28);
+        let mut net = TensorNetwork::new();
+        let [x, y, a, b, c, z] = std::array::from_fn(|_| net.fresh_leg());
+        for (shape, legs) in [
+            (vec![2, 2], [a, x]),
+            (vec![2, 4], [a, b]),
+            (vec![3, 2], [y, c]),
+            (vec![2, 4], [c, b]),
+            (vec![2, 3], [x, z]),
+            (vec![3, 3], [y, z]),
+        ] {
+            net.add(rand_tensor(&mut rng, shape), legs.to_vec());
+        }
+        let plan = net.plan_order(&[(0, 1), (2, 3), (4, 5), (6, 7), (9, 8)]);
+        let close = |got: Complex64, want: Complex64| {
+            assert!((got - want).abs() <= 1e-14 * want.abs(), "{got} vs {want}");
+        };
+        for exec in [plan.compile(), plan.compile_for_replay(&net, &[0, 1, 2, 3])] {
+            assert_eq!(exec.pre_permuted_hot_nodes(), 1);
+            let mut ws = Workspace::new();
+            let scalar = exec.execute_network_scalar(&net, &mut ws);
+            // Both children wanted, one child, or neither: the node's
+            // environment is permuted once when either is wanted.
+            for (leaves, permutations) in [(vec![0, 1, 2, 3], 1), (vec![3], 1), (vec![0, 1], 0)] {
+                let before = node_env_permutations();
+                let mut seen = 0;
+                let _ = exec.sweep_network_envs(&net, &leaves, &mut ws, |leaf, env| {
+                    let dot = env
+                        .iter()
+                        .zip(net.node_tensor(leaf).as_slice())
+                        .fold(Complex64::ZERO, |acc, (&e, &u)| acc + e * u);
+                    close(dot, scalar);
+                    seen += 1;
+                });
+                assert_eq!(seen, leaves.len());
+                assert_eq!(
+                    node_env_permutations() - before,
+                    permutations,
+                    "leaves {leaves:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn dot_root_child_in_its_readers_layout_prices_its_leaves() {
+        // (n0·n1)[p, q] · (n2·n3)[q, p]: a dot-product root whose rhs
+        // child is read through a permutation, so it is stored in the
+        // root's layout and its environment is the lhs child's forward
+        // value in that layout. With 16-wide legs its lhs reverse step
+        // reads that through the inverse gather; with 2-wide legs it
+        // stages it, like its rhs reverse step.
+        let mut rng = StdRng::seed_from_u64(29);
+        for wide in [16, 2] {
+            let mut net = TensorNetwork::new();
+            let [p, q, r, s] = std::array::from_fn(|_| net.fresh_leg());
+            let nodes = [
+                (vec![wide, 2], [p, s]),
+                (vec![2, wide], [s, q]),
+                (vec![wide, 2], [q, r]),
+                (vec![2, wide], [r, p]),
+            ];
+            for (shape, legs) in &nodes {
+                net.add(rand_tensor(&mut rng, shape.clone()), legs.to_vec());
+            }
+            let exec = net.plan_order(&[(0, 1), (2, 3), (4, 5)]).compile();
+            assert!(exec.steps[2].kernel.is_dot(), "wide {wide}");
+            assert_eq!(exec.pre_permuted_hot_nodes(), 1);
+            assert_eq!(exec.steps[1].kernel.env_gather.is_some(), wide == 16);
+            let mut ws = Workspace::new();
+            let scalar = exec.execute_network_scalar(&net, &mut ws);
+            let mut envs = Vec::new();
+            let _ = exec.sweep_network_envs(&net, &[0, 1, 2, 3], &mut ws, |leaf, env| {
+                envs.push((leaf, env.to_vec()));
+            });
+            assert_eq!(envs.len(), 4);
+            let close = |got: Complex64, want: Complex64| {
+                assert!((got - want).abs() <= 1e-14 * want.abs(), "{got} vs {want}");
+            };
+            for (leaf, env) in &envs {
+                let dot = |t: &Tensor| {
+                    env.iter()
+                        .zip(t.as_slice())
+                        .fold(Complex64::ZERO, |acc, (&e, &u)| acc + e * u)
+                };
+                close(dot(net.node_tensor(*leaf)), scalar);
+                let saved = net.node_tensor(*leaf).clone();
+                let other = rand_tensor(&mut rng, saved.shape().to_vec());
+                net.set_tensor(net.node_id(*leaf), other.clone());
+                close(
+                    dot(&other),
+                    exec.execute_network_scalar(&net, &mut Workspace::new()),
+                );
+                net.set_tensor(net.node_id(*leaf), saved);
+            }
         }
     }
 
