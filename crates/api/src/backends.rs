@@ -196,7 +196,9 @@ impl Backend for ApproxBackend {
 ///
 /// Memory is `O(4^n)`, so jobs beyond [`DensityBackend::max_qubits`]
 /// are declined with [`QnsError::Unsupported`] — the programmatic
-/// version of the paper's 2048 GB memory-out rows.
+/// version of the paper's 2048 GB memory-out rows. The cap can be
+/// lowered or raised, but never above the engine's hard limit
+/// [`density::MAX_QUBITS`].
 #[non_exhaustive]
 #[derive(Clone, Debug)]
 pub struct DensityBackend {
@@ -215,15 +217,17 @@ impl DensityBackend {
         Self::default()
     }
 
-    /// Returns a copy with the feasibility cap raised or lowered.
+    /// Returns a copy with the feasibility cap raised or lowered; jobs
+    /// above [`density::MAX_QUBITS`] stay declined whatever the cap.
     pub fn with_max_qubits(mut self, max_qubits: usize) -> Self {
         self.max_qubits = max_qubits;
         self
     }
 
-    /// The largest job this backend will accept.
+    /// The largest job this backend will accept: the configured cap,
+    /// at most [`density::MAX_QUBITS`].
     pub fn max_qubits(&self) -> usize {
-        self.max_qubits
+        self.max_qubits.min(density::MAX_QUBITS)
     }
 }
 
@@ -244,13 +248,11 @@ impl Backend for DensityBackend {
 
     fn supports(&self, job: &ExpectationJob<'_>) -> Result<(), QnsError> {
         let n = job.n_qubits();
-        if n > self.max_qubits {
+        let cap = self.max_qubits();
+        if n > cap {
             return Err(QnsError::Unsupported {
                 backend: self.name(),
-                reason: format!(
-                    "{n} qubits exceed the dense-matrix cap of {} (O(4^n) memory)",
-                    self.max_qubits
-                ),
+                reason: format!("{n} qubits exceed the dense-matrix cap of {cap} (O(4^n) memory)"),
             });
         }
         Ok(())
@@ -529,8 +531,33 @@ mod tests {
         let noisy = NoisyCircuit::noiseless(c);
         let job = Simulation::new(&noisy).build().unwrap();
         // 4^80 work units saturate; the hint stays a valid ordering key.
+        // The dense engine declines 80 qubits whatever its cap, so its
+        // hint is `None`; the model's arithmetic is checked on its own.
+        assert_eq!(
+            pow2_saturating(2 * 80).saturating_mul(job_units(&job)),
+            u128::MAX
+        );
         let hint = DensityBackend::new().with_max_qubits(100).cost_hint(&job);
-        assert_eq!(hint, Some(u128::MAX));
+        assert_eq!(hint, None);
         assert!(TnetBackend::new().cost_hint(&job).unwrap() < u128::MAX);
+    }
+
+    #[test]
+    fn raised_dense_cap_declines_past_the_hard_limit() {
+        let n = density::MAX_QUBITS + 1;
+        let noisy = NoisyCircuit::noiseless(qns_circuit::generators::ghz(n));
+        let job = Simulation::new(&noisy).build().unwrap();
+        let raised = DensityBackend::new().with_max_qubits(n);
+        assert_eq!(raised.max_qubits(), density::MAX_QUBITS);
+        for result in [raised.supports(&job), raised.expectation(&job).map(|_| ())] {
+            assert!(matches!(
+                result,
+                Err(QnsError::Unsupported {
+                    backend: "density",
+                    ..
+                })
+            ));
+        }
+        assert_eq!(raised.cost_hint(&job), None);
     }
 }

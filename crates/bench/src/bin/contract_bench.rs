@@ -78,7 +78,15 @@
 //! and the bytes a sweep adds to a worker's workspace, under
 //! `"sweeps"`.
 //!
-//! Twelve invariants are *asserted* on every run (and gate CI via
+//! An eighth section times the **dense baseline** (`qns_sim::density`,
+//! the paper's MM-based method): the ns per ρ element of one pass of
+//! each gate class — general, diagonal and permutation 1-qubit gates;
+//! general, two-level and diagonal 2-qubit gates — and of the thermal
+//! channel's superoperator, on 8- and 10-qubit ρ, then
+//! `density::expectation` in ms on `hf_6`, `hf_8`, `inst_2x3_8` and
+//! `inst_3x3_8`. It is reported under `"dense"`.
+//!
+//! Thirteen invariants are *asserted* on every run (and gate CI via
 //! `--smoke`); 1–4 on every timed pass:
 //!
 //! 1. reference and compiled paths produce **bit-identical** pattern
@@ -105,15 +113,23 @@
 //!     exactly** from pass to pass, and their level sums **agree to
 //!     1e-12 relative**, and
 //! 12. the dispatched dot product is **bit-identical** to the scalar
-//!     oracle's at every dot length.
+//!     oracle's at every dot length, and
+//! 13. every dense gate and channel pass on a 6-qubit ρ **matches the
+//!     general arithmetic** (two statevector-kernel passes over the row
+//!     and column bits; one ρ copy per Kraus term) within `4ε` (gates)
+//!     or `8ε` (channels) of the summed magnitudes of each entry's
+//!     products.
 
 use qns_bench::registry::{full_set, smoke_set, BenchCircuit, Family};
 use qns_bench::timing::time_it;
 use qns_bench::{arg_flag, arg_usize, print_row};
+use qns_circuit::{Gate, Operation};
 use qns_core::patterns::GrayPatternStream;
 use qns_core::{ApproxOptions, LevelEvaluator, NoiseSvd};
 use qns_linalg::{kernels, Complex64, Matrix};
 use qns_noise::{channels, NoisyCircuit};
+use qns_sim::density::{self, DensityMatrix};
+use qns_sim::kernels as sim_kernels;
 use qns_tensor::Tensor;
 use qns_tnet::builder::{double_network, AmplitudeSkeleton, Insertion, ProductState};
 use qns_tnet::exec::{ExecutablePlan, Workspace};
@@ -653,6 +669,175 @@ fn dispatched_path() -> &'static str {
         return "avx2";
     }
     "scalar"
+}
+
+/// The dense engine's gate classes: `(class, gate)`, timed at every
+/// qubit (1-qubit) or adjacent pair (2-qubit) of a random ρ.
+fn dense_classes() -> Vec<(&'static str, Gate)> {
+    vec![
+        ("1q general", Gate::H),
+        ("1q diagonal", Gate::Rz(0.3)),
+        ("1q permutation", Gate::X),
+        ("2q general", Gate::FSim(0.3, 0.2)),
+        ("2q two-level", Gate::Givens(0.4)),
+        ("2q diagonal", Gate::CZ),
+    ]
+}
+
+/// Qubit counts of the dense ρ the element classes are timed on.
+const DENSE_QUBITS: [usize; 2] = [8, 10];
+
+/// Qubit count of the ρ the structured passes are checked on
+/// (invariant 13).
+const DENSE_CHECK_QUBITS: usize = 6;
+
+/// Registry circuits whose `density::expectation` is timed.
+const DENSE_CIRCUITS: [&str; 4] = ["hf_6", "hf_8", "inst_2x3_8", "inst_3x3_8"];
+
+/// One element class's dense-pass timing.
+struct DenseRow {
+    class: &'static str,
+    gate: String,
+    n: usize,
+    ns_per_element: f64,
+}
+
+/// A normalised random pure state on `n` qubits.
+fn random_state(n: usize, seed: u64) -> Vec<Complex64> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let psi: Vec<Complex64> = (0..1usize << n)
+        .map(|_| qns_linalg::c64(rng.random_range(-1.0..1.0), rng.random_range(-1.0..1.0)))
+        .collect();
+    qns_linalg::normalize(&psi)
+}
+
+/// The placements a class is timed and checked at: every qubit, or
+/// every adjacent pair in both orders.
+fn dense_placements(arity: usize, n: usize) -> Vec<Vec<usize>> {
+    if arity == 1 {
+        (0..n).map(|q| vec![q]).collect()
+    } else {
+        (0..n - 1)
+            .flat_map(|q| [vec![q, q + 1], vec![q + 1, q]])
+            .collect()
+    }
+}
+
+/// Median ns per ρ element of one pass of `gate` (or, for `None`, of
+/// the thermal channel) over an `n`-qubit ρ, each trial applying it at
+/// every placement once.
+fn dense_row(class: &'static str, gate: Option<&Gate>, n: usize) -> DenseRow {
+    let mut rho = DensityMatrix::from_pure(&random_state(n, 0xDE + n as u64));
+    let arity = gate.map_or(1, Gate::arity);
+    let placements = dense_placements(arity, n);
+    let channel = channels::thermal_relaxation(30.0, 40.0, 25.0);
+    let elements = (placements.len() << (2 * n)) as f64;
+    let ns = median_step_ns(1, || {
+        for qubits in &placements {
+            match gate {
+                Some(g) => rho.apply_operation(&Operation::new(g.clone(), qubits.clone())),
+                None => rho.apply_channel(qubits[0], &channel),
+            }
+        }
+    });
+    black_box(&rho);
+    DenseRow {
+        class,
+        gate: gate.map_or_else(|| "thermal".to_string(), Gate::name),
+        n,
+        ns_per_element: ns / elements,
+    }
+}
+
+/// Invariant 13: on a random ρ of [`DENSE_CHECK_QUBITS`] qubits, every
+/// dense pass matches the general arithmetic — two passes of the
+/// statevector kernels over the row then the column bits, each Kraus
+/// term on its own copy of ρ — within `4ε` (gates) or `8ε` (channels)
+/// of the summed magnitudes of the products behind each entry. Returns
+/// the number of passes checked.
+fn check_dense_passes() -> usize {
+    let n = DENSE_CHECK_QUBITS;
+    let rho = DensityMatrix::from_pure(&random_state(n, 0xC4EC));
+    let data = rho.to_matrix().as_slice().to_vec();
+    let abs =
+        |v: &[Complex64]| -> Vec<Complex64> { v.iter().map(|z| qns_linalg::cr(z.abs())).collect() };
+    let abs_matrix = |m: &Matrix| Matrix::from_vec(m.rows(), m.cols(), abs(m.as_slice()));
+    // ρ ← UρU† as two kernel passes, on the row then the column bits.
+    let two_passes = |v: &mut [Complex64], qubits: &[usize], u: &Matrix| match *qubits {
+        [q] => {
+            sim_kernels::apply_single(v, 2 * n, q, u);
+            sim_kernels::apply_single(v, 2 * n, n + q, &u.conj());
+        }
+        [q0, q1] => {
+            sim_kernels::apply_double(v, 2 * n, q0, q1, u);
+            sim_kernels::apply_double(v, 2 * n, n + q0, n + q1, &u.conj());
+        }
+        _ => unreachable!("gates are 1- or 2-qubit"),
+    };
+    let check =
+        |got: &DensityMatrix, want: &[Complex64], bound: &[Complex64], ulps: f64, what: &str| {
+            let got = got.to_matrix();
+            for ((g, w), b) in got.as_slice().iter().zip(want).zip(bound) {
+                assert!(
+                    (*g - *w).abs() <= ulps * f64::EPSILON * b.re,
+                    "dense {what}: {g:?} vs the general pass's {w:?}"
+                );
+            }
+        };
+    let mut checked = 0;
+    for (class, gate) in dense_classes() {
+        let u = gate.matrix();
+        for qubits in dense_placements(gate.arity(), n) {
+            let mut got = rho.clone();
+            got.apply_operation(&Operation::new(gate.clone(), qubits.clone()));
+            let mut want = data.clone();
+            two_passes(&mut want, &qubits, &u);
+            let mut bound = abs(&data);
+            two_passes(&mut bound, &qubits, &abs_matrix(&u));
+            check(&got, &want, &bound, 4.0, &format!("{class} on {qubits:?}"));
+            checked += 1;
+        }
+    }
+    let channel = channels::thermal_relaxation(30.0, 40.0, 25.0);
+    for q in 0..n {
+        let mut got = rho.clone();
+        got.apply_channel(q, &channel);
+        let (mut want, mut bound) = (
+            vec![Complex64::ZERO; data.len()],
+            vec![Complex64::ZERO; data.len()],
+        );
+        for e in channel.operators() {
+            let mut term = data.clone();
+            two_passes(&mut term, &[q], e);
+            let mut term_abs = abs(&data);
+            two_passes(&mut term_abs, &[q], &abs_matrix(e));
+            for (i, (t, a)) in term.iter().zip(&term_abs).enumerate() {
+                want[i] += *t;
+                bound[i] += *a;
+            }
+        }
+        check(&got, &want, &bound, 8.0, &format!("thermal channel on {q}"));
+        checked += 1;
+    }
+    checked
+}
+
+/// Median ms of `density::expectation` on a registry circuit with
+/// `noises` thermal sites, from and onto `|0…0⟩`; returns `(qubits,
+/// gates, ms)`.
+fn dense_expectation_ms(bench: &BenchCircuit, noises: usize, seed: u64) -> (usize, usize, f64) {
+    let n = bench.circuit.n_qubits();
+    let noisy = NoisyCircuit::inject_random(
+        bench.circuit.clone(),
+        &channels::thermal_relaxation(30.0, 40.0, 25.0),
+        noises,
+        seed,
+    );
+    let psi = qns_sim::statevector::zero_state(n);
+    let trial = || time_it(|| black_box(density::expectation(&noisy, &psi, &psi))).1 * 1e3;
+    trial();
+    let ms = median((0..5).map(|_| trial()).collect());
+    (n, bench.circuit.operations().len(), ms)
 }
 
 /// The `deep_sum` jobs' `(circuit, noise sites, placement seed)`: the
@@ -1311,6 +1496,77 @@ fn main() {
         .collect::<Vec<_>>()
         .join(",");
 
+    // ── Dense baseline: one pass per gate or channel over ρ ──
+    let dense_checked = check_dense_passes();
+    println!(
+        "\ndense baseline (ns per ρ element per pass, median of {KERNEL_TRIALS}; {dense_checked} \
+         structured passes match the general pass at {DENSE_CHECK_QUBITS} qubits)\n"
+    );
+    let dense_widths = [16usize, 18, 4, 10];
+    print_row(
+        &[
+            "class".into(),
+            "element".into(),
+            "n".into(),
+            "ns/elem".into(),
+        ],
+        &dense_widths,
+    );
+    let mut dense_rows = Vec::new();
+    for n in DENSE_QUBITS {
+        for (class, gate) in dense_classes() {
+            dense_rows.push(dense_row(class, Some(&gate), n));
+        }
+        dense_rows.push(dense_row("channel", None, n));
+    }
+    for r in &dense_rows {
+        print_row(
+            &[
+                r.class.into(),
+                r.gate.clone(),
+                r.n.to_string(),
+                format!("{:.2}", r.ns_per_element),
+            ],
+            &dense_widths,
+        );
+    }
+    let default_registry = qns_bench::registry::default_set();
+    let dense_jobs: Vec<(&str, (usize, usize, f64))> = DENSE_CIRCUITS
+        .iter()
+        .enumerate()
+        .map(|(i, &name)| {
+            let bench = default_registry
+                .iter()
+                .find(|b| b.name == name)
+                .expect("dense circuits are in the default registry");
+            (name, dense_expectation_ms(bench, noises, 0xDE57 + i as u64))
+        })
+        .collect();
+    println!();
+    for (name, (n, gates, ms)) in &dense_jobs {
+        println!("density::expectation {name:<11} {n} qubits, {gates} gates, {noises} noises: {ms:.3} ms");
+    }
+    let dense_class_per = dense_rows
+        .iter()
+        .map(|r| {
+            format!(
+                "{{\"class\":\"{}\",\"element\":\"{}\",\"qubits\":{},\"ns_per_element\":{:.3}}}",
+                r.class, r.gate, r.n, r.ns_per_element
+            )
+        })
+        .collect::<Vec<_>>()
+        .join(",");
+    let dense_job_per = dense_jobs
+        .iter()
+        .map(|(name, (n, gates, ms))| {
+            format!(
+                "{{\"circuit\":\"{name}\",\"qubits\":{n},\"gates\":{gates},\"noises\":{noises},\
+                 \"ms\":{ms:.3}}}"
+            )
+        })
+        .collect::<Vec<_>>()
+        .join(",");
+
     // ── Set-up layer: what a level-1 evaluator spends before its sum ──
     println!(
         "\nset-up layer (level-1 evaluator, median of {SETUP_REPEATS}; allocations per \
@@ -1577,7 +1833,10 @@ fn main() {
          \"search_compile_allocs_per_node_max\":{SEARCH_COMPILE_ALLOCS_PER_NODE},\
          \"workloads\":[{setup_per}]}},\
          \"sweeps\":{{\"passes\":{REPLAY_PASSES},\"threads\":1,\"order\":\"gray\",\
-         \"tolerance\":1e-12,\"workloads\":[{sweep_per}]}}}}\n",
+         \"tolerance\":1e-12,\"workloads\":[{sweep_per}]}},\
+         \"dense\":{{\"trials\":{KERNEL_TRIALS},\"check_qubits\":{DENSE_CHECK_QUBITS},\
+         \"passes_checked\":{dense_checked},\"classes\":[{dense_class_per}],\
+         \"expectation\":[{dense_job_per}]}}}}\n",
         if smoke { "smoke" } else { "default" },
     );
     let mut f = std::fs::File::create(&out).expect("create bench report");
