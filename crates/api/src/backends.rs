@@ -4,7 +4,7 @@ use crate::job::{Estimate, ExpectationJob};
 use qns_core::ApproxOptions;
 use qns_noise::{NoisyCircuit, QnsError};
 use qns_sim::trajectory::SamplingStrategy;
-use qns_sim::{density, trajectory};
+use qns_sim::{density, statevector, trajectory};
 use qns_tnet::network::OrderStrategy;
 
 /// A simulation engine that can answer the paper's Problem 1,
@@ -268,7 +268,9 @@ impl Backend for DensityBackend {
 /// Quantum-trajectory (Monte-Carlo wavefunction) sampling.
 ///
 /// The estimate carries [`Estimate::std_error`]; agreement checks
-/// should use a multiple of it rather than a fixed tolerance.
+/// should use a multiple of it rather than a fixed tolerance. Memory
+/// is `O(2^n)`, so jobs beyond [`statevector::MAX_QUBITS`] are
+/// declined with [`QnsError::Unsupported`].
 #[non_exhaustive]
 #[derive(Clone, Debug)]
 pub struct TrajectoryBackend {
@@ -333,10 +335,19 @@ impl Backend for TrajectoryBackend {
     }
 
     fn supports(&self, job: &ExpectationJob<'_>) -> Result<(), QnsError> {
-        let _ = job;
         if self.samples == 0 {
             return Err(QnsError::InvalidJob {
                 reason: "trajectory backend needs at least one sample".into(),
+            });
+        }
+        let n = job.n_qubits();
+        if n > statevector::MAX_QUBITS {
+            return Err(QnsError::Unsupported {
+                backend: self.name(),
+                reason: format!(
+                    "{n} qubits exceed the statevector cap of {} (O(2^n) memory)",
+                    statevector::MAX_QUBITS
+                ),
             });
         }
         Ok(())
@@ -506,6 +517,42 @@ mod tests {
             None
         );
         assert_eq!(TrajectoryBackend::samples(0).cost_hint(&job), None);
+
+        // Past the dense caps the service's default engines (the
+        // five below) still answer `supports` and `cost_hint` without
+        // panicking, and the density and trajectory engines decline:
+        // a 2^n statevector at n = 64 would abort the process on
+        // allocation.
+        let engines: [&dyn Backend; 5] = [
+            &ApproxBackend::level(1),
+            &DensityBackend::new(),
+            &TnetBackend::new(),
+            &TddBackend::new(),
+            &TrajectoryBackend::default(),
+        ];
+        for n in [31, 63, 64, 65, 225] {
+            let noisy = NoisyCircuit::inject_random(
+                qns_circuit::generators::ghz(n),
+                &channels::depolarizing(1e-3),
+                2,
+                3,
+            );
+            let job = Simulation::new(&noisy).build().unwrap();
+            for engine in engines {
+                let supported = engine.supports(&job);
+                assert_eq!(engine.cost_hint(&job).is_some(), supported.is_ok());
+                if matches!(engine.name(), "density" | "trajectory") {
+                    assert!(
+                        matches!(supported, Err(QnsError::Unsupported { .. })),
+                        "{} at {n} qubits: {supported:?}",
+                        engine.name()
+                    );
+                }
+            }
+            if n == 64 {
+                assert!(TrajectoryBackend::default().expectation(&job).is_err());
+            }
+        }
 
         // A low-level approximation must model as far cheaper than the
         // dense engine on a noisy job — that asymmetry is what the

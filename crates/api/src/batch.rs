@@ -17,50 +17,6 @@ pub fn run_batch(
     jobs.iter().map(|job| backend.expectation(job)).collect()
 }
 
-/// As [`run_batch`], fanning the jobs across up to `threads` scoped
-/// worker threads. Jobs are independent, so this composes with the
-/// per-job parallelism of [`crate::ApproxBackend::with_threads`]:
-/// parallelize across jobs for many small circuits, within a job for
-/// few large ones.
-///
-/// Output stays index-aligned with `jobs` and per-job errors stay
-/// isolated, exactly as in [`run_batch`]. `threads` is clamped to
-/// `≥ 1`; `1` (and a single-job batch) falls back to the sequential
-/// path.
-#[expect(
-    clippy::expect_used,
-    reason = "a worker panic is re-raised on the caller, as in the sequential path"
-)]
-pub fn run_batch_parallel(
-    backend: &(dyn Backend + Sync),
-    jobs: &[ExpectationJob<'_>],
-    threads: usize,
-) -> Vec<Result<Estimate, QnsError>> {
-    let threads = threads.max(1);
-    if threads == 1 || jobs.len() <= 1 {
-        return run_batch(backend, jobs);
-    }
-    let workers = threads.min(jobs.len());
-    let chunk = jobs.len().div_ceil(workers);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = jobs
-            .chunks(chunk)
-            .map(|chunk_jobs| {
-                scope.spawn(move || {
-                    chunk_jobs
-                        .iter()
-                        .map(|job| backend.expectation(job))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("batch worker panicked"))
-            .collect()
-    })
-}
-
 /// Evaluates one job on many backends — the cross-engine comparison
 /// the paper's tables are made of, index-aligned with `backends`.
 pub fn compare_backends(
@@ -146,46 +102,6 @@ mod tests {
         assert!(ok.iter().all(|r| r.is_ok()));
         let v0 = ok[0].as_ref().unwrap().value;
         assert!(ok.iter().all(|r| r.as_ref().unwrap().value == v0));
-    }
-
-    #[test]
-    fn run_batch_parallel_matches_sequential() {
-        // A mixed batch (distinct observables, one infeasible job) on
-        // a plan-reusing parallel Approx backend: the parallel fan-out
-        // must reproduce the sequential results and their order.
-        let noisy = noisy_ghz(3, 2);
-        let jobs: Vec<_> = (0..6)
-            .map(|bits| {
-                Simulation::new(&noisy)
-                    .observable_basis(bits)
-                    .build()
-                    .unwrap()
-            })
-            .collect();
-
-        let backend = ApproxBackend::exact_for(&noisy).with_threads(2);
-        let seq = run_batch(&backend, &jobs);
-        for threads in [0usize, 1, 3, 8] {
-            let par = run_batch_parallel(&backend, &jobs, threads);
-            assert_eq!(par.len(), seq.len());
-            for (i, (s, p)) in seq.iter().zip(&par).enumerate() {
-                let (s, p) = (s.as_ref().unwrap(), p.as_ref().unwrap());
-                assert!(
-                    (s.value - p.value).abs() < 1e-12,
-                    "job {i} at {threads} threads: {} vs {}",
-                    s.value,
-                    p.value
-                );
-            }
-        }
-
-        // Error isolation survives the parallel path.
-        let tiny = DensityBackend::new().with_max_qubits(2);
-        let out = run_batch_parallel(&tiny, &jobs, 3);
-        assert_eq!(out.len(), jobs.len());
-        assert!(out
-            .iter()
-            .all(|r| matches!(r, Err(QnsError::Unsupported { .. }))));
     }
 
     #[test]

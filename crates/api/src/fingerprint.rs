@@ -40,13 +40,6 @@ impl Fingerprint {
         h.write_str(s);
         h.finish()
     }
-
-    /// Folds an integer into the fingerprint (see [`Fingerprint::mix_str`]).
-    pub fn mix_u64(self, v: u64) -> Fingerprint {
-        let mut h = Fingerprinter { state: self.0 };
-        h.write_u64(v);
-        h.finish()
-    }
 }
 
 impl std::fmt::Display for Fingerprint {
@@ -324,7 +317,6 @@ mod tests {
         let f = fp(&noisy, 0);
         assert_eq!(f.mix_str("a").mix_str("b"), f.mix_str("a").mix_str("b"));
         assert_ne!(f.mix_str("a").mix_str("b"), f.mix_str("b").mix_str("a"));
-        assert_ne!(f.mix_u64(1), f.mix_u64(2));
         assert_ne!(f.mix_str("x"), f);
     }
 

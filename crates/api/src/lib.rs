@@ -22,9 +22,8 @@
 //!   [`TrajectoryBackend`], [`TddBackend`] and [`TnetBackend`].
 //! * [`Simulation`] — a fluent builder:
 //!   `Simulation::new(&noisy).initial(..).observable(..).run_on(&backend)`.
-//! * [`run_batch`] / [`run_batch_parallel`] / [`compare_backends`] —
-//!   many jobs on one backend (optionally fanned across worker
-//!   threads), or one job across many backends, in one call.
+//! * [`run_batch`] / [`compare_backends`] — many jobs on one backend,
+//!   or one job across many backends, in one call.
 //!
 //! # Example
 //!
@@ -51,7 +50,7 @@ pub mod refine;
 pub use backends::{
     ApproxBackend, Backend, DensityBackend, TddBackend, TnetBackend, TrajectoryBackend,
 };
-pub use batch::{compare_backends, run_batch, run_batch_parallel};
+pub use batch::{compare_backends, run_batch};
 pub use fingerprint::{Fingerprint, Fingerprinter};
 pub use job::{Estimate, ExpectationJob, InitialState, Observable, Simulation};
 pub use refine::{partial_sum_key, PartialEstimate, Refinement};

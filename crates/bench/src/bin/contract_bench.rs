@@ -121,10 +121,10 @@
 //!     products.
 
 use qns_bench::registry::{full_set, smoke_set, BenchCircuit, Family};
-use qns_bench::timing::time_it;
 use qns_bench::{arg_flag, arg_usize, print_row};
 use qns_circuit::{Gate, Operation};
 use qns_core::patterns::GrayPatternStream;
+use qns_core::timing::time_it;
 use qns_core::{ApproxOptions, LevelEvaluator, NoiseSvd};
 use qns_linalg::{kernels, Complex64, Matrix};
 use qns_noise::{channels, NoisyCircuit};

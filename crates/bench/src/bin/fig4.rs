@@ -13,10 +13,10 @@
 //!     [--rows R] [--cols C] [--rounds K] [--max-noise N] [--step S]
 
 use qns_api::{ApproxBackend, ApproxOptions, Simulation};
-use qns_bench::timing::time_it;
 use qns_bench::{arg_usize, print_row};
 use qns_circuit::generators::qaoa_grid_random;
 use qns_core::bounds;
+use qns_core::timing::time_it;
 use qns_noise::{channels, NoisyCircuit};
 use qns_tnet::builder::ProductState;
 use qns_tnet::network::OrderStrategy;

@@ -27,8 +27,8 @@ use qns_api::{
     ApproxBackend, ApproxOptions, Backend, DensityBackend, Simulation, TddBackend, TnetBackend,
 };
 use qns_bench::registry::{default_set, full_set, smoke_set, Family, MM_QUBIT_LIMIT};
-use qns_bench::timing::{fmt_time, time_it};
-use qns_bench::{arg_flag, arg_usize, print_row};
+use qns_bench::{arg_flag, arg_usize, fmt_time, print_row};
+use qns_core::timing::time_it;
 use qns_noise::{channels, Kraus, NoisyCircuit};
 use qns_tnet::builder::ProductState;
 

@@ -15,9 +15,9 @@ use qns_api::{
     TnetBackend, TrajectoryBackend,
 };
 use qns_bench::registry::MM_QUBIT_LIMIT;
-use qns_bench::timing::time_it;
 use qns_bench::{arg_f64, arg_usize, print_row};
 use qns_circuit::generators::qaoa_grid_random;
+use qns_core::timing::time_it;
 use qns_noise::channels;
 use qns_noise::NoisyCircuit;
 use qns_sim::trajectory;

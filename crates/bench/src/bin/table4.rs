@@ -11,10 +11,10 @@
 
 use qns_api::{ApproxBackend, ApproxOptions, Backend, Simulation};
 use qns_bench::registry::MM_QUBIT_LIMIT;
-use qns_bench::timing::time_it;
 use qns_bench::{arg_usize, print_row};
 use qns_circuit::generators::qaoa_grid_random;
 use qns_core::approx::append_ideal_inverse;
+use qns_core::timing::time_it;
 use qns_noise::{channels, NoisyCircuit};
 
 fn main() {

@@ -6,13 +6,22 @@
 //! `table3`, `table4`, `fig4`, `fig5`, `fig6`), and `contract_bench`
 //! times the contraction kernels and plan replays. This library
 //! provides the common pieces: the scaled benchmark-circuit registry,
-//! timing helpers and plain-text table rendering.
+//! table-time formatting and plain-text table rendering. Timing
+//! itself is `qns_core::timing::time_it`.
 
 pub mod registry;
-pub mod timing;
 
 pub use registry::{BenchCircuit, Family};
-pub use timing::time_it;
+
+/// Formats a seconds value like the paper's tables (`0.095`, `15.74`),
+/// or the given marker for `None` (timeout / memory-out).
+pub fn fmt_time(t: Option<f64>, marker: &str) -> String {
+    match t {
+        Some(s) if s < 10.0 => format!("{s:.3}"),
+        Some(s) => format!("{s:.2}"),
+        None => marker.to_string(),
+    }
+}
 
 /// Renders a row of right-aligned columns with the given widths.
 ///
@@ -75,6 +84,13 @@ mod tests {
 
     fn args(list: &[&str]) -> Vec<String> {
         list.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn fmt_handles_markers() {
+        assert_eq!(fmt_time(None, "MO"), "MO");
+        assert_eq!(fmt_time(Some(0.1234), "MO"), "0.123");
+        assert_eq!(fmt_time(Some(42.0), "TO"), "42.00");
     }
 
     #[test]

@@ -206,11 +206,6 @@ impl Circuit {
         depth
     }
 
-    /// Number of two-qubit gates.
-    pub fn two_qubit_gate_count(&self) -> usize {
-        self.ops.iter().filter(|op| op.gate.arity() == 2).count()
-    }
-
     /// Builds the full `2^n × 2^n` unitary of the circuit.
     ///
     /// Intended for small `n` (verification); memory is `O(4^n)`.
@@ -388,13 +383,6 @@ mod tests {
     #[should_panic(expected = "identical qubits")]
     fn duplicate_qubits_panic() {
         let _ = Operation::new(Gate::CZ, vec![1, 1]);
-    }
-
-    #[test]
-    fn two_qubit_counts() {
-        let mut c = Circuit::new(3);
-        c.h(0).cx(0, 1).cz(1, 2).t(2);
-        assert_eq!(c.two_qubit_gate_count(), 2);
     }
 
     #[test]

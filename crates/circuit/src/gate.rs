@@ -312,15 +312,6 @@ fn sqrt_hermitian_unitary_entry(e: Complex64, w: Complex64) -> Complex64 {
     (e + w) * cr(0.5) + ((e - w) * cr(0.5)) * Complex64::I
 }
 
-/// Returns `true` when `g` is diagonal in the computational basis.
-pub fn is_diagonal_gate(g: &Gate) -> bool {
-    use Gate::*;
-    matches!(
-        g,
-        Z | S | Sdg | T | Tdg | Rz(_) | Phase(_) | CZ | CPhase(_) | ZZ(_)
-    )
-}
-
 /// All parameter-free single-qubit gates (useful for randomized tests).
 pub fn fixed_single_qubit_gates() -> Vec<Gate> {
     vec![
@@ -471,13 +462,5 @@ mod tests {
         assert!(g[(0, 0)].approx_eq(cr(1.0), 1e-14));
         assert!(g[(3, 3)].approx_eq(cr(1.0), 1e-14));
         assert!(g[(1, 2)].approx_eq(cr(-(0.3f64).sin()), 1e-14));
-    }
-
-    #[test]
-    fn diagonal_detection() {
-        assert!(is_diagonal_gate(&Gate::CZ));
-        assert!(is_diagonal_gate(&Gate::Rz(0.2)));
-        assert!(!is_diagonal_gate(&Gate::H));
-        assert!(!is_diagonal_gate(&Gate::CX));
     }
 }

@@ -28,7 +28,6 @@
 pub mod circuit;
 pub mod gate;
 pub mod generators;
-pub mod optimize;
 pub mod text;
 
 pub use circuit::{Circuit, Operation};

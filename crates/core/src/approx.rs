@@ -968,25 +968,6 @@ pub fn try_approximate_expectation(
 /// expectation's level sums, whose bits no thread count changes, and
 /// its per-level budget check.
 ///
-/// # Panics
-///
-/// Panics under the same conditions as [`approximate_expectation`].
-#[expect(
-    clippy::panic,
-    reason = "documented panicking wrapper of the `try_` variant"
-)]
-pub fn approximate_matrix_element(
-    noisy: &NoisyCircuit,
-    psi: &ProductState,
-    x: &ProductState,
-    y: &ProductState,
-    opts: &ApproxOptions,
-) -> Complex64 {
-    try_approximate_matrix_element(noisy, psi, x, y, opts).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Non-panicking variant of [`approximate_matrix_element`].
-///
 /// # Errors
 ///
 /// As [`try_approximate_expectation`].
@@ -1022,27 +1003,9 @@ pub(crate) fn matrix_element_run(
 }
 
 /// Reconstructs the full output density matrix of a noisy circuit by
-/// estimating every element with [`approximate_matrix_element`]
+/// estimating every element with [`try_approximate_matrix_element`]
 /// (paper, Section III). Intended for small `n` — `4^n` element
 /// estimates.
-///
-/// # Panics
-///
-/// Panics if `n > 6` or under the underlying run's conditions. Use
-/// [`try_reconstruct_density`] for a non-panicking variant.
-#[expect(
-    clippy::panic,
-    reason = "documented panicking wrapper of the `try_` variant"
-)]
-pub fn reconstruct_density(
-    noisy: &NoisyCircuit,
-    psi: &ProductState,
-    opts: &ApproxOptions,
-) -> qns_linalg::Matrix {
-    try_reconstruct_density(noisy, psi, opts).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Non-panicking variant of [`reconstruct_density`].
 ///
 /// # Errors
 ///
@@ -1419,7 +1382,7 @@ mod tests {
             let x = ProductState::basis(3, xb);
             let y = ProductState::basis(3, yb);
             // Full level = exact.
-            let val = approximate_matrix_element(&noisy, &psi, &x, &y, &opts(3));
+            let val = try_approximate_matrix_element(&noisy, &psi, &x, &y, &opts(3)).unwrap();
             let expect = rho.matrix_element(&x.to_statevector(), &y.to_statevector());
             assert!(
                 val.approx_eq(expect, 1e-9),
@@ -1435,7 +1398,7 @@ mod tests {
         let v = ProductState::basis(3, 0b111);
         for threads in [1usize, 2] {
             let o = opts(1).with_threads(threads);
-            let elem = approximate_matrix_element(&noisy, &psi, &v, &v, &o);
+            let elem = try_approximate_matrix_element(&noisy, &psi, &v, &v, &o).unwrap();
             let expect = approximate_expectation(&noisy, &psi, &v, &o).value;
             assert_eq!(elem.re.to_bits(), expect.to_bits(), "threads {threads}");
             assert!(elem.im.abs() < 1e-10);
@@ -1477,7 +1440,7 @@ mod tests {
             61,
         );
         let psi = ProductState::all_zeros(3);
-        let approx_rho = reconstruct_density(&noisy, &psi, &opts(2)); // 2 noises ⇒ exact
+        let approx_rho = try_reconstruct_density(&noisy, &psi, &opts(2)).unwrap(); // 2 noises ⇒ exact
         let exact_rho = density::run(&noisy, &psi.to_statevector()).to_matrix();
         assert!(
             approx_rho.approx_eq(&exact_rho, 1e-9),

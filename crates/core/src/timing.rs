@@ -46,11 +46,6 @@ impl Stopwatch {
     pub fn elapsed_micros(&self) -> u64 {
         u64::try_from(self.origin.elapsed().as_micros()).unwrap_or(u64::MAX)
     }
-
-    /// Seconds elapsed since the origin.
-    pub fn elapsed_seconds(&self) -> f64 {
-        self.origin.elapsed().as_secs_f64()
-    }
 }
 
 #[cfg(test)]
@@ -70,6 +65,5 @@ mod tests {
         let a = sw.elapsed_micros();
         let b = sw.elapsed_micros();
         assert!(b >= a);
-        assert!(sw.elapsed_seconds() >= 0.0);
     }
 }

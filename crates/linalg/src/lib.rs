@@ -33,7 +33,6 @@
 
 pub mod complex;
 pub mod eig;
-pub mod functions;
 pub mod kernels;
 pub mod matrix;
 pub mod svd;
@@ -41,13 +40,9 @@ pub mod vector;
 
 pub use complex::Complex64;
 pub use eig::{eigh, HermitianEig};
-pub use functions::{
-    expim_hermitian, expm_hermitian, fidelity, hermitian_function, sqrtm_psd, trace_distance,
-    trace_norm, von_neumann_entropy,
-};
 pub use matrix::Matrix;
 pub use svd::{svd, Svd};
-pub use vector::{inner_product, kron_vec, normalize, vec_add, vec_norm, vec_scale, vec_sub};
+pub use vector::{inner_product, kron_vec, normalize, vec_norm};
 
 /// Convenience shorthand for a real complex number.
 ///

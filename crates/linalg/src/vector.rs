@@ -39,31 +39,6 @@ pub fn normalize(v: &[Complex64]) -> Vec<Complex64> {
     v.iter().map(|&z| z / n).collect()
 }
 
-/// Element-wise sum.
-///
-/// # Panics
-///
-/// Panics if the lengths differ.
-pub fn vec_add(a: &[Complex64], b: &[Complex64]) -> Vec<Complex64> {
-    assert_eq!(a.len(), b.len(), "vector add length mismatch");
-    a.iter().zip(b).map(|(x, y)| *x + *y).collect()
-}
-
-/// Element-wise difference.
-///
-/// # Panics
-///
-/// Panics if the lengths differ.
-pub fn vec_sub(a: &[Complex64], b: &[Complex64]) -> Vec<Complex64> {
-    assert_eq!(a.len(), b.len(), "vector sub length mismatch");
-    a.iter().zip(b).map(|(x, y)| *x - *y).collect()
-}
-
-/// Scales a vector by a complex factor.
-pub fn vec_scale(v: &[Complex64], s: Complex64) -> Vec<Complex64> {
-    v.iter().map(|&z| z * s).collect()
-}
-
 /// Kronecker product of two vectors: `(a ⊗ b)[i·len(b)+j] = a_i·b_j`.
 ///
 /// ```
@@ -116,27 +91,11 @@ mod tests {
     }
 
     #[test]
-    fn add_sub_roundtrip() {
-        let a = [cr(1.0), cr(2.0)];
-        let b = [cr(0.5), cr(-1.0)];
-        let s = vec_add(&a, &b);
-        let d = vec_sub(&s, &b);
-        assert!(d.iter().zip(&a).all(|(x, y)| x.approx_eq(*y, 1e-14)));
-    }
-
-    #[test]
     fn kron_of_basis_states() {
         let zero = [cr(1.0), cr(0.0)];
         let one = [cr(0.0), cr(1.0)];
         let v = kron_vec(&one, &zero); // |10⟩ -> index 2
         assert_eq!(v[2], cr(1.0));
         assert_eq!(v.iter().filter(|z| **z != Complex64::ZERO).count(), 1);
-    }
-
-    #[test]
-    fn scale_multiplies_every_entry() {
-        let v = vec_scale(&[cr(1.0), cr(-2.0)], Complex64::I);
-        assert_eq!(v[0], c64(0.0, 1.0));
-        assert_eq!(v[1], c64(0.0, -2.0));
     }
 }

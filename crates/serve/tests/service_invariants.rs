@@ -9,9 +9,17 @@
 //!   not just in the cache unit tests.
 //! * **Routing safety** — `Route::Auto` never lands on an engine that
 //!   reports the job `Unsupported`.
+//! * **Spec validation** — `JobSpec::new` on any circuit and any
+//!   state returns `Ok` or `SizeMismatch`, never panics.
 
-use qns_api::{ApproxBackend, Backend, DensityBackend, Estimate, ExpectationJob, QnsError};
-use qns_circuit::generators::{ghz, qaoa_grid_random};
+use proptest::prelude::*;
+use qns_api::{
+    ApproxBackend, Backend, DensityBackend, Estimate, ExpectationJob, InitialState, Observable,
+    QnsError,
+};
+use qns_circuit::generators::{ghz, hf_vqe, inst_grid, qaoa_grid_random};
+use qns_circuit::Circuit;
+use qns_linalg::{c64, Complex64};
 use qns_noise::{channels, NoisyCircuit};
 use qns_serve::{JobSpec, ServiceBuilder, SharedBackend};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -330,4 +338,118 @@ fn queue_high_water_and_backpressure_are_observable() {
     assert!(stats.queue_high_water <= 2, "bounded: {stats:?}");
     assert!(stats.queue_high_water >= 1);
     assert_eq!(stats.executed, 8);
+}
+
+/// Qubit counts: small, and past every dense cap and `usize` width.
+const QUBITS: &[usize] = &[1, 2, 3, 4, 5, 6, 7, 8, 63, 64, 65, 225];
+
+/// The largest entry of [`QUBITS`].
+const MAX_QUBITS: usize = QUBITS[QUBITS.len() - 1];
+
+/// Per-qubit factors: basis, superposition, zero and non-finite.
+fn factor(i: usize) -> [Complex64; 2] {
+    let h = std::f64::consts::FRAC_1_SQRT_2;
+    [
+        [c64(1.0, 0.0), c64(0.0, 0.0)],
+        [c64(0.0, 0.0), c64(0.0, 1.0)],
+        [c64(h, 0.0), c64(-h, 0.0)],
+        [c64(0.0, 0.0), c64(0.0, 0.0)],
+        [c64(f64::NAN, 0.0), c64(0.0, 0.0)],
+        [c64(f64::INFINITY, 0.0), c64(1.0, 0.0)],
+        [c64(0.0, f64::NEG_INFINITY), c64(f64::NAN, f64::NAN)],
+    ][i]
+}
+
+/// `ghz(n)`, or one of the benchmark registry's smoke circuits
+/// (`hf_6`, `qaoa_9`, `inst_2x3_8`, built from the same generators).
+fn fuzz_circuit(kind: usize, n: usize) -> Circuit {
+    match kind {
+        0 => hf_vqe(6, 3, 10),
+        1 => qaoa_grid_random(3, 3, 2, 20),
+        2 => inst_grid(2, 3, 8, 30),
+        _ => ghz(n),
+    }
+}
+
+/// A basis index valid on `n` qubits.
+fn fuzz_bits(raw: u64, n: usize) -> usize {
+    let raw = raw as usize;
+    if n >= usize::BITS as usize {
+        raw
+    } else {
+        raw % (1usize << n)
+    }
+}
+
+fn fuzz_initial(kind: usize, n: usize, raw: u64, factors: &[usize]) -> InitialState {
+    match kind {
+        0 => InitialState::zeros(n),
+        1 => InitialState::basis(n, fuzz_bits(raw, n)),
+        2 => InitialState::plus(n),
+        _ => InitialState::from_factors(factors[..n].iter().map(|&i| factor(i)).collect()),
+    }
+}
+
+fn fuzz_observable(kind: usize, n: usize, raw: u64) -> Observable {
+    match kind {
+        0 => Observable::zeros(n),
+        _ => Observable::basis(n, fuzz_bits(raw, n)),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Validation of outside input never panics: the spec is `Ok`
+    /// exactly when the state and observable match the circuit's
+    /// qubit count, `SizeMismatch` otherwise, and identical inputs
+    /// fingerprint equal.
+    #[test]
+    fn job_spec_new_validates_without_panicking(
+        circuit in (0usize..6, 0..QUBITS.len(), 0usize..3, 0u64..1 << 20),
+        initial in (0usize..4, 0usize..3, 0..QUBITS.len(), 0u64..u64::MAX),
+        observable in (0usize..2, 0usize..3, 0..QUBITS.len(), 0u64..u64::MAX),
+        factors in proptest::collection::vec(0usize..7, MAX_QUBITS),
+    ) {
+        let (circuit_kind, circuit_qubits, noises, seed) = circuit;
+        let noisy = NoisyCircuit::inject_random(
+            fuzz_circuit(circuit_kind, QUBITS[circuit_qubits]),
+            &channels::depolarizing(1e-3),
+            noises,
+            seed,
+        );
+        let n = noisy.n_qubits();
+        // Two draws in three keep the circuit's qubit count; the third
+        // takes any count from the list, which may match by chance.
+        let width = |matched: usize, idx: usize| if matched < 2 { n } else { QUBITS[idx] };
+        let (initial_kind, initial_matched, initial_idx, initial_raw) = initial;
+        let m = width(initial_matched, initial_idx);
+        let (observable_kind, observable_matched, observable_idx, observable_raw) = observable;
+        let k = width(observable_matched, observable_idx);
+        let build = || {
+            JobSpec::new(
+                noisy.clone(),
+                fuzz_initial(initial_kind, m, initial_raw, &factors),
+                fuzz_observable(observable_kind, k, observable_raw),
+            )
+        };
+        match (build(), build()) {
+            (Ok(a), Ok(b)) => {
+                prop_assert!(m == n && k == n, "accepted {m}/{k} qubits on {n}");
+                prop_assert_eq!(a.fingerprint(), b.fingerprint());
+                prop_assert_eq!(a.job().n_qubits(), n);
+            }
+            (Err(a), Err(b)) => {
+                prop_assert!(m != n || k != n, "rejected matching {m}/{k} qubits on {n}");
+                let mismatch = matches!(
+                    a,
+                    QnsError::SizeMismatch { expected, actual, .. }
+                        if expected == n && (actual == m || actual == k)
+                );
+                prop_assert!(mismatch, "{m}/{k} qubits on {n}: {a:?}");
+                prop_assert_eq!(a, b);
+            }
+            (a, b) => prop_assert!(false, "{m}/{k} qubits on {n}: {:?} then {:?}", a.err(), b.err()),
+        }
+    }
 }

@@ -33,6 +33,5 @@
 
 pub mod density;
 pub mod kernels;
-pub mod measure;
 pub mod statevector;
 pub mod trajectory;

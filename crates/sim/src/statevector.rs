@@ -4,13 +4,17 @@ use crate::kernels;
 use qns_circuit::{Circuit, Operation};
 use qns_linalg::{cr, Complex64};
 
+/// The largest qubit count a dense statevector may have: `2^30`
+/// amplitudes are 16 GiB.
+pub const MAX_QUBITS: usize = 30;
+
 /// Returns the computational basis state `|index⟩` on `n` qubits.
 ///
 /// # Panics
 ///
-/// Panics if `index ≥ 2^n` or `n` is larger than 30 (guard).
+/// Panics if `index ≥ 2^n` or `n` exceeds [`MAX_QUBITS`].
 pub fn basis_state(n: usize, index: usize) -> Vec<Complex64> {
-    assert!(n <= 30, "statevector too large");
+    assert!(n <= MAX_QUBITS, "statevector too large");
     let dim = 1usize << n;
     assert!(index < dim, "basis index out of range");
     let mut v = vec![Complex64::ZERO; dim];

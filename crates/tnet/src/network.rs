@@ -201,17 +201,6 @@ impl TensorNetwork {
         self.nodes[id.0].0.copy_from(src);
     }
 
-    /// Legs appearing on exactly one node (the network's outputs).
-    pub fn open_legs(&self) -> Vec<LegId> {
-        let mut open: Vec<LegId> = self
-            .leg_uses
-            .iter()
-            .filter_map(|(&l, &c)| (c == 1).then_some(l))
-            .collect();
-        open.sort_unstable();
-        open
-    }
-
     /// The legs of the `i`-th added node, one per tensor axis.
     ///
     /// # Panics
@@ -352,17 +341,6 @@ mod tests {
             assert_eq!(stats.order_searches, 1);
             assert_eq!(stats.plan_reuses, 0);
         }
-    }
-
-    #[test]
-    fn open_legs_sorted_and_correct() {
-        let mut net = TensorNetwork::new();
-        let bond = net.fresh_leg();
-        let o1 = net.fresh_leg();
-        let o2 = net.fresh_leg();
-        net.add(Tensor::zeros(vec![2, 3]), vec![o2, bond]);
-        net.add(Tensor::zeros(vec![3, 4]), vec![bond, o1]);
-        assert_eq!(net.open_legs(), vec![o1, o2]);
     }
 
     #[test]

@@ -470,17 +470,6 @@ impl ContractionPlan {
         )
     }
 
-    /// The statistics of creating this plan: exactly one order search,
-    /// no contractions. Absorb this into a run's aggregate stats at
-    /// plan-creation time so search counts are derived from the plan
-    /// objects actually built rather than asserted by the caller.
-    pub fn planning_stats(&self) -> ContractionStats {
-        ContractionStats {
-            order_searches: 1,
-            ..Default::default()
-        }
-    }
-
     /// The recorded pair-contraction sequence — the contraction tree's
     /// internal nodes in topological (bottom-up) order.
     pub fn steps(&self) -> &[PlanStep] {

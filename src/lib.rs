@@ -44,9 +44,9 @@ pub use qns_tnet as tnet;
 /// The items most programs need, in one import.
 pub mod prelude {
     pub use qns_api::{
-        compare_backends, run_batch, run_batch_parallel, ApproxBackend, Backend, DensityBackend,
-        Estimate, ExpectationJob, Fingerprint, InitialState, Observable, QnsError, Simulation,
-        TddBackend, TnetBackend, TrajectoryBackend,
+        compare_backends, run_batch, ApproxBackend, Backend, DensityBackend, Estimate,
+        ExpectationJob, Fingerprint, InitialState, Observable, QnsError, Simulation, TddBackend,
+        TnetBackend, TrajectoryBackend,
     };
     pub use qns_circuit::{generators, Circuit, Gate, Operation};
     pub use qns_core::{
