@@ -48,9 +48,12 @@
 //!
 //! A fifth section times the **kernel layer** alone: one matmul step
 //! (`qns_linalg::kernels::matmul_into`) per shape that dominates the
-//! `deep_sum` level sums, through the scalar oracle
-//! (`kernels::scalar::matmul_into`) and through the dispatched kernel
-//! (the AVX2 row update where the CPU has it), as ns per step and
+//! `deep_sum` level sums — wide products, the small steps of the
+//! sweeps and the `1×k×1` forward dot products — through the scalar
+//! oracle (`kernels::scalar::matmul_into`), through the dispatched
+//! kernel (the AVX2 row update where the CPU has it) and, for a shape
+//! with one of its column counts, through the narrow kernel the
+//! replays run (`kernels::matmul_narrow_into`), as ns per step and
 //! complex G MAC/s, and one dot product (`kernels::dot` against
 //! `kernels::scalar::dot`) per row length the level sums' reverse steps
 //! take, as ns per call. It is reported under `"kernels"`.
@@ -74,9 +77,9 @@
 //! delta-replayed on its own (the schedule the evaluator retired),
 //! against `LevelEvaluator`'s one delta replay and one environment
 //! sweep per parent pattern. It reports each schedule's exact kernel
-//! steps and `Σ m·k·n`, its median µs per level, its `Σ m·k·n` per µs,
-//! and the bytes a sweep adds to a worker's workspace, under
-//! `"sweeps"`.
+//! steps and `Σ m·k·n`, its median µs per level, its `Σ m·k·n` per µs
+//! and ns per step, and the bytes a sweep adds to a worker's workspace,
+//! under `"sweeps"`.
 //!
 //! An eighth section times the **dense baseline** (`qns_sim::density`,
 //! the paper's MM-based method): the ns per ρ element of one pass of
@@ -102,8 +105,10 @@
 //!    plan's**,
 //! 7. its delta replay is **bit-identical** to its full replay, and
 //! 8. its warmed hot-arena replays perform **zero allocations**, and
-//! 9. the dispatched kernel's output is **bit-identical** to the scalar
-//!    oracle's on every kernel shape, and
+//! 9. the dispatched kernel's output, and the narrow kernel's on every
+//!    shape with one of its column counts (the small steps and the
+//!    `1×k×1` dot products among them), is **bit-identical** to the
+//!    scalar oracle's on every kernel shape, and
 //! 10. set-up allocates a **bounded number of times per network
 //!     node**: the order search and the lowering together at most once
 //!     per node on every workload, and `LevelEvaluator::new` at most 5
@@ -541,14 +546,23 @@ fn delta_aware_row(bench: &BenchCircuit, noises: usize, seed: u64) -> DeltaAware
     }
 }
 
-/// The `m×k×n` matmul steps that dominate the `deep_sum` level sums.
-const KERNEL_SHAPES: [(usize, usize, usize); 6] = [
+/// The `m×k×n` matmul steps that dominate the `deep_sum` level sums:
+/// wide products, the small steps of the `inst_3x4_8` sweeps, and the
+/// `1×k×1` forward dot products at the root of a replay.
+const KERNEL_SHAPES: [(usize, usize, usize); 13] = [
     (2, 2, 2048),
     (1, 4, 1024),
     (16, 16, 256),
     (64, 64, 64),
     (16, 16, 16),
     (4, 8, 8),
+    (2, 2, 1),
+    (2, 2, 2),
+    (2, 2, 4),
+    (8, 2, 4),
+    (1, 32, 1),
+    (1, 256, 1),
+    (1, 4096, 1),
 ];
 
 /// The dot-product lengths of the `deep_sum` level sums' reverse
@@ -558,11 +572,13 @@ const DOT_LENGTHS: [usize; 8] = [2, 4, 16, 64, 256, 1024, 2048, 4096];
 /// Timed trials per kernel shape and path; the median is reported.
 const KERNEL_TRIALS: usize = 7;
 
-/// One kernel shape's scalar-vs-dispatched timing.
+/// One kernel shape's scalar-vs-dispatched timing, and the narrow
+/// kernel's where the shape has one of its column counts.
 struct KernelRow {
     shape: (usize, usize, usize),
     scalar_ns: f64,
     dispatched_ns: f64,
+    narrow_ns: Option<f64>,
 }
 
 impl KernelRow {
@@ -592,9 +608,12 @@ fn median_step_ns(reps: usize, mut step: impl FnMut()) -> f64 {
     )
 }
 
-/// Times one dense matmul step of `shape` through the scalar oracle and
-/// the dispatched kernel, asserting their outputs are bitwise equal.
-/// Each trial runs about `macs_per_trial` complex multiply-adds.
+/// Times one dense matmul step of `shape` through the scalar oracle,
+/// the dispatched kernel and, for one of its column counts, the narrow
+/// kernel (`kernels::matmul_narrow_into`, the one-column path or a
+/// fixed-width kernel), asserting their outputs are bitwise equal
+/// (invariant 9). Each trial runs about `macs_per_trial` complex
+/// multiply-adds.
 fn kernel_row(shape: (usize, usize, usize), macs_per_trial: usize, seed: u64) -> KernelRow {
     let (m, k, n) = shape;
     let mut rng = StdRng::seed_from_u64(seed);
@@ -620,10 +639,23 @@ fn kernel_row(shape: (usize, usize, usize), macs_per_trial: usize, seed: u64) ->
         bits(&dispatched_out) == bits(&scalar_out),
         "{m}x{k}x{n}: dispatched kernel must be bitwise the scalar oracle"
     );
+    let narrow_ns = kernels::NARROW.contains(&n).then(|| {
+        let mut narrow_out = vec![Complex64::ZERO; m * n];
+        let ns = median_step_ns(reps, || {
+            let lhs = kernels::Lhs::RowMajor(black_box(&a));
+            kernels::matmul_narrow_into(lhs, &b, &mut narrow_out, m, k, n);
+        });
+        assert!(
+            bits(&narrow_out) == bits(&scalar_out),
+            "{m}x{k}x{n}: narrow kernel must be bitwise the scalar oracle"
+        );
+        ns
+    });
     KernelRow {
         shape,
         scalar_ns,
         dispatched_ns,
+        narrow_ns,
     }
 }
 
@@ -978,6 +1010,12 @@ impl ScheduleLevel {
     /// level's steps, forward and reverse.
     fn macs_per_us(&self) -> f64 {
         self.flops as f64 / self.us
+    }
+
+    /// Nanoseconds per kernel step, forward and reverse: what a step
+    /// costs beside its arithmetic shows here on small steps.
+    fn ns_per_step(&self) -> f64 {
+        self.us * 1e3 / self.steps.max(1) as f64
     }
 }
 
@@ -1415,7 +1453,7 @@ fn main() {
         "\nkernel layer (one matmul step, median of {KERNEL_TRIALS} trials; \
          dispatched = {path})\n"
     );
-    let k_widths = [12usize, 13, 13, 12, 12, 9];
+    let k_widths = [12usize, 13, 13, 12, 12, 9, 11];
     print_row(
         &[
             "m×k×n".into(),
@@ -1424,6 +1462,7 @@ fn main() {
             "scalar GMAC/s".into(),
             "disp. GMAC/s".into(),
             "speedup".into(),
+            "narrow ns".into(),
         ],
         &k_widths,
     );
@@ -1443,6 +1482,7 @@ fn main() {
                 format!("{:.2}", r.gmacs(r.scalar_ns)),
                 format!("{:.2}", r.gmacs(r.dispatched_ns)),
                 format!("{:.2}x", r.scalar_ns / r.dispatched_ns),
+                r.narrow_ns.map_or("-".into(), |ns| format!("{ns:.1}")),
             ],
             &k_widths,
         );
@@ -1483,9 +1523,11 @@ fn main() {
         .iter()
         .map(|r| {
             let (m, k, n) = r.shape;
+            let narrow = r.narrow_ns.map_or("null".into(), |ns| format!("{ns:.1}"));
             format!(
                 "{{\"shape\":\"{m}x{k}x{n}\",\"scalar_ns\":{:.1},\"dispatched_ns\":{:.1},\
-                 \"scalar_gmacs\":{:.3},\"dispatched_gmacs\":{:.3},\"speedup\":{:.3}}}",
+                 \"scalar_gmacs\":{:.3},\"dispatched_gmacs\":{:.3},\"speedup\":{:.3},\
+                 \"narrow_ns\":{narrow}}}",
                 r.scalar_ns,
                 r.dispatched_ns,
                 r.gmacs(r.scalar_ns),
@@ -1676,7 +1718,7 @@ fn main() {
          delta replay vs one replay and one environment sweep per parent, median of \
          {REPLAY_PASSES} passes)\n"
     );
-    let sw_widths = [18usize, 6, 9, 11, 11, 14, 14, 11, 11, 11, 11];
+    let sw_widths = [18usize, 6, 9, 11, 11, 14, 14, 11, 11, 11, 11, 11, 11];
     print_row(
         &[
             "workload".into(),
@@ -1690,6 +1732,8 @@ fn main() {
             "sweep µs".into(),
             "pat MAC/µs".into(),
             "swp MAC/µs".into(),
+            "pat ns/step".into(),
+            "swp ns/step".into(),
         ],
         &sw_widths,
     );
@@ -1743,6 +1787,8 @@ fn main() {
                     format!("{:.1}", b.us),
                     format!("{:.0}", a.macs_per_us()),
                     format!("{:.0}", b.macs_per_us()),
+                    format!("{:.1}", a.ns_per_step()),
+                    format!("{:.1}", b.ns_per_step()),
                 ],
                 &sw_widths,
             );
@@ -1759,11 +1805,13 @@ fn main() {
                 .map(|(u, (a, b))| {
                     let side = |l: &ScheduleLevel| {
                         format!(
-                            "{{\"steps\":{},\"flops\":{},\"us\":{:.1},\"macs_per_us\":{:.1}}}",
+                            "{{\"steps\":{},\"flops\":{},\"us\":{:.1},\"macs_per_us\":{:.1},\
+                             \"ns_per_step\":{:.1}}}",
                             l.steps,
                             l.flops,
                             l.us,
-                            l.macs_per_us()
+                            l.macs_per_us(),
+                            l.ns_per_step()
                         )
                     };
                     format!(

@@ -6,7 +6,8 @@
 //! the same shapes millions of times (the pattern sum) performs zero
 //! heap allocations per call.
 //!
-//! Three flavors:
+//! Three flavors, and the narrow kernels of the small steps
+//! ([`matmul_narrow_into`], any of the three left-factor reads):
 //!
 //! * [`matmul_into`] — both operands contiguous row-major.
 //! * [`matmul_gather_lhs_into`] — the left operand is read through
@@ -19,9 +20,11 @@
 //!   row-major matrix read transposed: the reverse (environment) step
 //!   `aᵀ · b` of a contraction whose lhs needed no permutation.
 //!
-//! Next to them, [`dot`] takes `Σ_t x[t]·y[t]` of two contiguous rows:
-//! the reverse step of a contraction whose operands' environments are
-//! narrow, one dot product per entry.
+//! Next to them, [`dot`] (and [`dot2`], two at once) takes `Σ_t
+//! x[t]·y[t]` of two contiguous rows: the reverse step of a contraction
+//! whose operands' environments are narrow, one dot product per entry.
+//! [`gather_blocked`] and [`scatter_blocked`] move the elements of an
+//! axis permutation in blocks, for the engine's permuted copies.
 //!
 //! # One loop nest, two row updates
 //!
@@ -49,9 +52,12 @@
 //! add into `out`: no fused multiply-add (Rust never contracts `a*b +
 //! c`, and the `fma` feature is not enabled). So both paths are
 //! **bit-identical** to each other and to the allocating reference
-//! path — a property the contraction engine's tests rely on. Keep it
+//! path — a property the contraction engine's tests rely on (where a
+//! NaN arises, both give a NaN, but its sign bit may differ). Keep it
 //! when touching the loops: blocking that reorders the `k` sum, or an
-//! FMA, would break replay-vs-reference equality.
+//! FMA, would break replay-vs-reference equality. The narrow kernels
+//! ([`matmul_narrow_into`]) keep the same order with the sums held in
+//! registers.
 //!
 //! [`dot`] has its own fixed order, the same on both paths: four
 //! partial sums, term `t` added into sum `t mod 4` (`t` ascending), the
@@ -137,6 +143,211 @@ pub fn matmul_transposed_lhs_into(
     dispatch(m, k, n, |i, kk| a[kk * m + i], b, out);
 }
 
+/// How a kernel reads its left factor `A` (`m × k`).
+#[derive(Clone, Copy, Debug)]
+pub enum Lhs<'a> {
+    /// A row-major `m × k` matrix: `A[i][kk] = data[i·k + kk]`.
+    RowMajor(&'a [Complex64]),
+    /// A row-major `k × m` matrix read transposed: `A[i][kk] =
+    /// data[kk·m + i]`.
+    Transposed(&'a [Complex64]),
+    /// Through gather tables: `A[i][kk] = data[row[i] + col[kk]]`, with
+    /// `row.len() == m` and `col.len() == k`.
+    Gathered {
+        /// The gathered matrix's elements.
+        data: &'a [Complex64],
+        /// Offset of each row in `data`.
+        row: &'a [usize],
+        /// Offset of each column in `data`.
+        col: &'a [usize],
+    },
+}
+
+/// The column counts [`matmul_narrow_into`] takes.
+pub const NARROW: [usize; 6] = [1, 2, 3, 4, 8, 16];
+
+/// `out = A · b` for a product of one of the [`NARROW`] column counts,
+/// `A` (`m × k`) read as `lhs` says, `b` row-major `k × n`, `out`
+/// row-major `m × n` (fully overwritten): the kernels of the small
+/// steps, with no column panel and no per-element row-update call.
+///
+/// * `n == 1`, the **one-column path**: each output is one running sum,
+///   `k` ascending, in a register.
+/// * `n` of 2, 3, 4, 8 or 16, the **fixed-width kernels**: one output
+///   row is held in registers (two elements per 256-bit register with
+///   AVX2, as the vector row update) while `k` streams, then stored.
+///
+/// Both keep the accumulation order and zero-skip of [`matmul_into`]
+/// (module docs), so each is bit-identical to it and to
+/// [`scalar::matmul_into`] on the materialized `A`.
+///
+/// # Panics
+///
+/// Panics if `n` is not one of [`NARROW`], or if a slice length
+/// disagrees with its dimensions.
+pub fn matmul_narrow_into(
+    lhs: Lhs<'_>,
+    b: &[Complex64],
+    out: &mut [Complex64],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    assert!(NARROW.contains(&n), "no narrow kernel of {n} columns");
+    assert_eq!(b.len(), k * n, "rhs buffer length mismatch");
+    assert_eq!(out.len(), m * n, "output buffer length mismatch");
+    match lhs {
+        Lhs::RowMajor(a) => {
+            assert_eq!(a.len(), m * k, "lhs buffer length mismatch");
+            narrow(n, |i, kk| a[i * k + kk], b, out);
+        }
+        Lhs::Transposed(a) => {
+            assert_eq!(a.len(), m * k, "lhs buffer length mismatch");
+            narrow(n, |i, kk| a[kk * m + i], b, out);
+        }
+        Lhs::Gathered { data, row, col } => {
+            assert!(
+                row.len() == m && col.len() == k,
+                "gather table length mismatch"
+            );
+            narrow(n, |i, kk| data[row[i] + col[kk]], b, out);
+        }
+    }
+}
+
+/// [`matmul_narrow_into`]'s body for `n` in [`NARROW`] and checked
+/// lengths: the one-column path, or the fixed-width kernel of `n`, on
+/// AVX2 where the CPU has it.
+#[inline(always)]
+fn narrow(
+    n: usize,
+    lhs: impl Fn(usize, usize) -> Complex64,
+    b: &[Complex64],
+    out: &mut [Complex64],
+) {
+    #[cfg(target_arch = "x86_64")]
+    if let Some(cpu) = avx2::Avx2::detect() {
+        return cpu.narrow(n, lhs, b, out);
+    }
+    narrow_loops(n, lhs, b, out, scalar_row_update);
+}
+
+/// The one-column path for `n == 1`, else the fixed-width loops of `n`
+/// on the row update `update`. Always inlined, like [`panel_loops`].
+#[inline(always)]
+fn narrow_loops(
+    n: usize,
+    lhs: impl Fn(usize, usize) -> Complex64,
+    b: &[Complex64],
+    out: &mut [Complex64],
+    update: impl Fn(Complex64, &[Complex64], &mut [Complex64]),
+) {
+    match n {
+        1 => column_loops(lhs, b, out),
+        2 => fixed_loops::<2>(lhs, b, out, update),
+        3 => fixed_loops::<3>(lhs, b, out, update),
+        4 => fixed_loops::<4>(lhs, b, out, update),
+        8 => fixed_loops::<8>(lhs, b, out, update),
+        _ => fixed_loops::<16>(lhs, b, out, update),
+    }
+}
+
+/// The one-column path: `out[i] = Σ_kk A[i][kk]·b[kk]`, one running sum
+/// per output, `kk` ascending, zero entries of `A` skipped.
+#[inline(always)]
+fn column_loops(lhs: impl Fn(usize, usize) -> Complex64, b: &[Complex64], out: &mut [Complex64]) {
+    for (i, o) in out.iter_mut().enumerate() {
+        let mut acc = Complex64::ZERO;
+        for (kk, &y) in b.iter().enumerate() {
+            let x = lhs(i, kk);
+            if x != Complex64::ZERO {
+                acc += x * y;
+            }
+        }
+        *o = acc;
+    }
+}
+
+/// `out = A · b` for `N`-column `b` and `out`: per output row, the
+/// running row `acc` starts at zero, takes `update(A[i][kk], b[kk],
+/// acc)` for each nonzero `A[i][kk]`, `kk` ascending, and is stored
+/// once. Always inlined, like [`panel_loops`].
+#[inline(always)]
+fn fixed_loops<const N: usize>(
+    lhs: impl Fn(usize, usize) -> Complex64,
+    b: &[Complex64],
+    out: &mut [Complex64],
+    update: impl Fn(Complex64, &[Complex64], &mut [Complex64]),
+) {
+    let (b_rows, _) = b.as_chunks::<N>();
+    let (out_rows, _) = out.as_chunks_mut::<N>();
+    for (i, out_row) in out_rows.iter_mut().enumerate() {
+        let mut acc = [Complex64::ZERO; N];
+        for (kk, b_row) in b_rows.iter().enumerate() {
+            let x = lhs(i, kk);
+            if x != Complex64::ZERO {
+                update(x, b_row, &mut acc);
+            }
+        }
+        *out_row = acc;
+    }
+}
+
+/// `dst[dst_row[r] + c] = src[src_row[r] + src_col[c]]` for every row
+/// `r` and every column `c < src_col.len()`: the **blocked
+/// permutation**, one copy of an axis permutation walked row by row.
+///
+/// A caller blocks it by how it orders the tables: the columns are the
+/// destination-contiguous axis group (trailing in `dst`, so each row is
+/// written as one contiguous piece), and the rows vary fastest along
+/// the source-contiguous group. So a few consecutive rows read the
+/// same few source cache lines, and a block of rows and columns moves
+/// within the L1 cache whatever the permutation.
+///
+/// # Panics
+///
+/// Panics if the row tables' lengths differ or an offset indexes out of
+/// `src` or `dst`.
+pub fn gather_blocked(
+    src: &[Complex64],
+    src_row: &[usize],
+    src_col: &[usize],
+    dst: &mut [Complex64],
+    dst_row: &[usize],
+) {
+    assert_eq!(src_row.len(), dst_row.len(), "row table length mismatch");
+    let cols = src_col.len();
+    for (&s, &d) in src_row.iter().zip(dst_row) {
+        for (o, &c) in dst[d..d + cols].iter_mut().zip(src_col) {
+            *o = src[s + c];
+        }
+    }
+}
+
+/// `dst[dst_row[r] + dst_col[c]] = src[src_row[r] + c]`: the inverse of
+/// [`gather_blocked`], which moves the elements back along the same
+/// blocks.
+///
+/// # Panics
+///
+/// Panics if the row tables' lengths differ or an offset indexes out of
+/// `src` or `dst`.
+pub fn scatter_blocked(
+    src: &[Complex64],
+    src_row: &[usize],
+    dst: &mut [Complex64],
+    dst_row: &[usize],
+    dst_col: &[usize],
+) {
+    assert_eq!(src_row.len(), dst_row.len(), "row table length mismatch");
+    let cols = dst_col.len();
+    for (&s, &d) in src_row.iter().zip(dst_row) {
+        for (&x, &c) in src[s..s + cols].iter().zip(dst_col) {
+            dst[d + c] = x;
+        }
+    }
+}
+
 /// `Σ_t x[t]·y[t]` over two equal-length rows, in four interleaved
 /// partial sums (`t mod 4`) added pairwise at the end, so the adds do
 /// not wait on one another (module docs, *Accumulation order*). Runs
@@ -147,7 +358,7 @@ pub fn matmul_transposed_lhs_into(
 /// # Panics
 ///
 /// Panics if the rows' lengths differ.
-#[inline]
+#[inline(always)]
 pub fn dot(x: &[Complex64], y: &[Complex64]) -> Complex64 {
     assert_eq!(x.len(), y.len(), "dot operand length mismatch");
     #[cfg(target_arch = "x86_64")]
@@ -157,6 +368,28 @@ pub fn dot(x: &[Complex64], y: &[Complex64]) -> Complex64 {
         }
     }
     scalar_dot(x, y)
+}
+
+/// `[dot(x, y0), dot(x, y1)]`, bit for bit, in one pass over `x`: the
+/// two sums' adds do not wait on one another, so the pair costs little
+/// more than one [`dot`] where a long dot waits on its adds.
+///
+/// # Panics
+///
+/// Panics if the rows' lengths differ.
+#[inline(always)]
+pub fn dot2(x: &[Complex64], y0: &[Complex64], y1: &[Complex64]) -> [Complex64; 2] {
+    assert!(
+        x.len() == y0.len() && x.len() == y1.len(),
+        "dot operand length mismatch"
+    );
+    #[cfg(target_arch = "x86_64")]
+    if x.len() >= 4 {
+        if let Some(cpu) = avx2::Avx2::detect() {
+            return cpu.dot2(x, y0, y1);
+        }
+    }
+    [scalar_dot(x, y0), scalar_dot(x, y1)]
 }
 
 /// The portable scalar kernels: the fallback on CPUs without AVX2 and

@@ -4,12 +4,16 @@
 //! themselves, so the "compiled == reference" suites elsewhere compare
 //! the vector path with itself. Here the subject is
 //! [`kernels::matmul_into`] / [`kernels::matmul_gather_lhs_into`]
-//! (the AVX2 row update on CPUs that have it) and [`kernels::dot`]
-//! (the AVX2 dot product), and the oracle is [`kernels::scalar`], on
-//! shapes that cross the 512-wide column panel and leave an odd last
-//! element (dots of every length modulo 4), and on values that probe
-//! the arithmetic: exact `±0.0` entries of `a` (the zero-skip),
-//! subnormals, and `-0.0` in `b`.
+//! (the AVX2 row update on CPUs that have it), [`kernels::dot`] and
+//! [`kernels::dot2`] (the AVX2 dot products) and
+//! [`kernels::matmul_narrow_into`] (the
+//! one-column path and the fixed-width kernels, on every way of reading
+//! the left factor), and the oracle is [`kernels::scalar`], on shapes
+//! that cross the 512-wide column panel and leave an odd last element
+//! (dots of every length modulo 4), and on values that probe the
+//! arithmetic: exact `±0.0` entries of `a` (the zero-skip),
+//! subnormals, `-0.0` in `b`, and for the narrow kernels NaN and `±∞`
+//! on both sides, which a skipped zero must never meet.
 
 use proptest::prelude::*;
 use qns_linalg::{c64, kernels, Complex64};
@@ -103,6 +107,18 @@ fn dot_matches_scalar_oracle() {
 }
 
 #[test]
+fn dot2_is_two_dots() {
+    for (seed, &len) in (0u64..).zip(DOT_LENGTHS.iter().cycle().take(2 * DOT_LENGTHS.len())) {
+        let mut rng = StdRng::seed_from_u64(0xd02 + seed);
+        let x = lhs_values(&mut rng, len);
+        let (y0, y1) = (rhs_values(&mut rng, len), lhs_values(&mut rng, len));
+        let got = kernels::dot2(&x, &y0, &y1);
+        let want = [kernels::scalar::dot(&x, &y0), kernels::scalar::dot(&x, &y1)];
+        assert_eq!(bits(&got), bits(&want), "len {len}, seed {seed}");
+    }
+}
+
+#[test]
 fn dot_keeps_the_sign_of_exact_zeros() {
     // Every product's real part is `-0.0 · 1 − 0.0 · 0.0 = -0.0`; each
     // partial sum starts at `+0.0`, so the result is `+0.0` on both
@@ -118,6 +134,170 @@ fn dot_keeps_the_sign_of_exact_zeros() {
         );
         assert_eq!(bits(&[got]), bits(&[Complex64::ZERO]), "len {len}");
     }
+}
+
+/// One component for the narrow kernels' operands: an exact zero of
+/// either sign, NaN, `±∞`, or an ordinary value.
+fn special(rng: &mut StdRng) -> f64 {
+    match rng.random_range(0..12u32) {
+        0 | 1 => 0.0,
+        2 => -0.0,
+        3 => f64::NAN,
+        4 => f64::INFINITY,
+        5 => f64::NEG_INFINITY,
+        _ => rng.random_range(-1.0..1.0),
+    }
+}
+
+/// `len` operand entries of [`special`] components; a third are exact
+/// complex zeros, which the kernels skip on the left.
+fn special_values(rng: &mut StdRng, len: usize) -> Vec<Complex64> {
+    (0..len)
+        .map(|_| match rng.random_range(0..3u32) {
+            0 => c64(
+                if rng.random_range(0..2u32) == 1 {
+                    -0.0
+                } else {
+                    0.0
+                },
+                0.0,
+            ),
+            _ => c64(special(rng), special(rng)),
+        })
+        .collect()
+}
+
+/// Bits of each component, every NaN as one value: the vector and
+/// scalar paths must agree on where a NaN arises, and to the bit
+/// everywhere else.
+fn bits_nan_as_one(v: &[Complex64]) -> Vec<(u64, u64)> {
+    let one = |x: f64| {
+        if x.is_nan() {
+            f64::NAN.to_bits()
+        } else {
+            x.to_bits()
+        }
+    };
+    v.iter().map(|z| (one(z.re), one(z.im))).collect()
+}
+
+/// Checks [`kernels::matmul_narrow_into`] at `m × k × n` against the
+/// scalar oracle on the materialized left factor, reading `A` row-major,
+/// transposed and through gather tables, on ordinary operands and on
+/// operands full of zeros, NaN and `±∞`.
+fn check_narrow(m: usize, k: usize, n: usize, seed: u64) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    for special_operands in [false, true] {
+        let (a, b) = if special_operands {
+            (
+                special_values(&mut rng, m * k),
+                special_values(&mut rng, k * n),
+            )
+        } else {
+            (lhs_values(&mut rng, m * k), rhs_values(&mut rng, k * n))
+        };
+        let mut want = vec![c64(-7.0, 7.0); m * n];
+        kernels::scalar::matmul_into(&a, &b, &mut want, m, k, n);
+        // `A` stored transposed (`k × m`): read transposed, and read
+        // through the tables of a column-major gather.
+        let a_t: Vec<Complex64> = (0..k * m).map(|t| a[(t % m) * k + t / m]).collect();
+        let (row, col): (Vec<usize>, Vec<usize>) =
+            ((0..m).collect(), (0..k).map(|kk| kk * m).collect());
+        for (lhs, how) in [
+            (kernels::Lhs::RowMajor(&a), "row-major"),
+            (kernels::Lhs::Transposed(&a_t), "transposed"),
+            (
+                kernels::Lhs::Gathered {
+                    data: &a_t,
+                    row: &row,
+                    col: &col,
+                },
+                "gathered",
+            ),
+        ] {
+            let mut got = vec![c64(7.0, -7.0); m * n];
+            kernels::matmul_narrow_into(lhs, &b, &mut got, m, k, n);
+            assert_eq!(
+                bits_nan_as_one(&got),
+                bits_nan_as_one(&want),
+                "{m}x{k}x{n} {how}, special {special_operands}, seed {seed:#x}"
+            );
+        }
+    }
+}
+
+#[test]
+fn narrow_kernels_match_scalar_oracle() {
+    let mut seed = 0x4e41;
+    // Every shape up to 4 × 4 × 4, the wider fixed widths on small
+    // factors, and the `deep_sum` shapes: a fixed-width product, the
+    // one-column root dot products.
+    let small = (1..=4).flat_map(|m| (1..=4).flat_map(move |k| (1..=4).map(move |n| (m, k, n))));
+    let wide = [8, 16]
+        .into_iter()
+        .flat_map(|n| [(1, 1, n), (2, 3, n), (4, 4, n)]);
+    let deep_sum = [(8, 2, 4), (1, 32, 1), (1, 4096, 1), (8, 2, 1), (4, 8, 8)];
+    for (m, k, n) in small.chain(wide).chain(deep_sum) {
+        for _ in 0..4 {
+            seed += 1;
+            check_narrow(m, k, n, seed);
+        }
+    }
+}
+
+#[test]
+fn narrow_kernels_propagate_nan_and_skip_zeros() {
+    // A zero entry of `a` meets an infinite row of `b`: skipped, so no
+    // `0·∞` NaN; a NaN entry of `a` is not zero, so it propagates.
+    let inf = c64(f64::INFINITY, 0.0);
+    let b = [inf, inf, c64(1.0, 0.0), c64(2.0, 0.0)];
+    let mut out = [Complex64::ZERO; 2];
+    let a = [c64(0.0, -0.0), c64(1.0, 0.0)];
+    kernels::matmul_narrow_into(kernels::Lhs::RowMajor(&a), &b, &mut out, 1, 2, 2);
+    assert_eq!(bits(&out), bits(&[c64(1.0, 0.0), c64(2.0, 0.0)]));
+    let a = [c64(f64::NAN, 0.0), c64(1.0, 0.0)];
+    kernels::matmul_narrow_into(kernels::Lhs::RowMajor(&a), &b, &mut out, 1, 2, 2);
+    assert!(out.iter().all(|z| z.re.is_nan()), "{out:?}");
+    // The one-column path likewise.
+    let mut one = [Complex64::ZERO];
+    kernels::matmul_narrow_into(
+        kernels::Lhs::RowMajor(&[Complex64::ZERO, c64(3.0, 0.0)]),
+        &[inf, c64(1.0, 1.0)],
+        &mut one,
+        1,
+        2,
+        1,
+    );
+    assert_eq!(bits(&one), bits(&[c64(3.0, 3.0)]));
+}
+
+#[test]
+fn blocked_permutation_round_trips() {
+    // A 16 × 8 × 4 tensor gathered as its axes (2, 0, 1): columns are
+    // the innermost gathered axis, rows walk the others in source
+    // order (axis 1's stride below axis 0's, so axis 1 runs fastest).
+    let shape = [16usize, 8, 4];
+    let strides = [32usize, 4, 1];
+    let src: Vec<Complex64> = (0..512).map(|i| c64(i as f64, -(i as f64))).collect();
+    let src_col: Vec<usize> = (0..8).map(|c| c * strides[1]).collect();
+    let (mut src_row, mut dst_row) = (Vec::new(), Vec::new());
+    for a2 in 0..shape[2] {
+        for a0 in 0..shape[0] {
+            src_row.push(a2 * strides[2] + a0 * strides[0]);
+            dst_row.push(a2 * 128 + a0 * 8);
+        }
+    }
+    let mut gathered = vec![Complex64::ZERO; 512];
+    kernels::gather_blocked(&src, &src_row, &src_col, &mut gathered, &dst_row);
+    for (a2, a0, a1) in
+        (0..4).flat_map(|a2| (0..16).flat_map(move |a0| (0..8).map(move |a1| (a2, a0, a1))))
+    {
+        let at = a2 * strides[2] + a0 * strides[0] + a1 * strides[1];
+        assert_eq!(gathered[a2 * 128 + a0 * 8 + a1], src[at]);
+    }
+    let mut back = vec![Complex64::ZERO; 512];
+    kernels::scatter_blocked(&gathered, &dst_row, &mut back, &src_row, &src_col);
+    assert_eq!(back, src);
 }
 
 proptest! {

@@ -121,11 +121,6 @@ impl DdManager {
         self.n
     }
 
-    /// Total nodes allocated in the arena (a size/effort metric).
-    pub fn arena_size(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Number of distinct nodes reachable from `e`.
     pub fn node_count(&self, e: Edge) -> usize {
         let mut seen = std::collections::HashSet::new();

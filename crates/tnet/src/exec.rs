@@ -23,13 +23,28 @@
 //! # Storage
 //!
 //! A lowered plan is a fixed set of flat buffers, whatever its size:
-//! the hot steps, one table buffer holding every gather table the hot
-//! steps and the output stage read (a kernel holds ranges into it),
+//! one `Step` record per hot step and two `Adjoint` records per hot
+//! step (its reverse steps), the gathers they read through, one table
+//! buffer holding every gather table (a gather holds ranges into it),
 //! and the varying leaves' paths as one offset/step pair. Lowering
 //! reads the slot shapes from the plan's shape pool, builds every
 //! step's tables in one scratch buffer, runs the cold steps with their
 //! temporaries in one first-fit pool, and keeps only the hot tables.
-//! Replay reads the same offsets as before, as slices of that buffer.
+//!
+//! A record is everything a step needs, decided once: where its
+//! operands lie (an input slot, or an offset into the cold cache or the
+//! arena), where its node goes, its shape, its product kernel (the
+//! narrow kernels of [`qns_linalg::kernels::matmul_narrow_into`] for
+//! the column counts they take, else the panel kernels), and its
+//! gathers. Lowering checks every length once; an execution checks the
+//! inputs it reads once, before its first step. A replay splits the
+//! arena around a step's node (the regions a step reads lie wholly
+//! below or above it) and walks the records; a sweep walks the reverse
+//! records, whose kernel class (dot products, running sums, a product,
+//! or a small product taken entry by entry) and environment source are
+//! fixed too. A reverse step that takes its entries one at a time
+//! stores each straight into its operand's own layout, through the
+//! gather its environment would otherwise be scattered by.
 //!
 //! # Hot and cold steps
 //!
@@ -59,11 +74,13 @@
 //! lhs is gathered by the fused matmul. Every element is moved, never
 //! recomputed, so the bits are those of the reference path.
 //!
-//! A gather's copies move whole runs: lowering records the contiguous
-//! run of each of its tables (the elements it moves per table entry),
-//! and a copy with a column run of eight or more moves each run as one
-//! slice. A copy without one walks a large matrix in square tiles, so
-//! the strided side of a transposition stays in cache, and a small one
+//! A gather's copies take a walk chosen when the gather is made. A copy
+//! with a column run of eight or more moves each run as one slice. A
+//! large one without runs is a blocked permutation
+//! ([`qns_linalg::kernels::gather_blocked`]): its columns are the
+//! innermost axes of the gathered layout, so each row is written in one
+//! piece, and its rows walk the other axes in source order, so a few
+//! consecutive rows share their source cache lines. A small copy walks
 //! element by element; a one-column gather walks as one row. Replays
 //! (an input leaf's rhs copy, the permuted copy of a node stored in its
 //! reader's layout), the cold run and a sweep's scatters all share
@@ -111,7 +128,8 @@
 //! env(dst)·rhsᵀ` and `env(rhs) = lhsᵀ·env(dst)`, each a kernel of the
 //! same `m·k·n` as the forward step, reading the forward gathers;
 //! narrow ones are taken as dot products ([`qns_linalg::kernels::dot`]
-//! where both factors are row-major). Every environment is written in
+//! and [`qns_linalg::kernels::dot2`] where both factors are row-major).
+//! Every environment is written in
 //! its operand's own layout, scattered back through the gather the
 //! forward step reads the operand with, so a hot node's environment
 //! lies in its product's natural `m × n` layout, where its own reverse
@@ -123,15 +141,20 @@
 //! with a cold sibling are transient. So a sweep reads no transient
 //! node, and its environments live on a depth-first stack in the
 //! arena's transient region, dead between executions: a parent's
-//! environment stays on it only while its second child waits, and the
-//! last child computed takes its parent's place. The stack, the reverse
-//! steps' scratch and the walk's bookkeeping are sized at lowering; a
+//! environment stays on it only while its rhs waits, and its last child
+//! takes its place. Every position on the stack is fixed at lowering,
+//! so a sweep is one scan of the reverse-step records that jumps over
+//! the subtrees it does not want. The stack, the reverse steps' scratch
+//! and the marks of the wanted operands are sized at lowering; a
 //! workspace made by [`Workspace::for_sweeps`], or one that has swept
 //! once, allocates nothing more.
 
 use crate::network::{ContractionStats, TensorNetwork};
 use crate::plan::ContractionPlan;
-use qns_linalg::kernels::{dot, matmul_gather_lhs_into, matmul_into, matmul_transposed_lhs_into};
+use qns_linalg::kernels::{
+    dot, dot2, gather_blocked, matmul_gather_lhs_into, matmul_into, matmul_narrow_into,
+    matmul_transposed_lhs_into, scatter_blocked, Lhs, NARROW,
+};
 use qns_linalg::Complex64;
 use qns_tensor::Tensor;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -143,7 +166,7 @@ use std::sync::Arc;
 /// their cached intermediates are interchangeable.
 static NEXT_PLAN_ID: AtomicU64 = AtomicU64::new(1);
 
-/// Where a slot's buffer lives during execution.
+/// Where a slot's buffer lives during lowering.
 #[derive(Clone, Copy, Debug)]
 enum SlotLoc {
     /// The `i`-th input tensor, borrowed from the caller.
@@ -155,13 +178,45 @@ enum SlotLoc {
     Cold { offset: usize, len: usize },
 }
 
+impl SlotLoc {
+    /// Where a lowered step reads this slot.
+    fn src(self) -> Src {
+        match self {
+            SlotLoc::Input(i) => Src::Input(pos32(i)),
+            SlotLoc::Arena { offset, .. } => Src::Arena(pos32(offset)),
+            SlotLoc::Cold { offset, .. } => Src::Cold(pos32(offset)),
+        }
+    }
+}
+
+/// Where a lowered step reads an operand: an input slot, or an offset
+/// into the cold cache or the workspace arena. The operand's length
+/// follows from the step's shape.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Src {
+    Input(u32),
+    Cold(u32),
+    Arena(u32),
+}
+
+/// A position, length or index as a lowered plan stores it.
+///
+/// # Panics
+///
+/// Panics past `u32::MAX`: a buffer or table that long would not fit in
+/// memory.
+fn pos32(at: usize) -> u32 {
+    assert!(at <= u32::MAX as usize, "plan buffers beyond 2^32 entries");
+    at as u32
+}
+
 /// Precomputed gather tables, `element(r, c) = src[row[r] + col[c]]`,
 /// held as two ranges of a table buffer shared by a whole plan: `row`
 /// is `tables[row..row + rows]`, `col` is `tables[col..col + cols]`.
-/// Each table's [`contiguous_run`] is recorded with it, so a copy moves
-/// whole runs of elements per table entry. The positions are `u32`s
-/// ([`table_pos`]), which keeps every step's kernel (four of these)
-/// small: lowering slows sharply as kernels grow, by 40 % on one
+/// The walk its copies take is chosen once, when it is made, and a
+/// blocked walk's tables follow in the same buffer. The positions are
+/// `u32`s ([`pos32`]), which keeps every lowered step small: lowering
+/// slows sharply as its per-step structures grow, by 40 % on one
 /// registry plan for kernels a third larger.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct Gather {
@@ -169,22 +224,19 @@ struct Gather {
     rows: u32,
     col: u32,
     cols: u32,
-    row_run: u32,
-    col_run: u32,
-}
-
-/// A position or length in a plan's table buffer, as stored in a
-/// [`Gather`].
-///
-/// # Panics
-///
-/// Panics past `u32::MAX`: a table that long would not fit in memory.
-fn table_pos(at: usize) -> u32 {
-    assert!(at <= u32::MAX as usize, "gather tables beyond 2^32 entries");
-    at as u32
+    walk: Walk,
 }
 
 impl Gather {
+    /// A placeholder, never read.
+    const NONE: Gather = Gather {
+        row: 0,
+        rows: 0,
+        col: 0,
+        cols: 0,
+        walk: Walk::Elements,
+    };
+
     /// Appends the gather that reads a row-major tensor of `shape`
     /// with the `row_axes` as rows and the `col_axes` as columns: the
     /// two halves of a factorized permutation.
@@ -193,32 +245,50 @@ impl Gather {
         shape: &[usize],
         row_axes: impl Iterator<Item = usize>,
         col_axes: impl Iterator<Item = usize>,
-        odometer: &mut Vec<[usize; 3]>,
+        scratch: &mut Vec<Axis>,
     ) -> Gather {
         let row = tables.len();
-        let rows = push_offsets(tables, shape, row_axes, odometer);
+        let rows = push_offsets(tables, shape, row_axes);
         let col = tables.len();
-        let cols = push_offsets(tables, shape, col_axes, odometer);
-        Gather::new(tables, row, rows, col, cols)
+        let cols = push_offsets(tables, shape, col_axes);
+        Gather::new(tables, row, rows, col, cols, scratch)
     }
 
     /// The gather whose row table is `tables[row..row + rows]` and
-    /// column table `tables[col..col + cols]`. A table shorter than
-    /// [`MIN_RUN`] entries is recorded with run 1: no walk reads a run
-    /// it could have ([`Gather::walk`] tiles only longer tables).
-    fn new(tables: &[usize], row: usize, rows: usize, col: usize, cols: usize) -> Gather {
-        let run = |table: &[usize]| match table.len() {
-            len if len < MIN_RUN => 1,
-            _ => table_pos(contiguous_run(table)),
+    /// column table `tables[col..col + cols]`, each the offsets of a
+    /// row-major walk over some axes of the tensor it reads, with the
+    /// walk its copies take: runs of at least [`MIN_RUN`] elements, a
+    /// blocked permutation (appended to `tables`) for a larger gather
+    /// without them, else element by element. A one-column gather is
+    /// walked as one row. `scratch` is scratch.
+    fn new(
+        tables: &mut Vec<usize>,
+        row: usize,
+        rows: usize,
+        col: usize,
+        cols: usize,
+        scratch: &mut Vec<Axis>,
+    ) -> Gather {
+        let mut g = Gather {
+            row: pos32(row),
+            rows: pos32(rows),
+            col: pos32(col),
+            cols: pos32(cols),
+            walk: Walk::Elements,
         };
-        Gather {
-            row: table_pos(row),
-            rows: table_pos(rows),
-            col: table_pos(col),
-            cols: table_pos(cols),
-            row_run: run(&tables[row..row + rows]),
-            col_run: run(&tables[col..col + cols]),
-        }
+        let walked = g.one_row();
+        let run = match walked.col(tables) {
+            col if col.len() < MIN_RUN => 1,
+            col => contiguous_run(col),
+        };
+        g.walk = if run >= MIN_RUN {
+            Walk::Runs(pos32(run))
+        } else if rows * cols >= BLOCKED {
+            Walk::Blocked(push_blocked(tables, walked, scratch))
+        } else {
+            Walk::Elements
+        };
+        g
     }
 
     fn rows(&self) -> usize {
@@ -237,25 +307,70 @@ impl Gather {
         &tables[self.col as usize..][..self.cols()]
     }
 
-    /// Table entries the gather holds.
-    fn len(&self) -> usize {
-        self.rows() + self.cols()
+    /// The gathered matrix as a kernel's left factor.
+    fn lhs<'a>(&self, tables: &'a [usize], data: &'a [Complex64]) -> Lhs<'a> {
+        Lhs::Gathered {
+            data,
+            row: self.row(tables),
+            col: self.col(tables),
+        }
+    }
+
+    /// The blocked walk's tables at `at`: the source offsets of its
+    /// columns, and the source and gathered offsets of its rows.
+    fn blocked<'t>(&self, tables: &'t [usize], at: u32) -> [&'t [usize]; 3] {
+        let (cols, rest) = tables[at as usize..].split_at(1);
+        let (col, rest) = rest.split_at(cols[0]);
+        let rows = self.rows() * self.cols() / cols[0];
+        let (src_row, rest) = rest.split_at(rows);
+        [col, src_row, &rest[..rows]]
+    }
+
+    /// Table entries the gather holds, its blocked walk's included.
+    fn len(&self, tables: &[usize]) -> usize {
+        let blocked = match self.walk {
+            Walk::Blocked(at) => {
+                1 + self
+                    .blocked(tables, at)
+                    .iter()
+                    .map(|t| t.len())
+                    .sum::<usize>()
+            }
+            _ => 0,
+        };
+        self.rows() + self.cols() + blocked
     }
 
     /// The same gather, its tables copied from `from` to the end of `to`.
     fn moved(&self, from: &[usize], to: &mut Vec<usize>) -> Gather {
-        let row = table_pos(to.len());
+        let row = pos32(to.len());
         to.extend_from_slice(self.row(from));
-        let col = table_pos(to.len());
+        let col = pos32(to.len());
         to.extend_from_slice(self.col(from));
-        Gather { row, col, ..*self }
+        let walk = match self.walk {
+            Walk::Blocked(at) => {
+                let moved = pos32(to.len());
+                to.push(from[at as usize]);
+                for table in self.blocked(from, at) {
+                    to.extend_from_slice(table);
+                }
+                Walk::Blocked(moved)
+            }
+            walk => walk,
+        };
+        Gather {
+            row,
+            col,
+            walk,
+            ..*self
+        }
     }
 
     /// `dst[r·cols + c] = src[row[r] + col[c]]`: the permuted copy.
     fn copy(&self, tables: &[usize], src: &[Complex64], dst: &mut [Complex64]) {
         let g = self.one_row();
         let (row, col) = (g.row(tables), g.col(tables));
-        match g.walk() {
+        match self.walk {
             Walk::Elements => {
                 let cols = col.len();
                 for (r, &ro) in row.iter().enumerate() {
@@ -265,9 +380,13 @@ impl Gather {
                     }
                 }
             }
-            walk => walk.pieces(row, col, g.col_run as usize, |d, s, len| {
+            Walk::Runs(run) => runs(row, col, run as usize, |d, s, len| {
                 dst[d..d + len].copy_from_slice(&src[s..s + len])
             }),
+            Walk::Blocked(at) => {
+                let [col, src_row, dst_row] = self.blocked(tables, at);
+                gather_blocked(src, src_row, col, dst, dst_row);
+            }
         }
     }
 
@@ -277,7 +396,7 @@ impl Gather {
     fn scatter(&self, tables: &[usize], src: &[Complex64], dst: &mut [Complex64]) {
         let g = self.one_row();
         let (row, col) = (g.row(tables), g.col(tables));
-        match g.walk() {
+        match self.walk {
             Walk::Elements => {
                 let cols = col.len();
                 for (r, &ro) in row.iter().enumerate() {
@@ -287,9 +406,13 @@ impl Gather {
                     }
                 }
             }
-            walk => walk.pieces(row, col, g.col_run as usize, |d, s, len| {
+            Walk::Runs(run) => runs(row, col, run as usize, |d, s, len| {
                 dst[s..s + len].copy_from_slice(&src[d..d + len])
             }),
+            Walk::Blocked(at) => {
+                let [col, src_row, dst_row] = self.blocked(tables, at);
+                scatter_blocked(src, dst_row, dst, src_row, col);
+            }
         }
     }
 
@@ -298,7 +421,8 @@ impl Gather {
     /// `d` (`d[r·cols + c] = p[row[r] + col[c]]`), and the inverse
     /// reads `p` back out of `d`. Both index an axis permutation, so
     /// the inverse factorizes too: its offsets are those of `p`'s first
-    /// column and first row in `d`. `inverse` is scratch.
+    /// column and first row in `d`. It is only read by kernels, never
+    /// copied. `inverse` is scratch.
     fn inverse(
         &self,
         m: usize,
@@ -317,7 +441,21 @@ impl Gather {
         let start = tables.len();
         tables.extend((0..m).map(|i| inverse[i * n]));
         tables.extend_from_slice(&inverse[..n]);
-        Gather::new(tables, start, m, start + m, n)
+        Gather {
+            row: pos32(start),
+            rows: pos32(m),
+            col: pos32(start + m),
+            cols: pos32(n),
+            walk: Walk::Elements,
+        }
+    }
+
+    /// The gather of the transposed matrix, for copies: the same tables
+    /// with rows and columns swapped, and the walk of that orientation
+    /// (a blocked one appended to `tables`).
+    fn transposed_copy(&self, tables: &mut Vec<usize>, scratch: &mut Vec<Axis>) -> Gather {
+        let (row, col) = (self.row as usize, self.col as usize);
+        Gather::new(tables, col, self.cols(), row, self.rows(), scratch)
     }
 
     /// A one-column gather as the one-row gather of the same elements
@@ -330,28 +468,17 @@ impl Gather {
         }
     }
 
-    /// How [`Gather::copy`] and [`Gather::scatter`] walk the elements.
-    fn walk(&self) -> Walk {
-        let (rows, cols) = (self.rows(), self.cols());
-        if self.col_run as usize >= MIN_RUN {
-            Walk::Runs
-        } else if rows >= TILE && cols >= TILE && rows * cols >= TILED {
-            Walk::Tiles
-        } else {
-            Walk::Elements
-        }
-    }
-
     /// The same tables with rows and columns swapped: the gather of
-    /// the transposed matrix.
+    /// the transposed matrix, for kernels to read. It keeps this
+    /// gather's walk, so only [`Gather::one_row`] copies through it;
+    /// [`Gather::transposed_copy`] is the one to copy through.
     fn transposed(&self) -> Gather {
         Gather {
             row: self.col,
             rows: self.cols,
             col: self.row,
             cols: self.rows,
-            row_run: self.col_run,
-            col_run: self.row_run,
+            walk: self.walk,
         }
     }
 }
@@ -375,34 +502,27 @@ fn contiguous_run(table: &[usize]) -> usize {
 /// The order in which a gather's copies move its elements.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Walk {
-    /// A column run of at least [`MIN_RUN`] elements: row by row, one
-    /// contiguous piece per run.
-    Runs,
-    /// Shorter runs on a matrix of at least [`TILE`] rows and columns
-    /// and [`TILED`] elements: a run (one to three elements) at a time,
-    /// in square tiles, so the strided side of a transposition stays in
-    /// cache.
-    Tiles,
+    /// A column run of this many elements, at least [`MIN_RUN`]: row by
+    /// row, one contiguous piece per run.
+    Runs(u32),
+    /// No such run on a gather of at least [`BLOCKED`] elements: the
+    /// blocked permutation ([`push_blocked`]) whose tables start at this
+    /// position.
+    Blocked(u32),
     /// Anything smaller: element by element, row by row.
     Elements,
 }
 
-impl Walk {
-    /// Calls `mv(d, s, len)` for pieces that cover a `Runs` or `Tiles`
-    /// walk of the gather with tables `row` and `col` and column run
-    /// `run`: gathered elements `d..d + len` (row-major) are the read
-    /// elements `s..s + len`. The pieces of [`TILE`] rows come column
-    /// block by column block: whole rows for `Runs`, tiles of [`TILE`]
-    /// columns (a multiple of the run) for `Tiles`. Out of line, so
-    /// the element walk of the small copies that dominate a replay stays
-    /// a short function.
-    #[inline(never)]
-    fn pieces(self, row: &[usize], col: &[usize], run: usize, mv: impl FnMut(usize, usize, usize)) {
-        match (self, run) {
-            (Walk::Tiles, 2) => pieces::<2>(row, col, 2, TILE, mv),
-            (Walk::Tiles, 3) => pieces::<3>(row, col, 3, TILE / 3 * 3, mv),
-            (Walk::Tiles, _) => pieces::<1>(row, col, 1, TILE, mv),
-            _ => pieces::<0>(row, col, run, col.len().max(1), mv),
+/// Calls `mv(d, s, len)` for the pieces of a [`Walk::Runs`] walk of the
+/// gather with tables `row` and `col` and column run `run`: gathered
+/// elements `d..d + len` (row-major) are the read elements `s..s +
+/// len`. A run that does not divide the row leaves a shorter last
+/// piece.
+fn runs(row: &[usize], col: &[usize], run: usize, mut mv: impl FnMut(usize, usize, usize)) {
+    let n = col.len();
+    for (r, &ro) in row.iter().enumerate() {
+        for (d, piece) in (r * n..).step_by(run).zip(col.chunks(run)) {
+            mv(d, ro + piece[0], piece.len());
         }
     }
 }
@@ -412,76 +532,117 @@ impl Walk {
 /// more than its moves.
 const MIN_RUN: usize = 8;
 
-/// Edge of the square tiles of [`Walk::Tiles`]: 16 complex elements
-/// are four cache lines.
-const TILE: usize = 16;
+/// The fewest elements a gather without runs copies by the blocked
+/// permutation: 32 KiB a side, so its source and destination no longer
+/// share a core's L1 cache. Smaller ones stay in cache whatever the
+/// order.
+const BLOCKED: usize = 2048;
 
-/// The fewest elements a gather walks in tiles: 32 KiB a side, so its
-/// source and destination no longer share a core's L1 cache. Smaller
-/// ones stay in cache whatever the order.
-const TILED: usize = 2048;
+/// The fewest elements a row of a blocked permutation moves: 16
+/// complex elements are four cache lines.
+const BLOCK: usize = 16;
 
-/// [`Walk::pieces`] for runs of `R` elements (`run`, known at run time,
-/// when `R` is 0), in blocks of `width` columns, a multiple of the run.
-/// A run that does not divide the row leaves a shorter last piece.
-#[inline(always)]
-fn pieces<const R: usize>(
-    row: &[usize],
-    col: &[usize],
-    run: usize,
-    width: usize,
-    mut mv: impl FnMut(usize, usize, usize),
-) {
-    let n = col.len();
-    let len = if R == 0 { run } else { R };
-    for (r0, row_block) in (0..).step_by(TILE).zip(row.chunks(TILE)) {
-        for (c0, cols) in (0..).step_by(width).zip(col.chunks(width)) {
-            let runs = cols.chunks_exact(len);
-            let last = runs.remainder();
-            for (r, &ro) in (r0..).zip(row_block) {
-                let mut d = r * n + c0;
-                for first in runs.clone().map(|p| p[0]) {
-                    mv(d, ro + first, len);
-                    d += len;
-                }
-                if let Some(&first) = last.first() {
-                    mv(d, ro + first, last.len());
-                }
+/// One axis of a permutation: its dimension, its stride in the tensor a
+/// gather reads, and its stride in the gathered layout.
+#[derive(Clone, Copy, Debug)]
+struct Axis {
+    dim: usize,
+    src: usize,
+    dst: usize,
+}
+
+/// Appends the tables of the blocked permutation of the copy
+/// `dst[r·cols + c] = src[row[r] + col[c]]` through gather `g`, and
+/// returns their position: the column count `f`, then the source
+/// offsets of the columns, then the source and the gathered offsets of
+/// the rows ([`gather_blocked`]). The columns are the innermost axes of
+/// the gathered layout, at least [`BLOCK`] elements of them (or all):
+/// the destination-contiguous group. The rows walk every other axis in
+/// source order, the source-contiguous ones fastest. Each table of `g`
+/// is an offset table over whole axes, as [`push_offsets`] makes them,
+/// so its axes are read back from it ([`push_table_axes`]). `axes` is
+/// scratch.
+fn push_blocked(tables: &mut Vec<usize>, g: Gather, axes: &mut Vec<Axis>) -> u32 {
+    axes.clear();
+    push_table_axes(g.col(tables), 1, axes);
+    push_table_axes(g.row(tables), g.cols(), axes);
+    let (mut f, mut inner) = (1, 0);
+    while f < BLOCK && inner < axes.len() {
+        f *= axes[inner].dim;
+        inner += 1;
+    }
+    let (cols, rows) = axes.split_at_mut(inner);
+    rows.sort_unstable_by_key(|a| std::cmp::Reverse(a.src));
+    let at = pos32(tables.len());
+    tables.push(f);
+    push_odometer(tables, cols.iter().rev().map(|a| (a.dim, a.src)));
+    push_odometer(tables, rows.iter().map(|a| (a.dim, a.src)));
+    push_odometer(tables, rows.iter().map(|a| (a.dim, a.dst)));
+    at
+}
+
+/// Appends to `axes`, innermost first, the axes of an offset `table`
+/// over whole axes: each axis's dimension and source stride, read off
+/// the table's first stretch of equal steps (axes laid out
+/// contiguously come out merged), and its gathered stride, counting up
+/// from `dst`.
+fn push_table_axes(table: &[usize], mut dst: usize, axes: &mut Vec<Axis>) {
+    let (mut len, mut step) = (table.len(), 1);
+    while len > 1 {
+        let src = table[step] - table[0];
+        let dim = 2
+            + (2..len)
+                .take_while(|&i| table[i * step] == table[0] + i * src)
+                .count();
+        axes.push(Axis { dim, src, dst });
+        step *= dim;
+        len /= dim;
+        dst *= dim;
+    }
+}
+
+/// Appends the offsets of a row-major walk over axes of the given
+/// `(dimension, stride)`s, outermost first, and returns how many it
+/// appended: each axis in turn becomes the fastest, every offset so far
+/// expanded in place into its digits (back to front, so no entry is
+/// overwritten before it is read).
+fn push_odometer(out: &mut Vec<usize>, axes: impl Iterator<Item = (usize, usize)>) -> usize {
+    let start = out.len();
+    out.push(0);
+    for (dim, stride) in axes {
+        if dim == 0 {
+            out.truncate(start);
+            break;
+        }
+        let len = out.len() - start;
+        out.resize(start + len * dim, 0);
+        for i in (0..len).rev() {
+            let base = out[start + i];
+            for (d, o) in out[start + i * dim..][..dim].iter_mut().enumerate().rev() {
+                *o = base + d * stride;
             }
         }
     }
+    out.len() - start
+}
+
+/// Appends to `out` the flat offsets of every row-major index
+/// combination over `axes` of a row-major tensor of `shape` — one half
+/// of a factorized permutation — and returns how many it appended.
+fn push_offsets(out: &mut Vec<usize>, shape: &[usize], axes: impl Iterator<Item = usize>) -> usize {
+    push_odometer(
+        out,
+        axes.map(|a| (shape[a], shape[a + 1..].iter().product())),
+    )
 }
 
 /// Output columns up to which an lhs reverse step takes dot products
 /// ([`Kernel::env_by_dots`]).
 const DOT_COLUMNS: usize = 4;
 
-/// A matrix read in place: row-major, or through a gather's tables.
-#[derive(Clone, Copy)]
-enum View<'a> {
-    Dense {
-        data: &'a [Complex64],
-        cols: usize,
-    },
-    Gathered {
-        data: &'a [Complex64],
-        row: &'a [usize],
-        col: &'a [usize],
-    },
-}
-
-impl View<'_> {
-    #[inline(always)]
-    fn at(&self, r: usize, c: usize) -> Complex64 {
-        match *self {
-            View::Dense { data, cols } => data[r * cols + c],
-            View::Gathered { data, row, col } => data[row[r] + col[c]],
-        }
-    }
-}
-
-/// `out[r·cols + c] = Σ_t x(r, t)·y(c, t)`, `t` ascending: a product
-/// with a transposed right factor, one dot product per output entry.
+/// `out[at(r, c)] = Σ_t x(r, t)·y(c, t)`, `t` ascending: a product
+/// with a transposed right factor, one running sum per output entry,
+/// each stored where `at` says ([`Out`]).
 #[inline(always)]
 fn dot_products(
     rows: usize,
@@ -489,13 +650,58 @@ fn dot_products(
     inner: usize,
     x: impl Fn(usize, usize) -> Complex64,
     y: impl Fn(usize, usize) -> Complex64,
+    at: impl Fn(usize, usize) -> usize,
     out: &mut [Complex64],
 ) {
-    for (r, out_row) in out.chunks_exact_mut(cols).take(rows).enumerate() {
-        for (c, o) in out_row.iter_mut().enumerate() {
-            *o = (0..inner).fold(Complex64::ZERO, |acc, t| acc + x(r, t) * y(c, t));
+    for r in 0..rows {
+        for c in 0..cols {
+            out[at(r, c)] = (0..inner).fold(Complex64::ZERO, |acc, t| acc + x(r, t) * y(c, t));
         }
     }
+}
+
+/// `out[at(r, c)] = Σ_t x(r, t)·y(t, c)`, `t` ascending, zero `x(r, t)`
+/// skipped, from zero: a product one output entry at a time, in the
+/// product kernels' order and with their zero-skip, so bit for bit
+/// their result.
+#[inline(always)]
+fn product_entries(
+    rows: usize,
+    cols: usize,
+    inner: usize,
+    x: impl Fn(usize, usize) -> Complex64,
+    y: impl Fn(usize, usize) -> Complex64,
+    at: impl Fn(usize, usize) -> usize,
+    out: &mut [Complex64],
+) {
+    for r in 0..rows {
+        for c in 0..cols {
+            let mut acc = Complex64::ZERO;
+            for t in 0..inner {
+                let a = x(r, t);
+                if a != Complex64::ZERO {
+                    acc += a * y(t, c);
+                }
+            }
+            out[at(r, c)] = acc;
+        }
+    }
+}
+
+/// The largest `m·k·n` of a small step: an rhs reverse product this
+/// small, whose environment is scattered, is taken entry by entry
+/// ([`Reverse::RhsEntries`]).
+const SMALL_STEP: usize = 64;
+
+/// Where a reverse step that takes its entries one at a time (dot
+/// products or running sums) stores entry `(r, c)`: row-major in the
+/// layout the step reads the operand in, or straight through the
+/// operand's scatter gather into its own layout, so no staged copy is
+/// scattered afterwards.
+#[derive(Clone, Copy)]
+enum Out<'t> {
+    RowMajor,
+    Scattered { row: &'t [usize], col: &'t [usize] },
 }
 
 /// `dst = srcᵀ` for a row-major `rows × cols` matrix `src`.
@@ -507,9 +713,51 @@ fn transpose_into(src: &[Complex64], rows: usize, cols: usize, dst: &mut [Comple
     }
 }
 
-/// The arithmetic of one lowered pair contraction, independent of
-/// where its operands live. Its gathers are ranges of its plan's table
-/// buffer, passed to [`Kernel::run`].
+/// The product kernel of a lowered step, chosen at lowering by the
+/// number of columns the step writes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Product {
+    /// [`matmul_narrow_into`]: one of the [`NARROW`] column counts,
+    /// the one-column path or a fixed-width kernel.
+    Narrow,
+    /// The panel kernels: [`matmul_into`] and its lhs variants.
+    Panel,
+}
+
+impl Product {
+    fn of(columns: usize) -> Product {
+        if NARROW.contains(&columns) {
+            Product::Narrow
+        } else {
+            Product::Panel
+        }
+    }
+
+    /// `out = A · b`, `A` (`m × k`) read as `lhs` says.
+    fn run(
+        self,
+        lhs: Lhs<'_>,
+        b: &[Complex64],
+        out: &mut [Complex64],
+        m: usize,
+        k: usize,
+        n: usize,
+    ) {
+        match (self, lhs) {
+            (Product::Narrow, lhs) => matmul_narrow_into(lhs, b, out, m, k, n),
+            (Product::Panel, Lhs::RowMajor(a)) => matmul_into(a, b, out, m, k, n),
+            (Product::Panel, Lhs::Transposed(a)) => matmul_transposed_lhs_into(a, b, out, m, k, n),
+            (Product::Panel, Lhs::Gathered { data, row, col }) => {
+                matmul_gather_lhs_into(data, row, col, b, out, n)
+            }
+        }
+    }
+}
+
+/// The arithmetic of one pair contraction as lowering first lays it
+/// out, independent of where its operands live: its shape and the
+/// gathers (ranges of the lowering's table buffer) it reads and writes
+/// its operands through. The lowered [`Step`]s are made from it.
 #[derive(Clone, Copy, Debug)]
 struct Kernel {
     m: usize,
@@ -528,60 +776,15 @@ struct Kernel {
     /// the product is staged in the scratch and copied through the
     /// reader's operand gather into the destination.
     out_gather: Option<Gather>,
-    /// The inverse of `out_gather`, reading the product's natural
-    /// `m × n` layout out of the reader's: kept by a child of a
-    /// dot-product root when [`Kernel::inverts_out_gather`], whose lhs
-    /// reverse step reads its environment (the sibling's forward value,
-    /// in the reader's layout) through it rather than staging it.
-    env_gather: Option<Gather>,
 }
 
 impl Kernel {
-    /// `dst = a · b` with the operand permutations applied, `dst` in
-    /// the reader's layout when [`Kernel::out_gather`] is set.
-    /// `scratch` (at least [`Kernel::scratch_len`] long) holds the
-    /// permuted rhs, then the staged product.
-    fn run(
-        &self,
-        tables: &[usize],
-        a: &[Complex64],
-        b: &[Complex64],
-        dst: &mut [Complex64],
-        scratch: &mut [Complex64],
-    ) {
-        let (rhs_scratch, stage) = scratch.split_at_mut(self.rhs_scratch_len());
-        // Materialize the permuted rhs when it isn't already in
-        // k-leading order.
-        let b = match &self.rhs_gather {
-            None => b,
-            Some(g) => {
-                g.copy(tables, b, rhs_scratch);
-                &*rhs_scratch
-            }
-        };
-        match &self.out_gather {
-            None => self.matmul(tables, a, b, dst),
-            Some(g) => {
-                let staged = &mut stage[..self.m * self.n];
-                self.matmul(tables, a, b, staged);
-                g.copy(tables, staged, dst);
-            }
-        }
-    }
-
-    fn matmul(&self, tables: &[usize], a: &[Complex64], b: &[Complex64], dst: &mut [Complex64]) {
-        match &self.lhs_gather {
-            None => matmul_into(a, b, dst, self.m, self.k, self.n),
-            Some(g) => matmul_gather_lhs_into(a, g.row(tables), g.col(tables), b, dst, self.n),
-        }
-    }
-
     fn rhs_scratch_len(&self) -> usize {
         self.rhs_gather.as_ref().map_or(0, |_| self.k * self.n)
     }
 
-    /// Scratch elements [`Kernel::run`] uses: the permuted rhs, then
-    /// the staged product.
+    /// Scratch elements [`forward`] uses: the permuted rhs, then the
+    /// staged product.
     fn scratch_len(&self) -> usize {
         self.rhs_scratch_len() + self.out_gather.as_ref().map_or(0, |_| self.m * self.n)
     }
@@ -615,21 +818,35 @@ impl Kernel {
     }
 
     /// Whether the inverse of the step's `out_gather` is worth keeping
-    /// ([`Kernel::env_gather`]): its `m + n` table entries, which the
-    /// plan holds once, cost at most an eighth of the `m·n` staged
-    /// elements they spare every worker's scratch, and the lhs reverse
-    /// step reads a matrix of several rows. Such a step's lhs reverse
-    /// step adds each dot product in one running sum ([`dot_products`],
-    /// the order of a gathered read) wherever its environment lies, so
-    /// no level sum depends on where it is read from.
+    /// ([`EnvIn::Inverse`]): its `m + n` table entries, which the plan
+    /// holds once, cost at most an eighth of the `m·n` staged elements
+    /// they spare every worker's scratch, and the lhs reverse step
+    /// reads a matrix of several rows. Such a step's lhs reverse step
+    /// adds each dot product in one running sum ([`dot_products`], the
+    /// order of a gathered read) wherever its environment lies, so no
+    /// level sum depends on where it is read from.
     fn inverts_out_gather(&self) -> bool {
         self.out_gather.is_some() && self.m > 1 && 8 * (self.m + self.n) <= self.m * self.n
+    }
+
+    /// The reverse step of operand `side`, by the rules above.
+    fn reverse(&self, side: usize) -> Reverse {
+        match (side, self.env_by_dots(side)) {
+            (LHS, true) if self.rhs_gather.is_none() && !self.inverts_out_gather() => {
+                Reverse::LhsDots
+            }
+            (LHS, true) => Reverse::LhsSums,
+            (LHS, false) => Reverse::LhsProduct(Product::of(self.k)),
+            (_, true) => Reverse::RhsSums,
+            (_, false) => Reverse::RhsProduct(Product::of(self.n)),
+        }
     }
 
     /// Scratch elements a reverse step uses for the environment of
     /// operand `side`: the transposed rhs of an lhs matmul, and the
     /// operand's environment when it is `staged` there (to be scattered,
-    /// [`env_scatter`], or to replace its parent's on the env stack).
+    /// [`Adjoint::scatter`], or to replace its parent's on the env
+    /// stack).
     fn env_scratch_len(&self, side: usize, staged: bool) -> usize {
         let staged = if staged { self.env_len(side) } else { 0 };
         match side {
@@ -639,38 +856,30 @@ impl Kernel {
     }
 
     fn flops(&self) -> u128 {
-        (self.m as u128)
-            .saturating_mul(self.k.max(1) as u128)
-            .saturating_mul(self.n as u128)
-    }
-
-    /// Table entries of the kernel's gathers.
-    fn table_len(&self) -> usize {
-        [
-            self.lhs_gather,
-            self.rhs_gather,
-            self.out_gather,
-            self.env_gather,
-        ]
-        .iter()
-        .flatten()
-        .map(Gather::len)
-        .sum()
+        flops(self.m, self.k, self.n)
     }
 }
 
-/// Operand sides of a step, as indices into [`ExecStep::env`].
+/// The `m·k·n` of a step, `k` at least 1.
+fn flops(m: usize, k: usize, n: usize) -> u128 {
+    (m as u128)
+        .saturating_mul(k.max(1) as u128)
+        .saturating_mul(n as u128)
+}
+
+/// Operand sides of a step, as indices into its environment targets
+/// and its [`Adjoint`]s.
 const LHS: usize = 0;
 const RHS: usize = 1;
 
 /// Where the environment of one operand of a hot step goes in an
 /// environment sweep ([`ExecutablePlan::sweep_network_envs`]).
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum EnvTarget {
     /// A cold operand: nothing varies below it, so no environment.
     Cold,
     /// A varying input leaf.
-    Leaf(usize),
+    Leaf(u32),
     /// A hot node: the hot step with this index.
     Step(u32),
 }
@@ -682,31 +891,268 @@ impl EnvTarget {
     }
 }
 
-/// One lowered hot pair contraction.
+/// One hot pair contraction as lowering lays it out, before its
+/// [`Step`] and [`Adjoint`]s are made.
 #[derive(Clone, Debug)]
-struct ExecStep {
+struct HotStep {
     lhs: SlotLoc,
     rhs: SlotLoc,
     /// Arena offset of the `m × n` result.
     dst_offset: usize,
     kernel: Kernel,
+    /// The transposed copy of a gathered rhs, read by the lhs reverse
+    /// step when it is a product.
+    rhs_t: Option<Gather>,
+    /// Indices, in the plan's gathers, of the inverse of the out copy,
+    /// the transposed copy of the rhs and the transposed tables of the
+    /// lhs, as the reverse steps read them.
+    ids: [Option<u32>; 3],
     /// Where the environments of the lhs and the rhs go.
     env: [EnvTarget; 2],
 }
 
-/// One node of an environment sweep's depth-first walk: the hot step,
-/// where its environment is, and the operand side to visit next
-/// (`2` once both are done).
+/// The gather that takes the environment of operand `side` of `step`
+/// from the layout the step reads the operand in back to the operand's
+/// own: the step's lhs or rhs gather, or, for a hot rhs node stored in
+/// the step's layout, that node's `out_gather`. So a hot node's
+/// environment always lies in its product's natural layout, where its
+/// own reverse steps read it, and is permuted once per sweep.
+fn env_scatter(steps: &[HotStep], step: &HotStep, side: usize) -> Option<Gather> {
+    match (side, step.env[side]) {
+        (LHS, _) => step.kernel.lhs_gather,
+        // A hot rhs node read through a permutation carries it.
+        (_, EnvTarget::Step(c)) => steps[c as usize].kernel.out_gather,
+        _ => step.kernel.rhs_gather,
+    }
+}
+
+/// Appends to `out`, depth first from hot step `si`, the reverse steps
+/// of its hot operands (as `make` makes them), each followed by its
+/// operand's subtree, and sets each one's `skip` past that subtree.
+fn push_walk(
+    si: usize,
+    steps: &[HotStep],
+    make: &dyn Fn(usize, usize) -> Adjoint,
+    out: &mut Vec<Adjoint>,
+) {
+    for (side, target) in steps[si].env.into_iter().enumerate() {
+        if !target.is_hot() {
+            continue;
+        }
+        let at = out.len();
+        out.push(make(si, side));
+        if let EnvTarget::Step(c) = target {
+            push_walk(c as usize, steps, make, out);
+        }
+        out[at].skip = pos32(out.len());
+    }
+}
+
+/// One hot pair contraction as replays run it, fixed at lowering: where
+/// its operands and its node lie, its shape (checked against its
+/// buffers once, there), its product kernel, and the gathers it reads
+/// and writes through (indices into the plan's gathers). A replay only
+/// walks these records.
 #[derive(Clone, Copy, Debug)]
-struct EnvFrame {
+struct Step {
+    lhs: Src,
+    rhs: Src,
+    /// Arena offset of the node's `m × n` region.
+    dst: u32,
+    m: u32,
+    k: u32,
+    n: u32,
+    product: Product,
+    /// The lhs is read through this gather, fused into the product.
+    lhs_gather: Option<u32>,
+    /// The rhs is copied through this gather into the scratch first.
+    rhs_copy: Option<u32>,
+    /// The node is stored in its reader's layout: the product is staged
+    /// in the scratch and copied through this gather into the node.
+    out_copy: Option<u32>,
+}
+
+impl Step {
+    fn dims(&self) -> (usize, usize, usize) {
+        (self.m as usize, self.k as usize, self.n as usize)
+    }
+
+    /// The step's `m·k·n`, `k` at least 1: three `u32`s, so no
+    /// product overflows.
+    fn flops(&self) -> u128 {
+        u128::from(self.m) * u128::from(self.k.max(1)) * u128::from(self.n)
+    }
+}
+
+/// `dst = a · b` for step `s`, with its operand permutations applied
+/// and `dst` in the reader's layout when the step has an out copy.
+/// `scratch` (at least [`Kernel::scratch_len`] long) holds the copied
+/// rhs, then the staged product. Cold steps at lowering and hot steps
+/// in every replay run through here.
+fn forward(
+    tables: &[usize],
+    gathers: &[Gather],
+    s: &Step,
+    a: &[Complex64],
+    b: &[Complex64],
+    dst: &mut [Complex64],
+    scratch: &mut [Complex64],
+) {
+    let (m, k, n) = s.dims();
+    let (b_copy, stage) = scratch.split_at_mut(if s.rhs_copy.is_some() { k * n } else { 0 });
+    let b = match s.rhs_copy {
+        None => b,
+        Some(g) => {
+            gathers[g as usize].copy(tables, b, b_copy);
+            &*b_copy
+        }
+    };
+    let lhs = match s.lhs_gather {
+        None => Lhs::RowMajor(a),
+        Some(g) => gathers[g as usize].lhs(tables, a),
+    };
+    match s.out_copy {
+        None => s.product.run(lhs, b, dst, m, k, n),
+        Some(g) => {
+            let staged = &mut stage[..m * n];
+            s.product.run(lhs, b, staged, m, k, n);
+            gathers[g as usize].copy(tables, staged, dst);
+        }
+    }
+}
+
+/// A buffer split around one step's destination region: what lies
+/// below it and what lies above it. The regions a step reads lie
+/// wholly below or wholly above its own (the allocators lay nodes out
+/// so), so no step sorts its regions.
+struct Around<'a> {
+    below: &'a [Complex64],
+    /// Where `above` starts in the buffer.
+    end: usize,
+    above: &'a [Complex64],
+}
+
+impl<'a> Around<'a> {
+    /// Splits `buf` around `buf[at..at + len]`, which it returns.
+    fn split(buf: &'a mut [Complex64], at: usize, len: usize) -> (Around<'a>, &'a mut [Complex64]) {
+        let (below, rest) = buf.split_at_mut(at);
+        let (dst, above) = rest.split_at_mut(len);
+        let end = at + len;
+        (Around { below, end, above }, dst)
+    }
+
+    /// The whole of `buf`, for reads only.
+    fn whole(buf: &'a [Complex64]) -> Around<'a> {
+        Around {
+            below: buf,
+            end: buf.len(),
+            above: &[],
+        }
+    }
+
+    fn read(&self, at: usize, len: usize) -> &'a [Complex64] {
+        if at < self.below.len() {
+            &self.below[at..][..len]
+        } else {
+            &self.above[at - self.end..][..len]
+        }
+    }
+}
+
+/// The `len` elements an operand at `src` holds: an input (its length
+/// checked once per execution), a cold-cache region, or an arena region.
+fn read<'a, 'i: 'a>(
+    src: Src,
+    len: usize,
+    input: &impl Fn(usize) -> &'i [Complex64],
+    cold: &'a [Complex64],
+    arena: &Around<'a>,
+) -> &'a [Complex64] {
+    match src {
+        Src::Input(i) => input(i as usize),
+        Src::Cold(at) => &cold[at as usize..][..len],
+        Src::Arena(at) => arena.read(at as usize, len),
+    }
+}
+
+/// How a reverse step multiplies: the order its output entries are
+/// summed in is part of every level sum's bits.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Reverse {
+    /// `env(lhs) = env(P)·rhsᵀ` with both factors row-major: each entry
+    /// a [`dot`] of two contiguous rows.
+    LhsDots,
+    /// `env(lhs)`, each entry one running sum ([`dot_products`]).
+    LhsSums,
+    /// `env(lhs)` as a product, the rhs first transposed into the
+    /// scratch.
+    LhsProduct(Product),
+    /// `env(rhs) = lhsᵀ·env(P)` for a one-column rhs, each entry one
+    /// running sum.
+    RhsSums,
+    /// `env(rhs)` as a product with a transposed (or gathered) lhs.
+    RhsProduct(Product),
+    /// `env(rhs)` as a product taken entry by entry
+    /// ([`product_entries`]), bit for bit the product, for a small step
+    /// whose environment is scattered: its entries are stored straight
+    /// into the operand's own layout.
+    RhsEntries,
+}
+
+/// Where a reverse step reads the environment of its step's node.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum EnvIn {
+    /// An operand of a dot-product root: its environment is the other
+    /// operand's forward value, as it lies, and takes no step.
+    Root(Src),
+    /// On the env stack, in the product's natural `m × n` layout.
+    Stack,
+    /// A child of a dot-product root: the sibling's forward value, as
+    /// it lies.
+    Sibling(Src),
+    /// A child of a dot-product root stored in its reader's layout: the
+    /// sibling's forward value, read through the inverse of the node's
+    /// out copy (this gather).
+    Inverse(Src, u32),
+    /// As [`EnvIn::Inverse`], but scattered through the node's out copy
+    /// (this gather) into the scratch first.
+    Scattered(Src, u32),
+}
+
+/// One reverse step, fixed at lowering: how the environment of one
+/// operand of a hot step is made and where it goes. A plan keeps them in
+/// the order of a depth-first walk from the root, each operand's
+/// subtree right after its own step, with every position on the env
+/// stack fixed: a sweep is one scan of the list that jumps over the
+/// subtree of every operand it does not want.
+#[derive(Clone, Copy, Debug)]
+struct Adjoint {
+    target: EnvTarget,
+    /// The hot step, and the side of its operand.
     step: u32,
-    /// Where the node's environment starts on the env stack, or, for a
-    /// child of a dot-product root, where its children's start.
-    base: usize,
-    /// For a child of a dot-product root: the sibling it multiplies,
-    /// whose forward value is its environment.
-    alias: Option<SlotLoc>,
-    next: usize,
+    side: u8,
+    /// The environment goes straight onto the env stack, above its
+    /// step's node's: the lhs of a step whose rhs is hot, or a leaf.
+    /// Otherwise it is the step's last child, computed in the scratch,
+    /// and takes its parent's place.
+    above: bool,
+    /// Where the step's node's environment starts on the env stack (a
+    /// child of a dot-product root: where its children's start).
+    base: u32,
+    /// The index of the first reverse step after this operand's subtree.
+    skip: u32,
+    reverse: Reverse,
+    env_in: EnvIn,
+    /// The step's other operand, whose forward value it multiplies by.
+    factor: Src,
+    /// The gather it reads the factor through: the forward step's, or
+    /// for an lhs product the transposed copy of its rhs, or for an rhs
+    /// product the transposed tables of its lhs.
+    factor_gather: Option<u32>,
+    /// The gather that scatters the environment from the layout the
+    /// step reads the operand in back to the operand's own
+    /// ([`env_scatter`]).
+    scatter: Option<u32>,
 }
 
 /// A [`ContractionPlan`] lowered to executable kernels; created by
@@ -723,19 +1169,31 @@ struct EnvFrame {
 /// leaf as varying, so every step is hot and the cold cache is empty.
 ///
 /// Its storage is a fixed set of flat buffers, whatever the plan's
-/// size: the hot steps, one table buffer holding every gather table
-/// (each kernel keeps ranges into it), and the leaf paths as one
+/// size: one record per hot step and two per reverse step, the gathers
+/// they read through, one table buffer holding every gather table
+/// (each gather keeps ranges into it), and the leaf paths as one
 /// offset/step pair.
 #[derive(Clone, Debug)]
 pub struct ExecutablePlan {
     /// Identity for workspace warm-tracking (shared by clones).
     id: u64,
     n_inputs: usize,
-    input_lens: Vec<usize>,
+    /// Per input slot, its length when an execution reads it: checked
+    /// once per replay or sweep, before the first step.
+    input_lens: Vec<Option<usize>>,
     /// Whether each input slot may change between executions.
     varying: Vec<bool>,
     /// The hot steps, in execution order.
-    steps: Vec<ExecStep>,
+    steps: Vec<Step>,
+    /// The reverse steps of the hot operands, depth first from the
+    /// root ([`Adjoint`]).
+    adjoints: Vec<Adjoint>,
+    /// Whether the root hot step is a dot product of two operands read
+    /// as they lie ([`Kernel::is_dot`]): a sweep takes each operand's
+    /// environment as the other's forward value.
+    dot_root: bool,
+    /// Every gather the records read through.
+    gathers: Vec<Gather>,
     /// Every gather table the hot steps and the output stage read.
     tables: Vec<usize>,
     /// Per input slot: the hot-step indices on its leaf-to-root path,
@@ -765,8 +1223,6 @@ pub struct ExecutablePlan {
     /// Elements of the environment stack: its height when a sweep
     /// visits every hot node, the most any sweep needs.
     env_len: usize,
-    /// Frames of the deepest environment walk: the hot tree's height.
-    env_depth: usize,
     /// Scratch elements of the largest reverse step.
     env_scratch_len: usize,
 }
@@ -793,8 +1249,6 @@ pub struct Workspace {
     warm_for: Option<u64>,
     /// Reused buffer for the merged dirty-step set of a delta replay.
     dirty_steps: Vec<u32>,
-    /// An environment sweep's depth-first walk.
-    env_frames: Vec<EnvFrame>,
     /// Per input slot, then per hot step: whether an environment sweep
     /// wants it (a wanted leaf, or a step above one).
     env_wanted: Vec<bool>,
@@ -859,8 +1313,8 @@ impl Workspace {
 
     /// Grows any undersized buffer to what an environment sweep of
     /// `plan` needs on top of its executions: the env stack above the
-    /// persistent hot nodes, the reverse steps' scratch and the walk's
-    /// bookkeeping. Executions alone never pay for it.
+    /// persistent hot nodes, the reverse steps' scratch and the marks of
+    /// the wanted operands. Executions alone never pay for it.
     fn ensure_sweep(&mut self, plan: &ExecutablePlan) {
         for (buf, need) in [
             (&mut self.arena, plan.env_base + plan.env_len),
@@ -871,10 +1325,6 @@ impl Workspace {
         let wanted = plan.n_inputs + plan.steps.len();
         if self.env_wanted.len() < wanted {
             self.env_wanted.resize(wanted, false);
-            self.allocation_events += 1;
-        }
-        if self.env_frames.capacity() < plan.env_depth {
-            self.env_frames.reserve(plan.env_depth);
             self.allocation_events += 1;
         }
     }
@@ -891,32 +1341,6 @@ fn grow(buf: &mut Vec<Complex64>, need: usize, events: &mut u64) {
     }
 }
 
-/// Appends to `out` the flat offsets of every row-major index
-/// combination over `axes` of a row-major tensor of `shape` — one half
-/// of a factorized permutation — and returns how many it appended.
-/// `odometer` is scratch: per axis its dimension, stride and digit.
-fn push_offsets(
-    out: &mut Vec<usize>,
-    shape: &[usize],
-    axes: impl Iterator<Item = usize>,
-    odometer: &mut Vec<[usize; 3]>,
-) -> usize {
-    odometer.clear();
-    odometer.extend(axes.map(|a| [shape[a], shape[a + 1..].iter().product(), 0]));
-    let total: usize = odometer.iter().map(|&[dim, _, _]| dim).product();
-    for _ in 0..total {
-        out.push(odometer.iter().map(|&[_, stride, at]| at * stride).sum());
-        for [dim, _, at] in odometer.iter_mut().rev() {
-            *at += 1;
-            if *at < *dim {
-                break;
-            }
-            *at = 0;
-        }
-    }
-    total
-}
-
 fn is_identity(perm: impl Iterator<Item = usize>) -> bool {
     perm.enumerate().all(|(i, p)| i == p)
 }
@@ -924,7 +1348,7 @@ fn is_identity(perm: impl Iterator<Item = usize>) -> bool {
 /// Lowers every step of `plan` to its [`Kernel`], appending every
 /// gather table to `tables`.
 fn lower_kernels(plan: &ContractionPlan, tables: &mut Vec<usize>) -> Vec<Kernel> {
-    let mut odometer = Vec::new();
+    let mut scratch = Vec::new();
     let mut kernels = Vec::with_capacity(plan.steps().len());
     for (i, step) in plan.steps().iter().enumerate() {
         let (axes_lhs, axes_rhs) = plan.step_axes(i);
@@ -934,24 +1358,10 @@ fn lower_kernels(plan: &ContractionPlan, tables: &mut Vec<usize>) -> Vec<Kernel>
         let free_b = || (0..sb.len()).filter(move |i| !axes_rhs.contains(i));
         // Permutations bringing contracted axes trailing (lhs) /
         // leading (rhs), elided when already in place.
-        let lhs_gather = (!is_identity(free_a().chain(axes_lhs.iter().copied()))).then(|| {
-            Gather::push(
-                tables,
-                sa,
-                free_a(),
-                axes_lhs.iter().copied(),
-                &mut odometer,
-            )
-        });
-        let rhs_gather = (!is_identity(axes_rhs.iter().copied().chain(free_b()))).then(|| {
-            Gather::push(
-                tables,
-                sb,
-                axes_rhs.iter().copied(),
-                free_b(),
-                &mut odometer,
-            )
-        });
+        let lhs_gather = (!is_identity(free_a().chain(axes_lhs.iter().copied())))
+            .then(|| Gather::push(tables, sa, free_a(), axes_lhs.iter().copied(), &mut scratch));
+        let rhs_gather = (!is_identity(axes_rhs.iter().copied().chain(free_b())))
+            .then(|| Gather::push(tables, sb, axes_rhs.iter().copied(), free_b(), &mut scratch));
         kernels.push(Kernel {
             m: free_a().map(|i| sa[i]).product(),
             k: axes_lhs.iter().map(|&i| sa[i]).product(),
@@ -959,12 +1369,35 @@ fn lower_kernels(plan: &ContractionPlan, tables: &mut Vec<usize>) -> Vec<Kernel>
             lhs_gather,
             rhs_gather,
             out_gather: None,
-            env_gather: None,
         });
     }
     kernels
 }
 
+/// The [`Step`] of `kernel`, reading its operands at `lhs` and `rhs`
+/// and writing its node at `dst`, with each of its gathers (their
+/// tables where they lie) stored by `push`, which returns its index.
+fn step_of(
+    kernel: &Kernel,
+    lhs: Src,
+    rhs: Src,
+    dst: usize,
+    mut store: impl FnMut(Gather) -> u32,
+) -> Step {
+    let mut push = |g: Option<Gather>| g.map(&mut store);
+    Step {
+        lhs,
+        rhs,
+        dst: pos32(dst),
+        m: pos32(kernel.m),
+        k: pos32(kernel.k),
+        n: pos32(kernel.n),
+        product: Product::of(kernel.n),
+        lhs_gather: push(kernel.lhs_gather),
+        rhs_copy: push(kernel.rhs_gather),
+        out_copy: push(kernel.out_gather),
+    }
+}
 /// What [`ExecutablePlan::lower`] needs to run a plan's cold part: the
 /// varying input slots and a reader of every input's payload.
 type ColdInputs<'a, 'i> = (&'a [usize], &'a dyn Fn(usize) -> &'i [Complex64]);
@@ -1026,7 +1459,6 @@ impl ExecutablePlan {
         let n_inputs = plan.n_inputs();
         let n_steps = plan.steps().len();
         let slot_len = |slot: usize| -> usize { plan.slot_shape(slot).iter().product() };
-        let input_lens: Vec<usize> = (0..n_inputs).map(slot_len).collect();
         let below = match cold {
             Some((varying, _)) => plan.varying_below(varying),
             None => plan.varying_below(&(0..n_inputs).collect::<Vec<_>>()),
@@ -1081,8 +1513,9 @@ impl ExecutablePlan {
             }
         }
 
-        // Run the cold steps once. A cold node the hot part does not
-        // read is a temporary: it lives from its step until its (cold)
+        // Run the cold steps once, through the same records and step
+        // function as a replay. A cold node the hot part does not read
+        // is a temporary: it lives from its step until its (cold)
         // parent has read it, in a first-fit pool laid out before the
         // run, so all temporaries share one buffer.
         let mut cold_cache = vec![Complex64::ZERO; cold_len];
@@ -1109,37 +1542,38 @@ impl ExecutablePlan {
             let mut scratch = vec![Complex64::ZERO; scratch_need];
             let leaf = |s: usize| {
                 let data = input(s);
-                assert_eq!(data.len(), input_lens[s], "input tensor {s} length");
+                assert_eq!(data.len(), slot_len(s), "input tensor {s} length");
                 data
             };
             // A cold child is either an input leaf or a temporary only
             // this step reads.
-            let region = |s: usize| (s >= n_inputs).then(|| (temp_at[s - n_inputs], slot_len(s)));
+            let at = |s: usize| match s.checked_sub(n_inputs) {
+                None => Src::Input(pos32(s)),
+                Some(i) => Src::Arena(pos32(temp_at[i])),
+            };
+            let mut gathers = [Gather::NONE; 3];
             for (i, step) in plan.steps().iter().enumerate() {
                 if !cold_step(i) {
                     continue;
                 }
-                let slot = n_inputs + i;
-                let (ra, rb, dst) = if cached(slot) {
-                    let off = cold_at[i];
-                    let temp =
-                        |r: Option<(usize, usize)>| r.map(|(off, len)| &temps[off..off + len]);
+                let mut used = 0;
+                let s = step_of(&kernels[i], at(step.lhs), at(step.rhs), 0, |g| {
+                    gathers[used] = g;
+                    used += 1;
+                    pos32(used - 1)
+                });
+                let (m, k, n) = s.dims();
+                let (around, dst) = if cached(n_inputs + i) {
                     (
-                        temp(region(step.lhs)),
-                        temp(region(step.rhs)),
-                        &mut cold_cache[off..off + slot_len(slot)],
+                        Around::whole(&temps),
+                        &mut cold_cache[cold_at[i]..][..m * n],
                     )
                 } else {
-                    split3(
-                        &mut temps,
-                        region(step.lhs),
-                        region(step.rhs),
-                        (temp_at[i], slot_len(slot)),
-                    )
+                    Around::split(&mut temps, temp_at[i], m * n)
                 };
-                let a = ra.unwrap_or_else(|| leaf(step.lhs));
-                let b = rb.unwrap_or_else(|| leaf(step.rhs));
-                kernels[i].run(&tables, a, b, dst, &mut scratch);
+                let a = read(s.lhs, m * k, &leaf, &[], &around);
+                let b = read(s.rhs, k * n, &leaf, &[], &around);
+                forward(&tables, &gathers, &s, a, b, dst, &mut scratch);
             }
         }
 
@@ -1162,6 +1596,7 @@ impl ExecutablePlan {
             .map(slot_len)
             .sum();
         let mut pool = TransientPool::new(persistent_len);
+        let mut axes = Vec::new();
         let mut locs: Vec<SlotLoc> = Vec::with_capacity(n_inputs + n_steps);
         locs.extend((0..n_inputs).map(SlotLoc::Input));
         let mut hot_index = vec![u32::MAX; n_steps];
@@ -1201,48 +1636,60 @@ impl ExecutablePlan {
             }
             replay_stats.contractions += 1;
             replay_stats.flops_proxy += kernel.flops();
-            hot_index[i] = steps.len() as u32;
+            hot_index[i] = pos32(steps.len());
             let env_target = |child: usize| match (hot(child), child < n_inputs) {
                 (false, _) => EnvTarget::Cold,
-                (true, true) => EnvTarget::Leaf(child),
+                (true, true) => EnvTarget::Leaf(pos32(child)),
                 (true, false) => EnvTarget::Step(hot_index[child - n_inputs]),
             };
-            steps.push(ExecStep {
+            let env = [env_target(step.lhs), env_target(step.rhs)];
+            // An lhs reverse product reads its rhs transposed: a
+            // gathered rhs gets the transposed copy, with its own walk.
+            let rhs_t = match (kernel.reverse(LHS), kernel.rhs_gather) {
+                (Reverse::LhsProduct(_), Some(g)) if env[LHS].is_hot() => {
+                    Some(g.transposed_copy(&mut tables, &mut axes))
+                }
+                _ => None,
+            };
+            steps.push(HotStep {
                 lhs: locs[step.lhs],
                 rhs: locs[step.rhs],
                 dst_offset: offset,
                 kernel: *kernel,
-                env: [env_target(step.lhs), env_target(step.rhs)],
+                rhs_t,
+                ids: [None; 3],
+                env,
             });
             locs.push(SlotLoc::Arena { offset, len });
         }
 
-        // Bound the environment stack of a sweep. It walks the hot
-        // tree depth first from the root: a child's environment is
-        // computed right above its parent's, and stays there while the
-        // parent still has its rhs to visit; the last child a parent
-        // visits is computed in the scratch and moves down into the
-        // parent's place. The stack holds one root-to-leaf path of
-        // pending parents at a time, at most what it holds when every
-        // child is visited, laid out here: per hot step, its stack
-        // base, whether its environment is its sibling's forward value
-        // (the children of a dot-product root), and its depth. It lives
+        // Lay out the environment stack of a sweep. It walks the hot
+        // tree depth first from the root: an lhs child whose sibling is
+        // hot has its environment computed right above its parent's,
+        // which stays for the rhs; a parent's last child is computed in
+        // the scratch and takes the parent's place. The stack holds one
+        // root-to-leaf path of pending parents at a time, and every
+        // position is fixed here, whichever operands a sweep wants: per
+        // hot step, its stack base and whether its environment is its
+        // sibling's forward value (the children of a dot-product root).
+        // It lives
         // where the transient nodes do, which no execution reads across
         // executions and no sweep reads at all: a transient node's
         // sibling is cold. A child of a dot-product root stored in its
         // reader's layout has its sibling's forward value, in that
         // layout, for environment: its reverse steps stage it in the
         // product's, or read it through the inverse gather.
-        let mut env_at = vec![(0usize, false, 1usize); steps.len()];
+        let dot_root = steps.last().is_some_and(|s: &HotStep| s.kernel.is_dot());
+        let mut env_at = vec![(0usize, false); steps.len()];
         let (mut env_len, mut env_scratch_len) = (0usize, 0usize);
         for si in (0..steps.len()).rev() {
-            let (base, alias, depth) = env_at[si];
+            let (base, alias) = env_at[si];
             let step = &steps[si];
             let k = &step.kernel;
-            if si + 1 == steps.len() && k.is_dot() {
+            if si + 1 == steps.len() && dot_root {
                 for target in step.env {
                     if let EnvTarget::Step(c) = target {
-                        env_at[c as usize] = (0, true, depth);
+                        env_at[c as usize] = (0, true);
                     }
                 }
                 continue;
@@ -1257,11 +1704,11 @@ impl ExecutablePlan {
                     EnvTarget::Cold => continue,
                     EnvTarget::Leaf(_) => (above + len, k.env_scratch_len(side, scattered)),
                     EnvTarget::Step(c) if side == LHS && pending => {
-                        env_at[c as usize] = (above, false, depth + 1);
+                        env_at[c as usize] = (above, false);
                         (above + len, k.env_scratch_len(side, scattered))
                     }
                     EnvTarget::Step(c) => {
-                        env_at[c as usize] = (base, false, depth + 1);
+                        env_at[c as usize] = (base, false);
                         (base + len, k.env_scratch_len(side, true))
                     }
                 };
@@ -1275,8 +1722,6 @@ impl ExecutablePlan {
                 env_scratch_len = env_scratch_len.max(staged + scratch);
             }
         }
-        // A dot-product root's two children may both wait on the walk.
-        let env_depth = 1 + env_at.iter().map(|&(_, _, depth)| depth).max().unwrap_or(0);
         let arena_len = pool.end;
 
         let (result, result_shape) = if n_inputs == 0 {
@@ -1287,36 +1732,135 @@ impl ExecutablePlan {
         };
         let result_len: usize = result_shape.iter().product();
 
-        // Keep only the tables the hot steps and the output stage read,
-        // in one exactly sized buffer.
+        // Make the records, with their gathers, and keep only the
+        // tables they and the output stage read, in exactly sized
+        // buffers. The dot-product root's children (alias steps) keep
+        // the inverse of their reader's gather where it is cheap.
         let perm = plan.output_perm();
-        // The dot-product root's children (alias frames) keep the
-        // inverse of their reader's gather where it is cheap.
-        let inverted =
-            |k: &Kernel, &(_, alias, _): &(usize, bool, usize)| alias && k.inverts_out_gather();
-        let env_tables: usize = steps
-            .iter()
-            .zip(&env_at)
-            .filter(|(s, at)| inverted(&s.kernel, at))
-            .map(|(s, _)| s.kernel.m + s.kernel.n)
-            .sum();
-        let hot_tables_len = steps.iter().map(|s| s.kernel.table_len()).sum::<usize>()
-            + env_tables
-            + perm.map_or(0, |_| result_len);
-        let mut hot_tables = Vec::with_capacity(hot_tables_len);
-        let mut inverse = Vec::new();
-        for (step, at) in steps.iter_mut().zip(&env_at) {
-            let inverted = inverted(&step.kernel, at);
-            let k = &mut step.kernel;
-            for gather in [&mut k.lhs_gather, &mut k.rhs_gather, &mut k.out_gather]
-                .into_iter()
+        let inverted = |k: &Kernel, &(_, alias): &(usize, bool)| alias && k.inverts_out_gather();
+        let mut hot_tables_len = perm.map_or(0, |_| result_len);
+        let mut gathers_len = 0;
+        for (s, at) in steps.iter().zip(&env_at) {
+            let k = &s.kernel;
+            for g in [k.lhs_gather, k.rhs_gather, k.out_gather, s.rhs_t]
+                .iter()
                 .flatten()
             {
-                *gather = gather.moved(&tables, &mut hot_tables);
+                hot_tables_len += g.len(&tables);
+                gathers_len += 1;
             }
-            if let Some(out) = k.out_gather.filter(|_| inverted) {
-                k.env_gather = Some(out.inverse(k.m, k.n, &mut hot_tables, &mut inverse));
+            if inverted(k, at) {
+                hot_tables_len += k.m + k.n;
+                gathers_len += 1;
             }
+            gathers_len += usize::from(k.lhs_gather.is_some());
+        }
+        let mut hot_tables = Vec::with_capacity(hot_tables_len);
+        let mut gathers = Vec::with_capacity(gathers_len);
+        let mut records: Vec<Step> = Vec::with_capacity(steps.len());
+        let mut inverse = Vec::new();
+        for (step, at) in steps.iter_mut().zip(&env_at) {
+            let mut moved = |g: Option<Gather>| g.map(|g| g.moved(&tables, &mut hot_tables));
+            let kernel = Kernel {
+                lhs_gather: moved(step.kernel.lhs_gather),
+                rhs_gather: moved(step.kernel.rhs_gather),
+                out_gather: moved(step.kernel.out_gather),
+                ..step.kernel
+            };
+            let rhs_t = moved(step.rhs_t);
+            let mut push = |g: Gather| {
+                gathers.push(g);
+                pos32(gathers.len() - 1)
+            };
+            let record = step_of(
+                &kernel,
+                step.lhs.src(),
+                step.rhs.src(),
+                step.dst_offset,
+                &mut push,
+            );
+            step.ids = [
+                match kernel.out_gather {
+                    Some(out) if inverted(&kernel, at) => Some(push(out.inverse(
+                        kernel.m,
+                        kernel.n,
+                        &mut hot_tables,
+                        &mut inverse,
+                    ))),
+                    _ => None,
+                },
+                rhs_t.map(&mut push),
+                match (kernel.reverse(RHS), kernel.lhs_gather) {
+                    (Reverse::RhsProduct(_), Some(g)) if step.env[RHS].is_hot() => {
+                        Some(push(g.transposed()))
+                    }
+                    _ => None,
+                },
+            ];
+            records.push(record);
+        }
+        // The reverse steps, depth first from the root.
+        let mut adjoints = Vec::with_capacity(2 * steps.len());
+        if let Some(root) = steps.len().checked_sub(1) {
+            let make = |si: usize, side: usize| {
+                let (step, record) = (&steps[si], &records[si]);
+                let kernel = &step.kernel;
+                let [inverse, rhs_t, lhs_t] = step.ids;
+                let scatter = match (side, step.env[side]) {
+                    (LHS, _) => record.lhs_gather,
+                    // A hot rhs node read through a permutation carries it.
+                    (_, EnvTarget::Step(c)) => records[c as usize].out_copy,
+                    _ => record.rhs_copy,
+                };
+                let reverse = match kernel.reverse(side) {
+                    Reverse::RhsProduct(_)
+                        if scatter.is_some() && kernel.flops() <= SMALL_STEP as u128 =>
+                    {
+                        Reverse::RhsEntries
+                    }
+                    reverse => reverse,
+                };
+                let other = if side == LHS { record.rhs } else { record.lhs };
+                // The sibling whose forward value is the environment of
+                // a dot-product root's child.
+                let sibling = || match steps[root].env[LHS] == EnvTarget::Step(pos32(si)) {
+                    true => records[root].rhs,
+                    false => records[root].lhs,
+                };
+                let (base, alias) = env_at[si];
+                let env_in = match (si == root && dot_root, alias, record.out_copy, inverse) {
+                    (true, ..) => EnvIn::Root(other),
+                    (false, false, _, _) => EnvIn::Stack,
+                    (false, true, None, _) => EnvIn::Sibling(sibling()),
+                    (false, true, Some(_), Some(inv)) if side == LHS => {
+                        EnvIn::Inverse(sibling(), inv)
+                    }
+                    (false, true, Some(out), _) => EnvIn::Scattered(sibling(), out),
+                };
+                let factor_gather = match reverse {
+                    Reverse::LhsDots => None,
+                    Reverse::LhsSums => record.rhs_copy,
+                    Reverse::LhsProduct(_) => rhs_t,
+                    Reverse::RhsSums | Reverse::RhsEntries => record.lhs_gather,
+                    Reverse::RhsProduct(_) => lhs_t,
+                };
+                let target = step.env[side];
+                Adjoint {
+                    target,
+                    step: pos32(si),
+                    side: side as u8,
+                    above: matches!(target, EnvTarget::Leaf(_))
+                        || (side == LHS && step.env[RHS].is_hot()),
+                    base: pos32(base),
+                    skip: 0,
+                    reverse,
+                    env_in,
+                    factor: other,
+                    factor_gather,
+                    scatter,
+                }
+            };
+            push_walk(root, &steps, &make, &mut adjoints);
         }
         let (output_shape, out_gather) = match perm {
             Some(perm) => {
@@ -1325,16 +1869,24 @@ impl ExecutablePlan {
                 // the un-permuted result's strides — the same
                 // factorized-permutation table as the operand gathers.
                 let start = hot_tables.len();
-                push_offsets(
-                    &mut hot_tables,
-                    result_shape,
-                    perm.iter().copied(),
-                    &mut Vec::new(),
-                );
+                push_offsets(&mut hot_tables, result_shape, perm.iter().copied());
                 (out_shape, Some(start))
             }
             None => (result_shape.to_vec(), None),
         };
+        // Executions check the inputs they read, once each: those of
+        // the hot steps, and an input that is the result.
+        let mut input_lens = vec![None; n_inputs];
+        let reads = records.iter().flat_map(|s| [s.lhs, s.rhs]);
+        for i in reads.filter_map(|src| match src {
+            Src::Input(i) => Some(i as usize),
+            _ => None,
+        }) {
+            input_lens[i] = Some(slot_len(i));
+        }
+        if let SlotLoc::Input(i) = result {
+            input_lens[i] = Some(slot_len(i));
+        }
 
         let varying: Vec<bool> = (0..n_inputs).map(hot).collect();
         // Every step on a varying leaf's path is hot.
@@ -1366,7 +1918,10 @@ impl ExecutablePlan {
             n_inputs,
             input_lens,
             varying,
-            steps,
+            steps: records,
+            adjoints,
+            dot_root,
+            gathers,
             tables: hot_tables,
             path_start,
             path_steps,
@@ -1380,7 +1935,6 @@ impl ExecutablePlan {
             replay_stats,
             env_base: persistent_len,
             env_len,
-            env_depth,
             env_scratch_len,
         }
     }
@@ -1401,10 +1955,7 @@ impl ExecutablePlan {
     /// permuted and the parent's kernel reads it as it lies (module
     /// docs, *Operand layouts*).
     pub fn pre_permuted_hot_nodes(&self) -> usize {
-        self.steps
-            .iter()
-            .filter(|s| s.kernel.out_gather.is_some())
-            .count()
+        self.steps.iter().filter(|s| s.out_copy.is_some()).count()
     }
 
     /// Workspace elements an environment sweep needs on top of what
@@ -1622,6 +2173,21 @@ impl ExecutablePlan {
         stats
     }
 
+    /// Checks the lengths of the input slots `leaves` once, before a
+    /// replay or a sweep reads them: no step checks an operand's
+    /// length, lowering checked every other buffer's.
+    fn check_inputs<'i>(
+        &self,
+        input: &impl Fn(usize) -> &'i [Complex64],
+        leaves: impl Iterator<Item = usize>,
+    ) {
+        for i in leaves {
+            if let Some(len) = self.input_lens[i] {
+                assert_eq!(input(i).len(), len, "input tensor {i} length");
+            }
+        }
+    }
+
     fn run_sweep<'i>(
         &self,
         input: impl Fn(usize) -> &'i [Complex64],
@@ -1635,19 +2201,20 @@ impl ExecutablePlan {
             max_intermediate: self.replay_stats.max_intermediate,
             ..Default::default()
         };
-        let Some(root) = self.steps.len().checked_sub(1) else {
+        if self.steps.is_empty() {
             // No hot step: a varying leaf is the whole network.
             for &leaf in leaves {
                 visit(leaf, &[Complex64::ONE]);
             }
             crate::profile::record_sweep(timer, 0);
             return stats;
-        };
+        }
+        // The sweep reads the payloads the workspace's intermediates
+        // were computed from, whose lengths that replay checked.
         ws.ensure_sweep(self);
         let Workspace {
             arena,
             scratch,
-            env_frames,
             env_wanted,
             ..
         } = ws;
@@ -1666,291 +2233,301 @@ impl ExecutablePlan {
             }
         }
         let (persistent, envs) = arena.split_at_mut(self.env_base);
+        let persistent = Around::whole(persistent);
+        let value = |src: Src, len: usize| read(src, len, &input, &self.cold, &persistent);
         let wanted = |target: EnvTarget| match target {
             EnvTarget::Cold => false,
-            EnvTarget::Leaf(leaf) => env_wanted[leaf],
+            EnvTarget::Leaf(leaf) => env_wanted[leaf as usize],
             EnvTarget::Step(c) => env_wanted[n_inputs + c as usize],
         };
-        env_frames.clear();
-        let top = &self.steps[root];
-        if top.kernel.is_dot() {
-            // The root's environment is 1 and the root is a dot product
-            // of two operands in the same order: each operand's
-            // environment is the other's forward value as it lies.
-            for (side, other) in [(RHS, top.lhs), (LHS, top.rhs)] {
-                match top.env[side] {
-                    EnvTarget::Leaf(leaf) if env_wanted[leaf] => {
-                        visit(leaf, self.forward(other, &input, persistent));
-                    }
-                    EnvTarget::Step(c) if env_wanted[n_inputs + c as usize] => {
-                        env_frames.push(EnvFrame {
-                            step: c,
-                            base: 0,
-                            alias: Some(other),
-                            next: LHS,
-                        });
-                    }
-                    _ => {}
-                }
-            }
-        } else {
+        if !self.dot_root {
             envs[0] = Complex64::ONE;
-            env_frames.push(EnvFrame {
-                step: root as u32,
-                base: 0,
-                alias: None,
-                next: LHS,
-            });
         }
-        while let Some(frame) = env_frames.last_mut() {
-            let side = frame.next;
-            if side > RHS {
-                env_frames.pop();
+        let tables = &self.tables[..];
+        // One scan of the reverse steps, depth first, jumping over the
+        // subtree of every operand no wanted leaf lies under.
+        let mut at = 0;
+        while let Some(adj) = self.adjoints.get(at) {
+            if !wanted(adj.target) {
+                at = adj.skip as usize;
                 continue;
             }
-            frame.next += 1;
-            let (si, base) = (frame.step as usize, frame.base);
-            let step = &self.steps[si];
-            let k = &step.kernel;
-            let alias = frame.alias;
-            if !wanted(step.env[side]) {
-                continue;
-            }
-            let above = base + alias.map_or(k.m * k.n, |_| 0);
-            let len = k.env_len(side);
+            at += 1;
+            let s = &self.steps[adj.step as usize];
+            let (m, k, n) = s.dims();
+            let (side, base) = (adj.side as usize, adj.base as usize);
+            let above = base + if adj.env_in == EnvIn::Stack { m * n } else { 0 };
+            let len = if side == LHS { m * k } else { k * n };
             let (below, rest) = envs.split_at_mut(above);
             // A dot-product root's child stored in its reader's layout:
             // its environment is its sibling's forward value in that
             // layout, read through the inverse gather or staged in the
             // product's layout for each reverse step, so it takes no
             // stack.
-            let inverse = k.env_gather.filter(|_| side == LHS);
-            let staged = match (alias, k.out_gather, inverse) {
-                (Some(_), Some(_), None) => k.m * k.n,
+            let sibling_len = match adj.env_in {
+                EnvIn::Scattered(..) => m * n,
                 _ => 0,
             };
-            let (staged, scratch) = scratch.split_at_mut(staged);
-            let tables = &self.tables[..];
-            let env_p = match (alias, k.out_gather, inverse) {
-                (Some(loc), Some(_), Some(inv)) => View::Gathered {
-                    data: self.forward(loc, &input, persistent),
-                    row: inv.row(tables),
-                    col: inv.col(tables),
-                },
-                (Some(loc), Some(g), None) => {
-                    g.scatter(tables, self.forward(loc, &input, persistent), staged);
+            let (sibling, scratch) = scratch.split_at_mut(sibling_len);
+            let env_p = match adj.env_in {
+                // The root's environment is 1 and the root is a dot
+                // product of two operands in the same order: each
+                // operand's environment is the other's forward value as
+                // it lies, and a hot node's children read it there.
+                EnvIn::Root(other) => {
+                    if let EnvTarget::Leaf(leaf) = adj.target {
+                        visit(leaf as usize, value(other, k));
+                    }
+                    continue;
+                }
+                EnvIn::Stack => Lhs::RowMajor(&below[base..base + m * n]),
+                EnvIn::Sibling(src) => Lhs::RowMajor(value(src, m * n)),
+                EnvIn::Inverse(src, g) => self.gathers[g as usize].lhs(tables, value(src, m * n)),
+                EnvIn::Scattered(src, g) => {
+                    self.gathers[g as usize].scatter(tables, value(src, m * n), sibling);
                     #[cfg(test)]
                     tests::count_node_env_permutation();
-                    View::Dense {
-                        data: staged,
-                        cols: k.n,
-                    }
+                    Lhs::RowMajor(sibling)
                 }
-                (Some(loc), None, _) => View::Dense {
-                    data: self.forward(loc, &input, persistent),
-                    cols: k.n,
-                },
-                (None, _, _) => View::Dense {
-                    data: &below[base..],
-                    cols: k.n,
-                },
             };
+            let factor = value(adj.factor, if side == LHS { k * n } else { m * k });
             stats.contractions += 1;
-            stats.flops_proxy += k.flops();
-            match step.env[side] {
-                EnvTarget::Leaf(leaf) => {
-                    let env = &mut rest[..len];
-                    self.reverse_step(step, side, &input, persistent, env_p, env, scratch);
-                    visit(leaf, env);
+            stats.flops_proxy += s.flops();
+            if adj.above {
+                // A leaf, or an lhs whose sibling is hot: its
+                // environment goes right above its parent's, which stays
+                // for the rhs.
+                let env = &mut rest[..len];
+                self.reverse_step(adj, s, side, env_p, factor, env, scratch);
+                if let EnvTarget::Leaf(leaf) = adj.target {
+                    visit(leaf as usize, env);
                 }
-                EnvTarget::Step(c) if side == LHS && step.env[RHS].is_hot() => {
-                    // The parent has a hot rhs: the child goes on the
-                    // stack above it, and moves down into the parent's
-                    // place when the rhs is not wanted after all.
-                    let env = &mut rest[..len];
-                    self.reverse_step(step, side, &input, persistent, env_p, env, scratch);
-                    let last = !wanted(step.env[RHS]);
-                    if last {
-                        envs.copy_within(above..above + len, base);
-                        env_frames.pop();
-                    }
-                    env_frames.push(EnvFrame {
-                        step: c,
-                        base: if last { base } else { above },
-                        alias: None,
-                        next: LHS,
-                    });
+            } else {
+                // The parent's last child: computed in the scratch, it
+                // then takes the parent's place on the stack.
+                let (staged, work) = scratch.split_at_mut(len);
+                let out = self.scattered_out(adj);
+                self.adjoint(
+                    adj,
+                    s,
+                    env_p,
+                    factor,
+                    staged,
+                    out.unwrap_or(Out::RowMajor),
+                    work,
+                );
+                let env = &mut envs[base..base + len];
+                if out.is_some() {
+                    env.copy_from_slice(staged);
+                    Self::count_scatter(adj, side);
+                } else {
+                    self.settle_env(adj, side, staged, env);
                 }
-                EnvTarget::Step(c) => {
-                    // The parent's last child: computed in the scratch,
-                    // it then takes the parent's place on the stack.
-                    let (staged, work) = scratch.split_at_mut(len);
-                    self.env_step(step, side, &input, persistent, env_p, staged, work);
-                    self.settle_env(step, side, staged, &mut envs[base..base + len]);
-                    env_frames.pop();
-                    env_frames.push(EnvFrame {
-                        step: c,
-                        base,
-                        alias: None,
-                        next: LHS,
-                    });
-                }
-                EnvTarget::Cold => {}
             }
         }
         crate::profile::record_sweep(timer, stats.contractions as u64);
         stats
     }
 
-    /// The forward value of an operand a reverse step reads: an input,
-    /// a cold-cache region, or a hot node in `persistent`, the arena
-    /// below the env stack.
-    fn forward<'a, 'i: 'a>(
-        &'a self,
-        loc: SlotLoc,
-        input: &impl Fn(usize) -> &'i [Complex64],
-        persistent: &'a [Complex64],
-    ) -> &'a [Complex64] {
-        match loc {
-            SlotLoc::Arena { offset, len } => &persistent[offset..offset + len],
-            loc => self.operand(loc, input, None),
-        }
-    }
-
     /// One reverse step into `env`, the environment of operand `side`
-    /// of `step` in the operand's own layout: [`ExecutablePlan::env_step`],
-    /// staged in the scratch and settled when the operand's layout is
-    /// not the one the step reads it in.
+    /// of step `s` in the operand's own layout: [`ExecutablePlan::adjoint`],
+    /// scattered as it is stored, or staged in the scratch and settled,
+    /// when the operand's layout is not the one the step reads it in.
     #[allow(clippy::too_many_arguments)]
-    fn reverse_step<'i>(
+    fn reverse_step(
         &self,
-        step: &ExecStep,
+        adj: &Adjoint,
+        s: &Step,
         side: usize,
-        input: &impl Fn(usize) -> &'i [Complex64],
-        persistent: &[Complex64],
-        env_p: View<'_>,
+        env_p: Lhs<'_>,
+        factor: &[Complex64],
         env: &mut [Complex64],
         scratch: &mut [Complex64],
     ) {
-        if env_scatter(&self.steps, step, side).is_some() {
-            let (staged, work) = scratch.split_at_mut(env.len());
-            self.env_step(step, side, input, persistent, env_p, staged, work);
-            self.settle_env(step, side, staged, env);
-        } else {
-            self.env_step(step, side, input, persistent, env_p, env, scratch);
+        match (adj.scatter, self.scattered_out(adj)) {
+            (Some(_), Some(out)) => {
+                self.adjoint(adj, s, env_p, factor, env, out, scratch);
+                Self::count_scatter(adj, side);
+            }
+            (Some(_), None) => {
+                let (staged, work) = scratch.split_at_mut(env.len());
+                self.adjoint(adj, s, env_p, factor, staged, Out::RowMajor, work);
+                self.settle_env(adj, side, staged, env);
+            }
+            (None, _) => self.adjoint(adj, s, env_p, factor, env, Out::RowMajor, scratch),
         }
     }
 
-    /// Moves the environment of operand `side` of `step` from the
-    /// layout the step reads the operand in (`staged`, as
-    /// [`ExecutablePlan::env_step`] leaves it) into the operand's own
-    /// (`env`): scattered through [`env_scatter`]'s gather, or copied.
-    fn settle_env(
-        &self,
-        step: &ExecStep,
-        side: usize,
-        staged: &[Complex64],
-        env: &mut [Complex64],
-    ) {
-        match env_scatter(&self.steps, step, side) {
+    /// The [`Out`] that stores a reverse step's entries straight into
+    /// its operand's own layout, for a step that takes them one at a
+    /// time and has a scatter gather.
+    fn scattered_out(&self, adj: &Adjoint) -> Option<Out<'_>> {
+        let g = &self.gathers[adj.scatter? as usize];
+        let entries = matches!(
+            adj.reverse,
+            Reverse::LhsDots | Reverse::LhsSums | Reverse::RhsSums | Reverse::RhsEntries
+        );
+        entries.then(|| Out::Scattered {
+            row: g.row(&self.tables),
+            col: g.col(&self.tables),
+        })
+    }
+
+    /// Moves the environment of operand `side` from the layout the step
+    /// reads the operand in (`staged`, as [`ExecutablePlan::adjoint`]
+    /// leaves it) into the operand's own (`env`): scattered through the
+    /// reverse step's gather, or copied.
+    fn settle_env(&self, adj: &Adjoint, side: usize, staged: &[Complex64], env: &mut [Complex64]) {
+        match adj.scatter {
             Some(g) => {
-                g.scatter(&self.tables, staged, env);
-                #[cfg(test)]
-                if matches!((side, step.env[side]), (RHS, EnvTarget::Step(_))) {
-                    tests::count_node_env_permutation();
-                }
+                self.gathers[g as usize].scatter(&self.tables, staged, env);
+                Self::count_scatter(adj, side);
             }
             None => env.copy_from_slice(staged),
         }
     }
 
-    /// One reverse step's arithmetic: the environment `dst` of operand
-    /// `side` of `step`, in the layout the step reads the operand in,
-    /// from the environment `env_p` of its node, read as the product's
-    /// natural `m × n` matrix (row-major for an rhs step), through the
-    /// forward kernel's gathers. `persistent` is the arena below the
-    /// env stack, where every hot operand a reverse step reads lives.
+    /// Counts, in tests, the permutations of a hot node's environment
+    /// into its product's layout.
+    #[cfg_attr(not(test), allow(unused_variables))]
+    fn count_scatter(adj: &Adjoint, side: usize) {
+        #[cfg(test)]
+        if matches!((side, adj.target), (RHS, EnvTarget::Step(_))) {
+            tests::count_node_env_permutation();
+        }
+    }
+
+    /// One reverse step's arithmetic: the environment `dst` of the
+    /// operand `adj` is for, from the environment `env_p` of the step's
+    /// node, read as the product's natural `m × n` matrix, and the
+    /// forward value of the other operand, `factor`, read through the
+    /// forward step's gathers. A product writes `dst` in the layout
+    /// step `s` reads the operand in; a step that takes its entries one
+    /// at a time stores them as `out` says.
     #[allow(clippy::too_many_arguments)]
-    fn env_step<'i>(
+    fn adjoint(
         &self,
-        step: &ExecStep,
-        side: usize,
-        input: &impl Fn(usize) -> &'i [Complex64],
-        persistent: &[Complex64],
-        env_p: View<'_>,
+        adj: &Adjoint,
+        s: &Step,
+        env_p: Lhs<'_>,
+        factor: &[Complex64],
         dst: &mut [Complex64],
+        out: Out<'_>,
         scratch: &mut [Complex64],
     ) {
-        let k = &step.kernel;
-        let (m, inner, n) = (k.m, k.k, k.n);
+        let (m, k, n) = s.dims();
         let tables = &self.tables[..];
-        let view = |data, gather: &Option<Gather>, cols| match gather {
-            Some(g) => View::Gathered {
-                data,
-                row: g.row(tables),
-                col: g.col(tables),
-            },
-            None => View::Dense { data, cols },
-        };
-        if side == LHS {
-            // env(lhs) = env(P) · rhsᵀ: (m × n)·(n × k).
-            let b = self.forward(step.rhs, input, persistent);
-            if k.env_by_dots(LHS) {
-                match (env_p, &k.rhs_gather) {
-                    // Both factors row-major: each entry is a dot
-                    // product of two contiguous rows.
-                    (View::Dense { data: e, .. }, None) if !k.inverts_out_gather() => {
-                        for (d_row, e_row) in dst.chunks_exact_mut(inner).zip(e.chunks_exact(n)) {
-                            for (d, b_row) in d_row.iter_mut().zip(b.chunks_exact(n)) {
-                                *d = dot(e_row, b_row);
-                            }
-                        }
-                    }
-                    // One running sum per entry.
-                    (_, gather) => {
-                        let b = view(b, gather, n);
-                        dot_products(m, inner, n, |i, j| env_p.at(i, j), |c, j| b.at(c, j), dst);
-                    }
+        let gather = adj.factor_gather.map(|g| &self.gathers[g as usize]);
+        match (adj.reverse, out) {
+            // env(lhs) = env(P) · rhsᵀ: (m × n)·(n × k), the rhs read
+            // transposed.
+            (Reverse::LhsProduct(product), _) => {
+                let b_t = &mut scratch[..n * k];
+                match gather {
+                    Some(g) => g.copy(tables, factor, b_t),
+                    None => transpose_into(factor, k, n, b_t),
                 }
-            } else {
-                let b_t = &mut scratch[..n * inner];
-                match &k.rhs_gather {
-                    Some(g) => g.transposed().copy(tables, b, b_t),
-                    None => transpose_into(b, inner, n, b_t),
-                }
-                match env_p {
-                    View::Dense { data, .. } => matmul_into(&data[..m * n], b_t, dst, m, n, inner),
-                    View::Gathered { data, row, col } => {
-                        matmul_gather_lhs_into(data, row, col, b_t, dst, inner)
-                    }
-                }
+                product.run(env_p, b_t, dst, m, n, k);
             }
-        } else {
             // env(rhs) = lhsᵀ · env(P): (k × m)·(m × n).
-            let a = self.forward(step.lhs, input, persistent);
-            let View::Dense { data: env_dst, .. } = env_p else {
-                unreachable!("an rhs reverse step stages a gathered environment")
-            };
-            let env_dst = &env_dst[..m * n];
-            if k.env_by_dots(RHS) {
-                let a = view(a, &k.lhs_gather, inner);
-                dot_products(
-                    inner,
-                    n,
-                    m,
-                    |c, i| a.at(i, c),
-                    |j, i| env_dst[i * n + j],
-                    dst,
-                );
-            } else {
-                match &k.lhs_gather {
-                    None => matmul_transposed_lhs_into(a, env_dst, dst, inner, m, n),
-                    Some(g) => {
-                        let g = g.transposed();
-                        matmul_gather_lhs_into(a, g.row(tables), g.col(tables), env_dst, dst, n);
+            (Reverse::RhsProduct(product), _) => {
+                let lhs = match gather {
+                    None => Lhs::Transposed(factor),
+                    Some(g) => g.lhs(tables, factor),
+                };
+                let Lhs::RowMajor(e) = env_p else {
+                    unreachable!("an rhs reverse step reads a row-major environment")
+                };
+                product.run(lhs, &e[..m * n], dst, k, m, n);
+            }
+            (_, Out::RowMajor) => {
+                let cols = if matches!(adj.reverse, Reverse::RhsSums | Reverse::RhsEntries) {
+                    n
+                } else {
+                    k
+                };
+                self.entries(adj, s, env_p, factor, gather, |r, c| r * cols + c, dst);
+            }
+            (_, Out::Scattered { row, col }) => {
+                self.entries(adj, s, env_p, factor, gather, |r, c| row[r] + col[c], dst);
+            }
+        }
+    }
+
+    /// The reverse steps that take their entries one at a time, each
+    /// stored at `dst[at(r, c)]`. Each arm fixes how both factors are
+    /// read, so every running sum compiles to its own loop.
+    #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
+    fn entries(
+        &self,
+        adj: &Adjoint,
+        s: &Step,
+        env_p: Lhs<'_>,
+        factor: &[Complex64],
+        gather: Option<&Gather>,
+        at: impl Fn(usize, usize) -> usize,
+        dst: &mut [Complex64],
+    ) {
+        let (m, k, n) = s.dims();
+        let tables = &self.tables[..];
+        let rows = |g: &Gather| (g.row(tables), g.col(tables));
+        match (adj.reverse, env_p, gather) {
+            // env(lhs) = env(P) · rhsᵀ: (m × n)·(n × k).
+            (Reverse::LhsDots, Lhs::RowMajor(e), _) => {
+                // Two rows of the rhs at a time, each entry its own dot.
+                let pairs = factor[..k * n].chunks_exact(2 * n);
+                let last = pairs.remainder();
+                for (i, e_row) in e.chunks_exact(n).take(m).enumerate() {
+                    for (c, pair) in (0..).step_by(2).zip(pairs.clone()) {
+                        let (b0, b1) = pair.split_at(n);
+                        let [d0, d1] = dot2(e_row, b0, b1);
+                        dst[at(i, c)] = d0;
+                        dst[at(i, c + 1)] = d1;
+                    }
+                    if !last.is_empty() {
+                        dst[at(i, k - 1)] = dot(e_row, last);
                     }
                 }
             }
+            (Reverse::LhsSums, Lhs::RowMajor(e), None) => {
+                let (x, y) = (|i, j| e[i * n + j], |c, j| factor[c * n + j]);
+                dot_products(m, k, n, x, y, at, dst)
+            }
+            (Reverse::LhsSums, Lhs::RowMajor(e), Some(g)) => {
+                let (row, col) = rows(g);
+                let (x, y) = (|i, j| e[i * n + j], |c, j| factor[row[c] + col[j]]);
+                dot_products(m, k, n, x, y, at, dst)
+            }
+            (Reverse::LhsSums, Lhs::Gathered { data, row, col }, None) => {
+                let (x, y) = (|i, j| data[row[i] + col[j]], |c, j| factor[c * n + j]);
+                dot_products(m, k, n, x, y, at, dst)
+            }
+            (Reverse::LhsSums, Lhs::Gathered { data, row, col }, Some(g)) => {
+                let (b_row, b_col) = rows(g);
+                let x = |i, j| data[row[i] + col[j]];
+                dot_products(m, k, n, x, |c, j| factor[b_row[c] + b_col[j]], at, dst)
+            }
+            // env(rhs) = lhsᵀ · env(P): (k × m)·(m × n), one column.
+            (Reverse::RhsSums, Lhs::RowMajor(e), None) => {
+                let (x, y) = (|c, i| factor[i * k + c], |j, i| e[i * n + j]);
+                dot_products(k, n, m, x, y, at, dst)
+            }
+            (Reverse::RhsSums, Lhs::RowMajor(e), Some(g)) => {
+                let (row, col) = rows(g);
+                let (x, y) = (|c, i| factor[row[i] + col[c]], |j, i| e[i * n + j]);
+                dot_products(k, n, m, x, y, at, dst)
+            }
+            (Reverse::RhsEntries, Lhs::RowMajor(e), None) => {
+                let (x, y) = (|c, i| factor[i * k + c], |i, j| e[i * n + j]);
+                product_entries(k, n, m, x, y, at, dst)
+            }
+            (Reverse::RhsEntries, Lhs::RowMajor(e), Some(g)) => {
+                let (row, col) = rows(g);
+                let (x, y) = (|c, i| factor[row[i] + col[c]], |i, j| e[i * n + j]);
+                product_entries(k, n, m, x, y, at, dst)
+            }
+            _ => unreachable!("a reverse step reads its environment as lowering laid it out"),
         }
     }
 
@@ -1970,6 +2547,7 @@ impl ExecutablePlan {
             crate::profile::record_full(timer, 0);
             return &ws.out[..1];
         }
+        self.check_inputs(&input, 0..self.n_inputs);
         {
             let Workspace {
                 arena,
@@ -2014,6 +2592,9 @@ impl ExecutablePlan {
             return (out, self.replay_stats);
         }
         let timer = crate::profile::start_replay();
+        // Only the dirty leaves changed since the replay that warmed
+        // the workspace, which checked the others.
+        self.check_inputs(&input, dirty_leaves.iter().copied());
         // Union of the dirty leaves' (individually sorted) paths, as
         // one ascending step sequence. Reuses the workspace's merge
         // buffer: no allocation once it has grown.
@@ -2044,7 +2625,7 @@ impl ExecutablePlan {
                 let step = &self.steps[si as usize];
                 self.exec_step(step, &input, arena, scratch);
                 stats.contractions += 1;
-                stats.flops_proxy += step.kernel.flops();
+                stats.flops_proxy += step.flops();
             }
             self.finalize(&input, arena, out);
         }
@@ -2053,54 +2634,22 @@ impl ExecutablePlan {
         (&ws.out[..self.result_len], stats)
     }
 
-    /// Runs one lowered hot step against the arena/scratch buffers. The
-    /// destination region is disjoint from every other slot region by
-    /// construction (persistent bump layout), so a step only ever
-    /// overwrites its own node's cache.
+    /// Runs one hot step against the arena and scratch: the arena splits
+    /// around the step's node, whose region lies apart from every
+    /// region the step reads (persistent bump layout), so a step only
+    /// ever overwrites its own node's cache.
     fn exec_step<'i>(
         &self,
-        step: &ExecStep,
+        s: &Step,
         input: &impl Fn(usize) -> &'i [Complex64],
         arena: &mut [Complex64],
         scratch: &mut [Complex64],
     ) {
-        // Split the arena into the disjoint shared/mutable regions
-        // this step touches, then run the micro kernel.
-        let region = |loc: SlotLoc| match loc {
-            SlotLoc::Arena { offset, len } => Some((offset, len)),
-            SlotLoc::Input(_) | SlotLoc::Cold { .. } => None,
-        };
-        let k = &step.kernel;
-        let (lhs_arena, rhs_arena, dst) = split3(
-            arena,
-            region(step.lhs),
-            region(step.rhs),
-            (step.dst_offset, k.m * k.n),
-        );
-        let a = self.operand(step.lhs, input, lhs_arena);
-        let b = self.operand(step.rhs, input, rhs_arena);
-        k.run(&self.tables, a, b, dst, scratch);
-    }
-
-    /// The buffer of an operand: a checked input, a cold-cache region,
-    /// or the arena region `split3` carved out for it.
-    fn operand<'a, 'i: 'a>(
-        &'a self,
-        loc: SlotLoc,
-        input: &impl Fn(usize) -> &'i [Complex64],
-        arena_region: Option<&'a [Complex64]>,
-    ) -> &'a [Complex64] {
-        match loc {
-            SlotLoc::Input(i) => {
-                let s = input(i);
-                assert_eq!(s.len(), self.input_lens[i], "input tensor {i} length");
-                s
-            }
-            SlotLoc::Cold { offset, len } => &self.cold[offset..offset + len],
-            // `split3` carved this region out for the step; an empty
-            // slice would fail the kernel's length checks.
-            SlotLoc::Arena { .. } => arena_region.unwrap_or_default(),
-        }
+        let (m, k, n) = s.dims();
+        let (around, dst) = Around::split(arena, s.dst as usize, m * n);
+        let a = read(s.lhs, m * k, input, &self.cold, &around);
+        let b = read(s.rhs, k * n, input, &self.cold, &around);
+        forward(&self.tables, &self.gathers, s, a, b, dst, scratch);
     }
 
     /// Final stage: copy/gather the root slot into the output buffer
@@ -2114,7 +2663,8 @@ impl ExecutablePlan {
     ) {
         let res: &[Complex64] = match self.result {
             SlotLoc::Arena { offset, len } => &arena[offset..offset + len],
-            loc => self.operand(loc, input, None),
+            SlotLoc::Cold { offset, len } => &self.cold[offset..offset + len],
+            SlotLoc::Input(i) => input(i),
         };
         let out = &mut out[..self.result_len];
         match self.out_gather {
@@ -2127,68 +2677,6 @@ impl ExecutablePlan {
             None => out.copy_from_slice(res),
         }
     }
-}
-
-/// The gather that takes the environment of operand `side` of `step`
-/// from the layout the step reads the operand in back to the operand's
-/// own: the step's lhs or rhs gather, or, for a hot rhs node stored in
-/// the step's layout, that node's `out_gather`. So a hot node's
-/// environment always lies in its product's natural layout, where its
-/// own reverse steps read it, and is permuted once per sweep.
-fn env_scatter(steps: &[ExecStep], step: &ExecStep, side: usize) -> Option<Gather> {
-    match (side, step.env[side]) {
-        (LHS, _) => step.kernel.lhs_gather,
-        // A hot rhs node read through a permutation carries it.
-        (_, EnvTarget::Step(c)) => steps[c as usize].kernel.out_gather,
-        _ => step.kernel.rhs_gather,
-    }
-}
-
-/// Borrows up to two shared regions and one mutable region out of one
-/// buffer. Regions must be pairwise disjoint (the compile-time
-/// allocator guarantees this: the destination is carved out while both
-/// operands are still live).
-#[allow(clippy::type_complexity)]
-#[expect(
-    clippy::expect_used,
-    reason = "the write region `w` is always one of the three"
-)]
-fn split3<'a>(
-    buf: &'a mut [Complex64],
-    r1: Option<(usize, usize)>,
-    r2: Option<(usize, usize)>,
-    w: (usize, usize),
-) -> (
-    Option<&'a [Complex64]>,
-    Option<&'a [Complex64]>,
-    &'a mut [Complex64],
-) {
-    // Tagged regions, sorted by offset, carved off front to back.
-    let mut regions: [Option<(usize, usize, u8)>; 3] = [
-        r1.map(|(o, l)| (o, l, 0u8)),
-        r2.map(|(o, l)| (o, l, 1u8)),
-        Some((w.0, w.1, 2u8)),
-    ];
-    regions.sort_unstable_by_key(|r| r.map(|(o, _, _)| o).unwrap_or(usize::MAX));
-    let mut rest: &mut [Complex64] = buf;
-    let mut base = 0usize;
-    let mut got: [Option<&'a mut [Complex64]>; 3] = [None, None, None];
-    for r in regions.iter().flatten() {
-        let &(off, len, tag) = r;
-        assert!(off >= base, "exec plan regions overlap");
-        let tail = std::mem::take(&mut rest);
-        let (_, tail) = tail.split_at_mut(off - base);
-        let (this, tail) = tail.split_at_mut(len);
-        rest = tail;
-        base = off + len;
-        got[tag as usize] = Some(this);
-    }
-    let [g0, g1, g2] = got;
-    (
-        g0.map(|s| &*s),
-        g1.map(|s| &*s),
-        g2.expect("write region always present"),
-    )
 }
 
 #[cfg(test)]
@@ -2281,51 +2769,57 @@ mod tests {
                 perm[split..].iter().copied(),
                 &mut Vec::new(),
             );
-            walks[g.one_row().walk() as usize] += 1;
+            walks[walk_kind(g.walk)] += 1;
             let what = format!("shape {shape:?}, perm {perm:?}, split {split}");
             check_gather(g, &tables, shape.iter().product(), &mut rng, &what);
-            check_gather(
-                g.transposed(),
-                &tables,
-                shape.iter().product(),
-                &mut rng,
-                &what,
-            );
+            let t = g.transposed_copy(&mut tables, &mut Vec::new());
+            check_gather(t, &tables, shape.iter().product(), &mut rng, &what);
         }
         assert!(walks.iter().all(|&n| n > 0), "every walk runs: {walks:?}");
 
         // Hand-made tables: column runs of 9 over 11 and 10 columns
-        // (each row ends in a shorter piece), short runs of 2 and 3 on small
-        // and on tiled matrices (tiles of 16 and 15 columns, the last
-        // one narrower), and runless tiles over rows and columns that
-        // are no multiple of the tile.
+        // (each row ends in a shorter piece), short runs of 2 and 3 on
+        // small and on blocked matrices, and a runless blocked one over
+        // rows and columns that are no multiple of the block.
         let pieces = |run: usize, gap: usize, count: usize| -> Vec<usize> {
             (0..count)
                 .flat_map(|p| (0..run).map(move |t| p * gap + t))
                 .collect()
         };
         for (rows, col, walk) in [
-            (3, (0..9).chain([20, 21]).collect(), Walk::Runs),
-            (3, (0..9).chain([20]).collect(), Walk::Runs),
+            (3, (0..9).chain([20, 21]).collect(), Walk::Runs(9)),
+            (3, (0..9).chain([20]).collect(), Walk::Runs(9)),
             (3, pieces(4, 8, 3), Walk::Elements),
             (3, pieces(2, 4, 2), Walk::Elements),
             (3, pieces(3, 6, 2), Walk::Elements),
             (17, pieces(2, 4, 17), Walk::Elements),
-            (64, pieces(2, 4, 17), Walk::Tiles),
-            (64, pieces(3, 5, 16), Walk::Tiles),
-            (65, pieces(1, 2, 40), Walk::Tiles),
+            (64, pieces(2, 4, 17), Walk::Blocked(0)),
+            (64, pieces(3, 5, 16), Walk::Blocked(0)),
+            (65, pieces(1, 2, 40), Walk::Blocked(0)),
         ] {
             let row: Vec<usize> = (0..rows).map(|r| r * 128).collect();
             let mut tables = row.clone();
             tables.extend_from_slice(&col);
-            let g = Gather::new(&tables, 0, rows, rows, col.len());
-            assert_eq!(g.walk(), walk, "col {col:?}");
+            let g = Gather::new(&mut tables, 0, rows, rows, col.len(), &mut Vec::new());
+            assert_eq!(walk_kind(g.walk), walk_kind(walk), "col {col:?}");
+            if let Walk::Runs(run) = walk {
+                assert_eq!(g.walk, Walk::Runs(run), "col {col:?}");
+            }
             check_gather(g, &tables, rows * 128, &mut rng, &format!("col {col:?}"));
         }
         assert_eq!(contiguous_run(&[0, 1, 2, 3, 4, 10]), 5);
         assert_eq!(contiguous_run(&[0, 1, 4, 5, 8]), 2);
         assert_eq!(contiguous_run(&[0, 1, 2, 4, 6, 7]), 1);
         assert_eq!(contiguous_run(&[3]), 1);
+    }
+
+    /// The kind of a walk, as an index: runs, blocked, elements.
+    fn walk_kind(walk: Walk) -> usize {
+        match walk {
+            Walk::Runs(_) => 0,
+            Walk::Blocked(_) => 1,
+            Walk::Elements => 2,
+        }
     }
 
     fn rand_tensor(rng: &mut StdRng, shape: Vec<usize>) -> Tensor {
@@ -2466,9 +2960,8 @@ mod tests {
 
         for exec in [plan.compile(), plan.compile_for_replay(&net, &[0, 3])] {
             assert_eq!(exec.pre_permuted_hot_nodes(), 1);
-            assert!(exec.steps[1].kernel.out_gather.is_some());
-            let root = &exec.steps[2].kernel;
-            assert!(root.rhs_gather.is_none(), "the root copies no rhs");
+            assert!(exec.steps[1].out_copy.is_some());
+            assert!(exec.steps[2].rhs_copy.is_none(), "the root copies no rhs");
             let mut ws = Workspace::new();
             let _ = exec.execute_network_into(&net, &mut ws);
             for dirty in [0, 3, 0] {
@@ -2635,9 +3128,14 @@ mod tests {
                 net.add(rand_tensor(&mut rng, shape.clone()), legs.to_vec());
             }
             let exec = net.plan_order(&[(0, 1), (2, 3), (4, 5)]).compile();
-            assert!(exec.steps[2].kernel.is_dot(), "wide {wide}");
+            assert!(exec.dot_root, "wide {wide}");
             assert_eq!(exec.pre_permuted_hot_nodes(), 1);
-            assert_eq!(exec.steps[1].kernel.env_gather.is_some(), wide == 16);
+            let lhs_of_1 = exec
+                .adjoints
+                .iter()
+                .find(|a| (a.step, a.side) == (1, LHS as u8));
+            let inverse = lhs_of_1.is_some_and(|a| matches!(a.env_in, EnvIn::Inverse(..)));
+            assert_eq!(inverse, wide == 16);
             let mut ws = Workspace::new();
             let scalar = exec.execute_network_scalar(&net, &mut ws);
             let mut envs = Vec::new();
@@ -2665,6 +3163,69 @@ mod tests {
                 net.set_tensor(net.node_id(*leaf), saved);
             }
         }
+    }
+
+    #[test]
+    fn tiny_networks_lower_every_record_class() {
+        // Closed networks of bond dimension 1 or 2 with shuffled leg
+        // orders and a few extra bonds, lowered with every leaf varying
+        // and with some: between them they make every reverse step
+        // kind, every way of reading a node's environment but the
+        // inverse one, the narrow product kernels and fused scatters.
+        let mut rng = StdRng::seed_from_u64(31);
+        let mut reverse = std::collections::BTreeSet::new();
+        let mut env_in = std::collections::BTreeSet::new();
+        let (mut products, mut fused) = (std::collections::BTreeSet::new(), 0);
+        for case in 0..400 {
+            let k = 2 + case % 7;
+            let mut net = TensorNetwork::new();
+            let mut legs: Vec<Vec<(usize, usize)>> = vec![Vec::new(); k];
+            let mut edges: Vec<(usize, usize)> =
+                (1..k).map(|i| (i, rng.random_range(0..i))).collect();
+            for _ in 0..case % 6 {
+                edges.push((rng.random_range(0..k), rng.random_range(0..k)));
+            }
+            for (i, j) in edges.into_iter().filter(|(i, j)| i != j) {
+                let (leg, dim) = (net.fresh_leg(), 1 + rng.random_range(0..2usize));
+                legs[i].push((leg, dim));
+                legs[j].push((leg, dim));
+            }
+            for node in &mut legs {
+                for t in (1..node.len()).rev() {
+                    node.swap(t, rng.random_range(0..t + 1));
+                }
+                let shape = node.iter().map(|&(_, d)| d).collect();
+                net.add(
+                    rand_tensor(&mut rng, shape),
+                    node.iter().map(|&(l, _)| l).collect(),
+                );
+            }
+            let varying: Vec<usize> = (0..k).filter(|_| rng.random_range(0..2u32) == 0).collect();
+            let plan = net.plan(OrderStrategy::Greedy);
+            for exec in [plan.compile(), plan.compile_for_replay(&net, &varying)] {
+                for s in &exec.steps {
+                    products.insert(format!("{:?}", s.product));
+                }
+                for adj in &exec.adjoints {
+                    let kind = format!("{:?}", adj.reverse);
+                    reverse.insert(kind.split('(').next().map(str::to_string));
+                    let read = format!("{:?}", adj.env_in);
+                    env_in.insert(read.split('(').next().map(str::to_string));
+                    fused += usize::from(exec.scattered_out(adj).is_some());
+                }
+            }
+        }
+        assert_eq!(reverse.len(), 6, "reverse steps: {reverse:?}");
+        // The inverse read needs legs of 16 and more; the dot-product
+        // root test below takes it.
+        for read in ["Root", "Stack", "Sibling", "Scattered"] {
+            assert!(
+                env_in.contains(&Some(read.to_string())),
+                "{read}: {env_in:?}"
+            );
+        }
+        assert!(products.contains("Narrow"), "{products:?}");
+        assert!(fused > 0);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! different payload sets back-to-back.
 
 use proptest::prelude::*;
-use qns_linalg::c64;
+use qns_linalg::{c64, Complex64};
 use qns_tensor::Tensor;
 use qns_tnet::exec::Workspace;
 use qns_tnet::network::{OrderStrategy, TensorNetwork};
@@ -246,6 +246,129 @@ proptest! {
             let full = exec.execute_network_into(&net, &mut fresh).to_vec();
             let (reference, _) = plan.execute_network_reference(&net);
             prop_assert_eq!(full, reference.as_slice().to_vec());
+        }
+    }
+}
+
+/// A random tiny network: a spanning tree over `k` nodes plus up to two
+/// extra bonds, every bond of dimension 1 or 2, per-node axis orders
+/// shuffled, and open legs of dimension 1 or 2 only when `open` (else
+/// the network contracts to a scalar, which a sweep needs). Its steps
+/// are the small ones the fixed-width kernels, the one-column path and
+/// the entry-wise reverse steps take, in every mix of gathered and
+/// row-major operands.
+fn tiny_network(rng: &mut StdRng, k: usize, open: bool) -> (TensorNetwork, Vec<Vec<usize>>) {
+    let mut net = TensorNetwork::new();
+    let mut node_legs: Vec<Vec<(usize, usize)>> = vec![Vec::new(); k];
+    let mut edges: Vec<(usize, usize)> = (1..k).map(|i| (i, rng.random_range(0..i))).collect();
+    for _ in 0..rng.random_range(0..3usize) {
+        edges.push((rng.random_range(0..k), rng.random_range(0..k)));
+    }
+    for (i, j) in edges.into_iter().filter(|(i, j)| i != j) {
+        let (leg, dim) = (net.fresh_leg(), rng.random_range(1..3usize));
+        node_legs[i].push((leg, dim));
+        node_legs[j].push((leg, dim));
+    }
+    for legs in node_legs.iter_mut() {
+        if open {
+            for _ in 0..rng.random_range(0..2usize) {
+                let leg = net.fresh_leg();
+                legs.push((leg, rng.random_range(1..3usize)));
+            }
+        }
+        for t in (1..legs.len()).rev() {
+            let s = rng.random_range(0..t + 1);
+            legs.swap(t, s);
+        }
+    }
+    let mut shapes = Vec::with_capacity(k);
+    for legs in &node_legs {
+        let shape: Vec<usize> = legs.iter().map(|&(_, d)| d).collect();
+        let ids: Vec<usize> = legs.iter().map(|&(l, _)| l).collect();
+        net.add(rand_tensor(rng, shape.clone()), ids);
+        shapes.push(shape);
+    }
+    (net, shapes)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// On tiny networks, for plans of both order strategies and the
+    /// delta-aware search, lowered with every leaf varying and with a
+    /// random varying set: full replays and delta replays over random
+    /// dirty sets are bit-identical to the reference replay, and, when
+    /// the network contracts to a scalar, a sweep's leaf environments
+    /// price the single-leaf substitutions: `Σ E·U` is the replayed
+    /// scalar with the leaf's payload `U`, for its own payload and
+    /// another.
+    #[test]
+    fn tiny_networks_replay_and_sweep_exactly(seed in 0u64..5000, k in 2usize..9) {
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x7117);
+        let open = seed % 3 == 0;
+        let (mut net, shapes) = tiny_network(&mut rng, k, open);
+        let varying = random_subset(&mut rng, k);
+        let (searched, _) = net.plan_for_replay(&varying, 1 << 40);
+        let plans = [
+            net.plan(OrderStrategy::Greedy),
+            net.plan(OrderStrategy::Sequential),
+            searched,
+        ];
+        for plan in plans {
+            for every_leaf in [true, false] {
+                // Lowered against the payloads of the moment: the
+                // varying set's plan folds the others into its cold
+                // cache.
+                let exec = match every_leaf {
+                    true => plan.compile(),
+                    false => plan.compile_for_replay(&net, &varying),
+                };
+                let leaves: Vec<usize> = (0..k).filter(|&l| exec.is_varying(l)).collect();
+                let mut ws = Workspace::new();
+                let out = exec.execute_network_into(&net, &mut ws).to_vec();
+                let (reference, _) = plan.execute_network_reference(&net);
+                prop_assert_eq!(out, reference.as_slice().to_vec());
+                for _round in 0..3 {
+                    let dirty: Vec<usize> = leaves
+                        .iter()
+                        .copied()
+                        .filter(|_| rng.random_range(0..2u32) == 0)
+                        .collect();
+                    for &i in &dirty {
+                        net.set_tensor(net.node_id(i), rand_tensor(&mut rng, shapes[i].clone()));
+                    }
+                    let (out, _) = exec.execute_network_delta_into(&net, &dirty, &mut ws);
+                    let out = out.to_vec();
+                    let (reference, _) = plan.execute_network_reference(&net);
+                    prop_assert_eq!(out, reference.as_slice().to_vec());
+                }
+                if open {
+                    continue;
+                }
+                let scalar = exec.execute_network_scalar(&net, &mut ws);
+                let mut envs = Vec::new();
+                exec.sweep_network_envs(&net, &leaves, &mut ws, |leaf, env| {
+                    envs.push((leaf, env.to_vec()));
+                });
+                prop_assert_eq!(envs.len(), leaves.len());
+                let close = |got: Complex64, want: Complex64| {
+                    (got - want).abs() <= 1e-12 * want.abs().max(1.0)
+                };
+                for (leaf, env) in &envs {
+                    let dot = |t: &Tensor| {
+                        env.iter()
+                            .zip(t.as_slice())
+                            .fold(Complex64::ZERO, |acc, (&e, &u)| acc + e * u)
+                    };
+                    prop_assert!(close(dot(net.node_tensor(*leaf)), scalar), "leaf {}", leaf);
+                    let saved = net.node_tensor(*leaf).clone();
+                    let other = rand_tensor(&mut rng, shapes[*leaf].clone());
+                    net.set_tensor(net.node_id(*leaf), other.clone());
+                    let replayed = exec.execute_network_scalar(&net, &mut Workspace::new());
+                    prop_assert!(close(dot(&other), replayed), "leaf {} substituted", leaf);
+                    net.set_tensor(net.node_id(*leaf), saved);
+                }
+            }
         }
     }
 }
