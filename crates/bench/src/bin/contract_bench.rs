@@ -50,10 +50,10 @@
 //! (`qns_linalg::kernels::matmul_into`) per shape that dominates the
 //! `deep_sum` level sums — wide products, the small steps of the
 //! sweeps and the `1×k×1` forward dot products — through the scalar
-//! oracle (`kernels::scalar::matmul_into`), through the dispatched
-//! kernel (the AVX2 row update where the CPU has it) and, for a shape
-//! with one of its column counts, through the narrow kernel the
-//! replays run (`kernels::matmul_narrow_into`), as ns per step and
+//! oracle (`kernels::scalar::matmul_into`, the panel loops) and
+//! through the dispatched kernel (the one-column path, the fixed-width
+//! loops or the panel loops, with the AVX2 row update where the CPU has
+//! it), as ns per step and
 //! complex G MAC/s, and one dot product (`kernels::dot` against
 //! `kernels::scalar::dot`) per row length the level sums' reverse steps
 //! take, as ns per call. It is reported under `"kernels"`.
@@ -105,10 +105,9 @@
 //!    plan's**,
 //! 7. its delta replay is **bit-identical** to its full replay, and
 //! 8. its warmed hot-arena replays perform **zero allocations**, and
-//! 9. the dispatched kernel's output, and the narrow kernel's on every
-//!    shape with one of its column counts (the small steps and the
-//!    `1×k×1` dot products among them), is **bit-identical** to the
-//!    scalar oracle's on every kernel shape, and
+//! 9. the dispatched kernel's output is **bit-identical** to the
+//!    scalar oracle's on every kernel shape (the small steps and the
+//!    `1×k×1` dot products among them), and
 //! 10. set-up allocates a **bounded number of times per network
 //!     node**: the order search and the lowering together at most once
 //!     per node on every workload, and `LevelEvaluator::new` at most 5
@@ -572,13 +571,11 @@ const DOT_LENGTHS: [usize; 8] = [2, 4, 16, 64, 256, 1024, 2048, 4096];
 /// Timed trials per kernel shape and path; the median is reported.
 const KERNEL_TRIALS: usize = 7;
 
-/// One kernel shape's scalar-vs-dispatched timing, and the narrow
-/// kernel's where the shape has one of its column counts.
+/// One kernel shape's scalar-vs-dispatched timing.
 struct KernelRow {
     shape: (usize, usize, usize),
     scalar_ns: f64,
     dispatched_ns: f64,
-    narrow_ns: Option<f64>,
 }
 
 impl KernelRow {
@@ -608,10 +605,8 @@ fn median_step_ns(reps: usize, mut step: impl FnMut()) -> f64 {
     )
 }
 
-/// Times one dense matmul step of `shape` through the scalar oracle,
-/// the dispatched kernel and, for one of its column counts, the narrow
-/// kernel (`kernels::matmul_narrow_into`, the one-column path or a
-/// fixed-width kernel), asserting their outputs are bitwise equal
+/// Times one dense matmul step of `shape` through the scalar oracle and
+/// the dispatched kernel, asserting their outputs are bitwise equal
 /// (invariant 9). Each trial runs about `macs_per_trial` complex
 /// multiply-adds.
 fn kernel_row(shape: (usize, usize, usize), macs_per_trial: usize, seed: u64) -> KernelRow {
@@ -639,23 +634,10 @@ fn kernel_row(shape: (usize, usize, usize), macs_per_trial: usize, seed: u64) ->
         bits(&dispatched_out) == bits(&scalar_out),
         "{m}x{k}x{n}: dispatched kernel must be bitwise the scalar oracle"
     );
-    let narrow_ns = kernels::NARROW.contains(&n).then(|| {
-        let mut narrow_out = vec![Complex64::ZERO; m * n];
-        let ns = median_step_ns(reps, || {
-            let lhs = kernels::Lhs::RowMajor(black_box(&a));
-            kernels::matmul_narrow_into(lhs, &b, &mut narrow_out, m, k, n);
-        });
-        assert!(
-            bits(&narrow_out) == bits(&scalar_out),
-            "{m}x{k}x{n}: narrow kernel must be bitwise the scalar oracle"
-        );
-        ns
-    });
     KernelRow {
         shape,
         scalar_ns,
         dispatched_ns,
-        narrow_ns,
     }
 }
 
@@ -1453,7 +1435,7 @@ fn main() {
         "\nkernel layer (one matmul step, median of {KERNEL_TRIALS} trials; \
          dispatched = {path})\n"
     );
-    let k_widths = [12usize, 13, 13, 12, 12, 9, 11];
+    let k_widths = [12usize, 13, 13, 12, 12, 9];
     print_row(
         &[
             "m×k×n".into(),
@@ -1462,7 +1444,6 @@ fn main() {
             "scalar GMAC/s".into(),
             "disp. GMAC/s".into(),
             "speedup".into(),
-            "narrow ns".into(),
         ],
         &k_widths,
     );
@@ -1482,7 +1463,6 @@ fn main() {
                 format!("{:.2}", r.gmacs(r.scalar_ns)),
                 format!("{:.2}", r.gmacs(r.dispatched_ns)),
                 format!("{:.2}x", r.scalar_ns / r.dispatched_ns),
-                r.narrow_ns.map_or("-".into(), |ns| format!("{ns:.1}")),
             ],
             &k_widths,
         );
@@ -1523,11 +1503,9 @@ fn main() {
         .iter()
         .map(|r| {
             let (m, k, n) = r.shape;
-            let narrow = r.narrow_ns.map_or("null".into(), |ns| format!("{ns:.1}"));
             format!(
                 "{{\"shape\":\"{m}x{k}x{n}\",\"scalar_ns\":{:.1},\"dispatched_ns\":{:.1},\
-                 \"scalar_gmacs\":{:.3},\"dispatched_gmacs\":{:.3},\"speedup\":{:.3},\
-                 \"narrow_ns\":{narrow}}}",
+                 \"scalar_gmacs\":{:.3},\"dispatched_gmacs\":{:.3},\"speedup\":{:.3}}}",
                 r.scalar_ns,
                 r.dispatched_ns,
                 r.gmacs(r.scalar_ns),

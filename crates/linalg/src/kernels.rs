@@ -6,8 +6,7 @@
 //! the same shapes millions of times (the pattern sum) performs zero
 //! heap allocations per call.
 //!
-//! Three flavors, and the narrow kernels of the small steps
-//! ([`matmul_narrow_into`], any of the three left-factor reads):
+//! Three flavors:
 //!
 //! * [`matmul_into`] — both operands contiguous row-major.
 //! * [`matmul_gather_lhs_into`] — the left operand is read through
@@ -20,27 +19,37 @@
 //!   row-major matrix read transposed: the reverse (environment) step
 //!   `aᵀ · b` of a contraction whose lhs needed no permutation.
 //!
-//! Next to them, [`dot`] (and [`dot2`], two at once) takes `Σ_t
+//! Next to them, [`dot`] takes `Σ_t
 //! x[t]·y[t]` of two contiguous rows: the reverse step of a contraction
 //! whose operands' environments are narrow, one dot product per entry.
 //! [`gather_blocked`] and [`scatter_blocked`] move the elements of an
 //! axis permutation in blocks, for the engine's permuted copies.
 //!
-//! # One loop nest, two row updates
+//! # Loop nests and row updates
 //!
-//! Both flavors run one cache-blocked loop nest whose innermost step is
-//! a *row update*, `out[i][j0..j1] += a[i][k] · b[k][j0..j1]`. On
-//! x86-64 CPUs with AVX2 (checked once per call) the row update takes
-//! two output elements per 256-bit register: with `y = [re, im, re,
-//! im]` loaded from `b` and `x = a[i][k]` broadcast, it adds
-//! `addsub(x.re·y, x.im·swap(y))` to `out`, and an odd last element
-//! takes the scalar expression. The vector [`dot`] forms the same
-//! product from two elements of each row per register (`x.re` and
-//! `x.im` duplicated in place) and keeps its four partial sums in two
-//! registers. Elsewhere the scalar loop runs. The
-//! vector code is the workspace's only `unsafe` and lives in a private
-//! module; [`scalar`] exposes the portable loops, which are also the
-//! oracle the vector path is tested against.
+//! All three flavors run the same loop nests, chosen per call by the
+//! number of columns `n`:
+//!
+//! * `n == 1`, the **one-column path**: each output is one running sum
+//!   in a register, with no row-update call per element.
+//! * `n` of 2, 3, 4, 8 or 16, the **fixed-width loops**: one output row
+//!   is held in registers while `k` streams, then stored once.
+//! * any other `n`, the cache-blocked **panel loops** over column
+//!   panels of `b`.
+//!
+//! The innermost step of the last two is a *row update*,
+//! `out[i][j0..j1] += a[i][k] · b[k][j0..j1]`. On x86-64 CPUs with
+//! AVX2 (checked once per call) the row update takes two output
+//! elements per 256-bit register: with `y = [re, im, re, im]` loaded
+//! from `b` and `x = a[i][k]` broadcast, it adds `addsub(x.re·y,
+//! x.im·swap(y))` to `out`, and an odd last element takes the scalar
+//! expression. The vector [`dot`] forms the same product from two
+//! elements of each row per register (`x.re` and `x.im` duplicated in
+//! place) and keeps its four partial sums in two registers. Elsewhere
+//! the scalar loop runs. The vector code is the workspace's only
+//! `unsafe` and lives in a private module; [`scalar`] exposes the
+//! portable panel loops, which are also the oracle the other paths are
+//! tested against.
 //!
 //! # Accumulation order
 //!
@@ -55,8 +64,8 @@
 //! path — a property the contraction engine's tests rely on (where a
 //! NaN arises, both give a NaN, but its sign bit may differ). Keep it
 //! when touching the loops: blocking that reorders the `k` sum, or an
-//! FMA, would break replay-vs-reference equality. The narrow kernels
-//! ([`matmul_narrow_into`]) keep the same order with the sums held in
+//! FMA, would break replay-vs-reference equality. The one-column and
+//! fixed-width loops keep the same order with the sums held in
 //! registers.
 //!
 //! [`dot`] has its own fixed order, the same on both paths: four
@@ -141,115 +150,6 @@ pub fn matmul_transposed_lhs_into(
 ) {
     check_dense(a, b, out, m, k, n);
     dispatch(m, k, n, |i, kk| a[kk * m + i], b, out);
-}
-
-/// How a kernel reads its left factor `A` (`m × k`).
-#[derive(Clone, Copy, Debug)]
-pub enum Lhs<'a> {
-    /// A row-major `m × k` matrix: `A[i][kk] = data[i·k + kk]`.
-    RowMajor(&'a [Complex64]),
-    /// A row-major `k × m` matrix read transposed: `A[i][kk] =
-    /// data[kk·m + i]`.
-    Transposed(&'a [Complex64]),
-    /// Through gather tables: `A[i][kk] = data[row[i] + col[kk]]`, with
-    /// `row.len() == m` and `col.len() == k`.
-    Gathered {
-        /// The gathered matrix's elements.
-        data: &'a [Complex64],
-        /// Offset of each row in `data`.
-        row: &'a [usize],
-        /// Offset of each column in `data`.
-        col: &'a [usize],
-    },
-}
-
-/// The column counts [`matmul_narrow_into`] takes.
-pub const NARROW: [usize; 6] = [1, 2, 3, 4, 8, 16];
-
-/// `out = A · b` for a product of one of the [`NARROW`] column counts,
-/// `A` (`m × k`) read as `lhs` says, `b` row-major `k × n`, `out`
-/// row-major `m × n` (fully overwritten): the kernels of the small
-/// steps, with no column panel and no per-element row-update call.
-///
-/// * `n == 1`, the **one-column path**: each output is one running sum,
-///   `k` ascending, in a register.
-/// * `n` of 2, 3, 4, 8 or 16, the **fixed-width kernels**: one output
-///   row is held in registers (two elements per 256-bit register with
-///   AVX2, as the vector row update) while `k` streams, then stored.
-///
-/// Both keep the accumulation order and zero-skip of [`matmul_into`]
-/// (module docs), so each is bit-identical to it and to
-/// [`scalar::matmul_into`] on the materialized `A`.
-///
-/// # Panics
-///
-/// Panics if `n` is not one of [`NARROW`], or if a slice length
-/// disagrees with its dimensions.
-pub fn matmul_narrow_into(
-    lhs: Lhs<'_>,
-    b: &[Complex64],
-    out: &mut [Complex64],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    assert!(NARROW.contains(&n), "no narrow kernel of {n} columns");
-    assert_eq!(b.len(), k * n, "rhs buffer length mismatch");
-    assert_eq!(out.len(), m * n, "output buffer length mismatch");
-    match lhs {
-        Lhs::RowMajor(a) => {
-            assert_eq!(a.len(), m * k, "lhs buffer length mismatch");
-            narrow(n, |i, kk| a[i * k + kk], b, out);
-        }
-        Lhs::Transposed(a) => {
-            assert_eq!(a.len(), m * k, "lhs buffer length mismatch");
-            narrow(n, |i, kk| a[kk * m + i], b, out);
-        }
-        Lhs::Gathered { data, row, col } => {
-            assert!(
-                row.len() == m && col.len() == k,
-                "gather table length mismatch"
-            );
-            narrow(n, |i, kk| data[row[i] + col[kk]], b, out);
-        }
-    }
-}
-
-/// [`matmul_narrow_into`]'s body for `n` in [`NARROW`] and checked
-/// lengths: the one-column path, or the fixed-width kernel of `n`, on
-/// AVX2 where the CPU has it.
-#[inline(always)]
-fn narrow(
-    n: usize,
-    lhs: impl Fn(usize, usize) -> Complex64,
-    b: &[Complex64],
-    out: &mut [Complex64],
-) {
-    #[cfg(target_arch = "x86_64")]
-    if let Some(cpu) = avx2::Avx2::detect() {
-        return cpu.narrow(n, lhs, b, out);
-    }
-    narrow_loops(n, lhs, b, out, scalar_row_update);
-}
-
-/// The one-column path for `n == 1`, else the fixed-width loops of `n`
-/// on the row update `update`. Always inlined, like [`panel_loops`].
-#[inline(always)]
-fn narrow_loops(
-    n: usize,
-    lhs: impl Fn(usize, usize) -> Complex64,
-    b: &[Complex64],
-    out: &mut [Complex64],
-    update: impl Fn(Complex64, &[Complex64], &mut [Complex64]),
-) {
-    match n {
-        1 => column_loops(lhs, b, out),
-        2 => fixed_loops::<2>(lhs, b, out, update),
-        3 => fixed_loops::<3>(lhs, b, out, update),
-        4 => fixed_loops::<4>(lhs, b, out, update),
-        8 => fixed_loops::<8>(lhs, b, out, update),
-        _ => fixed_loops::<16>(lhs, b, out, update),
-    }
 }
 
 /// The one-column path: `out[i] = Σ_kk A[i][kk]·b[kk]`, one running sum
@@ -370,31 +270,9 @@ pub fn dot(x: &[Complex64], y: &[Complex64]) -> Complex64 {
     scalar_dot(x, y)
 }
 
-/// `[dot(x, y0), dot(x, y1)]`, bit for bit, in one pass over `x`: the
-/// two sums' adds do not wait on one another, so the pair costs little
-/// more than one [`dot`] where a long dot waits on its adds.
-///
-/// # Panics
-///
-/// Panics if the rows' lengths differ.
-#[inline(always)]
-pub fn dot2(x: &[Complex64], y0: &[Complex64], y1: &[Complex64]) -> [Complex64; 2] {
-    assert!(
-        x.len() == y0.len() && x.len() == y1.len(),
-        "dot operand length mismatch"
-    );
-    #[cfg(target_arch = "x86_64")]
-    if x.len() >= 4 {
-        if let Some(cpu) = avx2::Avx2::detect() {
-            return cpu.dot2(x, y0, y1);
-        }
-    }
-    [scalar_dot(x, y0), scalar_dot(x, y1)]
-}
-
-/// The portable scalar kernels: the fallback on CPUs without AVX2 and
-/// the oracle the vector path must match bit for bit. Same signatures
-/// and contracts as the dispatched [`matmul_into`],
+/// The portable scalar kernels, the panel loops whatever the column
+/// count: the oracle every other path must match bit for bit. Same
+/// signatures and contracts as the dispatched [`matmul_into`],
 /// [`matmul_gather_lhs_into`] and [`dot`].
 pub mod scalar {
     use super::{check_dense, check_gather, panel_loops, scalar_dot, scalar_row_update};
@@ -467,8 +345,9 @@ fn check_gather(
     (m, k)
 }
 
-/// Runs the loop nest with the AVX2 row update when this CPU has AVX2,
-/// else with the scalar one. Chosen once per call, not per row.
+/// Runs the loop nest of `n` columns ([`loops`]) with the AVX2 row
+/// update when this CPU has AVX2, else with the scalar one. Chosen once
+/// per call, not per row.
 #[inline(always)]
 fn dispatch(
     m: usize,
@@ -480,9 +359,33 @@ fn dispatch(
 ) {
     #[cfg(target_arch = "x86_64")]
     if let Some(cpu) = avx2::Avx2::detect() {
-        return cpu.panel_loops(m, k, n, lhs, b, out);
+        return cpu.loops(m, k, n, lhs, b, out);
     }
-    panel_loops(m, k, n, lhs, b, out, scalar_row_update);
+    loops(m, k, n, lhs, b, out, scalar_row_update);
+}
+
+/// `out = A · b` with `A[i][kk] = lhs(i, kk)` on the loop nest of `n`
+/// columns (module docs): the one-column path, the fixed-width loops of
+/// `n`, or the panel loops. Always inlined, like [`panel_loops`].
+#[inline(always)]
+fn loops(
+    m: usize,
+    k: usize,
+    n: usize,
+    lhs: impl Fn(usize, usize) -> Complex64,
+    b: &[Complex64],
+    out: &mut [Complex64],
+    update: impl Fn(Complex64, &[Complex64], &mut [Complex64]),
+) {
+    match n {
+        1 => column_loops(lhs, b, out),
+        2 => fixed_loops::<2>(lhs, b, out, update),
+        3 => fixed_loops::<3>(lhs, b, out, update),
+        4 => fixed_loops::<4>(lhs, b, out, update),
+        8 => fixed_loops::<8>(lhs, b, out, update),
+        16 => fixed_loops::<16>(lhs, b, out, update),
+        _ => panel_loops(m, k, n, lhs, b, out, update),
+    }
 }
 
 /// The loop nest every kernel runs: `out = A · b` with `A[i][kk] =

@@ -13,7 +13,7 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 #![deny(clippy::undocumented_unsafe_blocks)]
 
-use super::{finish_dot, narrow_loops, panel_loops};
+use super::{finish_dot, loops};
 use crate::Complex64;
 use std::arch::x86_64::{
     __m256d, _mm256_add_pd, _mm256_addsub_pd, _mm256_loadu_pd, _mm256_movedup_pd, _mm256_mul_pd,
@@ -32,10 +32,9 @@ impl Avx2 {
         is_x86_feature_detected!("avx2").then_some(Avx2(()))
     }
 
-    /// [`panel_loops`] compiled with AVX2 enabled, on the vector row
-    /// update.
+    /// [`loops`] compiled with AVX2 enabled, on the vector row update.
     #[inline(always)]
-    pub(super) fn panel_loops(
+    pub(super) fn loops(
         self,
         m: usize,
         k: usize,
@@ -45,36 +44,8 @@ impl Avx2 {
         out: &mut [Complex64],
     ) {
         // SAFETY: an `Avx2` exists only after `detect` found AVX2 on
-        // this CPU, which is all `panel_loops_avx2` requires.
-        unsafe { panel_loops_avx2(m, k, n, lhs, b, out) }
-    }
-
-    /// [`narrow_loops`] compiled with AVX2 enabled, on the vector row
-    /// update.
-    #[inline(always)]
-    pub(super) fn narrow(
-        self,
-        n: usize,
-        lhs: impl Fn(usize, usize) -> Complex64,
-        b: &[Complex64],
-        out: &mut [Complex64],
-    ) {
-        // SAFETY: an `Avx2` exists only after `detect` found AVX2 on
-        // this CPU, which is all `narrow_loops_avx2` requires.
-        unsafe { narrow_loops_avx2(n, lhs, b, out) }
-    }
-
-    /// [`super::dot2`] on the vector body. The rows have equal lengths.
-    #[inline(always)]
-    pub(super) fn dot2(
-        self,
-        x: &[Complex64],
-        y0: &[Complex64],
-        y1: &[Complex64],
-    ) -> [Complex64; 2] {
-        // SAFETY: an `Avx2` exists only after `detect` found AVX2 on
-        // this CPU, which is all `dot2_avx2` requires.
-        unsafe { dot2_avx2(x, y0, y1) }
+        // this CPU, which is all `loops_avx2` requires.
+        unsafe { loops_avx2(m, k, n, lhs, b, out) }
     }
 
     /// [`super::dot`] on the vector body. The rows have equal lengths.
@@ -112,41 +83,6 @@ fn dot_avx2(x: &[Complex64], y: &[Complex64]) -> Complex64 {
     finish_dot(acc, x_tail, y_tail)
 }
 
-/// [`dot_avx2`] of `x` with `y0` and with `y1` in one loop: each dot
-/// keeps its own two registers of partial sums, so the result is both
-/// dots to the bit.
-#[target_feature(enable = "avx2")]
-fn dot2_avx2(x: &[Complex64], y0: &[Complex64], y1: &[Complex64]) -> [Complex64; 2] {
-    let zero = _mm256_setzero_pd();
-    let [mut a01, mut a23, mut b01, mut b23] = [zero; 4];
-    let (xs, ys0, ys1) = (x.chunks_exact(4), y0.chunks_exact(4), y1.chunks_exact(4));
-    let (x_tail, y0_tail, y1_tail) = (xs.remainder(), ys0.remainder(), ys1.remainder());
-    for ((xq, uq), vq) in xs.zip(ys0).zip(ys1) {
-        let (x01, x23) = xq.split_at(2);
-        let (u01, u23) = uq.split_at(2);
-        let (v01, v23) = vq.split_at(2);
-        a01 = _mm256_add_pd(a01, products(x01, u01));
-        a23 = _mm256_add_pd(a23, products(x23, u23));
-        b01 = _mm256_add_pd(b01, products(x01, v01));
-        b23 = _mm256_add_pd(b23, products(x23, v23));
-    }
-    let mut sums = [[Complex64::ZERO; 4]; 2];
-    for (acc, (s01, s23)) in sums.iter_mut().zip([(a01, a23), (b01, b23)]) {
-        let (sums01, sums23) = acc.split_at_mut(2);
-        // SAFETY: `sums01` and `sums23` are two `Complex64`s each, four
-        // contiguous, in-bounds `f64` (`#[repr(C)]`), written unaligned.
-        unsafe {
-            _mm256_storeu_pd(sums01.as_mut_ptr().cast::<f64>(), s01);
-            _mm256_storeu_pd(sums23.as_mut_ptr().cast::<f64>(), s23);
-        }
-    }
-    let [u, v] = sums;
-    [
-        finish_dot(u, x_tail, y0_tail),
-        finish_dot(v, x_tail, y1_tail),
-    ]
-}
-
 /// `[u0·v0, u1·v1]` for two-element `u` and `v`: lane 0 of `addsub`
 /// is `u.re·v.re − u.im·v.im`, lane 1 `u.re·v.im + u.im·v.re`.
 #[target_feature(enable = "avx2")]
@@ -167,9 +103,9 @@ fn products(u: &[Complex64], v: &[Complex64]) -> __m256d {
     _mm256_addsub_pd(_mm256_mul_pd(re, vv), _mm256_mul_pd(im, swapped))
 }
 
-/// The shared loop nest with the vector row update inlined into it.
+/// The loop nests with the vector row update inlined into them.
 #[target_feature(enable = "avx2")]
-fn panel_loops_avx2(
+fn loops_avx2(
     m: usize,
     k: usize,
     n: usize,
@@ -177,21 +113,9 @@ fn panel_loops_avx2(
     b: &[Complex64],
     out: &mut [Complex64],
 ) {
-    panel_loops(m, k, n, lhs, b, out, |x, b_row, out_row| {
+    loops(m, k, n, lhs, b, out, |x, b_row, out_row| {
         row_update(x, b_row, out_row)
     });
-}
-
-/// The narrow kernels' loops with the vector row update inlined into
-/// them.
-#[target_feature(enable = "avx2")]
-fn narrow_loops_avx2(
-    n: usize,
-    lhs: impl Fn(usize, usize) -> Complex64,
-    b: &[Complex64],
-    out: &mut [Complex64],
-) {
-    narrow_loops(n, lhs, b, out, |x, b_row, acc| row_update(x, b_row, acc));
 }
 
 /// `out_row += x · b_row`, two elements per register. Per element this

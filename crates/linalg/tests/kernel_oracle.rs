@@ -4,16 +4,15 @@
 //! themselves, so the "compiled == reference" suites elsewhere compare
 //! the vector path with itself. Here the subject is
 //! [`kernels::matmul_into`] / [`kernels::matmul_gather_lhs_into`]
-//! (the AVX2 row update on CPUs that have it), [`kernels::dot`] and
-//! [`kernels::dot2`] (the AVX2 dot products) and
-//! [`kernels::matmul_narrow_into`] (the
-//! one-column path and the fixed-width kernels, on every way of reading
-//! the left factor), and the oracle is [`kernels::scalar`], on shapes
-//! that cross the 512-wide column panel and leave an odd last element
-//! (dots of every length modulo 4), and on values that probe the
-//! arithmetic: exact `±0.0` entries of `a` (the zero-skip),
-//! subnormals, `-0.0` in `b`, and for the narrow kernels NaN and `±∞`
-//! on both sides, which a skipped zero must never meet.
+//! (the AVX2 row update on CPUs that have it, and for 1, 2, 3, 4, 8 or
+//! 16 columns the one-column path and the fixed-width loops, on every
+//! way of reading the left factor) and [`kernels::dot`] (the AVX2 dot
+//! product), and the oracle is [`kernels::scalar`], on shapes that
+//! cross the 512-wide column panel and leave an odd last element (dots
+//! of every length modulo 4), and on values that probe the arithmetic:
+//! exact `±0.0` entries of `a` (the zero-skip), subnormals, `-0.0` in
+//! `b`, and for the small shapes NaN and `±∞` on both sides, which a
+//! skipped zero must never meet.
 
 use proptest::prelude::*;
 use qns_linalg::{c64, kernels, Complex64};
@@ -107,18 +106,6 @@ fn dot_matches_scalar_oracle() {
 }
 
 #[test]
-fn dot2_is_two_dots() {
-    for (seed, &len) in (0u64..).zip(DOT_LENGTHS.iter().cycle().take(2 * DOT_LENGTHS.len())) {
-        let mut rng = StdRng::seed_from_u64(0xd02 + seed);
-        let x = lhs_values(&mut rng, len);
-        let (y0, y1) = (rhs_values(&mut rng, len), lhs_values(&mut rng, len));
-        let got = kernels::dot2(&x, &y0, &y1);
-        let want = [kernels::scalar::dot(&x, &y0), kernels::scalar::dot(&x, &y1)];
-        assert_eq!(bits(&got), bits(&want), "len {len}, seed {seed}");
-    }
-}
-
-#[test]
 fn dot_keeps_the_sign_of_exact_zeros() {
     // Every product's real part is `-0.0 · 1 − 0.0 · 0.0 = -0.0`; each
     // partial sum starts at `+0.0`, so the result is `+0.0` on both
@@ -136,7 +123,7 @@ fn dot_keeps_the_sign_of_exact_zeros() {
     }
 }
 
-/// One component for the narrow kernels' operands: an exact zero of
+/// One component for the small shapes' operands: an exact zero of
 /// either sign, NaN, `±∞`, or an ordinary value.
 fn special(rng: &mut StdRng) -> f64 {
     match rng.random_range(0..12u32) {
@@ -181,11 +168,13 @@ fn bits_nan_as_one(v: &[Complex64]) -> Vec<(u64, u64)> {
     v.iter().map(|z| (one(z.re), one(z.im))).collect()
 }
 
-/// Checks [`kernels::matmul_narrow_into`] at `m × k × n` against the
-/// scalar oracle on the materialized left factor, reading `A` row-major,
-/// transposed and through gather tables, on ordinary operands and on
+/// Checks the three kernels at `m × k × n` against the scalar oracle
+/// on the materialized left factor, reading `A` row-major
+/// ([`kernels::matmul_into`]), transposed
+/// ([`kernels::matmul_transposed_lhs_into`]) and through gather tables
+/// ([`kernels::matmul_gather_lhs_into`]), on ordinary operands and on
 /// operands full of zeros, NaN and `±∞`.
-fn check_narrow(m: usize, k: usize, n: usize, seed: u64) {
+fn check_small(m: usize, k: usize, n: usize, seed: u64) {
     let mut rng = StdRng::seed_from_u64(seed);
     for special_operands in [false, true] {
         let (a, b) = if special_operands {
@@ -203,20 +192,13 @@ fn check_narrow(m: usize, k: usize, n: usize, seed: u64) {
         let a_t: Vec<Complex64> = (0..k * m).map(|t| a[(t % m) * k + t / m]).collect();
         let (row, col): (Vec<usize>, Vec<usize>) =
             ((0..m).collect(), (0..k).map(|kk| kk * m).collect());
-        for (lhs, how) in [
-            (kernels::Lhs::RowMajor(&a), "row-major"),
-            (kernels::Lhs::Transposed(&a_t), "transposed"),
-            (
-                kernels::Lhs::Gathered {
-                    data: &a_t,
-                    row: &row,
-                    col: &col,
-                },
-                "gathered",
-            ),
-        ] {
+        for how in ["row-major", "transposed", "gathered"] {
             let mut got = vec![c64(7.0, -7.0); m * n];
-            kernels::matmul_narrow_into(lhs, &b, &mut got, m, k, n);
+            match how {
+                "row-major" => kernels::matmul_into(&a, &b, &mut got, m, k, n),
+                "transposed" => kernels::matmul_transposed_lhs_into(&a_t, &b, &mut got, m, k, n),
+                _ => kernels::matmul_gather_lhs_into(&a_t, &row, &col, &b, &mut got, n),
+            }
             assert_eq!(
                 bits_nan_as_one(&got),
                 bits_nan_as_one(&want),
@@ -230,17 +212,18 @@ fn check_narrow(m: usize, k: usize, n: usize, seed: u64) {
 fn narrow_kernels_match_scalar_oracle() {
     let mut seed = 0x4e41;
     // Every shape up to 4 × 4 × 4, the wider fixed widths on small
-    // factors, and the `deep_sum` shapes: a fixed-width product, the
-    // one-column root dot products.
+    // factors, the column counts either side of them (panel loops), and
+    // the `deep_sum` shapes: fixed-width products, the one-column root
+    // dot products.
     let small = (1..=4).flat_map(|m| (1..=4).flat_map(move |k| (1..=4).map(move |n| (m, k, n))));
-    let wide = [8, 16]
+    let wide = [5, 7, 8, 9, 15, 16, 17]
         .into_iter()
         .flat_map(|n| [(1, 1, n), (2, 3, n), (4, 4, n)]);
     let deep_sum = [(8, 2, 4), (1, 32, 1), (1, 4096, 1), (8, 2, 1), (4, 8, 8)];
     for (m, k, n) in small.chain(wide).chain(deep_sum) {
         for _ in 0..4 {
             seed += 1;
-            check_narrow(m, k, n, seed);
+            check_small(m, k, n, seed);
         }
     }
 }
@@ -253,15 +236,15 @@ fn narrow_kernels_propagate_nan_and_skip_zeros() {
     let b = [inf, inf, c64(1.0, 0.0), c64(2.0, 0.0)];
     let mut out = [Complex64::ZERO; 2];
     let a = [c64(0.0, -0.0), c64(1.0, 0.0)];
-    kernels::matmul_narrow_into(kernels::Lhs::RowMajor(&a), &b, &mut out, 1, 2, 2);
+    kernels::matmul_into(&a, &b, &mut out, 1, 2, 2);
     assert_eq!(bits(&out), bits(&[c64(1.0, 0.0), c64(2.0, 0.0)]));
     let a = [c64(f64::NAN, 0.0), c64(1.0, 0.0)];
-    kernels::matmul_narrow_into(kernels::Lhs::RowMajor(&a), &b, &mut out, 1, 2, 2);
+    kernels::matmul_into(&a, &b, &mut out, 1, 2, 2);
     assert!(out.iter().all(|z| z.re.is_nan()), "{out:?}");
     // The one-column path likewise.
     let mut one = [Complex64::ZERO];
-    kernels::matmul_narrow_into(
-        kernels::Lhs::RowMajor(&[Complex64::ZERO, c64(3.0, 0.0)]),
+    kernels::matmul_into(
+        &[Complex64::ZERO, c64(3.0, 0.0)],
         &[inf, c64(1.0, 1.0)],
         &mut one,
         1,

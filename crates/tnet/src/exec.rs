@@ -33,11 +33,9 @@
 //!
 //! A record is everything a step needs, decided once: where its
 //! operands lie (an input slot, or an offset into the cold cache or the
-//! arena), where its node goes, its shape, its product kernel (the
-//! narrow kernels of [`qns_linalg::kernels::matmul_narrow_into`] for
-//! the column counts they take, else the panel kernels), and its
-//! gathers. Lowering checks every length once; an execution checks the
-//! inputs it reads once, before its first step. A replay splits the
+//! arena), where its node goes, its shape, and its gathers. Lowering
+//! checks the length of every buffer but the inputs once; an execution
+//! checks each input where a step reads it. A replay splits the
 //! arena around a step's node (the regions a step reads lie wholly
 //! below or above it) and walks the records; a sweep walks the reverse
 //! records, whose kernel class (dot products, running sums, a product,
@@ -128,7 +126,7 @@
 //! env(dst)·rhsᵀ` and `env(rhs) = lhsᵀ·env(dst)`, each a kernel of the
 //! same `m·k·n` as the forward step, reading the forward gathers;
 //! narrow ones are taken as dot products ([`qns_linalg::kernels::dot`]
-//! and [`qns_linalg::kernels::dot2`] where both factors are row-major).
+//! where both factors are row-major).
 //! Every environment is written in
 //! its operand's own layout, scattered back through the gather the
 //! forward step reads the operand with, so a hot node's environment
@@ -152,8 +150,8 @@
 use crate::network::{ContractionStats, TensorNetwork};
 use crate::plan::ContractionPlan;
 use qns_linalg::kernels::{
-    dot, dot2, gather_blocked, matmul_gather_lhs_into, matmul_into, matmul_narrow_into,
-    matmul_transposed_lhs_into, scatter_blocked, Lhs, NARROW,
+    dot, gather_blocked, matmul_gather_lhs_into, matmul_into, matmul_transposed_lhs_into,
+    scatter_blocked,
 };
 use qns_linalg::Complex64;
 use qns_tensor::Tensor;
@@ -713,43 +711,30 @@ fn transpose_into(src: &[Complex64], rows: usize, cols: usize, dst: &mut [Comple
     }
 }
 
-/// The product kernel of a lowered step, chosen at lowering by the
-/// number of columns the step writes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Product {
-    /// [`matmul_narrow_into`]: one of the [`NARROW`] column counts,
-    /// the one-column path or a fixed-width kernel.
-    Narrow,
-    /// The panel kernels: [`matmul_into`] and its lhs variants.
-    Panel,
+/// How a product reads its left factor `A` (`m × k`).
+#[derive(Clone, Copy, Debug)]
+enum Lhs<'a> {
+    /// A row-major `m × k` matrix: `A[i][kk] = data[i·k + kk]`.
+    RowMajor(&'a [Complex64]),
+    /// A row-major `k × m` matrix read transposed: `A[i][kk] =
+    /// data[kk·m + i]`.
+    Transposed(&'a [Complex64]),
+    /// Through gather tables: `A[i][kk] = data[row[i] + col[kk]]`.
+    Gathered {
+        data: &'a [Complex64],
+        row: &'a [usize],
+        col: &'a [usize],
+    },
 }
 
-impl Product {
-    fn of(columns: usize) -> Product {
-        if NARROW.contains(&columns) {
-            Product::Narrow
-        } else {
-            Product::Panel
-        }
-    }
-
-    /// `out = A · b`, `A` (`m × k`) read as `lhs` says.
-    fn run(
-        self,
-        lhs: Lhs<'_>,
-        b: &[Complex64],
-        out: &mut [Complex64],
-        m: usize,
-        k: usize,
-        n: usize,
-    ) {
-        match (self, lhs) {
-            (Product::Narrow, lhs) => matmul_narrow_into(lhs, b, out, m, k, n),
-            (Product::Panel, Lhs::RowMajor(a)) => matmul_into(a, b, out, m, k, n),
-            (Product::Panel, Lhs::Transposed(a)) => matmul_transposed_lhs_into(a, b, out, m, k, n),
-            (Product::Panel, Lhs::Gathered { data, row, col }) => {
-                matmul_gather_lhs_into(data, row, col, b, out, n)
-            }
+impl Lhs<'_> {
+    /// `out = A · b` for row-major `b` (`k × n`) and `out` (`m × n`),
+    /// on the kernel of this read.
+    fn times(self, b: &[Complex64], out: &mut [Complex64], m: usize, k: usize, n: usize) {
+        match self {
+            Lhs::RowMajor(a) => matmul_into(a, b, out, m, k, n),
+            Lhs::Transposed(a) => matmul_transposed_lhs_into(a, b, out, m, k, n),
+            Lhs::Gathered { data, row, col } => matmul_gather_lhs_into(data, row, col, b, out, n),
         }
     }
 }
@@ -836,9 +821,9 @@ impl Kernel {
                 Reverse::LhsDots
             }
             (LHS, true) => Reverse::LhsSums,
-            (LHS, false) => Reverse::LhsProduct(Product::of(self.k)),
+            (LHS, false) => Reverse::LhsProduct,
             (_, true) => Reverse::RhsSums,
-            (_, false) => Reverse::RhsProduct(Product::of(self.n)),
+            (_, false) => Reverse::RhsProduct,
         }
     }
 
@@ -949,10 +934,10 @@ fn push_walk(
 }
 
 /// One hot pair contraction as replays run it, fixed at lowering: where
-/// its operands and its node lie, its shape (checked against its
-/// buffers once, there), its product kernel, and the gathers it reads
-/// and writes through (indices into the plan's gathers). A replay only
-/// walks these records.
+/// its operands and its node lie, its shape (checked against every
+/// buffer but the inputs once, there), and the gathers it reads and
+/// writes through (indices into the plan's gathers). A replay only
+/// walks these records; the kernel picks its loop nest by the shape.
 #[derive(Clone, Copy, Debug)]
 struct Step {
     lhs: Src,
@@ -962,7 +947,6 @@ struct Step {
     m: u32,
     k: u32,
     n: u32,
-    product: Product,
     /// The lhs is read through this gather, fused into the product.
     lhs_gather: Option<u32>,
     /// The rhs is copied through this gather into the scratch first.
@@ -1012,10 +996,10 @@ fn forward(
         Some(g) => gathers[g as usize].lhs(tables, a),
     };
     match s.out_copy {
-        None => s.product.run(lhs, b, dst, m, k, n),
+        None => lhs.times(b, dst, m, k, n),
         Some(g) => {
             let staged = &mut stage[..m * n];
-            s.product.run(lhs, b, staged, m, k, n);
+            lhs.times(b, staged, m, k, n);
             gathers[g as usize].copy(tables, staged, dst);
         }
     }
@@ -1060,7 +1044,8 @@ impl<'a> Around<'a> {
 }
 
 /// The `len` elements an operand at `src` holds: an input (its length
-/// checked once per execution), a cold-cache region, or an arena region.
+/// checked here, the one buffer lowering cannot check), a cold-cache
+/// region, or an arena region.
 fn read<'a, 'i: 'a>(
     src: Src,
     len: usize,
@@ -1069,7 +1054,11 @@ fn read<'a, 'i: 'a>(
     arena: &Around<'a>,
 ) -> &'a [Complex64] {
     match src {
-        Src::Input(i) => input(i as usize),
+        Src::Input(i) => {
+            let data = input(i as usize);
+            assert_eq!(data.len(), len, "input tensor {i} length");
+            data
+        }
         Src::Cold(at) => &cold[at as usize..][..len],
         Src::Arena(at) => arena.read(at as usize, len),
     }
@@ -1086,12 +1075,12 @@ enum Reverse {
     LhsSums,
     /// `env(lhs)` as a product, the rhs first transposed into the
     /// scratch.
-    LhsProduct(Product),
+    LhsProduct,
     /// `env(rhs) = lhsᵀ·env(P)` for a one-column rhs, each entry one
     /// running sum.
     RhsSums,
     /// `env(rhs)` as a product with a transposed (or gathered) lhs.
-    RhsProduct(Product),
+    RhsProduct,
     /// `env(rhs)` as a product taken entry by entry
     /// ([`product_entries`]), bit for bit the product, for a small step
     /// whose environment is scattered: its entries are stored straight
@@ -1178,9 +1167,6 @@ pub struct ExecutablePlan {
     /// Identity for workspace warm-tracking (shared by clones).
     id: u64,
     n_inputs: usize,
-    /// Per input slot, its length when an execution reads it: checked
-    /// once per replay or sweep, before the first step.
-    input_lens: Vec<Option<usize>>,
     /// Whether each input slot may change between executions.
     varying: Vec<bool>,
     /// The hot steps, in execution order.
@@ -1392,7 +1378,6 @@ fn step_of(
         m: pos32(kernel.m),
         k: pos32(kernel.k),
         n: pos32(kernel.n),
-        product: Product::of(kernel.n),
         lhs_gather: push(kernel.lhs_gather),
         rhs_copy: push(kernel.rhs_gather),
         out_copy: push(kernel.out_gather),
@@ -1540,11 +1525,6 @@ impl ExecutablePlan {
             }
             let mut temps = vec![Complex64::ZERO; pool.end];
             let mut scratch = vec![Complex64::ZERO; scratch_need];
-            let leaf = |s: usize| {
-                let data = input(s);
-                assert_eq!(data.len(), slot_len(s), "input tensor {s} length");
-                data
-            };
             // A cold child is either an input leaf or a temporary only
             // this step reads.
             let at = |s: usize| match s.checked_sub(n_inputs) {
@@ -1571,8 +1551,8 @@ impl ExecutablePlan {
                 } else {
                     Around::split(&mut temps, temp_at[i], m * n)
                 };
-                let a = read(s.lhs, m * k, &leaf, &[], &around);
-                let b = read(s.rhs, k * n, &leaf, &[], &around);
+                let a = read(s.lhs, m * k, &input, &[], &around);
+                let b = read(s.rhs, k * n, &input, &[], &around);
                 forward(&tables, &gathers, &s, a, b, dst, &mut scratch);
             }
         }
@@ -1646,7 +1626,7 @@ impl ExecutablePlan {
             // An lhs reverse product reads its rhs transposed: a
             // gathered rhs gets the transposed copy, with its own walk.
             let rhs_t = match (kernel.reverse(LHS), kernel.rhs_gather) {
-                (Reverse::LhsProduct(_), Some(g)) if env[LHS].is_hot() => {
+                (Reverse::LhsProduct, Some(g)) if env[LHS].is_hot() => {
                     Some(g.transposed_copy(&mut tables, &mut axes))
                 }
                 _ => None,
@@ -1791,7 +1771,7 @@ impl ExecutablePlan {
                 },
                 rhs_t.map(&mut push),
                 match (kernel.reverse(RHS), kernel.lhs_gather) {
-                    (Reverse::RhsProduct(_), Some(g)) if step.env[RHS].is_hot() => {
+                    (Reverse::RhsProduct, Some(g)) if step.env[RHS].is_hot() => {
                         Some(push(g.transposed()))
                     }
                     _ => None,
@@ -1813,7 +1793,7 @@ impl ExecutablePlan {
                     _ => record.rhs_copy,
                 };
                 let reverse = match kernel.reverse(side) {
-                    Reverse::RhsProduct(_)
+                    Reverse::RhsProduct
                         if scatter.is_some() && kernel.flops() <= SMALL_STEP as u128 =>
                     {
                         Reverse::RhsEntries
@@ -1840,9 +1820,9 @@ impl ExecutablePlan {
                 let factor_gather = match reverse {
                     Reverse::LhsDots => None,
                     Reverse::LhsSums => record.rhs_copy,
-                    Reverse::LhsProduct(_) => rhs_t,
+                    Reverse::LhsProduct => rhs_t,
                     Reverse::RhsSums | Reverse::RhsEntries => record.lhs_gather,
-                    Reverse::RhsProduct(_) => lhs_t,
+                    Reverse::RhsProduct => lhs_t,
                 };
                 let target = step.env[side];
                 Adjoint {
@@ -1874,20 +1854,6 @@ impl ExecutablePlan {
             }
             None => (result_shape.to_vec(), None),
         };
-        // Executions check the inputs they read, once each: those of
-        // the hot steps, and an input that is the result.
-        let mut input_lens = vec![None; n_inputs];
-        let reads = records.iter().flat_map(|s| [s.lhs, s.rhs]);
-        for i in reads.filter_map(|src| match src {
-            Src::Input(i) => Some(i as usize),
-            _ => None,
-        }) {
-            input_lens[i] = Some(slot_len(i));
-        }
-        if let SlotLoc::Input(i) = result {
-            input_lens[i] = Some(slot_len(i));
-        }
-
         let varying: Vec<bool> = (0..n_inputs).map(hot).collect();
         // Every step on a varying leaf's path is hot.
         let path_len = |leaf: usize| {
@@ -1916,7 +1882,6 @@ impl ExecutablePlan {
         ExecutablePlan {
             id: NEXT_PLAN_ID.fetch_add(1, Ordering::Relaxed),
             n_inputs,
-            input_lens,
             varying,
             steps: records,
             adjoints,
@@ -2137,7 +2102,9 @@ impl ExecutablePlan {
     /// # Panics
     ///
     /// Panics if the plan's output is not rank 0, if `net` does not
-    /// match the plan, or if a leaf is out of range or not varying.
+    /// have the plan's input count or an input the sweep reads does not
+    /// have its planned length, or if a leaf is out of range or not
+    /// varying.
     pub fn sweep_network_envs(
         &self,
         net: &TensorNetwork,
@@ -2173,21 +2140,6 @@ impl ExecutablePlan {
         stats
     }
 
-    /// Checks the lengths of the input slots `leaves` once, before a
-    /// replay or a sweep reads them: no step checks an operand's
-    /// length, lowering checked every other buffer's.
-    fn check_inputs<'i>(
-        &self,
-        input: &impl Fn(usize) -> &'i [Complex64],
-        leaves: impl Iterator<Item = usize>,
-    ) {
-        for i in leaves {
-            if let Some(len) = self.input_lens[i] {
-                assert_eq!(input(i).len(), len, "input tensor {i} length");
-            }
-        }
-    }
-
     fn run_sweep<'i>(
         &self,
         input: impl Fn(usize) -> &'i [Complex64],
@@ -2209,8 +2161,6 @@ impl ExecutablePlan {
             crate::profile::record_sweep(timer, 0);
             return stats;
         }
-        // The sweep reads the payloads the workspace's intermediates
-        // were computed from, whose lengths that replay checked.
         ws.ensure_sweep(self);
         let Workspace {
             arena,
@@ -2421,16 +2371,16 @@ impl ExecutablePlan {
         match (adj.reverse, out) {
             // env(lhs) = env(P) · rhsᵀ: (m × n)·(n × k), the rhs read
             // transposed.
-            (Reverse::LhsProduct(product), _) => {
+            (Reverse::LhsProduct, _) => {
                 let b_t = &mut scratch[..n * k];
                 match gather {
                     Some(g) => g.copy(tables, factor, b_t),
                     None => transpose_into(factor, k, n, b_t),
                 }
-                product.run(env_p, b_t, dst, m, n, k);
+                env_p.times(b_t, dst, m, n, k);
             }
             // env(rhs) = lhsᵀ · env(P): (k × m)·(m × n).
-            (Reverse::RhsProduct(product), _) => {
+            (Reverse::RhsProduct, _) => {
                 let lhs = match gather {
                     None => Lhs::Transposed(factor),
                     Some(g) => g.lhs(tables, factor),
@@ -2438,7 +2388,7 @@ impl ExecutablePlan {
                 let Lhs::RowMajor(e) = env_p else {
                     unreachable!("an rhs reverse step reads a row-major environment")
                 };
-                product.run(lhs, &e[..m * n], dst, k, m, n);
+                lhs.times(&e[..m * n], dst, k, m, n);
             }
             (_, Out::RowMajor) => {
                 let cols = if matches!(adj.reverse, Reverse::RhsSums | Reverse::RhsEntries) {
@@ -2475,18 +2425,10 @@ impl ExecutablePlan {
         match (adj.reverse, env_p, gather) {
             // env(lhs) = env(P) · rhsᵀ: (m × n)·(n × k).
             (Reverse::LhsDots, Lhs::RowMajor(e), _) => {
-                // Two rows of the rhs at a time, each entry its own dot.
-                let pairs = factor[..k * n].chunks_exact(2 * n);
-                let last = pairs.remainder();
+                let b_rows = factor[..k * n].chunks_exact(n);
                 for (i, e_row) in e.chunks_exact(n).take(m).enumerate() {
-                    for (c, pair) in (0..).step_by(2).zip(pairs.clone()) {
-                        let (b0, b1) = pair.split_at(n);
-                        let [d0, d1] = dot2(e_row, b0, b1);
-                        dst[at(i, c)] = d0;
-                        dst[at(i, c + 1)] = d1;
-                    }
-                    if !last.is_empty() {
-                        dst[at(i, k - 1)] = dot(e_row, last);
+                    for (c, b_row) in b_rows.clone().enumerate() {
+                        dst[at(i, c)] = dot(e_row, b_row);
                     }
                 }
             }
@@ -2547,7 +2489,6 @@ impl ExecutablePlan {
             crate::profile::record_full(timer, 0);
             return &ws.out[..1];
         }
-        self.check_inputs(&input, 0..self.n_inputs);
         {
             let Workspace {
                 arena,
@@ -2592,9 +2533,6 @@ impl ExecutablePlan {
             return (out, self.replay_stats);
         }
         let timer = crate::profile::start_replay();
-        // Only the dirty leaves changed since the replay that warmed
-        // the workspace, which checked the others.
-        self.check_inputs(&input, dirty_leaves.iter().copied());
         // Union of the dirty leaves' (individually sorted) paths, as
         // one ascending step sequence. Reuses the workspace's merge
         // buffer: no allocation once it has grown.
@@ -2666,6 +2604,7 @@ impl ExecutablePlan {
             SlotLoc::Cold { offset, len } => &self.cold[offset..offset + len],
             SlotLoc::Input(i) => input(i),
         };
+        assert_eq!(res.len(), self.result_len, "result length");
         let out = &mut out[..self.result_len];
         match self.out_gather {
             Some(start) => {
@@ -3171,11 +3110,12 @@ mod tests {
         // orders and a few extra bonds, lowered with every leaf varying
         // and with some: between them they make every reverse step
         // kind, every way of reading a node's environment but the
-        // inverse one, the narrow product kernels and fused scatters.
+        // inverse one, products of one and two columns (the kernels'
+        // one-column path and a fixed-width loop) and fused scatters.
         let mut rng = StdRng::seed_from_u64(31);
         let mut reverse = std::collections::BTreeSet::new();
         let mut env_in = std::collections::BTreeSet::new();
-        let (mut products, mut fused) = (std::collections::BTreeSet::new(), 0);
+        let (mut columns, mut fused) = (std::collections::BTreeSet::new(), 0);
         for case in 0..400 {
             let k = 2 + case % 7;
             let mut net = TensorNetwork::new();
@@ -3204,7 +3144,7 @@ mod tests {
             let plan = net.plan(OrderStrategy::Greedy);
             for exec in [plan.compile(), plan.compile_for_replay(&net, &varying)] {
                 for s in &exec.steps {
-                    products.insert(format!("{:?}", s.product));
+                    columns.insert(s.n);
                 }
                 for adj in &exec.adjoints {
                     let kind = format!("{:?}", adj.reverse);
@@ -3224,7 +3164,7 @@ mod tests {
                 "{read}: {env_in:?}"
             );
         }
-        assert!(products.contains("Narrow"), "{products:?}");
+        assert!(columns.contains(&1) && columns.contains(&2), "{columns:?}");
         assert!(fused > 0);
     }
 

@@ -388,6 +388,56 @@ fn delta_on_a_cold_leaf_panics() {
     let _ = exec.execute_network_delta_into(&net, &[2], &mut ws);
 }
 
+/// A closed ring of three 2 × 2 matrices, with node 1 replaced by a
+/// 2 × 3 one when `longer`: the same node count, but not the shapes a
+/// plan of the ring was made for.
+fn ring(longer: bool) -> TensorNetwork {
+    let mut rng = StdRng::seed_from_u64(0x51A9);
+    let mut net = TensorNetwork::new();
+    let legs = [net.fresh_leg(), net.fresh_leg(), net.fresh_leg()];
+    for i in 0..3 {
+        let shape = if longer && i == 1 {
+            vec![2, 3]
+        } else {
+            vec![2, 2]
+        };
+        net.add(
+            rand_tensor(&mut rng, shape),
+            vec![legs[i], legs[(i + 1) % 3]],
+        );
+    }
+    net
+}
+
+/// A sweep through a warm workspace reads the network it is given, not
+/// the one that warmed it: an input of the wrong length panics wherever
+/// it is read (node 1 is the factor of its sibling's environment).
+#[test]
+#[should_panic(expected = "input tensor 1 length")]
+fn sweep_of_a_mismatched_network_panics() {
+    let net = ring(false);
+    let exec = net
+        .plan(OrderStrategy::Greedy)
+        .compile_for_replay(&net, &[0, 1, 2]);
+    let mut ws = Workspace::new();
+    exec.execute_network_into(&net, &mut ws);
+    let _ = exec.sweep_network_envs(&ring(true), &[0, 1, 2], &mut ws, |_, _| {});
+}
+
+/// Likewise a delta replay whose dirty leaves are not the mismatched
+/// one: a step on their paths reads node 1.
+#[test]
+#[should_panic(expected = "input tensor 1 length")]
+fn delta_of_a_mismatched_network_panics() {
+    let net = ring(false);
+    let exec = net
+        .plan(OrderStrategy::Greedy)
+        .compile_for_replay(&net, &[0, 1, 2]);
+    let mut ws = Workspace::new();
+    exec.execute_network_into(&net, &mut ws);
+    let _ = exec.execute_network_delta_into(&ring(true), &[0, 2], &mut ws);
+}
+
 /// With no varying leaf every step is cold: the whole contraction ran
 /// at compile time and an execution only copies the result out.
 #[test]
