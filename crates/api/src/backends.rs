@@ -5,7 +5,6 @@ use qns_core::ApproxOptions;
 use qns_noise::{NoisyCircuit, QnsError};
 use qns_sim::trajectory::SamplingStrategy;
 use qns_sim::{density, statevector, trajectory};
-use qns_tnet::network::OrderStrategy;
 
 /// A simulation engine that can answer the paper's Problem 1,
 /// `⟨v|E_N(|ψ⟩⟨ψ|)|v⟩`, for a validated [`ExpectationJob`].
@@ -424,7 +423,6 @@ impl Backend for TnetBackend {
             job.noisy(),
             job.initial().product(),
             job.observable().product(),
-            OrderStrategy::Greedy,
         );
         Ok(Estimate::exact(value, self.name()))
     }

@@ -69,6 +69,11 @@ impl InitialState {
 
     /// The dense statevector representation (`2^n` amplitudes; dense
     /// and trajectory engines).
+    ///
+    /// # Panics
+    ///
+    /// Panics, before allocating, past
+    /// [`qns_tnet::builder::MAX_STATEVECTOR_QUBITS`] qubits.
     pub fn statevector(&self) -> Vec<Complex64> {
         self.state.to_statevector()
     }
@@ -131,6 +136,11 @@ impl Observable {
     }
 
     /// The dense statevector representation.
+    ///
+    /// # Panics
+    ///
+    /// Panics, before allocating, past
+    /// [`qns_tnet::builder::MAX_STATEVECTOR_QUBITS`] qubits.
     pub fn statevector(&self) -> Vec<Complex64> {
         self.state.to_statevector()
     }

@@ -19,7 +19,6 @@ use qns_core::bounds;
 use qns_core::timing::time_it;
 use qns_noise::{channels, NoisyCircuit};
 use qns_tnet::builder::ProductState;
-use qns_tnet::network::OrderStrategy;
 
 fn main() {
     let threads = qns_bench::arg_usize("--threads", 1);
@@ -65,9 +64,8 @@ fn main() {
         // The peak-intermediate statistic is engine-specific, so the TN
         // column uses the engine crate directly; the approximation runs
         // through the facade like every other harness.
-        let ((tn_val, stats), tn_t) = time_it(|| {
-            qns_tnet::simulator::expectation_with_stats(&noisy, &psi, &v, OrderStrategy::Greedy)
-        });
+        let ((tn_val, stats), tn_t) =
+            time_it(|| qns_tnet::simulator::expectation_with_stats(&noisy, &psi, &v));
 
         let ours_backend = ApproxBackend::with_options(
             ApproxOptions::default().with_level(1).with_threads(threads),

@@ -22,7 +22,6 @@ use qns_noise::channels;
 use qns_noise::NoisyCircuit;
 use qns_sim::trajectory;
 use qns_tnet::builder::ProductState;
-use qns_tnet::network::OrderStrategy;
 
 fn main() {
     let threads = qns_bench::arg_usize("--threads", 1);
@@ -89,7 +88,6 @@ fn main() {
                 &psi,
                 &v,
                 samples.min(2_000), // TN trajectories are per-sample heavier
-                OrderStrategy::Greedy,
                 13,
             )
         });

@@ -1041,65 +1041,6 @@ pub fn try_reconstruct_density(
     Ok(rho)
 }
 
-/// Diagnostics attached to an automatic run.
-#[derive(Clone, Debug, PartialEq)]
-pub struct AutoReport {
-    /// The level chosen by the Theorem-1 planner.
-    pub level: usize,
-    /// The a-priori error bound at that level.
-    pub bound: f64,
-    /// The largest per-event noise rate used in the planning.
-    pub noise_rate: f64,
-    /// The approximation result itself.
-    pub result: ApproxResult,
-}
-
-/// Plans the cheapest level whose Theorem-1 bound meets
-/// `target_error`, then runs [`approximate_expectation`] at that
-/// level.
-///
-/// # Errors
-///
-/// Returns `Err` with the smallest bound **achievable within the
-/// [`ApproxOptions::max_terms`] guard** when no feasible level reaches
-/// the target. Levels whose pattern count exceeds the guard do not
-/// contribute to the reported bound — it is always attainable by
-/// re-running with a looser target.
-///
-/// # Panics
-///
-/// Panics on state-size mismatches (as the underlying run does).
-pub fn simulate_auto(
-    noisy: &NoisyCircuit,
-    psi: &ProductState,
-    v: &ProductState,
-    target_error: f64,
-    base: &ApproxOptions,
-) -> Result<AutoReport, f64> {
-    let n = noisy.noise_count();
-    let p = noisy.max_noise_rate();
-    let mut best_bound = f64::INFINITY;
-    for level in 0..=n {
-        let patterns = crate::bounds::planned_patterns(n, level);
-        if patterns > base.max_terms {
-            break;
-        }
-        let bound = crate::bounds::error_bound(n, p, level);
-        best_bound = best_bound.min(bound);
-        if bound <= target_error {
-            let opts = ApproxOptions { level, ..*base };
-            let result = approximate_expectation(noisy, psi, v, &opts);
-            return Ok(AutoReport {
-                level,
-                bound,
-                noise_rate: p,
-                result,
-            });
-        }
-    }
-    Err(best_bound)
-}
-
 /// Rewrites Problem 1 with a non-product reference `|v⟩ = U_ideal|0…0⟩`
 /// into product form: appends the ideal circuit's inverse so that
 /// `⟨v|E(ρ)|v⟩ = ⟨0…0| (U† ∘ E)(ρ) |0…0⟩` — the construction used for
@@ -1449,80 +1390,6 @@ mod tests {
         // Physicality of the reconstruction.
         assert!((approx_rho.trace().re - 1.0).abs() < 1e-9);
         assert!(approx_rho.is_hermitian(1e-9));
-    }
-
-    #[test]
-    fn auto_simulation_meets_target() {
-        let noisy = NoisyCircuit::inject_random(ghz(3), &channels::depolarizing(1e-3), 3, 41);
-        let psi = ProductState::all_zeros(3);
-        let v = ProductState::basis(3, 0b111);
-        let target = 1e-6;
-        let report = simulate_auto(&noisy, &psi, &v, target, &ApproxOptions::default())
-            .expect("target is reachable");
-        assert!(report.bound <= target);
-        let mm = exact(&noisy, &psi, &v);
-        assert!(
-            (report.result.value - mm).abs() <= target,
-            "auto run missed target: {}",
-            (report.result.value - mm).abs()
-        );
-        // The planner picks a nontrivial level for this target.
-        assert!(report.level >= 1);
-    }
-
-    #[test]
-    fn auto_simulation_reports_unreachable_targets() {
-        let noisy = NoisyCircuit::inject_random(
-            ghz(3),
-            &channels::depolarizing(0.2), // strong noise
-            8,
-            43,
-        );
-        let tight = ApproxOptions {
-            max_terms: 10, // only level 0 fits
-            ..Default::default()
-        };
-        let out = simulate_auto(
-            &noisy,
-            &ProductState::all_zeros(3),
-            &ProductState::basis(3, 0),
-            1e-12,
-            &tight,
-        );
-        assert!(out.is_err());
-        assert!(out.unwrap_err() > 1e-12);
-    }
-
-    #[test]
-    fn auto_simulation_reports_only_feasible_bounds() {
-        // Regression: the reported "smallest achievable bound" must be
-        // attainable within the max_terms budget. With max_terms = 10
-        // only level 0 is feasible (level 1 needs 1 + 3·8 = 25
-        // patterns), so the error must be the level-0 bound — not the
-        // smaller level-1+ bounds the old code folded in before
-        // noticing they were over budget.
-        let noisy = NoisyCircuit::inject_random(ghz(3), &channels::depolarizing(0.05), 8, 43);
-        let n = noisy.noise_count();
-        let p = noisy.max_noise_rate();
-        let tight = ApproxOptions {
-            max_terms: 10,
-            ..Default::default()
-        };
-        let reported = simulate_auto(
-            &noisy,
-            &ProductState::all_zeros(3),
-            &ProductState::basis(3, 0),
-            1e-12,
-            &tight,
-        )
-        .unwrap_err();
-        let feasible = crate::bounds::error_bound(n, p, 0);
-        let infeasible = crate::bounds::error_bound(n, p, 1);
-        assert!(infeasible < feasible, "level 1 must look tempting");
-        assert_eq!(
-            reported, feasible,
-            "reported bound must be the best *feasible* one"
-        );
     }
 
     #[test]

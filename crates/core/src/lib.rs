@@ -57,9 +57,8 @@ mod sum;
 pub mod timing;
 
 pub use approx::{
-    append_ideal_inverse, approximate_expectation, simulate_auto, site_ranks,
-    try_approximate_expectation, try_approximate_matrix_element, try_reconstruct_density,
-    ApproxOptions, ApproxResult, AutoReport,
+    append_ideal_inverse, approximate_expectation, site_ranks, try_approximate_expectation,
+    try_approximate_matrix_element, try_reconstruct_density, ApproxOptions, ApproxResult,
 };
 pub use bounds::{
     contraction_count, error_bound, level_patterns, level_patterns_for_ranks, level_recommendation,

@@ -28,11 +28,12 @@
 //!   element swapped per transition) and term digits by a reflected
 //!   base-3 Gray code with per-position direction flags, which
 //!   naturally retraces backward after each subset change so the digit
-//!   state carries over. The stream reports *which* sites changed
-//!   ([`GrayPatternStream::changed_sites`]), which is what makes
-//!   payload swaps and delta contraction
+//!   state carries over. Few sites change per pattern, which is what
+//!   makes payload swaps and delta contraction
 //!   ([`qns_tnet::exec::ExecutablePlan::execute_network_delta_into`])
-//!   `O(changes)` instead of `O(n)` per pattern.
+//!   `O(changes)` instead of `O(n)` per pattern; the evaluator finds
+//!   the changed sites by diffing each pattern against the assignment
+//!   it installed.
 //!
 //! The ranked stream keeps the radix-3 walk and steps over the patterns
 //! it must skip, rather than running a mixed-radix Gray code. Its
@@ -40,8 +41,7 @@
 //! sequential level sum is bitwise the full enumeration's. Stepping
 //! over a skipped pattern costs nanoseconds against microseconds per
 //! contraction. After skipped steps two emitted patterns can differ in
-//! more than two sites; [`GrayPatternStream::changed_sites`] still
-//! reports the exact diff.
+//! more than two sites.
 
 /// Streaming enumerator of the level-`u` substitution patterns over
 /// `n` sites, in the canonical order (site subsets lexicographic,
@@ -162,9 +162,7 @@ pub const TERM_UNSET: usize = usize::MAX;
 /// Minimal-change enumerator of the level-`u` substitution patterns:
 /// [`GrayPatternStream::new`] visits exactly the same pattern set as
 /// [`PatternStream`], but consecutive patterns differ in at most
-/// **two** sites, and the stream reports which
-/// ([`GrayPatternStream::changed_sites`]).
-/// [`GrayPatternStream::with_ranks`] walks the same sequence and emits
+/// **two** sites. [`GrayPatternStream::with_ranks`] walks the same sequence and emits
 /// only the patterns whose terms all have a nonzero eigenvalue.
 ///
 /// Structure: for each site subset, all `3^u` term assignments are
@@ -188,8 +186,6 @@ pub struct GrayPatternStream {
     /// The full current pattern (term per site) — kept internally so
     /// callers' output buffers need not carry state between calls.
     current: Vec<usize>,
-    /// Sites changed by the last emitted pattern.
-    changed: Vec<usize>,
     started: bool,
     exhausted: bool,
     /// `caps[s]`: how many sub-dominant terms site `s` has with a
@@ -197,12 +193,6 @@ pub struct GrayPatternStream {
     /// pattern is emitted only when every active digit is below its
     /// site's cap; the walk steps over the others.
     caps: Vec<usize>,
-    /// The last emitted pattern: the diff base for `changed` once
-    /// skipped steps sit between two emitted patterns.
-    emitted: Vec<usize>,
-    /// The active sites of the last emitted pattern. Only these and
-    /// the current active sites can differ from it.
-    emitted_active: Vec<usize>,
 }
 
 impl GrayPatternStream {
@@ -233,66 +223,27 @@ impl GrayPatternStream {
             digits: vec![0; u],
             dirs: vec![1; u],
             current: vec![0; n],
-            changed: Vec::new(),
             started: false,
             exhausted: u > n,
             caps,
-            emitted: vec![0; n],
-            emitted_active: (0..u).collect(),
         }
     }
 
     /// Writes the next pattern (term index per site) into `out`.
     /// Returns `false` once the stream is exhausted.
-    ///
-    /// After a `true` return, [`GrayPatternStream::changed_sites`]
-    /// lists the sites whose term differs from the *previously emitted*
-    /// pattern (for the first pattern: from the all-dominant pattern).
     pub fn next_into(&mut self, out: &mut [usize]) -> bool {
         debug_assert_eq!(out.len(), self.n, "one term slot per site");
         // Walk on until every active digit is below its site's cap.
         loop {
             if !self.step() {
-                self.changed.clear();
                 return false;
             }
             if (0..self.u).all(|p| self.digits[p] < self.caps[self.c[p]]) {
                 break;
             }
         }
-        self.record_changes();
         out.copy_from_slice(&self.current);
         true
-    }
-
-    /// Sets `changed` to the exact diff between `current` and the last
-    /// emitted pattern, then makes `current` the last emitted one.
-    /// Every site outside the two patterns' active sets is dominant in
-    /// both. A site active in both is checked twice but listed once:
-    /// the first check syncs `emitted`.
-    fn record_changes(&mut self) {
-        self.changed.clear();
-        for k in 0..2 * self.u {
-            let s = match k.checked_sub(self.u) {
-                None => self.emitted_active[k],
-                Some(p) => self.c[p],
-            };
-            if self.current[s] != self.emitted[s] {
-                self.emitted[s] = self.current[s];
-                self.changed.push(s);
-            }
-        }
-        self.emitted_active.copy_from_slice(&self.c[..self.u]);
-    }
-
-    /// The sites changed by the last pattern [`GrayPatternStream::next_into`]
-    /// emitted: one site for a digit step, two for a subset step, the
-    /// `u` active sites for the first pattern. A stream built
-    /// [`with_ranks`](Self::with_ranks) reports the exact diff against
-    /// the previously emitted pattern, which after skipped steps may be
-    /// more sites. Empty before the first call and after exhaustion.
-    pub fn changed_sites(&self) -> &[usize] {
-        &self.changed
     }
 
     /// Advances `current` one step of the walk; `false` once the walk
@@ -477,6 +428,8 @@ mod tests {
 
     #[test]
     fn gray_steps_change_at_most_two_sites_and_report_them_exactly() {
+        // The emitted patterns themselves carry the changes: each is
+        // diffed against the one before.
         for (n, u) in [(5, 1), (5, 2), (6, 3), (4, 4), (7, 2)] {
             let mut s = GrayPatternStream::new(n, u);
             let mut pat = vec![0usize; n];
@@ -484,15 +437,6 @@ mod tests {
             let mut first = true;
             while s.next_into(&mut pat) {
                 let diff: Vec<usize> = (0..n).filter(|&i| pat[i] != prev[i]).collect();
-                let mut reported: Vec<usize> = s.changed_sites().to_vec();
-                reported.sort_unstable();
-                reported.dedup();
-                let mut d = diff.clone();
-                d.sort_unstable();
-                assert_eq!(
-                    reported, d,
-                    "n={n} u={u}: changed_sites must be the exact diff"
-                );
                 if first {
                     assert_eq!(
                         diff.len(),
@@ -511,7 +455,7 @@ mod tests {
                 assert!(pat.iter().all(|&x| x <= 3));
                 prev.copy_from_slice(&pat);
             }
-            assert!(s.changed_sites().is_empty(), "cleared after exhaustion");
+            assert!(!s.next_into(&mut pat), "stays exhausted");
         }
     }
 

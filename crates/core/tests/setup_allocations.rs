@@ -14,7 +14,7 @@
 //! * **Plan identity.** For every `smoke_set()` circuit, and two deep
 //!   circuits whose delta-aware search tries its cold-first candidates,
 //!   with 4 and 12 thermal sites: a digest of the steps of the
-//!   delta-aware, the greedy and the sequential plan, the compiled
+//!   delta-aware and the greedy plan, the compiled
 //!   plan's replay statistics, its pre-permuted hot nodes and its
 //!   workspace size. The values were recorded before the set-up moved
 //!   to flat buffers; a change to the order search, the lowering or the
@@ -192,10 +192,9 @@ fn steps_digest(plan: &ContractionPlan) -> u64 {
 struct Pin {
     circuit: &'static str,
     noises: usize,
-    /// Step digests of the delta-aware, greedy and sequential plans.
+    /// Step digests of the delta-aware and greedy plans.
     replay: u64,
     greedy: u64,
-    sequential: u64,
     /// Order searches the delta-aware planner ran.
     searches: usize,
     /// The compiled plan's `replay_stats()`: contractions, flops proxy,
@@ -211,7 +210,6 @@ const PINS: [Pin; 10] = [
         noises: 4,
         replay: 0x8319_62d0_78a8_d582,
         greedy: 0x8319_62d0_78a8_d582,
-        sequential: 0x07f5_b459_c106_4807,
         searches: 1,
         stats: (19, 888, 32),
         pre_permuted: 6,
@@ -222,7 +220,6 @@ const PINS: [Pin; 10] = [
         noises: 12,
         replay: 0x0e32_4b46_a414_fc65,
         greedy: 0x0e32_4b46_a414_fc65,
-        sequential: 0x76d6_9798_c2c6_0184,
         searches: 1,
         stats: (38, 1176, 32),
         pre_permuted: 15,
@@ -233,7 +230,6 @@ const PINS: [Pin; 10] = [
         noises: 4,
         replay: 0xe937_cf38_7034_22aa,
         greedy: 0xe937_cf38_7034_22aa,
-        sequential: 0xff59_f18c_2912_85a5,
         searches: 1,
         stats: (19, 2712, 64),
         pre_permuted: 13,
@@ -244,7 +240,6 @@ const PINS: [Pin; 10] = [
         noises: 12,
         replay: 0xa156_b0d7_edec_5d19,
         greedy: 0xa156_b0d7_edec_5d19,
-        sequential: 0xa12f_ecca_c219_01b0,
         searches: 1,
         stats: (57, 3748, 64),
         pre_permuted: 27,
@@ -255,7 +250,6 @@ const PINS: [Pin; 10] = [
         noises: 4,
         replay: 0xf7e4_1256_a7fa_3b47,
         greedy: 0xf7e4_1256_a7fa_3b47,
-        sequential: 0x670e_99f6_d94e_0f87,
         searches: 1,
         stats: (22, 192, 8),
         pre_permuted: 6,
@@ -266,7 +260,6 @@ const PINS: [Pin; 10] = [
         noises: 12,
         replay: 0x1ff0_97e7_dbd8_91c7,
         greedy: 0x1ff0_97e7_dbd8_91c7,
-        sequential: 0xc78f_96c4_b6aa_4bc5,
         searches: 1,
         stats: (41, 316, 8),
         pre_permuted: 8,
@@ -277,7 +270,6 @@ const PINS: [Pin; 10] = [
         noises: 4,
         replay: 0xcfb6_55b7_9d2e_7de4,
         greedy: 0xcfb6_55b7_9d2e_7de4,
-        sequential: 0xc26a_4918_7a44_0b6c,
         searches: 1,
         stats: (30, 346_368, 4096),
         pre_permuted: 15,
@@ -288,7 +280,6 @@ const PINS: [Pin; 10] = [
         noises: 12,
         replay: 0x58eb_9d4f_91b9_2a16,
         greedy: 0x58eb_9d4f_91b9_2a16,
-        sequential: 0xf616_6c88_f32b_dcb4,
         searches: 5,
         stats: (61, 356_092, 8192),
         pre_permuted: 26,
@@ -299,7 +290,6 @@ const PINS: [Pin; 10] = [
         noises: 4,
         replay: 0xebbd_044a_afe9_8086,
         greedy: 0x9d19_052d_9c8b_3034,
-        sequential: 0x93cb_d30a_14e6_be29,
         searches: 5,
         stats: (8, 335_872, 4096),
         pre_permuted: 5,
@@ -310,7 +300,6 @@ const PINS: [Pin; 10] = [
         noises: 12,
         replay: 0xeded_1989_0fda_e4c3,
         greedy: 0xdfe5_aa47_958f_035a,
-        sequential: 0x369e_60f9_b698_c335,
         searches: 5,
         stats: (19, 195_612, 16_384),
         pre_permuted: 11,
@@ -346,12 +335,6 @@ fn setup_builds_the_pinned_plans() {
         assert_eq!(steps_digest(&plan), pin.replay, "{label}: delta-aware plan");
         let greedy = skel.plan(OrderStrategy::Greedy);
         assert_eq!(steps_digest(&greedy), pin.greedy, "{label}: greedy plan");
-        let sequential = skel.plan(OrderStrategy::Sequential);
-        assert_eq!(
-            steps_digest(&sequential),
-            pin.sequential,
-            "{label}: sequential plan"
-        );
         assert_eq!(searched.order_searches, pin.searches, "{label}: searches");
         assert_eq!(
             (

@@ -5,9 +5,10 @@
 //!
 //! A [`Tensor`] is a multi-dimensional array of [`qns_linalg::Complex64`]
 //! stored in row-major order (last axis fastest). The API is
-//! intentionally small: permutation, reshape, conjugation, outer
-//! products and pairwise contraction — exactly the operations a
-//! tensor-network contraction engine composes.
+//! intentionally small: construction, reshape, axis permutation and
+//! pairwise contraction. The compiled `qns-tnet` replay lowers its own
+//! kernels; [`Tensor::contract`] and [`Tensor::permute`] are the
+//! allocating reference it is tested against bit for bit.
 //!
 //! # Example
 //!

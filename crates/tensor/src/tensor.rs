@@ -83,55 +83,10 @@ impl Tensor {
         self.shape.len()
     }
 
-    /// Total number of elements.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// `true` when the tensor holds no elements (some axis has size 0).
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
     /// Immutable view of the flat row-major buffer.
     #[inline]
     pub fn as_slice(&self) -> &[Complex64] {
         &self.data
-    }
-
-    /// Element access by multi-index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` has the wrong length or is out of bounds.
-    pub fn get(&self, idx: &[usize]) -> Complex64 {
-        self.data[self.flat_index(idx)]
-    }
-
-    /// Sets an element by multi-index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` has the wrong length or is out of bounds.
-    pub fn set(&mut self, idx: &[usize], value: Complex64) {
-        let f = self.flat_index(idx);
-        self.data[f] = value;
-    }
-
-    fn flat_index(&self, idx: &[usize]) -> usize {
-        assert_eq!(idx.len(), self.rank(), "index rank mismatch");
-        // Fold from the fastest-varying (last) axis outward, carrying
-        // the stride as a scalar: no `strides_of` vector per call.
-        let mut flat = 0usize;
-        let mut stride = 1usize;
-        for (&i, &s) in idx.iter().zip(&self.shape).rev() {
-            assert!(i < s, "index {i} out of bounds for axis of size {s}");
-            flat += i * stride;
-            stride *= s;
-        }
-        flat
     }
 
     /// Extracts the scalar from a rank-0 tensor.
@@ -144,60 +99,8 @@ impl Tensor {
         self.data[0]
     }
 
-    /// Entry-wise complex conjugate.
-    pub fn conj(&self) -> Tensor {
-        Tensor {
-            shape: self.shape.clone(),
-            data: self.data.iter().map(|z| z.conj()).collect(),
-        }
-    }
-
-    /// Scales every element by `s`.
-    pub fn scale(&self, s: Complex64) -> Tensor {
-        Tensor {
-            shape: self.shape.clone(),
-            data: self.data.iter().map(|&z| z * s).collect(),
-        }
-    }
-
-    /// Element-wise sum.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shapes differ.
-    pub fn add(&self, other: &Tensor) -> Tensor {
-        assert_eq!(self.shape, other.shape, "tensor add shape mismatch");
-        Tensor {
-            shape: self.shape.clone(),
-            data: self
-                .data
-                .iter()
-                .zip(&other.data)
-                .map(|(a, b)| *a + *b)
-                .collect(),
-        }
-    }
-
-    /// Reinterprets the buffer with a new shape of equal total size.
-    ///
-    /// Clones the buffer; on an owned tensor prefer
-    /// [`Tensor::into_reshaped`], which moves it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the element counts disagree.
-    pub fn reshape(&self, shape: Vec<usize>) -> Tensor {
-        let expect: usize = shape.iter().product();
-        assert_eq!(self.data.len(), expect, "reshape element count mismatch");
-        Tensor {
-            shape,
-            data: self.data.clone(),
-        }
-    }
-
-    /// Consuming [`Tensor::reshape`]: reinterprets the buffer with a
-    /// new shape of equal total size, moving the buffer instead of
-    /// cloning it.
+    /// Reinterprets the buffer with a new shape of equal total size,
+    /// moving the buffer instead of cloning it.
     ///
     /// # Panics
     ///
@@ -231,24 +134,6 @@ impl Tensor {
     ///
     /// Panics if `perm` is not a permutation of `0..rank`.
     pub fn permute(&self, perm: &[usize]) -> Tensor {
-        let mut data = vec![Complex64::ZERO; self.data.len()];
-        let out_shape = self.permute_into(perm, &mut data);
-        Tensor {
-            shape: out_shape,
-            data,
-        }
-    }
-
-    /// As [`Tensor::permute`], but writes the permuted buffer into
-    /// `out` (fully overwritten) instead of allocating one, and returns
-    /// the permuted shape. `out` must have exactly [`Tensor::len`]
-    /// elements.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `perm` is not a permutation of `0..rank` or `out` has
-    /// the wrong length.
-    pub fn permute_into(&self, perm: &[usize], out: &mut [Complex64]) -> Vec<usize> {
         let r = self.rank();
         assert_eq!(perm.len(), r, "permutation length mismatch");
         let mut seen = vec![false; r];
@@ -256,7 +141,6 @@ impl Tensor {
             assert!(p < r && !seen[p], "invalid permutation");
             seen[p] = true;
         }
-        assert_eq!(out.len(), self.data.len(), "permute output length mismatch");
         let out_shape: Vec<usize> = perm.iter().map(|&p| self.shape[p]).collect();
         let in_strides = strides_of(&self.shape);
         let out_strides = strides_of(&out_shape);
@@ -265,30 +149,22 @@ impl Tensor {
         // perm[k], so the input flat index accumulates
         // coord_k * in_strides[perm[k]].
         let gather_strides: Vec<usize> = perm.iter().map(|&p| in_strides[p]).collect();
-        for (out_flat, slot) in out.iter_mut().enumerate() {
-            let mut rem = out_flat;
-            let mut in_flat = 0usize;
-            for k in 0..r {
-                let coord = rem / out_strides[k];
-                rem %= out_strides[k];
-                in_flat += coord * gather_strides[k];
-            }
-            *slot = self.data[in_flat];
+        let data = (0..self.data.len())
+            .map(|out_flat| {
+                let mut rem = out_flat;
+                let mut in_flat = 0usize;
+                for k in 0..r {
+                    let coord = rem / out_strides[k];
+                    rem %= out_strides[k];
+                    in_flat += coord * gather_strides[k];
+                }
+                self.data[in_flat]
+            })
+            .collect();
+        Tensor {
+            shape: out_shape,
+            data,
         }
-        out_shape
-    }
-
-    /// Outer (tensor) product: shapes concatenate.
-    pub fn outer(&self, other: &Tensor) -> Tensor {
-        let mut shape = self.shape.clone();
-        shape.extend_from_slice(&other.shape);
-        let mut data = Vec::with_capacity(self.data.len() * other.data.len());
-        for &a in &self.data {
-            for &b in &other.data {
-                data.push(a * b);
-            }
-        }
-        Tensor { shape, data }
     }
 
     /// Contracts `axes_a` of `self` with `axes_b` of `other`
@@ -296,26 +172,15 @@ impl Tensor {
     ///
     /// The result's axes are the remaining axes of `self` followed by
     /// the remaining axes of `other`, each in their original order.
+    /// An operand whose contracted axes already sit where the matmul
+    /// needs them (trailing on the lhs, leading on the rhs, in order)
+    /// is read in place; the other is permuted into a copy first.
     ///
     /// # Panics
     ///
     /// Panics if the axis lists have different lengths, reference
     /// out-of-range axes, repeat an axis, or pair axes of unequal size.
     pub fn contract(&self, other: &Tensor, axes_a: &[usize], axes_b: &[usize]) -> Tensor {
-        let out_len = self.contract_len(other, axes_a, axes_b);
-        let mut data = vec![Complex64::ZERO; out_len];
-        let shape = self.contract_into(other, axes_a, axes_b, &mut data);
-        Tensor { shape, data }
-    }
-
-    /// Number of elements in the result of
-    /// `self.contract(other, axes_a, axes_b)` — the length
-    /// [`Tensor::contract_into`]'s output slice must have.
-    ///
-    /// # Panics
-    ///
-    /// As [`Tensor::contract`].
-    pub fn contract_len(&self, other: &Tensor, axes_a: &[usize], axes_b: &[usize]) -> usize {
         assert_eq!(
             axes_a.len(),
             axes_b.len(),
@@ -329,35 +194,6 @@ impl Tensor {
                 "contracted axes have unequal sizes"
             );
         }
-        let k: usize = axes_a.iter().map(|&i| self.shape[i]).product();
-        self.len() / k.max(1) * (other.len() / k.max(1))
-    }
-
-    /// As [`Tensor::contract`], but writes the result's row-major
-    /// buffer into `out` (fully overwritten) and returns its shape.
-    ///
-    /// When an operand's contracted axes already sit where the matmul
-    /// needs them (trailing on the lhs, leading on the rhs, in order)
-    /// the permuted copy is elided entirely and the operand's buffer is
-    /// used as-is; otherwise a permuted scratch copy is still allocated
-    /// internally. The fully allocation-free path is a compiled
-    /// `qns-tnet` plan, which precomputes gather tables per step.
-    ///
-    /// Bit-identical to [`Tensor::contract`] by construction.
-    ///
-    /// # Panics
-    ///
-    /// As [`Tensor::contract`], or if `out.len()` differs from
-    /// [`Tensor::contract_len`].
-    pub fn contract_into(
-        &self,
-        other: &Tensor,
-        axes_a: &[usize],
-        axes_b: &[usize],
-        out: &mut [Complex64],
-    ) -> Vec<usize> {
-        let expect = self.contract_len(other, axes_a, axes_b);
-        assert_eq!(out.len(), expect, "contract output length mismatch");
 
         // Free axes, preserving order.
         let free_a: Vec<usize> = (0..self.rank()).filter(|i| !axes_a.contains(i)).collect();
@@ -371,34 +207,33 @@ impl Tensor {
         perm_b.extend_from_slice(&free_b);
 
         let identity = |perm: &[usize]| perm.iter().enumerate().all(|(i, &p)| i == p);
-        let pa: Cow<'_, [Complex64]> = if identity(&perm_a) {
-            Cow::Borrowed(&self.data)
+        let pa: Cow<'_, Tensor> = if identity(&perm_a) {
+            Cow::Borrowed(self)
         } else {
-            let mut buf = vec![Complex64::ZERO; self.data.len()];
-            self.permute_into(&perm_a, &mut buf);
-            Cow::Owned(buf)
+            Cow::Owned(self.permute(&perm_a))
         };
-        let pb: Cow<'_, [Complex64]> = if identity(&perm_b) {
-            Cow::Borrowed(&other.data)
+        let pb: Cow<'_, Tensor> = if identity(&perm_b) {
+            Cow::Borrowed(other)
         } else {
-            let mut buf = vec![Complex64::ZERO; other.data.len()];
-            other.permute_into(&perm_b, &mut buf);
-            Cow::Owned(buf)
+            Cow::Owned(other.permute(&perm_b))
         };
 
         let m: usize = free_a.iter().map(|&i| self.shape[i]).product();
         let k: usize = axes_a.iter().map(|&i| self.shape[i]).product();
         let n: usize = free_b.iter().map(|&i| other.shape[i]).product();
-        qns_linalg::kernels::matmul_into(&pa, &pb, out, m.max(1), k.max(1), n.max(1));
+        let mut data = vec![Complex64::ZERO; m * n];
+        qns_linalg::kernels::matmul_into(
+            &pa.data,
+            &pb.data,
+            &mut data,
+            m.max(1),
+            k.max(1),
+            n.max(1),
+        );
 
-        let mut out_shape: Vec<usize> = free_a.iter().map(|&i| self.shape[i]).collect();
-        out_shape.extend(free_b.iter().map(|&i| other.shape[i]));
-        out_shape
-    }
-
-    /// Frobenius norm of the tensor viewed as a flat vector.
-    pub fn norm(&self) -> f64 {
-        self.data.iter().map(|z| z.norm_sqr()).sum::<f64>().sqrt()
+        let mut shape: Vec<usize> = free_a.iter().map(|&i| self.shape[i]).collect();
+        shape.extend(free_b.iter().map(|&i| other.shape[i]));
+        Tensor { shape, data }
     }
 
     /// Entry-wise approximate equality with absolute tolerance `tol`.
@@ -419,7 +254,7 @@ impl fmt::Debug for Tensor {
             "Tensor(shape={:?}, {} elements, norm={:.3e})",
             self.shape,
             self.data.len(),
-            self.norm()
+            self.data.iter().map(|z| z.norm_sqr()).sum::<f64>().sqrt()
         )
     }
 }
@@ -440,19 +275,12 @@ mod tests {
     }
 
     #[test]
-    fn get_set_roundtrip() {
-        let mut t = Tensor::zeros(vec![2, 3, 4]);
-        t.set(&[1, 2, 3], cr(7.0));
-        assert_eq!(t.get(&[1, 2, 3]), cr(7.0));
-        assert_eq!(t.get(&[0, 0, 0]), Complex64::ZERO);
-    }
-
-    #[test]
     fn row_major_layout() {
         // shape [2,2]: data index = i*2 + j.
-        let t = Tensor::from_vec(vec![cr(0.0), cr(1.0), cr(2.0), cr(3.0)], vec![2, 2]);
-        assert_eq!(t.get(&[0, 1]), cr(1.0));
-        assert_eq!(t.get(&[1, 0]), cr(2.0));
+        let m = Matrix::from_rows(&[vec![cr(0.0), cr(1.0)], vec![cr(2.0), cr(3.0)]]);
+        let t = Tensor::from_matrix(&m);
+        assert_eq!(t.as_slice()[1], m[(0, 1)]);
+        assert_eq!(t.as_slice()[2], m[(1, 0)]);
     }
 
     #[test]
@@ -476,11 +304,12 @@ mod tests {
 
     #[test]
     fn permute_moves_values_correctly() {
-        let mut t = Tensor::zeros(vec![2, 3]);
-        t.set(&[1, 2], cr(9.0));
+        // t[i][j] = 3i + j; its transpose holds t[j][i] at p[i][j].
+        let t = Tensor::from_vec((0..6).map(|x| cr(x as f64)).collect(), vec![2, 3]);
         let p = t.permute(&[1, 0]); // shape [3,2]
         assert_eq!(p.shape(), &[3, 2]);
-        assert_eq!(p.get(&[2, 1]), cr(9.0));
+        let expect: Vec<Complex64> = [0.0, 3.0, 1.0, 4.0, 2.0, 5.0].map(cr).to_vec();
+        assert_eq!(p.as_slice(), expect.as_slice());
     }
 
     #[test]
@@ -524,45 +353,20 @@ mod tests {
         let out = g.contract(&s, &[2, 3], &[0, 1]);
         assert_eq!(out.shape(), &[2, 2]);
         // Compare against flat matrix–vector product.
-        let gm = g.reshape(vec![4, 4]).to_matrix();
-        let sv = s.reshape(vec![4]);
-        let expect = gm.matvec(sv.as_slice());
+        let gm = g.into_reshaped(vec![4, 4]).to_matrix();
+        let expect = gm.matvec(s.as_slice());
         for (k, e) in expect.iter().enumerate() {
             assert!(out.as_slice()[k].approx_eq(*e, 1e-12));
         }
     }
 
     #[test]
-    fn outer_product_shapes_and_values() {
-        let a = Tensor::from_vec(vec![cr(2.0), cr(3.0)], vec![2]);
-        let b = Tensor::from_vec(vec![cr(5.0), cr(7.0)], vec![2]);
-        let o = a.outer(&b);
-        assert_eq!(o.shape(), &[2, 2]);
-        assert_eq!(o.get(&[1, 1]), cr(21.0));
-    }
-
-    #[test]
-    fn outer_with_scalar_is_scale() {
-        let a = Tensor::from_vec(vec![cr(2.0), cr(3.0)], vec![2]);
-        let s = Tensor::scalar(cr(10.0));
-        let o = s.outer(&a);
-        assert_eq!(o.shape(), &[2]);
-        assert_eq!(o.as_slice()[0], cr(20.0));
-    }
-
-    #[test]
     fn reshape_preserves_data() {
         let mut rng = StdRng::seed_from_u64(6);
         let t = random_tensor(&mut rng, vec![2, 6]);
-        let r = t.reshape(vec![3, 4]);
+        let r = t.clone().into_reshaped(vec![3, 4]);
+        assert_eq!(r.shape(), &[3, 4]);
         assert_eq!(r.as_slice(), t.as_slice());
-    }
-
-    #[test]
-    fn conj_is_involution() {
-        let mut rng = StdRng::seed_from_u64(7);
-        let t = random_tensor(&mut rng, vec![2, 2]);
-        assert!(t.conj().conj().approx_eq(&t, 0.0));
     }
 
     #[test]
@@ -570,9 +374,12 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(8);
         let a = random_tensor(&mut rng, vec![3, 3]);
         let b = random_tensor(&mut rng, vec![3, 3]);
-        let s = cr(2.5);
-        let lhs = a.scale(s).contract(&b, &[1], &[0]);
-        let rhs = a.contract(&b, &[1], &[0]).scale(s);
+        let scale = |t: &Tensor| {
+            let data = t.as_slice().iter().map(|&z| z * cr(2.5)).collect();
+            Tensor::from_vec(data, t.shape().to_vec())
+        };
+        let lhs = scale(&a).contract(&b, &[1], &[0]);
+        let rhs = scale(&a.contract(&b, &[1], &[0]));
         assert!(lhs.approx_eq(&rhs, 1e-12));
     }
 
@@ -593,11 +400,12 @@ mod tests {
 
     #[test]
     fn into_reshaped_matches_reshape() {
+        // The buffer moves: the reshaped tensor reads the same memory.
         let mut rng = StdRng::seed_from_u64(21);
         let t = random_tensor(&mut rng, vec![2, 6]);
-        let by_ref = t.reshape(vec![4, 3]);
-        let by_move = t.clone().into_reshaped(vec![4, 3]);
-        assert_eq!(by_ref, by_move);
+        let at = t.as_slice().as_ptr();
+        let by_move = t.into_reshaped(vec![4, 3]);
+        assert_eq!(by_move.as_slice().as_ptr(), at);
     }
 
     #[test]
@@ -624,48 +432,11 @@ mod tests {
     }
 
     #[test]
-    fn permute_into_bit_identical_to_permute() {
-        let mut rng = StdRng::seed_from_u64(23);
-        let t = random_tensor(&mut rng, vec![2, 3, 4]);
-        for perm in [[0usize, 1, 2], [2, 0, 1], [1, 2, 0], [2, 1, 0]] {
-            let reference = t.permute(&perm);
-            let mut out = vec![cr(5.0); t.len()]; // dirty output
-            let shape = t.permute_into(&perm, &mut out);
-            assert_eq!(shape, reference.shape());
-            assert_eq!(out.as_slice(), reference.as_slice());
-        }
-    }
-
-    #[test]
-    fn contract_into_bit_identical_to_contract() {
-        let mut rng = StdRng::seed_from_u64(24);
-        // Cases covering identity-elided lhs/rhs permutations and
-        // genuinely permuted ones: (shape_a, shape_b, axes_a, axes_b).
-        type Case = (Vec<usize>, Vec<usize>, Vec<usize>, Vec<usize>);
-        let cases: Vec<Case> = vec![
-            (vec![3, 4], vec![4, 5], vec![1], vec![0]), // both elided
-            (vec![4, 3], vec![4, 5], vec![0], vec![0]), // lhs permuted
-            (vec![3, 4], vec![5, 4], vec![1], vec![1]), // rhs permuted
-            (vec![2, 3, 2], vec![2, 2, 3], vec![0, 1], vec![1, 2]), // both
-            (vec![2, 2], vec![3], vec![], vec![]),      // outer product
-        ];
-        for (sa, sb, axes_a, axes_b) in cases {
-            let a = random_tensor(&mut rng, sa);
-            let b = random_tensor(&mut rng, sb);
-            let reference = a.contract(&b, &axes_a, &axes_b);
-            let mut out = vec![cr(7.0); a.contract_len(&b, &axes_a, &axes_b)];
-            let shape = a.contract_into(&b, &axes_a, &axes_b, &mut out);
-            assert_eq!(shape, reference.shape());
-            assert_eq!(out.as_slice(), reference.as_slice());
-        }
-    }
-
-    #[test]
     fn contract_to_scalar_inner_product() {
         // ⟨a|b⟩ with explicit conjugation.
-        let a = Tensor::from_vec(vec![c64(0.0, 1.0), cr(1.0)], vec![2]);
+        let a_conj = Tensor::from_vec(vec![c64(0.0, -1.0), cr(1.0)], vec![2]);
         let b = Tensor::from_vec(vec![c64(0.0, 1.0), cr(1.0)], vec![2]);
-        let s = a.conj().contract(&b, &[0], &[0]);
+        let s = a_conj.contract(&b, &[0], &[0]);
         assert!(s.scalar_value().approx_eq(cr(2.0), 1e-14));
     }
 }

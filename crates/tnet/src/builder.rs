@@ -22,6 +22,11 @@ use qns_noise::NoisyCircuit;
 use qns_tensor::Tensor;
 use std::collections::BTreeMap;
 
+/// The widest state [`ProductState::to_statevector`] expands: `2^30`
+/// amplitudes are 16 GiB. The dense engines (`qns_sim`) share the
+/// limit.
+pub const MAX_STATEVECTOR_QUBITS: usize = 30;
+
 /// A product state `⊗_q (a_q|0⟩ + b_q|1⟩)` — the input/test states of
 /// the paper's experiments (computational basis states and local
 /// rotations thereof).
@@ -103,7 +108,18 @@ impl ProductState {
     }
 
     /// Expands to a full statevector of length `2^n`.
+    ///
+    /// # Panics
+    ///
+    /// Panics, before allocating, if the state has more than
+    /// [`MAX_STATEVECTOR_QUBITS`] qubits: `2^n` amplitudes would not
+    /// fit in memory, and a failed allocation aborts the process.
     pub fn to_statevector(&self) -> Vec<Complex64> {
+        let n = self.n_qubits();
+        assert!(
+            n <= MAX_STATEVECTOR_QUBITS,
+            "a {n}-qubit statevector exceeds {MAX_STATEVECTOR_QUBITS} qubits"
+        );
         let mut v = vec![Complex64::ONE];
         for f in &self.factors {
             v = qns_linalg::kron_vec(&v, f);
@@ -541,6 +557,15 @@ mod tests {
     }
 
     #[test]
+    fn wide_statevectors_panic_before_allocating() {
+        for n in [31usize, 63, 64, 65, 225] {
+            let expand = || ProductState::all_zeros(n).to_statevector();
+            let caught = std::panic::catch_unwind(expand);
+            assert!(caught.is_err(), "n = {n} must panic");
+        }
+    }
+
+    #[test]
     fn basis_reads_bits_from_the_last_qubit_for_any_width() {
         for n in [1usize, 63, 64, 65, 70, 225] {
             let patterns = [0, 1, 0b10_0001, (1 << 62) | (1 << 5) | 1, usize::MAX];
@@ -574,7 +599,7 @@ mod tests {
         let psi = ProductState::all_zeros(3);
         let v = ProductState::basis(3, 0b011);
         let net = amplitude_network(&c, &psi, &v);
-        let (t, _) = net.contract_all(OrderStrategy::Greedy);
+        let (t, _) = net.contract_all();
         let amp = t.scalar_value();
 
         let sv = c.unitary().matvec(&psi.to_statevector());
@@ -589,11 +614,11 @@ mod tests {
         let psi = ProductState::all_zeros(2);
         let v = ProductState::basis(2, 0b10);
         let plain = amplitude_network_with(&c, &psi, &v, &[], false)
-            .contract_all(OrderStrategy::Greedy)
+            .contract_all()
             .0
             .scalar_value();
         let conj = amplitude_network_with(&c, &psi, &v, &[], true)
-            .contract_all(OrderStrategy::Greedy)
+            .contract_all()
             .0
             .scalar_value();
         assert!(conj.approx_eq(plain.conj(), 1e-12));
@@ -612,14 +637,14 @@ mod tests {
             matrix: qns_circuit::Gate::X.matrix(),
         };
         let with_ins = amplitude_network_with(&c, &psi, &v, &[ins], false)
-            .contract_all(OrderStrategy::Greedy)
+            .contract_all()
             .0
             .scalar_value();
 
         let mut c2 = Circuit::new(2);
         c2.h(0).x(0).cx(0, 1);
         let direct = amplitude_network(&c2, &psi, &v)
-            .contract_all(OrderStrategy::Greedy)
+            .contract_all()
             .0
             .scalar_value();
         assert!(with_ins.approx_eq(direct, 1e-12));
@@ -660,7 +685,7 @@ mod tests {
                 fresh_ins[0].matrix = m0.clone();
                 fresh_ins[1].matrix = m1.clone();
                 let fresh = amplitude_network_with(&c, &psi, &v, &fresh_ins, conjugate)
-                    .contract_all(OrderStrategy::Greedy)
+                    .contract_all()
                     .0
                     .scalar_value();
                 assert!(
@@ -678,7 +703,7 @@ mod tests {
         let psi = ProductState::all_zeros(3);
         let v = ProductState::basis(3, 0b111);
         let net = double_network(&noisy, &psi, &v, &BTreeMap::new());
-        let (t, _) = net.contract_all(OrderStrategy::Greedy);
+        let (t, _) = net.contract_all();
         let val = t.scalar_value();
         // |⟨111|GHZ⟩|² = 1/2; the double network gives the probability.
         assert!(val.approx_eq(cr(0.5), 1e-12), "{val}");
@@ -691,7 +716,7 @@ mod tests {
         let psi = ProductState::all_zeros(3);
         let v = ProductState::basis(3, 0b111);
         let net = double_network(&noisy, &psi, &v, &BTreeMap::new());
-        let (t, _) = net.contract_all(OrderStrategy::Greedy);
+        let (t, _) = net.contract_all();
         let tn_val = t.scalar_value().re;
 
         let exact = qns_sim_density_expectation(&noisy, &psi, &v);
@@ -717,12 +742,12 @@ mod tests {
         let mut repl = BTreeMap::new();
         repl.insert(0usize, (Matrix::identity(2), Matrix::identity(2)));
         let val = double_network(&noisy, &psi, &v, &repl)
-            .contract_all(OrderStrategy::Greedy)
+            .contract_all()
             .0
             .scalar_value()
             .re;
         let clean = double_network(&NoisyCircuit::noiseless(c), &psi, &v, &BTreeMap::new())
-            .contract_all(OrderStrategy::Greedy)
+            .contract_all()
             .0
             .scalar_value()
             .re;

@@ -89,7 +89,8 @@
 //! first execution has grown the workspace buffers, replaying the plan
 //! performs **zero heap allocations per pattern**. The
 //! [`Workspace::allocation_events`] counter makes that invariant
-//! observable (and is asserted in CI by `contract_bench --smoke`).
+//! observable; the `zero_alloc.rs` tests assert it with a counting
+//! allocator on warmed full, delta and sweep replays.
 //!
 //! # Delta execution
 //!
@@ -108,10 +109,12 @@
 //! what makes per-worker chunked pattern streams correct without any
 //! coordination.
 //!
-//! Results are bit-identical to the allocating reference path
-//! ([`crate::plan::ContractionPlan::execute_reference`]): the micro
-//! kernels in [`qns_linalg::kernels`] keep the reference accumulation
-//! order, and elided/fused permutations move the same values.
+//! Results are bit-identical to the allocating reference replay
+//! ([`crate::plan::ContractionPlan::execute_network_reference`], which
+//! chains [`qns_tensor::Tensor::contract`] per step), the oracle of the
+//! `exec_properties.rs` tests: the micro kernels in
+//! [`qns_linalg::kernels`] keep the reference accumulation order, and
+//! elided/fused permutations move the same values.
 //!
 //! # Environment sweeps
 //!
@@ -154,7 +157,6 @@ use qns_linalg::kernels::{
     scatter_blocked,
 };
 use qns_linalg::Complex64;
-use qns_tensor::Tensor;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -1949,34 +1951,17 @@ impl ExecutablePlan {
         self.replay_stats
     }
 
-    /// Executes against borrowed input tensors (one per original node,
-    /// in node order, with the planned shapes), returning the result's
-    /// row-major buffer inside `ws`. Zero heap allocations once `ws`
-    /// has warmed up. Only the hot steps run: cold leaves are read as
-    /// they were at compile time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the input count or a buffer length disagrees with the
-    /// plan.
-    pub fn execute_into<'w>(&self, inputs: &[&Tensor], ws: &'w mut Workspace) -> &'w [Complex64] {
-        assert_eq!(
-            inputs.len(),
-            self.n_inputs,
-            "plan expects {} input tensors, got {}",
-            self.n_inputs,
-            inputs.len()
-        );
-        self.run(|i| inputs[i].as_slice(), ws)
-    }
-
     /// Executes against the tensors currently held by `net` (same node
-    /// count and shapes as the planning network) — the
-    /// swap-payloads-and-replay entry point of the pattern sum.
+    /// count and shapes as the planning network), returning the
+    /// result's row-major buffer inside `ws` — the
+    /// swap-payloads-and-replay entry point of the pattern sum. Zero
+    /// heap allocations once `ws` has warmed up. Only the hot steps
+    /// run: cold leaves are read as they were at compile time.
     ///
     /// # Panics
     ///
-    /// As [`ExecutablePlan::execute_into`].
+    /// Panics if the node count or a buffer length disagrees with the
+    /// plan.
     pub fn execute_network_into<'w>(
         &self,
         net: &TensorNetwork,
@@ -2623,6 +2608,7 @@ mod tests {
     use super::*;
     use crate::network::OrderStrategy;
     use qns_linalg::cr;
+    use qns_tensor::Tensor;
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
 
@@ -3184,13 +3170,16 @@ mod tests {
         net.add(a, vec![l0, l1]);
         net.add(b, vec![l1, l2]);
         net.add(c, vec![l2, l3]);
-        for strategy in [OrderStrategy::Greedy, OrderStrategy::Sequential] {
-            let plan = net.plan(strategy);
+        // Greedy's order `A·(B·C)`, and `(A·B)·C`.
+        for plan in [
+            net.plan(OrderStrategy::Greedy),
+            net.plan_order(&[(0, 1), (3, 2)]),
+        ] {
             let exec = plan.compile();
             let mut ws = Workspace::new();
             let out = exec.execute_network_into(&net, &mut ws);
             let (reference, _) = plan.execute_network_reference(&net);
-            assert_eq!(out, reference.as_slice(), "{strategy:?}");
+            assert_eq!(out, reference.as_slice(), "{:?}", plan.steps());
             assert_eq!(exec.output_shape(), reference.shape());
         }
     }
@@ -3257,7 +3246,9 @@ mod tests {
         net.add(Tensor::zeros(vec![2]), vec![l]);
         net.add(Tensor::zeros(vec![2]), vec![l]);
         let exec = net.plan(OrderStrategy::Greedy).compile();
-        let mut ws = Workspace::new();
-        let _ = exec.execute_into(&[&Tensor::zeros(vec![2])], &mut ws);
+        let mut other = TensorNetwork::new();
+        let l = other.fresh_leg();
+        other.add(Tensor::zeros(vec![2]), vec![l]);
+        let _ = exec.execute_network_into(&other, &mut Workspace::new());
     }
 }

@@ -7,8 +7,7 @@
 //! TensorNetwork library the paper builds on:
 //!
 //! * [`network`] — a [`network::TensorNetwork`] of dense tensors
-//!   connected by shared legs, with greedy or sequential contraction
-//!   ordering.
+//!   connected by shared legs, contracted in greedy pairwise order.
 //! * [`plan`] — plan-once/execute-many contraction: a
 //!   [`plan::ContractionPlan`] captures the order search's result for
 //!   one network skeleton and replays it against fresh payloads, so a
@@ -46,7 +45,6 @@
 //!     &noisy,
 //!     &ProductState::all_zeros(3),
 //!     &ProductState::basis(3, 0b000),
-//!     qns_tnet::network::OrderStrategy::Greedy,
 //! );
 //! assert!((f - 0.5).abs() < 1e-10); // |⟨000|GHZ⟩|² = 1/2
 //! ```

@@ -3,9 +3,9 @@
 //! Nodes hold dense [`Tensor`]s whose axes carry *leg identifiers*. A
 //! leg shared by exactly two nodes is a contracted bond; a leg owned by
 //! one node is an open output. [`TensorNetwork::contract_all`] reduces
-//! the network to a single tensor using either a greedy pairwise
-//! ordering (minimize the size of the produced intermediate) or the
-//! naive sequential order — the ablation pair called out in DESIGN.md.
+//! the network to a single tensor in the greedy pairwise order
+//! (contract the pair whose intermediate is smallest);
+//! [`TensorNetwork::plan_order`] records any other pair sequence.
 //!
 //! The order search depends only on the network's *skeleton* (shapes
 //! and legs), so it can be captured once as a
@@ -24,14 +24,14 @@ pub type LegId = usize;
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct NodeId(pub(crate) usize);
 
-/// Contraction-order strategy.
+/// Contraction-order search. Greedy is the one search; the enum stays
+/// as the argument of [`TensorNetwork::plan`] and
+/// [`crate::builder::AmplitudeSkeleton::plan`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum OrderStrategy {
     /// Repeatedly contract the connected pair whose result is smallest.
     #[default]
     Greedy,
-    /// Contract nodes in insertion order (baseline for ablation).
-    Sequential,
 }
 
 /// Statistics from a contraction run (for benchmarking and tests).
@@ -77,7 +77,7 @@ impl ContractionStats {
 /// // ⟨a|b⟩ with a = (1,2), b = (3,4): expect 11.
 /// net.add(Tensor::from_vec(vec![cr(1.0), cr(2.0)], vec![2]), vec![bond]);
 /// net.add(Tensor::from_vec(vec![cr(3.0), cr(4.0)], vec![2]), vec![bond]);
-/// let (t, _) = net.contract_all(Default::default());
+/// let (t, _) = net.contract_all();
 /// assert_eq!(t.scalar_value(), cr(11.0));
 /// ```
 #[derive(Clone, Debug, Default)]
@@ -174,12 +174,6 @@ impl TensorNetwork {
         self.nodes.len()
     }
 
-    /// The node tensors in insertion order (the payload vector a
-    /// [`ContractionPlan`] executes against).
-    pub fn node_tensors(&self) -> impl Iterator<Item = &Tensor> {
-        self.nodes.iter().map(|(t, _)| t)
-    }
-
     /// The tensor of the `i`-th added node.
     ///
     /// # Panics
@@ -210,10 +204,10 @@ impl TensorNetwork {
         &self.nodes[i].1
     }
 
-    /// Runs the order search once and captures the result as a
+    /// Runs the greedy order search once and captures the result as a
     /// reusable [`ContractionPlan`] (see [`crate::plan`]).
-    pub fn plan(&self, strategy: OrderStrategy) -> ContractionPlan {
-        ContractionPlan::from_skeleton(self.skeleton(), strategy)
+    pub fn plan(&self, _strategy: OrderStrategy) -> ContractionPlan {
+        ContractionPlan::from_skeleton(self.skeleton())
     }
 
     /// The delta-aware order search of a pattern sum that replays this
@@ -269,12 +263,12 @@ impl TensorNetwork {
     /// Returns the final tensor (axes ordered by ascending open-leg id)
     /// and contraction statistics. An empty network yields the scalar 1.
     ///
-    /// Implemented as [`TensorNetwork::plan`] followed by one
-    /// [`ContractionPlan::execute_network`], so the executed order *is*
-    /// the searched order; callers contracting one topology repeatedly
-    /// should hold the plan themselves and replay it.
-    pub fn contract_all(self, strategy: OrderStrategy) -> (Tensor, ContractionStats) {
-        let plan = self.plan(strategy);
+    /// Implemented as the greedy [`TensorNetwork::plan`] followed by
+    /// one [`ContractionPlan::execute_network`], so the executed order
+    /// *is* the searched order; callers contracting one topology
+    /// repeatedly should hold the plan themselves and replay it.
+    pub fn contract_all(self) -> (Tensor, ContractionStats) {
+        let plan = self.plan(OrderStrategy::Greedy);
         let (tensor, mut stats) = plan.execute_network(&self);
         stats.order_searches = 1;
         stats.plan_reuses = 0;
@@ -300,7 +294,7 @@ mod tests {
     #[test]
     fn empty_network_is_one() {
         let net = TensorNetwork::new();
-        let (t, _) = net.contract_all(OrderStrategy::Greedy);
+        let (t, _) = net.contract_all();
         assert_eq!(t.scalar_value(), Complex64::ONE);
     }
 
@@ -309,7 +303,7 @@ mod tests {
         let mut net = TensorNetwork::new();
         let l = net.fresh_leg();
         net.add(Tensor::from_vec(vec![cr(1.0), cr(2.0)], vec![2]), vec![l]);
-        let (t, stats) = net.contract_all(OrderStrategy::Greedy);
+        let (t, stats) = net.contract_all();
         assert_eq!(t.shape(), &[2]);
         assert_eq!(stats.contractions, 0);
     }
@@ -323,24 +317,25 @@ mod tests {
         let c = rand_tensor(&mut rng, vec![4, 2]);
         let expect = a.to_matrix().matmul(&b.to_matrix()).matmul(&c.to_matrix());
 
-        for strategy in [OrderStrategy::Greedy, OrderStrategy::Sequential] {
-            let mut net = TensorNetwork::new();
-            let (l0, l1, l2, l3) = (
-                net.fresh_leg(),
-                net.fresh_leg(),
-                net.fresh_leg(),
-                net.fresh_leg(),
-            );
-            net.add(a.clone(), vec![l0, l1]);
-            net.add(b.clone(), vec![l1, l2]);
-            net.add(c.clone(), vec![l2, l3]);
-            let (t, stats) = net.contract_all(strategy);
-            assert_eq!(t.shape(), &[2, 2]);
-            assert!(t.to_matrix().approx_eq(&expect, 1e-10), "{strategy:?}");
-            assert_eq!(stats.contractions, 2);
-            assert_eq!(stats.order_searches, 1);
-            assert_eq!(stats.plan_reuses, 0);
-        }
+        let mut net = TensorNetwork::new();
+        let (l0, l1, l2, l3) = (
+            net.fresh_leg(),
+            net.fresh_leg(),
+            net.fresh_leg(),
+            net.fresh_leg(),
+        );
+        net.add(a, vec![l0, l1]);
+        net.add(b, vec![l1, l2]);
+        net.add(c, vec![l2, l3]);
+        // (A·B)·C, the other order than greedy's A·(B·C).
+        let (t, _) = net.plan_order(&[(0, 1), (3, 2)]).execute_network(&net);
+        assert!(t.to_matrix().approx_eq(&expect, 1e-10));
+        let (t, stats) = net.contract_all();
+        assert_eq!(t.shape(), &[2, 2]);
+        assert!(t.to_matrix().approx_eq(&expect, 1e-10));
+        assert_eq!(stats.contractions, 2);
+        assert_eq!(stats.order_searches, 1);
+        assert_eq!(stats.plan_reuses, 0);
     }
 
     #[test]
@@ -356,7 +351,7 @@ mod tests {
         let out_a = net.fresh_leg();
         net.add(a.clone(), vec![out_a, bond]);
         net.add(b.clone(), vec![bond, out_b]);
-        let (t, _) = net.contract_all(OrderStrategy::Greedy);
+        let (t, _) = net.contract_all();
         // axes: [out_b (5), out_a (2)]
         assert_eq!(t.shape(), &[5, 2]);
         let direct = a.contract(&b, &[1], &[0]); // [2,5]
@@ -370,7 +365,7 @@ mod tests {
         let l2 = net.fresh_leg();
         net.add(Tensor::from_vec(vec![cr(2.0)], vec![1]), vec![l1]);
         net.add(Tensor::from_vec(vec![cr(3.0)], vec![1]), vec![l2]);
-        let (t, _) = net.contract_all(OrderStrategy::Greedy);
+        let (t, _) = net.contract_all();
         assert_eq!(t.shape(), &[1, 1]);
         assert_eq!(t.as_slice()[0], cr(6.0));
     }
@@ -390,10 +385,11 @@ mod tests {
             net.add(mk(rng, vec![2, 2]), vec![legs[3], legs[4]]);
             net
         };
-        let (_, g) = build(&mut rng).contract_all(OrderStrategy::Greedy);
-        let mut rng2 = StdRng::seed_from_u64(3);
-        let (_, s) = build(&mut rng2).contract_all(OrderStrategy::Sequential);
-        assert!(g.max_intermediate <= s.max_intermediate);
+        let net = build(&mut rng);
+        // The insertion-order search's pairs: 0·1, 2·3, then the halves.
+        let sequential = net.plan_order(&[(0, 1), (2, 3), (4, 5)]).replay_stats();
+        let (_, g) = net.contract_all();
+        assert!(g.max_intermediate <= sequential.max_intermediate);
     }
 
     #[test]
@@ -405,7 +401,7 @@ mod tests {
         let c = net.fresh_leg();
         net.add(id.clone(), vec![a, b]);
         net.add(id, vec![b, c]);
-        let (t, _) = net.contract_all(OrderStrategy::Greedy);
+        let (t, _) = net.contract_all();
         assert!(t.to_matrix().approx_eq(&Matrix::identity(2), 1e-12));
     }
 
@@ -422,7 +418,7 @@ mod tests {
             vec![bond],
         );
         net.set_tensor(a, Tensor::from_vec(vec![cr(5.0), cr(6.0)], vec![2]));
-        let (t, _) = net.contract_all(OrderStrategy::Greedy);
+        let (t, _) = net.contract_all();
         assert_eq!(t.scalar_value(), cr(39.0));
     }
 

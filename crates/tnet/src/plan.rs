@@ -6,9 +6,9 @@
 //! everything that depends on the skeleton alone (leg topology + tensor
 //! shapes): the pair-contraction sequence chosen by the order search,
 //! the contracted axes of every step, and the final output-axis
-//! permutation. [`ContractionPlan::execute`] then replays that sequence
-//! against fresh tensor payloads without re-running the search or
-//! re-validating the network.
+//! permutation. [`ContractionPlan::execute_network`] then replays that
+//! sequence against fresh tensor payloads without re-running the search
+//! or re-validating the network.
 //!
 //! Plans are produced by [`TensorNetwork::plan`];
 //! [`TensorNetwork::contract_all`] is itself implemented as
@@ -44,10 +44,9 @@
 //! ```
 
 use crate::exec::{ExecutablePlan, Workspace};
-use crate::network::{ContractionStats, LegId, OrderStrategy, TensorNetwork};
+use crate::network::{ContractionStats, LegId, TensorNetwork};
 use qns_linalg::Complex64;
 use qns_tensor::Tensor;
-use std::borrow::Cow;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -84,12 +83,12 @@ impl PlanStep {
 
 /// A precomputed contraction schedule for one network skeleton.
 ///
-/// Computed once by [`TensorNetwork::plan`] (running the configured
-/// order search on shapes and legs only), then replayed any number of
-/// times via [`ContractionPlan::execute`] /
-/// [`ContractionPlan::execute_network`] against tensors with the same
-/// shapes. Replay performs no order search and no topology validation,
-/// which is what makes the pattern sum's per-term cost pure arithmetic.
+/// Computed once by [`TensorNetwork::plan`] (running the order search
+/// on shapes and legs only), then replayed any number of times via
+/// [`ContractionPlan::execute_network`] or a compiled
+/// [`ExecutablePlan`] against tensors with the same shapes. Replay
+/// performs no order search and no topology validation, which is what
+/// makes the pattern sum's per-term cost pure arithmetic.
 ///
 /// A plan is a handful of flat buffers, whatever its size: the steps,
 /// one pool of every step's contracted axes, and one pool of every
@@ -247,13 +246,13 @@ fn replay_cost_of(n_inputs: usize, step_flops: &[u128], below: &[usize]) -> Repl
 }
 
 impl ContractionPlan {
-    /// Runs the `strategy` order search over a skeleton (the
-    /// shape/leg pairs of a network's nodes, in node order) and records
-    /// the chosen pair-contraction sequence.
+    /// Runs the greedy order search over a skeleton (the shape/leg
+    /// pairs of a network's nodes, in node order) and records the
+    /// chosen pair-contraction sequence.
     ///
-    /// [`OrderStrategy::Greedy`] contracts, at every step, the
-    /// connected live pair with the smallest result, ties broken by the
-    /// lowest `(lhs slot, rhs slot)`. A pair's result size cannot
+    /// The search contracts, at every step, the connected live pair
+    /// with the smallest result, ties broken by the lowest
+    /// `(lhs slot, rhs slot)`. A pair's result size cannot
     /// change while both of its slots are live, so the search keeps a
     /// lazy-deletion min-heap of `(cost, lhs, rhs)` over connected
     /// pairs and, after each contraction, pushes only the new slot's
@@ -261,20 +260,14 @@ impl ContractionPlan {
     /// instead of rescanning all live pairs per step. The pair it pops
     /// is exactly the one such a rescan in ascending `(lhs, rhs)` order
     /// would keep as its first strict minimum, so both searches record
-    /// identical plans. [`OrderStrategy::Sequential`] contracts the
-    /// first live slot with the first live slot it shares a leg with.
-    /// When the search finds no connected pair (greedy: none at all;
-    /// sequential: none for the first live slot), it outer-products
-    /// the two lowest live slots.
-    pub(crate) fn from_skeleton<'a, S>(skeleton: S, strategy: OrderStrategy) -> Self
+    /// identical plans. When no connected pair is left, it
+    /// outer-products the two lowest live slots.
+    pub(crate) fn from_skeleton<'a, S>(skeleton: S) -> Self
     where
         S: ExactSizeIterator<Item = SkeletonNode<'a>> + Clone,
     {
         let mut planner = Planner::new(skeleton);
-        match strategy {
-            OrderStrategy::Greedy => planner.search_greedy(),
-            OrderStrategy::Sequential => planner.search_sequential(),
-        }
+        planner.search_greedy();
         planner.into_plan()
     }
 
@@ -293,7 +286,7 @@ impl ContractionPlan {
     /// cheaper. With no varying leaf, or when the greedy plan's
     /// modelled cost is too small for the extra searches to pay off
     /// ([`candidates_can_pay`]), only the greedy search runs and the
-    /// result is exactly [`OrderStrategy::Greedy`]'s plan.
+    /// result is exactly [`TensorNetwork::plan`]'s.
     ///
     /// Every search runs on one prepared planner, rewound to its
     /// inputs between candidates: its buffers are reused, and only a
@@ -519,10 +512,11 @@ impl ContractionPlan {
             .unwrap_or(0)
     }
 
-    /// Replays the plan against `inputs` (one tensor per original node,
-    /// in node order, with the planned shapes).
+    /// Replays the plan against the tensors currently held by `net`
+    /// (which must have the same node count and shapes it was planned
+    /// from).
     ///
-    /// A thin allocating wrapper: compiles the plan, executes it
+    /// The one allocating replay: compiles the plan, executes it
     /// through a throwaway [`Workspace`] and copies the result out.
     /// Callers replaying one plan many times should hold the
     /// [`ExecutablePlan`] (and a reusable workspace) themselves —
@@ -533,28 +527,9 @@ impl ContractionPlan {
     ///
     /// # Panics
     ///
-    /// Panics if `inputs.len()` differs from the planned node count.
-    /// Shape agreement is only asserted on buffer lengths — replay is
-    /// the hot path and [`TensorNetwork::set_tensor`] already enforces
-    /// shapes.
-    pub fn execute(&self, inputs: &[Tensor]) -> (Tensor, ContractionStats) {
-        let refs: Vec<&Tensor> = inputs.iter().collect();
-        let exec = self.compile();
-        let mut ws = Workspace::for_plan(&exec);
-        let out = exec.execute_into(&refs, &mut ws).to_vec();
-        (
-            Tensor::from_vec(out, exec.output_shape().to_vec()),
-            exec.replay_stats(),
-        )
-    }
-
-    /// Replays the plan against the tensors currently held by `net`
-    /// (which must have the same node count and shapes it was planned
-    /// from). A thin allocating wrapper like [`ContractionPlan::execute`].
-    ///
-    /// # Panics
-    ///
     /// Panics if `net`'s node count differs from the planned count.
+    /// Shape agreement is only asserted on buffer lengths —
+    /// [`TensorNetwork::set_tensor`] already enforces shapes.
     pub fn execute_network(&self, net: &TensorNetwork) -> (Tensor, ContractionStats) {
         let exec = self.compile();
         let mut ws = Workspace::for_plan(&exec);
@@ -565,72 +540,50 @@ impl ContractionPlan {
         )
     }
 
-    /// The pre-kernel reference replay: chains [`Tensor::contract`] /
-    /// [`Tensor::permute`] per recorded step, allocating freely. Kept
-    /// as the oracle the compiled path is tested (and benchmarked)
-    /// against — [`ContractionPlan::execute`] must stay bit-identical
-    /// to it.
-    ///
-    /// # Panics
-    ///
-    /// As [`ContractionPlan::execute`].
-    pub fn execute_reference(&self, inputs: &[Tensor]) -> (Tensor, ContractionStats) {
-        self.execute_impl(inputs.iter().map(Cow::Borrowed).collect())
-    }
-
-    /// [`ContractionPlan::execute_reference`] against the tensors
-    /// currently held by `net`.
+    /// The reference replay: chains [`Tensor::contract`] and
+    /// [`Tensor::permute`] per recorded step against the tensors held
+    /// by `net`, allocating freely. Kept as the oracle the compiled
+    /// path is tested against — [`ContractionPlan::execute_network`]
+    /// and every [`ExecutablePlan`] replay must stay bit-identical to
+    /// it.
     ///
     /// # Panics
     ///
     /// As [`ContractionPlan::execute_network`].
     pub fn execute_network_reference(&self, net: &TensorNetwork) -> (Tensor, ContractionStats) {
-        self.execute_impl(net.node_tensors().map(Cow::Borrowed).collect())
-    }
-
-    fn execute_impl(&self, inputs: Vec<Cow<'_, Tensor>>) -> (Tensor, ContractionStats) {
+        let n = self.n_inputs;
         assert_eq!(
-            inputs.len(),
-            self.n_inputs,
-            "plan expects {} input tensors, got {}",
-            self.n_inputs,
-            inputs.len()
+            net.node_count(),
+            n,
+            "plan expects {n} input tensors, got {}",
+            net.node_count()
         );
         debug_assert!(
-            inputs
-                .iter()
-                .enumerate()
-                .all(|(i, t)| t.shape() == self.slot_shape(i)),
+            (0..n).all(|i| net.node_tensor(i).shape() == self.slot_shape(i)),
             "input tensor shapes differ from the planned skeleton"
         );
         let mut stats = self.replay_stats;
         stats.plan_reuses = 1;
-        if self.n_inputs == 0 {
+        if n == 0 {
             return (Tensor::scalar(Complex64::ONE), stats);
         }
-        let mut slots: Vec<Option<Cow<'_, Tensor>>> = inputs.into_iter().map(Some).collect();
+        // Step `i`'s result is slot `n + i`.
+        let mut results: Vec<Tensor> = Vec::with_capacity(self.steps.len());
         for (i, step) in self.steps.iter().enumerate() {
-            #[expect(clippy::expect_used, reason = "the planner consumes each slot once")]
-            let ta = slots[step.lhs].take().expect("plan slot consumed once");
-            #[expect(clippy::expect_used, reason = "the planner consumes each slot once")]
-            let tb = slots[step.rhs].take().expect("plan slot consumed once");
+            let slot = |s: usize| match s.checked_sub(n) {
+                None => net.node_tensor(s),
+                Some(r) => &results[r],
+            };
             let (axes_lhs, axes_rhs) = self.step_axes(i);
-            let t = ta.contract(&tb, axes_lhs, axes_rhs);
-            slots.push(Some(Cow::Owned(t)));
+            let t = slot(step.lhs).contract(slot(step.rhs), axes_lhs, axes_rhs);
+            results.push(t);
         }
-        #[expect(
-            clippy::expect_used,
-            reason = "a plan over at least one input leaves one tensor"
-        )]
-        let tensor = slots
-            .into_iter()
-            .rev()
-            .find_map(|s| s)
-            .expect("one tensor remains")
-            .into_owned();
+        // The last step yields the root; a stepless plan's root is its
+        // one input.
+        let root = results.pop().unwrap_or_else(|| net.node_tensor(0).clone());
         let tensor = match &self.output_perm {
-            Some(perm) => tensor.permute(perm),
-            None => tensor,
+            Some(perm) => root.permute(perm),
+            None => root,
         };
         (tensor, stats)
     }
@@ -794,12 +747,6 @@ impl Planner {
         &self.legs[self.start[s]..self.start[s + 1]]
     }
 
-    /// Whether slots `a` and `b` share a leg.
-    fn connected(&self, a: usize, b: usize) -> bool {
-        let lb = self.legs_of(b);
-        self.legs_of(a).iter().any(|l| lb.contains(l))
-    }
-
     /// The two lowest live slots — the outer-product fallback when a
     /// search finds no connected pair.
     fn lowest_pair(&self) -> Option<(usize, usize)> {
@@ -934,19 +881,6 @@ impl Planner {
         self.neighbours = neighbours;
     }
 
-    /// The sequential search: the first live slot with the first live
-    /// slot it shares a leg with.
-    fn search_sequential(&mut self) {
-        while let Some(a) = (0..self.slot_count()).find(|&s| self.live[s]) {
-            let connected =
-                (a + 1..self.slot_count()).find(|&b| self.live[b] && self.connected(a, b));
-            let Some((a, b)) = connected.map(|b| (a, b)).or_else(|| self.lowest_pair()) else {
-                break;
-            };
-            self.contract(a, b);
-        }
-    }
-
     /// Records the contraction of live slots `a` (lhs) and `b` (rhs)
     /// and returns the new slot holding its result.
     fn contract(&mut self, a: usize, b: usize) -> usize {
@@ -1073,6 +1007,7 @@ impl Planner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::network::OrderStrategy;
     use qns_linalg::{cr, Matrix};
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
@@ -1103,23 +1038,33 @@ mod tests {
         (net, expect)
     }
 
+    /// The chain's two orders: greedy's `A·(B·C)`, and `(A·B)·C`.
+    fn chain_plans(net: &TensorNetwork) -> [ContractionPlan; 2] {
+        [
+            net.plan(OrderStrategy::Greedy),
+            net.plan_order(&[(0, 1), (3, 2)]),
+        ]
+    }
+
     #[test]
     fn plan_execute_matches_contract_all() {
-        for strategy in [OrderStrategy::Greedy, OrderStrategy::Sequential] {
-            let mut rng = StdRng::seed_from_u64(11);
-            let (net, expect) = chain_network(&mut rng);
-            let plan = net.plan(strategy);
+        let mut rng = StdRng::seed_from_u64(11);
+        let (net, expect) = chain_network(&mut rng);
+        let plans = chain_plans(&net);
+        assert_ne!(plans[0], plans[1]);
+        for plan in plans {
             let (planned, stats) = plan.execute_network(&net);
             assert!(planned.to_matrix().approx_eq(&expect, 1e-12));
             assert_eq!(stats.plan_reuses, 1);
             assert_eq!(stats.order_searches, 0);
-
-            let (fresh, fresh_stats) = net.contract_all(strategy);
-            assert_eq!(planned, fresh, "replay must be bit-identical");
-            assert_eq!(stats.contractions, fresh_stats.contractions);
-            assert_eq!(stats.max_intermediate, fresh_stats.max_intermediate);
-            assert_eq!(stats.flops_proxy, fresh_stats.flops_proxy);
         }
+        let plan = net.plan(OrderStrategy::Greedy);
+        let (planned, stats) = plan.execute_network(&net);
+        let (fresh, fresh_stats) = net.contract_all();
+        assert_eq!(planned, fresh, "replay must be bit-identical");
+        assert_eq!(stats.contractions, fresh_stats.contractions);
+        assert_eq!(stats.max_intermediate, fresh_stats.max_intermediate);
+        assert_eq!(stats.flops_proxy, fresh_stats.flops_proxy);
     }
 
     #[test]
@@ -1145,7 +1090,7 @@ mod tests {
     fn empty_plan_yields_scalar_one() {
         let net = TensorNetwork::new();
         let plan = net.plan(OrderStrategy::Greedy);
-        let (t, stats) = plan.execute(&[]);
+        let (t, stats) = plan.execute_network(&net);
         assert_eq!(t.scalar_value(), Complex64::ONE);
         assert_eq!(stats.contractions, 0);
         assert_eq!(stats.plan_reuses, 1);
@@ -1184,8 +1129,7 @@ mod tests {
     fn tree_structure_is_consistent() {
         let mut rng = StdRng::seed_from_u64(19);
         let (net, _) = chain_network(&mut rng);
-        for strategy in [OrderStrategy::Greedy, OrderStrategy::Sequential] {
-            let plan = net.plan(strategy);
+        for (which, plan) in chain_plans(&net).into_iter().enumerate() {
             assert_eq!(plan.slot_count(), plan.n_inputs() + plan.steps().len());
             // Exactly one root; every other slot has exactly one parent
             // that lists it as a child.
@@ -1195,16 +1139,16 @@ mod tests {
                     None => roots += 1,
                     Some(step) => {
                         let (l, r) = plan.steps()[step].children();
-                        assert!(l == slot || r == slot, "{strategy:?}: slot {slot}");
+                        assert!(l == slot || r == slot, "plan {which}: slot {slot}");
                         assert!(plan.n_inputs() + step > slot, "topological order");
                     }
                 }
             }
-            assert_eq!(roots, 1, "{strategy:?}");
+            assert_eq!(roots, 1, "plan {which}");
             // Leaf paths are ascending step sequences ending at the root.
             for leaf in 0..plan.n_inputs() {
                 let path = plan.leaf_path(leaf);
-                assert!(path.windows(2).all(|w| w[0] < w[1]), "{strategy:?}");
+                assert!(path.windows(2).all(|w| w[0] < w[1]), "plan {which}");
                 let last = *path.last().expect("chain has steps");
                 assert_eq!(plan.slot_parent(plan.n_inputs() + last), None);
             }
@@ -1223,7 +1167,7 @@ mod tests {
             (vec![dim; 4], vec![3, 4, 5, 6]),
         ];
         let nodes = skeleton.iter().map(|(s, l)| (s.as_slice(), l.as_slice()));
-        let plan = ContractionPlan::from_skeleton(nodes, OrderStrategy::Greedy);
+        let plan = ContractionPlan::from_skeleton(nodes);
         let stats = plan.replay_stats();
         assert_eq!(stats.contractions, 1);
         assert_eq!(stats.max_intermediate, usize::MAX);
@@ -1234,11 +1178,9 @@ mod tests {
     fn plan_order_replays_a_searched_sequence() {
         let mut rng = StdRng::seed_from_u64(23);
         let (net, _) = chain_network(&mut rng);
-        for strategy in [OrderStrategy::Greedy, OrderStrategy::Sequential] {
-            let plan = net.plan(strategy);
-            let order: Vec<(usize, usize)> = plan.steps().iter().map(PlanStep::children).collect();
-            assert_eq!(net.plan_order(&order), plan, "{strategy:?}");
-        }
+        let plan = net.plan(OrderStrategy::Greedy);
+        let order: Vec<(usize, usize)> = plan.steps().iter().map(PlanStep::children).collect();
+        assert_eq!(net.plan_order(&order), plan);
     }
 
     #[test]
@@ -1263,6 +1205,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(17);
         let (net, _) = chain_network(&mut rng);
         let plan = net.plan(OrderStrategy::Greedy);
-        let _ = plan.execute(&[Tensor::zeros(vec![2, 3])]);
+        let mut other = TensorNetwork::new();
+        let l = other.fresh_leg();
+        other.add(Tensor::zeros(vec![2]), vec![l]);
+        let _ = plan.execute_network(&other);
     }
 }

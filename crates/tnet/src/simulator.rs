@@ -4,7 +4,7 @@
 use crate::builder::{
     amplitude_network, amplitude_network_with, double_network, Insertion, ProductState,
 };
-use crate::network::{ContractionStats, OrderStrategy};
+use crate::network::ContractionStats;
 use qns_circuit::Circuit;
 use qns_linalg::Complex64;
 use qns_noise::NoisyCircuit;
@@ -13,25 +13,15 @@ use rand::{RngExt, SeedableRng};
 use std::collections::BTreeMap;
 
 /// The noiseless amplitude `⟨v|C|ψ⟩` by network contraction.
-pub fn amplitude(
-    circuit: &Circuit,
-    psi: &ProductState,
-    v: &ProductState,
-    strategy: OrderStrategy,
-) -> Complex64 {
-    let (t, _) = amplitude_network(circuit, psi, v).contract_all(strategy);
+pub fn amplitude(circuit: &Circuit, psi: &ProductState, v: &ProductState) -> Complex64 {
+    let (t, _) = amplitude_network(circuit, psi, v).contract_all();
     t.scalar_value()
 }
 
 /// The TN-based exact noisy expectation `⟨v|E_N(|ψ⟩⟨ψ|)|v⟩`:
 /// contraction of the paper's double-size network.
-pub fn expectation(
-    noisy: &NoisyCircuit,
-    psi: &ProductState,
-    v: &ProductState,
-    strategy: OrderStrategy,
-) -> f64 {
-    expectation_with_stats(noisy, psi, v, strategy).0
+pub fn expectation(noisy: &NoisyCircuit, psi: &ProductState, v: &ProductState) -> f64 {
+    expectation_with_stats(noisy, psi, v).0
 }
 
 /// As [`expectation`], also returning contraction statistics (the
@@ -40,10 +30,9 @@ pub fn expectation_with_stats(
     noisy: &NoisyCircuit,
     psi: &ProductState,
     v: &ProductState,
-    strategy: OrderStrategy,
 ) -> (f64, ContractionStats) {
     let net = double_network(noisy, psi, v, &BTreeMap::new());
-    let (t, stats) = net.contract_all(strategy);
+    let (t, stats) = net.contract_all();
     (t.scalar_value().re, stats)
 }
 
@@ -74,7 +63,6 @@ pub fn trajectory_estimate(
     psi: &ProductState,
     v: &ProductState,
     samples: usize,
-    strategy: OrderStrategy,
     seed: u64,
 ) -> TnTrajectoryEstimate {
     assert!(samples > 0, "need at least one sample");
@@ -115,7 +103,7 @@ pub fn trajectory_estimate(
             });
         }
         let amp = amplitude_network_with(noisy.circuit(), psi, v, &insertions, false)
-            .contract_all(strategy)
+            .contract_all()
             .0
             .scalar_value();
         let x = amp.norm_sqr() / prob_product.max(f64::MIN_POSITIVE);
@@ -145,7 +133,6 @@ mod tests {
             &ghz(4),
             &ProductState::all_zeros(4),
             &ProductState::basis(4, 0b1111),
-            OrderStrategy::Greedy,
         );
         assert!((amp.abs() - std::f64::consts::FRAC_1_SQRT_2).abs() < 1e-12);
     }
@@ -163,7 +150,7 @@ mod tests {
             NoisyCircuit::inject_random(c, &channels::thermal_relaxation(30.0, 40.0, 50.0), 4, 3);
         let psi = ProductState::all_zeros(4);
         let v = ProductState::all_zeros(4);
-        let tn = expectation(&noisy, &psi, &v, OrderStrategy::Greedy);
+        let tn = expectation(&noisy, &psi, &v);
         let mm = dense_reference(&noisy, &psi, &v);
         assert!((tn - mm).abs() < 1e-9, "tn {tn} vs mm {mm}");
     }
@@ -174,7 +161,7 @@ mod tests {
         let noisy = NoisyCircuit::inject_random(c, &channels::depolarizing(0.01), 3, 9);
         let psi = ProductState::all_zeros(4);
         let v = ProductState::basis(4, 0b0110);
-        let tn = expectation(&noisy, &psi, &v, OrderStrategy::Greedy);
+        let tn = expectation(&noisy, &psi, &v);
         let mm = dense_reference(&noisy, &psi, &v);
         assert!((tn - mm).abs() < 1e-9, "tn {tn} vs mm {mm}");
     }
@@ -184,8 +171,19 @@ mod tests {
         let noisy = NoisyCircuit::inject_random(ghz(4), &channels::bit_flip(0.05), 2, 2);
         let psi = ProductState::all_zeros(4);
         let v = ProductState::basis(4, 0);
-        let g = expectation(&noisy, &psi, &v, OrderStrategy::Greedy);
-        let s = expectation(&noisy, &psi, &v, OrderStrategy::Sequential);
+        let g = expectation(&noisy, &psi, &v);
+        // The double network contracted in node order: ((0·1)·2)·…
+        let net = double_network(&noisy, &psi, &v, &BTreeMap::new());
+        let n = net.node_count();
+        let sequential: Vec<(usize, usize)> = (1..n)
+            .map(|i| (if i == 1 { 0 } else { n + i - 2 }, i))
+            .collect();
+        let s = net
+            .plan_order(&sequential)
+            .execute_network(&net)
+            .0
+            .scalar_value()
+            .re;
         assert!((g - s).abs() < 1e-10);
     }
 
@@ -194,8 +192,8 @@ mod tests {
         let noisy = NoisyCircuit::inject_random(ghz(3), &channels::depolarizing(0.15), 3, 7);
         let psi = ProductState::all_zeros(3);
         let v = ProductState::basis(3, 0b111);
-        let exact = expectation(&noisy, &psi, &v, OrderStrategy::Greedy);
-        let est = trajectory_estimate(&noisy, &psi, &v, 3000, OrderStrategy::Greedy, 5);
+        let exact = expectation(&noisy, &psi, &v);
+        let est = trajectory_estimate(&noisy, &psi, &v, 3000, 5);
         assert!(
             (est.mean - exact).abs() < 5.0 * est.std_error.max(1e-3),
             "est {} vs exact {}",
@@ -209,8 +207,8 @@ mod tests {
         let noisy = NoisyCircuit::inject_random(ghz(3), &channels::amplitude_damping(0.2), 2, 11);
         let psi = ProductState::all_zeros(3);
         let v = ProductState::basis(3, 0b000);
-        let exact = expectation(&noisy, &psi, &v, OrderStrategy::Greedy);
-        let est = trajectory_estimate(&noisy, &psi, &v, 4000, OrderStrategy::Greedy, 13);
+        let exact = expectation(&noisy, &psi, &v);
+        let est = trajectory_estimate(&noisy, &psi, &v, 4000, 13);
         assert!(
             (est.mean - exact).abs() < 5.0 * est.std_error.max(2e-3),
             "est {} vs exact {}",
@@ -225,8 +223,8 @@ mod tests {
         let v = ProductState::basis(4, 0);
         let few = NoisyCircuit::inject_random(ghz(4), &channels::depolarizing(0.01), 1, 1);
         let many = NoisyCircuit::inject_random(ghz(4), &channels::depolarizing(0.01), 8, 1);
-        let (_, s_few) = expectation_with_stats(&few, &psi, &v, OrderStrategy::Greedy);
-        let (_, s_many) = expectation_with_stats(&many, &psi, &v, OrderStrategy::Greedy);
+        let (_, s_few) = expectation_with_stats(&few, &psi, &v);
+        let (_, s_many) = expectation_with_stats(&many, &psi, &v);
         assert!(s_many.contractions > s_few.contractions);
     }
 

@@ -1,16 +1,17 @@
 //! Property tests of the compiled execution engine: an
 //! [`ExecutablePlan`] replayed through a [`Workspace`] must be
 //! **bit-identical** to the allocating reference path
-//! ([`ContractionPlan::execute_reference`], which chains
+//! (`ContractionPlan::execute_network_reference`, which chains
 //! `Tensor::contract`) on randomly shaped networks with random axis
-//! orders — including when one dirty workspace is reused across
+//! orders and random contraction orders — including when one dirty workspace is reused across
 //! different payload sets back-to-back.
 
 use proptest::prelude::*;
 use qns_linalg::{c64, Complex64};
 use qns_tensor::Tensor;
 use qns_tnet::exec::Workspace;
-use qns_tnet::network::{OrderStrategy, TensorNetwork};
+use qns_tnet::network::{LegId, OrderStrategy, TensorNetwork};
+use qns_tnet::plan::ContractionPlan;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -64,28 +65,73 @@ fn random_network(rng: &mut StdRng, k: usize) -> (TensorNetwork, Vec<Vec<usize>>
     (net, shapes)
 }
 
+/// A random valid plan of `net`, the order compared against greedy's:
+/// each pair joins a random live slot with a random live slot sharing a
+/// leg with it (any other live slot when none does), either side first.
+fn random_plan(rng: &mut StdRng, net: &TensorNetwork) -> ContractionPlan {
+    let mut slots: Vec<Option<Vec<LegId>>> = (0..net.node_count())
+        .map(|i| Some(net.node_legs(i).to_vec()))
+        .collect();
+    let mut order = Vec::new();
+    loop {
+        let live: Vec<usize> = (0..slots.len()).filter(|&s| slots[s].is_some()).collect();
+        if live.len() < 2 {
+            return net.plan_order(&order);
+        }
+        let a = live[rng.random_range(0..live.len())];
+        let legs_a = slots[a].as_ref().unwrap();
+        let others: Vec<usize> = live.iter().copied().filter(|&b| b != a).collect();
+        let linked: Vec<usize> = others
+            .iter()
+            .copied()
+            .filter(|&b| {
+                slots[b]
+                    .as_ref()
+                    .unwrap()
+                    .iter()
+                    .any(|l| legs_a.contains(l))
+            })
+            .collect();
+        let pick = if linked.is_empty() { &others } else { &linked };
+        let b = pick[rng.random_range(0..pick.len())];
+        let (legs_a, legs_b) = (slots[a].take().unwrap(), slots[b].take().unwrap());
+        let merged = legs_a
+            .iter()
+            .filter(|l| !legs_b.contains(l))
+            .chain(legs_b.iter().filter(|l| !legs_a.contains(l)))
+            .copied()
+            .collect();
+        slots.push(Some(merged));
+        order.push(if rng.random_range(0..2u32) == 0 {
+            (a, b)
+        } else {
+            (b, a)
+        });
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Compiled execution is bit-identical to the reference
-    /// `Tensor::contract` replay on random skeletons, for both order
-    /// strategies — and so is the thin allocating wrapper.
+    /// `Tensor::contract` replay on random skeletons, for the greedy
+    /// plan and a random one — and so is the allocating replay.
     #[test]
     fn compiled_matches_reference_bitwise(seed in 0u64..5000, k in 2usize..6) {
         let mut rng = StdRng::seed_from_u64(seed);
         let (net, _) = random_network(&mut rng, k);
-        for strategy in [OrderStrategy::Greedy, OrderStrategy::Sequential] {
-            let plan = net.plan(strategy);
+        let random = random_plan(&mut StdRng::seed_from_u64(seed ^ 0x0DE7), &net);
+        for plan in [net.plan(OrderStrategy::Greedy), random] {
             let (reference, _) = plan.execute_network_reference(&net);
 
             let exec = plan.compile();
             let mut ws = Workspace::new();
             let out = exec.execute_network_into(&net, &mut ws);
-            prop_assert_eq!(exec.output_shape(), reference.shape(), "{:?}", strategy);
-            prop_assert_eq!(out, reference.as_slice(), "{:?}", strategy);
+            prop_assert_eq!(exec.output_shape(), reference.shape(), "{:?}", plan.steps());
+            prop_assert_eq!(out, reference.as_slice(), "{:?}", plan.steps());
 
             let (wrapped, _) = plan.execute_network(&net);
-            prop_assert_eq!(&wrapped, &reference, "{:?}", strategy);
+            prop_assert_eq!(&wrapped, &reference, "{:?}", plan.steps());
         }
     }
 
@@ -294,7 +340,7 @@ fn tiny_network(rng: &mut StdRng, k: usize, open: bool) -> (TensorNetwork, Vec<V
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// On tiny networks, for plans of both order strategies and the
+    /// On tiny networks, for the greedy plan, a random one and the
     /// delta-aware search, lowered with every leaf varying and with a
     /// random varying set: full replays and delta replays over random
     /// dirty sets are bit-identical to the reference replay, and, when
@@ -311,7 +357,7 @@ proptest! {
         let (searched, _) = net.plan_for_replay(&varying, 1 << 40);
         let plans = [
             net.plan(OrderStrategy::Greedy),
-            net.plan(OrderStrategy::Sequential),
+            random_plan(&mut StdRng::seed_from_u64(seed ^ 0x0DE7), &net),
             searched,
         ];
         for plan in plans {

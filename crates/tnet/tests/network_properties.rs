@@ -1,8 +1,8 @@
 //! Property-based tests of the tensor-network engine: contraction
-//! results must be independent of strategy and match direct tensor
-//! algebra on randomly shaped chains, and the incremental greedy order
-//! search must record exactly the plan of the all-pairs rescan it
-//! replaced.
+//! results must be independent of the contraction order (greedy's, or
+//! node order through `plan_order`) and match direct tensor algebra on
+//! randomly shaped chains, and the incremental greedy order search must
+//! record exactly the plan of the all-pairs rescan it replaced.
 
 use proptest::prelude::*;
 use qns_circuit::generators::{hf_vqe, inst_grid, qaoa_grid_random};
@@ -26,11 +26,21 @@ fn tensor_strategy(shape: Vec<usize>) -> impl Strategy<Value = Tensor> {
     })
 }
 
+/// The pairs contracting `net`'s nodes in insertion order: `0·1`, then
+/// that result with node 2, and so on — the order compared against
+/// greedy's.
+fn sequential_order(net: &TensorNetwork) -> Vec<(usize, usize)> {
+    let n = net.node_count();
+    (1..n)
+        .map(|i| (if i == 1 { 0 } else { n + i - 2 }, i))
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// A chain A·B·C of random bond sizes contracts to the matrix
-    /// product under both strategies.
+    /// product in greedy and in node order.
     #[test]
     fn chain_matches_matrix_product(
         d0 in 1usize..4,
@@ -54,18 +64,18 @@ proptest! {
         let c = mk(vec![d2, d3], 3);
         let expect = a.to_matrix().matmul(&b.to_matrix()).matmul(&c.to_matrix());
 
-        for strategy in [OrderStrategy::Greedy, OrderStrategy::Sequential] {
-            let mut net = TensorNetwork::new();
-            let l0 = net.fresh_leg();
-            let l1 = net.fresh_leg();
-            let l2 = net.fresh_leg();
-            let l3 = net.fresh_leg();
-            net.add(a.clone(), vec![l0, l1]);
-            net.add(b.clone(), vec![l1, l2]);
-            net.add(c.clone(), vec![l2, l3]);
-            let (t, _) = net.contract_all(strategy);
-            prop_assert!(t.to_matrix().approx_eq(&expect, 1e-9), "{:?}", strategy);
-        }
+        let mut net = TensorNetwork::new();
+        let l0 = net.fresh_leg();
+        let l1 = net.fresh_leg();
+        let l2 = net.fresh_leg();
+        let l3 = net.fresh_leg();
+        net.add(a, vec![l0, l1]);
+        net.add(b, vec![l1, l2]);
+        net.add(c, vec![l2, l3]);
+        let (t, _) = net.plan_order(&sequential_order(&net)).execute_network(&net);
+        prop_assert!(t.to_matrix().approx_eq(&expect, 1e-9), "sequential");
+        let (t, _) = net.contract_all();
+        prop_assert!(t.to_matrix().approx_eq(&expect, 1e-9), "greedy");
     }
 
     /// A closed ring (trace of a matrix product) contracts to a scalar
@@ -93,7 +103,7 @@ proptest! {
         let l1 = net.fresh_leg();
         net.add(a, vec![l0, l1]);
         net.add(b, vec![l1, l0]);
-        let (t, _) = net.contract_all(OrderStrategy::Greedy);
+        let (t, _) = net.contract_all();
         prop_assert!(t.scalar_value().approx_eq(expect, 1e-9));
     }
 
@@ -116,7 +126,7 @@ proptest! {
                 .collect();
             Tensor::from_vec(data, shape)
         };
-        for strategy in [OrderStrategy::Greedy, OrderStrategy::Sequential] {
+        for sequential in [false, true] {
             let mut net = TensorNetwork::new();
             let l0 = net.fresh_leg();
             let l1 = net.fresh_leg();
@@ -126,7 +136,15 @@ proptest! {
             net.add(mk(vec![d1, d2], salt + 1), vec![l1, l2]);
             let last = net.add(mk(vec![d2, d3], salt + 2), vec![l2, l3]);
 
-            let plan = net.plan(strategy);
+            // A fresh contraction: a new search, or the node order.
+            let fresh = |net: &TensorNetwork| match sequential {
+                true => net.plan_order(&sequential_order(net)).execute_network(net).0,
+                false => net.clone().contract_all().0,
+            };
+            let plan = match sequential {
+                true => net.plan_order(&sequential_order(&net)),
+                false => net.plan(OrderStrategy::Greedy),
+            };
             let (planned, stats) = plan.execute_network(&net);
             prop_assert_eq!(stats.order_searches, 0);
             prop_assert_eq!(stats.plan_reuses, 1);
@@ -135,23 +153,24 @@ proptest! {
             // contraction of the updated network.
             net.set_tensor(last, mk(vec![d2, d3], salt + 9));
             let (replayed, _) = plan.execute_network(&net);
-            let (fresh, _) = net.clone().contract_all(strategy);
-            prop_assert_eq!(replayed.shape(), fresh.shape());
-            for (a, b) in replayed.as_slice().iter().zip(fresh.as_slice()) {
-                prop_assert!(a.approx_eq(*b, 1e-12), "{:?}: {} vs {}", strategy, a, b);
+            let swapped = fresh(&net);
+            prop_assert_eq!(replayed.shape(), swapped.shape());
+            for (a, b) in replayed.as_slice().iter().zip(swapped.as_slice()) {
+                prop_assert!(a.approx_eq(*b, 1e-12), "sequential {}: {} vs {}", sequential, a, b);
             }
 
             // And the original (pre-swap) result matches its own fresh
             // contraction too.
             net.set_tensor(last, mk(vec![d2, d3], salt + 2));
-            let (orig, _) = net.contract_all(strategy);
+            let orig = fresh(&net);
             for (a, b) in planned.as_slice().iter().zip(orig.as_slice()) {
                 prop_assert!(a.approx_eq(*b, 1e-12));
             }
         }
     }
 
-    /// Strategies agree on star-shaped networks (hub with spokes).
+    /// Greedy and node order agree on star-shaped networks (hub with
+    /// spokes).
     #[test]
     fn strategies_agree_on_stars(spokes in 2usize..5, salt in 0usize..20) {
         let mk = |shape: Vec<usize>, s: usize| {
@@ -161,17 +180,21 @@ proptest! {
                 .collect();
             Tensor::from_vec(data, shape)
         };
-        let run = |strategy| {
+        let run = |sequential: bool| {
             let mut net = TensorNetwork::new();
             let legs: Vec<_> = (0..spokes).map(|_| net.fresh_leg()).collect();
             net.add(mk(vec![2; spokes], salt), legs.clone());
             for (k, &l) in legs.iter().enumerate() {
                 net.add(mk(vec![2], salt + k + 1), vec![l]);
             }
-            net.contract_all(strategy).0.scalar_value()
+            match sequential {
+                true => net.plan_order(&sequential_order(&net)).execute_network(&net).0,
+                false => net.contract_all().0,
+            }
+            .scalar_value()
         };
-        let g = run(OrderStrategy::Greedy);
-        let s = run(OrderStrategy::Sequential);
+        let g = run(false);
+        let s = run(true);
         prop_assert!(g.approx_eq(s, 1e-9), "{g} vs {s}");
     }
 }

@@ -50,12 +50,10 @@ pub mod prelude {
     };
     pub use qns_circuit::{generators, Circuit, Gate, Operation};
     pub use qns_core::{
-        approximate_expectation, error_bound, simulate_auto, try_approximate_expectation,
-        ApproxOptions, NoiseSvd,
+        approximate_expectation, error_bound, try_approximate_expectation, ApproxOptions, NoiseSvd,
     };
     pub use qns_linalg::{Complex64, Matrix};
     pub use qns_noise::{channels, Kraus, NoisyCircuit};
     pub use qns_serve::{JobHandle, JobSpec, Route, Service, ServiceBuilder, ServiceStats};
     pub use qns_tnet::builder::ProductState;
-    pub use qns_tnet::network::OrderStrategy;
 }

@@ -17,7 +17,6 @@ use qns::prelude::{
 };
 use qns::sim::{density, statevector};
 use qns::tnet::builder::ProductState;
-use qns::tnet::network::OrderStrategy;
 use qns::tnet::simulator as tn;
 
 /// All deterministic engines on one configuration through the single
@@ -182,7 +181,7 @@ fn trajectories_agree_within_statistics() {
     // TN trajectories too.
     let p = ProductState::all_zeros(4);
     let vtn = ProductState::basis(4, 0);
-    let est = tn::trajectory_estimate(&noisy, &p, &vtn, 3000, OrderStrategy::Greedy, 11);
+    let est = tn::trajectory_estimate(&noisy, &p, &vtn, 3000, 11);
     assert!(
         (est.mean - exact0).abs() < 5.0 * est.std_error.max(2e-3),
         "TN traj {} vs exact {exact0}",

@@ -11,7 +11,7 @@ use qns::linalg::Matrix;
 use qns::noise::{channels, Kraus, NoiseEvent, NoisyCircuit};
 use qns::sim::{density, statevector};
 use qns::tnet::builder::ProductState;
-use qns::tnet::network::OrderStrategy;
+use qns::tnet::network::{OrderStrategy, TensorNetwork};
 
 /// Strategy: a random circuit on `n` qubits with `g` gates.
 fn random_circuit(n: usize, g: usize) -> impl Strategy<Value = Circuit> {
@@ -121,32 +121,41 @@ proptest! {
     ) {
         // Plan-once/execute-many must agree with the search-as-you-go
         // contraction to 1e-12 on random networks — both the single
-        // amplitude network and the double noisy network, under both
-        // order strategies.
+        // amplitude network and the double noisy network, replaying the
+        // greedy plan and the node-order plan (`0·1`, then node 2, …).
         use std::collections::BTreeMap;
         let noisy = NoisyCircuit::inject_random(c, &ch, 2, seed);
         let psi = ProductState::all_zeros(3);
         let v = ProductState::basis(3, v_bits);
-        for strategy in [OrderStrategy::Greedy, OrderStrategy::Sequential] {
-            let amp_net = qns::tnet::builder::amplitude_network(noisy.circuit(), &psi, &v);
-            let plan = amp_net.plan(strategy);
-            let (planned, stats) = plan.execute_network(&amp_net);
-            let (fresh, fresh_stats) = amp_net.contract_all(strategy);
+        let sequential = |net: &TensorNetwork| {
+            let n = net.node_count();
+            let order: Vec<(usize, usize)> = (1..n)
+                .map(|i| (if i == 1 { 0 } else { n + i - 2 }, i))
+                .collect();
+            net.plan_order(&order)
+        };
+        let amp_net = qns::tnet::builder::amplitude_network(noisy.circuit(), &psi, &v);
+        let dbl_net = qns::tnet::builder::double_network(&noisy, &psi, &v, &BTreeMap::new());
+        for (which, plans) in [
+            ("greedy", [amp_net.plan(OrderStrategy::Greedy), dbl_net.plan(OrderStrategy::Greedy)]),
+            ("sequential", [sequential(&amp_net), sequential(&dbl_net)]),
+        ] {
+            let [amp_plan, dbl_plan] = plans;
+            let (planned, stats) = amp_plan.execute_network(&amp_net);
+            let (fresh, fresh_stats) = amp_net.clone().contract_all();
             prop_assert!(
                 planned.scalar_value().approx_eq(fresh.scalar_value(), 1e-12),
-                "{strategy:?} amplitude: {} vs {}", planned.scalar_value(), fresh.scalar_value()
+                "{which} amplitude: {} vs {}", planned.scalar_value(), fresh.scalar_value()
             );
             prop_assert_eq!(stats.contractions, fresh_stats.contractions);
             prop_assert_eq!(stats.order_searches, 0);
             prop_assert_eq!(fresh_stats.order_searches, 1);
 
-            let dbl_net = qns::tnet::builder::double_network(&noisy, &psi, &v, &BTreeMap::new());
-            let plan = dbl_net.plan(strategy);
-            let planned = plan.execute_network(&dbl_net).0.scalar_value();
-            let fresh = dbl_net.contract_all(strategy).0.scalar_value();
+            let planned = dbl_plan.execute_network(&dbl_net).0.scalar_value();
+            let fresh = dbl_net.clone().contract_all().0.scalar_value();
             prop_assert!(
                 planned.approx_eq(fresh, 1e-12),
-                "{strategy:?} double: {planned} vs {fresh}"
+                "{which} double: {planned} vs {fresh}"
             );
         }
     }
@@ -168,7 +177,6 @@ proptest! {
             &noisy,
             &ProductState::all_zeros(3),
             &ProductState::basis(3, v_bits),
-            OrderStrategy::Greedy,
         );
         prop_assert!((mm - tn).abs() < 1e-8, "mm {} vs tn {}", mm, tn);
     }
@@ -290,8 +298,8 @@ proptest! {
 
     /// The rank-aware pattern stream is the full Gray walk with the
     /// patterns that use a zero term left out: the same patterns in
-    /// the same relative order, as many as the ranked count, each
-    /// reporting its exact diff against the previous emitted pattern.
+    /// the same relative order, as many as the ranked count. Each step
+    /// of the full walk changes at most two sites.
     #[test]
     fn ranked_stream_is_the_filtered_full_walk(
         n in 0usize..8,
@@ -303,26 +311,25 @@ proptest! {
         let mut full = GrayPatternStream::new(n, u);
         let mut ranked = GrayPatternStream::with_ranks(ranks, u);
         let mut pat = vec![0usize; n];
-        let mut expected = Vec::new();
+        let mut expected: Vec<Vec<usize>> = Vec::new();
+        let mut prev: Option<Vec<usize>> = None;
         while full.next_into(&mut pat) {
+            if let Some(prev) = &prev {
+                let changed = (0..n).filter(|&i| pat[i] != prev[i]).count();
+                prop_assert!((1..=2).contains(&changed), "{:?} -> {:?}", prev, pat);
+            }
+            prev = Some(pat.clone());
             if pat.iter().zip(ranks).all(|(&t, &r)| t < r) {
                 expected.push(pat.clone());
             }
         }
-        let mut prev = vec![0usize; n]; // the all-dominant pattern
         let mut emitted = 0usize;
         while ranked.next_into(&mut pat) {
             prop_assert!(emitted < expected.len(), "extra pattern {:?}", pat);
             prop_assert_eq!(&pat, &expected[emitted]);
-            let diff: Vec<usize> = (0..n).filter(|&i| pat[i] != prev[i]).collect();
-            let mut reported = ranked.changed_sites().to_vec();
-            reported.sort_unstable();
-            prop_assert_eq!(reported, diff, "changed_sites of pattern {}", emitted);
-            prev.copy_from_slice(&pat);
             emitted += 1;
         }
         prop_assert_eq!(emitted, expected.len());
         prop_assert_eq!(emitted as u128, level_patterns_for_ranks(ranks, u));
-        prop_assert!(ranked.changed_sites().is_empty());
     }
 }
